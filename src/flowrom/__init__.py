@@ -16,7 +16,6 @@ from .fem import (
     apply_constraints,
     assemble_linear_operators,
     field_norms,
-    nonlinear_residual_and_jacobian,
     trilinear_value,
 )
 from .fom import FomConfig, FomState, build_initial_condition, advance_step, run_fom
@@ -49,7 +48,6 @@ __all__ = [
     "apply_constraints",
     "assemble_linear_operators",
     "field_norms",
-    "nonlinear_residual_and_jacobian",
     "trilinear_value",
     "FomConfig",
     "FomState",

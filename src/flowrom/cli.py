@@ -19,7 +19,7 @@ Configuration files use INI syntax (flat key-value pairs in sections); see
     snapshot_stride = 1
 
     [rom]
-    r = 10,20,30,40
+    r = 40
     form = skew
     centering = none
 
@@ -218,7 +218,10 @@ def cmd_rom(args):
     t_end = args.t_end or float(rom_sec.get("t_end", 0.0))
     scheme = args.scheme or rom_sec.get("scheme", fom_cfg.scheme)
     basis = fio.read_basis(args.basis)
-    r = args.r or int(str(rom_sec.get("r", basis.rank)).split(",")[0])
+    try:
+        r = args.r or int(rom_sec.get("r", basis.rank))
+    except ValueError as exc:
+        raise ConfigError(f"[rom] r must be one integer, got {rom_sec.get('r')!r}") from exc
     if r > basis.rank:
         raise ConfigError(f"requested r={r} exceeds basis rank {basis.rank}")
 
@@ -363,14 +366,12 @@ def main(argv=None):
     p_fom.add_argument("--out", default=None, help="output directory")
     p_fom.add_argument("--form", choices=[f.value for f in NonlinearForm], default=None)
     p_fom.add_argument("--scheme", choices=["backward_euler", "bdf2"], default=None)
-    p_fom.add_argument("--seed", type=int, default=None)
 
     p_pod = sub.add_parser("pod", help="build the POD basis from a snapshot archive")
     p_pod.add_argument("archive")
     p_pod.add_argument("--config", required=True)
     p_pod.add_argument("--centering", choices=["none", "mean"], default=None)
     p_pod.add_argument("--out", default=None)
-    p_pod.add_argument("--seed", type=int, default=None)
 
     p_rom = sub.add_parser("rom", help="run a reduced model from a basis archive")
     p_rom.add_argument("basis")
@@ -382,7 +383,6 @@ def main(argv=None):
     p_rom.add_argument("--t-end", dest="t_end", type=float, default=None)
     p_rom.add_argument("--scheme", choices=["backward_euler", "bdf2"], default=None)
     p_rom.add_argument("--out", default=None)
-    p_rom.add_argument("--seed", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="tabulate ROM-vs-FOM trajectory errors")
     p_cmp.add_argument("trajectories", nargs="+", help="ROM trajectory CSVs")
@@ -390,7 +390,6 @@ def main(argv=None):
     p_cmp.add_argument("--archive", required=True)
     p_cmp.add_argument("--basis", required=True)
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
 
     p_ver = sub.add_parser("verify", help="run the built-in invariant checks")
     p_ver.add_argument("--seed", type=int, default=None)

@@ -291,29 +291,6 @@ class TaylorHoodSpace:
         grads = np.einsum("eli,eqld->eqid", ue, self.dphi, optimize=True)
         return vals, grads
 
-    def evaluate(self, u, cells, bary):
-        """Velocity values/gradients at barycentric points of given cells.
-
-        ``bary`` is (npts, 3); returns ``vals`` (ncells, npts, 2) and
-        ``grads`` (ncells, npts, 2, 2).
-        """
-        u = self._check_velocity(u)
-        phi = _p2_basis(bary)
-        ref = _p2_ref_grads(bary)
-        ue = u.reshape(self.n_scalar, 2)[self.cell_scalar[cells]]
-        vals = np.einsum("eli,ql->eqi", ue, phi)
-        dphi = np.einsum("edk,qlk->eqld", self.inv_jt[cells], ref)
-        grads = np.einsum("eli,eqld->eqid", ue, dphi)
-        return vals, grads
-
-    def evaluate_pressure(self, p, cells, bary):
-        """Pressure values at barycentric points of given cells: (ncells, npts)."""
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n_press,):
-            raise ValueError(f"pressure field has length {p.shape}, expected ({self.n_press},)")
-        pe = p[self.cell_press[cells]]
-        return np.einsum("el,ql->eq", pe, np.asarray(bary))
-
     def interpolate_velocity(self, fn, time=0.0):
         """Nodal interpolation of ``fn(x, y, t) -> (u1, u2)`` onto the P2 nodes."""
         x, y = self.scalar_xy[:, 0], self.scalar_xy[:, 1]
@@ -481,48 +458,45 @@ def nonlinear_jacobian(space, form, u):
     return m.tocsr()
 
 
-def nonlinear_residual_and_jacobian(space, form, u):
-    """Residual b(u, u, phi_i) and its exact Jacobian in one call."""
-    return nonlinear_residual(space, form, u), nonlinear_jacobian(space, form, u)
-
-
 # ----------------------------------------------------------------------
 # constraints
 
-def apply_constraints(space, matrix, rhs, boundary_values, time=0.0, symmetric=False):
+def constraint_mask(space, boundary_values, time, size):
+    """Essential DOFs and their values for a vector or system of ``size`` unknowns.
+
+    ``size`` selects the layout: ``n_vel`` for velocity only, or
+    ``n_vel + n_press`` for the saddle-point layout ``[u, p]``, whose pinned
+    pressure DOF is also fixed, at zero.  Periodic slaves are already folded
+    by the DOF numbering.
+    """
+    n_vel = space.n_vel
+    if size not in (n_vel, n_vel + space.n_press):
+        raise ValueError(f"system size {size} matches neither velocity nor saddle-point layout")
+    mask = np.zeros(size, dtype=bool)
+    vals = np.zeros(size)
+    mask[:n_vel], vals[:n_vel] = space.dirichlet_data(boundary_values, time)
+    if size > n_vel:
+        mask[n_vel + space.pinned_pressure] = True
+    return mask, vals
+
+
+def constrain_rows(matrix, mask):
+    """Replace the rows of a sparse ``matrix`` selected by ``mask`` with identity rows, as CSR."""
+    keep = sp.diags((~mask).astype(float), format="csr")
+    return keep @ matrix + sp.diags(mask.astype(float), format="csr")
+
+
+def apply_constraints(space, matrix, rhs, boundary_values, time=0.0):
     """Impose essential conditions on an assembled system.
 
-    Works on velocity-only systems (size ``n_vel``) or full saddle-point
-    systems (size ``n_vel + n_press``); in the latter case the pinned
-    pressure DOF row is also replaced.  Constrained rows become identity rows
-    carrying the prescribed values; with ``symmetric=True`` the matching
-    columns are eliminated into the right-hand side, preserving symmetry.
-    Periodic slaves are already folded by the DOF numbering.
+    Works on velocity-only or saddle-point systems (see
+    :func:`constraint_mask`).  Constrained rows become identity rows whose
+    right-hand side carries the prescribed values.
     """
-    n = matrix.shape[0]
-    if n not in (space.n_vel, space.n_vel + space.n_press):
-        raise ValueError(f"system size {n} matches neither velocity nor saddle-point layout")
-    mask_v, vals_v = space.dirichlet_data(boundary_values, time)
-    mask = np.zeros(n, dtype=bool)
-    vals = np.zeros(n)
-    mask[: space.n_vel] = mask_v
-    vals[: space.n_vel] = vals_v
-    if n > space.n_vel:
-        mask[space.n_vel + space.pinned_pressure] = True
-
-    a = sp.csr_matrix(matrix, copy=True)
+    mask, vals = constraint_mask(space, boundary_values, time, matrix.shape[0])
     rhs = np.array(rhs, dtype=float, copy=True)
-    fixed = np.flatnonzero(mask)
-    if symmetric:
-        # move known values to the rhs, then zero the columns
-        rhs -= a[:, fixed] @ vals[fixed]
-        az = a.tolil()
-        az[:, fixed] = 0.0
-        a = az.tocsr()
-    keep = sp.diags((~mask).astype(float))
-    a = keep @ a + sp.diags(mask.astype(float))
-    rhs[fixed] = vals[fixed]
-    return a.tocsr(), rhs
+    rhs[mask] = vals[mask]
+    return constrain_rows(sp.csr_matrix(matrix), mask), rhs
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each step solves the fully implicit momentum/continuity system on the
 Taylor-Hood space: find ``(u, p)`` with
 
-    (D_t u, v) + b(u, u, v) - (p, div v) + nu (grad u, grad v) = (f, v)
+    (D_t u, v) + b(u, u, v) - (p, div v) + nu (grad u, grad v) = 0
     (div u, q) = 0
 
 for all free test functions, where ``D_t`` is the backward-Euler or BDF2
@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import NonlinearForm, apply_constraints, nonlinear_jacobian, nonlinear_residual
+from .fem import (
+    NonlinearForm,
+    apply_constraints,
+    constrain_rows,
+    constraint_mask,
+    nonlinear_jacobian,
+    nonlinear_residual,
+)
 from .numerics import factorize, solve_sparse
 from .pod import SnapshotSet
 from .diagnostics import ScalarSeries, drag_coefficient, energy_enstrophy
@@ -39,10 +46,9 @@ class FomConfig:
     """Settings of a full-order run.
 
     ``boundary`` maps mesh labels to essential conditions (see
-    ``TaylorHoodSpace.dirichlet_data``); ``forcing`` is ``None`` or a callable
-    ``(x, y, t) -> (f1, f2)`` interpolated onto the velocity space.  The
-    snapshot window is a closed time interval; snapshots are taken every
-    ``snapshot_stride``-th step inside it.
+    ``TaylorHoodSpace.dirichlet_data``).  The snapshot window is a closed
+    time interval; snapshots are taken every ``snapshot_stride``-th step
+    inside it.
     """
 
     nu: float
@@ -51,12 +57,10 @@ class FomConfig:
     form: NonlinearForm = NonlinearForm.SKEW
     scheme: str = "bdf2"
     boundary: dict = field(default_factory=dict)
-    forcing: object = None
     snapshot_window: tuple = None
     snapshot_stride: int = 1
     newton_tol: float = 1e-10
     newton_max_iter: int = 20
-    newton_damping: float = 1.0
     drag_label: str = None
     keep_states: bool = False
     project_initial: bool = False
@@ -170,22 +174,13 @@ def build_initial_condition(problem, space):
     if problem == "taylor-green":
         return space.interpolate_velocity(taylor_green_velocity)
     if problem == "cylinder-channel":
-        u = np.zeros(space.n_vel)
-        mask, vals = space.dirichlet_data(cylinder_boundary(), 0.0)
-        u[mask] = vals[mask]
-        return u
+        _, vals = constraint_mask(space, cylinder_boundary(), 0.0, space.n_vel)
+        return vals
     raise ValueError(f"unknown problem {problem!r}")
 
 
 # ----------------------------------------------------------------------
 # time stepping
-
-def _forcing_vector(space, config, t):
-    if config.forcing is None:
-        return None
-    f = space.interpolate_velocity(config.forcing, time=t)
-    return space.mass() @ f
-
 
 def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
     """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
@@ -203,14 +198,10 @@ def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
         time_term = mass @ (u - u_old) / config.dt
     r_u = time_term + nonlinear_residual(space, config.form, u) \
         + config.nu * (stiff @ u) - div.T @ p
-    g = _forcing_vector(space, config, t)
-    if g is not None:
-        r_u -= g
-    r_p = div @ u
-    mask, _ = space.dirichlet_data(config.boundary, t)
-    r_u[mask] = 0.0
-    r_p[space.pinned_pressure] = 0.0
-    return np.concatenate([r_u, r_p])
+    residual = np.concatenate([r_u, div @ u])
+    mask, _ = constraint_mask(space, config.boundary, t, residual.size)
+    residual[mask] = 0.0
+    return residual
 
 
 def advance_step(state, config, space):
@@ -228,22 +219,15 @@ def advance_step(state, config, space):
     mass = space.mass()
     stiff = space.stiffness()
     div = space.divergence()
-    nvel, npress = space.n_vel, space.n_press
-    mask, vals = space.dirichlet_data(config.boundary, t_new)
-    fullmask = np.zeros(nvel + npress, dtype=bool)
-    fullmask[:nvel] = mask
-    fullmask[nvel + space.pinned_pressure] = True
-    keep = sp.diags((~fullmask).astype(float), format="csr")
-    pin_eye = sp.diags(fullmask.astype(float), format="csr")
 
-    # time-extrapolated initial guess saves one Newton factorization per step
-    if state.u_prev is not None:
-        u = 2.0 * state.u - state.u_prev
-    else:
-        u = state.u.copy()
-    u[mask] = vals[mask]
-    p = state.p.copy()
-    p[space.pinned_pressure] = 0.0
+    # time-extrapolated initial guess saves one Newton factorization per step;
+    # x = [u, p] starts from the essential values, which the identity rows of
+    # the Newton system keep; u and p are views that follow its updates
+    u = 2.0 * state.u - state.u_prev if state.u_prev is not None else state.u
+    x = np.concatenate([u, state.p])
+    mask, vals = constraint_mask(space, config.boundary, t_new, x.size)
+    x[mask] = vals[mask]
+    u, p = x[: space.n_vel], x[space.n_vel :]
 
     fixed_block = alpha / dt * mass + config.nu * stiff
 
@@ -261,10 +245,7 @@ def advance_step(state, config, space):
             )
         jac_n = nonlinear_jacobian(space, config.form, u)
         jac = sp.bmat([[fixed_block + jac_n, -div.T], [div, None]], format="csr")
-        jac = keep @ jac + pin_eye
-        delta = factorize(sp.csc_matrix(jac)).solve(-residual)
-        u += config.newton_damping * delta[:nvel]
-        p += config.newton_damping * delta[nvel:]
+        x += factorize(sp.csc_matrix(constrain_rows(jac, mask))).solve(-residual)
 
     # pressure gauge: remove the mean so p lives in L^2_0
     vol = space.pressure_volume()
@@ -331,8 +312,8 @@ def run_fom(config, mesh, space, u0):
     if abs(n_steps * dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         raise ValueError("t_end must be an integer multiple of dt")
 
-    mask, vals = space.dirichlet_data(config.boundary, 0.0)
     u0 = np.array(u0, dtype=float, copy=True)
+    mask, vals = constraint_mask(space, config.boundary, 0.0, space.n_vel)
     u0[mask] = vals[mask]
     if config.project_initial:
         u0 = stokes_project(space, u0, config.boundary, 0.0)
@@ -361,10 +342,7 @@ def run_fom(config, mesh, space, u0):
 
     record(state)
     for _ in range(n_steps):
-        try:
-            state = advance_step(state, config, space)
-        except NewtonConvergenceError:
-            raise
+        state = advance_step(state, config, space)
         record(state)
         if config.keep_states:
             states.append(state)

@@ -97,12 +97,12 @@ def _trilinear_tensor(space, form, fields):
     return tensor
 
 
-def assemble_rom_operators(space, basis, r, form, nu, forcing=None):
+def assemble_rom_operators(space, basis, r, form, nu):
     """Project the momentum operators onto the leading ``r`` modes.
 
-    ``forcing`` may be ``None`` or a velocity coefficient field; its reduced
-    image is ``(f, psi_i)``.  Every tensor entry equals the full-order
-    ``trilinear_value`` of the corresponding mode triple.
+    Every tensor entry equals the full-order ``trilinear_value`` of the
+    corresponding mode triple.  The flows carry no body force, so
+    ``forcing`` is zero.
     """
     form = NonlinearForm.parse(form)
     if r > basis.rank:
@@ -128,14 +128,10 @@ def assemble_rom_operators(space, basis, r, form, nu, forcing=None):
     mode_mat = basis.modes[:, :r]
     visc = nu * (mode_mat.T @ (stiff @ mode_mat))
     visc = 0.5 * (visc + visc.T)
-    if forcing is None:
-        g = np.zeros(r)
-    else:
-        g = mode_mat.T @ (space.mass() @ np.asarray(forcing, dtype=float))
     return RomOperators(
         r=r, form=form, nu=nu, visc=visc, tensor=tensor,
         lin_mean_adv=lin_mean_adv, lin_adv_mean=lin_adv_mean,
-        const=const, forcing=g, centered=basis.centered,
+        const=const, forcing=np.zeros(r), centered=basis.centered,
     )
 
 

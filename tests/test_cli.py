@@ -139,6 +139,15 @@ class TestErrorPaths:
                      "--r", "5000", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_rom_r_list_is_config_error(self, micro_pipeline, tmp_path):
+        root, _ = micro_pipeline
+        cfg = tmp_path / "list.ini"
+        cfg.write_text(MICRO_KH.replace("r = 3", "r = 10,20"))
+        code = main(["rom", str(root / "micro_basis.bin"), "--archive",
+                     str(root / "micro_snapshots.bin"), "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+
 
 class TestVerify:
     def test_verify_passes(self):

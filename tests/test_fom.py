@@ -154,6 +154,20 @@ class TestAdvanceStep:
         assert err.value.step == 1
         assert err.value.residual > 0
 
+    def test_inhomogeneous_essential_values_hold_exactly(self):
+        # the cylinder's inflow/outflow profile gives nonzero essential values
+        space = TaylorHoodSpace(flowrom.load_bundled_mesh("cylinder"))
+        boundary = cylinder_boundary()
+        mask, vals = space.dirichlet_data(boundary)
+        div = space.divergence()
+        u0 = stokes_project(space, build_initial_condition("cylinder-channel", space), boundary)
+        cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.0025, form="emac", scheme="bdf2",
+                        boundary=boundary)
+        st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0), cfg, space)
+        for u in (u0, st.u):
+            assert np.all(u[mask] == vals[mask])
+            assert np.linalg.norm(div @ u) <= 1e-10
+
 
 class TestRunFom:
     def test_trajectory_length(self, kh16):
