@@ -148,7 +148,7 @@ def _out_prefix(cp, outdir):
 
 
 def _write_scalars_csv(path, series):
-    names = ["energy", "enstrophy", "div_error", "drag"]
+    names = ["energy", "enstrophy", "div_error", "drag", "newton_iters", "factorizations"]
     t = series["energy"].times
     cols = [t]
     for name in names:

@@ -10,6 +10,16 @@ for all free test functions, where ``D_t`` is the backward-Euler or BDF2
 difference and ``b`` is the configured nonlinear form.  The saddle-point
 Newton system is solved monolithically by a direct sparse factorization.
 
+Newton runs as a chord iteration (Kelley, *Solving Nonlinear Equations with
+Newton's Method*, SIAM 2003): one factorized Jacobian is held in a
+:class:`HeldFactor` and reused across iterations and across time steps,
+since factorization is nearly all of a step's cost.  It is rebuilt at the
+current iterate only when no factor is held yet, when the time-derivative
+coefficient or ``dt`` differs from the one it was built for (the BE-to-BDF2
+switch, or a new configuration), or when an iteration shrinks the residual
+norm by less than ``REFACTOR_CONTRACTION``.  The residual is always exact,
+so the converged state meets the same tolerance as exact Newton.
+
 Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
 """
@@ -30,6 +40,12 @@ from .fem import (
 from .numerics import factorize, solve_sparse
 from .pod import SnapshotSet
 from .diagnostics import ScalarSeries, drag_coefficient, energy_enstrophy
+
+
+# A chord iteration refactorizes once the residual norm shrinks by less than
+# this factor in one iteration; a fresh Jacobian then restores quadratic
+# convergence.
+REFACTOR_CONTRACTION = 0.1
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -73,6 +89,8 @@ class FomConfig:
             raise ValueError("t_end must be positive")
         if self.scheme not in ("backward_euler", "bdf2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.newton_max_iter < 0:
+            raise ValueError("newton_max_iter must be non-negative")
         if self.snapshot_window is not None:
             ta, tb = self.snapshot_window
             if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
@@ -81,13 +99,32 @@ class FomConfig:
 
 @dataclass
 class FomState:
-    """Solver state after ``step`` steps: ``t = step * dt``."""
+    """Solver state after ``step`` steps: ``t = step * dt``.
+
+    ``newton_iters`` and ``factorizations`` count the linear solves and the
+    Jacobian factorizations of the step that produced this state.
+    """
 
     u: np.ndarray
     p: np.ndarray
     t: float
     step: int
     u_prev: np.ndarray = None
+    newton_iters: int = 0
+    factorizations: int = 0
+
+
+@dataclass
+class HeldFactor:
+    """LU factors of a Newton matrix, kept across iterations and time steps.
+
+    ``key`` is the ``(alpha, dt)`` pair the factors were built for, where
+    ``alpha / dt`` scales the mass matrix in the Jacobian.  Deliberately not
+    part of :class:`FomState`: kept states would each pin a factorization.
+    """
+
+    lu: object = None
+    key: tuple = None
 
 
 # ----------------------------------------------------------------------
@@ -204,23 +241,24 @@ def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
     return residual
 
 
-def advance_step(state, config, space):
+def advance_step(state, config, space, held=None):
     """Advance one implicit step, returning the new state.
 
     BDF2 uses backward Euler for the very first step (no second history
-    level yet).  Raises :class:`NewtonConvergenceError` when Newton does not
-    reach tolerance within the configured iteration budget.
+    level yet).  Newton is the chord iteration of the module docstring:
+    ``held`` is the :class:`HeldFactor` to reuse and update; without one the
+    step factorizes on its first iteration and reuses that factor within
+    the step only.  ``config.newton_max_iter`` bounds the linear solves per
+    step.  Raises :class:`NewtonConvergenceError` when the residual does not
+    reach ``config.newton_tol`` within that budget.
     """
+    held = HeldFactor() if held is None else held
     dt = config.dt
     t_new = state.t + dt
     bdf2 = config.scheme == "bdf2" and state.u_prev is not None
     alpha = 1.5 if bdf2 else 1.0
 
-    mass = space.mass()
-    stiff = space.stiffness()
-    div = space.divergence()
-
-    # time-extrapolated initial guess saves one Newton factorization per step;
+    # time-extrapolated initial guess saves one Newton iteration per step;
     # x = [u, p] starts from the essential values, which the identity rows of
     # the Newton system keep; u and p are views that follow its updates
     u = 2.0 * state.u - state.u_prev if state.u_prev is not None else state.u
@@ -229,8 +267,8 @@ def advance_step(state, config, space):
     x[mask] = vals[mask]
     u, p = x[: space.n_vel], x[space.n_vel :]
 
-    fixed_block = alpha / dt * mass + config.nu * stiff
-
+    n_factor = 0
+    prev_norm = None
     for it in range(config.newton_max_iter + 1):
         residual = scheme_residual(space, config, u, p, state.u, state.u_prev, t_new, bdf2)
         res_norm = np.linalg.norm(residual)
@@ -243,14 +281,25 @@ def advance_step(state, config, space):
                 step=state.step + 1,
                 residual=res_norm,
             )
-        jac_n = nonlinear_jacobian(space, config.form, u)
-        jac = sp.bmat([[fixed_block + jac_n, -div.T], [div, None]], format="csr")
-        x += factorize(sp.csc_matrix(constrain_rows(jac, mask))).solve(-residual)
+        stalled = prev_norm is not None and res_norm > REFACTOR_CONTRACTION * prev_norm
+        if held.lu is None or held.key != (alpha, dt) or stalled:
+            # release the old factors first so that only one is ever alive
+            held.lu = None
+            jac_n = nonlinear_jacobian(space, config.form, u)
+            fixed_block = alpha / dt * space.mass() + config.nu * space.stiffness()
+            div = space.divergence()
+            jac = sp.bmat([[fixed_block + jac_n, -div.T], [div, None]], format="csr")
+            held.lu = factorize(sp.csc_matrix(constrain_rows(jac, mask)))
+            held.key = (alpha, dt)
+            n_factor += 1
+        x += held.lu.solve(-residual)
+        prev_norm = res_norm
 
     # pressure gauge: remove the mean so p lives in L^2_0
     vol = space.pressure_volume()
     p = p - (vol @ p) / vol.sum()
-    return FomState(u=u, p=p, t=t_new, step=state.step + 1, u_prev=state.u)
+    return FomState(u=u, p=p, t=t_new, step=state.step + 1, u_prev=state.u,
+                    newton_iters=it, factorizations=n_factor)
 
 
 def rom_drag_series(space, config, basis, trajectory, stride=10, label=None):
@@ -273,12 +322,14 @@ def rom_drag_series(space, config, basis, trajectory, stride=10, label=None):
         raise ValueError("trajectory too short for pressure recovery")
     dt = float(times[1] - times[0])
     cfg = dataclasses.replace(config, dt=dt, t_end=max(config.t_end, dt))
+    # every sample is a backward-Euler step at the same dt: one held factor
+    held = HeldFactor()
     out_t, out_v = [], []
     for n in range(stride, times.size, stride):
         w_prev = reconstruct_field(basis, trajectory.coeffs[n - 1])
         w_n = reconstruct_field(basis, trajectory.coeffs[n])
         st = FomState(u=w_prev, p=np.zeros(space.n_press), t=float(times[n - 1]), step=n - 1)
-        recovered = advance_step(st, cfg, space)
+        recovered = advance_step(st, cfg, space, held)
         out_t.append(float(times[n]))
         out_v.append(drag_coefficient(space, w_n, recovered.p, label, config.nu))
     return np.array(out_t), np.array(out_v)
@@ -303,9 +354,11 @@ def run_fom(config, mesh, space, u0):
     Returns ``(states, snapshots, series)`` where ``states`` is the list of
     per-step :class:`FomState` objects when ``config.keep_states`` is set
     (otherwise empty), ``snapshots`` is a :class:`SnapshotSet`, and
-    ``series`` maps names (``energy``, ``enstrophy``, ``div_error`` and
-    ``drag`` when configured) to :class:`ScalarSeries` sampled at every step
-    including the initial state.
+    ``series`` maps names (``energy``, ``enstrophy``, ``div_error``,
+    ``newton_iters``, ``factorizations`` and ``drag`` when configured) to
+    :class:`ScalarSeries` sampled at every step including the initial state
+    (whose solver counts are 0).  One :class:`HeldFactor` serves the whole
+    run.
     """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -321,7 +374,8 @@ def run_fom(config, mesh, space, u0):
 
     snap_at = set(snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))
     columns, snap_times = [], []
-    series = {name: [] for name in ("energy", "enstrophy", "div_error")}
+    series = {name: [] for name in ("energy", "enstrophy", "div_error",
+                                    "newton_iters", "factorizations")}
     if config.drag_label is not None:
         series["drag"] = []
     times = []
@@ -334,15 +388,18 @@ def run_fom(config, mesh, space, u0):
         series["enstrophy"].append(enstrophy)
         divsq = st.u @ (space.div_form() @ st.u)
         series["div_error"].append(float(np.sqrt(max(divsq, 0.0))))
+        series["newton_iters"].append(st.newton_iters)
+        series["factorizations"].append(st.factorizations)
         if config.drag_label is not None:
             series["drag"].append(drag_coefficient(space, st.u, st.p, config.drag_label, config.nu))
         if st.step in snap_at:
             columns.append(st.u.copy())
             snap_times.append(st.t)
 
+    held = HeldFactor()
     record(state)
     for _ in range(n_steps):
-        state = advance_step(state, config, space)
+        state = advance_step(state, config, space, held)
         record(state)
         if config.keep_states:
             states.append(state)

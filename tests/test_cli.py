@@ -51,9 +51,12 @@ class TestPipeline:
         root, _ = micro_pipeline
         assert (root / "micro_snapshots.bin").is_file()
         header, cols = read_csv(root / "micro_scalars.csv")
-        assert header == ["t", "energy", "enstrophy", "div_error", "drag"]
+        assert header == ["t", "energy", "enstrophy", "div_error", "drag",
+                          "newton_iters", "factorizations"]
         assert cols[0].size == 6  # t_end/dt + 1 rows
         assert np.all(np.isnan(cols[4]))  # no cylinder boundary
+        assert cols[5][0] == 0 and np.all(cols[5][1:] >= 1)  # linear solves per step
+        assert cols[6][0] == 0 and cols[6][1] >= 1  # the first step factorizes
 
     def test_pod_outputs(self, micro_pipeline):
         root, _ = micro_pipeline
@@ -131,6 +134,13 @@ class TestErrorPaths:
                          str(root / "micro_snapshots.bin"), "--config", str(cfg),
                          "--form", form, "--out", str(tmp_path)])
             assert code == 0
+
+    def test_fom_newton_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "stall.ini"
+        cfg.write_text(MICRO_KH.replace("[rom]", "newton_max_iter = 0\n\n[rom]"))
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "solver failed at step 1" in capsys.readouterr().err
+        assert not (tmp_path / "micro_snapshots.bin").exists()
 
     def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline

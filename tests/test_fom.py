@@ -6,6 +6,7 @@ from flowrom.fem import TaylorHoodSpace, field_norms, l2_error
 from flowrom.fom import (
     FomConfig,
     FomState,
+    HeldFactor,
     NewtonConvergenceError,
     advance_step,
     build_initial_condition,
@@ -154,6 +155,10 @@ class TestAdvanceStep:
         assert err.value.step == 1
         assert err.value.residual > 0
 
+    def test_negative_newton_budget_rejected(self):
+        with pytest.raises(ValueError, match="newton_max_iter"):
+            FomConfig(nu=0.01, dt=0.1, t_end=0.1, newton_max_iter=-1)
+
     def test_inhomogeneous_essential_values_hold_exactly(self):
         # the cylinder's inflow/outflow profile gives nonzero essential values
         space = TaylorHoodSpace(flowrom.load_bundled_mesh("cylinder"))
@@ -233,3 +238,69 @@ class TestRunFom:
                 space, states[-1].u,
                 lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.5)
         assert errs["bdf2"] < 0.5 * errs["backward_euler"]
+
+
+class TestFactorReuse:
+    """The chord iteration holds one LU across iterations and steps."""
+
+    @pytest.mark.parametrize("form,scheme", [("skew", "backward_euler"), ("emac", "bdf2")])
+    def test_shared_factor_matches_unshared_steps(self, kh16, form, scheme):
+        mesh, space = kh16
+        u0 = build_initial_condition("kelvin-helmholtz", space)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form=form, scheme=scheme,
+                        boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
+                        project_initial=True, keep_states=True)
+        states, snaps, series = run_fom(cfg, mesh, space, u0)
+        n_steps = len(states) - 1
+        assert n_steps == 50
+        # each unshared step factorizes afresh at its first iteration
+        st = states[0]
+        for k in range(1, n_steps + 1):
+            st = advance_step(st, cfg, space)
+            ref = snaps.matrix[:, k]
+            assert np.linalg.norm(st.u - ref) <= 1e-8 * np.linalg.norm(st.u)
+        factorizations = series["factorizations"].values
+        assert factorizations[0] == 0 and series["newton_iters"].values[0] == 0
+        assert factorizations.sum() < n_steps / 2
+        assert np.all(series["newton_iters"].values[1:] >= 1)
+
+    def test_bdf2_refactorizes_at_the_scheme_switch(self, kh16):
+        mesh, space = kh16
+        u0 = build_initial_condition("kelvin-helmholtz", space)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme="bdf2",
+                        boundary=kelvin_helmholtz_boundary(), project_initial=True)
+        _, _, series = run_fom(cfg, mesh, space, u0)
+        factorizations = series["factorizations"].values
+        assert factorizations[1] >= 1  # first factor, backward Euler
+        assert factorizations[2] >= 1  # BDF2 changes the mass coefficient
+
+    def test_held_factor_is_never_used_at_another_dt(self, kh16):
+        _, space = kh16
+        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space),
+                            kelvin_helmholtz_boundary())
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, rhs):
+                self.solves += 1
+                return self.lu.solve(rhs)
+
+        def config(dt):
+            return FomConfig(nu=1 / 2800, dt=dt, t_end=dt, form="skew",
+                             scheme="backward_euler", boundary=kelvin_helmholtz_boundary())
+
+        held = HeldFactor()
+        st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0),
+                          config(0.02), space, held)
+        assert st.factorizations >= 1 and held.key == (1.0, 0.02)
+
+        spy = held.lu = CountingLU(held.lu)
+        st = advance_step(st, config(0.02), space, held)
+        assert spy.solves >= 1  # same dt: the held factor is reused
+
+        spy = held.lu = CountingLU(held.lu)
+        st = advance_step(st, config(0.01), space, held)
+        assert spy.solves == 0
+        assert st.factorizations >= 1 and held.key == (1.0, 0.01)
