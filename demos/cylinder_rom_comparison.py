@@ -1,61 +1,65 @@
 """Channel-flow-past-a-cylinder ROM comparison (the long demo).
 
-Runs the EMAC full-order solver on the bundled coarse mesh from rest into
-the vortex-shedding regime, builds a mean-centered POD basis from one late
-window of snapshots, and integrates 13-mode reduced models with all three
-nonlinear forms.  The ROM that reuses the FOM's form tracks the drag series
-best; the mismatched forms drift.  ROM drag uses one-step pressure recovery
-(the reduced model carries no pressure of its own).
+Drives ``flowrom fom/pod/rom/compare`` on configs/cylinder.ini: the EMAC FOM
+on the bundled coarse mesh from rest into vortex shedding, a mean-centered
+POD basis from a late window of every second step, and 13-mode ROMs with
+three nonlinear forms on that snapshot grid.  The ROM that reuses the FOM's
+form tracks the drag series best; the mismatched forms drift.  ROM drag uses
+one-step pressure recovery (the reduced model carries no pressure).
 
-Writes cylinder_drag.csv (FOM + ROM drag series) and cylinder_mismatch.csv.
+CLI outputs go to cylinder_run/; writes cylinder_drag.csv (FOM + ROM drag
+series) and cylinder_mismatch.csv.
 
-Run:  python3 demos/cylinder_rom_comparison.py    (tens of minutes)
+Run:  python3 demos/cylinder_rom_comparison.py    (about ten minutes)
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from flowrom import TaylorHoodSpace, load_bundled_mesh
-from flowrom.fom import FomConfig, build_initial_condition, cylinder_boundary, rom_drag_series, run_fom
-from flowrom.pod import build_pod_basis, project_field
-from flowrom.rom import assemble_rom_operators, run_rom
+from flowrom.cli import EXIT_SOLVER, main
+from flowrom.io import read_csv
 
-NU = 5e-4
-DT = 0.0025
-T_END = 8.0
-WINDOW = (6.5, 8.0)
+CONFIG = Path(__file__).resolve().parent / "configs" / "cylinder.ini"
+OUT = Path("cylinder_run")
 R = 13
+SNAPS, BASIS = str(OUT / "cyl_snapshots.bin"), str(OUT / "cyl_basis.bin")
 
-mesh = load_bundled_mesh("cylinder")
-space = TaylorHoodSpace(mesh)
-u0 = build_initial_condition("cylinder-channel", space)
-cfg = FomConfig(nu=NU, dt=DT, t_end=T_END, form="emac", scheme="bdf2",
-                boundary=cylinder_boundary(), snapshot_window=WINDOW, snapshot_stride=2,
-                drag_label="cylinder", project_initial=True)
-print(f"running the EMAC FOM to t={T_END} ({int(T_END / DT)} steps)...")
-_, snaps, series = run_fom(cfg, mesh, space, u0)
-drag_fom = series["drag"]
-late = drag_fom.values[drag_fom.times >= WINDOW[0]]
-print(f"late drag mean {late.mean():.4f}, oscillation amplitude {late.std():.4f}")
 
-mass, stiff = space.mass(), space.stiffness()
-basis = build_pod_basis(snaps, mass, stiff, centering="mean")
-print(f"mean-centered basis rank {basis.rank} from {snaps.count} snapshots")
+def flowrom(*argv, out=OUT):
+    """One CLI call; only a ROM may fail, by diverging (exit 3)."""
+    code = main([*argv, "--config", str(CONFIG), "--out", str(out)])
+    if code and not (argv[0] == "rom" and code == EXIT_SOLVER):
+        sys.exit(f"flowrom {argv[0]} failed with exit code {code}")
+    return code
 
-a0 = project_field(basis, R, snaps.matrix[:, 0], mass)
-dt_rom = float(snaps.times[1] - snaps.times[0])
-t_span = float(snaps.times[-1] - snaps.times[0])
-fom_drag_grid = np.interp(snaps.times, drag_fom.times, drag_fom.values)
 
-columns = {"t_fom": snaps.times, "drag_fom": fom_drag_grid}
-mismatch = {}
+print("running the EMAC FOM to t=8 (3200 steps)...")
+flowrom("fom")
+flowrom("pod", SNAPS)
+forms = []
 for form in ("emac", "skew", "convective"):
-    ops = assemble_rom_operators(space, basis, R, form, NU)
-    traj = run_rom(ops, a0, dt_rom, t_span, scheme="bdf2")
-    t_d, d = rom_drag_series(space, cfg, basis, traj, stride=5)
-    fom_at = np.interp(t_d, snaps.times - snaps.times[0], fom_drag_grid)
-    mismatch[form] = float(np.sqrt(np.mean((d - fom_at) ** 2)))
-    columns[f"t_{form}"] = t_d + snaps.times[0]
-    columns[f"drag_{form}"] = d
+    if flowrom("rom", BASIS, "--archive", SNAPS, "--form", form, "--r", str(R)):
+        print(f"{form}-ROM diverged")
+    else:
+        forms.append(form)
+trajectories = [str(OUT / f"cyl_rom_{form}_r{R}_traj.csv") for form in forms]
+flowrom("compare", *trajectories, "--archive", SNAPS, "--basis", BASIS, out=OUT / "compare.csv")
+
+_, fom = read_csv(OUT / "cyl_scalars.csv")
+t_all, drag_all = fom[0], fom[4]
+columns, mismatch = {}, {}
+for form in forms:
+    _, rom = read_csv(OUT / f"cyl_rom_{form}_r{R}_scalars.csv")
+    if not columns:  # the ROM steps on the snapshot grid
+        columns = {"t_fom": rom[0], "drag_fom": np.interp(rom[0], t_all, drag_all)}
+        late = drag_all[t_all >= rom[0][0]]
+        print(f"late drag mean {late.mean():.4f}, oscillation amplitude {late.std():.4f}")
+    sampled = ~np.isnan(rom[3])
+    t_d, d = rom[0][sampled], rom[3][sampled]
+    mismatch[form] = float(np.sqrt(np.mean((d - np.interp(t_d, t_all, drag_all)) ** 2)))
+    columns[f"t_{form}"], columns[f"drag_{form}"] = t_d, d
     print(f"{form:>11}-ROM drag mismatch (rms): {mismatch[form]:.4e}")
 
 with open("cylinder_mismatch.csv", "w") as fh:

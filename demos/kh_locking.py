@@ -1,62 +1,60 @@
 """Shear-layer locking study: consistent vs inconsistent reduced models.
 
-Generates snapshots with the skew-symmetric full-order solver on the desk
-Kelvin-Helmholtz configuration (h = 1/32, Re = 100, dt = 0.02, T = 3), then
-runs Galerkin ROMs that either reuse the skew form (consistent) or switch to
-EMAC (inconsistent) at mode counts r = 10..40.  The consistent family
-converges to the FOM as r grows; the inconsistent family stalls at a floor
-set by the FOM divergence error -- the locking behavior the error bound
-predicts, whose inconsistency terms scale with ||div u_h||.
+Drives ``flowrom fom/pod/rom/compare`` on configs/kh_desk.ini (skew-form
+snapshots, h = 1/32, Re = 100, dt = 0.02, T = 3), with ROMs that reuse the
+skew form (consistent) or switch to EMAC (inconsistent) at r = 10..40.  The
+consistent family converges to the FOM as r grows; the inconsistent family
+stalls at a floor set by the FOM divergence error -- the locking behavior
+the error bound predicts, whose inconsistency terms scale with ||div u_h||.
 
-Writes kh_locking.csv and, if matplotlib is importable, kh_locking.png.
+CLI outputs go to kh_locking_run/; writes kh_locking.csv and, if
+matplotlib is importable, kh_locking.png.
 
-Run:  python3 demos/kh_locking.py   (takes a few minutes; the FOM dominates)
+Run:  python3 demos/kh_locking.py   (about a minute; the FOM dominates)
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
-from flowrom.diagnostics import trajectory_error
-from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
-from flowrom.pod import build_pod_basis, project_field
-from flowrom.rom import RomNewtonError, assemble_rom_operators, run_rom
+from flowrom.cli import EXIT_SOLVER, main
 
-NU = 1.0 / 2800.0  # Re = 1/(28 nu) = 100
-DT, T_END = 0.02, 3.0
+CONFIG = Path(__file__).resolve().parent / "configs" / "kh_desk.ini"
+OUT = Path("kh_locking_run")
 R_VALUES = (10, 20, 30, 40)
+SNAPS, BASIS = str(OUT / "kh_snapshots.bin"), str(OUT / "kh_basis.bin")
 
-mesh = identify_periodic(uniform_rect_mesh(32, 32), "x")
-space = TaylorHoodSpace(mesh)
-u0 = build_initial_condition("kelvin-helmholtz", space)
-cfg = FomConfig(nu=NU, dt=DT, t_end=T_END, form="skew", scheme="backward_euler",
-                boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, T_END),
-                project_initial=True)
+
+def flowrom(*argv, out=OUT):
+    """One CLI call; only a ROM may fail, by diverging (exit 3)."""
+    code = main([*argv, "--config", str(CONFIG), "--out", str(out)])
+    if code and not (argv[0] == "rom" and code == EXIT_SOLVER):
+        sys.exit(f"flowrom {argv[0]} failed with exit code {code}")
+    return code
+
+
 print("running the skew-form FOM (150 implicit steps)...")
-_, snaps, series = run_fom(cfg, mesh, space, u0)
+flowrom("fom")
+flowrom("pod", SNAPS)
+trajectories = []
+for form in ("skew", "emac"):
+    for r in R_VALUES:
+        if flowrom("rom", BASIS, "--archive", SNAPS, "--form", form, "--r", str(r)) == 0:
+            trajectories.append(str(OUT / f"kh_rom_{form}_r{r}_traj.csv"))
+flowrom("compare", *trajectories, "--archive", SNAPS, "--basis", BASIS, out=OUT / "compare.csv")
 
-mass, stiff = space.mass(), space.stiffness()
-basis = build_pod_basis(snaps, mass, stiff)
-print(f"POD basis rank {basis.rank} from {snaps.count} snapshots")
-
-div_fields = [snaps.matrix[:, j] for j in range(snaps.count)]
-div_20 = np.sqrt(DT * np.sum(series["div_error"].values[1:] ** 2))
+lines = (OUT / "compare.csv").read_text().splitlines()[1:]  # form, r, linf_l2, l2_h1, ...
+table = {(f, int(r)): [float(v) for v in vals] for f, r, *vals in (ln.split(",") for ln in lines)}
+div_20 = np.sqrt(next(iter(table.values()))[3])
 print(f"FOM divergence error ||div u||_2,0 = {div_20:.4f} "
       "(the fuel of the inconsistency terms)")
 
-rows = []
+rows = [(form, r, *table.get((form, r), (np.inf, np.inf))[:2])
+        for form in ("skew", "emac") for r in R_VALUES]
 print(f"\n{'form':>6} {'r':>4} {'linf_l2':>12} {'l2_h1':>12}")
-for form in ("skew", "emac"):
-    for r in R_VALUES:
-        ops = assemble_rom_operators(space, basis, r, form, nu=NU)
-        a0 = project_field(basis, r, snaps.matrix[:, 0], mass)
-        try:
-            traj = run_rom(ops, a0, DT, T_END, scheme="backward_euler")
-            err = trajectory_error(space, snaps, traj, basis, NU)
-            rows.append((form, r, err.linf_l2, err.l2_h1))
-            print(f"{form:>6} {r:4d} {err.linf_l2:12.4e} {err.l2_h1:12.4e}")
-        except RomNewtonError as exc:
-            rows.append((form, r, np.inf, np.inf))
-            print(f"{form:>6} {r:4d}   diverged at step {exc.step}")
+for form, r, a, b in rows:
+    print(f"{form:>6} {r:4d} " + ("diverged" if np.isinf(a) else f"{a:12.4e} {b:12.4e}"))
 
 plateau = rows[-1][2] / max(div_20**2, 1e-300)
 print(f"\ninconsistent floor / ||div u||^2_2,0 = {plateau:.3f} (reported, not asserted)")

@@ -1,65 +1,58 @@
 """Energy and enstrophy of shear-layer ROMs built from skew-form snapshots.
 
-The consistent (skew) reduced model follows the full-order energy and
-enstrophy curves; reduced models that switch the nonlinearity to EMAC or the
-plain convective form drift once the shear layer rolls up, with enstrophy
-running hot -- the desk-scale rendering of the shear-layer comparison plots.
+Drives ``flowrom fom/pod/rom/compare`` on configs/kh_desk.ini with 30-mode
+skew, EMAC and convective ROMs.  The consistent (skew) reduced model follows
+the full-order energy and enstrophy curves; reduced models that switch the
+nonlinearity drift once the shear layer rolls up, with enstrophy running
+hot -- the desk-scale rendering of the shear-layer comparison plots.
 
-Writes kh_energy.csv and, if matplotlib is importable, kh_energy.png.
+CLI outputs go to kh_rom_energy_run/; writes kh_energy.csv and, if
+matplotlib is importable, kh_energy.png.
 
-Run:  python3 demos/kh_rom_energy.py   (a few minutes; the FOM dominates)
+Run:  python3 demos/kh_rom_energy.py   (about a minute; the FOM dominates)
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
-from flowrom.diagnostics import energy_enstrophy
-from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
-from flowrom.pod import build_pod_basis, project_field
-from flowrom.rom import RomNewtonError, assemble_rom_operators, reconstruct_field, run_rom
+from flowrom.cli import EXIT_SOLVER, main
+from flowrom.io import read_csv
 
-NU = 1.0 / 2800.0
-DT, T_END = 0.02, 3.0
+CONFIG = Path(__file__).resolve().parent / "configs" / "kh_desk.ini"
+OUT = Path("kh_rom_energy_run")
 R = 30
+SNAPS, BASIS = str(OUT / "kh_snapshots.bin"), str(OUT / "kh_basis.bin")
 
-mesh = identify_periodic(uniform_rect_mesh(32, 32), "x")
-space = TaylorHoodSpace(mesh)
-u0 = build_initial_condition("kelvin-helmholtz", space)
-cfg = FomConfig(nu=NU, dt=DT, t_end=T_END, form="skew", scheme="backward_euler",
-                boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, T_END),
-                project_initial=True)
+
+def flowrom(*argv, out=OUT):
+    """One CLI call; only a ROM may fail, by diverging (exit 3)."""
+    code = main([*argv, "--config", str(CONFIG), "--out", str(out)])
+    if code and not (argv[0] == "rom" and code == EXIT_SOLVER):
+        sys.exit(f"flowrom {argv[0]} failed with exit code {code}")
+    return code
+
+
 print("running the skew-form FOM...")
-_, snaps, series = run_fom(cfg, mesh, space, u0)
-
-mass, stiff = space.mass(), space.stiffness()
-basis = build_pod_basis(snaps, mass, stiff)
-a0 = project_field(basis, R, snaps.matrix[:, 0], mass)
-
-curves = {"fom": (series["energy"].values, series["enstrophy"].values)}
+flowrom("fom")
+flowrom("pod", SNAPS)
+t, *fom = read_csv(OUT / "kh_scalars.csv")[1][:3]  # t, energy, enstrophy
+curves = {"fom": fom}
 for form in ("skew", "emac", "convective"):
-    ops = assemble_rom_operators(space, basis, R, form, NU)
-    try:
-        traj = run_rom(ops, a0, DT, T_END, scheme="backward_euler")
-    except RomNewtonError as exc:
-        print(f"{form}-ROM diverged at step {exc.step} (expected for inconsistent runs)")
+    if flowrom("rom", BASIS, "--archive", SNAPS, "--form", form, "--r", str(R)):
+        print(f"{form}-ROM diverged (expected for inconsistent runs)")
         continue
-    e = np.empty(traj.times.size)
-    z = np.empty(traj.times.size)
-    for n in range(traj.times.size):
-        e[n], z[n] = energy_enstrophy(space, reconstruct_field(basis, traj.coeffs[n]))
-    curves[form] = (e, z)
-    print(f"{form:>11}-ROM final energy {e[-1]:.5f} (FOM {curves['fom'][0][-1]:.5f}), "
-          f"peak enstrophy {z.max():.3f} (FOM {curves['fom'][1].max():.3f})")
+    e, z = curves[form] = read_csv(OUT / f"kh_rom_{form}_r{R}_scalars.csv")[1][1:3]
+    print(f"{form:>11}-ROM final energy {e[-1]:.5f} (FOM {fom[0][-1]:.5f}), "
+          f"peak enstrophy {z.max():.3f} (FOM {fom[1].max():.3f})")
+trajectories = [str(OUT / f"kh_rom_{form}_r{R}_traj.csv") for form in curves if form != "fom"]
+flowrom("compare", *trajectories, "--archive", SNAPS, "--basis", BASIS, out=OUT / "compare.csv")
 
-t = series["energy"].times
-with open("kh_energy.csv", "w") as fh:
-    names = sorted(curves)
-    fh.write("t," + ",".join(f"energy_{n},enstrophy_{n}" for n in names) + "\n")
-    for i in range(t.size):
-        vals = []
-        for n in names:
-            vals += ["%.17g" % curves[n][0][i], "%.17g" % curves[n][1][i]]
-        fh.write("%.17g," % t[i] + ",".join(vals) + "\n")
+names = sorted(curves)
+np.savetxt("kh_energy.csv", np.column_stack([t] + [c for n in names for c in curves[n]]),
+           fmt="%.17g", delimiter=",", comments="",
+           header="t," + ",".join(f"energy_{n},enstrophy_{n}" for n in names))
 print("wrote kh_energy.csv")
 
 try:

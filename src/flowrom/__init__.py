@@ -24,7 +24,6 @@ from .rom import RomOperators, RomTrajectory, assemble_rom_operators, reconstruc
 from .diagnostics import (
     ScalarSeries,
     TrajectoryError,
-    discrete_time_norm,
     drag_coefficient,
     energy_enstrophy,
     trajectory_error,
@@ -66,7 +65,6 @@ __all__ = [
     "run_rom",
     "ScalarSeries",
     "TrajectoryError",
-    "discrete_time_norm",
     "drag_coefficient",
     "energy_enstrophy",
     "trajectory_error",

@@ -26,6 +26,10 @@ Configuration files use INI syntax (flat key-value pairs in sections); see
     [output]
     prefix = kh
 
+``rom`` runs on the snapshot grid of its archive: from the first snapshot to
+the last, at the snapshot spacing (``dt * snapshot_stride``), with the
+``[fom] scheme``.  ``compare`` expects each trajectory on that same grid.
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 format error.
 """
 
@@ -209,14 +213,12 @@ def cmd_pod(args):
 
 
 def cmd_rom(args):
+    """Run one ROM on the archive's snapshot grid with the ``[fom] scheme``."""
     cp = _load_config(args.config)
-    name, mesh, space, boundary, defaults = _build_problem(cp)
+    _, _, space, boundary, defaults = _build_problem(cp)
     fom_cfg = _fom_config(cp, boundary, defaults)
     rom_sec = cp["rom"] if "rom" in cp else {}
     form = NonlinearForm.parse(args.form or rom_sec.get("form", fom_cfg.form))
-    dt = args.dt or float(rom_sec.get("dt", fom_cfg.dt))
-    t_end = args.t_end or float(rom_sec.get("t_end", 0.0))
-    scheme = args.scheme or rom_sec.get("scheme", fom_cfg.scheme)
     basis = fio.read_basis(args.basis)
     try:
         r = args.r or int(rom_sec.get("r", basis.rank))
@@ -226,15 +228,17 @@ def cmd_rom(args):
         raise ConfigError(f"requested r={r} exceeds basis rank {basis.rank}")
 
     snaps = fio.read_snapshots(args.archive, space=space)
-    start = float(rom_sec.get("start_time", snaps.times[0]))
-    j0 = int(np.argmin(np.abs(snaps.times - start)))
-    if t_end <= 0.0:
-        t_end = float(snaps.times[-1] - snaps.times[j0])
-    a0 = project_field(basis, r, snaps.matrix[:, j0], space.mass())
+    if snaps.count < 2:
+        raise ConfigError(f"{args.archive}: a reduced run needs at least two snapshots, "
+                          f"found {snaps.count}")
+    t0 = snaps.times[0]
+    dt = float(snaps.times[1] - t0)
+    t_end = float(snaps.times[-1] - t0)
+    a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
 
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
     try:
-        traj = run_rom(ops, a0, dt, t_end, scheme=scheme,
+        traj = run_rom(ops, a0, dt, t_end, scheme=fom_cfg.scheme,
                        newton_tol=fom_cfg.newton_tol, newton_max_iter=fom_cfg.newton_max_iter)
     except RomNewtonError as exc:
         print(f"error: reduced solver diverged at step {exc.step}: {exc}", file=sys.stderr)
@@ -244,13 +248,13 @@ def cmd_rom(args):
     tag = f"{form.value}_r{r}"
     fio.write_csv(f"{prefix}_rom_{tag}_traj.csv",
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
-                  [traj.times + snaps.times[j0]] + [traj.coeffs[:, k] for k in range(r)])
+                  [traj.times + t0] + [traj.coeffs[:, k] for k in range(r)])
 
     energy = np.empty(traj.times.size)
     enstrophy = np.empty(traj.times.size)
     for n in range(traj.times.size):
         energy[n], enstrophy[n] = energy_enstrophy(space, reconstruct_field(basis, traj.coeffs[n]))
-    cols = [traj.times + snaps.times[j0], energy, enstrophy]
+    cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
         stride = int(rom_sec.get("drag_stride", 10))
@@ -288,12 +292,11 @@ def cmd_compare(args):
     rows = []
     for traj_path in args.trajectories:
         form, r, traj = _parse_traj_csv(traj_path)
-        j0 = int(np.argmin(np.abs(snaps.times - traj.times[0])))
-        window = snaps.times[j0:j0 + traj.times.size]
-        sub = type(snaps)(matrix=snaps.matrix[:, j0:j0 + traj.times.size],
-                          times=window, space=space)
-        err = trajectory_error(space, sub, traj, basis, fom_cfg.nu)
-        dt = float(np.diff(window)[0])
+        try:
+            err = trajectory_error(space, snaps, traj, basis, fom_cfg.nu)
+        except ValueError as exc:
+            raise ConfigError(f"{traj_path}: {exc}") from exc
+        dt = float(np.diff(snaps.times)[0])
         # theorem norms of the FOM divergence series
         div_vals = err.div_series.values
         div_l20_sq = float(dt * np.sum(div_vals[1:] ** 2))
@@ -319,7 +322,7 @@ def cmd_verify(args):
         if not ok:
             failures.append(label)
 
-    rule = triangle_quadrature(5)
+    rule = triangle_quadrature()
     import math
 
     exact = lambda p, q: math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
@@ -379,9 +382,6 @@ def main(argv=None):
     p_rom.add_argument("--config", required=True)
     p_rom.add_argument("--r", type=int, default=None)
     p_rom.add_argument("--form", choices=[f.value for f in NonlinearForm], default=None)
-    p_rom.add_argument("--dt", type=float, default=None)
-    p_rom.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p_rom.add_argument("--scheme", choices=["backward_euler", "bdf2"], default=None)
     p_rom.add_argument("--out", default=None)
 
     p_cmp = sub.add_parser("compare", help="tabulate ROM-vs-FOM trajectory errors")

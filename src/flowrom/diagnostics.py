@@ -132,24 +132,6 @@ def drag_coefficient(space, u, p, label="cylinder", nu=1.0):
     return 20.0 * float(integral)
 
 
-def discrete_time_norm(space, fields, dt, p=2, k=0):
-    """Discrete time norm (dt sum_n ||v^n||_k^p)^(1/p); p = inf is the max.
-
-    ``k=0`` selects the L2 norm, ``k=1`` the H1 seminorm.
-    """
-    if p not in (1, 2, np.inf) and p != "inf":
-        raise ValueError("p must be 1, 2, or inf")
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    op = space.mass() if k == 0 else space.stiffness()
-    norms = np.array([np.sqrt(max(float(v @ (op @ v)), 0.0)) for v in fields])
-    if p == 1:
-        return float(dt * norms.sum())
-    if p == 2:
-        return float(np.sqrt(dt * np.sum(norms**2)))
-    return float(norms.max())
-
-
 def trajectory_error(space, snapshots, trajectory, basis, nu):
     """Theorem-style error functionals of a ROM trajectory vs FOM snapshots.
 

@@ -117,8 +117,6 @@ class TaylorHoodSpace:
 
         self.n_vertices = nv
         self.n_edges = ne
-        self.n_scalar_raw = nv + ne
-        self.n_vel_raw = 2 * self.n_scalar_raw
 
         # periodic folding: vertices from the mesh pairs, midpoints through
         # the induced edge identification
@@ -178,7 +176,7 @@ class TaylorHoodSpace:
         inv_jt[:, 1, 1] = j11 / det
         self.inv_jt = inv_jt
 
-        self.quadrature = triangle_quadrature(5)
+        self.quadrature = triangle_quadrature()
         bary = self.quadrature.points
         self.qweights = self.quadrature.weights
         self.phi = _p2_basis(bary)                       # (nq, 6)

@@ -19,37 +19,18 @@ Basis archive (magic ``FLOWPOD1``)::
     f64 mean[ndof]                 # zeros when centered == 0
     f64 modes[rank][ndof]          # mode-major
 
-Reduced-operator archive (magic ``FLOWGROM``)::
-
-    magic[8] | u32 version=1 | u32 form | u32 centered | u32 reserved | u64 r
-    f64 nu
-    f64 visc[r][r] | f64 tensor[r][r][r] | f64 lin_mean_adv[r][r]
-    f64 lin_adv_mean[r][r] | f64 const[r] | f64 forcing[r]
-
-with ``form`` indexing (convective, skew, rotational, emac).  CSV files all
-carry a header row and print floats with 17 significant digits, so rereading
-reproduces the values bit-exactly.
+CSV files all carry a header row and print floats with 17 significant
+digits, so rereading reproduces the values bit-exactly.
 """
 
 import struct
 
 import numpy as np
 
-from .fem import NonlinearForm
 from .pod import PodBasis, SnapshotSet
-from .rom import RomOperators
 
 SNAPSHOT_MAGIC = b"FLOWSNP1"
 BASIS_MAGIC = b"FLOWPOD1"
-ROM_MAGIC = b"FLOWGROM"
-
-_FORM_CODES = {
-    NonlinearForm.CONVECTIVE: 0,
-    NonlinearForm.SKEW: 1,
-    NonlinearForm.ROTATIONAL: 2,
-    NonlinearForm.EMAC: 3,
-}
-_FORM_FROM_CODE = {v: k for k, v in _FORM_CODES.items()}
 
 
 class ArchiveFormatError(ValueError):
@@ -132,44 +113,6 @@ def read_basis(path):
         spectrum=spectrum,
         grad_norms=grad_norms,
         mean=mean if centered else None,
-    )
-
-
-def write_rom_operators(path, ops):
-    """Write :class:`RomOperators` to a reduced-operator archive."""
-    r = ops.r
-    with open(path, "wb") as fh:
-        fh.write(ROM_MAGIC)
-        fh.write(struct.pack("<IIIIQ", 1, _FORM_CODES[ops.form], int(ops.centered), 0, r))
-        fh.write(struct.pack("<d", ops.nu))
-        for arr in (ops.visc, ops.tensor, ops.lin_mean_adv, ops.lin_adv_mean, ops.const, ops.forcing):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_rom_operators(path):
-    """Read a reduced-operator archive back into :class:`RomOperators`."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, "magic")
-        if magic != ROM_MAGIC:
-            raise ArchiveFormatError(f"bad magic {magic!r}: not a reduced-operator archive")
-        version, form_code, centered, _, r = struct.unpack("<IIIIQ", _read_exact(fh, 24, "header"))
-        if version != 1:
-            raise ArchiveFormatError(f"unsupported reduced-operator archive version {version}")
-        if form_code not in _FORM_FROM_CODE:
-            raise ArchiveFormatError(f"unknown nonlinear-form code {form_code}")
-        (nu,) = struct.unpack("<d", _read_exact(fh, 8, "nu"))
-        visc = _read_floats(fh, r * r, "visc").reshape(r, r)
-        tensor = _read_floats(fh, r * r * r, "tensor").reshape(r, r, r)
-        lin_mean_adv = _read_floats(fh, r * r, "lin_mean_adv").reshape(r, r)
-        lin_adv_mean = _read_floats(fh, r * r, "lin_adv_mean").reshape(r, r)
-        const = _read_floats(fh, r, "const")
-        forcing = _read_floats(fh, r, "forcing")
-        if fh.read(1):
-            raise ArchiveFormatError("trailing bytes after operator payload")
-    return RomOperators(
-        r=r, form=_FORM_FROM_CODE[form_code], nu=nu, visc=visc, tensor=tensor,
-        lin_mean_adv=lin_mean_adv, lin_adv_mean=lin_adv_mean, const=const,
-        forcing=forcing, centered=bool(centered),
     )
 
 

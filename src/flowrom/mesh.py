@@ -99,19 +99,16 @@ def _orient_boundary_edges(vertices, triangles, edges):
     return np.array(out, dtype=int)
 
 
-def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0, diagonal="alternating"):
+def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
     """Uniform triangulation of the rectangle (0, x_extent) x (0, y_extent).
 
     Produces ``(nx+1)(ny+1)`` vertices and ``2*nx*ny`` triangles; boundary
-    edges are labeled ``left``/``right``/``top``/``bottom``.  With
-    ``diagonal="alternating"`` the cell diagonals form a checkerboard, which
-    avoids biasing shear roll-up along one direction; ``"uniform"`` uses the
-    same diagonal everywhere.
+    edges are labeled ``left``/``right``/``top``/``bottom``.  The cell
+    diagonals form a checkerboard, which avoids biasing shear roll-up along
+    one direction.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be >= 1")
-    if diagonal not in ("alternating", "uniform"):
-        raise ValueError(f"unknown diagonal pattern {diagonal!r}")
     xs = np.linspace(0.0, x_extent, nx + 1)
     ys = np.linspace(0.0, y_extent, ny + 1)
     xx, yy = np.meshgrid(xs, ys)
@@ -125,7 +122,7 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0, diagonal="alternating"
         for i in range(nx):
             a, b = vid(i, j), vid(i + 1, j)
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if diagonal == "uniform" or (i + j) % 2 == 0:
+            if (i + j) % 2 == 0:
                 tris.append((a, b, c))
                 tris.append((a, c, d))
             else:

@@ -49,15 +49,8 @@ class QuadratureRule:
     degree: int
 
 
-def triangle_quadrature(degree):
-    """Return a rule integrating bivariate polynomials up to ``degree`` exactly.
-
-    Only degrees <= 5 are supported; a single 7-point degree-5 rule is
-    returned for every request so all integrals in the package share
-    bit-identical weights.
-    """
-    if not 0 <= degree <= 5:
-        raise ValueError(f"unsupported quadrature degree {degree}; this package needs <= 5")
+def triangle_quadrature():
+    """The degree-5, 7-point rule that every integral in the package shares."""
     # Radon's 7-point rule: centroid plus two symmetric orbits.
     s15 = np.sqrt(15.0)
     a = (6.0 - s15) / 21.0

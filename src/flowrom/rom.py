@@ -50,7 +50,6 @@ class RomOperators:
     lin_mean_adv: np.ndarray    # (r, r)   b(ubar, psi_j, psi_i)
     lin_adv_mean: np.ndarray    # (r, r)   b(psi_j, ubar, psi_i)
     const: np.ndarray           # (r,)     b(ubar, ubar, psi_i) + nu (grad ubar, grad psi_i)
-    forcing: np.ndarray         # (r,)     (f, psi_i)
     centered: bool = False
 
     def quadratic(self, a):
@@ -101,8 +100,7 @@ def assemble_rom_operators(space, basis, r, form, nu):
     """Project the momentum operators onto the leading ``r`` modes.
 
     Every tensor entry equals the full-order ``trilinear_value`` of the
-    corresponding mode triple.  The flows carry no body force, so
-    ``forcing`` is zero.
+    corresponding mode triple.
     """
     form = NonlinearForm.parse(form)
     if r > basis.rank:
@@ -131,7 +129,7 @@ def assemble_rom_operators(space, basis, r, form, nu):
     return RomOperators(
         r=r, form=form, nu=nu, visc=visc, tensor=tensor,
         lin_mean_adv=lin_mean_adv, lin_adv_mean=lin_adv_mean,
-        const=const, forcing=np.zeros(r), centered=basis.centered,
+        const=const, centered=basis.centered,
     )
 
 
@@ -157,7 +155,6 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     if a.shape != (r,):
         raise ValueError(f"a0 has shape {a.shape}, expected ({r},)")
     lin = ops.visc + ops.lin_mean_adv + ops.lin_adv_mean
-    rhs_const = ops.const - ops.forcing
 
     coeffs = np.empty((n_steps + 1, r))
     coeffs[0] = a
@@ -169,7 +166,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
         a_new = a.copy()
         converged = False
         for it in range(newton_max_iter + 1):
-            res = alpha / dt * a_new - hist + ops.quadratic(a_new) + lin @ a_new + rhs_const
+            res = alpha / dt * a_new - hist + ops.quadratic(a_new) + lin @ a_new + ops.const
             res_norm = np.linalg.norm(res)
             if not np.isfinite(res_norm):
                 break

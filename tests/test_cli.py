@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ centering = none
 [output]
 prefix = micro
 """
+
+MICRO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "kh_micro.ini"
+
+
+def _run_micro(root, text):
+    """fom and pod on a micro config; returns (config, archive, basis, common flags)."""
+    cfg = root / "micro.ini"
+    cfg.write_text(text)
+    common = ["--config", str(cfg), "--out", str(root)]
+    assert main(["fom", *common]) == 0
+    archive, basis = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
+    assert main(["pod", archive, *common]) == 0
+    return cfg, archive, basis, common
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +108,19 @@ class TestPipeline:
         assert h1 == h2
         assert (root / "micro_scalars.csv").read_text() == (tmp_path / "micro_scalars.csv").read_text()
 
+    def test_strided_snapshots(self, tmp_path):
+        text = MICRO_CONFIG.read_text().replace(
+            "snapshot_end = 0.25", "snapshot_end = 0.25\nsnapshot_stride = 2")
+        cfg, archive, basis, common = _run_micro(tmp_path, text)
+        assert main(["rom", basis, "--archive", archive, *common]) == 0
+        traj = tmp_path / "micro_rom_skew_r3_traj.csv"
+        _, cols = read_csv(traj)
+        np.testing.assert_allclose(cols[0], [0.0, 0.1, 0.2], rtol=0.0, atol=1e-12)
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(traj), "--config", str(cfg), "--archive", archive,
+                     "--basis", basis, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2  # header and one row
+
 
 class TestErrorPaths:
     def test_missing_config(self, tmp_path):
@@ -148,6 +175,24 @@ class TestErrorPaths:
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      "--r", "5000", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_rom_single_snapshot_is_config_error(self, tmp_path, capsys):
+        text = MICRO_KH.replace("snapshot_start = 0.0", "snapshot_start = 0.25")
+        _, archive, basis, common = _run_micro(tmp_path, text)
+        assert main(["rom", basis, "--archive", archive, *common, "--r", "1"]) == 2
+        assert "at least two snapshots" in capsys.readouterr().err
+
+    def test_compare_grid_mismatch(self, micro_pipeline, tmp_path, capsys):
+        root, cfg = micro_pipeline
+        lines = (root / "micro_rom_skew_r3_traj.csv").read_text().splitlines()
+        short = tmp_path / "micro_rom_skew_r3_traj.csv"
+        short.write_text("\n".join(lines[:-1]) + "\n")  # last time level dropped
+        code = main(["compare", str(short), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert str(short) in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_rom_r_list_is_config_error(self, micro_pipeline, tmp_path):
         root, _ = micro_pipeline

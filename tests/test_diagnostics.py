@@ -5,7 +5,6 @@ from scipy.integrate import quad
 import flowrom
 from flowrom.diagnostics import (
     ScalarSeries,
-    discrete_time_norm,
     drag_coefficient,
     energy_enstrophy,
     trajectory_error,
@@ -96,34 +95,6 @@ class TestDragCoefficient:
         _, space = square8
         with pytest.raises(ValueError, match="labeled"):
             drag_coefficient(space, np.zeros(space.n_vel), np.zeros(space.n_press), "cylinder", 1.0)
-
-
-class TestDiscreteTimeNorm:
-    def test_constant_in_time(self, square8):
-        _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (y, np.zeros_like(y)))
-        m_steps, dt = 7, 0.25
-        norm = discrete_time_norm(space, [u] * m_steps, dt, p=2, k=0)
-        l2 = flowrom.field_norms(space, u).l2
-        assert norm == pytest.approx(np.sqrt(m_steps * dt) * l2, rel=1e-12)
-
-    def test_two_step_hand_value(self, square8):
-        _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
-        fields = [3.0 * u, 4.0 * u]  # L2 norms 3 and 4 on the unit square
-        assert discrete_time_norm(space, fields, 1.0, p=2, k=0) == pytest.approx(5.0, rel=1e-12)
-        assert discrete_time_norm(space, fields, 1.0, p=1, k=0) == pytest.approx(7.0, rel=1e-12)
-        assert discrete_time_norm(space, fields, 1.0, p=np.inf, k=0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_h1_seminorm_selector(self, square8):
-        _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (y, np.zeros_like(y)))
-        assert discrete_time_norm(space, [u], 2.0, p=2, k=1) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-    def test_invalid_p(self, square8):
-        _, space = square8
-        with pytest.raises(ValueError):
-            discrete_time_norm(space, [np.zeros(space.n_vel)], 0.1, p=3, k=0)
 
 
 class TestTrajectoryError:

@@ -5,15 +5,12 @@ from flowrom.io import (
     ArchiveFormatError,
     read_basis,
     read_csv,
-    read_rom_operators,
     read_snapshots,
     write_basis,
     write_csv,
-    write_rom_operators,
     write_snapshots,
     write_vtk,
 )
-from flowrom.rom import assemble_rom_operators
 
 
 class TestSnapshotArchive:
@@ -82,22 +79,6 @@ class TestBasisArchive:
         path.write_bytes(bytes(raw))
         with pytest.raises(ArchiveFormatError, match="rank"):
             read_basis(path)
-
-
-class TestRomArchive:
-    def test_round_trip(self, tmp_path, kh_run, kh_basis_session):
-        _, space, _, _, _ = kh_run
-        basis = kh_basis_session
-        ops = assemble_rom_operators(space, basis, min(5, basis.rank), "emac", nu=0.003)
-        path = tmp_path / "ops.bin"
-        write_rom_operators(path, ops)
-        back = read_rom_operators(path)
-        assert back.r == ops.r
-        assert back.form == ops.form
-        assert back.nu == ops.nu
-        assert np.array_equal(back.tensor, ops.tensor)
-        assert np.array_equal(back.visc, ops.visc)
-        assert back.centered == ops.centered
 
 
 class TestCsv:

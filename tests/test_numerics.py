@@ -25,38 +25,34 @@ def quad_integrate(rule, f):
 
 class TestTriangleQuadrature:
     def test_weights_sum_to_reference_area(self):
-        rule = triangle_quadrature(5)
+        rule = triangle_quadrature()
         assert abs(rule.weights.sum() - 0.5) < 1e-14
 
     def test_constant(self):
-        rule = triangle_quadrature(1)
+        rule = triangle_quadrature()
         assert abs(quad_integrate(rule, lambda x, y: np.ones_like(x)) - 0.5) < 1e-14
 
     def test_linear(self):
-        rule = triangle_quadrature(2)
+        rule = triangle_quadrature()
         assert abs(quad_integrate(rule, lambda x, y: x) - 1.0 / 6.0) < 1e-14
 
     def test_x2y2(self):
-        rule = triangle_quadrature(5)
+        rule = triangle_quadrature()
         assert abs(quad_integrate(rule, lambda x, y: x**2 * y**2) - 1.0 / 180.0) < 1e-14
 
     def test_all_monomials_up_to_degree_5(self):
-        rule = triangle_quadrature(5)
+        rule = triangle_quadrature()
         for p in range(6):
             for q in range(6 - p):
                 got = quad_integrate(rule, lambda x, y: x**p * y**q)
                 assert got == pytest.approx(monomial_integral(p, q), abs=1e-14), (p, q)
 
     def test_degree_attribute_matches_exactness(self):
-        rule = triangle_quadrature(3)
+        rule = triangle_quadrature()
         assert rule.degree == 5  # single shared rule, actual exactness recorded
         # degree 6 monomial x^6 must NOT integrate exactly (rule is degree 5, not more)
         got = quad_integrate(rule, lambda x, y: x**6)
         assert abs(got - monomial_integral(6, 0)) > 1e-10
-
-    def test_unsupported_degree(self):
-        with pytest.raises(ValueError):
-            triangle_quadrature(6)
 
 
 def power_iteration_eigs(m, tol=1e-14, iters=20000):
