@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .diagnostics import energy_enstrophy, trajectory_error
+from .diagnostics import rom_energy_enstrophy, trajectory_error
 from .fem import NonlinearForm, TaylorHoodSpace, trilinear_value, field_norms
 from .fom import (
     FomConfig,
@@ -55,7 +55,7 @@ from .fom import (
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
 from .numerics import SingularSystemError, sym_eig, triangle_quadrature
 from .pod import build_pod_basis, pod_projection_error, project_field
-from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
+from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, run_rom
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,10 +165,6 @@ def cmd_fom(args):
     cp = _load_config(args.config)
     name, mesh, space, boundary, defaults = _build_problem(cp)
     cfg = _fom_config(cp, boundary, defaults)
-    if args.form:
-        cfg.form = NonlinearForm.parse(args.form)
-    if args.scheme:
-        cfg.scheme = args.scheme
     prefix = _out_prefix(cp, args.out)
     u0 = build_initial_condition(name, space)
     try:
@@ -191,10 +187,6 @@ def cmd_pod(args):
     centering = args.centering or (cp["rom"].get("centering", defaults["centering"])
                                    if "rom" in cp else defaults["centering"])
     snaps = fio.read_snapshots(args.archive, space=space)
-    if snaps.matrix.shape[0] != space.n_vel:
-        raise fio.ArchiveFormatError(
-            f"archive DOF count {snaps.matrix.shape[0]} does not match the "
-            f"configured mesh ({space.n_vel})")
     prefix = _out_prefix(cp, args.out)
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
     fio.write_basis(f"{prefix}_basis.bin", basis)
@@ -219,7 +211,7 @@ def cmd_rom(args):
     fom_cfg = _fom_config(cp, boundary, defaults)
     rom_sec = cp["rom"] if "rom" in cp else {}
     form = NonlinearForm.parse(args.form or rom_sec.get("form", fom_cfg.form))
-    basis = fio.read_basis(args.basis)
+    basis = fio.read_basis(args.basis, space=space)
     try:
         r = args.r or int(rom_sec.get("r", basis.rank))
     except ValueError as exc:
@@ -250,10 +242,7 @@ def cmd_rom(args):
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
                   [traj.times + t0] + [traj.coeffs[:, k] for k in range(r)])
 
-    energy = np.empty(traj.times.size)
-    enstrophy = np.empty(traj.times.size)
-    for n in range(traj.times.size):
-        energy[n], enstrophy[n] = energy_enstrophy(space, reconstruct_field(basis, traj.coeffs[n]))
+    energy, enstrophy = rom_energy_enstrophy(space, basis, traj.coeffs)
     cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
@@ -263,6 +252,8 @@ def cmd_rom(args):
         dragcol[np.searchsorted(traj.times, drag_t)] = drag
         cols.append(dragcol)
         headers.append("drag")
+    cols.append(traj.newton_iters)
+    headers.append("newton_iters")
     fio.write_csv(f"{prefix}_rom_{tag}_scalars.csv", headers, cols)
     print(f"wrote {prefix}_rom_{tag}_traj.csv and {prefix}_rom_{tag}_scalars.csv")
     return EXIT_OK
@@ -286,7 +277,7 @@ def cmd_compare(args):
     cp = _load_config(args.config)
     _, _, space, boundary, defaults = _build_problem(cp)
     fom_cfg = _fom_config(cp, boundary, defaults)
-    basis = fio.read_basis(args.basis)
+    basis = fio.read_basis(args.basis, space=space)
     snaps = fio.read_snapshots(args.archive, space=space)
 
     rows = []
@@ -367,8 +358,6 @@ def main(argv=None):
     p_fom = sub.add_parser("fom", help="run the full-order solver")
     p_fom.add_argument("--config", required=True)
     p_fom.add_argument("--out", default=None, help="output directory")
-    p_fom.add_argument("--form", choices=[f.value for f in NonlinearForm], default=None)
-    p_fom.add_argument("--scheme", choices=["backward_euler", "bdf2"], default=None)
 
     p_pod = sub.add_parser("pod", help="build the POD basis from a snapshot archive")
     p_pod.add_argument("archive")

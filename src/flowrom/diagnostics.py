@@ -59,6 +59,26 @@ def energy_enstrophy(space, u):
     return energy, enstrophy
 
 
+def rom_energy_enstrophy(space, basis, coeffs):
+    """Energy and enstrophy series of the reduced states ubar + sum_j a^n_j psi_j.
+
+    ``coeffs`` holds one state per row.  The fields are never rebuilt: with
+    X = [ubar, psi_1..psi_r] (ubar dropped for an uncentered basis) and
+    c^n = [1, a^n], the values are 1/2 c^T (X^T M X) c and 1/2 c^T (X^T C X) c
+    for the mass and curl forms M and C.
+    """
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    x = basis.modes[:, :coeffs.shape[1]]
+    if basis.centered:
+        x = np.column_stack([basis.mean, x])
+        coeffs = np.column_stack([np.ones(coeffs.shape[0]), coeffs])
+    out = []
+    for op in (space.mass(), space.curl_form()):
+        gram = x.T @ (op @ x)
+        out.append(0.5 * np.einsum("ni,ni->n", coeffs @ gram, coeffs))
+    return out[0], out[1]
+
+
 _EDGE_T = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _EDGE_W = np.array([5.0, 8.0, 5.0]) / 18.0
 

@@ -20,6 +20,20 @@ all of which reduce to the standard single-field forms at v = u.  A single
 degree-5 rule makes every one of these integrals exact for P2 arguments on
 affine elements, which is what turns the classical energy identities
 (b_s(u,v,v) = 0 and friends) into machine-precision statements.
+
+Every form has the pointwise density s = (a . grad) v + L v, whose factors
+depend on ``u`` alone (:func:`_transport`):
+
+* convective:  a = u, L = 0
+* skew:        a = u, L = 1/2 (div u) I
+* rotational:  no a,  L = [[0, -omega], [omega, 0]] with omega = curl u
+* emac:        no a,  L = 2 sym(grad u) + (div u) I
+
+:func:`_density` applies them to ``v``.  The full-order residual and
+Jacobian, :func:`trilinear_value` and the reduced tensor all go through this
+pair.  Quadrature tables are component-major: values have shape
+(2, ..., nt, nq) and gradients (2, 2, ..., nt, nq), so the density is
+explicit arithmetic on contiguous (..., nt, nq) blocks.
 """
 
 import enum
@@ -29,6 +43,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .numerics import triangle_quadrature
+
+# contraction order of a two-operand einsum, given so that no call plans a path
+_ONE_PAIR = ["einsum_path", (0, 1)]
 
 
 class NonlinearForm(str, enum.Enum):
@@ -183,6 +200,12 @@ class TaylorHoodSpace:
         ref_grads = _p2_ref_grads(bary)                  # (nq, 6, 2)
         # physical gradients: dphi[e, q, l, d] = sum_k invJT[e, d, k] ref[q, l, k]
         self.dphi = np.einsum("edk,qlk->eqld", inv_jt, ref_grads)
+        # tables[e, l, k, q]: value (k = 0), d/dx (1) and d/dy (2) of local basis l
+        tables = np.empty((tris.shape[0], 6, 3, self.phi.shape[0]))
+        tables[:, :, 0, :] = self.phi.T
+        tables[:, :, 1:, :] = self.dphi.transpose(0, 2, 3, 1)
+        self.tables = tables
+        self.wdet = det[:, None] * self.qweights[None, :]   # (nt, nq) quadrature weights
         self.psi = bary                                  # P1 basis = barycentric
         v0 = p[tris[:, 0]]
         jmat = np.stack([np.stack([j11, j12], axis=-1), np.stack([j21, j22], axis=-1)], axis=1)
@@ -274,20 +297,20 @@ class TaylorHoodSpace:
     # ------------------------------------------------------------------
     # field evaluation
 
-    def local_coeffs(self, u):
-        """Per-element local coefficients: (nt, 6, 2)."""
-        u = self._check_velocity(u)
-        return u.reshape(self.n_scalar, 2)[self.cell_scalar]
-
     def values_and_grads(self, u):
-        """Velocity values (nt, nq, 2) and gradients (nt, nq, 2, 2) at quadrature.
+        """Component-major velocity values and gradients at the quadrature points.
 
-        ``grads[e, q, i, j]`` is du_i/dx_j.
+        ``u`` is one field (n_vel,) or a stack (m, n_vel).  Returns values
+        (2, [m,] nt, nq) and gradients (2, 2, [m,] nt, nq), with
+        ``grads[i, j]`` = du_i/dx_j, from one contraction with the basis
+        tables.
         """
-        ue = self.local_coeffs(u)
-        vals = np.einsum("eli,ql->eqi", ue, self.phi, optimize=True)
-        grads = np.einsum("eli,eqld->eqid", ue, self.dphi, optimize=True)
-        return vals, grads
+        u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != (self.n_vel,) or u.ndim > 2:
+            raise ValueError(f"velocity field has shape {u.shape}, expected ([m,] {self.n_vel})")
+        coeffs = u.reshape(u.shape[:-1] + (self.n_scalar, 2))[..., self.cell_scalar, :]
+        out = np.einsum("...eli,elkq->ik...eq", coeffs, self.tables, optimize=_ONE_PAIR, order="C")
+        return out[:, 0], out[:, 1:]
 
     def interpolate_velocity(self, fn, time=0.0):
         """Nodal interpolation of ``fn(x, y, t) -> (u1, u2)`` onto the P2 nodes."""
@@ -387,23 +410,50 @@ def field_norms(space, u):
 # ----------------------------------------------------------------------
 # trilinear forms
 
-def _density(form, uvals, ugrads, vvals, vgrads):
-    """Pointwise vector s with b(u, v, w) = integral of s . w."""
+def _transport(form, uvals, ugrads):
+    """The ``u``-only factors ``(a, L)`` of a form's density s = (a . grad) v + L v.
+
+    ``a`` is the advecting velocity, or None.  ``L`` is the pointwise 2x2
+    matrix as two rows of entries, a zero entry given as None, or L is None
+    when it vanishes.  Entries broadcast like ``uvals[0]``.
+    """
     if form == NonlinearForm.CONVECTIVE:
-        return np.einsum("...j,...ij->...i", uvals, vgrads, optimize=True)
+        return uvals, None
     if form == NonlinearForm.SKEW:
-        s = np.einsum("...j,...ij->...i", uvals, vgrads, optimize=True)
-        udiv = ugrads[..., 0, 0] + ugrads[..., 1, 1]
-        return s + 0.5 * udiv[..., None] * vvals
+        half_div = 0.5 * (ugrads[0, 0] + ugrads[1, 1])
+        return uvals, ((half_div, None), (None, half_div))
     if form == NonlinearForm.ROTATIONAL:
-        omega = ugrads[..., 1, 0] - ugrads[..., 0, 1]
-        return np.stack([-omega * vvals[..., 1], omega * vvals[..., 0]], axis=-1)
+        omega = ugrads[1, 0] - ugrads[0, 1]
+        return None, ((None, -omega), (omega, None))
     if form == NonlinearForm.EMAC:
-        twod = ugrads + np.swapaxes(ugrads, -1, -2)
-        s = np.einsum("...ij,...j->...i", twod, vvals, optimize=True)
-        udiv = ugrads[..., 0, 0] + ugrads[..., 1, 1]
-        return s + udiv[..., None] * vvals
+        div = ugrads[0, 0] + ugrads[1, 1]
+        shear = ugrads[0, 1] + ugrads[1, 0]
+        return None, ((2.0 * ugrads[0, 0] + div, shear), (shear, 2.0 * ugrads[1, 1] + div))
     raise ValueError(f"unknown nonlinear form {form!r}")
+
+
+def _density(transport, vvals, vgrads, out=None):
+    """Pointwise s = (a . grad) v + L v with b(u, v, w) = integral of s . w.
+
+    ``transport`` is :func:`_transport` of ``u``; the result has shape
+    (2, ...) and is written to ``out`` when given.
+    """
+    adv, lmat = transport
+    terms = ([], [])
+    for c in range(2):
+        if adv is not None:
+            terms[c].extend(((adv[0], vgrads[c, 0]), (adv[1], vgrads[c, 1])))
+        if lmat is not None:
+            terms[c].extend((f, vvals[d]) for d, f in enumerate(lmat[c]) if f is not None)
+    if out is None:
+        out = np.empty((2,) + np.broadcast_shapes(*(np.shape(x) for row in terms for t in row for x in t)))
+    scratch = np.empty_like(out[0])
+    for c in range(2):
+        (f, g), *rest = terms[c]
+        np.multiply(f, g, out=out[c])
+        for f, g in rest:
+            out[c] += np.multiply(f, g, out=scratch)
+    return out
 
 
 def trilinear_value(space, form, u, v, w):
@@ -412,20 +462,22 @@ def trilinear_value(space, form, u, v, w):
     uvals, ugrads = space.values_and_grads(u)
     vvals, vgrads = space.values_and_grads(v)
     wvals, _ = space.values_and_grads(w)
-    s = _density(form, uvals, ugrads, vvals, vgrads)
-    return float(np.einsum("q,e,eqi,eqi->", space.qweights, space.det_j, s, wvals, optimize=True))
+    s = _density(_transport(form, uvals, ugrads), vvals, vgrads)
+    return float(np.sum(s * wvals * space.wdet))
 
 
 def nonlinear_residual(space, form, u):
     """Vector of b(u, u, phi_i) over all velocity test functions."""
     form = NonlinearForm.parse(form)
     uvals, ugrads = space.values_and_grads(u)
-    s = _density(form, uvals, ugrads, uvals, ugrads)
-    local = np.einsum("q,e,eqa,qm->ema", space.qweights, space.det_j, s, space.phi, optimize=True)
-    # local[e, m, a] pairs with velocity dof 2*cell_scalar[e, m] + a
-    r = np.zeros(space.n_vel)
-    np.add.at(r, space.cell_vel, local.reshape(-1, 12))
-    return r
+    s = _density(_transport(form, uvals, ugrads), uvals, ugrads)
+    # local[c, e, m] = (s_c, phi_m) on element e, for velocity dof 2*cell_scalar[e, m] + c
+    local = (s * space.wdet) @ space.phi
+    index = space.cell_scalar.ravel()
+    r = np.empty((space.n_scalar, 2))
+    for c in range(2):
+        r[:, c] = np.bincount(index, weights=local[c].ravel(), minlength=space.n_scalar)
+    return r.ravel()
 
 
 def nonlinear_jacobian(space, form, u):
@@ -437,18 +489,19 @@ def nonlinear_jacobian(space, form, u):
     """
     form = NonlinearForm.parse(form)
     uvals, ugrads = space.values_and_grads(u)
-    nt, nq = uvals.shape[:2]
-    # all 12 local basis directions at once, leading axis d = 2*l + c
-    dvals = np.zeros((12, 1, nq, 2))
-    dgrads = np.zeros((12, nt, nq, 2, 2))
+    nt, nq = space.wdet.shape
+    # all 12 local basis directions at once, direction axis d = 2*l + c
+    dvals = np.zeros((2, 12, 1, nq))
+    dgrads = np.zeros((2, 2, 12, nt, nq))
     for l in range(6):
         for c in range(2):
             d = 2 * l + c
-            dvals[d, 0, :, c] = space.phi[:, l]
-            dgrads[d, :, :, c, :] = space.dphi[:, :, l, :]
-    s = _density(form, dvals, dgrads, uvals, ugrads) + _density(form, uvals, ugrads, dvals, dgrads)
-    local = np.einsum("q,e,deqa,qm->emad", space.qweights, space.det_j, s, space.phi, optimize=True)
-    local = local.reshape(nt, 12, 12)
+            dvals[c, d, 0] = space.phi[:, l]
+            dgrads[c, :, d] = space.tables[:, l, 1:].transpose(1, 0, 2)
+    s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
+    s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
+    # local[e, (m, a), d] from the loads (s_a of direction d, phi_m) on element e
+    local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
     rows = np.broadcast_to(space.cell_vel[:, :, None], local.shape)
     cols = np.broadcast_to(space.cell_vel[:, None, :], local.shape)
     m = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
@@ -505,8 +558,7 @@ def l2_error(space, u, fn, time=0.0):
     vals, _ = space.values_and_grads(u)
     x, y = space.qp_xy[..., 0], space.qp_xy[..., 1]
     e1, e2 = fn(x, y, time)
-    diff = np.stack([vals[..., 0] - e1, vals[..., 1] - e2], axis=-1)
-    val = np.einsum("q,e,eqi,eqi->", space.qweights, space.det_j, diff, diff)
+    val = np.sum(space.wdet * ((vals[0] - e1) ** 2 + (vals[1] - e2) ** 2))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -515,10 +567,5 @@ def h1_semi_error(space, u, grad_fn, time=0.0):
     _, grads = space.values_and_grads(u)
     x, y = space.qp_xy[..., 0], space.qp_xy[..., 1]
     g = grad_fn(x, y, time)
-    exact = np.empty_like(grads)
-    for i in range(2):
-        for j in range(2):
-            exact[..., i, j] = g[i][j]
-    diff = grads - exact
-    val = np.einsum("q,e,eqij,eqij->", space.qweights, space.det_j, diff, diff)
+    val = sum(np.sum(space.wdet * (grads[i, j] - g[i][j]) ** 2) for i in range(2) for j in range(2))
     return float(np.sqrt(max(val, 0.0)))

@@ -46,7 +46,15 @@ def _read_exact(fh, n, what):
 
 def _read_floats(fh, count, what):
     data = np.frombuffer(_read_exact(fh, 8 * count, what), dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise ArchiveFormatError(f"non-finite value in {what}")
     return data.astype(float, copy=True)
+
+
+def _check_dofs(ndof, space):
+    if space is not None and ndof != space.n_vel:
+        raise ArchiveFormatError(
+            f"archive DOF count {ndof} does not match the configured mesh ({space.n_vel})")
 
 
 def write_snapshots(path, snapshots):
@@ -60,7 +68,11 @@ def write_snapshots(path, snapshots):
 
 
 def read_snapshots(path, space=None):
-    """Read a snapshot archive back into a :class:`SnapshotSet`."""
+    """Read a snapshot archive back into a :class:`SnapshotSet`.
+
+    Raises :class:`ArchiveFormatError` on a malformed or non-finite payload
+    and, when ``space`` is given, on a DOF count that does not match it.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, "magic")
         if magic != SNAPSHOT_MAGIC:
@@ -68,6 +80,7 @@ def read_snapshots(path, space=None):
         version, _, ndof, nsnap = struct.unpack("<IIQQ", _read_exact(fh, 24, "header"))
         if version != 1:
             raise ArchiveFormatError(f"unsupported snapshot archive version {version}")
+        _check_dofs(ndof, space)
         times = _read_floats(fh, nsnap, "times")
         data = _read_floats(fh, nsnap * ndof, "snapshot payload").reshape(nsnap, ndof)
         if fh.read(1):
@@ -89,8 +102,11 @@ def write_basis(path, basis):
         fh.write(np.ascontiguousarray(basis.modes.T, dtype="<f8").tobytes())
 
 
-def read_basis(path):
-    """Read a basis archive back into a :class:`PodBasis`."""
+def read_basis(path, space=None):
+    """Read a basis archive back into a :class:`PodBasis`.
+
+    Validated like :func:`read_snapshots`.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, "magic")
         if magic != BASIS_MAGIC:
@@ -100,6 +116,7 @@ def read_basis(path):
             raise ArchiveFormatError(f"unsupported basis archive version {version}")
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
+        _check_dofs(ndof, space)
         eigenvalues = _read_floats(fh, rank, "eigenvalues")
         spectrum = _read_floats(fh, nspec, "spectrum")
         grad_norms = _read_floats(fh, rank, "grad_norms")

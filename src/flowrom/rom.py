@@ -1,28 +1,33 @@
 """Reduced operators and online Galerkin-ROM time integration.
 
 Offline, the mode triples are pushed through the same pointwise form
-densities as the full-order assembly, producing the r x r x r tensor
+densities as the full-order assembly (``fem._transport`` and
+``fem._density``), producing the r x r x r tensor
 
     T[i][j][k] = b(psi_j, psi_k, psi_i)
 
 plus the viscous matrix, and (with a centered basis) the mean-coupling
 matrices and constant vector from expanding b(ubar + w, ubar + w, psi_i).
-The element loop runs once: mode values and gradients are tabulated at all
-quadrature points up front and each transported mode k costs one dense
-matrix product, so assembly is O(r^2 (r + elements)) rather than
-O(r^3 elements).
+The element loop runs once: the values and gradients of all m fields (the
+r modes, plus the mean when centered) are tabulated at every quadrature
+point, and the transport factors of all m advecting fields are formed once.
+Each transported field k then costs one density over the m advecting fields
+and one (m x 2P)(2P x m) matrix product, with P = elements x quadrature
+points, so assembly is O(m^3 P): linear in the mesh, cubic in the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and a dense factorization,
 mirroring the full-order scheme (BDF2 starts with one backward-Euler step).
-The step cost is independent of the finite element dimension.
+The quadratic term and its Jacobian are matrix-vector products with the
+tensor viewed as an (r*r) x r matrix, so a step costs O(r^3) per iteration,
+independent of the finite element dimension.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NonlinearForm, _density
+from .fem import NonlinearForm, _density, _transport
 
 
 class RomNewtonError(RuntimeError):
@@ -54,44 +59,43 @@ class RomOperators:
 
     def quadratic(self, a):
         """N(a)_i = sum_jk T[i, j, k] a_j a_k."""
-        return np.einsum("ijk,j,k->i", self.tensor, a, a)
+        r = self.r
+        return (self.tensor.reshape(r * r, r) @ a).reshape(r, r) @ a
 
     def quadratic_jacobian(self, a):
-        return np.einsum("ijk,k->ij", self.tensor, a) + np.einsum("ikj,k->ij", self.tensor, a)
+        """J[i, j] = dN_i/da_j = sum_k (T[i, j, k] + T[i, k, j]) a_k."""
+        r = self.r
+        return (self.tensor.reshape(r * r, r) @ a).reshape(r, r) + np.matmul(a, self.tensor)
 
 
 @dataclass
 class RomTrajectory:
-    """Reduced coefficient vectors per step (row n is a^n)."""
+    """Reduced coefficient vectors per step (row n is a^n).
+
+    ``newton_iters[n]`` counts the Newton updates of the step ending at
+    ``times[n]`` (0 for the initial state); it is None for a trajectory read
+    back from a CSV.
+    """
 
     coeffs: np.ndarray  # (nsteps + 1, r)
     times: np.ndarray
+    newton_iters: np.ndarray = None
 
     def __post_init__(self):
         if self.coeffs.shape[0] != self.times.size:
             raise ValueError("trajectory length does not match times")
 
 
-def _mode_tables(space, fields):
-    """Values/gradients of a stack of fields at all quadrature points.
-
-    Returns ``vals`` (m, nelem, nq, 2) and ``grads`` (m, nelem, nq, 2, 2).
-    """
-    coeffs = np.stack([space.local_coeffs(f) for f in fields])      # (m, e, 6, 2)
-    vals = np.einsum("meli,ql->meqi", coeffs, space.phi)
-    grads = np.einsum("meli,eqld->meqid", coeffs, space.dphi)
-    return vals, grads
-
-
 def _trilinear_tensor(space, form, fields):
     """Dense tensor T[i, j, k] = b(field_j, field_k, field_i)."""
-    vals, grads = _mode_tables(space, fields)
-    m = vals.shape[0]
-    wdet = space.qweights[None, :] * space.det_j[:, None]           # (e, q)
-    tested = (vals * wdet[None, :, :, None]).reshape(m, -1)         # (m, e*q*2)
+    vals, grads = space.values_and_grads(np.stack(fields))          # (2, m, e, q), (2, 2, m, e, q)
+    m = len(fields)
+    tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
+    transport = _transport(form, vals, grads)                       # all m advecting fields
+    s = np.empty((m, 2) + space.wdet.shape)                         # field j, component, e, q
     tensor = np.empty((m, m, m))
     for k in range(m):
-        s = _density(form, vals, grads, vals[k], grads[k])          # (m, e, q, 2)
+        _density(transport, vals[:, k], grads[:, :, k], out=s.transpose(1, 0, 2, 3))
         tensor[:, :, k] = tested @ s.reshape(m, -1).T
     return tensor
 
@@ -139,8 +143,9 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
 
     Mirrors the full-order stepping: backward Euler or BDF2 (with a
     backward-Euler first step), Newton iteration to ``newton_tol`` on the
-    r-dimensional residual, dense linear solves.  Raises
-    :class:`RomNewtonError` with the failing step index on divergence.
+    r-dimensional residual, dense linear solves.  The trajectory records
+    the Newton updates of each step.  Raises :class:`RomNewtonError` with the
+    failing step index on divergence.
     """
     if scheme not in ("backward_euler", "bdf2"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -158,10 +163,17 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
 
     coeffs = np.empty((n_steps + 1, r))
     coeffs[0] = a
+    newton_iters = np.zeros(n_steps + 1, dtype=int)
     a_prev = None
+    shift_alpha = None
     for n in range(n_steps):
         bdf2 = scheme == "bdf2" and a_prev is not None
         alpha = 1.5 if bdf2 else 1.0
+        if alpha != shift_alpha:
+            # the Jacobian's linear part, once per scheme phase; the residual
+            # keeps alpha/dt a and lin a apart, since their sum rounds lin's
+            # low bits away
+            shift, shift_alpha = alpha / dt * np.eye(r) + lin, alpha
         hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
         a_new = a.copy()
         converged = False
@@ -175,7 +187,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             if it == newton_max_iter:
                 break
-            jac = alpha / dt * np.eye(r) + ops.quadratic_jacobian(a_new) + lin
+            jac = shift + ops.quadratic_jacobian(a_new)
             try:
                 a_new = a_new + np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
@@ -189,7 +201,8 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
         a_prev = a
         a = a_new
         coeffs[n + 1] = a
-    return RomTrajectory(coeffs=coeffs, times=dt * np.arange(n_steps + 1))
+        newton_iters[n + 1] = it
+    return RomTrajectory(coeffs=coeffs, times=dt * np.arange(n_steps + 1), newton_iters=newton_iters)
 
 
 def reconstruct_field(basis, a):

@@ -84,8 +84,9 @@ class TestPipeline:
         assert header == ["t", "a_1", "a_2", "a_3"]
         assert cols[0].size == 6
         sheader, scols = read_csv(root / "micro_rom_skew_r3_scalars.csv")
-        assert sheader == ["t", "energy", "enstrophy"]
+        assert sheader == ["t", "energy", "enstrophy", "newton_iters"]
         assert np.all(scols[1] > 0)
+        assert scols[-1][0] == 0 and np.all(scols[-1][1:] >= 1)  # Newton updates per step
 
     def test_compare(self, micro_pipeline):
         root, cfg = micro_pipeline
@@ -122,9 +123,49 @@ class TestPipeline:
         assert len(out.read_text().splitlines()) == 2  # header and one row
 
 
+def _write_nan_snapshots(source, path):
+    """Copy of the snapshot archive ``source`` with one NaN in its payload."""
+    from flowrom.io import read_snapshots, write_snapshots
+
+    snaps = read_snapshots(source)
+    snaps.matrix[5, -1] = np.nan
+    write_snapshots(path, snaps)
+
+
 class TestErrorPaths:
     def test_missing_config(self, tmp_path):
         assert main(["fom", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("flag", [["--scheme", "bdf2"], ["--form", "emac"]])
+    def test_fom_has_no_form_or_scheme_flag(self, micro_pipeline, tmp_path, flag):
+        # the archive does not record them, so rom could not follow them
+        _, cfg = micro_pipeline
+        with pytest.raises(SystemExit) as exc:
+            main(["fom", "--config", str(cfg), "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "micro_snapshots.bin").exists()
+
+    def test_archive_dof_mismatch_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        root, _ = micro_pipeline
+        cfg = tmp_path / "six.ini"
+        cfg.write_text(MICRO_KH.replace("nx = 8\nny = 8", "nx = 6\nny = 6"))
+        common = ["--config", str(cfg), "--out", str(tmp_path)]
+        archive, basis = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
+        traj = str(root / "micro_rom_skew_r3_traj.csv")
+        assert main(["pod", archive, *common]) == 4
+        assert main(["rom", basis, "--archive", archive, *common]) == 4
+        assert main(["compare", traj, "--config", str(cfg), "--archive", archive,
+                     "--basis", basis, "--out", str(tmp_path / "c.csv")]) == 4
+        assert capsys.readouterr().err.count("does not match the configured mesh") == 3
+
+    def test_non_finite_archive_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        root, cfg = micro_pipeline
+        bad = tmp_path / "nan_snapshots.bin"
+        _write_nan_snapshots(root / "micro_snapshots.bin", bad)
+        assert main(["pod", str(bad), "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert main(["rom", str(root / "micro_basis.bin"), "--archive", str(bad),
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert "non-finite value in snapshot payload" in capsys.readouterr().err
 
     def test_missing_mesh_file(self, tmp_path):
         cfg = tmp_path / "cyl.ini"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from flowrom.io import (
     write_snapshots,
     write_vtk,
 )
+from flowrom.pod import SnapshotSet
 
 
 class TestSnapshotArchive:
@@ -42,6 +45,23 @@ class TestSnapshotArchive:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(ArchiveFormatError, match="snapshot payload"):
+            read_snapshots(path)
+
+    def test_dof_count_checked_against_space(self, tmp_path, kh_run, square8):
+        _, space, snaps, _, _ = kh_run
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, snaps)
+        assert read_snapshots(path, space=space).matrix.shape[0] == space.n_vel
+        with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
+            read_snapshots(path, space=square8[1])
+
+    def test_non_finite_payload(self, tmp_path, kh_run):
+        _, _, snaps, _, _ = kh_run
+        bad = SnapshotSet(matrix=snaps.matrix.copy(), times=snaps.times)
+        bad.matrix[3, 1] = np.inf
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, bad)
+        with pytest.raises(ArchiveFormatError, match="non-finite value in snapshot payload"):
             read_snapshots(path)
 
 
@@ -78,6 +98,21 @@ class TestBasisArchive:
         raw[24:32] = struct.pack("<Q", 10**6)
         path.write_bytes(bytes(raw))
         with pytest.raises(ArchiveFormatError, match="rank"):
+            read_basis(path)
+
+    def test_dof_count_checked_against_space(self, tmp_path, kh_run, kh_basis_session, square8):
+        path = tmp_path / "basis.bin"
+        write_basis(path, kh_basis_session)
+        assert read_basis(path, space=kh_run[1]).modes.shape == kh_basis_session.modes.shape
+        with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
+            read_basis(path, space=square8[1])
+
+    def test_non_finite_payload(self, tmp_path, kh_basis_session):
+        bad = dataclasses.replace(kh_basis_session, modes=kh_basis_session.modes.copy())
+        bad.modes[0, 2] = np.nan
+        path = tmp_path / "basis.bin"
+        write_basis(path, bad)
+        with pytest.raises(ArchiveFormatError, match="non-finite value in modes"):
             read_basis(path)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from flowrom.diagnostics import energy_enstrophy, rom_energy_enstrophy
 from flowrom.fem import NonlinearForm, trilinear_value
-from flowrom.pod import build_pod_basis, project_field
+from flowrom.pod import PodBasis, build_pod_basis, project_field
 from flowrom.rom import (
     RomNewtonError,
     assemble_rom_operators,
@@ -19,15 +20,25 @@ def rom_setup(kh_run, kh_basis_session):
     return space, snaps, kh_basis_session
 
 
+@pytest.fixture(scope="module")
+def wide_basis(rom_setup):
+    """32 seeded random fields posing as modes: the shear-layer basis has too few."""
+    space, _, _ = rom_setup
+    modes = np.random.default_rng(3).standard_normal((space.n_vel, 32))
+    ones = np.ones(32)
+    return PodBasis(modes=modes, eigenvalues=ones, spectrum=ones, grad_norms=ones)
+
+
 class TestAssembleRomOperators:
     @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_tensor_entries_match_direct_quadrature(self, rom_setup, form):
-        space, _, basis = rom_setup
-        r = min(8, basis.rank)
+    def test_tensor_entries_match_direct_quadrature(self, rom_setup, wide_basis, form):
+        space, _, _ = rom_setup
+        basis = wide_basis
+        r = min(30, basis.rank)
         ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
         rng = np.random.default_rng(99)
-        for _ in range(10):
-            i, j, k = rng.integers(0, r, size=3)
+        corners = [(0, 0, 0), (r - 1, r - 1, r - 1), (0, r - 1, 0), (r - 1, 0, r - 1)]
+        for i, j, k in corners + [tuple(rng.integers(0, r, size=3)) for _ in range(12)]:
             direct = trilinear_value(space, form, basis.modes[:, j], basis.modes[:, k],
                                      basis.modes[:, i])
             scale = np.abs(ops.tensor).max()
@@ -46,6 +57,21 @@ class TestAssembleRomOperators:
             a = rng.standard_normal(r)
             val = a @ ops.quadratic(a)
             assert abs(val) <= 1e-11 * scale * np.linalg.norm(a) ** 3
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_quadratic_kernels_match_einsum_definitions(self, rom_setup, form):
+        space, _, basis = rom_setup
+        r = min(12, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            a = rng.standard_normal(r)
+            quad = np.einsum("ijk,j,k->i", ops.tensor, a, a)
+            jac = np.einsum("ijk,k->ij", ops.tensor, a) + np.einsum("ikj,k->ij", ops.tensor, a)
+            n_a, j_a = ops.quadratic(a), ops.quadratic_jacobian(a)
+            assert np.abs(n_a - quad).max() <= 1e-13 * np.abs(quad).max()
+            assert np.abs(j_a - jac).max() <= 1e-13 * np.abs(jac).max()
+            assert np.abs(j_a @ a - 2.0 * n_a).max() <= 1e-13 * np.abs(n_a).max()
 
     def test_viscous_matrix(self, rom_setup):
         space, _, basis = rom_setup
@@ -122,6 +148,17 @@ class TestRunRom:
         traj = run_rom(ops, np.zeros(r), 0.05, 0.5)
         assert np.all(traj.coeffs == 0.0)
         assert traj.times[-1] == pytest.approx(0.5)
+        assert np.all(traj.newton_iters == 0)  # the initial guess already solves every step
+
+    def test_records_newton_iterations(self, rom_setup):
+        space, snaps, basis = rom_setup
+        r = min(8, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, "skew", nu=1 / 2800)
+        a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
+        traj = run_rom(ops, a0, 0.02, 0.2, scheme="bdf2")
+        assert traj.newton_iters.shape == traj.times.shape
+        assert traj.newton_iters[0] == 0
+        assert np.all((traj.newton_iters[1:] >= 1) & (traj.newton_iters[1:] <= 20))
 
     def test_newton_blowup_reports_step(self, rom_setup):
         space, _, basis = rom_setup
@@ -144,6 +181,21 @@ class TestRunRom:
         t_be = run_rom(ops, a0, 0.02, 0.02, scheme="backward_euler")
         t_bdf = run_rom(ops, a0, 0.02, 0.04, scheme="bdf2")
         assert np.abs(t_be.coeffs[1] - t_bdf.coeffs[1]).max() < 1e-9
+
+
+class TestRomEnergy:
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_gram_energy_matches_reconstructed_fields(self, rom_setup, centering):
+        space, snaps, _ = rom_setup
+        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        r = min(10, basis.rank)
+        rng = np.random.default_rng(23)
+        coeffs = rng.standard_normal((4, r))
+        energy, enstrophy = rom_energy_enstrophy(space, basis, coeffs)
+        for n, a in enumerate(coeffs):
+            e, z = energy_enstrophy(space, reconstruct_field(basis, a))
+            assert energy[n] == pytest.approx(e, rel=1e-12)
+            assert enstrophy[n] == pytest.approx(z, rel=1e-12)
 
 
 class TestReconstructField:
