@@ -1,4 +1,4 @@
-"""Command-line front end: fom / pod / rom / compare / verify.
+"""Command-line front end: fom / pod / rom / compare.
 
 Configuration files use INI syntax (flat key-value pairs in sections); see
 ``demos/configs`` for complete examples.  A minimal config::
@@ -26,9 +26,16 @@ Configuration files use INI syntax (flat key-value pairs in sections); see
     [output]
     prefix = kh
 
+The keys above, plus ``[problem] mesh/node/ele/edge`` for the cylinder and
+``[fom] newton_max_iter``, are all that is read (:data:`CONFIG_KEYS`); any
+other section or key is a config error.  ``fom``, ``rom`` and ``compare``
+require ``[fom]`` with ``nu``, ``dt`` and ``t_end``.  Outputs go to
+``--out`` or the working directory, named from ``[output] prefix``.
+
 ``rom`` runs on the snapshot grid of its archive: from the first snapshot to
 the last, at the snapshot spacing (``dt * snapshot_stride``), with the
-``[fom] scheme``.  ``compare`` expects each trajectory on that same grid.
+``[fom] scheme``.  ``compare`` expects each trajectory on that same grid and
+takes ``r`` from its coefficient columns.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 format error.
 """
@@ -37,12 +44,13 @@ import argparse
 import configparser
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import io as fio
 from .diagnostics import rom_energy_enstrophy, trajectory_error
-from .fem import NonlinearForm, TaylorHoodSpace, trilinear_value, field_norms
+from .fem import NonlinearForm, TaylorHoodSpace
 from .fom import (
     FomConfig,
     NewtonConvergenceError,
@@ -53,7 +61,7 @@ from .fom import (
     run_fom,
 )
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
-from .numerics import SingularSystemError, sym_eig, triangle_quadrature
+from .numerics import SingularSystemError
 from .pod import build_pod_basis, pod_projection_error, project_field
 from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, run_rom
 
@@ -61,6 +69,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_FORMAT = 4
+
+# Every section and key a subcommand reads; a config with any other is rejected.
+CONFIG_KEYS = {
+    "problem": {"name", "nx", "ny", "mesh", "node", "ele", "edge"},
+    "fom": {"nu", "dt", "t_end", "form", "scheme", "snapshot_start", "snapshot_end",
+            "snapshot_stride", "newton_max_iter"},
+    "rom": {"r", "form", "centering"},
+    "output": {"prefix"},
+}
 
 
 class ConfigError(ValueError):
@@ -72,30 +89,49 @@ def _load_config(path):
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read(p)
+    try:
+        cp.read(p)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
     if "problem" not in cp or "name" not in cp["problem"]:
         raise ConfigError(f"{path}: missing [problem] section with a 'name' key")
     return cp
 
 
+class _Problem(NamedTuple):
+    """The configured problem and the values it fixes."""
+
+    name: str
+    mesh: object
+    space: TaylorHoodSpace
+    boundary: dict
+    drag_label: str  # boundary whose drag is recorded, or None
+    project_initial: bool  # Stokes-project the initial field
+    centering: str  # POD centering when [rom] centering is not set
+
+
 def _build_problem(cp):
-    """Mesh, space, boundary spec, and defaults for the configured problem."""
     prob = cp["problem"]
     name = prob.get("name")
     if name == "kelvin-helmholtz":
         nx = prob.getint("nx", 32)
         ny = prob.getint("ny", nx)
         mesh = identify_periodic(uniform_rect_mesh(nx, ny), "x")
-        boundary = kelvin_helmholtz_boundary()
-        defaults = {"drag_label": None, "project_initial": True, "centering": "none"}
-    elif name == "taylor-green":
+        return _Problem(name, mesh, TaylorHoodSpace(mesh), kelvin_helmholtz_boundary(),
+                        None, True, "none")
+    if name == "taylor-green":
         nx = prob.getint("nx", 16)
         ny = prob.getint("ny", nx)
         mesh = uniform_rect_mesh(nx, ny, 2.0, 2.0)
         mesh = identify_periodic(identify_periodic(mesh, "x"), "y")
-        boundary = {}
-        defaults = {"drag_label": None, "project_initial": False, "centering": "none"}
-    elif name == "cylinder-channel":
+        return _Problem(name, mesh, TaylorHoodSpace(mesh), {}, None, False, "none")
+    if name == "cylinder-channel":
         if prob.get("mesh", "bundled") == "bundled":
             mesh = load_bundled_mesh("cylinder")
         else:
@@ -106,49 +142,39 @@ def _build_problem(cp):
             labels = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
             mesh = read_triangle_mesh(paths["node"].read_text(), paths["ele"].read_text(),
                                       paths["edge"].read_text(), marker_labels=labels)
-        boundary = cylinder_boundary()
-        defaults = {"drag_label": "cylinder", "project_initial": True, "centering": "mean"}
-    else:
-        raise ConfigError(f"unknown problem name {name!r}")
-    return name, mesh, TaylorHoodSpace(mesh), boundary, defaults
+        return _Problem(name, mesh, TaylorHoodSpace(mesh), cylinder_boundary(),
+                        "cylinder", True, "mean")
+    raise ConfigError(f"unknown problem name {name!r}")
 
 
-def _fom_config(cp, boundary, defaults):
-    fom = cp["fom"] if "fom" in cp else {}
-    getf = lambda key, dv: float(fom.get(key, dv)) if hasattr(fom, "get") else dv
+def _fom_config(cp, problem):
+    if not all(cp.has_option("fom", key) for key in ("nu", "dt", "t_end")):
+        raise ConfigError("[fom] section requires nu, dt, t_end")
+    fom = cp["fom"]
     try:
-        nu = float(fom["nu"])
-        dt = float(fom["dt"])
-        t_end = float(fom["t_end"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"[fom] section requires nu, dt, t_end ({exc})") from exc
-    window = None
-    if "snapshot_start" in fom or "snapshot_end" in fom:
-        window = (getf("snapshot_start", 0.0), getf("snapshot_end", t_end))
-    project = fom.get("project_initial") if hasattr(fom, "get") else None
-    try:
+        t_end = fom.getfloat("t_end")
+        window = None
+        if "snapshot_start" in fom or "snapshot_end" in fom:
+            window = (fom.getfloat("snapshot_start", 0.0), fom.getfloat("snapshot_end", t_end))
         return FomConfig(
-            nu=nu, dt=dt, t_end=t_end,
+            nu=fom.getfloat("nu"), dt=fom.getfloat("dt"), t_end=t_end,
             form=NonlinearForm.parse(fom.get("form", "skew")),
             scheme=fom.get("scheme", "bdf2"),
-            boundary=boundary,
+            boundary=problem.boundary,
             snapshot_window=window,
-            snapshot_stride=int(fom.get("snapshot_stride", 1)),
-            newton_tol=getf("newton_tol", 1e-10),
-            newton_max_iter=int(fom.get("newton_max_iter", 20)),
-            drag_label=defaults["drag_label"],
-            project_initial=(project.lower() in ("1", "true", "yes"))
-            if project is not None else defaults["project_initial"],
+            snapshot_stride=fom.getint("snapshot_stride", 1),
+            newton_max_iter=fom.getint("newton_max_iter", 20),
+            drag_label=problem.drag_label,
+            project_initial=problem.project_initial,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _out_prefix(cp, outdir):
-    prefix = cp["output"].get("prefix", "run") if "output" in cp else "run"
-    out = Path(outdir) if outdir else Path(cp["output"].get("dir", ".") if "output" in cp else ".")
+    out = Path(outdir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out / prefix
+    return out / cp.get("output", "prefix", fallback="run")
 
 
 def _write_scalars_csv(path, series):
@@ -163,29 +189,26 @@ def _write_scalars_csv(path, series):
 
 def cmd_fom(args):
     cp = _load_config(args.config)
-    name, mesh, space, boundary, defaults = _build_problem(cp)
-    cfg = _fom_config(cp, boundary, defaults)
+    problem = _build_problem(cp)
+    cfg = _fom_config(cp, problem)
     prefix = _out_prefix(cp, args.out)
-    u0 = build_initial_condition(name, space)
+    u0 = build_initial_condition(problem.name, problem.space)
     try:
-        _, snaps, series = run_fom(cfg, mesh, space, u0)
+        _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
     except NewtonConvergenceError as exc:
         print(f"error: solver failed at step {exc.step}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
     _write_scalars_csv(f"{prefix}_scalars.csv", series)
-    if cp.has_option("fom", "write_vtk") and cp["fom"].getboolean("write_vtk"):
-        last = snaps.matrix[:, -1] if snaps.count else u0
-        fio.write_vtk(f"{prefix}_final.vtk", space, last)
     print(f"wrote {prefix}_snapshots.bin ({snaps.count} snapshots) and {prefix}_scalars.csv")
     return EXIT_OK
 
 
 def cmd_pod(args):
     cp = _load_config(args.config)
-    _, _, space, _, defaults = _build_problem(cp)
-    centering = args.centering or (cp["rom"].get("centering", defaults["centering"])
-                                   if "rom" in cp else defaults["centering"])
+    problem = _build_problem(cp)
+    space = problem.space
+    centering = cp.get("rom", "centering", fallback=problem.centering)
     snaps = fio.read_snapshots(args.archive, space=space)
     prefix = _out_prefix(cp, args.out)
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
@@ -207,17 +230,17 @@ def cmd_pod(args):
 def cmd_rom(args):
     """Run one ROM on the archive's snapshot grid with the ``[fom] scheme``."""
     cp = _load_config(args.config)
-    _, _, space, boundary, defaults = _build_problem(cp)
-    fom_cfg = _fom_config(cp, boundary, defaults)
-    rom_sec = cp["rom"] if "rom" in cp else {}
-    form = NonlinearForm.parse(args.form or rom_sec.get("form", fom_cfg.form))
+    problem = _build_problem(cp)
+    space = problem.space
+    fom_cfg = _fom_config(cp, problem)
+    form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
     basis = fio.read_basis(args.basis, space=space)
     try:
-        r = args.r or int(rom_sec.get("r", basis.rank))
+        r = args.r if args.r is not None else int(cp.get("rom", "r", fallback=basis.rank))
     except ValueError as exc:
-        raise ConfigError(f"[rom] r must be one integer, got {rom_sec.get('r')!r}") from exc
-    if r > basis.rank:
-        raise ConfigError(f"requested r={r} exceeds basis rank {basis.rank}")
+        raise ConfigError(f"[rom] r must be one integer, got {cp.get('rom', 'r')!r}") from exc
+    if not 1 <= r <= basis.rank:
+        raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
     snaps = fio.read_snapshots(args.archive, space=space)
     if snaps.count < 2:
@@ -246,8 +269,7 @@ def cmd_rom(args):
     cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
-        stride = int(rom_sec.get("drag_stride", 10))
-        drag_t, drag = rom_drag_series(space, fom_cfg, basis, traj, stride)
+        drag_t, drag = rom_drag_series(space, fom_cfg, basis, traj)
         dragcol = np.full(traj.times.size, np.nan)
         dragcol[np.searchsorted(traj.times, drag_t)] = drag
         cols.append(dragcol)
@@ -260,23 +282,21 @@ def cmd_rom(args):
 
 
 def _parse_traj_csv(path):
+    """Form (from a ``<prefix>_rom_<form>_r<r>_traj.csv`` name), r and trajectory.
+
+    r is the number of coefficient columns, so it always matches the data.
+    """
     header, cols = fio.read_csv(path)
-    stem = Path(path).stem
-    parts = stem.split("_")
-    try:
-        r = int(parts[-2][1:]) if parts[-2].startswith("r") else len(header) - 1
-        form = parts[-3]
-    except (IndexError, ValueError):
-        r = len(header) - 1
-        form = "unknown"
-    coeffs = np.column_stack(cols[1:])
-    return form, r, RomTrajectory(coeffs=coeffs, times=cols[0])
+    parts = Path(path).stem.split("_")
+    form = parts[-3] if len(parts) >= 3 else "unknown"
+    return form, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])
 
 
 def cmd_compare(args):
     cp = _load_config(args.config)
-    _, _, space, boundary, defaults = _build_problem(cp)
-    fom_cfg = _fom_config(cp, boundary, defaults)
+    problem = _build_problem(cp)
+    space = problem.space
+    fom_cfg = _fom_config(cp, problem)
     basis = fio.read_basis(args.basis, space=space)
     snaps = fio.read_snapshots(args.archive, space=space)
 
@@ -303,53 +323,6 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    """Run the built-in invariant suites on a small mesh and report."""
-    rng = np.random.default_rng(args.seed or 0)
-    failures = []
-
-    def check(label, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        if not ok:
-            failures.append(label)
-
-    rule = triangle_quadrature()
-    import math
-
-    exact = lambda p, q: math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
-    worst = max(
-        abs(float(np.dot(rule.weights, rule.points[:, 1] ** p * rule.points[:, 2] ** q)) - exact(p, q))
-        for p in range(6) for q in range(6 - p)
-    )
-    check(f"quadrature exactness degree 5 (max defect {worst:.1e})", worst < 1e-14)
-
-    mesh = uniform_rect_mesh(8, 8)
-    space = TaylorHoodSpace(mesh)
-    mask, _ = space.dirichlet_data({lab: ("noslip",) for lab in ("left", "right", "top", "bottom")})
-    worst_id = 0.0
-    for _ in range(5):
-        u = rng.standard_normal(space.n_vel)
-        v = rng.standard_normal(space.n_vel)
-        u[mask] = 0.0
-        v[mask] = 0.0
-        hu = field_norms(space, u)
-        hv = field_norms(space, v)
-        nu_ = np.hypot(hu.l2, hu.h1_semi)
-        nv_ = np.hypot(hv.l2, hv.h1_semi)
-        worst_id = max(worst_id, abs(trilinear_value(space, "skew", u, v, v)) / (nu_ * nv_ * nv_))
-        worst_id = max(worst_id, abs(trilinear_value(space, "emac", u, u, u)) / nu_**3)
-        worst_id = max(worst_id, abs(trilinear_value(space, "rotational", u, v, v)) / (nu_ * nv_ * nv_))
-    check(f"nonlinear-form energy identities (max {worst_id:.1e})", worst_id <= 1e-11)
-
-    m = rng.standard_normal((6, 6))
-    m = m @ m.T
-    vals, vecs = sym_eig(m)
-    resid = max(np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k]) for k in range(6))
-    check(f"symmetric eigensolver residual ({resid:.1e})", resid < 1e-10 * np.linalg.norm(m, 2))
-
-    return EXIT_OK if not failures else EXIT_SOLVER
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="flowrom",
                                      description="Taylor-Hood Navier-Stokes FOM/ROM laboratory")
@@ -362,7 +335,6 @@ def main(argv=None):
     p_pod = sub.add_parser("pod", help="build the POD basis from a snapshot archive")
     p_pod.add_argument("archive")
     p_pod.add_argument("--config", required=True)
-    p_pod.add_argument("--centering", choices=["none", "mean"], default=None)
     p_pod.add_argument("--out", default=None)
 
     p_rom = sub.add_parser("rom", help="run a reduced model from a basis archive")
@@ -380,12 +352,8 @@ def main(argv=None):
     p_cmp.add_argument("--basis", required=True)
     p_cmp.add_argument("--out", default=None)
 
-    p_ver = sub.add_parser("verify", help="run the built-in invariant checks")
-    p_ver.add_argument("--seed", type=int, default=None)
-
     args = parser.parse_args(argv)
-    handlers = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom,
-                "compare": cmd_compare, "verify": cmd_verify}
+    handlers = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

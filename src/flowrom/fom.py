@@ -302,7 +302,7 @@ def advance_step(state, config, space, held=None):
                     newton_iters=it, factorizations=n_factor)
 
 
-def rom_drag_series(space, config, basis, trajectory, stride=10, label=None):
+def rom_drag_series(space, config, basis, trajectory, stride=5):
     """Drag series of a reduced trajectory via one-step pressure recovery.
 
     The reduced model evolves no pressure, so the drag's pressure part is
@@ -314,8 +314,7 @@ def rom_drag_series(space, config, basis, trajectory, stride=10, label=None):
 
     from .rom import reconstruct_field
 
-    label = label or config.drag_label
-    if label is None:
+    if config.drag_label is None:
         raise ValueError("no drag boundary label configured")
     times = trajectory.times
     if times.size < 2:
@@ -331,7 +330,7 @@ def rom_drag_series(space, config, basis, trajectory, stride=10, label=None):
         st = FomState(u=w_prev, p=np.zeros(space.n_press), t=float(times[n - 1]), step=n - 1)
         recovered = advance_step(st, cfg, space, held)
         out_t.append(float(times[n]))
-        out_v.append(drag_coefficient(space, w_n, recovered.p, label, config.nu))
+        out_v.append(drag_coefficient(space, w_n, recovered.p, config.drag_label, config.nu))
     return np.array(out_t), np.array(out_v)
 
 
@@ -410,6 +409,5 @@ def run_fom(config, mesh, space, u0):
     snapshots = SnapshotSet(
         matrix=np.array(columns).T if columns else np.zeros((space.n_vel, 0)),
         times=np.array(snap_times),
-        space=space,
     )
     return states, snapshots, out_series

@@ -85,7 +85,7 @@ def read_snapshots(path, space=None):
         data = _read_floats(fh, nsnap * ndof, "snapshot payload").reshape(nsnap, ndof)
         if fh.read(1):
             raise ArchiveFormatError("trailing bytes after snapshot payload")
-    return SnapshotSet(matrix=data.T.copy(), times=times, space=space)
+    return SnapshotSet(matrix=data.T.copy(), times=times)
 
 
 def write_basis(path, basis):

@@ -29,7 +29,6 @@ class SnapshotSet:
 
     matrix: np.ndarray
     times: np.ndarray
-    space: object = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowrom.cli import main
+from flowrom.cli import _load_config, main
 from flowrom.io import read_csv
 
 
@@ -33,7 +33,8 @@ centering = none
 prefix = micro
 """
 
-MICRO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "kh_micro.ini"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+MICRO_CONFIG = CONFIG_DIR / "kh_micro.ini"
 
 
 def _run_micro(root, text):
@@ -101,6 +102,17 @@ class TestPipeline:
         assert int(fields[1]) == 3
         assert float(fields[2]) >= 0.0
 
+    def test_compare_takes_r_from_columns(self, micro_pipeline, tmp_path):
+        # a renamed file cannot report an r its coefficients do not have
+        root, cfg = micro_pipeline
+        renamed = tmp_path / "micro_rom_emac_r7_traj.csv"
+        renamed.write_bytes((root / "micro_rom_skew_r3_traj.csv").read_bytes())
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(renamed), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[:2] == ["emac", "3"]
+
     def test_fom_rerun_byte_identical(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline
         assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -135,6 +147,37 @@ def _write_nan_snapshots(source, path):
 class TestErrorPaths:
     def test_missing_config(self, tmp_path):
         assert main(["fom", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        ("[rom]", "newton_tol = 1e-12\n\n[rom]"),  # deleted: the tolerance is fixed
+        ("snapshot_stride = 1", "snapshot_strde = 1"),  # misspelled
+        ("[output]", "[solver]\nnewton_tol = 1e-12\n\n[output]"),  # unknown section
+        ("nx = 8\nny = 8", "nx = 8\nnx = 9\nny = 8"),  # duplicate key
+    ])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*edit))
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "micro_snapshots.bin").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
+    def test_demo_configs_are_accepted(self, path):
+        assert _load_config(path).sections()
+
+    @pytest.mark.parametrize("removed", [["verify"], ["verify", "--seed", "0"],
+                                         ["pod", "--centering", "mean"]])
+    def test_removed_cli_surface(self, micro_pipeline, tmp_path, removed):
+        # the checks verify made are tier-1 tests; [rom] centering sets the centering
+        root, cfg = micro_pipeline
+        argv = removed
+        if removed[0] == "pod":
+            argv = ["pod", str(root / "micro_snapshots.bin"), "--config", str(cfg),
+                    "--out", str(tmp_path), *removed[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", [["--scheme", "bdf2"], ["--form", "emac"]])
     def test_fom_has_no_form_or_scheme_flag(self, micro_pipeline, tmp_path, flag):
@@ -210,12 +253,32 @@ class TestErrorPaths:
         assert "solver failed at step 1" in capsys.readouterr().err
         assert not (tmp_path / "micro_snapshots.bin").exists()
 
+    def test_rom_newton_failure(self, micro_pipeline, tmp_path, capsys):
+        root, _ = micro_pipeline
+        cfg = tmp_path / "stall.ini"
+        cfg.write_text(MICRO_KH.replace("[rom]", "newton_max_iter = 0\n\n[rom]"))
+        code = main(["rom", str(root / "micro_basis.bin"), "--archive",
+                     str(root / "micro_snapshots.bin"), "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "diverged at step 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_rom_*_traj.csv"))
+
     def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline
         code = main(["rom", str(root / "micro_basis.bin"), "--archive",
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      "--r", "5000", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_rom_r_below_one_is_config_error(self, micro_pipeline, tmp_path, r):
+        root, cfg = micro_pipeline
+        code = main(["rom", str(root / "micro_basis.bin"), "--archive",
+                     str(root / "micro_snapshots.bin"), "--config", str(cfg),
+                     f"--r={r}", "--out", str(tmp_path)])
+        assert code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_rom_single_snapshot_is_config_error(self, tmp_path, capsys):
         text = MICRO_KH.replace("snapshot_start = 0.0", "snapshot_start = 0.25")
@@ -243,11 +306,3 @@ class TestErrorPaths:
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == 2
-
-
-class TestVerify:
-    def test_verify_passes(self):
-        assert main(["verify"]) == 0
-
-    def test_verify_seed_flag(self):
-        assert main(["verify", "--seed", "7"]) == 0

@@ -21,7 +21,7 @@ class TestBuildPodBasis:
     def test_single_snapshot(self, kh_snapshots):
         space, snaps = kh_snapshots
         u = snaps.matrix[:, 3]
-        single = SnapshotSet(matrix=u[:, None], times=snaps.times[3:4], space=space)
+        single = SnapshotSet(matrix=u[:, None], times=snaps.times[3:4])
         mass = space.mass()
         basis = build_pod_basis(single, mass, space.stiffness())
         norm_sq = float(u @ (mass @ u))
