@@ -178,7 +178,8 @@ def _out_prefix(cp, outdir):
 
 
 def _write_scalars_csv(path, series):
-    names = ["energy", "enstrophy", "div_error", "drag", "newton_iters", "factorizations"]
+    names = ["energy", "enstrophy", "div_error", "drag", "newton_iters", "factorizations",
+             "newton_residual"]
     t = series["energy"].times
     cols = [t]
     for name in names:

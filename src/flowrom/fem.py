@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .numerics import triangle_quadrature
 
@@ -293,6 +294,30 @@ class TaylorHoodSpace:
             np.add.at(v, self.cell_press, elem)
             self._cache["pressure_volume"] = v
         return self._cache["pressure_volume"]
+
+    def saddle_order(self):
+        """Fill-reducing order of the ``[u, p]`` saddle-point unknowns.
+
+        Minimum degree on the P2 node graph, whose pattern is that of the
+        SPD scalar mass matrix (SuperLU's MMD on A^T + A, no pivoting).
+        Each node expands to its ``u_x`` and ``u_y`` DOFs, followed on a
+        vertex by its pressure DOF; a pressure couples only to the P2
+        neighbours of its vertex, so the compressed graph loses no edge.
+        Ordering the saddle-point matrix itself instead lets its zero
+        pressure diagonal force off-diagonal pivots.  Returns the index
+        array ``order`` with ``m[order][:, order]`` the reordered matrix.
+        """
+        if "saddle_order" not in self._cache:
+            scalar_mass = sp.csc_matrix(self.mass()[0::2, 0::2])
+            mmd = spla.splu(scalar_mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+            rank = mmd.perm_c  # rank[s]: position of scalar node s in the elimination
+            key = np.empty(self.n_vel + self.n_press, dtype=np.int64)
+            key[0 : self.n_vel : 2] = 3 * rank
+            key[1 : self.n_vel : 2] = 3 * rank + 1
+            key[self.n_vel + self.pressure_index] = 3 * rank[self.scalar_index[: self.n_vertices]] + 2
+            self._cache["saddle_order"] = np.argsort(key)
+        return self._cache["saddle_order"]
 
     # ------------------------------------------------------------------
     # field evaluation

@@ -13,7 +13,9 @@ Newton system is solved monolithically by a direct sparse factorization.
 Newton runs as a chord iteration (Kelley, *Solving Nonlinear Equations with
 Newton's Method*, SIAM 2003): one factorized Jacobian is held in a
 :class:`HeldFactor` and reused across iterations and across time steps,
-since factorization is nearly all of a step's cost.  It is rebuilt at the
+since one factorization costs as much as dozens of residual evaluations or
+triangular solves.  Every factorization eliminates the unknowns in the
+space's ``TaylorHoodSpace.saddle_order``.  The factor is rebuilt at the
 current iterate only when no factor is held yet, when the time-derivative
 coefficient or ``dt`` differs from the one it was built for (the BE-to-BDF2
 switch, or a new configuration), or when an iteration shrinks the residual
@@ -102,7 +104,9 @@ class FomState:
     """Solver state after ``step`` steps: ``t = step * dt``.
 
     ``newton_iters`` and ``factorizations`` count the linear solves and the
-    Jacobian factorizations of the step that produced this state.
+    Jacobian factorizations of the step that produced this state, and
+    ``newton_residual`` is the residual norm it stopped at (0 for a state
+    no step produced).
     """
 
     u: np.ndarray
@@ -112,6 +116,7 @@ class FomState:
     u_prev: np.ndarray = None
     newton_iters: int = 0
     factorizations: int = 0
+    newton_residual: float = 0.0
 
 
 @dataclass
@@ -192,7 +197,7 @@ def stokes_project(space, u, boundary=None, time=0.0):
     sys_mat = sp.bmat([[mass, -div.T], [div, None]], format="csr")
     rhs = np.concatenate([mass @ u, np.zeros(space.n_press)])
     a, b = apply_constraints(space, sys_mat, rhs, boundary or {}, time)
-    x = solve_sparse(a, b)
+    x = solve_sparse(a, b, space.saddle_order())
     return x[: space.n_vel]
 
 
@@ -289,7 +294,7 @@ def advance_step(state, config, space, held=None):
             fixed_block = alpha / dt * space.mass() + config.nu * space.stiffness()
             div = space.divergence()
             jac = sp.bmat([[fixed_block + jac_n, -div.T], [div, None]], format="csr")
-            held.lu = factorize(sp.csc_matrix(constrain_rows(jac, mask)))
+            held.lu = factorize(constrain_rows(jac, mask), space.saddle_order())
             held.key = (alpha, dt)
             n_factor += 1
         x += held.lu.solve(-residual)
@@ -299,7 +304,7 @@ def advance_step(state, config, space, held=None):
     vol = space.pressure_volume()
     p = p - (vol @ p) / vol.sum()
     return FomState(u=u, p=p, t=t_new, step=state.step + 1, u_prev=state.u,
-                    newton_iters=it, factorizations=n_factor)
+                    newton_iters=it, factorizations=n_factor, newton_residual=float(res_norm))
 
 
 def rom_drag_series(space, config, basis, trajectory, stride=5):
@@ -354,10 +359,10 @@ def run_fom(config, mesh, space, u0):
     per-step :class:`FomState` objects when ``config.keep_states`` is set
     (otherwise empty), ``snapshots`` is a :class:`SnapshotSet`, and
     ``series`` maps names (``energy``, ``enstrophy``, ``div_error``,
-    ``newton_iters``, ``factorizations`` and ``drag`` when configured) to
-    :class:`ScalarSeries` sampled at every step including the initial state
-    (whose solver counts are 0).  One :class:`HeldFactor` serves the whole
-    run.
+    ``newton_iters``, ``factorizations``, ``newton_residual`` and ``drag``
+    when configured) to :class:`ScalarSeries` sampled at every step
+    including the initial state (whose solver counts and residual are 0).
+    One :class:`HeldFactor` serves the whole run.
     """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -374,7 +379,7 @@ def run_fom(config, mesh, space, u0):
     snap_at = set(snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))
     columns, snap_times = [], []
     series = {name: [] for name in ("energy", "enstrophy", "div_error",
-                                    "newton_iters", "factorizations")}
+                                    "newton_iters", "factorizations", "newton_residual")}
     if config.drag_label is not None:
         series["drag"] = []
     times = []
@@ -389,6 +394,7 @@ def run_fom(config, mesh, space, u0):
         series["div_error"].append(float(np.sqrt(max(divsq, 0.0))))
         series["newton_iters"].append(st.newton_iters)
         series["factorizations"].append(st.factorizations)
+        series["newton_residual"].append(st.newton_residual)
         if config.drag_label is not None:
             series["drag"].append(drag_coefficient(space, st.u, st.p, config.drag_label, config.nu))
         if st.step in snap_at:

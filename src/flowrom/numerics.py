@@ -6,19 +6,21 @@ place:
 
 * ``sym_eig``      -- symmetric eigendecomposition with a deterministic sign
                       convention, used for snapshot Gram matrices.
-* ``solve_sparse`` -- direct sparse solve (LU with partial pivoting and a
-                      fill-reducing ordering) for the saddle-point systems.
+* ``solve_sparse`` -- direct sparse solve (LU with diagonal-preferring
+                      threshold pivoting in a given order) for the
+                      saddle-point systems.
 * ``triangle_quadrature`` -- one degree-5, 7-point rule on the reference
                       triangle; exact for every integrand this package
                       assembles (trilinear terms are degree 5 on affine
                       elements).
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
-matrices.  Factorizations returned by ``factorize`` are expensive (about
-0.5 s for the 32x32 shear-layer Newton matrix and 2.5 s for the 48x48
-Taylor-Green one on a 2-vCPU x86 host), so the full-order solver holds one
-and reuses it across Newton iterations and time steps (see
-``flowrom.fom``).  They are not meant to be shared across threads.
+matrices.  ``factorize`` takes the fill-reducing order from the caller:
+the saddle-point systems use ``TaylorHoodSpace.saddle_order``, a minimum
+degree order of the P2 node graph.  A factorization still costs as much
+as dozens of solves with it, so the full-order solver holds one and reuses
+it across Newton iterations and time steps (see ``flowrom.fom``).
+Factors are not meant to be shared across threads.
 """
 
 from dataclasses import dataclass
@@ -115,11 +117,43 @@ def sym_eig(m):
     return vals, vecs
 
 
-def factorize(m):
+# SuperLU pivots on the diagonal unless it is smaller than this fraction of
+# the largest entry in its column, so the factors keep the caller's
+# fill-reducing order.  A free pressure has a zero diagonal and pivots off it.
+# The Stokes-projection matrix (mass block only, no 1/dt scaling) is the
+# tightest case: on the 32x32 shear layer a threshold of 0.1 already moves
+# its velocity pivots, and its fill grows from 1.38M to 47M entries.  A
+# smaller threshold would only admit smaller, less stable pivots.
+PIVOT_THRESHOLD = 0.01
+
+
+class Factor:
+    """LU factors of ``m[order][:, order]``, solving with ``m`` itself.
+
+    ``nnz`` is the fill, the stored entries of L and U together.
+    """
+
+    def __init__(self, lu, order):
+        self._lu = lu
+        self._order = order
+        self.nnz = lu.nnz
+
+    def solve(self, rhs):
+        """Solve ``m x = rhs``."""
+        rhs = np.asarray(rhs, dtype=float)
+        if self._order is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
+
+
+def factorize(m, order=None):
     """LU-factorize a square sparse matrix for repeated solves.
 
-    Uses SuperLU with partial pivoting and COLAMD column ordering.  The
-    returned object has a single method ``solve(rhs)``.
+    Factors ``m[order][:, order]`` (``order`` None: the natural order) with
+    SuperLU, keeping that column order and preferring diagonal pivots
+    (``PIVOT_THRESHOLD``).  Returns a :class:`Factor`.
     """
     m = sp.csc_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -133,23 +167,27 @@ def factorize(m):
             f"matrix is structurally singular: row {empty[0]} is empty "
             "(missing pressure constraint or disconnected mesh?)"
         )
+    if order is not None:
+        m = sp.csc_matrix(m[order][:, order])
     try:
-        return spla.splu(m)
+        lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse LU factorization failed ({exc}); a pivot vanished -- check "
             "constraint application and mesh connectivity"
         ) from exc
+    return Factor(lu, order)
 
 
-def solve_sparse(m, rhs):
-    """Solve ``m x = rhs`` by direct factorization.
+def solve_sparse(m, rhs, order=None):
+    """Solve ``m x = rhs`` by direct factorization in ``order`` (see ``factorize``).
 
     The residual satisfies ||m x - rhs|| <= 1e-10 (||m|| ||x|| + ||rhs||) for
     any nonsingular system; no tuning knobs are exposed.
     """
     rhs = np.asarray(rhs, dtype=float)
-    lu = factorize(m)
+    lu = factorize(m, order)
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(

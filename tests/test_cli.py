@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowrom.cli import _load_config, main
+from flowrom.fom import FomConfig
 from flowrom.io import read_csv
 
 
@@ -67,11 +68,12 @@ class TestPipeline:
         assert (root / "micro_snapshots.bin").is_file()
         header, cols = read_csv(root / "micro_scalars.csv")
         assert header == ["t", "energy", "enstrophy", "div_error", "drag",
-                          "newton_iters", "factorizations"]
+                          "newton_iters", "factorizations", "newton_residual"]
         assert cols[0].size == 6  # t_end/dt + 1 rows
         assert np.all(np.isnan(cols[4]))  # no cylinder boundary
         assert cols[5][0] == 0 and np.all(cols[5][1:] >= 1)  # linear solves per step
         assert cols[6][0] == 0 and cols[6][1] >= 1  # the first step factorizes
+        assert cols[7][0] == 0 and np.all(cols[7][1:] <= FomConfig.newton_tol)  # converged steps
 
     def test_pod_outputs(self, micro_pipeline):
         root, _ = micro_pipeline

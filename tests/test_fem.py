@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import flowrom
 from flowrom.fem import (
@@ -8,13 +9,15 @@ from flowrom.fem import (
     TaylorHoodSpace,
     apply_constraints,
     assemble_linear_operators,
+    constrain_rows,
+    constraint_mask,
     field_norms,
     nonlinear_jacobian,
     nonlinear_residual,
     trilinear_value,
 )
 from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
-from flowrom.numerics import solve_sparse
+from flowrom.numerics import factorize, solve_sparse
 
 from conftest import oracle_quadrature
 
@@ -318,6 +321,57 @@ class TestConstraints:
         assert res <= 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
         # velocity part is discretely divergence-free
         assert np.abs((B @ x[:n])[1:]).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def kh16_saddle():
+    """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and Stokes-projection matrices."""
+    from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary
+
+    mesh = flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x")
+    space = TaylorHoodSpace(mesh)
+    boundary = kelvin_helmholtz_boundary()
+    n = space.n_vel + space.n_press
+    div = space.divergence()
+    u = build_initial_condition("kelvin-helmholtz", space)
+    block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
+    mask, _ = constraint_mask(space, boundary, 0.02, n)
+    newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
+    stokes, _ = apply_constraints(space, sp.bmat([[space.mass(), -div.T], [div, None]], format="csr"),
+                                  np.zeros(n), boundary)
+    return space, newton, stokes
+
+
+class TestSaddleOrder:
+    def test_permutation_cached_and_grouped_by_node(self, kh16_saddle):
+        space, _, _ = kh16_saddle
+        order = space.saddle_order()
+        assert order is space.saddle_order()
+        n_vel = space.n_vel
+        assert np.array_equal(np.sort(order), np.arange(n_vel + space.n_press))
+        position = np.argsort(order)
+        # both components of a node are adjacent, x first
+        assert np.all(position[1:n_vel:2] == position[0:n_vel:2] + 1)
+        # a vertex's pressure directly follows its two velocity DOFs
+        vertex = space.scalar_index[: space.n_vertices]
+        assert np.all(position[n_vel + space.pressure_index] == position[2 * vertex + 1] + 1)
+
+    def test_ordered_factor_solves_newton_system(self, kh16_saddle):
+        space, newton, _ = kh16_saddle
+        b = np.random.default_rng(8).standard_normal(newton.shape[0])
+        x = factorize(newton, space.saddle_order()).solve(b)
+        assert np.linalg.norm(newton @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_stokes_fill_stays_near_newton_fill(self, kh16_saddle):
+        # the unscaled mass block of the projection must keep diagonal pivots
+        space, newton, stokes = kh16_saddle
+        order = space.saddle_order()
+        assert factorize(stokes, order).nnz <= 1.5 * factorize(newton, order).nnz
+
+    def test_fill_below_colamd(self, kh16_saddle):
+        space, newton, _ = kh16_saddle
+        colamd = spla.splu(sp.csc_matrix(newton), permc_spec="COLAMD").nnz
+        assert factorize(newton, space.saddle_order()).nnz <= 0.75 * colamd
 
 
 class TestErrorQuadrature:
