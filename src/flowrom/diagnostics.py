@@ -64,18 +64,17 @@ def rom_energy_enstrophy(space, basis, coeffs):
 
     ``coeffs`` holds one state per row.  The fields are never rebuilt: with
     X = [ubar, psi_1..psi_r] (ubar dropped for an uncentered basis) and
-    c^n = [1, a^n], the values are 1/2 c^T (X^T M X) c and 1/2 c^T (X^T C X) c
-    for the mass and curl forms M and C.
+    c^n = [1, a^n] (``PodBasis.fields``/``extend``), the values are
+    1/2 c^T (X^T M X) c and 1/2 c^T (X^T C X) c for the mass and curl forms
+    M and C.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    x = basis.modes[:, :coeffs.shape[1]]
-    if basis.centered:
-        x = np.column_stack([basis.mean, x])
-        coeffs = np.column_stack([np.ones(coeffs.shape[0]), coeffs])
+    x = basis.fields(coeffs.shape[1])
+    c = basis.extend(coeffs)
     out = []
     for op in (space.mass(), space.curl_form()):
         gram = x.T @ (op @ x)
-        out.append(0.5 * np.einsum("ni,ni->n", coeffs @ gram, coeffs))
+        out.append(0.5 * np.einsum("ni,ni->n", c @ gram, c))
     return out[0], out[1]
 
 
@@ -171,8 +170,7 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
         raise ValueError("trajectory errors assume a uniform time grid")
     dt = float(steps[0])
 
-    r = trajectory.coeffs.shape[1]
-    recon = basis.mean_or_zero()[:, None] + basis.modes[:, :r] @ trajectory.coeffs.T
+    recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
     err = recon - snapshots.matrix
 
     mass = space.mass()

@@ -34,6 +34,12 @@ Jacobian, :func:`trilinear_value` and the reduced tensor all go through this
 pair.  Quadrature tables are component-major: values have shape
 (2, ..., nt, nq) and gradients (2, 2, ..., nt, nq), so the density is
 explicit arithmetic on contiguous (..., nt, nq) blocks.
+
+Every integral reads one per-element basis table, ``space.tables`` (value
+and physical gradients of each local P2 basis function at each quadrature
+point), and one weight array, ``space.wdet`` (quadrature weight times
+det J).  Every assembled matrix goes through one scatter, :func:`_scatter`,
+from element blocks to a CSR matrix.
 """
 
 import enum
@@ -111,6 +117,17 @@ def _resolve_roots(master):
         master = nxt
 
 
+def _scatter(local, rows, cols, shape):
+    """Sum element matrices ``local`` (nt, a, b) into a CSR matrix of ``shape``.
+
+    ``rows`` (nt, a) and ``cols`` (nt, b) are the global indices of each
+    element's local rows and columns; duplicates add up.
+    """
+    rows = np.broadcast_to(rows[:, :, None], local.shape)
+    cols = np.broadcast_to(cols[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
 class TaylorHoodSpace:
     """P2 vector velocity / P1 pressure degree-of-freedom layout on a mesh.
 
@@ -186,7 +203,6 @@ class TaylorHoodSpace:
         det = j11 * j22 - j12 * j21
         if np.any(det <= 0):
             raise ValueError("mesh has non-CCW or degenerate triangles")
-        self.det_j = det
         inv_jt = np.empty((tris.shape[0], 2, 2))
         inv_jt[:, 0, 0] = j22 / det
         inv_jt[:, 0, 1] = -j21 / det
@@ -196,18 +212,14 @@ class TaylorHoodSpace:
 
         self.quadrature = triangle_quadrature()
         bary = self.quadrature.points
-        self.qweights = self.quadrature.weights
         self.phi = _p2_basis(bary)                       # (nq, 6)
-        ref_grads = _p2_ref_grads(bary)                  # (nq, 6, 2)
-        # physical gradients: dphi[e, q, l, d] = sum_k invJT[e, d, k] ref[q, l, k]
-        self.dphi = np.einsum("edk,qlk->eqld", inv_jt, ref_grads)
-        # tables[e, l, k, q]: value (k = 0), d/dx (1) and d/dy (2) of local basis l
+        # tables[e, l, k, q]: value (k = 0), d/dx (1) and d/dy (2) of local basis l,
+        # the physical gradients being d_d phi_l = sum_k invJT[e, d, k] ref[q, l, k]
         tables = np.empty((tris.shape[0], 6, 3, self.phi.shape[0]))
         tables[:, :, 0, :] = self.phi.T
-        tables[:, :, 1:, :] = self.dphi.transpose(0, 2, 3, 1)
+        tables[:, :, 1:, :] = np.einsum("edk,qlk->eldq", inv_jt, _p2_ref_grads(bary))
         self.tables = tables
-        self.wdet = det[:, None] * self.qweights[None, :]   # (nt, nq) quadrature weights
-        self.psi = bary                                  # P1 basis = barycentric
+        self.wdet = det[:, None] * self.quadrature.weights[None, :]   # (nt, nq) quadrature weights
         v0 = p[tris[:, 0]]
         jmat = np.stack([np.stack([j11, j12], axis=-1), np.stack([j21, j22], axis=-1)], axis=1)
         self.qp_xy = v0[:, None, :] + np.einsum("eij,qj->eqi", jmat, bary[:, 1:])
@@ -217,28 +229,15 @@ class TaylorHoodSpace:
     # ------------------------------------------------------------------
     # assembled operators (cached, unscaled)
 
-    def _scalar_matrix(self, elem):
-        rows = np.broadcast_to(self.cell_scalar[:, :, None], elem.shape)
-        cols = np.broadcast_to(self.cell_scalar[:, None, :], elem.shape)
-        m = sp.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(self.n_scalar, self.n_scalar))
-        return m.tocsr()
-
-    def _vector_from_paired(self, elem):
-        """Assemble (nt, 6, 2, 6, 2) local blocks into the velocity DOF space."""
-        nt = elem.shape[0]
-        flat = elem.reshape(nt, 12, 12)
-        rows = np.broadcast_to(self.cell_vel[:, :, None], flat.shape)
-        cols = np.broadcast_to(self.cell_vel[:, None, :], flat.shape)
-        m = sp.coo_matrix((flat.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(self.n_vel, self.n_vel))
-        return m.tocsr()
+    def _gradients(self):
+        """Physical basis gradients from the tables, as a contiguous (e, q, l, d) array."""
+        return np.ascontiguousarray(self.tables[:, :, 1:].transpose(0, 3, 1, 2))
 
     def mass(self):
         """Vector mass matrix (u, v)."""
         if "mass" not in self._cache:
-            elem = np.einsum("q,e,qa,qb->eab", self.qweights, self.det_j, self.phi, self.phi)
-            m = self._scalar_matrix(elem)
+            elem = np.einsum("eq,qa,qb->eab", self.wdet, self.phi, self.phi)
+            m = _scatter(elem, self.cell_scalar, self.cell_scalar, (self.n_scalar,) * 2)
             m = 0.5 * (m + m.T)
             self._cache["mass"] = sp.kron(m, sp.eye(2), format="csr")
         return self._cache["mass"]
@@ -246,50 +245,48 @@ class TaylorHoodSpace:
     def stiffness(self):
         """Vector stiffness matrix (grad u, grad v), unscaled by viscosity."""
         if "stiffness" not in self._cache:
-            elem = np.einsum("q,e,eqad,eqbd->eab", self.qweights, self.det_j, self.dphi, self.dphi)
-            m = self._scalar_matrix(elem)
+            g = self._gradients()
+            elem = np.einsum("eq,eqad,eqbd->eab", self.wdet, g, g)
+            m = _scatter(elem, self.cell_scalar, self.cell_scalar, (self.n_scalar,) * 2)
             m = 0.5 * (m + m.T)
             self._cache["stiffness"] = sp.kron(m, sp.eye(2), format="csr")
         return self._cache["stiffness"]
 
     def divergence(self):
-        """Divergence operator B with (B u)_q = (div u, psi_q)."""
+        """Divergence operator B with (B u)_q = (div u, psi_q), psi the P1 (barycentric) basis."""
         if "divergence" not in self._cache:
-            elem = np.einsum("q,e,qp,eqlc->eplc", self.qweights, self.det_j, self.psi, self.dphi)
-            nt = elem.shape[0]
-            flat = elem.reshape(nt, 3, 12)
-            rows = np.broadcast_to(self.cell_press[:, :, None], flat.shape)
-            cols = np.broadcast_to(self.cell_vel[:, None, :], flat.shape)
-            m = sp.coo_matrix((flat.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(self.n_press, self.n_vel))
-            self._cache["divergence"] = m.tocsr()
+            elem = np.einsum("eq,qp,eqlc->eplc", self.wdet, self.quadrature.points, self._gradients())
+            self._cache["divergence"] = _scatter(elem.reshape(-1, 3, 12), self.cell_press, self.cell_vel,
+                                                 (self.n_press, self.n_vel))
         return self._cache["divergence"]
+
+    def _paired_form(self, coef):
+        """Symmetric velocity operator of the integrand sum_q (coef_a . u)(coef_b . v)."""
+        elem = np.einsum("eq,eqla,eqmb->elamb", self.wdet, coef, coef)
+        m = _scatter(elem.reshape(-1, 12, 12), self.cell_vel, self.cell_vel, (self.n_vel,) * 2)
+        return 0.5 * (m + m.T)
 
     def div_form(self):
         """Operator for ||div u||^2 = u^T G u."""
         if "div_form" not in self._cache:
             # divergence coefficient of local dof (l, c) is d_c phi_l
-            coef = self.dphi  # (e, q, l, c) with c the component
-            elem = np.einsum("q,e,eqla,eqmb->elamb", self.qweights, self.det_j, coef, coef)
-            m = self._vector_from_paired(elem)
-            self._cache["div_form"] = 0.5 * (m + m.T)
+            self._cache["div_form"] = self._paired_form(self._gradients())
         return self._cache["div_form"]
 
     def curl_form(self):
         """Operator for ||curl u||^2 = u^T G u (scalar 2D curl)."""
         if "curl_form" not in self._cache:
-            coef = np.empty_like(self.dphi)
-            coef[..., 0] = -self.dphi[..., 1]   # component u1 contributes -dy phi
-            coef[..., 1] = self.dphi[..., 0]    # component u2 contributes +dx phi
-            elem = np.einsum("q,e,eqla,eqmb->elamb", self.qweights, self.det_j, coef, coef)
-            m = self._vector_from_paired(elem)
-            self._cache["curl_form"] = 0.5 * (m + m.T)
+            g = self._gradients()
+            coef = np.empty_like(g)
+            coef[..., 0] = -g[..., 1]   # component u1 contributes -dy phi
+            coef[..., 1] = g[..., 0]    # component u2 contributes +dx phi
+            self._cache["curl_form"] = self._paired_form(coef)
         return self._cache["curl_form"]
 
     def pressure_volume(self):
         """Vector of integrals of the pressure basis functions."""
         if "pressure_volume" not in self._cache:
-            elem = np.einsum("q,e,qp->ep", self.qweights, self.det_j, self.psi)
+            elem = np.einsum("eq,qp->ep", self.wdet, self.quadrature.points)
             v = np.zeros(self.n_press)
             np.add.at(v, self.cell_press, elem)
             self._cache["pressure_volume"] = v
@@ -527,11 +524,7 @@ def nonlinear_jacobian(space, form, u):
     s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
     # local[e, (m, a), d] from the loads (s_a of direction d, phi_m) on element e
     local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
-    rows = np.broadcast_to(space.cell_vel[:, :, None], local.shape)
-    cols = np.broadcast_to(space.cell_vel[:, None, :], local.shape)
-    m = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(space.n_vel, space.n_vel))
-    return m.tocsr()
+    return _scatter(local, space.cell_vel, space.cell_vel, (space.n_vel, space.n_vel))
 
 
 # ----------------------------------------------------------------------

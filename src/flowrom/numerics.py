@@ -141,19 +141,18 @@ class Factor:
     def solve(self, rhs):
         """Solve ``m x = rhs``."""
         rhs = np.asarray(rhs, dtype=float)
-        if self._order is None:
-            return self._lu.solve(rhs)
         x = np.empty_like(rhs)
         x[self._order] = self._lu.solve(rhs[self._order])
         return x
 
 
-def factorize(m, order=None):
+def factorize(m, order):
     """LU-factorize a square sparse matrix for repeated solves.
 
-    Factors ``m[order][:, order]`` (``order`` None: the natural order) with
-    SuperLU, keeping that column order and preferring diagonal pivots
-    (``PIVOT_THRESHOLD``).  Returns a :class:`Factor`.
+    Factors ``m[order][:, order]`` with SuperLU, keeping that column order
+    and preferring diagonal pivots (``PIVOT_THRESHOLD``).  ``order`` is a
+    fill-reducing permutation of the unknowns; a finite-element matrix in
+    its natural order fills catastrophically.  Returns a :class:`Factor`.
     """
     m = sp.csc_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -167,8 +166,7 @@ def factorize(m, order=None):
             f"matrix is structurally singular: row {empty[0]} is empty "
             "(missing pressure constraint or disconnected mesh?)"
         )
-    if order is not None:
-        m = sp.csc_matrix(m[order][:, order])
+    m = sp.csc_matrix(m[order][:, order])
     try:
         lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
                        options={"SymmetricMode": True})
@@ -180,7 +178,7 @@ def factorize(m, order=None):
     return Factor(lu, order)
 
 
-def solve_sparse(m, rhs, order=None):
+def solve_sparse(m, rhs, order):
     """Solve ``m x = rhs`` by direct factorization in ``order`` (see ``factorize``).
 
     The residual satisfies ||m x - rhs|| <= 1e-10 (||m|| ||x|| + ||rhs||) for

@@ -66,8 +66,19 @@ class PodBasis:
     def centered(self):
         return self.mean is not None
 
-    def mean_or_zero(self):
-        return self.mean if self.mean is not None else np.zeros(self.modes.shape[0])
+    def fields(self, r):
+        """The affine field set X = [ubar, psi_1..psi_r] as columns (ubar only when centered)."""
+        if r > self.rank:
+            raise ValueError(f"r={r} exceeds basis rank {self.rank}")
+        return np.column_stack([self.mean, self.modes[:, :r]]) if self.centered else self.modes[:, :r]
+
+    def extend(self, a):
+        """State coefficients c = [1, a] on :meth:`fields` (``a`` itself when uncentered).
+
+        Works on the last axis, so a trajectory (one state per row) extends row-wise.
+        """
+        a = np.asarray(a, dtype=float)
+        return np.concatenate([np.ones(a.shape[:-1] + (1,)), a], axis=-1) if self.centered else a
 
 
 def _m_orthonormalize(modes, mass, passes=2):

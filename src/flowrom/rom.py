@@ -1,26 +1,31 @@
 """Reduced operators and online Galerkin-ROM time integration.
 
-Offline, the mode triples are pushed through the same pointwise form
-densities as the full-order assembly (``fem._transport`` and
-``fem._density``), producing the r x r x r tensor
+The reduced state u = ubar + sum_j a_j psi_j is written on the affine field
+set X = [ubar, psi_1..psi_r] (``PodBasis.fields``; ubar only for a centered
+basis) with state coefficients c = [1, a] (``PodBasis.extend``).  X has
+m = o + r columns, o = 1 when centered and 0 otherwise, and projecting the
+momentum equation onto the modes gives the r x m x m tensor and r x m
+viscous matrix
 
-    T[i][j][k] = b(psi_j, psi_k, psi_i)
+    T[i][j][k] = b(X_j, X_k, psi_i),    V[i][j] = nu (grad X_j, grad psi_i),
 
-plus the viscous matrix, and (with a centered basis) the mean-coupling
-matrices and constant vector from expanding b(ubar + w, ubar + w, psi_i).
-The element loop runs once: the values and gradients of all m fields (the
-r modes, plus the mean when centered) are tabulated at every quadrature
-point, and the transport factors of all m advecting fields are formed once.
-Each transported field k then costs one density over the m advecting fields
-and one (m x 2P)(2P x m) matrix product, with P = elements x quadrature
-points, so assembly is O(m^3 P): linear in the mesh, cubic in the modes.
+so the reduced residual is N(c) + V c with N(c)_i = sum_jk T[i,j,k] c_j c_k.
+A centered ROM's mean couplings and constant are the entries with j or k = 0.
+
+Offline, the m fields go through the same pointwise form densities as the
+full-order assembly (``fem._transport`` and ``fem._density``) in one element
+loop: the values, gradients and transport factors of all m fields are formed
+once, and each transported field k then costs one density over the m
+advecting fields and one (m x 2P)(2P x m) matrix product, with P = elements
+x quadrature points, so assembly is O(m^3 P): linear in the mesh, cubic in
+the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and a dense factorization,
 mirroring the full-order scheme (BDF2 starts with one backward-Euler step).
 The quadratic term and its Jacobian are matrix-vector products with the
-tensor viewed as an (r*r) x r matrix, so a step costs O(r^3) per iteration,
-independent of the finite element dimension.
+tensor viewed as an (r*m) x m matrix, so a step costs O(r m^2) per
+iteration, independent of the finite element dimension.
 """
 
 from dataclasses import dataclass
@@ -40,32 +45,37 @@ class RomNewtonError(RuntimeError):
 
 @dataclass
 class RomOperators:
-    """Reduced operators of one nonlinear form at one mode count.
+    """Reduced operators of one nonlinear form at one mode count, on X = [ubar, psi].
 
-    The reduced mass is the identity (orthonormal modes) and is never
-    stored.  With centering off, ``lin_mean_adv``/``lin_adv_mean`` are zero
-    and ``const`` is zero.
+    ``visc`` is (r, m) and ``tensor`` (r, m, m), with m = r + 1 for a
+    centered basis (column 0 is the mean) and m = r otherwise; methods take
+    state coefficients c = :meth:`extend` (a).  The reduced mass is the
+    identity (orthonormal modes) and is never stored.
     """
 
-    r: int
-    form: NonlinearForm
-    nu: float
-    visc: np.ndarray            # (r, r)   nu (grad psi_j, grad psi_i)
-    tensor: np.ndarray          # (r, r, r) T[i, j, k] = b(psi_j, psi_k, psi_i)
-    lin_mean_adv: np.ndarray    # (r, r)   b(ubar, psi_j, psi_i)
-    lin_adv_mean: np.ndarray    # (r, r)   b(psi_j, ubar, psi_i)
-    const: np.ndarray           # (r,)     b(ubar, ubar, psi_i) + nu (grad ubar, grad psi_i)
-    centered: bool = False
+    visc: np.ndarray            # (r, m)    nu (grad X_j, grad psi_i)
+    tensor: np.ndarray          # (r, m, m) T[i, j, k] = b(X_j, X_k, psi_i)
 
-    def quadratic(self, a):
-        """N(a)_i = sum_jk T[i, j, k] a_j a_k."""
-        r = self.r
-        return (self.tensor.reshape(r * r, r) @ a).reshape(r, r) @ a
+    @property
+    def r(self):
+        return self.tensor.shape[0]
 
-    def quadratic_jacobian(self, a):
-        """J[i, j] = dN_i/da_j = sum_k (T[i, j, k] + T[i, k, j]) a_k."""
-        r = self.r
-        return (self.tensor.reshape(r * r, r) @ a).reshape(r, r) + np.matmul(a, self.tensor)
+    def extend(self, a):
+        """c = [1, a] for a centered basis, else ``a`` itself (no copy)."""
+        if self.tensor.shape[1] == self.r:
+            return a
+        return np.concatenate([[1.0], a])
+
+    def quadratic(self, c):
+        """N(c)_i = sum_jk T[i, j, k] c_j c_k."""
+        r, m = self.tensor.shape[:2]
+        return (self.tensor.reshape(r * m, m) @ c).reshape(r, m) @ c
+
+    def quadratic_jacobian(self, c):
+        """J[i, j] = dN_i/da_j = sum_k (T[i, o+j, k] + T[i, k, o+j]) c_k, o = m - r."""
+        r, m = self.tensor.shape[:2]
+        jac = (self.tensor.reshape(r * m, m) @ c).reshape(r, m) + np.matmul(c, self.tensor)
+        return jac[:, m - r:]
 
 
 @dataclass
@@ -87,9 +97,9 @@ class RomTrajectory:
 
 
 def _trilinear_tensor(space, form, fields):
-    """Dense tensor T[i, j, k] = b(field_j, field_k, field_i)."""
-    vals, grads = space.values_and_grads(np.stack(fields))          # (2, m, e, q), (2, 2, m, e, q)
-    m = len(fields)
+    """Dense tensor T[i, j, k] = b(X_j, X_k, X_i) of the columns X of ``fields``."""
+    m = fields.shape[1]
+    vals, grads = space.values_and_grads(np.ascontiguousarray(fields.T))  # (2, m, e, q), (2, 2, m, e, q)
     tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
     transport = _transport(form, vals, grads)                       # all m advecting fields
     s = np.empty((m, 2) + space.wdet.shape)                         # field j, component, e, q
@@ -104,37 +114,15 @@ def assemble_rom_operators(space, basis, r, form, nu):
     """Project the momentum operators onto the leading ``r`` modes.
 
     Every tensor entry equals the full-order ``trilinear_value`` of the
-    corresponding mode triple.
+    corresponding field triple.
     """
     form = NonlinearForm.parse(form)
-    if r > basis.rank:
-        raise ValueError(f"requested r={r} exceeds basis rank {basis.rank}")
-    modes = [basis.modes[:, i] for i in range(r)]
-    stiff = space.stiffness()
-
-    if basis.centered:
-        fields = [basis.mean] + modes
-        t_ext = _trilinear_tensor(space, form, fields)
-        tensor = t_ext[1:, 1:, 1:]
-        lin_mean_adv = t_ext[1:, 0, 1:]   # b(ubar, psi_j, psi_i)
-        lin_adv_mean = t_ext[1:, 1:, 0]   # b(psi_j, ubar, psi_i)
-        const_b = t_ext[1:, 0, 0]
-        kbar = stiff @ basis.mean
-        const = const_b + nu * np.array([m @ kbar for m in modes])
-    else:
-        tensor = _trilinear_tensor(space, form, modes)
-        lin_mean_adv = np.zeros((r, r))
-        lin_adv_mean = np.zeros((r, r))
-        const = np.zeros(r)
-
-    mode_mat = basis.modes[:, :r]
-    visc = nu * (mode_mat.T @ (stiff @ mode_mat))
-    visc = 0.5 * (visc + visc.T)
-    return RomOperators(
-        r=r, form=form, nu=nu, visc=visc, tensor=tensor,
-        lin_mean_adv=lin_mean_adv, lin_adv_mean=lin_adv_mean,
-        const=const, centered=basis.centered,
-    )
+    x = basis.fields(r)
+    o = x.shape[1] - r
+    tensor = _trilinear_tensor(space, form, x)[o:]
+    visc = nu * (x[:, o:].T @ (space.stiffness() @ x))
+    visc[:, o:] = 0.5 * (visc[:, o:] + visc[:, o:].T)
+    return RomOperators(visc=visc, tensor=tensor)
 
 
 def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
@@ -159,7 +147,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     a = np.array(a0, dtype=float)
     if a.shape != (r,):
         raise ValueError(f"a0 has shape {a.shape}, expected ({r},)")
-    lin = ops.visc + ops.lin_mean_adv + ops.lin_adv_mean
+    visc_modes = ops.visc[:, ops.visc.shape[1] - r:]
 
     coeffs = np.empty((n_steps + 1, r))
     coeffs[0] = a
@@ -171,14 +159,15 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
         alpha = 1.5 if bdf2 else 1.0
         if alpha != shift_alpha:
             # the Jacobian's linear part, once per scheme phase; the residual
-            # keeps alpha/dt a and lin a apart, since their sum rounds lin's
+            # keeps alpha/dt a and visc c apart, since their sum rounds visc's
             # low bits away
-            shift, shift_alpha = alpha / dt * np.eye(r) + lin, alpha
+            shift, shift_alpha = alpha / dt * np.eye(r) + visc_modes, alpha
         hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
         a_new = a.copy()
         converged = False
         for it in range(newton_max_iter + 1):
-            res = alpha / dt * a_new - hist + ops.quadratic(a_new) + lin @ a_new + ops.const
+            c = ops.extend(a_new)
+            res = alpha / dt * a_new - hist + ops.quadratic(c) + ops.visc @ c
             res_norm = np.linalg.norm(res)
             if not np.isfinite(res_norm):
                 break
@@ -187,7 +176,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             if it == newton_max_iter:
                 break
-            jac = shift + ops.quadratic_jacobian(a_new)
+            jac = shift + ops.quadratic_jacobian(c)
             try:
                 a_new = a_new + np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
@@ -208,7 +197,4 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
 def reconstruct_field(basis, a):
     """Full velocity coefficients of the reduced state: ubar + sum a_j psi_j."""
     a = np.asarray(a, dtype=float)
-    r = a.size
-    if r > basis.rank:
-        raise ValueError(f"coefficient vector longer than basis rank {basis.rank}")
-    return basis.mean_or_zero() + basis.modes[:, :r] @ a
+    return basis.fields(a.size) @ basis.extend(a)

@@ -136,6 +136,29 @@ class TestPipeline:
                      "--basis", basis, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2  # header and one row
 
+    def test_centered_pipeline(self, tmp_path):
+        # [rom] centering = mean through pod, a ROM per form and compare, run twice
+        text = MICRO_CONFIG.read_text().replace("centering = none", "centering = mean")
+        forms = ("convective", "skew", "rotational", "emac")
+        outputs = []
+        for run in ("first", "second"):
+            root = tmp_path / run
+            root.mkdir()
+            cfg, archive, basis, common = _run_micro(root, text)
+            trajs = []
+            for form in forms:
+                assert main(["rom", basis, "--archive", archive, "--form", form, *common]) == 0
+                trajs.append(str(root / f"micro_rom_{form}_r3_traj.csv"))
+            out = root / "compare.csv"
+            assert main(["compare", *trajs, "--config", str(cfg), "--archive", archive,
+                         "--basis", basis, "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert [row[:2] for row in rows] == [[form, "3"] for form in forms]
+            assert np.all(np.isfinite(np.array([row[2:] for row in rows], dtype=float)))
+            outputs.append({p.name: p.read_bytes() for p in root.iterdir() if p.name != "micro.ini"})
+        assert len(outputs[0]) == 13  # archive, scalars, basis, spectrum, 4 x 2 ROM files, compare
+        assert outputs[0] == outputs[1]
+
 
 def _write_nan_snapshots(source, path):
     """Copy of the snapshot archive ``source`` with one NaN in its payload."""

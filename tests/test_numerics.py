@@ -145,12 +145,12 @@ class TestSymEig:
 class TestSolveSparse:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.5])
-        x = solve_sparse(sp.eye(3, format="csr"), b)
+        x = solve_sparse(sp.eye(3, format="csr"), b, np.arange(3))
         assert np.allclose(x, b)
 
     def test_tridiagonal_laplacian(self):
         a = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3), format="csr")
-        x = solve_sparse(a, np.ones(3))
+        x = solve_sparse(a, np.ones(3), np.arange(3))
         assert x == pytest.approx([1.5, 2.0, 1.5], abs=1e-12)
 
     def test_random_spd_residual_bound(self):
@@ -159,7 +159,7 @@ class TestSolveSparse:
             dense = rng.standard_normal((n, n))
             a = sp.csr_matrix(dense @ dense.T + n * np.eye(n))
             b = rng.standard_normal(n)
-            x = solve_sparse(a, b)
+            x = solve_sparse(a, b, np.arange(n))
             norm_a = spnorm = np.sqrt((a.multiply(a)).sum())
             res = np.linalg.norm(a @ x - b)
             assert res <= 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
@@ -168,9 +168,9 @@ class TestSolveSparse:
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         a.eliminate_zeros()
         with pytest.raises(SingularSystemError, match="row 1"):
-            solve_sparse(a, np.ones(2))
+            solve_sparse(a, np.ones(2), np.arange(2))
 
     def test_numerical_singularity(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
-            solve_sparse(a, np.ones(2))
+            solve_sparse(a, np.ones(2), np.arange(2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowrom.diagnostics import energy_enstrophy, rom_energy_enstrophy
-from flowrom.fem import NonlinearForm, trilinear_value
+from flowrom.fem import NonlinearForm, nonlinear_residual, trilinear_value
 from flowrom.pod import PodBasis, build_pod_basis, project_field
 from flowrom.rom import (
     RomNewtonError,
@@ -84,20 +84,22 @@ class TestAssembleRomOperators:
         assert np.all(np.linalg.eigvalsh(ops.visc) > -1e-12)
 
     def test_uncentered_has_no_mean_coupling(self, rom_setup):
+        # without a mean the field set is the r modes alone
         space, _, basis = rom_setup
-        ops = assemble_rom_operators(space, basis, min(4, basis.rank), "emac", nu=0.01)
-        assert not ops.centered
-        assert np.all(ops.lin_mean_adv == 0.0)
-        assert np.all(ops.lin_adv_mean == 0.0)
-        assert np.all(ops.const == 0.0)
+        r = min(4, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, "emac", nu=0.01)
+        assert ops.tensor.shape == (r, r, r)
+        assert ops.visc.shape == (r, r)
 
     def test_centered_mean_coupling_matches_direct(self, rom_setup):
+        # field 0 is the mean: its couplings and the constant are entries of the operators
         space, snaps, _ = rom_setup
         basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
         r = min(4, basis.rank)
         nu = 1 / 2800
         ops = assemble_rom_operators(space, basis, r, "convective", nu=nu)
-        assert ops.centered
+        assert ops.tensor.shape == (r, r + 1, r + 1)
+        assert ops.visc.shape == (r, r + 1)
         stiff = space.stiffness()
         for i in (0, r - 1):
             for j in (0, r - 1):
@@ -105,11 +107,34 @@ class TestAssembleRomOperators:
                                      basis.modes[:, i])
                 l2 = trilinear_value(space, "convective", basis.modes[:, j], basis.mean,
                                      basis.modes[:, i])
-                assert ops.lin_mean_adv[i, j] == pytest.approx(l1, rel=1e-11, abs=1e-13)
-                assert ops.lin_adv_mean[i, j] == pytest.approx(l2, rel=1e-11, abs=1e-13)
+                assert ops.tensor[i, 0, j + 1] == pytest.approx(l1, rel=1e-11, abs=1e-13)
+                assert ops.tensor[i, j + 1, 0] == pytest.approx(l2, rel=1e-11, abs=1e-13)
             c = trilinear_value(space, "convective", basis.mean, basis.mean, basis.modes[:, i]) \
                 + nu * float(basis.modes[:, i] @ (stiff @ basis.mean))
-            assert ops.const[i] == pytest.approx(c, rel=1e-11, abs=1e-14)
+            assert ops.tensor[i, 0, 0] + ops.visc[i, 0] == pytest.approx(c, rel=1e-11, abs=1e-14)
+
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_reduced_residual_is_projected_fom_residual(self, rom_setup, centering, form):
+        # N(c) + V c = Psi_r^T (b(w, w, .) + nu K w) at w = X c, c = [1, a] when centered
+        space, snaps, _ = rom_setup
+        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        r = min(8, basis.rank)
+        nu = 1 / 2800
+        ops = assemble_rom_operators(space, basis, r, form, nu=nu)
+        rng = np.random.default_rng(61)
+        a, d = rng.standard_normal((2, r))
+        c = ops.extend(a)
+        assert np.array_equal(c, basis.extend(a))
+        w = basis.fields(r) @ c
+        full = nonlinear_residual(space, form, w) + nu * (space.stiffness() @ w)
+        expected = basis.modes[:, :r].T @ full
+        reduced = ops.quadratic(c) + ops.visc @ c
+        assert np.abs(reduced - expected).max() <= 1e-11 * np.abs(expected).max()
+        # the Jacobian is exact: a central difference of the quadratic term is too
+        diff = 0.5 * (ops.quadratic(ops.extend(a + d)) - ops.quadratic(ops.extend(a - d)))
+        jd = ops.quadratic_jacobian(c) @ d
+        assert np.abs(jd - diff).max() <= 1e-11 * np.abs(diff).max()
 
     def test_rank_overflow(self, rom_setup):
         space, _, basis = rom_setup
