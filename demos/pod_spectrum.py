@@ -34,9 +34,9 @@ for k in range(basis.rank):
 
 print(f"\nprojection-error equality (both sides computed independently):")
 print(f"{'r':>3} {'direct residual':>16} {'spectral sum':>14} {'rel. defect':>12}")
+lhs, rhs = pod_projection_error(basis, snaps, mass, stiff)
 for r in range(basis.rank + 1):
-    lhs, rhs = pod_projection_error(basis, snaps, r, mass, stiff)
-    rel = abs(lhs - rhs) / rhs if rhs > 0 else float("nan")
-    print(f"{r:3d} {lhs:16.6e} {rhs:14.6e} {rel:12.3e}")
+    rel = abs(lhs[r] - rhs[r]) / rhs[r] if rhs[r] > 0 else float("nan")
+    print(f"{r:3d} {lhs[r]:16.6e} {rhs[r]:14.6e} {rel:12.3e}")
 print("\n(the constant absolute offset at large r is the gradient energy of the")
 print(" spectrum below the rank cutoff, which enters the residual but not the sum)")

@@ -51,9 +51,6 @@ import scipy.sparse.linalg as spla
 
 from .numerics import triangle_quadrature
 
-# contraction order of a two-operand einsum, given so that no call plans a path
-_ONE_PAIR = ["einsum_path", (0, 1)]
-
 
 class NonlinearForm(str, enum.Enum):
     """Tag selecting the discretization of the convective term."""
@@ -330,8 +327,14 @@ class TaylorHoodSpace:
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (self.n_vel,) or u.ndim > 2:
             raise ValueError(f"velocity field has shape {u.shape}, expected ([m,] {self.n_vel})")
-        coeffs = u.reshape(u.shape[:-1] + (self.n_scalar, 2))[..., self.cell_scalar, :]
-        out = np.einsum("...eli,elkq->ik...eq", coeffs, self.tables, optimize=_ONE_PAIR, order="C")
+        nt, _, _, nq = self.tables.shape
+        m = u.size // self.n_vel
+        # per element, the (2m x 6) coefficients, rows (component, field), times
+        # the (6 x 3nq) basis table
+        coeffs = u.reshape(m, self.n_scalar, 2)[:, self.cell_scalar].transpose(1, 3, 0, 2)
+        out = np.matmul(coeffs.reshape(nt, 2 * m, 6), self.tables.reshape(nt, 6, 3 * nq))
+        out = np.ascontiguousarray(out.reshape(nt, 2, m, 3, nq).transpose(1, 3, 2, 0, 4))
+        out = out.reshape((2, 3) + u.shape[:-1] + (nt, nq))
         return out[:, 0], out[:, 1:]
 
     def interpolate_velocity(self, fn, time=0.0):
@@ -547,6 +550,17 @@ def constraint_mask(space, boundary_values, time, size):
     if size > n_vel:
         mask[n_vel + space.pinned_pressure] = True
     return mask, vals
+
+
+def saddle_block(space, c_mass, c_stiff):
+    """The linear saddle-point block [[c_mass M + c_stiff K, -D^T], [D, 0]] as CSR.
+
+    Rows and columns follow the ``[u, p]`` layout; ``saddle_block(space,
+    1.0, 0.0)`` is the Stokes-projection operator.
+    """
+    div = space.divergence()
+    top = c_mass * space.mass() + c_stiff * space.stiffness()
+    return sp.bmat([[top, -div.T], [div, None]], format="csr")
 
 
 def constrain_rows(matrix, mask):

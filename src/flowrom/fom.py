@@ -10,17 +10,30 @@ for all free test functions, where ``D_t`` is the backward-Euler or BDF2
 difference and ``b`` is the configured nonlinear form.  The saddle-point
 Newton system is solved monolithically by a direct sparse factorization.
 
+The system is staged.  Its linear part is one saddle-point block
+
+    L = [[alpha/dt M + nu K, -D^T], [D, 0]]
+
+(``fem.saddle_block``), where ``alpha`` is the time-derivative coefficient
+(1 for backward Euler, 3/2 for BDF2).  A step forms its history load
+h = [M hist / dt; 0] (hist = u_old, or 2 u_old - u_prev / 2 for BDF2) and
+its essential mask once; each residual is then L x - h + [N(u); 0] with the
+constrained rows zeroed: one sparse matrix-vector product and one
+nonlinear assembly.
+
 Newton runs as a chord iteration (Kelley, *Solving Nonlinear Equations with
 Newton's Method*, SIAM 2003): one factorized Jacobian is held in a
 :class:`HeldFactor` and reused across iterations and across time steps,
 since one factorization costs as much as dozens of residual evaluations or
-triangular solves.  Every factorization eliminates the unknowns in the
-space's ``TaylorHoodSpace.saddle_order``.  The factor is rebuilt at the
-current iterate only when no factor is held yet, when the time-derivative
-coefficient or ``dt`` differs from the one it was built for (the BE-to-BDF2
-switch, or a new configuration), or when an iteration shrinks the residual
-norm by less than ``REFACTOR_CONTRACTION``.  The residual is always exact,
-so the converged state meets the same tolerance as exact Newton.
+triangular solves.  The held factor also holds L, built for the key
+``(alpha, dt, nu)``; a step under another key rebuilds L and drops the
+factors, since a stale L would make the residual wrong, not just slow.  A
+factorization is of the constrained ``L + [[N'(u), 0], [0, 0]]`` and
+eliminates the unknowns in the space's ``TaylorHoodSpace.saddle_order``.
+It is redone at the current iterate only when no factor is held, or when an
+iteration shrinks the residual norm by less than ``REFACTOR_CONTRACTION``.
+The residual is always exact, so the converged state meets the same
+tolerance as exact Newton.
 
 Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
@@ -29,7 +42,6 @@ shear layer, cylinder channel, Taylor-Green vortex) live here as well.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     NonlinearForm,
@@ -38,6 +50,7 @@ from .fem import (
     constraint_mask,
     nonlinear_jacobian,
     nonlinear_residual,
+    saddle_block,
 )
 from .numerics import factorize, solve_sparse
 from .pod import SnapshotSet
@@ -121,15 +134,27 @@ class FomState:
 
 @dataclass
 class HeldFactor:
-    """LU factors of a Newton matrix, kept across iterations and time steps.
+    """The linear block and the LU factors of a Newton matrix, kept across steps.
 
-    ``key`` is the ``(alpha, dt)`` pair the factors were built for, where
-    ``alpha / dt`` scales the mass matrix in the Jacobian.  Deliberately not
-    part of :class:`FomState`: kept states would each pin a factorization.
+    ``block`` is the linear saddle-point block L of the module docstring for
+    ``key`` = ``(alpha, dt, nu)``, and ``lu`` factors a Newton matrix built
+    on it (None when none is held).  Deliberately not part of
+    :class:`FomState`: kept states would each pin a factorization.
     """
 
     lu: object = None
     key: tuple = None
+    block: object = None
+
+    def stage(self, space, alpha, dt, nu):
+        """L for ``(alpha, dt, nu)``; a new key rebuilds it and drops the factors."""
+        key = (alpha, dt, nu)
+        if key != self.key:
+            # release the old block and factors first
+            self.lu = self.block = None
+            self.block = saddle_block(space, alpha / dt, nu)
+            self.key = key
+        return self.block
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +217,8 @@ def stokes_project(space, u, boundary=None, time=0.0):
     projecting it makes every snapshot of a run satisfy it, which the POD
     space inherits.
     """
-    mass = space.mass()
-    div = space.divergence()
-    sys_mat = sp.bmat([[mass, -div.T], [div, None]], format="csr")
-    rhs = np.concatenate([mass @ u, np.zeros(space.n_press)])
-    a, b = apply_constraints(space, sys_mat, rhs, boundary or {}, time)
+    rhs = np.concatenate([space.mass() @ u, np.zeros(space.n_press)])
+    a, b = apply_constraints(space, saddle_block(space, 1.0, 0.0), rhs, boundary or {}, time)
     x = solve_sparse(a, b, space.saddle_order())
     return x[: space.n_vel]
 
@@ -224,26 +246,45 @@ def build_initial_condition(problem, space):
 # ----------------------------------------------------------------------
 # time stepping
 
+def _history_load(space, config, u_old, u_prev, bdf2):
+    """Velocity part of the history load h = [M hist / dt; 0]."""
+    hist = 2.0 * u_old - 0.5 * u_prev if bdf2 else u_old
+    return space.mass() @ hist / config.dt
+
+
+def _staged_residual(space, form, block, x, load, mask):
+    """Residual L x - h + [N(u); 0] at ``x = [u, p]``, constrained rows zeroed."""
+    n_vel = space.n_vel
+    residual = block @ x
+    residual[:n_vel] += nonlinear_residual(space, form, x[:n_vel]) - load
+    residual[mask] = 0.0
+    return residual
+
+
+def _newton_matrix(space, form, block, u, mask):
+    """Constrained Newton matrix L + [[N'(u), 0], [0, 0]] (CSR).
+
+    The Jacobian and the unconstrained sum are freed on return, before the
+    caller factorizes.
+    """
+    jac = nonlinear_jacobian(space, form, u)
+    jac.resize(block.shape)  # zero pressure rows and columns
+    return constrain_rows(block + jac, mask)
+
+
 def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
     """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
 
     Constrained velocity rows and the pinned pressure row are zeroed, so the
     norm of the returned vector is the quantity Newton drives below
-    tolerance.
+    tolerance.  The same staged evaluation as :func:`advance_step`.
     """
-    mass = space.mass()
-    stiff = space.stiffness()
-    div = space.divergence()
-    if bdf2_step:
-        time_term = mass @ (1.5 * u - 2.0 * u_old + 0.5 * u_prev) / config.dt
-    else:
-        time_term = mass @ (u - u_old) / config.dt
-    r_u = time_term + nonlinear_residual(space, config.form, u) \
-        + config.nu * (stiff @ u) - div.T @ p
-    residual = np.concatenate([r_u, div @ u])
-    mask, _ = constraint_mask(space, config.boundary, t, residual.size)
-    residual[mask] = 0.0
-    return residual
+    alpha = 1.5 if bdf2_step else 1.0
+    block = saddle_block(space, alpha / config.dt, config.nu)
+    load = _history_load(space, config, u_old, u_prev, bdf2_step)
+    x = np.concatenate([u, p])
+    mask, _ = constraint_mask(space, config.boundary, t, x.size)
+    return _staged_residual(space, config.form, block, x, load, mask)
 
 
 def advance_step(state, config, space, held=None):
@@ -251,17 +292,21 @@ def advance_step(state, config, space, held=None):
 
     BDF2 uses backward Euler for the very first step (no second history
     level yet).  Newton is the chord iteration of the module docstring:
-    ``held`` is the :class:`HeldFactor` to reuse and update; without one the
-    step factorizes on its first iteration and reuses that factor within
-    the step only.  ``config.newton_max_iter`` bounds the linear solves per
-    step.  Raises :class:`NewtonConvergenceError` when the residual does not
-    reach ``config.newton_tol`` within that budget.
+    ``held`` is the :class:`HeldFactor` to reuse and update.  It supplies the
+    linear block L for ``(alpha, dt, nu)``, rebuilt with the factors dropped
+    when that key differs from the held one; without a held factor the step
+    builds L, factorizes on its first iteration and reuses both within the
+    step only.  The history load and the essential mask are formed once per
+    step.  ``config.newton_max_iter`` bounds the linear solves per step.
+    Raises :class:`NewtonConvergenceError` when the residual does not reach
+    ``config.newton_tol`` within that budget.
     """
     held = HeldFactor() if held is None else held
     dt = config.dt
     t_new = state.t + dt
     bdf2 = config.scheme == "bdf2" and state.u_prev is not None
-    alpha = 1.5 if bdf2 else 1.0
+    block = held.stage(space, 1.5 if bdf2 else 1.0, dt, config.nu)
+    load = _history_load(space, config, state.u, state.u_prev, bdf2)
 
     # time-extrapolated initial guess saves one Newton iteration per step;
     # x = [u, p] starts from the essential values, which the identity rows of
@@ -275,7 +320,7 @@ def advance_step(state, config, space, held=None):
     n_factor = 0
     prev_norm = None
     for it in range(config.newton_max_iter + 1):
-        residual = scheme_residual(space, config, u, p, state.u, state.u_prev, t_new, bdf2)
+        residual = _staged_residual(space, config.form, block, x, load, mask)
         res_norm = np.linalg.norm(residual)
         if res_norm <= config.newton_tol:
             break
@@ -287,15 +332,11 @@ def advance_step(state, config, space, held=None):
                 residual=res_norm,
             )
         stalled = prev_norm is not None and res_norm > REFACTOR_CONTRACTION * prev_norm
-        if held.lu is None or held.key != (alpha, dt) or stalled:
+        if held.lu is None or stalled:
             # release the old factors first so that only one is ever alive
             held.lu = None
-            jac_n = nonlinear_jacobian(space, config.form, u)
-            fixed_block = alpha / dt * space.mass() + config.nu * space.stiffness()
-            div = space.divergence()
-            jac = sp.bmat([[fixed_block + jac_n, -div.T], [div, None]], format="csr")
-            held.lu = factorize(constrain_rows(jac, mask), space.saddle_order())
-            held.key = (alpha, dt)
+            held.lu = factorize(_newton_matrix(space, config.form, block, u, mask),
+                                space.saddle_order())
             n_factor += 1
         x += held.lu.solve(-residual)
         prev_norm = res_norm

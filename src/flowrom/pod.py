@@ -140,22 +140,43 @@ def build_pod_basis(snapshots, mass, stiffness, centering="none", rank_tol=1e-12
     )
 
 
-def pod_projection_error(basis, snapshots, r, mass, stiffness):
-    """Both sides of the POD projection-error equality at rank ``r``.
+def pod_projection_error(basis, snapshots, mass, stiffness):
+    """Both sides of the POD projection-error equality at every rank r = 0..rank.
 
-    The left side averages the H1-seminorm of the out-of-basis part of each
-    (centered) snapshot by direct assembly; the right side sums
-    ``||grad psi_k||^2 lambda_k`` over the discarded modes.  The two are
-    computed from independent data and agree to roundoff for an exact POD.
+    Returns arrays ``(lhs, rhs)`` of length ``rank + 1``, indexed by r.  The
+    left side averages the H1-seminorm of the out-of-basis part of each
+    (centered) snapshot; the right side sums ``||grad psi_k||^2 lambda_k``
+    over the discarded modes.  The two are computed from independent data
+    and agree to roundoff for an exact POD.
+
+    One projection serves every r.  With C = Psi^T M x and E = x - Psi C the
+    part outside the whole basis, the out-of-basis part at rank r is
+    E + Psi_{k>=r} C_{k>=r}, so
+
+        lhs(r) = mean ||E||_K^2 + 2 sum_{k>=r} mean(C_k (Psi^T K E)_k)
+                 + sum_{k,l>=r} (Psi^T K Psi)_kl (C C^T / N)_kl,
+
+    each sum taken from the tail end, so no term cancels a larger one.
     """
-    if not 0 <= r <= basis.rank:
-        raise ValueError(f"r={r} outside [0, rank={basis.rank}]")
     xc = snapshots.matrix - basis.mean[:, None] if basis.centered else snapshots.matrix
-    coeffs = basis.modes[:, :r].T @ (mass @ xc)
-    resid = xc - basis.modes[:, :r] @ coeffs
-    lhs = float(np.einsum("ij,ij->j", resid, stiffness @ resid).mean())
-    rhs = float(np.sum(basis.grad_norms[r:] ** 2 * basis.eigenvalues[r:]))
+    modes = basis.modes
+    coeffs = modes.T @ (mass @ xc)
+    outside = xc - modes @ coeffs
+    k_outside = stiffness @ outside
+    count = xc.shape[1]
+    cross = np.einsum("kj,kj->k", coeffs, modes.T @ k_outside) / count
+    inside = (modes.T @ (stiffness @ modes)) * (coeffs @ coeffs.T / count)
+    # inside_tail[r] = sum of inside[k, l] over k, l >= r
+    inside_tail = np.cumsum(np.cumsum(inside[::-1, ::-1], axis=0), axis=1)[::-1, ::-1].diagonal()
+    lhs = np.einsum("ij,ij->j", outside, k_outside).mean() \
+        + np.append(2.0 * _tail_sums(cross) + inside_tail, 0.0)
+    rhs = np.append(_tail_sums(basis.grad_norms**2 * basis.eigenvalues), 0.0)
     return lhs, rhs
+
+
+def _tail_sums(v):
+    """``out[r] = sum(v[r:])``, accumulated from the end."""
+    return np.cumsum(v[::-1])[::-1]
 
 
 def project_field(basis, r, u, mass):

@@ -185,12 +185,12 @@ def test_criterion_03_pod_exactness(kh50, kh50_basis):
     # every r; correcting for that single forced term the equality holds to
     # 1e-8 relative at every rank (and uncorrected wherever the tail fits
     # inside the 1e-8 budget)
-    tail, _ = pod_projection_error(basis, snaps, basis.rank, mass, stiff)
-    total = pod_projection_error(basis, snaps, 0, mass, stiff)[1]
+    lhs_r, rhs_r = pod_projection_error(basis, snaps, mass, stiff)
+    tail, total = lhs_r[basis.rank], rhs_r[0]
     assert tail <= 1e-9 * total
     worst_eq = 0.0
     for r in range(basis.rank + 1):
-        lhs, rhs = pod_projection_error(basis, snaps, r, mass, stiff)
+        lhs, rhs = lhs_r[r], rhs_r[r]
         assert abs(lhs - tail - rhs) <= 1e-8 * rhs + 1e-4 * tail, (r, lhs, rhs)
         if 1e-8 * rhs >= 10.0 * tail:
             assert abs(lhs - rhs) <= 1e-8 * rhs, (r, lhs, rhs)

@@ -77,6 +77,20 @@ def oracle_integral(mesh, density_at):
     return float(np.einsum("q,e,eq->", w, 2 * areas, vals))
 
 
+class TestFieldEvaluation:
+    @pytest.mark.parametrize("stack", [None, 40])
+    def test_tables_match_einsum_bit_for_bit(self, square8, stack):
+        # reference: the tables contracted by one einsum over the local basis
+        _, space = square8
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((space.n_vel,) if stack is None else (stack, space.n_vel))
+        coeffs = u.reshape(u.shape[:-1] + (space.n_scalar, 2))[..., space.cell_scalar, :]
+        ref = np.einsum("...eli,elkq->ik...eq", coeffs, space.tables, optimize=["einsum_path", (0, 1)])
+        vals, grads = space.values_and_grads(u)
+        assert np.array_equal(vals, ref[:, 0])
+        assert np.array_equal(grads, ref[:, 1:])
+
+
 class TestLinearOperators:
     def test_stiffness_of_constant_vanishes(self, square8):
         mesh, space = square8

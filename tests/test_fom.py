@@ -1,8 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import flowrom
-from flowrom.fem import TaylorHoodSpace, field_norms, l2_error
+import flowrom.fom
+from flowrom.fem import (
+    TaylorHoodSpace,
+    apply_constraints,
+    constrain_rows,
+    constraint_mask,
+    field_norms,
+    l2_error,
+    nonlinear_jacobian,
+    saddle_block,
+)
 from flowrom.fom import (
     FomConfig,
     FomState,
@@ -26,6 +39,12 @@ from flowrom.mesh import identify_periodic, uniform_rect_mesh
 @pytest.fixture(scope="module")
 def kh16():
     mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
+    return mesh, TaylorHoodSpace(mesh)
+
+
+@pytest.fixture(scope="module")
+def cylinder():
+    mesh = flowrom.load_bundled_mesh("cylinder")
     return mesh, TaylorHoodSpace(mesh)
 
 
@@ -294,7 +313,7 @@ class TestFactorReuse:
         held = HeldFactor()
         st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0),
                           config(0.02), space, held)
-        assert st.factorizations >= 1 and held.key == (1.0, 0.02)
+        assert st.factorizations >= 1 and held.key == (1.0, 0.02, 1 / 2800)
 
         spy = held.lu = CountingLU(held.lu)
         st = advance_step(st, config(0.02), space, held)
@@ -303,4 +322,102 @@ class TestFactorReuse:
         spy = held.lu = CountingLU(held.lu)
         st = advance_step(st, config(0.01), space, held)
         assert spy.solves == 0
-        assert st.factorizations >= 1 and held.key == (1.0, 0.01)
+        assert st.factorizations >= 1 and held.key == (1.0, 0.01, 1 / 2800)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``flowrom.fom.<name>``, arrays copied."""
+    calls = []
+    real = getattr(flowrom.fom, name)
+
+    def spy(*args):
+        calls.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
+        return real(*args)
+
+    monkeypatch.setattr(flowrom.fom, name, spy)
+    return calls
+
+
+def _assert_entrywise_equal(a, ref):
+    assert a.shape == ref.shape
+    assert abs(a - ref).max() <= 1e-15 * abs(ref).max()
+
+
+class TestStagedSystem:
+    """One linear block L per (alpha, dt, nu) serves every residual, factorization and projection."""
+
+    @pytest.mark.parametrize("case", ["kh_backward_euler", "kh_bdf2", "cylinder"])
+    def test_newton_matrix_matches_block_assembly(self, request, monkeypatch, case):
+        if case == "cylinder":
+            _, space = request.getfixturevalue("cylinder")
+            boundary, form, nu, dt = cylinder_boundary(), "emac", 5e-4, 0.0025
+            u0 = build_initial_condition("cylinder-channel", space)
+        else:
+            _, space = request.getfixturevalue("kh16")
+            boundary, form, nu, dt = kelvin_helmholtz_boundary(), "skew", 1 / 2800, 0.02
+            u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = stokes_project(space, u0, boundary)
+        cfg = FomConfig(nu=nu, dt=dt, t_end=2 * dt, form=form, scheme="bdf2", boundary=boundary)
+        held = HeldFactor()
+        st = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
+        alpha = 1.0
+        if case == "kh_bdf2":
+            st = advance_step(st, cfg, space, held)  # the backward-Euler start
+            alpha = 1.5
+        factored = _spy(monkeypatch, "factorize")
+        linearized = _spy(monkeypatch, "nonlinear_jacobian")
+        advance_step(st, cfg, space, held)
+        assert held.key == (alpha, dt, nu)
+        assert len(factored) == len(linearized) >= 1
+
+        div = space.divergence()
+        mask, _ = constraint_mask(space, boundary, st.t + dt, space.n_vel + space.n_press)
+        assert np.any(mask[: space.n_vel])
+        for (matrix, _), (_, _, u) in zip(factored, linearized):
+            top = alpha / dt * space.mass() + nu * space.stiffness() + nonlinear_jacobian(space, form, u)
+            ref = constrain_rows(sp.bmat([[top, -div.T], [div, None]], format="csr"), mask)
+            _assert_entrywise_equal(matrix, ref)
+
+    @pytest.mark.parametrize("problem", ["kh16", "cylinder"])
+    def test_stokes_matrix_matches_block_assembly(self, request, monkeypatch, problem):
+        _, space = request.getfixturevalue(problem)
+        if problem == "cylinder":
+            boundary, u = cylinder_boundary(), build_initial_condition("cylinder-channel", space)
+        else:
+            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition("kelvin-helmholtz", space)
+        solved = _spy(monkeypatch, "solve_sparse")
+        stokes_project(space, u, boundary)
+        (matrix, rhs, _), = solved
+        mass, div = space.mass(), space.divergence()
+        ref, ref_rhs = apply_constraints(space, sp.bmat([[mass, -div.T], [div, None]], format="csr"),
+                                         np.concatenate([mass @ u, np.zeros(space.n_press)]), boundary)
+        _assert_entrywise_equal(matrix, ref)
+        assert np.array_equal(rhs, ref_rhs)
+
+    @pytest.mark.parametrize("change", [{"nu": 1 / 1400}, {"dt": 0.01}])
+    def test_held_factor_rebuilds_the_block_for_a_new_key(self, kh16, change):
+        _, space = kh16
+        boundary = kelvin_helmholtz_boundary()
+        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.02, form="skew", scheme="backward_euler",
+                        boundary=boundary)
+        other = dataclasses.replace(cfg, **change)
+        held = HeldFactor()
+        st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0), cfg, space, held)
+        reused = advance_step(st, other, space, held)
+        fresh = advance_step(st, other, space, HeldFactor())
+        assert held.key == (1.0, other.dt, other.nu)
+        assert abs(held.block - saddle_block(space, 1.0 / other.dt, other.nu)).max() == 0.0
+        assert reused.factorizations >= 1
+        for a, b in ((reused.u, fresh.u), (reused.p, fresh.p)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("scheme,builds", [("backward_euler", 1), ("bdf2", 2)])
+    def test_block_built_once_per_key(self, kh16, monkeypatch, scheme, builds):
+        mesh, space = kh16
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme=scheme,
+                        boundary=kelvin_helmholtz_boundary())
+        built = _spy(monkeypatch, "saddle_block")
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        assert len(built) == builds
+        assert series["factorizations"].values.sum() >= builds

@@ -101,17 +101,17 @@ class TestProjectionErrorEquality:
                             times=np.arange(4.0))
         basis = build_pod_basis(snaps, mass, stiff)
         assert basis.rank == 2
-        lhs, rhs = pod_projection_error(basis, snaps, basis.rank, mass, stiff)
-        assert rhs == 0.0
-        assert abs(lhs) <= 1e-10 * float(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix).mean())
+        lhs, rhs = pod_projection_error(basis, snaps, mass, stiff)
+        assert rhs[basis.rank] == 0.0
+        assert abs(lhs[basis.rank]) <= 1e-10 * float(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix).mean())
 
     def test_r_zero_matches_total(self, kh_basis):
         space, snaps, basis = kh_basis
         stiff = space.stiffness()
-        lhs, rhs = pod_projection_error(basis, snaps, 0, space.mass(), stiff)
+        lhs, rhs = pod_projection_error(basis, snaps, space.mass(), stiff)
         direct = np.mean(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix))
-        assert lhs == pytest.approx(direct, rel=1e-12)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        assert lhs[0] == pytest.approx(direct, rel=1e-12)
+        assert lhs[0] == pytest.approx(rhs[0], rel=1e-8)
 
     def test_equality_every_rank(self, kh_basis):
         # The 1e-12 rank cutoff discards a spectral tail whose gradient
@@ -121,19 +121,30 @@ class TestProjectionErrorEquality:
         # where the tail is negligible the uncorrected equality holds too.
         space, snaps, basis = kh_basis
         mass, stiff = space.mass(), space.stiffness()
-        tail, _ = pod_projection_error(basis, snaps, basis.rank, mass, stiff)
-        total = pod_projection_error(basis, snaps, 0, mass, stiff)[1]
+        lhs_r, rhs_r = pod_projection_error(basis, snaps, mass, stiff)
+        tail, total = lhs_r[basis.rank], rhs_r[0]
         assert tail <= 1e-9 * total
         for r in range(basis.rank + 1):
-            lhs, rhs = pod_projection_error(basis, snaps, r, mass, stiff)
+            lhs, rhs = lhs_r[r], rhs_r[r]
             assert abs(lhs - tail - rhs) <= 1e-8 * rhs + 1e-4 * tail, (r, lhs, rhs)
             if 1e-8 * rhs >= 10.0 * tail:
                 assert abs(lhs - rhs) <= 1e-8 * rhs, (r, lhs, rhs)
 
-    def test_rank_overflow(self, kh_basis):
-        space, snaps, basis = kh_basis
-        with pytest.raises(ValueError):
-            pod_projection_error(basis, snaps, basis.rank + 1, space.mass(), space.stiffness())
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_matches_per_rank_residuals(self, kh_snapshots, centering):
+        # reference: the out-of-basis residual rebuilt and measured at each r
+        space, snaps = kh_snapshots
+        mass, stiff = space.mass(), space.stiffness()
+        basis = build_pod_basis(snaps, mass, stiff, centering=centering)
+        lhs, rhs = pod_projection_error(basis, snaps, mass, stiff)
+        assert lhs.shape == rhs.shape == (basis.rank + 1,)
+        xc = snaps.matrix - basis.mean[:, None] if basis.centered else snaps.matrix
+        for r in range(basis.rank + 1):
+            resid = xc - basis.modes[:, :r] @ (basis.modes[:, :r].T @ (mass @ xc))
+            ref_lhs = np.einsum("ij,ij->j", resid, stiff @ resid).mean()
+            ref_rhs = np.sum(basis.grad_norms[r:] ** 2 * basis.eigenvalues[r:])
+            assert abs(lhs[r] - ref_lhs) <= 1e-11 * ref_lhs, (r, lhs[r], ref_lhs)
+            assert abs(rhs[r] - ref_rhs) <= 1e-14 * ref_rhs, (r, rhs[r], ref_rhs)
 
 
 class TestProjectField:
