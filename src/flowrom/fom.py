@@ -32,8 +32,12 @@ factorization is of the constrained ``L + [[N'(u), 0], [0, 0]]`` and
 eliminates the unknowns in the space's ``TaylorHoodSpace.saddle_order``.
 It is redone at the current iterate only when no factor is held, or when an
 iteration shrinks the residual norm by less than ``REFACTOR_CONTRACTION``.
-The residual is always exact, so the converged state meets the same
-tolerance as exact Newton.
+The held factor is float32 (mixed-precision iterative refinement, Carson &
+Higham, SISC 2018): a float32 solve perturbs the update by about 1e-5
+relative, far below that contraction, so it triggers no extra
+refactorization; near the tolerance it can cost an extra solve.  The
+residual is always exact and float64, so the converged state meets the
+same tolerance as exact Newton.  The Stokes projection solves in float64.
 
 Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
@@ -336,7 +340,7 @@ def advance_step(state, config, space, held=None):
             # release the old factors first so that only one is ever alive
             held.lu = None
             held.lu = factorize(_newton_matrix(space, config.form, block, u, mask),
-                                space.saddle_order())
+                                space.saddle_order(), np.float32)
             n_factor += 1
         x += held.lu.solve(-residual)
         prev_norm = res_norm

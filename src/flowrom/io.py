@@ -1,4 +1,4 @@
-"""Archive files, CSV emission, and legacy-VTK field output.
+"""Archive files and CSV emission.
 
 All binary archives share the same conventions: an 8-byte ASCII magic
 string, little-endian fixed-width integer header fields, then little-endian
@@ -159,37 +159,3 @@ def read_csv(path):
     if rows and data.shape[1] != len(header):
         raise ArchiveFormatError(f"{path}: row width does not match header")
     return header, [data[:, j] for j in range(len(header))]
-
-
-def write_vtk(path, space, velocity, pressure=None, title="flowrom fields"):
-    """Write velocity (and optional pressure) as a legacy-VTK unstructured grid.
-
-    Fields are sampled at the mesh vertices; P2 midpoint values are not
-    emitted (viewers interpolate linearly anyway).
-    """
-    mesh = space.mesh
-    nv = mesh.num_vertices
-    vids = space.scalar_index[:nv]
-    u = np.asarray(velocity, dtype=float).reshape(space.n_scalar, 2)[vids]
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {nv} double\n")
-        for x, y in mesh.vertices:
-            fh.write("%.17g %.17g 0\n" % (x, y))
-        nt = mesh.num_triangles
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
-        fh.write(f"CELL_TYPES {nt}\n")
-        fh.write("5\n" * nt)
-        fh.write(f"POINT_DATA {nv}\n")
-        fh.write("VECTORS velocity double\n")
-        for u1, u2 in u:
-            fh.write("%.17g %.17g 0\n" % (u1, u2))
-        if pressure is not None:
-            p = np.asarray(pressure, dtype=float)[space.pressure_index[np.arange(nv)]]
-            fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-            for v in p:
-                fh.write("%.17g\n" % v)

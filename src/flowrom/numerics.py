@@ -19,8 +19,14 @@ matrices.  ``factorize`` takes the fill-reducing order from the caller:
 the saddle-point systems use ``TaylorHoodSpace.saddle_order``, a minimum
 degree order of the P2 node graph.  A factorization still costs as much
 as dozens of solves with it, so the full-order solver holds one and reuses
-it across Newton iterations and time steps (see ``flowrom.fom``).
-Factors are not meant to be shared across threads.
+it across Newton iterations and time steps (see ``flowrom.fom``).  That
+held factor is single precision: ``factorize`` casts the permuted matrix
+to its ``dtype`` once, a solve casts the permuted right-hand side and
+returns float64, and the caller's residuals stay float64.  A float32
+factor solves the Newton system to about 1e-5 relative, which the chord
+iteration absorbs like any other approximate Jacobian.  ``solve_sparse``
+(the Stokes projection) factors in float64.  Factors are not meant to be
+shared across threads.
 """
 
 from dataclasses import dataclass
@@ -130,52 +136,66 @@ PIVOT_THRESHOLD = 0.01
 class Factor:
     """LU factors of ``m[order][:, order]``, solving with ``m`` itself.
 
-    ``nnz`` is the fill, the stored entries of L and U together.
+    ``nnz`` is the fill, the stored entries of L and U together, and
+    ``dtype`` the precision the factors are held in.  Solutions are float64
+    whatever that precision.
     """
 
-    def __init__(self, lu, order):
+    def __init__(self, lu, order, dtype):
         self._lu = lu
         self._order = order
         self.nnz = lu.nnz
+        self.dtype = np.dtype(dtype)
 
     def solve(self, rhs):
         """Solve ``m x = rhs``."""
-        rhs = np.asarray(rhs, dtype=float)
-        x = np.empty_like(rhs)
-        x[self._order] = self._lu.solve(rhs[self._order])
+        rhs = np.asarray(rhs)
+        x = np.empty(rhs.shape)
+        x[self._order] = self._lu.solve(rhs[self._order].astype(self.dtype, copy=False))
         return x
 
 
-def factorize(m, order):
+def _permuted_csc(m, order, dtype):
+    """``m[order][:, order]`` of CSR ``m`` as CSC of ``dtype``: one row gather, columns relabeled."""
+    position = np.empty(order.size, dtype=m.indices.dtype)
+    position[order] = np.arange(order.size)
+    rows = m[order]  # a row gather of CSR arrays
+    rows.indices = position[rows.indices]
+    rows.data = rows.data.astype(dtype, copy=False)
+    rows.has_sorted_indices = False
+    return rows.tocsc()
+
+
+def factorize(m, order, dtype=np.float64):
     """LU-factorize a square sparse matrix for repeated solves.
 
     Factors ``m[order][:, order]`` with SuperLU, keeping that column order
     and preferring diagonal pivots (``PIVOT_THRESHOLD``).  ``order`` is a
     fill-reducing permutation of the unknowns; a finite-element matrix in
-    its natural order fills catastrophically.  Returns a :class:`Factor`.
+    its natural order fills catastrophically.  The factors are held in
+    ``dtype``: the permuted matrix is cast once, and each solve casts its
+    permuted right-hand side.  Returns a :class:`Factor`.
     """
-    m = sp.csc_matrix(m)
+    m = sp.csr_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     # A structurally empty row can never be pivoted; report it by index since
     # it almost always points at a forgotten constraint.
-    row_counts = np.diff(sp.csr_matrix(m).indptr)
-    empty = np.flatnonzero(row_counts == 0)
+    empty = np.flatnonzero(np.diff(m.indptr) == 0)
     if empty.size:
         raise SingularSystemError(
             f"matrix is structurally singular: row {empty[0]} is empty "
             "(missing pressure constraint or disconnected mesh?)"
         )
-    m = sp.csc_matrix(m[order][:, order])
     try:
-        lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
-                       options={"SymmetricMode": True})
+        lu = spla.splu(_permuted_csc(m, np.asarray(order), dtype), permc_spec="NATURAL",
+                       diag_pivot_thresh=PIVOT_THRESHOLD, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse LU factorization failed ({exc}); a pivot vanished -- check "
             "constraint application and mesh connectivity"
         ) from exc
-    return Factor(lu, order)
+    return Factor(lu, order, dtype)
 
 
 def solve_sparse(m, rhs, order):

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import flowrom
 from flowrom.fem import TaylorHoodSpace
@@ -20,6 +21,26 @@ def pytest_collection_modifyitems(config, items):
 def square8():
     mesh = flowrom.uniform_rect_mesh(8, 8)
     return mesh, TaylorHoodSpace(mesh)
+
+
+@pytest.fixture(scope="session")
+def kh16_saddle():
+    """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and Stokes-projection matrices."""
+    from flowrom.fem import apply_constraints, constrain_rows, constraint_mask, nonlinear_jacobian
+    from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary
+
+    mesh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
+    space = TaylorHoodSpace(mesh)
+    boundary = kelvin_helmholtz_boundary()
+    n = space.n_vel + space.n_press
+    div = space.divergence()
+    u = build_initial_condition("kelvin-helmholtz", space)
+    block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
+    mask, _ = constraint_mask(space, boundary, 0.02, n)
+    newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
+    stokes, _ = apply_constraints(space, sp.bmat([[space.mass(), -div.T], [div, None]], format="csr"),
+                                  np.zeros(n), boundary)
+    return space, newton, stokes
 
 
 @pytest.fixture(scope="session")

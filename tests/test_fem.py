@@ -9,8 +9,6 @@ from flowrom.fem import (
     TaylorHoodSpace,
     apply_constraints,
     assemble_linear_operators,
-    constrain_rows,
-    constraint_mask,
     field_norms,
     nonlinear_jacobian,
     nonlinear_residual,
@@ -335,25 +333,6 @@ class TestConstraints:
         assert res <= 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
         # velocity part is discretely divergence-free
         assert np.abs((B @ x[:n])[1:]).max() < 1e-10
-
-
-@pytest.fixture(scope="module")
-def kh16_saddle():
-    """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and Stokes-projection matrices."""
-    from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary
-
-    mesh = flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x")
-    space = TaylorHoodSpace(mesh)
-    boundary = kelvin_helmholtz_boundary()
-    n = space.n_vel + space.n_press
-    div = space.divergence()
-    u = build_initial_condition("kelvin-helmholtz", space)
-    block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
-    mask, _ = constraint_mask(space, boundary, 0.02, n)
-    newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
-    stokes, _ = apply_constraints(space, sp.bmat([[space.mass(), -div.T], [div, None]], format="csr"),
-                                  np.zeros(n), boundary)
-    return space, newton, stokes
 
 
 class TestSaddleOrder:

@@ -293,6 +293,24 @@ class TestFactorReuse:
         assert factorizations[1] >= 1  # first factor, backward Euler
         assert factorizations[2] >= 1  # BDF2 changes the mass coefficient
 
+    def test_float32_factor_tracks_float64_run(self, kh16, monkeypatch):
+        mesh, space = kh16
+        u0 = build_initial_condition("kelvin-helmholtz", space)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form="skew", scheme="backward_euler",
+                        boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
+                        project_initial=True)
+        _, snaps, series = run_fom(cfg, mesh, space, u0)
+        real = flowrom.fom.factorize
+        monkeypatch.setattr(flowrom.fom, "factorize", lambda m, order, dtype: real(m, order))
+        _, ref_snaps, ref_series = run_fom(cfg, mesh, space, u0)
+
+        assert snaps.matrix.shape == ref_snaps.matrix.shape == (space.n_vel, 51)
+        assert np.array_equal(series["factorizations"].values, ref_series["factorizations"].values)
+        diff = np.linalg.norm(snaps.matrix - ref_snaps.matrix, axis=0)
+        assert np.all(diff <= 1e-9 * np.linalg.norm(ref_snaps.matrix, axis=0))
+        assert np.all(series["newton_iters"].values <= ref_series["newton_iters"].values + 1)
+        assert np.diff(series["energy"].values).max() <= 1e-12
+
     def test_held_factor_is_never_used_at_another_dt(self, kh16):
         _, space = kh16
         u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space),
@@ -373,7 +391,8 @@ class TestStagedSystem:
         div = space.divergence()
         mask, _ = constraint_mask(space, boundary, st.t + dt, space.n_vel + space.n_press)
         assert np.any(mask[: space.n_vel])
-        for (matrix, _), (_, _, u) in zip(factored, linearized):
+        for (matrix, _, dtype), (_, _, u) in zip(factored, linearized):
+            assert dtype is np.float32
             top = alpha / dt * space.mass() + nu * space.stiffness() + nonlinear_jacobian(space, form, u)
             ref = constrain_rows(sp.bmat([[top, -div.T], [div, None]], format="csr"), mask)
             _assert_entrywise_equal(matrix, ref)

@@ -11,7 +11,6 @@ from flowrom.io import (
     write_basis,
     write_csv,
     write_snapshots,
-    write_vtk,
 )
 from flowrom.pod import SnapshotSet
 
@@ -132,19 +131,3 @@ class TestCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", ["a"], [np.zeros(2), np.zeros(2)])
 
-
-class TestVtk:
-    def test_writes_readable_grid(self, tmp_path, square8):
-        _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (y, -x))
-        p = np.linspace(0, 1, space.n_press)
-        path = tmp_path / "fields.vtk"
-        write_vtk(path, space, u, p)
-        text = path.read_text().splitlines()
-        assert text[0].startswith("# vtk DataFile")
-        npoints = space.mesh.num_vertices
-        assert f"POINTS {npoints} double" in text
-        assert "VECTORS velocity double" in text
-        assert "SCALARS pressure double 1" in text
-        ncells = space.mesh.num_triangles
-        assert f"CELLS {ncells} {4 * ncells}" in text

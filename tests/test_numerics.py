@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from flowrom.numerics import (
     SingularSystemError,
+    factorize,
     solve_sparse,
     sym_eig,
     triangle_quadrature,
@@ -174,3 +175,30 @@ class TestSolveSparse:
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
             solve_sparse(a, np.ones(2), np.arange(2))
+
+
+@pytest.fixture(scope="module")
+def kh16_factors(kh16_saddle):
+    """The kh16 Newton matrix and its factors in single and double precision."""
+    space, newton, _ = kh16_saddle
+    order = space.saddle_order()
+    return newton, factorize(newton, order, np.float32), factorize(newton, order)
+
+
+class TestSinglePrecisionFactor:
+    """A float32 factor, as the chord iteration holds it, against the float64 one."""
+
+    def test_solve_returns_float64(self, kh16_factors):
+        newton, single, _ = kh16_factors
+        assert single.dtype == np.float32
+        assert single.solve(np.ones(newton.shape[0])).dtype == np.float64
+
+    def test_one_solve_residual(self, kh16_factors):
+        newton, single, _ = kh16_factors
+        b = np.random.default_rng(8).standard_normal(newton.shape[0])
+        x = single.solve(b)
+        assert np.linalg.norm(newton @ x - b) <= 1e-4 * np.linalg.norm(b)
+
+    def test_fill_matches_float64(self, kh16_factors):
+        _, single, double = kh16_factors
+        assert abs(single.nnz - double.nnz) <= 0.01 * double.nnz
