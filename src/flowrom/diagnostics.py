@@ -151,12 +151,28 @@ def drag_coefficient(space, u, p, label="cylinder", nu=1.0):
     return 20.0 * float(integral)
 
 
+def _snapshot_norms(space, snapshots):
+    """Gradient and divergence norms of every snapshot.
+
+    Cached on the space for the last snapshot matrix seen (held, so its
+    identity stays unique), so that comparing many trajectories against one
+    snapshot set forms these sparse products once.
+    """
+    u = snapshots.matrix
+    cached = space._cache.get("snapshot_norms")
+    if cached is None or cached[0] is not u:
+        norm = lambda op: np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
+        cached = space._cache["snapshot_norms"] = (u, norm(space.stiffness()), norm(space.div_form()))
+    return cached[1:]
+
+
 def trajectory_error(space, snapshots, trajectory, basis, nu):
     """Theorem-style error functionals of a ROM trajectory vs FOM snapshots.
 
     The time grids must match exactly.  The max-norm error covers every
     recorded time; the viscous-weighted gradient sum and ``c_u`` run over
-    n >= 1 as in the discrete error bound.
+    n >= 1 as in the discrete error bound.  The snapshot matrix must not
+    change between calls on one space (its norms are cached).
     """
     times = snapshots.times
     if times.size != trajectory.times.size or not np.allclose(
@@ -173,17 +189,13 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
     recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
     err = recon - snapshots.matrix
 
-    mass = space.mass()
-    stiff = space.stiffness()
-    divf = space.div_form()
-    err_l2 = np.sqrt(np.clip(np.einsum("ij,ij->j", err, mass @ err), 0.0, None))
-    err_h1sq = np.clip(np.einsum("ij,ij->j", err, stiff @ err), 0.0, None)
-    u_h1 = np.sqrt(np.clip(np.einsum("ij,ij->j", snapshots.matrix, stiff @ snapshots.matrix), 0.0, None))
-    u_div = np.sqrt(np.clip(np.einsum("ij,ij->j", snapshots.matrix, divf @ snapshots.matrix), 0.0, None))
+    err_l2 = np.sqrt(np.clip(np.einsum("ij,ij->j", err, space.mass() @ err), 0.0, None))
+    err_h1sq = np.clip(np.einsum("ij,ij->j", err, space.stiffness() @ err), 0.0, None)
+    u_h1, u_div = _snapshot_norms(space, snapshots)
 
     return TrajectoryError(
         linf_l2=float(err_l2.max()),
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(u_h1[1:].max()),
-        div_series=ScalarSeries(times=times, values=u_div, label="div_error"),
+        div_series=ScalarSeries(times=times, values=u_div.copy(), label="div_error"),
     )

@@ -38,12 +38,21 @@ explicit arithmetic on contiguous (..., nt, nq) blocks.
 Every integral reads one per-element basis table, ``space.tables`` (value
 and physical gradients of each local P2 basis function at each quadrature
 point), and one weight array, ``space.wdet`` (quadrature weight times
-det J).  Every assembled matrix goes through one scatter, :func:`_scatter`,
-from element blocks to a CSR matrix.
+det J).  The symmetric element matrices are batched matrix products over
+that table, symmetrized per element so that their sums are exactly
+symmetric; the divergence keeps an einsum (see :meth:`divergence`).  Every
+assembled matrix is filled into one symbolic structure per space, the P2
+:class:`_NodeGraph`: its CSR pattern and each element entry's slot in it,
+from one ``np.unique`` over integer keys.  A matrix is then a
+``np.bincount`` of element values into those slots, laid out as one
+expansion of the graph: A (x) I_2 for mass and stiffness, full 2x2 node
+blocks for the velocity forms and the Jacobian, vertex rows times two
+components for the divergence.  The result is canonical CSR.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,15 +123,103 @@ def _resolve_roots(master):
         master = nxt
 
 
-def _scatter(local, rows, cols, shape):
-    """Sum element matrices ``local`` (nt, a, b) into a CSR matrix of ``shape``.
+@dataclass(frozen=True)
+class _NodeGraph:
+    """The P2 node graph of a space as CSR, and each element entry's slot in it.
 
-    ``rows`` (nt, a) and ``cols`` (nt, b) are the global indices of each
-    element's local rows and columns; duplicates add up.
+    Nodes s and t are adjacent when one element holds both; every node is
+    its own neighbour.  Row s lists its neighbours, sorted, in
+    ``indices[indptr[s]:indptr[s + 1]]``, and ``slots[e, a, b]`` is the
+    position there of the pair (``cell_scalar[e, a]``, ``cell_scalar[e, b]``).
+    Every FE matrix is a ``np.bincount`` of its element values into these
+    slots, laid out as one expansion of the graph (:meth:`kron_i2`,
+    :meth:`blocks`, :meth:`vertex_rows`); its CSR is canonical by
+    construction.  The matrices of one velocity expansion share its index
+    arrays, which are read-only.
     """
-    rows = np.broadcast_to(rows[:, :, None], local.shape)
-    cols = np.broadcast_to(cols[:, None, :], local.shape)
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+    indptr: np.ndarray     # (n + 1,) int32
+    indices: np.ndarray    # (nnz,) int32
+    slots: np.ndarray      # (nt, 6, 6) int32
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def build(cls, cell_scalar, n):
+        """The graph of ``n`` nodes joined by the elements ``cell_scalar`` (nt, 6)."""
+        keys = (cell_scalar[:, :, None] * n + cell_scalar[:, None, :]).ravel()
+        keys, slots = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(indptr, (keys % n).astype(np.int32), slots.reshape(-1, 6, 6).astype(np.int32))
+
+    def rows(self):
+        """The row of each graph entry, and the length of each row."""
+        deg = np.diff(self.indptr)
+        return np.repeat(np.arange(deg.size), deg), deg
+
+    def _sum(self, elem):
+        """Per-entry sums of element values (nt, 6, 6) at ``slots``."""
+        return np.bincount(self.slots.ravel(), elem.ravel(), minlength=self.indices.size)
+
+    def _velocity(self, sums, width):
+        """Velocity CSR whose row 2s + c holds ``width`` columns 2t + d per neighbour t of s.
+
+        With width 1 the column is d = c (A (x) I_2), with width 2 both d
+        (full 2x2 node blocks).  ``sums(c, d)`` gives the per-entry values
+        of row component c, column component d.  Row 2s starts at
+        2 width indptr[s] and row 2s + 1 width deg(s) later.
+        """
+        row, deg = self.rows()
+        first = width * (np.arange(row.size) + self.indptr[row])
+        shift = width * deg[row]
+        if width not in self._patterns:
+            indptr = np.empty(2 * deg.size + 1, dtype=np.int32)
+            indptr[0::2] = 2 * width * self.indptr
+            indptr[1::2] = width * (2 * self.indptr[:-1] + deg)
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            for c in range(2):
+                for d in range(width):
+                    indices[first + c * shift + d] = 2 * self.indices + (d if width == 2 else c)
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._patterns[width] = indptr, indices
+        indptr, indices = self._patterns[width]
+        data = np.empty(indices.size)
+        for c in range(2):
+            for d in range(width):
+                data[first + c * shift + d] = sums(c, d)
+        return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+    def kron_i2(self, elem):
+        """Scalar element matrices (nt, 6, 6), summed, as the velocity matrix A (x) I_2."""
+        values = self._sum(elem)
+        return self._velocity(lambda c, d: values, 1)
+
+    def blocks(self, elem):
+        """Velocity element matrices (nt, 12, 12), summed, over full 2x2 node blocks.
+
+        Local DOF 2l + c is component c of local node l.
+        """
+        local = elem.reshape(-1, 6, 2, 6, 2)
+        return self._velocity(lambda c, d: self._sum(local[:, :, c, :, d]), 2)
+
+    def vertex_rows(self, elem, n_rows):
+        """Element matrices (nt, 3, 12) from the vertex nodes to velocity DOFs, summed.
+
+        Rows are the first ``n_rows`` nodes, which must be the element
+        vertices (local nodes 0-2); row s holds the columns 2t and 2t + 1
+        of each neighbour t of s, a (1 x 2) block per graph entry.
+        """
+        nnz = self.indptr[n_rows]
+        at = 2 * self.slots[:, :3, :, None].astype(np.intp) + np.arange(2)
+        data = np.bincount(at.ravel(), elem.ravel(), minlength=2 * nnz).reshape(nnz, 1, 2)
+        shape = (n_rows, 2 * (self.indptr.size - 1))
+        return sp.bsr_matrix((data, self.indices[:nnz], self.indptr[: n_rows + 1]), shape=shape).tocsr()
+
+
+def _symmetric(elem):
+    """Element matrices made exactly symmetric, so that their sums are too."""
+    return 0.5 * (elem + elem.transpose(0, 2, 1))
 
 
 class TaylorHoodSpace:
@@ -139,57 +236,53 @@ class TaylorHoodSpace:
         nv = mesh.num_vertices
         tris = mesh.triangles
 
-        # global edges as sorted vertex pairs; local edge i is opposite vertex i
-        local = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1)
-        keys = np.sort(local.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(keys, axis=0, return_inverse=True)
-        self.edges = edges
+        # global edges as sorted vertex pairs, found as the integer keys
+        # lo * nv + hi; local edge i is opposite vertex i
+        local = tris[:, [[1, 2], [2, 0], [0, 1]]]
+        keys, inverse = np.unique((local.min(axis=2) * nv + local.max(axis=2)).ravel(),
+                                  return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv))
         self.cell_edges = inverse.reshape(-1, 3)
-        ne = edges.shape[0]
 
         self.n_vertices = nv
-        self.n_edges = ne
+        self.n_edges = keys.size
 
-        # periodic folding: vertices from the mesh pairs, midpoints through
-        # the induced edge identification
+        # periodic folding: vertices from the mesh pairs (a slave listed
+        # twice keeps its last master), midpoints through the induced edge
+        # identification
+        pairs = mesh.periodic_pairs
+        last = pairs.shape[0] - 1 - np.unique(pairs[::-1, 1], return_index=True)[1]
         vroot = np.arange(nv)
-        for m, s in mesh.periodic_pairs:
-            vroot[s] = m
+        vroot[pairs[last, 1]] = pairs[last, 0]
         vroot = _resolve_roots(vroot)
         # edges whose endpoint roots coincide are translated copies of one
         # another across a periodic seam; the first such edge is the master
-        canonical = {}
-        eroot = np.arange(ne)
-        for i, (a, b) in enumerate(edges):
-            ra, rb = int(vroot[a]), int(vroot[b])
-            key = (min(ra, rb), max(ra, rb))
-            eroot[i] = canonical.setdefault(key, i)
-        eroot = _resolve_roots(eroot)
+        ra, rb = vroot[self.edges[:, 0]], vroot[self.edges[:, 1]]
+        _, first, seam = np.unique(np.minimum(ra, rb) * nv + np.maximum(ra, rb),
+                                   return_index=True, return_inverse=True)
+        eroot = first[seam]
 
         scalar_root = np.concatenate([vroot, nv + eroot])
-        scalar_root = _resolve_roots(scalar_root)
         roots = np.unique(scalar_root)
         self.scalar_index = np.searchsorted(roots, scalar_root)
         self.n_scalar = roots.size
         self.n_vel = 2 * self.n_scalar
 
+        # the vertex roots come first among the scalar roots, so pressure
+        # DOF q is scalar node q
         proots = np.unique(vroot)
         self.pressure_index = np.searchsorted(proots, vroot)
         self.n_press = proots.size
         self.pinned_pressure = 0
 
         # representative coordinates of merged nodes (master's position)
-        raw_xy = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
-        self.scalar_xy = raw_xy[roots]
+        midpoints = 0.5 * (mesh.vertices[self.edges[:, 0]] + mesh.vertices[self.edges[:, 1]])
+        self.scalar_xy = np.vstack([mesh.vertices, midpoints])[roots]
 
         # connectivity in merged numbering
         raw_cell_scalar = np.hstack([tris, nv + self.cell_edges])
         self.cell_scalar = self.scalar_index[raw_cell_scalar]          # (nt, 6)
         self.cell_press = self.pressure_index[tris]                    # (nt, 3)
-        cv = np.empty((tris.shape[0], 12), dtype=int)
-        cv[:, 0::2] = 2 * self.cell_scalar
-        cv[:, 1::2] = 2 * self.cell_scalar + 1
-        self.cell_vel = cv
 
         # affine geometry and basis tables at the shared quadrature rule
         p = mesh.vertices
@@ -217,83 +310,96 @@ class TaylorHoodSpace:
         tables[:, :, 1:, :] = np.einsum("edk,qlk->eldq", inv_jt, _p2_ref_grads(bary))
         self.tables = tables
         self.wdet = det[:, None] * self.quadrature.weights[None, :]   # (nt, nq) quadrature weights
-        v0 = p[tris[:, 0]]
-        jmat = np.stack([np.stack([j11, j12], axis=-1), np.stack([j21, j22], axis=-1)], axis=1)
-        self.qp_xy = v0[:, None, :] + np.einsum("eij,qj->eqi", jmat, bary[:, 1:])
 
         self._cache = {}
+
+    @cached_property
+    def qp_xy(self):
+        """Physical coordinates of the quadrature points, (nt, nq, 2).
+
+        Formed on first use: only the error quadrature reads them.
+        """
+        return np.matmul(self.quadrature.points, self.mesh.vertices[self.mesh.triangles])
 
     # ------------------------------------------------------------------
     # assembled operators (cached, unscaled)
 
-    def _gradients(self):
-        """Physical basis gradients from the tables, as a contiguous (e, q, l, d) array."""
-        return np.ascontiguousarray(self.tables[:, :, 1:].transpose(0, 3, 1, 2))
+    def _graph(self):
+        """The :class:`_NodeGraph` of the P2 nodes, which every operator fills."""
+        if "graph" not in self._cache:
+            self._cache["graph"] = _NodeGraph.build(self.cell_scalar, self.n_scalar)
+        return self._cache["graph"]
+
+    def _velocity_gradients(self):
+        """Physical gradient coefficients (nt, 12, nq): d_c phi_l for local DOF 2l + c."""
+        nt, _, _, nq = self.tables.shape
+        return self.tables[:, :, 1:].reshape(nt, 12, nq)
+
+    def _gram(self, coef):
+        """Element matrices sum_kq w_q coef[:, a, k, q] coef[:, b, k, q], exactly symmetric.
+
+        ``coef`` is (nt, a, k, nq); one batched product over the (k, q) axis.
+        """
+        nt, a = coef.shape[:2]
+        weighted = (coef * self.wdet[:, None, None, :]).reshape(nt, a, -1)
+        return _symmetric(np.matmul(weighted, coef.reshape(nt, a, -1).transpose(0, 2, 1)))
 
     def mass(self):
         """Vector mass matrix (u, v)."""
         if "mass" not in self._cache:
-            elem = np.einsum("eq,qa,qb->eab", self.wdet, self.phi, self.phi)
-            m = _scatter(elem, self.cell_scalar, self.cell_scalar, (self.n_scalar,) * 2)
-            m = 0.5 * (m + m.T)
-            self._cache["mass"] = sp.kron(m, sp.eye(2), format="csr")
+            nq = self.phi.shape[0]
+            pairs = (self.phi[:, :, None] * self.phi[:, None, :]).reshape(nq, 36)
+            elem = _symmetric((self.wdet @ pairs).reshape(-1, 6, 6))
+            self._cache["mass"] = self._graph().kron_i2(elem)
         return self._cache["mass"]
 
     def stiffness(self):
         """Vector stiffness matrix (grad u, grad v), unscaled by viscosity."""
         if "stiffness" not in self._cache:
-            g = self._gradients()
-            elem = np.einsum("eq,eqad,eqbd->eab", self.wdet, g, g)
-            m = _scatter(elem, self.cell_scalar, self.cell_scalar, (self.n_scalar,) * 2)
-            m = 0.5 * (m + m.T)
-            self._cache["stiffness"] = sp.kron(m, sp.eye(2), format="csr")
+            self._cache["stiffness"] = self._graph().kron_i2(self._gram(self.tables[:, :, 1:]))
         return self._cache["stiffness"]
 
     def divergence(self):
         """Divergence operator B with (B u)_q = (div u, psi_q), psi the P1 (barycentric) basis."""
         if "divergence" not in self._cache:
-            elem = np.einsum("eq,qp,eqlc->eplc", self.wdet, self.quadrature.points, self._gradients())
-            self._cache["divergence"] = _scatter(elem.reshape(-1, 3, 12), self.cell_press, self.cell_vel,
-                                                 (self.n_press, self.n_vel))
+            # an einsum, not a batched product: it rounds entries that are equal
+            # by mesh symmetry alike, and the saddle-point LU breaks its pivot
+            # ties among them by position, so its fill depends on this
+            elem = np.einsum("eq,qp,elq->epl", self.wdet, self.quadrature.points, self._velocity_gradients())
+            self._cache["divergence"] = self._graph().vertex_rows(elem, self.n_press)
         return self._cache["divergence"]
-
-    def _paired_form(self, coef):
-        """Symmetric velocity operator of the integrand sum_q (coef_a . u)(coef_b . v)."""
-        elem = np.einsum("eq,eqla,eqmb->elamb", self.wdet, coef, coef)
-        m = _scatter(elem.reshape(-1, 12, 12), self.cell_vel, self.cell_vel, (self.n_vel,) * 2)
-        return 0.5 * (m + m.T)
 
     def div_form(self):
         """Operator for ||div u||^2 = u^T G u."""
         if "div_form" not in self._cache:
             # divergence coefficient of local dof (l, c) is d_c phi_l
-            self._cache["div_form"] = self._paired_form(self._gradients())
+            elem = self._gram(self._velocity_gradients()[:, :, None])
+            self._cache["div_form"] = self._graph().blocks(elem)
         return self._cache["div_form"]
 
     def curl_form(self):
         """Operator for ||curl u||^2 = u^T G u (scalar 2D curl)."""
         if "curl_form" not in self._cache:
-            g = self._gradients()
+            g = self._velocity_gradients()
             coef = np.empty_like(g)
-            coef[..., 0] = -g[..., 1]   # component u1 contributes -dy phi
-            coef[..., 1] = g[..., 0]    # component u2 contributes +dx phi
-            self._cache["curl_form"] = self._paired_form(coef)
+            coef[:, 0::2] = -g[:, 1::2]   # component u1 contributes -dy phi
+            coef[:, 1::2] = g[:, 0::2]    # component u2 contributes +dx phi
+            self._cache["curl_form"] = self._graph().blocks(self._gram(coef[:, :, None]))
         return self._cache["curl_form"]
 
     def pressure_volume(self):
         """Vector of integrals of the pressure basis functions."""
         if "pressure_volume" not in self._cache:
-            elem = np.einsum("eq,qp->ep", self.wdet, self.quadrature.points)
-            v = np.zeros(self.n_press)
-            np.add.at(v, self.cell_press, elem)
-            self._cache["pressure_volume"] = v
+            elem = self.wdet @ self.quadrature.points
+            self._cache["pressure_volume"] = np.bincount(self.cell_press.ravel(), elem.ravel(),
+                                                         minlength=self.n_press)
         return self._cache["pressure_volume"]
 
     def saddle_order(self):
         """Fill-reducing order of the ``[u, p]`` saddle-point unknowns.
 
-        Minimum degree on the P2 node graph, whose pattern is that of the
-        SPD scalar mass matrix (SuperLU's MMD on A^T + A, no pivoting).
+        Minimum degree on the P2 node graph (SuperLU's MMD on A^T + A, no
+        pivoting, on an SPD matrix with the graph's pattern).
         Each node expands to its ``u_x`` and ``u_y`` DOFs, followed on a
         vertex by its pressure DOF; a pressure couples only to the P2
         neighbours of its vertex, so the compressed graph loses no edge.
@@ -302,8 +408,13 @@ class TaylorHoodSpace:
         array ``order`` with ``m[order][:, order]`` the reordered matrix.
         """
         if "saddle_order" not in self._cache:
-            scalar_mass = sp.csc_matrix(self.mass()[0::2, 0::2])
-            mmd = spla.splu(scalar_mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            graph = self._graph()
+            row, deg = graph.rows()
+            # the graph with diagonal deg(s) and off-diagonal -1 is diagonally
+            # dominant, so it factors with diagonal pivots
+            pattern = sp.csc_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
+                                     graph.indptr), shape=(deg.size,) * 2)
+            mmd = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
             rank = mmd.perm_c  # rank[s]: position of scalar node s in the elimination
             key = np.empty(self.n_vel + self.n_press, dtype=np.int64)
@@ -355,11 +466,6 @@ class TaylorHoodSpace:
     # ------------------------------------------------------------------
     # essential constraints
 
-    def _edge_lookup(self):
-        if "edge_lookup" not in self._cache:
-            self._cache["edge_lookup"] = {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-        return self._cache["edge_lookup"]
-
     def boundary_scalar_nodes(self, label):
         """Merged scalar node ids (vertices + midpoints) on edges labeled ``label``."""
         key = ("boundary_nodes", label)
@@ -368,13 +474,12 @@ class TaylorHoodSpace:
         idx = self.mesh.boundary_edges_with_label(label)
         if idx.size == 0:
             raise ValueError(f"mesh has no boundary edges labeled {label!r}")
-        lookup = self._edge_lookup()
-        nodes = set()
-        for a, b in self.mesh.boundary_edges[idx]:
-            nodes.add(int(self.scalar_index[a]))
-            nodes.add(int(self.scalar_index[b]))
-            nodes.add(int(self.scalar_index[self.n_vertices + lookup[(min(a, b), max(a, b))]]))
-        out = np.array(sorted(nodes), dtype=int)
+        ends = self.mesh.boundary_edges[idx]
+        nv = self.n_vertices
+        # the global edges are sorted by their keys lo * nv + hi
+        edge = np.searchsorted(self.edges[:, 0] * nv + self.edges[:, 1],
+                               ends.min(axis=1) * nv + ends.max(axis=1))
+        out = np.unique(self.scalar_index[np.concatenate([ends.ravel(), nv + edge])])
         self._cache[key] = out
         return out
 
@@ -527,7 +632,7 @@ def nonlinear_jacobian(space, form, u):
     s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
     # local[e, (m, a), d] from the loads (s_a of direction d, phi_m) on element e
     local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
-    return _scatter(local, space.cell_vel, space.cell_vel, (space.n_vel, space.n_vel))
+    return space._graph().blocks(local)
 
 
 # ----------------------------------------------------------------------

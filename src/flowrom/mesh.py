@@ -82,21 +82,27 @@ class Mesh:
 
 
 def _orient_boundary_edges(vertices, triangles, edges):
-    """Flip boundary edges so the adjacent triangle lies on their left."""
-    directed = set()
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            directed.add((int(a), int(b)))
-    out = []
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if (a, b) in directed:
-            out.append((a, b))
-        elif (b, a) in directed:
-            out.append((b, a))
-        else:
-            raise MeshFormatError(f"boundary edge ({a}, {b}) does not belong to any triangle")
-    return np.array(out, dtype=int)
+    """Flip boundary edges so the adjacent triangle lies on their left.
+
+    Directed edges are matched as integer keys ``a * nv + b`` against the
+    sorted keys of the triangles' counterclockwise sides.
+    """
+    nv = len(vertices)
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    # closed by a key above every edge's, so that a search never runs off the end
+    sides = np.sort(np.append(triangles * nv + np.roll(triangles, -1, axis=1), nv * nv))
+
+    def is_side(a, b):
+        key = a * nv + b
+        return sides[np.searchsorted(sides, key)] == key
+
+    forward = is_side(edges[:, 0], edges[:, 1])
+    backward = is_side(edges[:, 1], edges[:, 0])
+    bad = np.flatnonzero(~(forward | backward))
+    if bad.size:
+        a, b = edges[bad[0]]
+        raise MeshFormatError(f"boundary edge ({a}, {b}) does not belong to any triangle")
+    return np.where(forward[:, None], edges, edges[:, ::-1])
 
 
 def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
@@ -114,34 +120,26 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # cell (i, j), row-major in j, has corners a, b, c, d counterclockwise
+    # from its lower left; its two triangles follow each other
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    a = j * (nx + 1) + i
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    even = ((i + j) % 2 == 0)[:, None]
+    first = np.where(even, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
+    second = np.where(even, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
+    triangles = np.stack([first, second], axis=1).reshape(-1, 3)
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    triangles = np.array(tris, dtype=int)
-
-    edges = []
-    labels = []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        labels.append("bottom")
-        edges.append((vid(i + 1, ny), vid(i, ny)))
-        labels.append("top")
-    for j in range(ny):
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        labels.append("right")
-        edges.append((vid(0, j + 1), vid(0, j)))
-        labels.append("left")
+    # bottom and top sides alternate along x, then right and left along y
+    i = np.arange(nx)
+    top = ny * (nx + 1) + i
+    j = np.arange(ny) * (nx + 1)
+    edges = np.concatenate([
+        np.stack([np.column_stack([i, i + 1]), np.column_stack([top + 1, top])], axis=1).reshape(-1, 2),
+        np.stack([np.column_stack([j + nx, j + 2 * nx + 1]), np.column_stack([j + nx + 1, j])],
+                 axis=1).reshape(-1, 2),
+    ])
+    labels = ("bottom", "top") * nx + ("right", "left") * ny
     boundary_edges = _orient_boundary_edges(vertices, triangles, edges)
     return Mesh(vertices=vertices, triangles=triangles,
                 boundary_edges=boundary_edges, boundary_labels=tuple(labels))

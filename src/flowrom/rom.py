@@ -21,16 +21,19 @@ x quadrature points, so assembly is O(m^3 P): linear in the mesh, cubic in
 the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
-the analytic Jacobian of the quadratic term and a dense factorization,
-mirroring the full-order scheme (BDF2 starts with one backward-Euler step).
-The quadratic term and its Jacobian are matrix-vector products with the
-tensor viewed as an (r*m) x m matrix, so a step costs O(r m^2) per
-iteration, independent of the finite element dimension.
+the analytic Jacobian of the quadratic term and a dense LU (LAPACK getrf and
+getrs), mirroring the full-order scheme (BDF2 starts with one
+backward-Euler step).  :class:`RomOperators` forms the (j, k)-symmetrized
+tensor S = T + T^{jk} once.  One matrix-vector product g = S c (S viewed
+as an (r*m) x m matrix) gives the quadratic term N(c) = g c / 2, and
+another its Jacobian dN/da = g[:, o:], so an iteration costs O(r m^2),
+independent of the finite element dimension.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .fem import NonlinearForm, _density, _transport
 
@@ -50,11 +53,17 @@ class RomOperators:
     ``visc`` is (r, m) and ``tensor`` (r, m, m), with m = r + 1 for a
     centered basis (column 0 is the mean) and m = r otherwise; methods take
     state coefficients c = :meth:`extend` (a).  The reduced mass is the
-    identity (orthonormal modes) and is never stored.
+    identity (orthonormal modes) and is never stored.  The symmetrized
+    tensor is formed at construction, after which ``tensor`` is read-only.
     """
 
     visc: np.ndarray            # (r, m)    nu (grad X_j, grad psi_i)
     tensor: np.ndarray          # (r, m, m) T[i, j, k] = b(X_j, X_k, psi_i)
+    _sym: np.ndarray = field(init=False, repr=False)   # (r, m, m) S = T + T^{jk}
+
+    def __post_init__(self):
+        self.tensor.setflags(write=False)
+        self._sym = self.tensor + self.tensor.transpose(0, 2, 1)
 
     @property
     def r(self):
@@ -66,16 +75,18 @@ class RomOperators:
             return a
         return np.concatenate([[1.0], a])
 
+    def _derivative(self, c):
+        """g = S c, that is g[i, j] = dN_i/dc_j; and N(c) = g c / 2."""
+        r, m = self._sym.shape[:2]
+        return (self._sym.reshape(r * m, m) @ c).reshape(r, m)
+
     def quadratic(self, c):
         """N(c)_i = sum_jk T[i, j, k] c_j c_k."""
-        r, m = self.tensor.shape[:2]
-        return (self.tensor.reshape(r * m, m) @ c).reshape(r, m) @ c
+        return 0.5 * (self._derivative(c) @ c)
 
     def quadratic_jacobian(self, c):
         """J[i, j] = dN_i/da_j = sum_k (T[i, o+j, k] + T[i, k, o+j]) c_k, o = m - r."""
-        r, m = self.tensor.shape[:2]
-        jac = (self.tensor.reshape(r * m, m) @ c).reshape(r, m) + np.matmul(c, self.tensor)
-        return jac[:, m - r:]
+        return self._derivative(c)[:, self.tensor.shape[1] - self.r:]
 
 
 @dataclass
@@ -176,11 +187,11 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             if it == newton_max_iter:
                 break
-            jac = shift + ops.quadratic_jacobian(c)
-            try:
-                a_new = a_new + np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
+            lu, piv, info = lapack.dgetrf(shift + ops.quadratic_jacobian(c), overwrite_a=True)
+            if info > 0:  # exactly singular Jacobian
                 break
+            step, _ = lapack.dgetrs(lu, piv, res)
+            a_new = a_new - step
         if not converged:
             raise RomNewtonError(
                 f"reduced Newton diverged at step {n + 1} (t={(n + 1) * dt:g}); "

@@ -11,7 +11,7 @@ from flowrom.diagnostics import (
 )
 from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import build_initial_condition
-from flowrom.pod import project_field
+from flowrom.pod import SnapshotSet, project_field
 from flowrom.rom import RomTrajectory, reconstruct_field
 
 
@@ -130,6 +130,20 @@ class TestTrajectoryError:
             d = reconstruct_field(basis, coeffs[j]) - snaps.matrix[:, j]
             per_step.append(np.sqrt(d @ (mass @ d)))
         assert err.linf_l2 == pytest.approx(max(per_step), rel=1e-12)
+
+    def test_snapshot_norms_follow_the_snapshot_set(self, kh_run, kh_basis_session):
+        # the gradient and divergence series are cached per snapshot matrix
+        _, space, snaps, _, cfg = kh_run
+        basis = kh_basis_session
+        traj = RomTrajectory(coeffs=np.zeros((snaps.count, 2)), times=snaps.times - snaps.times[0])
+        first = trajectory_error(space, snaps, traj, basis, cfg.nu)
+        doubled = trajectory_error(space, SnapshotSet(2.0 * snaps.matrix, snaps.times), traj, basis, cfg.nu)
+        again = trajectory_error(space, snaps, traj, basis, cfg.nu)
+        assert doubled.c_u == pytest.approx(2.0 * first.c_u, rel=1e-14)
+        assert np.allclose(doubled.div_series.values, 2.0 * first.div_series.values, rtol=1e-14, atol=0.0)
+        assert again.c_u == first.c_u
+        assert np.array_equal(again.div_series.values, first.div_series.values)
+        assert first.div_series.values is not again.div_series.values
 
     def test_time_grid_mismatch(self, kh_run, kh_basis_session):
         _, space, snaps, _, cfg = kh_run

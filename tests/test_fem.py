@@ -7,6 +7,8 @@ import flowrom
 from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,
+    _density,
+    _transport,
     apply_constraints,
     assemble_linear_operators,
     field_norms,
@@ -335,7 +337,174 @@ class TestConstraints:
         assert np.abs((B @ x[:n])[1:]).max() < 1e-10
 
 
+# ----------------------------------------------------------------------
+# loop and COO references for the vectorized numbering and the node-graph
+# assembly
+
+@pytest.fixture(scope="module")
+def three_spaces():
+    """Periodic-x shear layer, doubly periodic Taylor-Green and the cylinder."""
+    kh = flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x")
+    tg = flowrom.identify_periodic(flowrom.identify_periodic(uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
+    return {name: TaylorHoodSpace(mesh)
+            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", load_bundled_mesh("cylinder")))}
+
+
+def loop_numbering(mesh):
+    """Edges, scalar/pressure indices and element nodes, built with dicts and loops."""
+    nv = mesh.num_vertices
+    sides = [[tuple(sorted((int(t[a]), int(t[b])))) for a, b in ((1, 2), (2, 0), (0, 1))]
+             for t in mesh.triangles]
+    edges = sorted({e for row in sides for e in row})
+    edge_id = {e: i for i, e in enumerate(edges)}
+
+    def root(x, parent):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    master = list(range(nv))
+    for m, s in mesh.periodic_pairs:
+        master[s] = int(m)
+    vroot = [root(v, master) for v in range(nv)]
+    first = {}
+    eroot = [first.setdefault(tuple(sorted((vroot[a], vroot[b]))), i) for i, (a, b) in enumerate(edges)]
+    scalar_root = vroot + [nv + e for e in eroot]
+    scalar_id = {r: i for i, r in enumerate(sorted(set(scalar_root)))}
+    press_id = {r: i for i, r in enumerate(sorted(set(vroot)))}
+    scalar_index = [scalar_id[r] for r in scalar_root]
+    cell_scalar = [[scalar_index[int(v)] for v in t] + [scalar_index[nv + edge_id[e]] for e in row]
+                   for t, row in zip(mesh.triangles, sides)]
+    return {
+        "edges": np.array(edges, dtype=int),
+        "scalar_index": np.array(scalar_index, dtype=int),
+        "pressure_index": np.array([press_id[r] for r in vroot], dtype=int),
+        "cell_scalar": np.array(cell_scalar, dtype=int),
+    }
+
+
+def coo_scatter(local, rows, cols, shape):
+    rows = np.broadcast_to(rows[:, :, None], local.shape)
+    cols = np.broadcast_to(cols[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
+def coo_operators(space):
+    """Every operator by einsum kernels, a COO scatter and sparse symmetrization."""
+    w, phi, cs = space.wdet, space.phi, space.cell_scalar
+    g = np.ascontiguousarray(space.tables[:, :, 1:].transpose(0, 3, 1, 2))   # (e, q, l, d)
+    cv = np.empty((cs.shape[0], 12), dtype=int)
+    cv[:, 0::2], cv[:, 1::2] = 2 * cs, 2 * cs + 1
+
+    def vector(elem):
+        m = coo_scatter(elem, cs, cs, (space.n_scalar,) * 2)
+        return sp.kron(0.5 * (m + m.T), sp.eye(2), format="csr")
+
+    def paired(coef):
+        elem = np.einsum("eq,eqla,eqmb->elamb", w, coef, coef).reshape(-1, 12, 12)
+        m = coo_scatter(elem, cv, cv, (space.n_vel,) * 2)
+        return 0.5 * (m + m.T)
+
+    curl = np.stack([-g[..., 1], g[..., 0]], axis=-1)
+    divergence = np.einsum("eq,qp,eqlc->eplc", w, space.quadrature.points, g).reshape(-1, 3, 12)
+    return {
+        "mass": vector(np.einsum("eq,qa,qb->eab", w, phi, phi)),
+        "stiffness": vector(np.einsum("eq,eqad,eqbd->eab", w, g, g)),
+        "divergence": coo_scatter(divergence, space.cell_press, cv, (space.n_press, space.n_vel)),
+        "div_form": paired(g),
+        "curl_form": paired(curl),
+    }, cv
+
+
+def coo_jacobian(space, form, u, cv):
+    """The Jacobian's element matrices, from the form densities, through the COO scatter."""
+    uvals, ugrads = space.values_and_grads(u)
+    nt, nq = space.wdet.shape
+    dvals = np.zeros((2, 12, 1, nq))
+    dgrads = np.zeros((2, 2, 12, nt, nq))
+    for l in range(6):
+        for c in range(2):
+            dvals[c, 2 * l + c, 0] = space.phi[:, l]
+            dgrads[c, :, 2 * l + c] = space.tables[:, l, 1:].transpose(1, 0, 2)
+    s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
+    s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
+    local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
+    return coo_scatter(local, cv, cv, (space.n_vel,) * 2)
+
+
+def assert_canonical(m):
+    """Sorted column indices within each row and no duplicate entries."""
+    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.all(np.diff(row.astype(np.int64) * m.shape[1] + m.indices) > 0)
+
+
+class TestVectorizedNumbering:
+    @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
+    def test_matches_loop_reference(self, three_spaces, name):
+        space = three_spaces[name]
+        for field, want in loop_numbering(space.mesh).items():
+            got = getattr(space, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+    @pytest.mark.parametrize("name", ["kh", "cylinder"])
+    def test_boundary_nodes_match_loop_reference(self, three_spaces, name):
+        space = three_spaces[name]
+        edge_id = {tuple(e): i for i, e in enumerate(space.edges.tolist())}
+        for label in space.mesh.labels():
+            nodes = set()
+            for a, b in space.mesh.boundary_edges[space.mesh.boundary_edges_with_label(label)]:
+                mid = space.n_vertices + edge_id[(min(a, b), max(a, b))]
+                nodes |= {int(space.scalar_index[v]) for v in (a, b, mid)}
+            assert np.array_equal(space.boundary_scalar_nodes(label), sorted(nodes))
+
+
+class TestNodeGraphAssembly:
+    @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
+    def test_operators_match_coo_reference(self, three_spaces, name):
+        space = three_spaces[name]
+        reference, cv = coo_operators(space)
+        u = np.random.default_rng(12).standard_normal(space.n_vel)
+        reference["jacobian"] = coo_jacobian(space, NonlinearForm.EMAC, u, cv)
+        for op, want in reference.items():
+            got = nonlinear_jacobian(space, "emac", u) if op == "jacobian" else getattr(space, op)()
+            assert got.shape == want.shape, op
+            assert abs(got - want).max() <= 1e-14 * abs(want).max(), op
+            assert_canonical(got)
+
+    @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
+    def test_patterns(self, three_spaces, name):
+        # A (x) I_2 on the node graph for mass and stiffness, full 2x2 node
+        # blocks for the velocity forms; the divergence and the Jacobian keep
+        # the COO pattern, explicit zeros included
+        space = three_spaces[name]
+        reference, cv = coo_operators(space)
+        u = np.zeros(space.n_vel)
+        jac = nonlinear_jacobian(space, "skew", u)
+        same = lambda a, b: np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert same(jac, coo_jacobian(space, "skew", u, cv))
+        assert same(space.divergence(), reference["divergence"])
+        assert same(space.mass(), reference["mass"]) and same(space.stiffness(), space.mass())
+        assert same(space.div_form(), jac) and same(space.curl_form(), jac)
+        assert jac.nnz == 2 * space.mass().nnz
+        # the matrices of one expansion share its read-only index arrays
+        assert np.shares_memory(space.stiffness().indices, space.mass().indices)
+        assert np.shares_memory(space.curl_form().indices, jac.indices)
+        assert not jac.indices.flags.writeable
+
+
 class TestSaddleOrder:
+    def test_matches_mass_matrix_ordering(self, kh16_saddle):
+        # reference: minimum degree on the scalar mass matrix's own pattern
+        space, _, _ = kh16_saddle
+        scalar_mass = sp.csc_matrix(space.mass()[0::2, 0::2])
+        rank = spla.splu(scalar_mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).perm_c
+        key = np.empty(space.n_vel + space.n_press, dtype=np.int64)
+        key[0 : space.n_vel : 2] = 3 * rank
+        key[1 : space.n_vel : 2] = 3 * rank + 1
+        key[space.n_vel + space.pressure_index] = 3 * rank[space.scalar_index[: space.n_vertices]] + 2
+        assert np.array_equal(space.saddle_order(), np.argsort(key))
+
     def test_permutation_cached_and_grouped_by_node(self, kh16_saddle):
         space, _, _ = kh16_saddle
         order = space.saddle_order()

@@ -1,13 +1,56 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from flowrom.mesh import (
     MeshFormatError,
+    _orient_boundary_edges,
     identify_periodic,
     load_bundled_mesh,
     read_triangle_mesh,
     uniform_rect_mesh,
 )
+
+
+# ----------------------------------------------------------------------
+# loop references: the element-by-element construction the vectorized
+# mesh code must reproduce exactly
+
+def loop_orient(triangles, edges):
+    directed = set()
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            directed.add((int(a), int(b)))
+    out = []
+    for a, b in edges:
+        a, b = int(a), int(b)
+        assert (a, b) in directed or (b, a) in directed
+        out.append((a, b) if (a, b) in directed else (b, a))
+    return np.array(out, dtype=int)
+
+
+def loop_rect_mesh(nx, ny):
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 2 == 0:
+                tris += [(a, b, c), (a, c, d)]
+            else:
+                tris += [(a, b, d), (b, c, d)]
+    edges, labels = [], []
+    for i in range(nx):
+        edges += [(vid(i, 0), vid(i + 1, 0)), (vid(i + 1, ny), vid(i, ny))]
+        labels += ["bottom", "top"]
+    for j in range(ny):
+        edges += [(vid(nx, j), vid(nx, j + 1)), (vid(0, j + 1), vid(0, j))]
+        labels += ["right", "left"]
+    triangles = np.array(tris, dtype=int)
+    return triangles, loop_orient(triangles, edges), tuple(labels)
 
 
 def euler_characteristic(mesh):
@@ -53,6 +96,16 @@ class TestUniformRectMesh:
         m = uniform_rect_mesh(6, 4)
         assert euler_characteristic(m) == 1
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 7), (8, 5)])
+    def test_matches_loop_reference(self, nx, ny):
+        m = uniform_rect_mesh(nx, ny, x_extent=1.3, y_extent=0.7)
+        triangles, edges, labels = loop_rect_mesh(nx, ny)
+        xx, yy = np.meshgrid(np.linspace(0.0, 1.3, nx + 1), np.linspace(0.0, 0.7, ny + 1))
+        assert np.array_equal(m.vertices, np.column_stack([xx.ravel(), yy.ravel()]))
+        for got, want in ((m.triangles, triangles), (m.boundary_edges, edges)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert m.boundary_labels == labels
+
     def test_boundary_edges_unique_triangle(self):
         m = uniform_rect_mesh(5, 5)
         directed = {}
@@ -94,6 +147,14 @@ class TestReadTriangleMesh:
         m = read_triangle_mesh(node, ele, edge)
         assert np.all(m.signed_areas() > 0)
 
+    def test_boundary_edge_outside_every_triangle(self):
+        # the unit square cut along (1, 3): the other diagonal is no triangle side
+        node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
+        ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
+        edge = "2 1\n1 1 2 1\n2 2 4 1\n"
+        with pytest.raises(MeshFormatError, match=r"boundary edge \(1, 3\) does not belong"):
+            read_triangle_mesh(node, ele, edge)
+
     def test_malformed_header(self):
         with pytest.raises(MeshFormatError):
             read_triangle_mesh("oops\n", "1 3 0\n1 1 2 3\n", "0 0\n")
@@ -129,6 +190,16 @@ class TestCylinderMesh:
 
     def test_labels(self, mesh):
         assert mesh.labels() == {"inflow", "outflow", "wall", "cylinder"}
+
+    def test_boundary_orientation_matches_loop_reference(self, mesh):
+        text = resources.files("flowrom").joinpath("data", "cylinder_coarse.edge").read_text()
+        raw = np.array([line.split()[1:3] for line in text.splitlines()[1:] if line.strip()], dtype=int)
+        raw -= 1  # the bundled files are 1-based
+        want = loop_orient(mesh.triangles, raw)
+        assert np.array_equal(mesh.boundary_edges, want)
+        flipped = raw.copy()
+        flipped[::2] = flipped[::2, ::-1]
+        assert np.array_equal(_orient_boundary_edges(mesh.vertices, mesh.triangles, flipped), want)
 
     def test_quality(self, mesh):
         # no sliver triangles: minimum angle above 20 degrees

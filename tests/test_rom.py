@@ -6,6 +6,7 @@ from flowrom.fem import NonlinearForm, nonlinear_residual, trilinear_value
 from flowrom.pod import PodBasis, build_pod_basis, project_field
 from flowrom.rom import (
     RomNewtonError,
+    RomOperators,
     assemble_rom_operators,
     reconstruct_field,
     run_rom,
@@ -141,6 +142,13 @@ class TestAssembleRomOperators:
         with pytest.raises(ValueError, match="rank"):
             assemble_rom_operators(space, basis, basis.rank + 1, "skew", nu=0.1)
 
+    def test_tensor_is_read_only(self, rom_setup):
+        # the symmetrized tensor is formed at construction and must not go stale
+        space, _, basis = rom_setup
+        ops = assemble_rom_operators(space, basis, min(3, basis.rank), "skew", nu=0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            ops.tensor[0, 0, 0] = 1.0
+
     def test_rerun_is_bit_identical(self, rom_setup):
         space, _, basis = rom_setup
         r = min(6, basis.rank)
@@ -155,7 +163,7 @@ class TestRunRom:
         space, _, basis = rom_setup
         r = min(6, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
-        ops.tensor[:] = 0.0
+        ops = RomOperators(visc=ops.visc, tensor=np.zeros_like(ops.tensor))
         rng = np.random.default_rng(31)
         a0 = rng.standard_normal(r)
         dt, nsteps = 0.1, 12
@@ -189,7 +197,7 @@ class TestRunRom:
         space, _, basis = rom_setup
         r = min(4, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=1e-6)
-        ops.tensor[:] = 0.0
+        ops = RomOperators(visc=ops.visc, tensor=np.zeros_like(ops.tensor))
         # a stiff unstable linear term the dt cannot resolve: backward Euler
         # still solves it, so force failure via the iteration budget
         ops.visc[:] = -1e8 * np.eye(r)
@@ -206,6 +214,50 @@ class TestRunRom:
         t_be = run_rom(ops, a0, 0.02, 0.02, scheme="backward_euler")
         t_bdf = run_rom(ops, a0, 0.02, 0.04, scheme="bdf2")
         assert np.abs(t_be.coeffs[1] - t_bdf.coeffs[1]).max() < 1e-9
+
+
+def loop_reference(ops, a0, dt, t_end, scheme):
+    """The reduced Newton loop with three tensor contractions and np.linalg.solve per iteration."""
+    r = ops.r
+    m = ops.tensor.shape[1]
+    flat = ops.tensor.reshape(r * m, m)
+    visc_modes = ops.visc[:, m - r:]
+    a, a_prev = np.array(a0, dtype=float), None
+    coeffs, iters = [a], [0]
+    for n in range(int(round(t_end / dt))):
+        bdf2 = scheme == "bdf2" and a_prev is not None
+        alpha = 1.5 if bdf2 else 1.0
+        shift = alpha / dt * np.eye(r) + visc_modes
+        hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
+        a_new = a.copy()
+        for it in range(21):
+            c = ops.extend(a_new)
+            res = alpha / dt * a_new - hist + (flat @ c).reshape(r, m) @ c + ops.visc @ c
+            if not np.isfinite(np.linalg.norm(res)) or it == 20:
+                raise RomNewtonError("diverged", step=n + 1)
+            if np.linalg.norm(res) <= 1e-10:
+                break
+            jac = shift + ((flat @ c).reshape(r, m) + np.matmul(c, ops.tensor))[:, m - r:]
+            a_new = a_new + np.linalg.solve(jac, -res)
+        a_prev, a = a, a_new
+        coeffs.append(a)
+        iters.append(it)
+    return np.array(coeffs), np.array(iters)
+
+
+class TestNewtonLoopReference:
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_matches_three_contraction_loop(self, rom_setup, form, centering):
+        space, snaps, _ = rom_setup
+        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        r = min(12, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
+        coeffs, iters = loop_reference(ops, a0, 0.02, 0.5, "bdf2")
+        traj = run_rom(ops, a0, 0.02, 0.5, scheme="bdf2")
+        assert np.array_equal(traj.newton_iters, iters)
+        assert np.abs(traj.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
 
 
 class TestRomEnergy:
