@@ -20,11 +20,10 @@ from .fem import _p2_basis, _p2_ref_grads
 
 @dataclass
 class ScalarSeries:
-    """A labeled time series with strictly increasing times."""
+    """A time series with strictly increasing times."""
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -92,12 +91,7 @@ def _edge_quadrature_data(space, label):
     if idx.size == 0:
         raise ValueError(f"mesh has no boundary edges labeled {label!r}")
     edges = mesh.boundary_edges[idx]
-
-    directed = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            directed[(int(a), int(b))] = t
-    cells = np.array([directed[(int(a), int(b))] for a, b in edges], dtype=int)
+    cells = mesh.boundary_cells[idx]
 
     pa = mesh.vertices[edges[:, 0]]
     pb = mesh.vertices[edges[:, 1]]
@@ -197,5 +191,5 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
         linf_l2=float(err_l2.max()),
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(u_h1[1:].max()),
-        div_series=ScalarSeries(times=times, values=u_div.copy(), label="div_error"),
+        div_series=ScalarSeries(times=times, values=u_div.copy()),
     )

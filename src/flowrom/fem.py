@@ -99,18 +99,12 @@ def _p2_basis(bary):
 
 def _p2_ref_grads(bary):
     """P2 reference gradients at barycentric points: (nq, 6, 2)."""
-    nq = bary.shape[0]
     # gradients of barycentric coordinates on the reference triangle
     gl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    out = np.zeros((nq, 6, 2))
-    for q in range(nq):
-        l = bary[q]
-        for i in range(3):
-            out[q, i] = (4 * l[i] - 1) * gl[i]
-        out[q, 3] = 4 * (l[1] * gl[2] + l[2] * gl[1])
-        out[q, 4] = 4 * (l[2] * gl[0] + l[0] * gl[2])
-        out[q, 5] = 4 * (l[0] * gl[1] + l[1] * gl[0])
-    return out
+    l = bary[:, :, None]
+    # midpoint node 3 + i lies on the edge (j, k) opposite vertex i
+    j, k = [1, 2, 0], [2, 0, 1]
+    return np.concatenate([(4 * l - 1) * gl, 4 * (l[:, j] * gl[k] + l[:, k] * gl[j])], axis=1)
 
 
 def _resolve_roots(master):
@@ -236,16 +230,10 @@ class TaylorHoodSpace:
         nv = mesh.num_vertices
         tris = mesh.triangles
 
-        # global edges as sorted vertex pairs, found as the integer keys
-        # lo * nv + hi; local edge i is opposite vertex i
-        local = tris[:, [[1, 2], [2, 0], [0, 1]]]
-        keys, inverse = np.unique((local.min(axis=2) * nv + local.max(axis=2)).ravel(),
-                                  return_inverse=True)
-        self.edges = np.column_stack(np.divmod(keys, nv))
-        self.cell_edges = inverse.reshape(-1, 3)
-
+        # the mesh's edge table: midpoint node nv + e sits on edge e
+        self.edges = mesh.edges
+        self.cell_edges = mesh.cell_edges
         self.n_vertices = nv
-        self.n_edges = keys.size
 
         # periodic folding: vertices from the mesh pairs (a slave listed
         # twice keeps its last master), midpoints through the induced edge
@@ -448,10 +436,10 @@ class TaylorHoodSpace:
         out = out.reshape((2, 3) + u.shape[:-1] + (nt, nq))
         return out[:, 0], out[:, 1:]
 
-    def interpolate_velocity(self, fn, time=0.0):
-        """Nodal interpolation of ``fn(x, y, t) -> (u1, u2)`` onto the P2 nodes."""
+    def interpolate_velocity(self, fn):
+        """Nodal interpolation of ``fn(x, y, t) -> (u1, u2)`` at t = 0 onto the P2 nodes."""
         x, y = self.scalar_xy[:, 0], self.scalar_xy[:, 1]
-        u1, u2 = fn(x, y, time)
+        u1, u2 = fn(x, y, 0.0)
         u = np.empty(self.n_vel)
         u[0::2] = u1
         u[1::2] = u2
@@ -474,12 +462,9 @@ class TaylorHoodSpace:
         idx = self.mesh.boundary_edges_with_label(label)
         if idx.size == 0:
             raise ValueError(f"mesh has no boundary edges labeled {label!r}")
-        ends = self.mesh.boundary_edges[idx]
-        nv = self.n_vertices
-        # the global edges are sorted by their keys lo * nv + hi
-        edge = np.searchsorted(self.edges[:, 0] * nv + self.edges[:, 1],
-                               ends.min(axis=1) * nv + ends.max(axis=1))
-        out = np.unique(self.scalar_index[np.concatenate([ends.ravel(), nv + edge])])
+        ends = self.mesh.boundary_edges[idx].ravel()
+        mids = self.n_vertices + self.mesh.boundary_edge_ids[idx]
+        out = np.unique(self.scalar_index[np.concatenate([ends, mids])])
         self._cache[key] = out
         return out
 
@@ -674,14 +659,14 @@ def constrain_rows(matrix, mask):
     return keep @ matrix + sp.diags(mask.astype(float), format="csr")
 
 
-def apply_constraints(space, matrix, rhs, boundary_values, time=0.0):
-    """Impose essential conditions on an assembled system.
+def apply_constraints(space, matrix, rhs, boundary_values):
+    """Impose essential conditions, evaluated at t = 0, on an assembled system.
 
     Works on velocity-only or saddle-point systems (see
     :func:`constraint_mask`).  Constrained rows become identity rows whose
     right-hand side carries the prescribed values.
     """
-    mask, vals = constraint_mask(space, boundary_values, time, matrix.shape[0])
+    mask, vals = constraint_mask(space, boundary_values, 0.0, matrix.shape[0])
     rhs = np.array(rhs, dtype=float, copy=True)
     rhs[mask] = vals[mask]
     return constrain_rows(sp.csr_matrix(matrix), mask), rhs

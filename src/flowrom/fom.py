@@ -43,7 +43,7 @@ Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .fem import (
 )
 from .numerics import factorize, solve_sparse
 from .pod import SnapshotSet
+from .rom import reconstruct_field
 from .diagnostics import ScalarSeries, drag_coefficient, energy_enstrophy
 
 
@@ -212,17 +213,18 @@ def cylinder_boundary():
     }
 
 
-def stokes_project(space, u, boundary=None, time=0.0):
+def stokes_project(space, u, boundary):
     """L2-project a velocity field onto the discretely divergence-free subspace.
 
     Solves the constrained projection (w, v) - (lam, div v) = (u, v),
-    (div w, q) = 0 with the essential values of ``boundary`` held fixed.
+    (div w, q) = 0 with the essential values of ``boundary`` at t = 0 held
+    fixed.
     Interpolated initial data generally violates the weak mass constraint;
     projecting it makes every snapshot of a run satisfy it, which the POD
     space inherits.
     """
     rhs = np.concatenate([space.mass() @ u, np.zeros(space.n_press)])
-    a, b = apply_constraints(space, saddle_block(space, 1.0, 0.0), rhs, boundary or {}, time)
+    a, b = apply_constraints(space, saddle_block(space, 1.0, 0.0), rhs, boundary)
     x = solve_sparse(a, b, space.saddle_order())
     return x[: space.n_vel]
 
@@ -360,17 +362,13 @@ def rom_drag_series(space, config, basis, trajectory, stride=5):
     the reconstructed state at the previous time level; the viscous part
     uses the reduced velocity itself.  Sampled every ``stride``-th step.
     """
-    import dataclasses
-
-    from .rom import reconstruct_field
-
     if config.drag_label is None:
         raise ValueError("no drag boundary label configured")
     times = trajectory.times
     if times.size < 2:
         raise ValueError("trajectory too short for pressure recovery")
     dt = float(times[1] - times[0])
-    cfg = dataclasses.replace(config, dt=dt, t_end=max(config.t_end, dt))
+    cfg = replace(config, dt=dt, t_end=max(config.t_end, dt))
     # every sample is a backward-Euler step at the same dt: one held factor
     held = HeldFactor()
     out_t, out_v = [], []
@@ -418,7 +416,7 @@ def run_fom(config, mesh, space, u0):
     mask, vals = constraint_mask(space, config.boundary, 0.0, space.n_vel)
     u0[mask] = vals[mask]
     if config.project_initial:
-        u0 = stokes_project(space, u0, config.boundary, 0.0)
+        u0 = stokes_project(space, u0, config.boundary)
     state = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
 
     snap_at = set(snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))
@@ -455,8 +453,7 @@ def run_fom(config, mesh, space, u0):
             states.append(state)
 
     t_arr = np.array(times)
-    out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_), label=name)
-                  for name, vals_ in series.items()}
+    out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}
     snapshots = SnapshotSet(
         matrix=np.array(columns).T if columns else np.zeros((space.n_vel, 0)),
         times=np.array(snap_times),

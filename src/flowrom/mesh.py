@@ -6,6 +6,17 @@ with direction ``d`` is then ``(d_y, -d_x)`` (this also holds on interior
 hole boundaries such as the cylinder, where "outward" means out of the
 fluid).
 
+Every mesh carries one edge table, built once from its triangles and
+carried over unchanged by :func:`identify_periodic`.  The edges are the
+sorted vertex pairs ``(lo, hi)`` of the triangles' sides, ordered by the
+integer key ``lo * nv + hi``; ``cell_edges`` numbers each triangle's local
+edge i, the edge opposite vertex i; and each boundary edge knows its global
+edge and the one triangle that holds it.  The Taylor-Hood numbering, the
+essential boundary nodes and the drag integral all read this table, and no
+other module derives edges from triangles.  A boundary edge takes the
+direction of that triangle's counterclockwise side, which puts the domain
+on its left.
+
 Triangle-generator text layout accepted by :func:`read_triangle_mesh`:
 
 * ``.node``:  ``<#vertices> <dim> <#attrs> <#markers>`` then one line per
@@ -33,6 +44,9 @@ class MeshFormatError(ValueError):
 class Mesh:
     """Planar triangulation with labeled boundary and periodic identifications.
 
+    Built by :func:`uniform_rect_mesh` or :func:`read_triangle_mesh`, which
+    fill in the edge table (``edges`` to ``boundary_cells``).
+
     Attributes
     ----------
     vertices : (nv, 2) float array
@@ -41,6 +55,17 @@ class Mesh:
     boundary_edges : (nb, 2) int array
         Oriented with the domain on the left.
     boundary_labels : tuple of str, length nb
+    edges : (ne, 2) int array
+        Every edge once, as its sorted vertex pair ``(lo, hi)``, in the
+        order of the key ``lo * nv + hi``.
+    cell_edges : (nt, 3) int array
+        Row of ``edges`` of each triangle's local edge i, which lies
+        opposite vertex i.
+    boundary_edge_ids : (nb,) int array
+        Row of ``edges`` of each boundary edge.
+    boundary_cells : (nb,) int array
+        The one triangle holding each boundary edge, as one of its
+        counterclockwise sides.
     periodic_pairs : (np, 2) int array
         Rows ``(master, slave)``; slave vertices coincide with their master
         up to a translation along one axis.
@@ -50,10 +75,15 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_labels: tuple
+    edges: np.ndarray
+    cell_edges: np.ndarray
+    boundary_edge_ids: np.ndarray
+    boundary_cells: np.ndarray
     periodic_pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
 
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles, self.boundary_edges, self.periodic_pairs):
+        for arr in (self.vertices, self.triangles, self.boundary_edges, self.edges, self.cell_edges,
+                    self.boundary_edge_ids, self.boundary_cells, self.periodic_pairs):
             arr.setflags(write=False)
 
     @property
@@ -66,11 +96,7 @@ class Mesh:
 
     def signed_areas(self):
         """Signed area of each triangle (positive for CCW orientation)."""
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
 
     def labels(self):
         """Set of distinct boundary labels."""
@@ -78,31 +104,43 @@ class Mesh:
 
     def boundary_edges_with_label(self, label):
         """Indices into ``boundary_edges`` carrying ``label``."""
-        return np.array([i for i, lab in enumerate(self.boundary_labels) if lab == label], dtype=int)
+        return np.flatnonzero(np.array(self.boundary_labels, dtype=str) == label)
 
 
-def _orient_boundary_edges(vertices, triangles, edges):
-    """Flip boundary edges so the adjacent triangle lies on their left.
+def _signed_areas(vertices, triangles):
+    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
+    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    Directed edges are matched as integer keys ``a * nv + b`` against the
-    sorted keys of the triangles' counterclockwise sides.
+
+def _build_mesh(vertices, triangles, boundary, labels):
+    """A :class:`Mesh` with its edge table; ``boundary`` edges may come in either direction.
+
+    The edges are the distinct integer keys ``lo * nv + hi`` of the
+    triangles' sides.  Each boundary edge is looked up among them and must
+    be a side of exactly one triangle; that side gives both the triangle and
+    the edge's direction.
     """
     nv = len(vertices)
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    sides = triangles[:, [[1, 2], [2, 0], [0, 1]]]    # counterclockwise, side i opposite vertex i
+    keys, first, inverse, counts = np.unique((sides.min(axis=2) * nv + sides.max(axis=2)).ravel(),
+                                             return_index=True, return_inverse=True, return_counts=True)
+    boundary = np.asarray(boundary, dtype=int).reshape(-1, 2)
+    bkeys = boundary.min(axis=1) * nv + boundary.max(axis=1)
+    ids = np.searchsorted(keys, bkeys)
     # closed by a key above every edge's, so that a search never runs off the end
-    sides = np.sort(np.append(triangles * nv + np.roll(triangles, -1, axis=1), nv * nv))
-
-    def is_side(a, b):
-        key = a * nv + b
-        return sides[np.searchsorted(sides, key)] == key
-
-    forward = is_side(edges[:, 0], edges[:, 1])
-    backward = is_side(edges[:, 1], edges[:, 0])
-    bad = np.flatnonzero(~(forward | backward))
-    if bad.size:
-        a, b = edges[bad[0]]
+    missing = np.append(keys, nv * nv)[ids] != bkeys
+    if missing.any():
+        a, b = boundary[np.argmax(missing)]
         raise MeshFormatError(f"boundary edge ({a}, {b}) does not belong to any triangle")
-    return np.where(forward[:, None], edges, edges[:, ::-1])
+    shared = counts[ids] > 1
+    if shared.any():
+        a, b = boundary[np.argmax(shared)]
+        raise MeshFormatError(f"boundary edge ({a}, {b}) is shared by more than one triangle")
+    side = first[ids]
+    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=sides.reshape(-1, 2)[side],
+                boundary_labels=tuple(labels), edges=np.column_stack(np.divmod(keys, nv)),
+                cell_edges=inverse.reshape(-1, 3), boundary_edge_ids=ids, boundary_cells=side // 3)
 
 
 def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
@@ -139,20 +177,7 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
         np.stack([np.column_stack([j + nx, j + 2 * nx + 1]), np.column_stack([j + nx + 1, j])],
                  axis=1).reshape(-1, 2),
     ])
-    labels = ("bottom", "top") * nx + ("right", "left") * ny
-    boundary_edges = _orient_boundary_edges(vertices, triangles, edges)
-    return Mesh(vertices=vertices, triangles=triangles,
-                boundary_edges=boundary_edges, boundary_labels=tuple(labels))
-
-
-def _parse_counts(line, nfields, what, lineno):
-    parts = line.split()
-    if len(parts) < nfields:
-        raise MeshFormatError(f"{what} header at line {lineno}: expected {nfields} fields, got {len(parts)}")
-    try:
-        return [int(p) for p in parts[:nfields]]
-    except ValueError as exc:
-        raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
+    return _build_mesh(vertices, triangles, edges, ("bottom", "top") * nx + ("right", "left") * ny)
 
 
 def _data_lines(text):
@@ -163,34 +188,57 @@ def _data_lines(text):
             yield lineno, line
 
 
+def _records(text, what, nheader, noun, expected, min_fields):
+    """Read one Triangle-format text: a header of ``nheader`` counts, then one record per item.
+
+    Yields the header's ``(lineno, counts)``, then ``(lineno, fields)`` for
+    each of the ``counts[0]`` records.  An empty text, a malformed header,
+    an early end (counted in ``noun``) and a record of fewer than
+    ``min_fields(counts)`` fields (described by ``expected``) raise
+    :class:`MeshFormatError`.
+    """
+    lines = _data_lines(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise MeshFormatError(f"empty {what} input") from None
+    parts = header.split()
+    if len(parts) < nheader:
+        raise MeshFormatError(f"{what} header at line {lineno}: expected {nheader} fields, got {len(parts)}")
+    try:
+        counts = [int(p) for p in parts[:nheader]]
+    except ValueError as exc:
+        raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
+    yield lineno, counts
+    for k in range(counts[0]):
+        try:
+            lineno, line = next(lines)
+        except StopIteration:
+            raise MeshFormatError(f"{what}: expected {counts[0]} {noun}, file ended after {k}") from None
+        parts = line.split()
+        if len(parts) < min_fields(counts):
+            raise MeshFormatError(f"{what} at line {lineno}: expected {expected}")
+        yield lineno, parts
+
+
 def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     """Build a :class:`Mesh` from Triangle-generator text files.
 
     ``marker_labels`` maps integer boundary markers to label strings; markers
     without an entry become ``"marker<k>"``.  Triangles are reoriented to CCW;
     malformed counts, dangling vertex indices, and zero-area triangles raise
-    :class:`MeshFormatError` with the offending line number.
+    :class:`MeshFormatError` with the offending line number.  So does a
+    boundary edge that is not the side of exactly one triangle, naming it.
     """
     marker_labels = dict(marker_labels or {})
 
-    lines = _data_lines(node_text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MeshFormatError("empty .node input") from None
-    nv, dim, nattr, nmark = _parse_counts(header, 4, ".node", lineno)
+    records = _records(node_text, ".node", 4, "vertices", "index, x, y", lambda c: 3 + c[2])
+    lineno, (nv, dim, _, _) = next(records)
     if dim != 2:
         raise MeshFormatError(f".node at line {lineno}: expected dimension 2, got {dim}")
     vertices = np.zeros((nv, 2))
     first_index = None
-    for k in range(nv):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f".node: expected {nv} vertices, file ended after {k}") from None
-        parts = line.split()
-        if len(parts) < 3 + nattr:
-            raise MeshFormatError(f".node at line {lineno}: expected index, x, y")
+    for k, (lineno, parts) in enumerate(records):
         idx = int(parts[0])
         if first_index is None:
             first_index = idx
@@ -202,33 +250,19 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
         vertices[row] = [float(parts[1]), float(parts[2])]
     base = first_index or 0
 
-    lines = _data_lines(ele_text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MeshFormatError("empty .ele input") from None
-    nt, npe, _ = _parse_counts(header, 3, ".ele", lineno)
+    records = _records(ele_text, ".ele", 3, "triangles", "index and three vertices", lambda c: 4)
+    lineno, (nt, npe, _) = next(records)
     if npe != 3:
         raise MeshFormatError(f".ele at line {lineno}: only 3-node triangles are supported, got {npe}")
     triangles = np.zeros((nt, 3), dtype=int)
-    for k in range(nt):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f".ele: expected {nt} triangles, file ended after {k}") from None
-        parts = line.split()
-        if len(parts) < 4:
-            raise MeshFormatError(f".ele at line {lineno}: expected index and three vertices")
+    for k, (lineno, parts) in enumerate(records):
         tri = np.array([int(parts[1]), int(parts[2]), int(parts[3])]) - base
         if tri.min() < 0 or tri.max() >= nv:
             raise MeshFormatError(f".ele at line {lineno}: vertex index out of range (have {nv} vertices)")
         triangles[k] = tri
 
     # fix orientation and reject degenerate triangles
-    p = vertices
-    d1 = p[triangles[:, 1]] - p[triangles[:, 0]]
-    d2 = p[triangles[:, 2]] - p[triangles[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = _signed_areas(vertices, triangles)
     scale = np.abs(areas).max() if nt else 1.0
     bad = np.flatnonzero(np.abs(areas) <= 1e-14 * scale)
     if bad.size:
@@ -236,22 +270,11 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    lines = _data_lines(boundary_text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MeshFormatError("empty boundary input") from None
-    nb, _ = _parse_counts(header, 2, "boundary", lineno)
+    records = _records(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker", lambda c: 4)
+    _, (nb, _) = next(records)
     edges = np.zeros((nb, 2), dtype=int)
     labels = []
-    for k in range(nb):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"boundary: expected {nb} edges, file ended after {k}") from None
-        parts = line.split()
-        if len(parts) < 4:
-            raise MeshFormatError(f"boundary at line {lineno}: expected index, v1, v2, marker")
+    for k, (lineno, parts) in enumerate(records):
         e = np.array([int(parts[1]), int(parts[2])]) - base
         if e.min() < 0 or e.max() >= nv:
             raise MeshFormatError(f"boundary at line {lineno}: vertex index out of range")
@@ -259,9 +282,7 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
         marker = int(parts[3])
         labels.append(marker_labels.get(marker, f"marker{marker}"))
 
-    boundary_edges = _orient_boundary_edges(vertices, triangles, edges)
-    return Mesh(vertices=vertices, triangles=triangles,
-                boundary_edges=boundary_edges, boundary_labels=tuple(labels))
+    return _build_mesh(vertices, triangles, edges, labels)
 
 
 def identify_periodic(mesh, axis, tolerance=None):

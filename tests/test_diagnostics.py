@@ -5,6 +5,7 @@ from scipy.integrate import quad
 import flowrom
 from flowrom.diagnostics import (
     ScalarSeries,
+    _edge_quadrature_data,
     drag_coefficient,
     energy_enstrophy,
     trajectory_error,
@@ -59,6 +60,33 @@ class TestEnergyEnstrophy:
         a = rng.standard_normal(r)
         energy, _ = energy_enstrophy(space, reconstruct_field(basis, a))
         assert energy == pytest.approx(0.5 * float(a @ a), rel=1e-10)
+
+
+def directed_side_cells(mesh, edges):
+    """The triangle holding each oriented boundary edge as a counterclockwise side,
+    from a dict over every triangle's directed sides."""
+    directed = {}
+    for t, tri in enumerate(mesh.triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            directed[(int(a), int(b))] = t
+    return np.array([directed[(int(a), int(b))] for a, b in edges], dtype=int)
+
+
+class TestBoundaryCells:
+    @pytest.mark.parametrize("label", ["inflow", "outflow", "wall", "cylinder"])
+    def test_cylinder_matches_directed_side_reference(self, cylinder_space, label):
+        mesh = cylinder_space.mesh
+        edges = mesh.boundary_edges[mesh.boundary_edges_with_label(label)]
+        cells = _edge_quadrature_data(cylinder_space, label)["cells"]
+        assert np.array_equal(cells, directed_side_cells(mesh, edges))
+
+    @pytest.mark.parametrize("label", ["left", "right", "top", "bottom"])
+    def test_rect_matches_directed_side_reference(self, label):
+        space = TaylorHoodSpace(flowrom.identify_periodic(flowrom.uniform_rect_mesh(5, 4), "x"))
+        mesh = space.mesh
+        edges = mesh.boundary_edges[mesh.boundary_edges_with_label(label)]
+        cells = _edge_quadrature_data(space, label)["cells"]
+        assert np.array_equal(cells, directed_side_cells(mesh, edges))
 
 
 class TestDragCoefficient:

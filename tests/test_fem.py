@@ -8,6 +8,7 @@ from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,
     _density,
+    _p2_ref_grads,
     _transport,
     apply_constraints,
     assemble_linear_operators,
@@ -75,6 +76,25 @@ def oracle_integral(mesh, density_at):
     areas = mesh.signed_areas()
     vals = density_at(bary)
     return float(np.einsum("q,e,eq->", w, 2 * areas, vals))
+
+
+def loop_p2_ref_grads(bary):
+    """P2 reference gradients, one point and one basis function at a time."""
+    gl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    out = np.zeros((bary.shape[0], 6, 2))
+    for q, l in enumerate(bary):
+        for i in range(3):
+            out[q, i] = (4 * l[i] - 1) * gl[i]
+        out[q, 3] = 4 * (l[1] * gl[2] + l[2] * gl[1])
+        out[q, 4] = 4 * (l[2] * gl[0] + l[0] * gl[2])
+        out[q, 5] = 4 * (l[0] * gl[1] + l[1] * gl[0])
+    return out
+
+
+def test_p2_ref_grads_match_loop_reference():
+    bary = np.random.default_rng(8).random((200, 3))
+    bary /= bary.sum(axis=1, keepdims=True)
+    assert np.array_equal(_p2_ref_grads(bary), loop_p2_ref_grads(bary))
 
 
 class TestFieldEvaluation:

@@ -3,9 +3,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from flowrom.fem import TaylorHoodSpace
 from flowrom.mesh import (
     MeshFormatError,
-    _orient_boundary_edges,
+    _build_mesh,
     identify_periodic,
     load_bundled_mesh,
     read_triangle_mesh,
@@ -51,6 +52,16 @@ def loop_rect_mesh(nx, ny):
         labels += ["right", "left"]
     triangles = np.array(tris, dtype=int)
     return triangles, loop_orient(triangles, edges), tuple(labels)
+
+
+def loop_edge_table(mesh):
+    """Global edges as sorted pairs in lexicographic order, and each triangle's
+    local edges (local edge i opposite vertex i), by dicts and loops."""
+    sides = [[tuple(sorted((int(t[a]), int(t[b])))) for a, b in ((1, 2), (2, 0), (0, 1))]
+             for t in mesh.triangles]
+    edges = sorted({e for row in sides for e in row})
+    edge_id = {e: i for i, e in enumerate(edges)}
+    return np.array(edges, dtype=int), np.array([[edge_id[e] for e in row] for row in sides], dtype=int)
 
 
 def euler_characteristic(mesh):
@@ -155,9 +166,92 @@ class TestReadTriangleMesh:
         with pytest.raises(MeshFormatError, match=r"boundary edge \(1, 3\) does not belong"):
             read_triangle_mesh(node, ele, edge)
 
+    def test_boundary_edge_inside_the_domain(self):
+        # the unit square cut along (1, 3), whose diagonal is listed as boundary
+        node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
+        ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
+        edge = "5 1\n1 1 2 1\n2 2 3 1\n3 3 4 1\n4 4 1 1\n5 3 1 2\n"
+        with pytest.raises(MeshFormatError, match=r"boundary edge \(2, 0\) is shared by more than one triangle"):
+            read_triangle_mesh(node, ele, edge)
+
     def test_malformed_header(self):
         with pytest.raises(MeshFormatError):
             read_triangle_mesh("oops\n", "1 3 0\n1 1 2 3\n", "0 0\n")
+
+    NODE = "# unit triangle\n3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
+    ELE = "1 3 0\n1 1 2 3\n"
+    EDGE = "3 1\n1 1 2 1\n2 2 3 1\n3 3 1 1\n"
+
+    @pytest.mark.parametrize("which, text, message", [
+        ("node", "", "empty .node input"),
+        ("node", "# unit triangle\n3 2 0 0\n1 0 0\n\n2 1 0\n", ".node: expected 3 vertices, file ended after 2"),
+        ("node", "# unit triangle\n3 2 0 0\n1 0 0\n2 1\n3 0 1\n", ".node at line 4: expected index, x, y"),
+        ("node", "3 2 1 0\n1 0 0 7\n2 1 0\n3 0 1 7\n", ".node at line 3: expected index, x, y"),
+        ("ele", "", "empty .ele input"),
+        ("ele", "2 3 0\n1 1 2 3\n", ".ele: expected 2 triangles, file ended after 1"),
+        ("ele", "1 3 0\n# the only triangle\n1 1 2\n", ".ele at line 3: expected index and three vertices"),
+        ("edge", "", "empty boundary input"),
+        ("edge", "3 1\n1 1 2 1\n", "boundary: expected 3 edges, file ended after 1"),
+        ("edge", "3 1\n1 1 2 1\n2 2 3\n3 3 1 1\n", "boundary at line 3: expected index, v1, v2, marker"),
+    ])
+    def test_truncated_and_short_record_messages(self, which, text, message):
+        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
+        files[which] = text
+        with pytest.raises(MeshFormatError) as err:
+            read_triangle_mesh(files["node"], files["ele"], files["edge"])
+        assert str(err.value) == message
+
+    def test_well_formed_counterpart_reads(self):
+        m = read_triangle_mesh(self.NODE, self.ELE, self.EDGE)
+        assert m.num_vertices == 3 and m.num_triangles == 1
+        assert m.boundary_labels == ("marker1",) * 3
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("nx, ny, periodic", [(1, 1, ""), (3, 2, ""), (5, 7, "x"), (6, 6, "xy")])
+    def test_rect_matches_loop_reference(self, nx, ny, periodic):
+        mesh = uniform_rect_mesh(nx, ny)
+        for axis in periodic:
+            mesh = identify_periodic(mesh, axis)
+        space = TaylorHoodSpace(mesh)
+        edges, cell_edges = loop_edge_table(mesh)
+        for got, want in ((space.edges, edges), (space.cell_edges, cell_edges)):
+            assert np.array_equal(got, want)
+
+    def test_cylinder_matches_loop_reference(self, cylinder_mesh):
+        space = TaylorHoodSpace(cylinder_mesh)
+        edges, cell_edges = loop_edge_table(cylinder_mesh)
+        assert np.array_equal(space.edges, edges)
+        assert np.array_equal(space.cell_edges, cell_edges)
+        # local edge i joins the two vertices other than vertex i
+        ends = space.edges[space.cell_edges]
+        others = np.sort(cylinder_mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+        assert np.array_equal(ends, others)
+
+    @pytest.mark.parametrize("name", ["rect", "cylinder"])
+    def test_boundary_rows_and_cells_match_loop_reference(self, cylinder_mesh, name):
+        mesh = cylinder_mesh if name == "cylinder" else uniform_rect_mesh(5, 3)
+        edges, _ = loop_edge_table(mesh)
+        edge_id = {tuple(e): i for i, e in enumerate(edges.tolist())}
+        ccw_side = {}
+        for t, tri in enumerate(mesh.triangles.tolist()):
+            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                ccw_side[(a, b)] = t
+        for field in ("edges", "cell_edges", "boundary_edge_ids", "boundary_cells"):
+            assert getattr(mesh, field).dtype == edges.dtype, field
+        assert np.array_equal(mesh.edges, edges)
+        for (a, b), e, t in zip(mesh.boundary_edges.tolist(), mesh.boundary_edge_ids, mesh.boundary_cells):
+            assert e == edge_id[(min(a, b), max(a, b))]
+            assert t == ccw_side[(a, b)]
+
+    def test_space_and_periodic_meshes_share_the_table(self):
+        mesh = uniform_rect_mesh(4, 3)
+        periodic = identify_periodic(identify_periodic(mesh, "x"), "y")
+        for name in ("edges", "cell_edges", "boundary_edge_ids", "boundary_cells"):
+            assert getattr(periodic, name) is getattr(mesh, name)
+            assert not getattr(mesh, name).flags.writeable
+        space = TaylorHoodSpace(periodic)
+        assert space.edges is mesh.edges and space.cell_edges is mesh.cell_edges
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +293,23 @@ class TestCylinderMesh:
         assert np.array_equal(mesh.boundary_edges, want)
         flipped = raw.copy()
         flipped[::2] = flipped[::2, ::-1]
-        assert np.array_equal(_orient_boundary_edges(mesh.vertices, mesh.triangles, flipped), want)
+        rebuilt = _build_mesh(mesh.vertices, mesh.triangles, flipped, mesh.boundary_labels)
+        assert np.array_equal(rebuilt.boundary_edges, want)
+
+    def test_every_third_edge_flipped_on_input(self, mesh):
+        data = resources.files("flowrom").joinpath("data")
+        node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text() for ext in ("node", "ele", "edge"))
+        lines = edge.splitlines()
+        for k in range(1, len(lines), 3):
+            i, a, b, marker = lines[k].split()
+            lines[k] = f"{i} {b} {a} {marker}"
+        assert lines != edge.splitlines()
+        flipped = read_triangle_mesh(node, ele, "\n".join(lines) + "\n",
+                                     marker_labels={1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"})
+        assert np.array_equal(flipped.boundary_edges, mesh.boundary_edges)
+        assert flipped.boundary_labels == mesh.boundary_labels
+        raw = np.array([line.split()[1:3] for line in edge.splitlines()[1:]], dtype=int) - 1
+        assert np.array_equal(flipped.boundary_edges, loop_orient(mesh.triangles, raw))
 
     def test_quality(self, mesh):
         # no sliver triangles: minimum angle above 20 degrees
