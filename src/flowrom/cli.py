@@ -63,7 +63,7 @@ from .fom import (
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
 from .numerics import SingularSystemError
 from .pod import build_pod_basis, pod_projection_error, project_field
-from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, run_rom
+from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, project_fields, run_rom
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,7 +205,23 @@ def cmd_fom(args):
     return EXIT_OK
 
 
+def _mode_count(cp, rank, override=None):
+    """r from ``override``, else ``[rom] r``, else ``rank``; one integer of at least 1."""
+    try:
+        r = override if override is not None else int(cp.get("rom", "r", fallback=rank))
+    except ValueError as exc:
+        raise ConfigError(f"[rom] r must be one integer, got {cp.get('rom', 'r')!r}") from exc
+    if r < 1:
+        raise ConfigError(f"requested r={r} is outside 1..{rank} (the basis rank)")
+    return r
+
+
 def cmd_pod(args):
+    """Build the basis and store with it the projection of its leading fields.
+
+    The projection covers the r that ``rom`` defaults to, ``[rom] r`` or
+    the rank, so a ``rom`` run at that r or below only slices it.
+    """
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     space = problem.space
@@ -213,6 +229,8 @@ def cmd_pod(args):
     snaps = fio.read_snapshots(args.archive, space=space)
     prefix = _out_prefix(cp, args.out)
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+    r = min(_mode_count(cp, basis.rank), basis.rank)
+    basis.projection = project_fields(space, basis.fields(r))
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],
                   [np.arange(1, basis.rank + 1), basis.eigenvalues])
@@ -233,11 +251,8 @@ def cmd_rom(args):
     fom_cfg = _fom_config(cp, problem)
     form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
     basis = fio.read_basis(args.basis, space=space)
-    try:
-        r = args.r if args.r is not None else int(cp.get("rom", "r", fallback=basis.rank))
-    except ValueError as exc:
-        raise ConfigError(f"[rom] r must be one integer, got {cp.get('rom', 'r')!r}") from exc
-    if not 1 <= r <= basis.rank:
+    r = _mode_count(cp, basis.rank, args.r)
+    if r > basis.rank:
         raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
     snaps = fio.read_snapshots(args.archive, space=space)

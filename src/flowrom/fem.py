@@ -30,8 +30,8 @@ depend on ``u`` alone (:func:`_transport`):
 * emac:        no a,  L = 2 sym(grad u) + (div u) I
 
 :func:`_density` applies them to ``v``.  The full-order residual and
-Jacobian, :func:`trilinear_value` and the reduced tensor all go through this
-pair.  Quadrature tables are component-major: values have shape
+Jacobian, :func:`trilinear_value` and the reduced convective cube all go
+through this pair.  Quadrature tables are component-major: values have shape
 (2, ..., nt, nq) and gradients (2, 2, ..., nt, nq), so the density is
 explicit arithmetic on contiguous (..., nt, nq) blocks.
 

@@ -12,12 +12,16 @@ Snapshot archive (magic ``FLOWSNP1``)::
 
 Basis archive (magic ``FLOWPOD1``)::
 
-    magic[8] | u32 version=1 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
+    magic[8] | u32 version=2 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
+             | u64 nprojected
     f64 eigenvalues[rank]
     f64 spectrum[nspectrum]
     f64 grad_norms[rank]
     f64 mean[ndof]                 # zeros when centered == 0
     f64 modes[rank][ndof]          # mode-major
+    f64 conv[m][m][m]              # the basis's RomProjection on its leading
+    f64 div[m][m][m]               # m = nprojected fields (at most centered + rank);
+    f64 gram[m][m]                 # all three absent when nprojected == 0
 
 CSV files all carry a header row and print floats with 17 significant
 digits, so rereading reproduces the values bit-exactly.
@@ -28,6 +32,7 @@ import struct
 import numpy as np
 
 from .pod import PodBasis, SnapshotSet
+from .rom import RomProjection
 
 SNAPSHOT_MAGIC = b"FLOWSNP1"
 BASIS_MAGIC = b"FLOWPOD1"
@@ -91,15 +96,21 @@ def read_snapshots(path, space=None):
 def write_basis(path, basis):
     """Write a :class:`PodBasis` to a basis archive."""
     ndof, rank = basis.modes.shape
+    proj = basis.projection
+    nproj = 0 if proj is None else proj.m
     with open(path, "wb") as fh:
         fh.write(BASIS_MAGIC)
-        fh.write(struct.pack("<IIQQQ", 1, int(basis.centered), ndof, rank, basis.spectrum.size))
+        fh.write(struct.pack("<IIQQQQ", 2, int(basis.centered), ndof, rank, basis.spectrum.size,
+                             nproj))
         fh.write(np.asarray(basis.eigenvalues, dtype="<f8").tobytes())
         fh.write(np.asarray(basis.spectrum, dtype="<f8").tobytes())
         fh.write(np.asarray(basis.grad_norms, dtype="<f8").tobytes())
         mean = basis.mean if basis.centered else np.zeros(ndof)
         fh.write(np.asarray(mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(basis.modes.T, dtype="<f8").tobytes())
+        if proj is not None:
+            for block in (proj.conv, proj.div, proj.gram):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def read_basis(path, space=None):
@@ -111,17 +122,26 @@ def read_basis(path, space=None):
         magic = _read_exact(fh, 8, "magic")
         if magic != BASIS_MAGIC:
             raise ArchiveFormatError(f"bad magic {magic!r}: not a basis archive")
-        version, centered, ndof, rank, nspec = struct.unpack("<IIQQQ", _read_exact(fh, 32, "header"))
-        if version != 1:
+        version, centered, ndof, rank, nspec, nproj = struct.unpack(
+            "<IIQQQQ", _read_exact(fh, 40, "header"))
+        if version != 2:
             raise ArchiveFormatError(f"unsupported basis archive version {version}")
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
+        n_fields = rank + bool(centered)
+        if nproj > n_fields:
+            raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields")
         _check_dofs(ndof, space)
         eigenvalues = _read_floats(fh, rank, "eigenvalues")
         spectrum = _read_floats(fh, nspec, "spectrum")
         grad_norms = _read_floats(fh, rank, "grad_norms")
         mean = _read_floats(fh, ndof, "mean")
         modes = _read_floats(fh, rank * ndof, "modes").reshape(rank, ndof).T.copy()
+        projection = None
+        if nproj:
+            cubes = _read_floats(fh, 2 * nproj**3, "projection").reshape(2, nproj, nproj, nproj)
+            gram = _read_floats(fh, nproj**2, "projection").reshape(nproj, nproj)
+            projection = RomProjection(conv=cubes[0], div=cubes[1], gram=gram)
         if fh.read(1):
             raise ArchiveFormatError("trailing bytes after basis payload")
     return PodBasis(
@@ -130,6 +150,7 @@ def read_basis(path, space=None):
         spectrum=spectrum,
         grad_norms=grad_norms,
         mean=mean if centered else None,
+        projection=projection,
     )
 
 
@@ -141,10 +162,10 @@ def write_csv(path, header, columns):
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join("%.17g" % c[i] for c in columns) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def read_csv(path):

@@ -30,6 +30,7 @@ Indices may be 0- or 1-based; the base is detected from the ``.node`` file
 and applied consistently, as the Triangle generator does.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -221,6 +222,36 @@ def _records(text, what, nheader, noun, expected, min_fields):
         yield lineno, parts
 
 
+def _table(text, what, nheader, noun, expected, min_fields, dtype):
+    """One Triangle-format text as its header ``(lineno, counts)`` and a record table.
+
+    The table holds the leading ``min_fields(counts)`` fields of each record,
+    converted by one ``np.loadtxt``.  Errors are those of :func:`_records`,
+    whose line-by-line search runs only when the conversion fails.
+    """
+    records = _records(text, what, nheader, noun, expected, min_fields)
+    lineno, counts = next(records)
+    ncols = min_fields(counts)
+    if counts[0] == 0:
+        return lineno, counts, np.empty((0, ncols), dtype=dtype)
+    rows = [line for line in (raw.split("#", 1)[0] for raw in text.splitlines()[lineno:])
+            if line.strip()][:counts[0]]
+    error = "too few records"
+    if len(rows) == counts[0]:
+        try:
+            return lineno, counts, np.loadtxt(rows, dtype=dtype, usecols=range(ncols), ndmin=2)
+        except ValueError as exc:
+            error = exc
+    for _ in records:  # raises the early end or the short record with its line
+        pass
+    raise MeshFormatError(f"{what}: {error}")
+
+
+def _record_line(text, k):
+    """Line number of record ``k`` of a Triangle-format text, for an error message."""
+    return next(itertools.islice(_data_lines(text), k + 1, None))[0]
+
+
 def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     """Build a :class:`Mesh` from Triangle-generator text files.
 
@@ -232,34 +263,29 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     """
     marker_labels = dict(marker_labels or {})
 
-    records = _records(node_text, ".node", 4, "vertices", "index, x, y", lambda c: 3 + c[2])
-    lineno, (nv, dim, _, _) = next(records)
+    lineno, (nv, dim, _, _), nodes = _table(node_text, ".node", 4, "vertices", "index, x, y",
+                                            lambda c: 3 + c[2], float)
     if dim != 2:
         raise MeshFormatError(f".node at line {lineno}: expected dimension 2, got {dim}")
-    vertices = np.zeros((nv, 2))
-    first_index = None
-    for k, (lineno, parts) in enumerate(records):
-        idx = int(parts[0])
-        if first_index is None:
-            first_index = idx
-            if first_index not in (0, 1):
-                raise MeshFormatError(f".node at line {lineno}: first vertex index must be 0 or 1")
-        row = idx - first_index
-        if row != k:
-            raise MeshFormatError(f".node at line {lineno}: vertex indices must be consecutive")
-        vertices[row] = [float(parts[1]), float(parts[2])]
-    base = first_index or 0
+    base = nodes[0, 0] if nv else 0
+    if base not in (0, 1):
+        raise MeshFormatError(f".node at line {_record_line(node_text, 0)}: first vertex index must be 0 or 1")
+    bad = np.flatnonzero(nodes[:, 0] != base + np.arange(nv))
+    if bad.size:
+        raise MeshFormatError(f".node at line {_record_line(node_text, bad[0])}: "
+                              "vertex indices must be consecutive")
+    vertices = np.ascontiguousarray(nodes[:, 1:3])
+    base = int(base)
 
-    records = _records(ele_text, ".ele", 3, "triangles", "index and three vertices", lambda c: 4)
-    lineno, (nt, npe, _) = next(records)
+    lineno, (nt, npe, _), cells = _table(ele_text, ".ele", 3, "triangles", "index and three vertices",
+                                         lambda c: 4, int)
     if npe != 3:
         raise MeshFormatError(f".ele at line {lineno}: only 3-node triangles are supported, got {npe}")
-    triangles = np.zeros((nt, 3), dtype=int)
-    for k, (lineno, parts) in enumerate(records):
-        tri = np.array([int(parts[1]), int(parts[2]), int(parts[3])]) - base
-        if tri.min() < 0 or tri.max() >= nv:
-            raise MeshFormatError(f".ele at line {lineno}: vertex index out of range (have {nv} vertices)")
-        triangles[k] = tri
+    triangles = cells[:, 1:4] - base
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=1))
+    if bad.size:
+        raise MeshFormatError(f".ele at line {_record_line(ele_text, bad[0])}: "
+                              f"vertex index out of range (have {nv} vertices)")
 
     # fix orientation and reject degenerate triangles
     areas = _signed_areas(vertices, triangles)
@@ -270,17 +296,13 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    records = _records(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker", lambda c: 4)
-    _, (nb, _) = next(records)
-    edges = np.zeros((nb, 2), dtype=int)
-    labels = []
-    for k, (lineno, parts) in enumerate(records):
-        e = np.array([int(parts[1]), int(parts[2])]) - base
-        if e.min() < 0 or e.max() >= nv:
-            raise MeshFormatError(f"boundary at line {lineno}: vertex index out of range")
-        edges[k] = e
-        marker = int(parts[3])
-        labels.append(marker_labels.get(marker, f"marker{marker}"))
+    _, _, sides = _table(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker", lambda c: 4, int)
+    edges = sides[:, 1:3] - base
+    bad = np.flatnonzero(((edges < 0) | (edges >= nv)).any(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"boundary at line {_record_line(boundary_text, bad[0])}: "
+                              "vertex index out of range")
+    labels = [marker_labels.get(m, f"marker{m}") for m in sides[:, 3].tolist()]
 
     return _build_mesh(vertices, triangles, edges, labels)
 

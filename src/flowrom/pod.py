@@ -50,6 +50,9 @@ class PodBasis:
     ``spectrum`` is the full clamped Gram spectrum (one entry per snapshot);
     ``eigenvalues`` holds the retained ``rank`` leading values.  ``mean`` is
     the snapshot average when centering was enabled, else ``None``.
+    ``projection`` is the ``rom.RomProjection`` of the leading
+    :meth:`fields` that ``flowrom pod`` stores with the basis; it is None
+    for a basis built in memory.
     """
 
     modes: np.ndarray        # (ndof, rank)
@@ -57,6 +60,7 @@ class PodBasis:
     spectrum: np.ndarray     # (M+1,)
     grad_norms: np.ndarray   # (rank,)
     mean: np.ndarray = None
+    projection: object = None
 
     @property
     def rank(self):

@@ -12,13 +12,27 @@ viscous matrix
 so the reduced residual is N(c) + V c with N(c)_i = sum_jk T[i,j,k] c_j c_k.
 A centered ROM's mean couplings and constant are the entries with j or k = 0.
 
-Offline, the m fields go through the same pointwise form densities as the
-full-order assembly (``fem._transport`` and ``fem._density``) in one element
-loop: the values, gradients and transport factors of all m fields are formed
-once, and each transported field k then costs one density over the m
-advecting fields and one (m x 2P)(2P x m) matrix product, with P = elements
-x quadrature points, so assembly is O(m^3 P): linear in the mesh, cubic in
-the modes.
+Offline, one form-free :class:`RomProjection` of the field set serves every
+form and every r: the convective cube C[i, j, k] = b_conv(X_j, X_k, X_i),
+the divergence cube D[i, j, k] = ((div X_j) X_k, X_i) and the stiffness
+Gram X^T K X.  Pointwise identities of the form densities make each form's
+tensor (over all m test fields) a fixed combination of the cubes:
+
+    convective   C
+    skew         C + D / 2
+    rotational   C[i, k, j] - C[k, i, j]       ((curl u) x v = (v.grad) u - (grad u)^T v)
+    emac         C[i, k, j] + C[k, i, j] + D
+
+and V = nu Gram.  The modes are nested, so the operators at r are the test
+rows o:o+r and fields :o+r of a projection on more fields; ``flowrom pod``
+stores one in the basis archive and :func:`assemble_rom_operators` slices
+it.  The projection goes through the full-order convective density
+(``fem._transport`` and ``fem._density``) in one element loop: the values
+and gradients of all m fields are formed once, and each transported field k
+then costs the convective density and the divergence density over the m
+advecting fields, stacked, and one (m x 2P)(2P x 2m) matrix product, with
+P = elements x quadrature points, so it is O(m^3 P): linear in the mesh,
+cubic in the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and a dense LU (LAPACK getrf and
@@ -107,33 +121,72 @@ class RomTrajectory:
             raise ValueError("trajectory length does not match times")
 
 
-def _trilinear_tensor(space, form, fields):
-    """Dense tensor T[i, j, k] = b(X_j, X_k, X_i) of the columns X of ``fields``."""
+@dataclass
+class RomProjection:
+    """Form-free projection of a field set X with m columns (``PodBasis.fields``).
+
+    Every form's reduced tensor is a fixed combination of the two cubes
+    (:data:`_COMBINATIONS`), and a leading slice of X is the field set of a
+    smaller r, so one projection serves every form and every r <= m - o.
+    """
+
+    conv: np.ndarray   # (m, m, m) C[i, j, k] = b_conv(X_j, X_k, X_i)
+    div: np.ndarray    # (m, m, m) D[i, j, k] = ((div X_j) X_k, X_i)
+    gram: np.ndarray   # (m, m)    (grad X_j, grad X_i), exactly symmetric
+
+    @property
+    def m(self):
+        return self.gram.shape[0]
+
+    def operators(self, form, nu, o, r):
+        """:class:`RomOperators` of ``form`` on the leading o + r fields (test rows o:o+r)."""
+        n = o + r
+        if n > self.m:
+            raise ValueError(f"projection holds {self.m} fields, {n} requested")
+        combine = _COMBINATIONS[NonlinearForm.parse(form)]
+        tensor = combine(self.conv[:n, :n, :n], self.div[:n, :n, :n])[o:]
+        return RomOperators(visc=nu * self.gram[o:n, :n], tensor=np.array(tensor, order="C"))
+
+
+# each form's T[i, j, k] from the cubes (the table of the module docstring):
+# c.transpose(0, 2, 1)[i, j, k] = C[i, k, j] and c.transpose(1, 2, 0)[i, j, k] = C[k, i, j]
+_COMBINATIONS = {
+    NonlinearForm.CONVECTIVE: lambda c, d: c,
+    NonlinearForm.SKEW: lambda c, d: c + 0.5 * d,
+    NonlinearForm.ROTATIONAL: lambda c, d: c.transpose(0, 2, 1) - c.transpose(1, 2, 0),
+    NonlinearForm.EMAC: lambda c, d: c.transpose(0, 2, 1) + c.transpose(1, 2, 0) + d,
+}
+
+
+def project_fields(space, fields):
+    """The :class:`RomProjection` of the columns X of ``fields``."""
     m = fields.shape[1]
     vals, grads = space.values_and_grads(np.ascontiguousarray(fields.T))  # (2, m, e, q), (2, 2, m, e, q)
     tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
-    transport = _transport(form, vals, grads)                       # all m advecting fields
-    s = np.empty((m, 2) + space.wdet.shape)                         # field j, component, e, q
-    tensor = np.empty((m, m, m))
+    transport = _transport(NonlinearForm.CONVECTIVE, vals, grads)   # all m advecting fields
+    div = (grads[0, 0] + grads[1, 1])[:, None]                      # (m, 1, e, q)
+    s = np.empty((2, m, 2) + space.wdet.shape)   # cube, advecting field j, component, e, q
+    cubes = np.empty((2, m, m, m))
     for k in range(m):
-        _density(transport, vals[:, k], grads[:, :, k], out=s.transpose(1, 0, 2, 3))
-        tensor[:, :, k] = tested @ s.reshape(m, -1).T
-    return tensor
+        _density(transport, vals[:, k], grads[:, :, k], out=s[0].transpose(1, 0, 2, 3))
+        np.multiply(div, vals[:, k], out=s[1])
+        cubes[:, :, :, k] = (tested @ s.reshape(2 * m, -1).T).reshape(m, 2, m).transpose(1, 0, 2)
+    gram = fields.T @ (space.stiffness() @ fields)
+    return RomProjection(conv=cubes[0], div=cubes[1], gram=0.5 * (gram + gram.T))
 
 
 def assemble_rom_operators(space, basis, r, form, nu):
     """Project the momentum operators onto the leading ``r`` modes.
 
-    Every tensor entry equals the full-order ``trilinear_value`` of the
-    corresponding field triple.
+    Slices ``basis.projection`` when it covers the r modes, else projects
+    ``basis.fields(r)``.  Every tensor entry equals the full-order
+    ``trilinear_value`` of the corresponding field triple.
     """
-    form = NonlinearForm.parse(form)
-    x = basis.fields(r)
-    o = x.shape[1] - r
-    tensor = _trilinear_tensor(space, form, x)[o:]
-    visc = nu * (x[:, o:].T @ (space.stiffness() @ x))
-    visc[:, o:] = 0.5 * (visc[:, o:] + visc[:, o:].T)
-    return RomOperators(visc=visc, tensor=tensor)
+    o = int(basis.centered)
+    projection = basis.projection
+    if projection is None or projection.m < o + r:
+        projection = project_fields(space, basis.fields(r))
+    return projection.operators(form, nu, o, r)
 
 
 def run_rom(ops, a0, dt, t_end, scheme="backward_euler",

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from flowrom.cli import _load_config, main
 from flowrom.fom import FomConfig
-from flowrom.io import read_csv
+from flowrom.io import read_basis, read_csv, write_basis
 
 
 MICRO_KH = """
@@ -156,6 +157,8 @@ class TestPipeline:
             assert [row[:2] for row in rows] == [[form, "3"] for form in forms]
             assert np.all(np.isfinite(np.array([row[2:] for row in rows], dtype=float)))
             outputs.append({p.name: p.read_bytes() for p in root.iterdir() if p.name != "micro.ini"})
+            stored = read_basis(basis)
+            assert stored.centered and stored.projection.m == 1 + min(3, stored.rank)  # mean, [rom] r
         assert len(outputs[0]) == 13  # archive, scalars, basis, spectrum, 4 x 2 ROM files, compare
         assert outputs[0] == outputs[1]
 
@@ -234,6 +237,33 @@ class TestErrorPaths:
         assert main(["rom", str(root / "micro_basis.bin"), "--archive", str(bad),
                      "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "non-finite value in snapshot payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["version_1", "truncated", "non_finite", "too_many_fields"])
+    def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
+        root, cfg = micro_pipeline
+        raw = bytearray((root / "micro_basis.bin").read_bytes())
+        bad = tmp_path / "bad_basis.bin"
+        rank = struct.unpack("<Q", raw[24:32])[0]
+        if defect == "version_1":
+            raw[8:12] = struct.pack("<I", 1)
+        elif defect == "truncated":
+            raw = raw[:-8]
+        elif defect == "too_many_fields":
+            raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
+        bad.write_bytes(bytes(raw))
+        if defect == "non_finite":
+            basis = read_basis(root / "micro_basis.bin")
+            basis.projection.div[1, 0, 2] = np.inf
+            write_basis(bad, basis)
+        code = main(["rom", str(bad), "--archive", str(root / "micro_snapshots.bin"),
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert {"version_1": "unsupported basis archive version 1",
+                "truncated": "truncated archive while reading projection",
+                "non_finite": "non-finite value in projection",
+                "too_many_fields": f"projected field count {rank + 1} exceeds"}[defect] in err
+        assert not list(tmp_path.glob("*_rom_*"))
 
     def test_missing_mesh_file(self, tmp_path):
         cfg = tmp_path / "cyl.ini"

@@ -13,6 +13,7 @@ from flowrom.io import (
     write_snapshots,
 )
 from flowrom.pod import SnapshotSet
+from flowrom.rom import project_fields
 
 
 class TestSnapshotArchive:
@@ -87,6 +88,18 @@ class TestBasisArchive:
         assert back.centered
         assert np.array_equal(back.mean, basis.mean)
 
+    def test_round_trip_projection(self, tmp_path, kh_run, kh_basis_session):
+        space = kh_run[1]
+        basis = dataclasses.replace(kh_basis_session,
+                                    projection=project_fields(space, kh_basis_session.fields(5)))
+        path = tmp_path / "basis.bin"
+        write_basis(path, basis)
+        back = read_basis(path).projection
+        for name in ("conv", "div", "gram"):
+            assert np.array_equal(getattr(back, name), getattr(basis.projection, name))
+        write_basis(tmp_path / "again.bin", read_basis(path))
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
     def test_inconsistent_header_names_field(self, tmp_path, kh_basis_session):
         import struct
 
@@ -126,6 +139,20 @@ class TestCsv:
         assert header == ["t", "value"]
         assert np.array_equal(cols[0], t)  # 17 significant digits round-trip float64
         assert np.array_equal(cols[1], v)
+
+    def test_rows_match_per_value_format(self, tmp_path):
+        # one row format for the whole row writes the bytes of one %.17g per value
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, -1.0 / 3.0, 2.0**60])
+        counts = np.arange(floats.size) * 7
+        path = tmp_path / "special.csv"
+        write_csv(path, ["x", "n"], [floats, counts])
+        expected = "x,n\n" + "".join("%.17g,%.17g\n" % (x, n) for x, n in zip(floats, counts))
+        assert path.read_text() == expected
+        assert "nan,0\n" in expected and "-0,21\n" in expected and "1e-300,35\n" in expected
+        _, cols = read_csv(path)
+        assert np.array_equal(cols[0], floats, equal_nan=True)
+        assert np.signbit(cols[0][3])
+        assert np.array_equal(cols[1], counts)
 
     def test_header_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

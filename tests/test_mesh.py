@@ -201,6 +201,21 @@ class TestReadTriangleMesh:
             read_triangle_mesh(files["node"], files["ele"], files["edge"])
         assert str(err.value) == message
 
+    def test_comments_extra_fields_and_trailing_lines(self):
+        # comments, blank lines, attribute and marker columns, and lines past
+        # the record count are read as the line-by-line reader read them
+        node = "3 2 1 1  # header\n\n0 0 0 5 1\n# between\n1 1.5 0 6 1 # tail\n2 0 1e0 7 0\nextra line\n"
+        ele = "1 3 1\n0 0 2 1 9\n\n"
+        edge = "2 1\n0 0 1 3\n1 2 0 4\n2 1 2 3 ignored\n"
+        m = read_triangle_mesh(node, ele, edge, marker_labels={3: "wall"})
+        assert np.array_equal(m.vertices, [[0.0, 0.0], [1.5, 0.0], [0.0, 1.0]])
+        assert np.array_equal(m.triangles, [[0, 1, 2]])
+        assert m.boundary_labels == ("wall", "marker4")
+
+    def test_non_numeric_field_is_format_error(self):
+        with pytest.raises(MeshFormatError, match=r"^\.ele: "):
+            read_triangle_mesh(self.NODE, "1 3 0\n1 1 2 x\n", self.EDGE)
+
     def test_well_formed_counterpart_reads(self):
         m = read_triangle_mesh(self.NODE, self.ELE, self.EDGE)
         assert m.num_vertices == 3 and m.num_triangles == 1
@@ -284,6 +299,22 @@ class TestCylinderMesh:
 
     def test_labels(self, mesh):
         assert mesh.labels() == {"inflow", "outflow", "wall", "cylinder"}
+
+    def test_reader_matches_line_loop_reference(self, mesh):
+        # float() and int() per field, as the reader once did, give the same bits
+        data = resources.files("flowrom").joinpath("data")
+        node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text().splitlines()[1:]
+                           for ext in ("node", "ele", "edge"))
+        vertices = np.array([[float(v) for v in line.split()[1:3]] for line in node])
+        triangles = np.array([[int(v) - 1 for v in line.split()[1:4]] for line in ele])
+        p = vertices[triangles]
+        ccw = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]) > 0
+        triangles[~ccw] = triangles[~ccw][:, [0, 2, 1]]
+        names = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, triangles)
+        assert mesh.boundary_labels == tuple(names[int(line.split()[3])] for line in edge)
 
     def test_boundary_orientation_matches_loop_reference(self, mesh):
         text = resources.files("flowrom").joinpath("data", "cylinder_coarse.edge").read_text()

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, rom_energy_enstrophy
-from flowrom.fem import NonlinearForm, nonlinear_residual, trilinear_value
-from flowrom.pod import PodBasis, build_pod_basis, project_field
+from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
+from flowrom.mesh import load_bundled_mesh
+from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import (
     RomNewtonError,
     RomOperators,
     assemble_rom_operators,
+    project_fields,
     reconstruct_field,
     run_rom,
 )
@@ -21,13 +26,90 @@ def rom_setup(kh_run, kh_basis_session):
     return space, snaps, kh_basis_session
 
 
+def with_projection(space, basis, r):
+    """``basis`` carrying the projection of its leading r modes, as ``flowrom pod`` stores it."""
+    return dataclasses.replace(basis, projection=project_fields(space, basis.fields(r)))
+
+
 @pytest.fixture(scope="module")
 def wide_basis(rom_setup):
-    """32 seeded random fields posing as modes: the shear-layer basis has too few."""
+    """32 seeded random fields posing as modes, projected at r = 30: the shear-layer basis has too few."""
     space, _, _ = rom_setup
     modes = np.random.default_rng(3).standard_normal((space.n_vel, 32))
     ones = np.ones(32)
-    return PodBasis(modes=modes, eigenvalues=ones, spectrum=ones, grad_norms=ones)
+    return with_projection(space, PodBasis(modes=modes, eigenvalues=ones, spectrum=ones, grad_norms=ones), 30)
+
+
+@pytest.fixture(scope="module")
+def projected(rom_setup):
+    """The shear-layer basis per centering, projected once at the largest r the tests slice (12)."""
+    space, snaps, _ = rom_setup
+    bases = {}
+    for centering in ("none", "mean"):
+        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        bases[centering] = with_projection(space, basis, min(12, basis.rank))
+    return bases
+
+
+@pytest.fixture(scope="module")
+def cylinder_basis():
+    """Mean-centered POD of five seeded random fields on the bundled cylinder mesh.
+
+    The mean carries inflow values, so the integration-by-parts identities
+    between the forms fail here; the pointwise cube combinations do not.
+    """
+    space = TaylorHoodSpace(load_bundled_mesh("cylinder"))
+    fields = np.random.default_rng(29).standard_normal((space.n_vel, 5))
+    snaps = SnapshotSet(matrix=fields, times=np.arange(5.0))
+    return space, build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+
+
+def _case(name, rom_setup, cylinder_basis):
+    """(space, basis, r) of a combination case: a centered cylinder or an uncentered shear-layer basis."""
+    if name == "cylinder":
+        space, basis = cylinder_basis
+        return space, basis, min(3, basis.rank)
+    space, _, basis = rom_setup
+    return space, basis, min(4, basis.rank)
+
+
+class TestProjection:
+    @pytest.mark.parametrize("case", ["cylinder", "kh"])
+    def test_every_form_entry_matches_trilinear_value(self, rom_setup, cylinder_basis, case):
+        space, basis, r = _case(case, rom_setup, cylinder_basis)
+        x = basis.fields(r)
+        m = x.shape[1]
+        basis = with_projection(space, basis, r)
+        for form in ALL_FORMS:
+            tensor = assemble_rom_operators(space, basis, r, form, nu=1.0).tensor
+            direct = np.array([[[trilinear_value(space, form, x[:, j], x[:, k], x[:, i])
+                                 for k in range(m)] for j in range(m)] for i in range(m - r, m)])
+            assert np.abs(tensor - direct).max() <= 1e-12 * np.abs(direct).max(), form
+
+    @pytest.mark.parametrize("case", ["cylinder", "kh"])
+    def test_slice_matches_projection_at_r(self, rom_setup, cylinder_basis, case, monkeypatch):
+        space, basis, r_max = _case(case, rom_setup, cylinder_basis)
+        fresh = {(r, form): assemble_rom_operators(space, basis, r, form, nu=0.3)
+                 for r in range(1, r_max + 1) for form in ALL_FORMS}
+        basis = with_projection(space, basis, r_max)
+        monkeypatch.setattr(flowrom.rom, "project_fields", None)  # the slice must not project
+        for (r, form), ops in fresh.items():
+            # relative to the form's r_max operators: a single entry such as
+            # b(psi_1, psi_1, psi_1) can be a near-cancellation
+            scale = fresh[(r_max, form)]
+            sliced = assemble_rom_operators(space, basis, r, form, nu=0.3)
+            assert sliced.tensor.shape == ops.tensor.shape and sliced.visc.shape == ops.visc.shape
+            assert np.abs(sliced.tensor - ops.tensor).max() <= 1e-14 * np.abs(scale.tensor).max()
+            assert np.abs(sliced.visc - ops.visc).max() <= 1e-14 * np.abs(scale.visc).max()
+
+    def test_short_projection_is_not_sliced(self, rom_setup):
+        # a projection of fewer fields than r needs is bypassed, not read past its end
+        space, _, basis = rom_setup
+        short = with_projection(space, basis, 2)
+        ops = assemble_rom_operators(space, short, 4, "emac", nu=0.1)
+        assert np.array_equal(ops.tensor, assemble_rom_operators(space, basis, 4, "emac", nu=0.1).tensor)
+        with pytest.raises(ValueError, match="projection holds 2 fields"):
+            short.projection.operators("emac", 0.1, 0, 4)
 
 
 class TestAssembleRomOperators:
@@ -46,10 +128,10 @@ class TestAssembleRomOperators:
             assert ops.tensor[i, j, k] == pytest.approx(direct, rel=1e-12, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("form", ["skew", "emac", "rotational"])
-    def test_quadratic_energy_identity(self, rom_setup, form):
+    def test_quadratic_energy_identity(self, rom_setup, projected, form):
         # a^T N(a) = b(w, w, w) = 0 carries over to the reduced tensor for
         # the energy-conserving forms (rotational: pointwise orthogonality)
-        space, _, basis = rom_setup
+        space, basis = rom_setup[0], projected["none"]
         r = min(8, basis.rank)
         ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
         scale = np.abs(ops.tensor).max()
@@ -60,8 +142,8 @@ class TestAssembleRomOperators:
             assert abs(val) <= 1e-11 * scale * np.linalg.norm(a) ** 3
 
     @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_quadratic_kernels_match_einsum_definitions(self, rom_setup, form):
-        space, _, basis = rom_setup
+    def test_quadratic_kernels_match_einsum_definitions(self, rom_setup, projected, form):
+        space, basis = rom_setup[0], projected["none"]
         r = min(12, basis.rank)
         ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
         rng = np.random.default_rng(17)
@@ -92,10 +174,9 @@ class TestAssembleRomOperators:
         assert ops.tensor.shape == (r, r, r)
         assert ops.visc.shape == (r, r)
 
-    def test_centered_mean_coupling_matches_direct(self, rom_setup):
+    def test_centered_mean_coupling_matches_direct(self, rom_setup, projected):
         # field 0 is the mean: its couplings and the constant are entries of the operators
-        space, snaps, _ = rom_setup
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+        space, basis = rom_setup[0], projected["mean"]
         r = min(4, basis.rank)
         nu = 1 / 2800
         ops = assemble_rom_operators(space, basis, r, "convective", nu=nu)
@@ -116,10 +197,9 @@ class TestAssembleRomOperators:
 
     @pytest.mark.parametrize("centering", ["none", "mean"])
     @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_reduced_residual_is_projected_fom_residual(self, rom_setup, centering, form):
+    def test_reduced_residual_is_projected_fom_residual(self, rom_setup, projected, centering, form):
         # N(c) + V c = Psi_r^T (b(w, w, .) + nu K w) at w = X c, c = [1, a] when centered
-        space, snaps, _ = rom_setup
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        space, basis = rom_setup[0], projected[centering]
         r = min(8, basis.rank)
         nu = 1 / 2800
         ops = assemble_rom_operators(space, basis, r, form, nu=nu)
@@ -248,9 +328,9 @@ def loop_reference(ops, a0, dt, t_end, scheme):
 class TestNewtonLoopReference:
     @pytest.mark.parametrize("form", ALL_FORMS)
     @pytest.mark.parametrize("centering", ["none", "mean"])
-    def test_matches_three_contraction_loop(self, rom_setup, form, centering):
+    def test_matches_three_contraction_loop(self, rom_setup, projected, form, centering):
         space, snaps, _ = rom_setup
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        basis = projected[centering]
         r = min(12, basis.rank)
         ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
         a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
@@ -262,9 +342,8 @@ class TestNewtonLoopReference:
 
 class TestRomEnergy:
     @pytest.mark.parametrize("centering", ["none", "mean"])
-    def test_gram_energy_matches_reconstructed_fields(self, rom_setup, centering):
-        space, snaps, _ = rom_setup
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+    def test_gram_energy_matches_reconstructed_fields(self, rom_setup, projected, centering):
+        space, basis = rom_setup[0], projected[centering]
         r = min(10, basis.rank)
         rng = np.random.default_rng(23)
         coeffs = rng.standard_normal((4, r))
@@ -282,9 +361,8 @@ class TestReconstructField:
         e1[0] = 1.0
         assert np.array_equal(reconstruct_field(basis, e1), basis.modes[:, : e1.size] @ e1)
 
-    def test_zero_gives_mean_when_centered(self, rom_setup):
-        space, snaps, _ = rom_setup
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+    def test_zero_gives_mean_when_centered(self, projected):
+        basis = projected["mean"]
         u = reconstruct_field(basis, np.zeros(min(3, basis.rank)))
         assert np.array_equal(u, basis.mean)
 
