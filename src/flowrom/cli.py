@@ -63,7 +63,14 @@ from .fom import (
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
 from .numerics import SingularSystemError
 from .pod import build_pod_basis, pod_projection_error, project_field
-from .rom import RomNewtonError, RomTrajectory, assemble_rom_operators, project_fields, run_rom
+from .rom import (
+    RomNewtonError,
+    RomTrajectory,
+    assemble_rom_operators,
+    covering_projection,
+    project_fields,
+    run_rom,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -244,7 +251,11 @@ def cmd_pod(args):
 
 
 def cmd_rom(args):
-    """Run one ROM on the archive's snapshot grid with the ``[fom] scheme``."""
+    """Run one ROM on the archive's snapshot grid with the ``[fom] scheme``.
+
+    One projection, the archive's or a fresh one when r exceeds it, gives
+    both the operators and the energy and enstrophy series.
+    """
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     space = problem.space
@@ -264,6 +275,7 @@ def cmd_rom(args):
     t_end = float(snaps.times[-1] - t0)
     a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
 
+    basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
     try:
         traj = run_rom(ops, a0, dt, t_end, scheme=fom_cfg.scheme,
@@ -278,7 +290,7 @@ def cmd_rom(args):
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
                   [traj.times + t0] + [traj.coeffs[:, k] for k in range(r)])
 
-    energy, enstrophy = rom_energy_enstrophy(space, basis, traj.coeffs)
+    energy, enstrophy = rom_energy_enstrophy(basis.projection, basis, traj.coeffs)
     cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
@@ -336,7 +348,7 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(prog="flowrom",
                                      description="Taylor-Hood Navier-Stokes FOM/ROM laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,8 +376,16 @@ def main(argv=None):
     p_cmp.add_argument("--archive", required=True)
     p_cmp.add_argument("--basis", required=True)
     p_cmp.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once: every call of main parses with it
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so that a wrapped cmd_* is the one called
     handlers = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "compare": cmd_compare}
     try:
         return handlers[args.command](args)

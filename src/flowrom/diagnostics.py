@@ -58,23 +58,21 @@ def energy_enstrophy(space, u):
     return energy, enstrophy
 
 
-def rom_energy_enstrophy(space, basis, coeffs):
+def rom_energy_enstrophy(projection, basis, coeffs):
     """Energy and enstrophy series of the reduced states ubar + sum_j a^n_j psi_j.
 
     ``coeffs`` holds one state per row.  The fields are never rebuilt: with
     X = [ubar, psi_1..psi_r] (ubar dropped for an uncentered basis) and
     c^n = [1, a^n] (``PodBasis.fields``/``extend``), the values are
-    1/2 c^T (X^T M X) c and 1/2 c^T (X^T C X) c for the mass and curl forms
-    M and C.
+    1/2 c^T (X^T M X) c and 1/2 c^T (X^T G X) c, read from the mass and curl
+    Grams of ``projection`` (a ``rom.RomProjection`` of at least these fields).
     """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    x = basis.fields(coeffs.shape[1])
-    c = basis.extend(coeffs)
-    out = []
-    for op in (space.mass(), space.curl_form()):
-        gram = x.T @ (op @ x)
-        out.append(0.5 * np.einsum("ni,ni->n", c @ gram, c))
-    return out[0], out[1]
+    c = basis.extend(np.atleast_2d(coeffs))
+    n = c.shape[1]
+    if n > projection.m:
+        raise ValueError(f"projection holds {projection.m} fields, {n} requested")
+    return tuple(0.5 * np.einsum("ni,ni->n", c @ gram[:n, :n], c)
+                 for gram in (projection.mass_gram, projection.curl_gram))
 
 
 _EDGE_T = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])

@@ -155,18 +155,26 @@ class _NodeGraph:
         """Per-entry sums of element values (nt, 6, 6) at ``slots``."""
         return np.bincount(self.slots.ravel(), elem.ravel(), minlength=self.indices.size)
 
+    def _offsets(self, width):
+        """Position of each graph entry's (0, 0) value in a velocity CSR, and the row-2s+1 shift.
+
+        Row 2s starts at 2 width indptr[s] and row 2s + 1 width deg(s)
+        later, so entry (c, d) of graph entry e sits at
+        ``first[e] + c * shift[e] + d``.
+        """
+        row, deg = self.rows()
+        return width * (np.arange(row.size) + self.indptr[row]), width * deg[row]
+
     def _velocity(self, sums, width):
         """Velocity CSR whose row 2s + c holds ``width`` columns 2t + d per neighbour t of s.
 
         With width 1 the column is d = c (A (x) I_2), with width 2 both d
         (full 2x2 node blocks).  ``sums(c, d)`` gives the per-entry values
-        of row component c, column component d.  Row 2s starts at
-        2 width indptr[s] and row 2s + 1 width deg(s) later.
+        of row component c, column component d (layout in :meth:`_offsets`).
         """
-        row, deg = self.rows()
-        first = width * (np.arange(row.size) + self.indptr[row])
-        shift = width * deg[row]
+        first, shift = self._offsets(width)
         if width not in self._patterns:
+            deg = np.diff(self.indptr)
             indptr = np.empty(2 * deg.size + 1, dtype=np.int32)
             indptr[0::2] = 2 * width * self.indptr
             indptr[1::2] = width * (2 * self.indptr[:-1] + deg)
@@ -196,6 +204,16 @@ class _NodeGraph:
         """
         local = elem.reshape(-1, 6, 2, 6, 2)
         return self._velocity(lambda c, d: self._sum(local[:, :, c, :, d]), 2)
+
+    def cofactor_blocks(self, matrix):
+        """The :meth:`blocks` matrix whose node blocks are those of ``matrix``, [[a, b], [c, d]],
+        turned into their cofactors [[d, -c], [-b, a]].
+
+        The negation is 0 - x, so that a zero sum stays +0 as ``np.bincount`` gives it.
+        """
+        first, shift = self._offsets(2)
+        value = lambda c, d: matrix.data[first + c * shift + d]
+        return self._velocity(lambda c, d: value(1 - c, 1 - d) if c == d else 0.0 - value(1 - c, 1 - d), 2)
 
     def vertex_rows(self, elem, n_rows):
         """Element matrices (nt, 3, 12) from the vertex nodes to velocity DOFs, summed.
@@ -366,13 +384,15 @@ class TaylorHoodSpace:
         return self._cache["div_form"]
 
     def curl_form(self):
-        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl)."""
+        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl).
+
+        Component u1 contributes -dy phi and u2 +dx phi, the divergence
+        coefficients swapped and one negated, so each 2x2 node block
+        [[a, b], [c, d]] of :meth:`div_form` becomes its cofactor
+        [[d, -c], [-b, a]]: bitwise the Gram assembly of the curl coefficients.
+        """
         if "curl_form" not in self._cache:
-            g = self._velocity_gradients()
-            coef = np.empty_like(g)
-            coef[:, 0::2] = -g[:, 1::2]   # component u1 contributes -dy phi
-            coef[:, 1::2] = g[:, 0::2]    # component u2 contributes +dx phi
-            self._cache["curl_form"] = self._graph().blocks(self._gram(coef[:, :, None]))
+            self._cache["curl_form"] = self._graph().cofactor_blocks(self.div_form())
         return self._cache["curl_form"]
 
     def pressure_volume(self):
@@ -402,8 +422,10 @@ class TaylorHoodSpace:
             # dominant, so it factors with diagonal pivots
             pattern = sp.csc_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
                                      graph.indptr), shape=(deg.size,) * 2)
-            mmd = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+            # SuperLU orders before it factors; an incomplete factor that keeps
+            # no fill gives the same perm_c as a full one, at a fraction of the cost
+            mmd = spla.spilu(pattern, drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             rank = mmd.perm_c  # rank[s]: position of scalar node s in the elimination
             key = np.empty(self.n_vel + self.n_press, dtype=np.int64)
             key[0 : self.n_vel : 2] = 3 * rank

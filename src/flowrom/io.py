@@ -12,7 +12,7 @@ Snapshot archive (magic ``FLOWSNP1``)::
 
 Basis archive (magic ``FLOWPOD1``)::
 
-    magic[8] | u32 version=2 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
+    magic[8] | u32 version=3 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
              | u64 nprojected
     f64 eigenvalues[rank]
     f64 spectrum[nspectrum]
@@ -20,8 +20,13 @@ Basis archive (magic ``FLOWPOD1``)::
     f64 mean[ndof]                 # zeros when centered == 0
     f64 modes[rank][ndof]          # mode-major
     f64 conv[m][m][m]              # the basis's RomProjection on its leading
-    f64 div[m][m][m]               # m = nprojected fields (at most centered + rank);
-    f64 gram[m][m]                 # all three absent when nprojected == 0
+    f64 div[m][m][m]               # m = nprojected fields (at most centered + rank):
+    f64 gram[m][m]                 # its cubes, then its stiffness, mass and curl
+    f64 mass_gram[m][m]            # Grams; all five absent when nprojected == 0
+    f64 curl_gram[m][m]
+
+Version 2 lacked the mass and curl Grams; it is rejected like any other
+unknown version.
 
 CSV files all carry a header row and print floats with 17 significant
 digits, so rereading reproduces the values bit-exactly.
@@ -50,10 +55,14 @@ def _read_exact(fh, n, what):
 
 
 def _read_floats(fh, count, what):
-    data = np.frombuffer(_read_exact(fh, 8 * count, what), dtype="<f8")
+    """``count`` float64 values read into one buffer, viewed (writable) without a copy."""
+    buf = bytearray(8 * count)
+    if fh.readinto(buf) != len(buf):
+        raise ArchiveFormatError(f"truncated archive while reading {what}")
+    data = np.frombuffer(buf, dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise ArchiveFormatError(f"non-finite value in {what}")
-    return data.astype(float, copy=True)
+    return data
 
 
 def _check_dofs(ndof, space):
@@ -100,7 +109,7 @@ def write_basis(path, basis):
     nproj = 0 if proj is None else proj.m
     with open(path, "wb") as fh:
         fh.write(BASIS_MAGIC)
-        fh.write(struct.pack("<IIQQQQ", 2, int(basis.centered), ndof, rank, basis.spectrum.size,
+        fh.write(struct.pack("<IIQQQQ", 3, int(basis.centered), ndof, rank, basis.spectrum.size,
                              nproj))
         fh.write(np.asarray(basis.eigenvalues, dtype="<f8").tobytes())
         fh.write(np.asarray(basis.spectrum, dtype="<f8").tobytes())
@@ -109,7 +118,7 @@ def write_basis(path, basis):
         fh.write(np.asarray(mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(basis.modes.T, dtype="<f8").tobytes())
         if proj is not None:
-            for block in (proj.conv, proj.div, proj.gram):
+            for block in (proj.conv, proj.div, proj.gram, proj.mass_gram, proj.curl_gram):
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
@@ -124,7 +133,7 @@ def read_basis(path, space=None):
             raise ArchiveFormatError(f"bad magic {magic!r}: not a basis archive")
         version, centered, ndof, rank, nspec, nproj = struct.unpack(
             "<IIQQQQ", _read_exact(fh, 40, "header"))
-        if version != 2:
+        if version != 3:
             raise ArchiveFormatError(f"unsupported basis archive version {version}")
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
@@ -139,9 +148,10 @@ def read_basis(path, space=None):
         modes = _read_floats(fh, rank * ndof, "modes").reshape(rank, ndof).T.copy()
         projection = None
         if nproj:
-            cubes = _read_floats(fh, 2 * nproj**3, "projection").reshape(2, nproj, nproj, nproj)
-            gram = _read_floats(fh, nproj**2, "projection").reshape(nproj, nproj)
-            projection = RomProjection(conv=cubes[0], div=cubes[1], gram=gram)
+            cubes = _read_floats(fh, 2 * nproj**3, "projection cubes").reshape(2, nproj, nproj, nproj)
+            grams = _read_floats(fh, 3 * nproj**2, "projection Grams").reshape(3, nproj, nproj)
+            projection = RomProjection(conv=cubes[0], div=cubes[1], gram=grams[0],
+                                       mass_gram=grams[1], curl_gram=grams[2])
         if fh.read(1):
             raise ArchiveFormatError("trailing bytes after basis payload")
     return PodBasis(

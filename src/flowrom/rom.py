@@ -14,34 +14,38 @@ A centered ROM's mean couplings and constant are the entries with j or k = 0.
 
 Offline, one form-free :class:`RomProjection` of the field set serves every
 form and every r: the convective cube C[i, j, k] = b_conv(X_j, X_k, X_i),
-the divergence cube D[i, j, k] = ((div X_j) X_k, X_i) and the stiffness
-Gram X^T K X.  Pointwise identities of the form densities make each form's
-tensor (over all m test fields) a fixed combination of the cubes:
+the divergence cube D[i, j, k] = ((div X_j) X_k, X_i) and the stiffness,
+mass and curl Grams X^T K X, X^T M X and X^T G X.  Pointwise identities of
+the form densities make each form's tensor (over all m test fields) a fixed
+combination of the cubes:
 
     convective   C
     skew         C + D / 2
     rotational   C[i, k, j] - C[k, i, j]       ((curl u) x v = (v.grad) u - (grad u)^T v)
     emac         C[i, k, j] + C[k, i, j] + D
 
-and V = nu Gram.  The modes are nested, so the operators at r are the test
-rows o:o+r and fields :o+r of a projection on more fields; ``flowrom pod``
-stores one in the basis archive and :func:`assemble_rom_operators` slices
-it.  The projection goes through the full-order convective density
-(``fem._transport`` and ``fem._density``) in one element loop: the values
-and gradients of all m fields are formed once, and each transported field k
-then costs the convective density and the divergence density over the m
-advecting fields, stacked, and one (m x 2P)(2P x 2m) matrix product, with
-P = elements x quadrature points, so it is O(m^3 P): linear in the mesh,
-cubic in the modes.
+and V = nu X^T K X; the mass and curl Grams give the reduced energy and
+enstrophy (``diagnostics.rom_energy_enstrophy``).  The modes are nested,
+so the operators at r are the test rows o:o+r and fields :o+r of a
+projection on more fields; ``flowrom pod`` stores one in the basis archive
+and :func:`assemble_rom_operators` slices it.  The projection goes through
+the full-order convective density (``fem._transport`` and ``fem._density``)
+in one element loop: the values and gradients of all m fields are formed
+once, and each transported field k then costs the convective density and
+the divergence density over the m advecting fields, stacked, and one
+(m x 2P)(2P x 2m) matrix product, with P = elements x quadrature points,
+so it is O(m^3 P): linear in the mesh, cubic in the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and a dense LU (LAPACK getrf and
 getrs), mirroring the full-order scheme (BDF2 starts with one
-backward-Euler step).  :class:`RomOperators` forms the (j, k)-symmetrized
-tensor S = T + T^{jk} once.  One matrix-vector product g = S c (S viewed
-as an (r*m) x m matrix) gives the quadratic term N(c) = g c / 2, and
-another its Jacobian dN/da = g[:, o:], so an iteration costs O(r m^2),
-independent of the finite element dimension.
+backward-Euler step, and each step's Newton starts from the extrapolated
+2 a^n - a^(n-1), the first from a^0).  :class:`RomOperators` forms the
+(j, k)-symmetrized tensor S = T + T^{jk} once.  Each evaluated iterate
+costs one matrix-vector product g = S c (S viewed as an (r*m) x m matrix),
+the state derivative dN/dc, which gives both the quadratic term
+N(c) = g c / 2 and its Jacobian dN/da = g[:, o:], so an iterate costs
+O(r m^2), independent of the finite element dimension.
 """
 
 from dataclasses import dataclass, field
@@ -89,18 +93,19 @@ class RomOperators:
             return a
         return np.concatenate([[1.0], a])
 
-    def _derivative(self, c):
-        """g = S c, that is g[i, j] = dN_i/dc_j; and N(c) = g c / 2."""
+    def quadratic_jacobian(self, c):
+        """g = S c, the (r, m) state derivative g[i, j] = dN_i/dc_j = sum_k (T[i, j, k] + T[i, k, j]) c_k.
+
+        One contraction of the symmetrized tensor: N(c) = g c / 2, and the
+        Jacobian with respect to the mode coefficients is dN/da = g[:, o:],
+        o = m - r.
+        """
         r, m = self._sym.shape[:2]
         return (self._sym.reshape(r * m, m) @ c).reshape(r, m)
 
     def quadratic(self, c):
         """N(c)_i = sum_jk T[i, j, k] c_j c_k."""
-        return 0.5 * (self._derivative(c) @ c)
-
-    def quadratic_jacobian(self, c):
-        """J[i, j] = dN_i/da_j = sum_k (T[i, o+j, k] + T[i, k, o+j]) c_k, o = m - r."""
-        return self._derivative(c)[:, self.tensor.shape[1] - self.r:]
+        return 0.5 * (self.quadratic_jacobian(c) @ c)
 
 
 @dataclass
@@ -108,8 +113,8 @@ class RomTrajectory:
     """Reduced coefficient vectors per step (row n is a^n).
 
     ``newton_iters[n]`` counts the Newton updates of the step ending at
-    ``times[n]`` (0 for the initial state); it is None for a trajectory read
-    back from a CSV.
+    ``times[n]`` (0 for the initial state), one fewer than the iterates it
+    evaluates; it is None for a trajectory read back from a CSV.
     """
 
     coeffs: np.ndarray  # (nsteps + 1, r)
@@ -128,11 +133,14 @@ class RomProjection:
     Every form's reduced tensor is a fixed combination of the two cubes
     (:data:`_COMBINATIONS`), and a leading slice of X is the field set of a
     smaller r, so one projection serves every form and every r <= m - o.
+    The Grams are exactly symmetric.
     """
 
-    conv: np.ndarray   # (m, m, m) C[i, j, k] = b_conv(X_j, X_k, X_i)
-    div: np.ndarray    # (m, m, m) D[i, j, k] = ((div X_j) X_k, X_i)
-    gram: np.ndarray   # (m, m)    (grad X_j, grad X_i), exactly symmetric
+    conv: np.ndarray        # (m, m, m) C[i, j, k] = b_conv(X_j, X_k, X_i)
+    div: np.ndarray         # (m, m, m) D[i, j, k] = ((div X_j) X_k, X_i)
+    gram: np.ndarray        # (m, m)    (grad X_j, grad X_i)
+    mass_gram: np.ndarray   # (m, m)    (X_j, X_i)
+    curl_gram: np.ndarray   # (m, m)    (curl X_j, curl X_i)
 
     @property
     def m(self):
@@ -159,10 +167,20 @@ _COMBINATIONS = {
 
 
 def project_fields(space, fields):
-    """The :class:`RomProjection` of the columns X of ``fields``."""
+    """The :class:`RomProjection` of the columns X of ``fields``.
+
+    The mass and curl Grams are quadrature sums over the fields' values and
+    curls, which the rule integrates exactly (degrees 4 and 2), so they are
+    X^T M X and X^T G X without a sparse product.
+    """
     m = fields.shape[1]
     vals, grads = space.values_and_grads(np.ascontiguousarray(fields.T))  # (2, m, e, q), (2, 2, m, e, q)
     tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
+    curl = grads[1, 0] - grads[0, 1]                                # (m, e, q)
+    grams = (fields.T @ (space.stiffness() @ fields),
+             tested @ vals.transpose(1, 0, 2, 3).reshape(m, -1).T,
+             (curl * space.wdet).reshape(m, -1) @ curl.reshape(m, -1).T)
+    stiff, mass, curl = (0.5 * (g + g.T) for g in grams)   # the (m, m) Grams, before the cubes' buffers
     transport = _transport(NonlinearForm.CONVECTIVE, vals, grads)   # all m advecting fields
     div = (grads[0, 0] + grads[1, 1])[:, None]                      # (m, 1, e, q)
     s = np.empty((2, m, 2) + space.wdet.shape)   # cube, advecting field j, component, e, q
@@ -171,22 +189,24 @@ def project_fields(space, fields):
         _density(transport, vals[:, k], grads[:, :, k], out=s[0].transpose(1, 0, 2, 3))
         np.multiply(div, vals[:, k], out=s[1])
         cubes[:, :, :, k] = (tested @ s.reshape(2 * m, -1).T).reshape(m, 2, m).transpose(1, 0, 2)
-    gram = fields.T @ (space.stiffness() @ fields)
-    return RomProjection(conv=cubes[0], div=cubes[1], gram=0.5 * (gram + gram.T))
+    return RomProjection(conv=cubes[0], div=cubes[1], gram=stiff, mass_gram=mass, curl_gram=curl)
+
+
+def covering_projection(space, basis, r):
+    """``basis.projection`` when it covers the o + r fields of ``basis.fields(r)``, else their projection."""
+    projection = basis.projection
+    if projection is None or projection.m < int(basis.centered) + r:
+        projection = project_fields(space, basis.fields(r))
+    return projection
 
 
 def assemble_rom_operators(space, basis, r, form, nu):
     """Project the momentum operators onto the leading ``r`` modes.
 
-    Slices ``basis.projection`` when it covers the r modes, else projects
-    ``basis.fields(r)``.  Every tensor entry equals the full-order
-    ``trilinear_value`` of the corresponding field triple.
+    Slices :func:`covering_projection`.  Every tensor entry equals the
+    full-order ``trilinear_value`` of the corresponding field triple.
     """
-    o = int(basis.centered)
-    projection = basis.projection
-    if projection is None or projection.m < o + r:
-        projection = project_fields(space, basis.fields(r))
-    return projection.operators(form, nu, o, r)
+    return covering_projection(space, basis, r).operators(form, nu, int(basis.centered), r)
 
 
 def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
@@ -195,9 +215,11 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
 
     Mirrors the full-order stepping: backward Euler or BDF2 (with a
     backward-Euler first step), Newton iteration to ``newton_tol`` on the
-    r-dimensional residual, dense linear solves.  The trajectory records
-    the Newton updates of each step.  Raises :class:`RomNewtonError` with the
-    failing step index on divergence.
+    r-dimensional residual from the extrapolated start 2 a^n - a^(n-1)
+    (a^0 on the first step), dense linear solves.  Each evaluated iterate
+    takes one :meth:`RomOperators.quadratic_jacobian`.  The trajectory
+    records the Newton updates of each step.  Raises
+    :class:`RomNewtonError` with the failing step index on divergence.
     """
     if scheme not in ("backward_euler", "bdf2"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -211,7 +233,8 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     a = np.array(a0, dtype=float)
     if a.shape != (r,):
         raise ValueError(f"a0 has shape {a.shape}, expected ({r},)")
-    visc_modes = ops.visc[:, ops.visc.shape[1] - r:]
+    o = ops.visc.shape[1] - r
+    visc_modes = ops.visc[:, o:]
 
     coeffs = np.empty((n_steps + 1, r))
     coeffs[0] = a
@@ -227,11 +250,12 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
             # low bits away
             shift, shift_alpha = alpha / dt * np.eye(r) + visc_modes, alpha
         hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
-        a_new = a.copy()
+        a_new = 2.0 * a - a_prev if a_prev is not None else a.copy()
         converged = False
         for it in range(newton_max_iter + 1):
             c = ops.extend(a_new)
-            res = alpha / dt * a_new - hist + ops.quadratic(c) + ops.visc @ c
+            g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
+            res = alpha / dt * a_new - hist + 0.5 * (g @ c) + ops.visc @ c
             res_norm = np.linalg.norm(res)
             if not np.isfinite(res_norm):
                 break
@@ -240,7 +264,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             if it == newton_max_iter:
                 break
-            lu, piv, info = lapack.dgetrf(shift + ops.quadratic_jacobian(c), overwrite_a=True)
+            lu, piv, info = lapack.dgetrf(shift + g[:, o:], overwrite_a=True)
             if info > 0:  # exactly singular Jacobian
                 break
             step, _ = lapack.dgetrs(lu, piv, res)

@@ -137,6 +137,37 @@ class TestPipeline:
                      "--basis", basis, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2  # header and one row
 
+    def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch):
+        # rom assembles no curl form: the energy and enstrophy series read the
+        # projection's Grams, stored (r = 3) or projected afresh (r = rank > 3)
+        from flowrom.cli import _build_problem
+        from flowrom.diagnostics import energy_enstrophy
+        from flowrom.fem import TaylorHoodSpace
+        from flowrom.rom import reconstruct_field
+
+        root, cfg = micro_pipeline
+        basis = read_basis(root / "micro_basis.bin")
+        assert basis.projection.m == 3 < basis.rank
+        argv = ["rom", str(root / "micro_basis.bin"), "--archive", str(root / "micro_snapshots.bin"),
+                "--config", str(cfg), "--out", str(tmp_path)]
+
+        def forbidden(space):
+            raise AssertionError("rom assembled the curl form")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TaylorHoodSpace, "curl_form", forbidden)
+            for r in (3, basis.rank):
+                assert main([*argv, "--r", str(r)]) == 0
+        space = _build_problem(_load_config(cfg)).space
+        for r in (3, basis.rank):
+            _, traj = read_csv(tmp_path / f"micro_rom_skew_r{r}_traj.csv")
+            header, scalars = read_csv(tmp_path / f"micro_rom_skew_r{r}_scalars.csv")
+            assert header[1:3] == ["energy", "enstrophy"]
+            for n, a in enumerate(np.column_stack(traj[1:])):
+                e, z = energy_enstrophy(space, reconstruct_field(basis, a))
+                assert scalars[1][n] == pytest.approx(e, rel=1e-12)
+                assert scalars[2][n] == pytest.approx(z, rel=1e-12)
+
     def test_centered_pipeline(self, tmp_path):
         # [rom] centering = mean through pod, a ROM per form and compare, run twice
         text = MICRO_CONFIG.read_text().replace("centering = none", "centering = mean")
@@ -238,30 +269,36 @@ class TestErrorPaths:
                      "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "non-finite value in snapshot payload" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["version_1", "truncated", "non_finite", "too_many_fields"])
+    @pytest.mark.parametrize("defect", ["version_1", "version_2", "truncated", "non_finite",
+                                        "non_finite_gram", "too_many_fields"])
     def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
         root, cfg = micro_pipeline
         raw = bytearray((root / "micro_basis.bin").read_bytes())
         bad = tmp_path / "bad_basis.bin"
         rank = struct.unpack("<Q", raw[24:32])[0]
-        if defect == "version_1":
-            raw[8:12] = struct.pack("<I", 1)
-        elif defect == "truncated":
+        if defect.startswith("version"):
+            raw[8:12] = struct.pack("<I", int(defect[-1]))
+        elif defect == "truncated":  # the last value of the curl Gram
             raw = raw[:-8]
         elif defect == "too_many_fields":
             raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
         bad.write_bytes(bytes(raw))
-        if defect == "non_finite":
+        if defect.startswith("non_finite"):
             basis = read_basis(root / "micro_basis.bin")
-            basis.projection.div[1, 0, 2] = np.inf
+            if defect == "non_finite":
+                basis.projection.div[1, 0, 2] = np.inf
+            else:
+                basis.projection.mass_gram[1, 0] = np.inf
             write_basis(bad, basis)
         code = main(["rom", str(bad), "--archive", str(root / "micro_snapshots.bin"),
                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 4
         err = capsys.readouterr().err
         assert {"version_1": "unsupported basis archive version 1",
-                "truncated": "truncated archive while reading projection",
+                "version_2": "unsupported basis archive version 2",
+                "truncated": "truncated archive while reading projection Grams",
                 "non_finite": "non-finite value in projection",
+                "non_finite_gram": "non-finite value in projection Grams",
                 "too_many_fields": f"projected field count {rank + 1} exceeds"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
 

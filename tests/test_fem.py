@@ -512,7 +512,48 @@ class TestNodeGraphAssembly:
         assert not jac.indices.flags.writeable
 
 
+@pytest.fixture(scope="module")
+def benchmark_spaces():
+    """The 32x32 shear layer, 48x48 Taylor-Green, the cylinder and a 5x3 rectangle."""
+    kh = flowrom.identify_periodic(uniform_rect_mesh(32, 32), "x")
+    tg = flowrom.identify_periodic(flowrom.identify_periodic(uniform_rect_mesh(48, 48, 2.0, 2.0), "x"), "y")
+    return {name: TaylorHoodSpace(mesh) for name, mesh in (
+        ("kh32", kh), ("tg48", tg), ("cylinder", load_bundled_mesh("cylinder")),
+        ("rect5x3", uniform_rect_mesh(5, 3)))}
+
+
+class TestCurlForm:
+    @pytest.mark.parametrize("name", ["kh32", "tg48", "cylinder"])
+    def test_cofactor_of_div_form_is_bitwise_the_curl_gram(self, benchmark_spaces, name):
+        # reference: the Gram assembly of the curl coefficients (-dy phi, +dx phi)
+        space = benchmark_spaces[name]
+        g = space._velocity_gradients()
+        coef = np.empty_like(g)
+        coef[:, 0::2] = -g[:, 1::2]
+        coef[:, 1::2] = g[:, 0::2]
+        want = space._graph().blocks(space._gram(coef[:, :, None]))
+        got = space.curl_form()
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
 class TestSaddleOrder:
+    @pytest.mark.parametrize("name", ["kh32", "tg48", "cylinder", "rect5x3"])
+    def test_order_matches_full_factor_order(self, benchmark_spaces, name):
+        # reference: the perm_c of a complete MMD factorization of the node-graph pattern
+        space = benchmark_spaces[name]
+        graph = space._graph()
+        row, deg = graph.rows()
+        pattern = sp.csc_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
+                                 graph.indptr), shape=(deg.size,) * 2)
+        rank = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).perm_c
+        key = np.empty(space.n_vel + space.n_press, dtype=np.int64)
+        key[0 : space.n_vel : 2] = 3 * rank
+        key[1 : space.n_vel : 2] = 3 * rank + 1
+        key[space.n_vel + space.pressure_index] = 3 * rank[space.scalar_index[: space.n_vertices]] + 2
+        assert np.array_equal(space.saddle_order(), np.argsort(key))
+
     def test_matches_mass_matrix_ordering(self, kh16_saddle):
         # reference: minimum degree on the scalar mass matrix's own pattern
         space, _, _ = kh16_saddle

@@ -95,7 +95,7 @@ class TestBasisArchive:
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         back = read_basis(path).projection
-        for name in ("conv", "div", "gram"):
+        for name in ("conv", "div", "gram", "mass_gram", "curl_gram"):
             assert np.array_equal(getattr(back, name), getattr(basis.projection, name))
         write_basis(tmp_path / "again.bin", read_basis(path))
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()

@@ -214,7 +214,7 @@ class TestAssembleRomOperators:
         assert np.abs(reduced - expected).max() <= 1e-11 * np.abs(expected).max()
         # the Jacobian is exact: a central difference of the quadratic term is too
         diff = 0.5 * (ops.quadratic(ops.extend(a + d)) - ops.quadratic(ops.extend(a - d)))
-        jd = ops.quadratic_jacobian(c) @ d
+        jd = ops.quadratic_jacobian(c)[:, c.size - r:] @ d   # dN/da: the mode columns of dN/dc
         assert np.abs(jd - diff).max() <= 1e-11 * np.abs(diff).max()
 
     def test_rank_overflow(self, rom_setup):
@@ -297,7 +297,10 @@ class TestRunRom:
 
 
 def loop_reference(ops, a0, dt, t_end, scheme):
-    """The reduced Newton loop with three tensor contractions and np.linalg.solve per iteration."""
+    """The reduced Newton loop with three tensor contractions and np.linalg.solve per iteration.
+
+    Each step starts from the same extrapolated guess as ``run_rom``.
+    """
     r = ops.r
     m = ops.tensor.shape[1]
     flat = ops.tensor.reshape(r * m, m)
@@ -309,7 +312,7 @@ def loop_reference(ops, a0, dt, t_end, scheme):
         alpha = 1.5 if bdf2 else 1.0
         shift = alpha / dt * np.eye(r) + visc_modes
         hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
-        a_new = a.copy()
+        a_new = 2.0 * a - a_prev if a_prev is not None else a.copy()
         for it in range(21):
             c = ops.extend(a_new)
             res = alpha / dt * a_new - hist + (flat @ c).reshape(r, m) @ c + ops.visc @ c
@@ -340,6 +343,33 @@ class TestNewtonLoopReference:
         assert np.abs(traj.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
 
 
+class TestNewtonLoopCost:
+    @pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
+    def test_one_contraction_per_evaluated_iterate(self, rom_setup, projected, monkeypatch, scheme):
+        space, snaps, _ = rom_setup
+        basis = projected["mean"]
+        r = min(8, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, "emac", nu=1 / 2800)
+        calls = []
+        original = RomOperators.quadratic_jacobian
+
+        def counted(self, c):
+            calls.append(c.copy())
+            return original(self, c)
+
+        monkeypatch.setattr(RomOperators, "quadratic_jacobian", counted)   # quadratic() goes through it too
+        a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
+        traj = run_rom(ops, a0, 0.02, 0.3, scheme=scheme)
+        # step n evaluates newton_iters[n] updated iterates plus its start
+        assert len(calls) == int(np.sum(traj.newton_iters[1:] + 1))
+        # the starts: a^0, then 2 a^n - a^(n-1)
+        starts = np.cumsum(np.concatenate([[0], traj.newton_iters[1:-1] + 1]))
+        a = traj.coeffs
+        assert np.array_equal(calls[0], ops.extend(a[0]))
+        for n, k in enumerate(starts[1:], start=1):
+            assert np.array_equal(calls[k], ops.extend(2.0 * a[n] - a[n - 1]))
+
+
 class TestRomEnergy:
     @pytest.mark.parametrize("centering", ["none", "mean"])
     def test_gram_energy_matches_reconstructed_fields(self, rom_setup, projected, centering):
@@ -347,11 +377,35 @@ class TestRomEnergy:
         r = min(10, basis.rank)
         rng = np.random.default_rng(23)
         coeffs = rng.standard_normal((4, r))
-        energy, enstrophy = rom_energy_enstrophy(space, basis, coeffs)
+        energy, enstrophy = rom_energy_enstrophy(basis.projection, basis, coeffs)
         for n, a in enumerate(coeffs):
             e, z = energy_enstrophy(space, reconstruct_field(basis, a))
             assert energy[n] == pytest.approx(e, rel=1e-12)
             assert enstrophy[n] == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_projection_grams_match_sparse_products(self, rom_setup, projected, centering):
+        # the quadrature Grams of the projection are X^T M X and X^T G X
+        space, basis = rom_setup[0], projected[centering]
+        proj = basis.projection
+        x = basis.fields(proj.m - int(basis.centered))
+        for gram, op in ((proj.mass_gram, space.mass()), (proj.curl_gram, space.curl_form())):
+            direct = x.T @ (op @ x)
+            assert np.array_equal(gram, gram.T)
+            assert np.abs(gram - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_smaller_r_reads_the_leading_fields(self, rom_setup, projected, centering):
+        # a projection of more fields serves a trajectory of fewer modes
+        space, basis = rom_setup[0], projected[centering]
+        r = min(4, basis.rank)
+        coeffs = np.random.default_rng(37).standard_normal((3, r))
+        small = project_fields(space, basis.fields(r))
+        for got, want in zip(rom_energy_enstrophy(basis.projection, basis, coeffs),
+                             rom_energy_enstrophy(small, basis, coeffs)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        with pytest.raises(ValueError, match="projection holds"):
+            rom_energy_enstrophy(small, basis, np.zeros((1, r + 1)))
 
 
 class TestReconstructField:
