@@ -8,24 +8,25 @@ observe how reduced models lock when their nonlinear form differs from the
 one that generated the snapshots.
 """
 
-from .numerics import QuadratureRule, SingularSystemError, solve_sparse, sym_eig, triangle_quadrature
+from .numerics import QuadratureRule, SingularSystemError, sym_eig, triangle_quadrature
 from .mesh import Mesh, identify_periodic, read_triangle_mesh, uniform_rect_mesh, load_bundled_mesh
-from .fem import (
-    NonlinearForm,
-    TaylorHoodSpace,
-    apply_constraints,
-    assemble_linear_operators,
-    field_norms,
-    trilinear_value,
-)
+from .fem import NonlinearForm, TaylorHoodSpace, trilinear_value
 from .fom import FomConfig, FomState, build_initial_condition, advance_step, run_fom
-from .pod import PodBasis, SnapshotSet, build_pod_basis, pod_projection_error, project_field
+from .pod import (
+    PodBasis,
+    SnapshotSet,
+    build_pod_basis,
+    pod_projection_error,
+    project_field,
+    snapshot_coordinates,
+)
 from .rom import RomOperators, RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 from .diagnostics import (
     ScalarSeries,
     TrajectoryError,
     drag_coefficient,
     energy_enstrophy,
+    reduced_trajectory_error,
     trajectory_error,
 )
 
@@ -34,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadratureRule",
     "SingularSystemError",
-    "solve_sparse",
     "sym_eig",
     "triangle_quadrature",
     "Mesh",
@@ -44,9 +44,6 @@ __all__ = [
     "load_bundled_mesh",
     "NonlinearForm",
     "TaylorHoodSpace",
-    "apply_constraints",
-    "assemble_linear_operators",
-    "field_norms",
     "trilinear_value",
     "FomConfig",
     "FomState",
@@ -58,6 +55,7 @@ __all__ = [
     "build_pod_basis",
     "pod_projection_error",
     "project_field",
+    "snapshot_coordinates",
     "RomOperators",
     "RomTrajectory",
     "assemble_rom_operators",
@@ -67,5 +65,6 @@ __all__ = [
     "TrajectoryError",
     "drag_coefficient",
     "energy_enstrophy",
+    "reduced_trajectory_error",
     "trajectory_error",
 ]

@@ -32,10 +32,15 @@ other section or key is a config error.  ``fom``, ``rom`` and ``compare``
 require ``[fom]`` with ``nu``, ``dt`` and ``t_end``.  Outputs go to
 ``--out`` or the working directory, named from ``[output] prefix``.
 
-``rom`` runs on the snapshot grid of its archive: from the first snapshot to
-the last, at the snapshot spacing (``dt * snapshot_stride``), with the
-``[fom] scheme``.  ``compare`` expects each trajectory on that same grid and
-takes ``r`` from its coefficient columns.
+``pod`` is the only subcommand that reads a snapshot archive's payload.  It
+stores in the basis archive the projection of the momentum operators and the
+snapshots' coordinates on the basis (``pod.SnapshotCoordinates``).  ``rom``
+starts from the first snapshot's coordinates and runs on the snapshot grid:
+from the first snapshot to the last, at the snapshot spacing
+(``dt * snapshot_stride``), with the ``[fom] scheme``.  ``compare`` expects
+each trajectory on that same grid, takes ``r`` from its coefficient columns
+and evaluates the errors from the coordinates.  Both read only the header and
+times of their ``--archive``, which must equal the basis's times.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 format error.
 """
@@ -49,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io as fio
-from .diagnostics import rom_energy_enstrophy, trajectory_error
+from .diagnostics import reduced_trajectory_error, rom_energy_enstrophy
 from .fem import NonlinearForm, TaylorHoodSpace
 from .fom import (
     FomConfig,
@@ -62,7 +67,7 @@ from .fom import (
 )
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
 from .numerics import SingularSystemError
-from .pod import build_pod_basis, pod_projection_error, project_field
+from .pod import build_pod_basis, pod_projection_error, snapshot_coordinates
 from .rom import (
     RomNewtonError,
     RomTrajectory,
@@ -224,10 +229,12 @@ def _mode_count(cp, rank, override=None):
 
 
 def cmd_pod(args):
-    """Build the basis and store with it the projection of its leading fields.
+    """Build the basis and store with it the projection of its leading fields
+    and the snapshots' coordinates.
 
     The projection covers the r that ``rom`` defaults to, ``[rom] r`` or
-    the rank, so a ``rom`` run at that r or below only slices it.
+    the rank, so a ``rom`` run at that r or below only slices it.  The
+    coordinates also give the projection-error report.
     """
     cp = _load_config(args.config)
     problem = _build_problem(cp)
@@ -238,11 +245,12 @@ def cmd_pod(args):
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
     r = min(_mode_count(cp, basis.rank), basis.rank)
     basis.projection = project_fields(space, basis.fields(r))
+    basis.coordinates = snapshot_coordinates(space, basis, snaps)
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],
                   [np.arange(1, basis.rank + 1), basis.eigenvalues])
     # automatic projection-error equality report
-    lhs, rhs = pod_projection_error(basis, snaps, space.mass(), space.stiffness())
+    lhs, rhs = pod_projection_error(basis, basis.coordinates)
     worst = np.abs(lhs - rhs)[: basis.rank].max() / max(rhs[0], 1e-300)
     print(f"rank {basis.rank} basis; projection-error equality max relative "
           f"mismatch {worst:.3e} (vs total gradient energy)")
@@ -250,30 +258,43 @@ def cmd_pod(args):
     return EXIT_OK
 
 
-def cmd_rom(args):
-    """Run one ROM on the archive's snapshot grid with the ``[fom] scheme``.
+def _read_pod_basis(basis_path, archive_path, space):
+    """The basis archive written by ``pod``, whose snapshot times must be the archive's."""
+    basis = fio.read_basis(basis_path, space=space)
+    if basis.coordinates is None:
+        raise fio.ArchiveFormatError(f"{basis_path}: the basis holds no snapshot coordinates")
+    if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), basis.coordinates.times):
+        raise fio.ArchiveFormatError(
+            f"{archive_path}: snapshot times differ from those of the basis {basis_path}")
+    return basis
 
-    One projection, the archive's or a fresh one when r exceeds it, gives
-    both the operators and the energy and enstrophy series.
+
+def cmd_rom(args):
+    """Run one ROM on the basis's snapshot grid with the ``[fom] scheme``.
+
+    It starts from the first snapshot's coordinates on the leading r modes
+    and assembles no FE matrix.  One projection, the archive's or a fresh
+    one when r exceeds it, gives both the operators and the energy and
+    enstrophy series.
     """
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     space = problem.space
     fom_cfg = _fom_config(cp, problem)
     form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
-    basis = fio.read_basis(args.basis, space=space)
+    basis = _read_pod_basis(args.basis, args.archive, space)
     r = _mode_count(cp, basis.rank, args.r)
     if r > basis.rank:
         raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
-    snaps = fio.read_snapshots(args.archive, space=space)
-    if snaps.count < 2:
-        raise ConfigError(f"{args.archive}: a reduced run needs at least two snapshots, "
-                          f"found {snaps.count}")
-    t0 = snaps.times[0]
-    dt = float(snaps.times[1] - t0)
-    t_end = float(snaps.times[-1] - t0)
-    a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
+    coords = basis.coordinates
+    if coords.count < 2:
+        raise ConfigError(f"{args.basis}: a reduced run needs at least two snapshots, "
+                          f"found {coords.count}")
+    t0 = coords.times[0]
+    dt = float(coords.times[1] - t0)
+    t_end = float(coords.times[-1] - t0)
+    a0 = coords.coeffs[0, :r]
 
     basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
@@ -318,21 +339,24 @@ def _parse_traj_csv(path):
 
 
 def cmd_compare(args):
+    """Tabulate the error functionals of each trajectory against the snapshots.
+
+    They come from the snapshot coordinates stored in the basis
+    (``diagnostics.reduced_trajectory_error``); no field is formed.
+    """
     cp = _load_config(args.config)
     problem = _build_problem(cp)
-    space = problem.space
     fom_cfg = _fom_config(cp, problem)
-    basis = fio.read_basis(args.basis, space=space)
-    snaps = fio.read_snapshots(args.archive, space=space)
+    coords = _read_pod_basis(args.basis, args.archive, problem.space).coordinates
 
     rows = []
     for traj_path in args.trajectories:
         form, r, traj = _parse_traj_csv(traj_path)
         try:
-            err = trajectory_error(space, snaps, traj, basis, fom_cfg.nu)
+            err = reduced_trajectory_error(coords, traj, fom_cfg.nu)
         except ValueError as exc:
             raise ConfigError(f"{traj_path}: {exc}") from exc
-        dt = float(np.diff(snaps.times)[0])
+        dt = float(np.diff(coords.times)[0])
         # theorem norms of the FOM divergence series
         div_vals = err.div_series.values
         div_l20_sq = float(dt * np.sum(div_vals[1:] ** 2))
@@ -364,7 +388,8 @@ def _build_parser():
 
     p_rom = sub.add_parser("rom", help="run a reduced model from a basis archive")
     p_rom.add_argument("basis")
-    p_rom.add_argument("--archive", required=True, help="snapshot archive (start state + times)")
+    p_rom.add_argument("--archive", required=True,
+                       help="snapshot archive of the basis (its times are checked)")
     p_rom.add_argument("--config", required=True)
     p_rom.add_argument("--r", type=int, default=None)
     p_rom.add_argument("--form", choices=[f.value for f in NonlinearForm], default=None)
@@ -373,7 +398,8 @@ def _build_parser():
     p_cmp = sub.add_parser("compare", help="tabulate ROM-vs-FOM trajectory errors")
     p_cmp.add_argument("trajectories", nargs="+", help="ROM trajectory CSVs")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--archive", required=True)
+    p_cmp.add_argument("--archive", required=True,
+                       help="snapshot archive of the basis (its times are checked)")
     p_cmp.add_argument("--basis", required=True)
     p_cmp.add_argument("--out", default=None)
     return parser

@@ -158,17 +158,10 @@ def _snapshot_norms(space, snapshots):
     return cached[1:]
 
 
-def trajectory_error(space, snapshots, trajectory, basis, nu):
-    """Theorem-style error functionals of a ROM trajectory vs FOM snapshots.
-
-    The time grids must match exactly.  The max-norm error covers every
-    recorded time; the viscous-weighted gradient sum and ``c_u`` run over
-    n >= 1 as in the discrete error bound.  The snapshot matrix must not
-    change between calls on one space (its norms are cached).
-    """
-    times = snapshots.times
-    if times.size != trajectory.times.size or not np.allclose(
-        times - times[0], trajectory.times - trajectory.times[0], rtol=0.0, atol=1e-10
+def _uniform_step(times, trajectory_times):
+    """The step of the uniform grid ``times``, which the trajectory's must equal from its start."""
+    if times.size != trajectory_times.size or not np.allclose(
+        times - times[0], trajectory_times - trajectory_times[0], rtol=0.0, atol=1e-10
     ):
         raise ValueError("snapshot and trajectory time grids do not match")
     if times.size < 2:
@@ -176,7 +169,20 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("trajectory errors assume a uniform time grid")
-    dt = float(steps[0])
+    return float(steps[0])
+
+
+def trajectory_error(space, snapshots, trajectory, basis, nu):
+    """Theorem-style error functionals of a ROM trajectory vs FOM snapshots.
+
+    The time grids must match exactly.  The max-norm error covers every
+    recorded time; the viscous-weighted gradient sum and ``c_u`` run over
+    n >= 1 as in the discrete error bound.  The snapshot matrix must not
+    change between calls on one space (its norms are cached).  This is the
+    full-field reference of :func:`reduced_trajectory_error`.
+    """
+    times = snapshots.times
+    dt = _uniform_step(times, trajectory.times)
 
     recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
     err = recon - snapshots.matrix
@@ -190,4 +196,40 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(u_h1[1:].max()),
         div_series=ScalarSeries(times=times, values=u_div.copy()),
+    )
+
+
+def reduced_trajectory_error(coordinates, trajectory, nu):
+    """:func:`trajectory_error` from the snapshots' ``pod.SnapshotCoordinates``.
+
+    No field is formed.  A trajectory a^n on the leading r modes has the
+    error e^n = Psi d^n - w^n, with d^n = [a^n - a_hat^n_{:r}, -a_hat^n_{r:}]
+    and w^n the snapshot's part outside the basis.  The modes are
+    M-orthonormal and M-orthogonal to w^n, so
+
+        ||e^n||_M^2 = |d^n|^2 + ||w^n||_M^2,
+        ||e^n||_K^2 = d^n . (Psi^T K Psi) d^n - 2 d^n . (Psi^T K w^n) + ||w^n||_K^2,
+
+    O(rank^2) per state.  These equal the full-field values up to roundoff
+    relative to the snapshots' norms; ``c_u`` and the divergence series are
+    the stored snapshot norms themselves.
+    """
+    times = coordinates.times
+    dt = _uniform_step(times, trajectory.times)
+    a = trajectory.coeffs
+    rank = coordinates.coeffs.shape[1]
+    if a.shape[1] > rank:
+        raise ValueError(f"trajectory has {a.shape[1]} modes, the basis rank is {rank}")
+
+    d = -coordinates.coeffs
+    d[:, : a.shape[1]] += a
+    err_l2 = np.sqrt(np.clip(np.einsum("ni,ni->n", d, d) + coordinates.outside_mass_sq, 0.0, None))
+    err_h1sq = np.clip(np.einsum("ni,ni->n", d @ coordinates.stiff_gram - 2.0 * coordinates.outside_stiff, d)
+                       + coordinates.outside_stiff_sq, 0.0, None)
+
+    return TrajectoryError(
+        linf_l2=float(err_l2.max()),
+        l2_h1=float(nu * dt * err_h1sq[1:].sum()),
+        c_u=float(coordinates.h1_norms[1:].max()),
+        div_series=ScalarSeries(times=times, values=coordinates.div_norms.copy()),
     )

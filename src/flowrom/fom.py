@@ -278,21 +278,6 @@ def _newton_matrix(space, form, block, u, mask):
     return constrain_rows(block + jac, mask)
 
 
-def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
-    """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
-
-    Constrained velocity rows and the pinned pressure row are zeroed, so the
-    norm of the returned vector is the quantity Newton drives below
-    tolerance.  The same staged evaluation as :func:`advance_step`.
-    """
-    alpha = 1.5 if bdf2_step else 1.0
-    block = saddle_block(space, alpha / config.dt, config.nu)
-    load = _history_load(space, config, u_old, u_prev, bdf2_step)
-    x = np.concatenate([u, p])
-    mask, _ = constraint_mask(space, config.boundary, t, x.size)
-    return _staged_residual(space, config.form, block, x, load, mask)
-
-
 def advance_step(state, config, space, held=None):
     """Advance one implicit step, returning the new state.
 

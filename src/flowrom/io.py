@@ -12,31 +12,41 @@ Snapshot archive (magic ``FLOWSNP1``)::
 
 Basis archive (magic ``FLOWPOD1``)::
 
-    magic[8] | u32 version=3 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
-             | u64 nprojected
+    magic[8] | u32 version=4 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
+             | u64 nprojected | u64 nsnap
     f64 eigenvalues[rank]
     f64 spectrum[nspectrum]
     f64 grad_norms[rank]
     f64 mean[ndof]                 # zeros when centered == 0
     f64 modes[rank][ndof]          # mode-major
+    f64 times[nsnap]               # the basis's SnapshotCoordinates, on all
+    f64 coeffs[nsnap][rank]        # rank modes; all eight absent when nsnap == 0:
+    f64 outside_stiff[nsnap][rank] # a_hat, Psi^T K w,
+    f64 outside_mass_sq[nsnap]     # ||w||_M^2, ||w||_K^2 (w: the part outside the basis),
+    f64 outside_stiff_sq[nsnap]
+    f64 h1_norms[nsnap]            # ||grad u||, ||div u|| of the snapshots,
+    f64 div_norms[nsnap]
+    f64 stiff_gram[rank][rank]     # Psi^T K Psi
     f64 conv[m][m][m]              # the basis's RomProjection on its leading
     f64 div[m][m][m]               # m = nprojected fields (at most centered + rank):
     f64 gram[m][m]                 # its cubes, then its stiffness, mass and curl
     f64 mass_gram[m][m]            # Grams; all five absent when nprojected == 0
     f64 curl_gram[m][m]
 
-Version 2 lacked the mass and curl Grams; it is rejected like any other
-unknown version.
+Version 3 lacked the snapshot coordinates and version 2 also the mass and
+curl Grams; both are rejected like any other unknown version.
 
 CSV files all carry a header row and print floats with 17 significant
 digits, so rereading reproduces the values bit-exactly.
 """
 
+import os
 import struct
+import warnings
 
 import numpy as np
 
-from .pod import PodBasis, SnapshotSet
+from .pod import PodBasis, SnapshotCoordinates, SnapshotSet
 from .rom import RomProjection
 
 SNAPSHOT_MAGIC = b"FLOWSNP1"
@@ -81,6 +91,18 @@ def write_snapshots(path, snapshots):
         fh.write(mat.tobytes())
 
 
+def _read_snapshot_header(fh, space):
+    """(ndof, nsnap, times) of the snapshot archive open in ``fh``, left at its payload."""
+    magic = _read_exact(fh, 8, "magic")
+    if magic != SNAPSHOT_MAGIC:
+        raise ArchiveFormatError(f"bad magic {magic!r}: not a snapshot archive")
+    version, _, ndof, nsnap = struct.unpack("<IIQQ", _read_exact(fh, 24, "header"))
+    if version != 1:
+        raise ArchiveFormatError(f"unsupported snapshot archive version {version}")
+    _check_dofs(ndof, space)
+    return ndof, nsnap, _read_floats(fh, nsnap, "times")
+
+
 def read_snapshots(path, space=None):
     """Read a snapshot archive back into a :class:`SnapshotSet`.
 
@@ -88,35 +110,47 @@ def read_snapshots(path, space=None):
     and, when ``space`` is given, on a DOF count that does not match it.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, "magic")
-        if magic != SNAPSHOT_MAGIC:
-            raise ArchiveFormatError(f"bad magic {magic!r}: not a snapshot archive")
-        version, _, ndof, nsnap = struct.unpack("<IIQQ", _read_exact(fh, 24, "header"))
-        if version != 1:
-            raise ArchiveFormatError(f"unsupported snapshot archive version {version}")
-        _check_dofs(ndof, space)
-        times = _read_floats(fh, nsnap, "times")
+        ndof, nsnap, times = _read_snapshot_header(fh, space)
         data = _read_floats(fh, nsnap * ndof, "snapshot payload").reshape(nsnap, ndof)
         if fh.read(1):
             raise ArchiveFormatError("trailing bytes after snapshot payload")
     return SnapshotSet(matrix=data.T.copy(), times=times)
 
 
+def read_snapshot_times(path, space=None):
+    """The times of a snapshot archive, without reading its payload.
+
+    Validated like :func:`read_snapshots`, except that the payload is only
+    checked to have the size its header gives.
+    """
+    with open(path, "rb") as fh:
+        ndof, nsnap, times = _read_snapshot_header(fh, space)
+        if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * nsnap * ndof:
+            raise ArchiveFormatError("snapshot payload size does not match the archive header")
+    return times
+
+
 def write_basis(path, basis):
     """Write a :class:`PodBasis` to a basis archive."""
     ndof, rank = basis.modes.shape
-    proj = basis.projection
+    proj, coords = basis.projection, basis.coordinates
     nproj = 0 if proj is None else proj.m
+    nsnap = 0 if coords is None else coords.count
     with open(path, "wb") as fh:
         fh.write(BASIS_MAGIC)
-        fh.write(struct.pack("<IIQQQQ", 3, int(basis.centered), ndof, rank, basis.spectrum.size,
-                             nproj))
+        fh.write(struct.pack("<IIQQQQQ", 4, int(basis.centered), ndof, rank, basis.spectrum.size,
+                             nproj, nsnap))
         fh.write(np.asarray(basis.eigenvalues, dtype="<f8").tobytes())
         fh.write(np.asarray(basis.spectrum, dtype="<f8").tobytes())
         fh.write(np.asarray(basis.grad_norms, dtype="<f8").tobytes())
         mean = basis.mean if basis.centered else np.zeros(ndof)
         fh.write(np.asarray(mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(basis.modes.T, dtype="<f8").tobytes())
+        if coords is not None:
+            for block in (coords.times, coords.coeffs, coords.outside_stiff, coords.outside_mass_sq,
+                          coords.outside_stiff_sq, coords.h1_norms, coords.div_norms,
+                          coords.stiff_gram):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
         if proj is not None:
             for block in (proj.conv, proj.div, proj.gram, proj.mass_gram, proj.curl_gram):
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
@@ -131,9 +165,9 @@ def read_basis(path, space=None):
         magic = _read_exact(fh, 8, "magic")
         if magic != BASIS_MAGIC:
             raise ArchiveFormatError(f"bad magic {magic!r}: not a basis archive")
-        version, centered, ndof, rank, nspec, nproj = struct.unpack(
-            "<IIQQQQ", _read_exact(fh, 40, "header"))
-        if version != 3:
+        version, centered, ndof, rank, nspec, nproj, nsnap = struct.unpack(
+            "<IIQQQQQ", _read_exact(fh, 48, "header"))
+        if version != 4:
             raise ArchiveFormatError(f"unsupported basis archive version {version}")
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
@@ -146,6 +180,15 @@ def read_basis(path, space=None):
         grad_norms = _read_floats(fh, rank, "grad_norms")
         mean = _read_floats(fh, ndof, "mean")
         modes = _read_floats(fh, rank * ndof, "modes").reshape(rank, ndof).T.copy()
+        coordinates = None
+        if nsnap:
+            times = _read_floats(fh, nsnap, "snapshot times")
+            coeffs = _read_floats(fh, 2 * nsnap * rank, "snapshot coordinates").reshape(2, nsnap, rank)
+            norms = _read_floats(fh, 4 * nsnap, "snapshot norms").reshape(4, nsnap)
+            coordinates = SnapshotCoordinates(
+                times=times, coeffs=coeffs[0], outside_stiff=coeffs[1], outside_mass_sq=norms[0],
+                outside_stiff_sq=norms[1], h1_norms=norms[2], div_norms=norms[3],
+                stiff_gram=_read_floats(fh, rank * rank, "stiffness Gram").reshape(rank, rank))
         projection = None
         if nproj:
             cubes = _read_floats(fh, 2 * nproj**3, "projection cubes").reshape(2, nproj, nproj, nproj)
@@ -161,6 +204,7 @@ def read_basis(path, space=None):
         grad_norms=grad_norms,
         mean=mean if centered else None,
         projection=projection,
+        coordinates=coordinates,
     )
 
 
@@ -179,14 +223,23 @@ def write_csv(path, header, columns):
 
 
 def read_csv(path):
-    """Read a CSV written by :func:`write_csv`: returns (header, columns)."""
+    """Read a CSV written by :func:`write_csv`: returns (header, columns).
+
+    An empty file, a value that is not a number and a row whose width
+    differs from the header's raise :class:`ArchiveFormatError`.
+    """
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ArchiveFormatError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    data = np.array(rows) if rows else np.zeros((0, len(header)))
-    if rows and data.shape[1] != len(header):
+        header = fh.readline().strip().split(",")
+        if header == [""]:
+            raise ArchiveFormatError(f"{path}: empty CSV")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header without rows
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ArchiveFormatError(f"{path}: {exc}") from exc
+    if data.size == 0:
+        data = data.reshape(0, len(header))
+    if data.shape[1] != len(header):
         raise ArchiveFormatError(f"{path}: row width does not match header")
     return header, [data[:, j] for j in range(len(header))]

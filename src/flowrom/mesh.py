@@ -91,14 +91,6 @@ class Mesh:
     def num_vertices(self):
         return self.vertices.shape[0]
 
-    @property
-    def num_triangles(self):
-        return self.triangles.shape[0]
-
-    def signed_areas(self):
-        """Signed area of each triangle (positive for CCW orientation)."""
-        return _signed_areas(self.vertices, self.triangles)
-
     def labels(self):
         """Set of distinct boundary labels."""
         return set(self.boundary_labels)

@@ -13,6 +13,12 @@ cutoff, where plain double-precision Gram eigenvectors lose orthogonality:
   of tiny eigenvalues in the squared Gram spectrum.
 
 The raw (clamped) Gram spectrum is kept alongside for trace identities.
+
+:func:`snapshot_coordinates` then writes the snapshots in the basis's
+coordinates: their coefficients on every mode and the norms of the part
+outside the basis.  The projection-error equality and the ROM error
+functionals (``diagnostics.reduced_trajectory_error``) read only these, so
+after ``flowrom pod`` no stage needs the snapshot matrix again.
 """
 
 from dataclasses import dataclass
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .diagnostics import _snapshot_norms
 from .numerics import sym_eig
 
 
@@ -51,8 +58,9 @@ class PodBasis:
     ``eigenvalues`` holds the retained ``rank`` leading values.  ``mean`` is
     the snapshot average when centering was enabled, else ``None``.
     ``projection`` is the ``rom.RomProjection`` of the leading
-    :meth:`fields` that ``flowrom pod`` stores with the basis; it is None
-    for a basis built in memory.
+    :meth:`fields` and ``coordinates`` the :class:`SnapshotCoordinates` of
+    the basis's snapshots, which ``flowrom pod`` stores with the basis; both
+    are None for a basis built in memory.
     """
 
     modes: np.ndarray        # (ndof, rank)
@@ -61,6 +69,7 @@ class PodBasis:
     grad_norms: np.ndarray   # (rank,)
     mean: np.ndarray = None
     projection: object = None
+    coordinates: object = None
 
     @property
     def rank(self):
@@ -144,35 +153,82 @@ def build_pod_basis(snapshots, mass, stiffness, centering="none", rank_tol=1e-12
     )
 
 
-def pod_projection_error(basis, snapshots, mass, stiffness):
-    """Both sides of the POD projection-error equality at every rank r = 0..rank.
+@dataclass
+class SnapshotCoordinates:
+    """Snapshots u^n in the coordinates of a basis with modes Psi and mean ubar.
 
-    Returns arrays ``(lhs, rhs)`` of length ``rank + 1``, indexed by r.  The
-    left side averages the H1-seminorm of the out-of-basis part of each
-    (centered) snapshot; the right side sums ``||grad psi_k||^2 lambda_k``
-    over the discarded modes.  The two are computed from independent data
-    and agree to roundoff for an exact POD.
-
-    One projection serves every r.  With C = Psi^T M x and E = x - Psi C the
-    part outside the whole basis, the out-of-basis part at rank r is
-    E + Psi_{k>=r} C_{k>=r}, so
-
-        lhs(r) = mean ||E||_K^2 + 2 sum_{k>=r} mean(C_k (Psi^T K E)_k)
-                 + sum_{k,l>=r} (Psi^T K Psi)_kl (C C^T / N)_kl,
-
-    each sum taken from the tail end, so no term cancels a larger one.
+    Row n of ``coeffs`` is a_hat^n = Psi^T M (u^n - ubar) on all ``rank``
+    modes (ubar = 0 when uncentered), and w^n = u^n - ubar - Psi a_hat^n is
+    the part outside the basis, M-orthogonal to it.  The remaining blocks
+    are the norms of w^n and u^n that the error functionals need: K is the
+    stiffness matrix and ``div_norms`` the ``div_form`` seminorms.
     """
+
+    times: np.ndarray             # (N,)
+    coeffs: np.ndarray            # (N, rank)    a_hat^n
+    outside_stiff: np.ndarray     # (N, rank)    Psi^T K w^n
+    outside_mass_sq: np.ndarray   # (N,)         ||w^n||_M^2
+    outside_stiff_sq: np.ndarray  # (N,)         ||w^n||_K^2
+    h1_norms: np.ndarray          # (N,)         ||grad u^n||
+    div_norms: np.ndarray         # (N,)         ||div u^n||
+    stiff_gram: np.ndarray        # (rank, rank) Psi^T K Psi
+
+    @property
+    def count(self):
+        return self.times.size
+
+
+def snapshot_coordinates(space, basis, snapshots):
+    """The :class:`SnapshotCoordinates` of ``snapshots`` on ``basis``.
+
+    One pass over the snapshot matrix, with the space's mass and stiffness
+    matrices; the snapshot norms are the ones ``diagnostics.trajectory_error``
+    reads (shared through its cache).
+    """
+    mass, stiffness = space.mass(), space.stiffness()
     xc = snapshots.matrix - basis.mean[:, None] if basis.centered else snapshots.matrix
     modes = basis.modes
     coeffs = modes.T @ (mass @ xc)
     outside = xc - modes @ coeffs
     k_outside = stiffness @ outside
-    count = xc.shape[1]
-    cross = np.einsum("kj,kj->k", coeffs, modes.T @ k_outside) / count
-    inside = (modes.T @ (stiffness @ modes)) * (coeffs @ coeffs.T / count)
+    h1_norms, div_norms = _snapshot_norms(space, snapshots)
+    return SnapshotCoordinates(
+        times=snapshots.times.copy(),
+        coeffs=coeffs.T,
+        outside_stiff=(modes.T @ k_outside).T,
+        outside_mass_sq=np.einsum("ij,ij->j", outside, mass @ outside),
+        outside_stiff_sq=np.einsum("ij,ij->j", outside, k_outside),
+        h1_norms=h1_norms,
+        div_norms=div_norms,
+        stiff_gram=modes.T @ (stiffness @ modes),
+    )
+
+
+def pod_projection_error(basis, coordinates):
+    """Both sides of the POD projection-error equality at every rank r = 0..rank.
+
+    Returns arrays ``(lhs, rhs)`` of length ``rank + 1``, indexed by r.  The
+    left side averages the H1-seminorm of the out-of-basis part of each
+    (centered) snapshot, from its :class:`SnapshotCoordinates`; the right
+    side sums ``||grad psi_k||^2 lambda_k`` over the discarded modes.  The
+    two are computed from independent data and agree to roundoff for an
+    exact POD.
+
+    With C = a_hat^T (rank x N) and w the part outside the whole basis, the
+    out-of-basis part at rank r is w + Psi_{k>=r} C_{k>=r}, so
+
+        lhs(r) = mean ||w||_K^2 + 2 sum_{k>=r} mean(C_k (Psi^T K w)_k)
+                 + sum_{k,l>=r} (Psi^T K Psi)_kl (C C^T / N)_kl,
+
+    each sum taken from the tail end, so no term cancels a larger one.
+    """
+    coeffs = coordinates.coeffs.T
+    count = coordinates.count
+    cross = np.einsum("kj,kj->k", coeffs, coordinates.outside_stiff.T) / count
+    inside = coordinates.stiff_gram * (coeffs @ coeffs.T / count)
     # inside_tail[r] = sum of inside[k, l] over k, l >= r
     inside_tail = np.cumsum(np.cumsum(inside[::-1, ::-1], axis=0), axis=1)[::-1, ::-1].diagonal()
-    lhs = np.einsum("ij,ij->j", outside, k_outside).mean() \
+    lhs = coordinates.outside_stiff_sq.mean() \
         + np.append(2.0 * _tail_sums(cross) + inside_tail, 0.0)
     rhs = np.append(_tail_sums(basis.grad_norms**2 * basis.eigenvalues), 0.0)
     return lhs, rhs

@@ -103,10 +103,6 @@ class RomOperators:
         r, m = self._sym.shape[:2]
         return (self._sym.reshape(r * m, m) @ c).reshape(r, m)
 
-    def quadratic(self, c):
-        """N(c)_i = sum_jk T[i, j, k] c_j c_k."""
-        return 0.5 * (self.quadratic_jacobian(c) @ c)
-
 
 @dataclass
 class RomTrajectory:

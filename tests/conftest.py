@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import flowrom
-from flowrom.fem import TaylorHoodSpace
+from flowrom.fem import TaylorHoodSpace, constraint_mask, saddle_block
+from flowrom.fom import _history_load, _staged_residual
+from flowrom.mesh import _signed_areas
 
 
 def pytest_collection_modifyitems(config, items):
@@ -81,6 +83,31 @@ def homogeneous_field_pairs(square8):
         v[mask] = 0.0
         pairs.append((u, v))
     return pairs
+
+
+def signed_areas(mesh):
+    """Signed area of each triangle of ``mesh`` (positive for CCW orientation)."""
+    return _signed_areas(mesh.vertices, mesh.triangles)
+
+
+def rom_quadratic(ops, c):
+    """N(c)_i = sum_jk T[i, j, k] c_j c_k of the ``rom.RomOperators`` ``ops``."""
+    return 0.5 * (ops.quadratic_jacobian(c) @ c)
+
+
+def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
+    """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
+
+    Constrained velocity rows and the pinned pressure row are zeroed, so the
+    norm of the returned vector is the quantity Newton drives below
+    tolerance.  The same staged evaluation as ``fom.advance_step``.
+    """
+    alpha = 1.5 if bdf2_step else 1.0
+    block = saddle_block(space, alpha / config.dt, config.nu)
+    load = _history_load(space, config, u_old, u_prev, bdf2_step)
+    x = np.concatenate([u, p])
+    mask, _ = constraint_mask(space, config.boundary, t, x.size)
+    return _staged_residual(space, config.form, block, x, load, mask)
 
 
 def oracle_quadrature():

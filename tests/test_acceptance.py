@@ -33,10 +33,11 @@ from flowrom.fom import (
 )
 from flowrom.io import write_basis, write_snapshots
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
-from flowrom.pod import build_pod_basis, pod_projection_error, project_field
+from flowrom.pod import build_pod_basis, pod_projection_error, project_field, snapshot_coordinates
 from flowrom.rom import assemble_rom_operators, project_fields, reconstruct_field, run_rom
 from flowrom.diagnostics import trajectory_error
 
+from conftest import rom_quadratic
 from test_fem import oracle_eval, oracle_integral
 
 ALL_FORMS = list(NonlinearForm)
@@ -185,7 +186,7 @@ def test_criterion_03_pod_exactness(kh50, kh50_basis):
     # every r; correcting for that single forced term the equality holds to
     # 1e-8 relative at every rank (and uncorrected wherever the tail fits
     # inside the 1e-8 budget)
-    lhs_r, rhs_r = pod_projection_error(basis, snaps, mass, stiff)
+    lhs_r, rhs_r = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
     tail, total = lhs_r[basis.rank], rhs_r[0]
     assert tail <= 1e-9 * total
     worst_eq = 0.0
@@ -245,7 +246,7 @@ def test_criterion_05_reduced_operator_oracle(kh50, kh50_basis):
         for _ in range(10):
             a = rng.standard_normal(r)
             w = reconstruct_field(basis, a)
-            contraction = ops.quadratic(a)
+            contraction = rom_quadratic(ops, a)
             i = int(rng.integers(0, r))
             direct = trilinear_value(space, form, w, w, basis.modes[:, i])
             err = abs(contraction[i] - direct)

@@ -7,7 +7,8 @@ import pytest
 
 from flowrom.cli import _load_config, main
 from flowrom.fom import FomConfig
-from flowrom.io import read_basis, read_csv, write_basis
+from flowrom.io import read_basis, read_csv, read_snapshots, write_basis, write_snapshots
+from flowrom.pod import SnapshotSet
 
 
 MICRO_KH = """
@@ -138,7 +139,8 @@ class TestPipeline:
         assert len(out.read_text().splitlines()) == 2  # header and one row
 
     def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch):
-        # rom assembles no curl form: the energy and enstrophy series read the
+        # rom assembles no mass matrix or curl form: it starts from the stored
+        # coordinates, and the energy and enstrophy series read the
         # projection's Grams, stored (r = 3) or projected afresh (r = rank > 3)
         from flowrom.cli import _build_problem
         from flowrom.diagnostics import energy_enstrophy
@@ -152,9 +154,10 @@ class TestPipeline:
                 "--config", str(cfg), "--out", str(tmp_path)]
 
         def forbidden(space):
-            raise AssertionError("rom assembled the curl form")
+            raise AssertionError("rom assembled the mass matrix or the curl form")
 
         with monkeypatch.context() as patch:
+            patch.setattr(TaylorHoodSpace, "mass", forbidden)
             patch.setattr(TaylorHoodSpace, "curl_form", forbidden)
             for r in (3, basis.rank):
                 assert main([*argv, "--r", str(r)]) == 0
@@ -192,15 +195,6 @@ class TestPipeline:
             assert stored.centered and stored.projection.m == 1 + min(3, stored.rank)  # mean, [rom] r
         assert len(outputs[0]) == 13  # archive, scalars, basis, spectrum, 4 x 2 ROM files, compare
         assert outputs[0] == outputs[1]
-
-
-def _write_nan_snapshots(source, path):
-    """Copy of the snapshot archive ``source`` with one NaN in its payload."""
-    from flowrom.io import read_snapshots, write_snapshots
-
-    snaps = read_snapshots(source)
-    snaps.matrix[5, -1] = np.nan
-    write_snapshots(path, snaps)
 
 
 class TestErrorPaths:
@@ -261,16 +255,49 @@ class TestErrorPaths:
         assert capsys.readouterr().err.count("does not match the configured mesh") == 3
 
     def test_non_finite_archive_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        # pod reads the payload; rom and compare read only the times
         root, cfg = micro_pipeline
-        bad = tmp_path / "nan_snapshots.bin"
-        _write_nan_snapshots(root / "micro_snapshots.bin", bad)
+        bad, bad_time = tmp_path / "nan_snapshots.bin", tmp_path / "nan_time_snapshots.bin"
+        snaps = read_snapshots(root / "micro_snapshots.bin")
+        snaps.matrix[5, -1] = np.nan
+        write_snapshots(bad, snaps)
+        snaps = read_snapshots(root / "micro_snapshots.bin")
+        snaps.times[-1] = np.nan
+        write_snapshots(bad_time, snaps)
         assert main(["pod", str(bad), "--config", str(cfg), "--out", str(tmp_path)]) == 4
-        assert main(["rom", str(root / "micro_basis.bin"), "--archive", str(bad),
+        assert main(["rom", str(root / "micro_basis.bin"), "--archive", str(bad_time),
                      "--config", str(cfg), "--out", str(tmp_path)]) == 4
-        assert "non-finite value in snapshot payload" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite value in snapshot payload" in err
+        assert "non-finite value in times" in err
 
-    @pytest.mark.parametrize("defect", ["version_1", "version_2", "truncated", "non_finite",
-                                        "non_finite_gram", "too_many_fields"])
+    @pytest.mark.parametrize("edit", ["shifted", "one_fewer", "truncated"])
+    def test_archive_of_another_basis_is_format_error(self, micro_pipeline, tmp_path, capsys, edit):
+        # rom and compare check the archive's times against the basis's
+        root, cfg = micro_pipeline
+        bad = tmp_path / "other_snapshots.bin"
+        source = root / "micro_snapshots.bin"
+        if edit == "truncated":  # times intact, payload cut short
+            bad.write_bytes(source.read_bytes()[:-8])
+        else:
+            snaps = read_snapshots(source)
+            if edit == "shifted":
+                snaps.times += 0.5
+            else:
+                snaps = SnapshotSet(matrix=snaps.matrix[:, :-1], times=snaps.times[:-1])
+            write_snapshots(bad, snaps)
+        basis, traj = str(root / "micro_basis.bin"), str(root / "micro_rom_skew_r3_traj.csv")
+        assert main(["rom", basis, "--archive", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 4
+        assert main(["compare", traj, "--config", str(cfg), "--archive", str(bad),
+                     "--basis", basis, "--out", str(tmp_path / "c.csv")]) == 4
+        message = ("snapshot payload size does not match" if edit == "truncated"
+                   else "snapshot times differ from those of the basis")
+        assert capsys.readouterr().err.count(message) == 2
+        assert not list(tmp_path.glob("*_rom_*")) and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "truncated", "non_finite",
+                                        "non_finite_gram", "too_many_fields", "no_coordinates"])
     def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
         root, cfg = micro_pipeline
         raw = bytearray((root / "micro_basis.bin").read_bytes())
@@ -283,12 +310,14 @@ class TestErrorPaths:
         elif defect == "too_many_fields":
             raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
         bad.write_bytes(bytes(raw))
-        if defect.startswith("non_finite"):
+        if defect.startswith("non_finite") or defect == "no_coordinates":
             basis = read_basis(root / "micro_basis.bin")
             if defect == "non_finite":
                 basis.projection.div[1, 0, 2] = np.inf
-            else:
+            elif defect == "non_finite_gram":
                 basis.projection.mass_gram[1, 0] = np.inf
+            else:  # a basis written from memory, not by pod
+                basis.coordinates = None
             write_basis(bad, basis)
         code = main(["rom", str(bad), "--archive", str(root / "micro_snapshots.bin"),
                      "--config", str(cfg), "--out", str(tmp_path)])
@@ -296,10 +325,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert {"version_1": "unsupported basis archive version 1",
                 "version_2": "unsupported basis archive version 2",
+                "version_3": "unsupported basis archive version 3",
                 "truncated": "truncated archive while reading projection Grams",
                 "non_finite": "non-finite value in projection",
                 "non_finite_gram": "non-finite value in projection Grams",
-                "too_many_fields": f"projected field count {rank + 1} exceeds"}[defect] in err
+                "too_many_fields": f"projected field count {rank + 1} exceeds",
+                "no_coordinates": "the basis holds no snapshot coordinates"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
 
     def test_missing_mesh_file(self, tmp_path):

@@ -8,12 +8,13 @@ from flowrom.diagnostics import (
     _edge_quadrature_data,
     drag_coefficient,
     energy_enstrophy,
+    reduced_trajectory_error,
     trajectory_error,
 )
 from flowrom.fem import TaylorHoodSpace
-from flowrom.fom import build_initial_condition
-from flowrom.pod import SnapshotSet, project_field
-from flowrom.rom import RomTrajectory, reconstruct_field
+from flowrom.fom import build_initial_condition, cylinder_boundary
+from flowrom.pod import SnapshotSet, build_pod_basis, project_field, snapshot_coordinates
+from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +180,79 @@ class TestTrajectoryError:
         traj = RomTrajectory(coeffs=np.zeros((snaps.count - 1, 2)), times=snaps.times[:-1])
         with pytest.raises(ValueError, match="grids"):
             trajectory_error(space, snaps, traj, basis, cfg.nu)
+
+
+@pytest.fixture(scope="module")
+def cylinder_snapshots(cylinder_space):
+    """31 seeded snapshots carrying the inflow, with amplitudes from 1 down to 1e-8.25.
+
+    Mean-centered, the default rank cutoff keeps 8 of the 12 directions, so
+    the part outside the basis is about 1e-6 of the snapshots.
+    """
+    space = cylinder_space
+    mask, values = space.dirichlet_data(cylinder_boundary())
+    rng = np.random.default_rng(11)
+    fields = rng.standard_normal((space.n_vel, 12)) * 10.0 ** (-0.75 * np.arange(12))
+    fields[mask] = 0.0
+    times = 0.01 * np.arange(31)
+    coef = np.cos(np.outer(times, 300.0 * np.arange(1, 13)) + rng.uniform(0.0, 6.0, 12))
+    snaps = SnapshotSet(matrix=values[:, None] + fields @ coef.T, times=times)
+    return space, snaps, build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+
+
+class TestReducedTrajectoryError:
+    """The reduced path against the full-field reference :func:`trajectory_error`."""
+
+    @staticmethod
+    def _trajectories(case, kh_run, kh_basis_session, cylinder_snapshots):
+        """(space, snapshots, basis, nu, trajectories) of one case."""
+        if case == "cylinder":  # centered: projected coefficients, perturbed at three sizes
+            space, snaps, basis = cylinder_snapshots
+            coeffs = snapshot_coordinates(space, basis, snaps).coeffs
+            rng = np.random.default_rng(12)
+            trajs = [coeffs[:, :r] + scale * rng.standard_normal((snaps.count, r))
+                     for r in (1, 4, basis.rank) for scale in (0.0, 1e-6, 1e-2)]
+            return space, snaps, basis, 5e-4, trajs
+        _, space, snaps, _, cfg = kh_run  # uncentered: ROMs of every form, projected coefficients
+        basis = kh_basis_session
+        coeffs = snapshot_coordinates(space, basis, snaps).coeffs
+        trajs = [coeffs[:, :1], coeffs]
+        for form in ("skew", "emac", "convective", "rotational"):
+            for r in (2, 6, basis.rank):
+                ops = assemble_rom_operators(space, basis, r, form, cfg.nu)
+                trajs.append(run_rom(ops, coeffs[0, :r], cfg.dt, cfg.t_end).coeffs)
+        return space, snaps, basis, cfg.nu, trajs
+
+    @pytest.mark.parametrize("case", ["kh", "cylinder"])
+    def test_matches_full_field_reference(self, kh_run, kh_basis_session, cylinder_snapshots, case):
+        # Bounds are roundoff of the snapshots' size, not of the error: the
+        # measured worst cases are 1.1 eps max||u||_M (linf_l2) and
+        # 0.32 eps nu dt N max||u||_K^2 (l2_h1), which is up to 1.2e-11 of a
+        # small error.  c_u and the divergence series are the same numbers.
+        space, snaps, basis, nu, trajs = self._trajectories(case, kh_run, kh_basis_session,
+                                                            cylinder_snapshots)
+        coords = snapshot_coordinates(space, basis, snaps)
+        u = snaps.matrix
+        eps = np.finfo(float).eps
+        u_l2 = np.sqrt(np.einsum("ij,ij->j", u, space.mass() @ u).max())
+        u_h1sq = np.einsum("ij,ij->j", u, space.stiffness() @ u).max()
+        dt = float(snaps.times[1] - snaps.times[0])
+        for coeffs in trajs:
+            traj = RomTrajectory(coeffs=coeffs, times=snaps.times - snaps.times[0])
+            full = trajectory_error(space, snaps, traj, basis, nu)
+            reduced = reduced_trajectory_error(coords, traj, nu)
+            assert abs(reduced.linf_l2 - full.linf_l2) <= 32 * eps * u_l2
+            assert abs(reduced.l2_h1 - full.l2_h1) <= 4 * eps * nu * dt * snaps.count * u_h1sq
+            assert reduced.c_u == full.c_u
+            assert np.array_equal(reduced.div_series.values, full.div_series.values)
+            assert np.array_equal(reduced.div_series.times, full.div_series.times)
+
+    def test_checks_grid_and_rank(self, kh_run, kh_basis_session):
+        _, space, snaps, _, cfg = kh_run
+        coords = snapshot_coordinates(space, kh_basis_session, snaps)
+        short = RomTrajectory(coeffs=np.zeros((snaps.count - 1, 2)), times=snaps.times[:-1])
+        with pytest.raises(ValueError, match="grids"):
+            reduced_trajectory_error(coords, short, cfg.nu)
+        wide = RomTrajectory(coeffs=np.zeros((snaps.count, kh_basis_session.rank + 1)), times=snaps.times)
+        with pytest.raises(ValueError, match="basis rank"):
+            reduced_trajectory_error(coords, wide, cfg.nu)

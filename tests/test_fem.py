@@ -20,7 +20,7 @@ from flowrom.fem import (
 from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import factorize, solve_sparse
 
-from conftest import oracle_quadrature
+from conftest import oracle_quadrature, signed_areas
 
 ALL_FORMS = list(NonlinearForm)
 
@@ -43,7 +43,7 @@ def oracle_eval(mesh, space, u, bary):
     ])
     p = mesh.vertices
     t = mesh.triangles
-    areas = mesh.signed_areas()
+    areas = signed_areas(mesh)
     # grad lambda_i = perp(p_j - p_k) / (2A), (i, j, k) cyclic
     glam = np.empty((len(t), 3, 2))
     for i in range(3):
@@ -73,7 +73,7 @@ def oracle_eval(mesh, space, u, bary):
 def oracle_integral(mesh, density_at):
     """Integrate a per-(element, point) scalar with the degree-6 oracle rule."""
     bary, w = oracle_quadrature()
-    areas = mesh.signed_areas()
+    areas = signed_areas(mesh)
     vals = density_at(bary)
     return float(np.einsum("q,e,eq->", w, 2 * areas, vals))
 
@@ -232,7 +232,7 @@ class TestTrilinearForms:
 
         def potential(bary):
             vvals, _ = oracle_eval(mesh, space, v, bary)
-            areas = mesh.signed_areas()
+            areas = signed_areas(mesh)
             x = np.einsum("el,ql->eq", mesh.vertices[mesh.triangles][:, :, 0], np.asarray(bary))
             y = np.einsum("el,ql->eq", mesh.vertices[mesh.triangles][:, :, 1], np.asarray(bary))
             return vvals[..., 0] * x + vvals[..., 1] * y

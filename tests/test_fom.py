@@ -27,13 +27,14 @@ from flowrom.fom import (
     kelvin_helmholtz_boundary,
     kelvin_helmholtz_velocity,
     run_fom,
-    scheme_residual,
     snapshot_steps,
     stokes_project,
     taylor_green_gradient,
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
+
+from conftest import scheme_residual
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from flowrom.io import (
     write_csv,
     write_snapshots,
 )
-from flowrom.pod import SnapshotSet
+from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis, snapshot_coordinates
 from flowrom.rom import project_fields
 
 
@@ -78,8 +79,6 @@ class TestBasisArchive:
         assert back.mean is None
 
     def test_round_trip_centered(self, tmp_path, kh_run):
-        from flowrom.pod import build_pod_basis
-
         _, space, snaps, _, _ = kh_run
         basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
         path = tmp_path / "basis.bin"
@@ -100,9 +99,28 @@ class TestBasisArchive:
         write_basis(tmp_path / "again.bin", read_basis(path))
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
-    def test_inconsistent_header_names_field(self, tmp_path, kh_basis_session):
-        import struct
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_round_trip_coordinates(self, tmp_path, kh_run, centering):
+        # version 4: the snapshot coordinates between the modes and the projection
+        _, space, snaps, _, _ = kh_run
+        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        basis.projection = project_fields(space, basis.fields(3))
+        basis.coordinates = snapshot_coordinates(space, basis, snaps)
+        path = tmp_path / "basis.bin"
+        write_basis(path, basis)
+        raw = path.read_bytes()
+        assert struct.unpack("<IIQQQQQ", raw[8:56]) == (
+            4, centering == "mean", space.n_vel, basis.rank, snaps.count, basis.projection.m, snaps.count)
+        back = read_basis(path)
+        for field in dataclasses.fields(SnapshotCoordinates):
+            assert np.array_equal(getattr(back.coordinates, field.name),
+                                  getattr(basis.coordinates, field.name)), field.name
+        assert np.array_equal(back.coordinates.times, snaps.times)
+        assert np.array_equal(back.projection.curl_gram, basis.projection.curl_gram)
+        write_basis(tmp_path / "again.bin", back)
+        assert (tmp_path / "again.bin").read_bytes() == raw
 
+    def test_inconsistent_header_names_field(self, tmp_path, kh_basis_session):
         path = tmp_path / "basis.bin"
         write_basis(path, kh_basis_session)
         raw = bytearray(path.read_bytes())
@@ -153,6 +171,24 @@ class TestCsv:
         assert np.array_equal(cols[0], floats, equal_nan=True)
         assert np.signbit(cols[0][3])
         assert np.array_equal(cols[1], counts)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["t", "value"], [np.zeros(0), np.zeros(0)])
+        header, cols = read_csv(path)
+        assert header == ["t", "value"] and [c.shape for c in cols] == [(0,), (0,)]
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty CSV"),
+        ("t,a\n1,2\n3\n", "bad.csv"),  # ragged row: numpy's message, after the path
+        ("t,a\n1,2,3\n4,5,6\n", "row width does not match header"),
+        ("t,a\n1,x\n", "bad.csv"),
+    ])
+    def test_malformed_is_format_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ArchiveFormatError, match=message):
+            read_csv(path)
 
     def test_header_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

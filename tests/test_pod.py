@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from flowrom.fom import kelvin_helmholtz_boundary
-from flowrom.pod import SnapshotSet, build_pod_basis, pod_projection_error, project_field
+from flowrom.pod import (
+    SnapshotSet,
+    build_pod_basis,
+    pod_projection_error,
+    project_field,
+    snapshot_coordinates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +107,14 @@ class TestProjectionErrorEquality:
                             times=np.arange(4.0))
         basis = build_pod_basis(snaps, mass, stiff)
         assert basis.rank == 2
-        lhs, rhs = pod_projection_error(basis, snaps, mass, stiff)
+        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
         assert rhs[basis.rank] == 0.0
         assert abs(lhs[basis.rank]) <= 1e-10 * float(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix).mean())
 
     def test_r_zero_matches_total(self, kh_basis):
         space, snaps, basis = kh_basis
         stiff = space.stiffness()
-        lhs, rhs = pod_projection_error(basis, snaps, space.mass(), stiff)
+        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
         direct = np.mean(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix))
         assert lhs[0] == pytest.approx(direct, rel=1e-12)
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-8)
@@ -121,7 +127,7 @@ class TestProjectionErrorEquality:
         # where the tail is negligible the uncorrected equality holds too.
         space, snaps, basis = kh_basis
         mass, stiff = space.mass(), space.stiffness()
-        lhs_r, rhs_r = pod_projection_error(basis, snaps, mass, stiff)
+        lhs_r, rhs_r = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
         tail, total = lhs_r[basis.rank], rhs_r[0]
         assert tail <= 1e-9 * total
         for r in range(basis.rank + 1):
@@ -136,7 +142,7 @@ class TestProjectionErrorEquality:
         space, snaps = kh_snapshots
         mass, stiff = space.mass(), space.stiffness()
         basis = build_pod_basis(snaps, mass, stiff, centering=centering)
-        lhs, rhs = pod_projection_error(basis, snaps, mass, stiff)
+        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
         assert lhs.shape == rhs.shape == (basis.rank + 1,)
         xc = snaps.matrix - basis.mean[:, None] if basis.centered else snaps.matrix
         for r in range(basis.rank + 1):

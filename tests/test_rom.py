@@ -17,6 +17,8 @@ from flowrom.rom import (
     run_rom,
 )
 
+from conftest import rom_quadratic
+
 ALL_FORMS = list(NonlinearForm)
 
 
@@ -138,7 +140,7 @@ class TestAssembleRomOperators:
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = rng.standard_normal(r)
-            val = a @ ops.quadratic(a)
+            val = a @ rom_quadratic(ops, a)
             assert abs(val) <= 1e-11 * scale * np.linalg.norm(a) ** 3
 
     @pytest.mark.parametrize("form", ALL_FORMS)
@@ -151,7 +153,7 @@ class TestAssembleRomOperators:
             a = rng.standard_normal(r)
             quad = np.einsum("ijk,j,k->i", ops.tensor, a, a)
             jac = np.einsum("ijk,k->ij", ops.tensor, a) + np.einsum("ikj,k->ij", ops.tensor, a)
-            n_a, j_a = ops.quadratic(a), ops.quadratic_jacobian(a)
+            n_a, j_a = rom_quadratic(ops, a), ops.quadratic_jacobian(a)
             assert np.abs(n_a - quad).max() <= 1e-13 * np.abs(quad).max()
             assert np.abs(j_a - jac).max() <= 1e-13 * np.abs(jac).max()
             assert np.abs(j_a @ a - 2.0 * n_a).max() <= 1e-13 * np.abs(n_a).max()
@@ -210,10 +212,10 @@ class TestAssembleRomOperators:
         w = basis.fields(r) @ c
         full = nonlinear_residual(space, form, w) + nu * (space.stiffness() @ w)
         expected = basis.modes[:, :r].T @ full
-        reduced = ops.quadratic(c) + ops.visc @ c
+        reduced = rom_quadratic(ops, c) + ops.visc @ c
         assert np.abs(reduced - expected).max() <= 1e-11 * np.abs(expected).max()
         # the Jacobian is exact: a central difference of the quadratic term is too
-        diff = 0.5 * (ops.quadratic(ops.extend(a + d)) - ops.quadratic(ops.extend(a - d)))
+        diff = 0.5 * (rom_quadratic(ops, ops.extend(a + d)) - rom_quadratic(ops, ops.extend(a - d)))
         jd = ops.quadratic_jacobian(c)[:, c.size - r:] @ d   # dN/da: the mode columns of dN/dc
         assert np.abs(jd - diff).max() <= 1e-11 * np.abs(diff).max()
 
