@@ -39,8 +39,9 @@ starts from the first snapshot's coordinates and runs on the snapshot grid:
 from the first snapshot to the last, at the snapshot spacing
 (``dt * snapshot_stride``), with the ``[fom] scheme``.  ``compare`` expects
 each trajectory on that same grid, takes ``r`` from its coefficient columns
-and evaluates the errors from the coordinates.  Both read only the header and
-times of their ``--archive``, which must equal the basis's times.
+and evaluates the errors from the coordinates, the only blocks of the basis
+it reads.  Both read only the header and times of their ``--archive``, which
+must equal the basis's times.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 format error.
 """
@@ -258,15 +259,14 @@ def cmd_pod(args):
     return EXIT_OK
 
 
-def _read_pod_basis(basis_path, archive_path, space):
-    """The basis archive written by ``pod``, whose snapshot times must be the archive's."""
-    basis = fio.read_basis(basis_path, space=space)
-    if basis.coordinates is None:
+def _pod_coordinates(coordinates, basis_path, archive_path, space):
+    """The snapshot coordinates stored by ``pod`` in the basis, whose times must be the archive's."""
+    if coordinates is None:
         raise fio.ArchiveFormatError(f"{basis_path}: the basis holds no snapshot coordinates")
-    if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), basis.coordinates.times):
+    if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), coordinates.times):
         raise fio.ArchiveFormatError(
             f"{archive_path}: snapshot times differ from those of the basis {basis_path}")
-    return basis
+    return coordinates
 
 
 def cmd_rom(args):
@@ -282,12 +282,12 @@ def cmd_rom(args):
     space = problem.space
     fom_cfg = _fom_config(cp, problem)
     form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
-    basis = _read_pod_basis(args.basis, args.archive, space)
+    basis = fio.read_basis(args.basis, space=space)
+    coords = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
     r = _mode_count(cp, basis.rank, args.r)
     if r > basis.rank:
         raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
-    coords = basis.coordinates
     if coords.count < 2:
         raise ConfigError(f"{args.basis}: a reduced run needs at least two snapshots, "
                           f"found {coords.count}")
@@ -347,7 +347,9 @@ def cmd_compare(args):
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     fom_cfg = _fom_config(cp, problem)
-    coords = _read_pod_basis(args.basis, args.archive, problem.space).coordinates
+    space = problem.space
+    coords = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
+                              args.basis, args.archive, space)
 
     rows = []
     for traj_path in args.trajectories:

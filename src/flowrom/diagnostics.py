@@ -144,18 +144,10 @@ def drag_coefficient(space, u, p, label="cylinder", nu=1.0):
 
 
 def _snapshot_norms(space, snapshots):
-    """Gradient and divergence norms of every snapshot.
-
-    Cached on the space for the last snapshot matrix seen (held, so its
-    identity stays unique), so that comparing many trajectories against one
-    snapshot set forms these sparse products once.
-    """
+    """Gradient and divergence norms of every snapshot."""
     u = snapshots.matrix
-    cached = space._cache.get("snapshot_norms")
-    if cached is None or cached[0] is not u:
-        norm = lambda op: np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
-        cached = space._cache["snapshot_norms"] = (u, norm(space.stiffness()), norm(space.div_form()))
-    return cached[1:]
+    norm = lambda op: np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
+    return norm(space.stiffness()), norm(space.div_form())
 
 
 def _uniform_step(times, trajectory_times):
@@ -177,9 +169,8 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
 
     The time grids must match exactly.  The max-norm error covers every
     recorded time; the viscous-weighted gradient sum and ``c_u`` run over
-    n >= 1 as in the discrete error bound.  The snapshot matrix must not
-    change between calls on one space (its norms are cached).  This is the
-    full-field reference of :func:`reduced_trajectory_error`.
+    n >= 1 as in the discrete error bound.  This is the full-field
+    reference of :func:`reduced_trajectory_error`.
     """
     times = snapshots.times
     dt = _uniform_step(times, trajectory.times)
@@ -195,7 +186,7 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
         linf_l2=float(err_l2.max()),
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(u_h1[1:].max()),
-        div_series=ScalarSeries(times=times, values=u_div.copy()),
+        div_series=ScalarSeries(times=times, values=u_div),
     )
 
 

@@ -80,14 +80,6 @@ class NonlinearForm(str, enum.Enum):
             raise ValueError(f"unknown nonlinear form {name!r}; expected one of: {valid}") from None
 
 
-@dataclass(frozen=True)
-class FieldNorms:
-    l2: float
-    h1_semi: float
-    div_l2: float
-    curl_l2: float
-
-
 def _p2_basis(bary):
     """P2 basis values at barycentric points: (nq, 6)."""
     l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
@@ -531,17 +523,6 @@ def assemble_linear_operators(mesh, space, nu):
     if space.mesh is not mesh:
         raise ValueError("space was not built on the given mesh")
     return space.mass(), nu * space.stiffness(), space.divergence()
-
-
-def field_norms(space, u):
-    """L2, H1-seminorm, divergence and curl norms of a velocity field."""
-    u = space._check_velocity(u)
-    l2sq = u @ (space.mass() @ u)
-    h1sq = u @ (space.stiffness() @ u)
-    divsq = u @ (space.div_form() @ u)
-    curlsq = u @ (space.curl_form() @ u)
-    clip = lambda v: float(np.sqrt(max(v, 0.0)))
-    return FieldNorms(clip(l2sq), clip(h1sq), clip(divsq), clip(curlsq))
 
 
 # ----------------------------------------------------------------------

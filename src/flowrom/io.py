@@ -1,45 +1,24 @@
 """Archive files and CSV emission.
 
 All binary archives share the same conventions: an 8-byte ASCII magic
-string, little-endian fixed-width integer header fields, then little-endian
-IEEE-754 float64 payloads.  Layouts:
+string, little-endian fixed-width integer header fields, then a payload of
+little-endian IEEE-754 float64 blocks.  Each archive's byte layout is its
+header and its block table (:func:`_snapshot_blocks`, :func:`_basis_blocks`),
+whose counts come from the header.  The writers emit the table's fields in
+order.  The readers check the file size against the whole table before they
+allocate or read any block, so a header count that disagrees with the file
+is a format error naming the block it runs into, and read only the blocks
+they need.
 
-Snapshot archive (magic ``FLOWSNP1``)::
-
-    magic[8] | u32 version=1 | u32 reserved | u64 ndof | u64 nsnap
-    f64 times[nsnap]
-    f64 data[nsnap][ndof]          # snapshot-major
-
-Basis archive (magic ``FLOWPOD1``)::
-
-    magic[8] | u32 version=4 | u32 centered | u64 ndof | u64 rank | u64 nspectrum
-             | u64 nprojected | u64 nsnap
-    f64 eigenvalues[rank]
-    f64 spectrum[nspectrum]
-    f64 grad_norms[rank]
-    f64 mean[ndof]                 # zeros when centered == 0
-    f64 modes[rank][ndof]          # mode-major
-    f64 times[nsnap]               # the basis's SnapshotCoordinates, on all
-    f64 coeffs[nsnap][rank]        # rank modes; all eight absent when nsnap == 0:
-    f64 outside_stiff[nsnap][rank] # a_hat, Psi^T K w,
-    f64 outside_mass_sq[nsnap]     # ||w||_M^2, ||w||_K^2 (w: the part outside the basis),
-    f64 outside_stiff_sq[nsnap]
-    f64 h1_norms[nsnap]            # ||grad u||, ||div u|| of the snapshots,
-    f64 div_norms[nsnap]
-    f64 stiff_gram[rank][rank]     # Psi^T K Psi
-    f64 conv[m][m][m]              # the basis's RomProjection on its leading
-    f64 div[m][m][m]               # m = nprojected fields (at most centered + rank):
-    f64 gram[m][m]                 # its cubes, then its stiffness, mass and curl
-    f64 mass_gram[m][m]            # Grams; all five absent when nprojected == 0
-    f64 curl_gram[m][m]
-
-Version 3 lacked the snapshot coordinates and version 2 also the mass and
-curl Grams; both are rejected like any other unknown version.
+Basis archive version 3 lacked the snapshot coordinates and version 2 also
+the mass and curl Grams; both are rejected like any other unknown version.
 
 CSV files all carry a header row and print floats with 17 significant
 digits, so rereading reproduces the values bit-exactly.
 """
 
+import dataclasses
+import math
 import os
 import struct
 import warnings
@@ -57,50 +36,108 @@ class ArchiveFormatError(ValueError):
     """Raised when an archive header or payload fails validation."""
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ArchiveFormatError(f"truncated archive while reading {what}")
-    return buf
+def _snapshot_blocks(ndof, nsnap):
+    """The snapshot archive's blocks, (name, field shapes) in file order, after its header::
+
+        magic[8]="FLOWSNP1" | u32 version=1 | u32 reserved | u64 ndof | u64 nsnap
+    """
+    return [("times", [(nsnap,)]), ("snapshot payload", [(nsnap, ndof)])]  # snapshot-major
 
 
-def _read_floats(fh, count, what):
-    """``count`` float64 values read into one buffer, viewed (writable) without a copy."""
-    buf = bytearray(8 * count)
-    if fh.readinto(buf) != len(buf):
-        raise ArchiveFormatError(f"truncated archive while reading {what}")
-    data = np.frombuffer(buf, dtype="<f8")
-    if not np.all(np.isfinite(data)):
-        raise ArchiveFormatError(f"non-finite value in {what}")
-    return data
+def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
+    """The basis archive's blocks, as :func:`_snapshot_blocks`, after its header::
+
+        magic[8]="FLOWPOD1" | u32 version=4 | u32 centered | u64 ndof | u64 rank
+                            | u64 nspectrum | u64 nprojected | u64 nsnap
+
+    The mean is zeros when uncentered.  The fields of the basis's
+    :class:`SnapshotCoordinates` on all rank modes follow the modes (none
+    when nsnap == 0), then those of its :class:`RomProjection` on the leading
+    m = nprojected <= centered + rank fields (none when 0), in field order.
+    """
+    blocks = [("eigenvalues", [(rank,)]), ("spectrum", [(nspec,)]), ("grad_norms", [(rank,)]),
+              ("mean", [(ndof,)]), ("modes", [(rank, ndof)])]  # mode-major
+    if nsnap:  # times; a_hat, Psi^T K w; ||w||_M^2, ||w||_K^2, ||grad u||, ||div u||; Psi^T K Psi
+        blocks += [("snapshot times", [(nsnap,)]), ("snapshot coordinates", [(nsnap, rank)] * 2),
+                   ("snapshot norms", [(nsnap,)] * 4), ("stiffness Gram", [(rank, rank)])]
+    if nproj:  # conv, div; gram, mass_gram, curl_gram
+        blocks += [("projection cubes", [(nproj,) * 3] * 2), ("projection Grams", [(nproj, nproj)] * 3)]
+    return blocks
 
 
-def _check_dofs(ndof, space):
-    if space is not None and ndof != space.n_vel:
+def _write_archive(path, magic, version, flag, counts, blocks, fields):
+    """Write the header ``magic | u32 version | u32 flag | u64 counts``, then
+    ``fields`` as float64 with the shapes of the block table, in order."""
+    shapes = [shape for _, block_shapes in blocks for shape in block_shapes]
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II" + "Q" * len(counts), version, flag, *counts))
+        for shape, field in zip(shapes, fields, strict=True):
+            fh.write(np.ascontiguousarray(field, dtype="<f8").reshape(shape))
+
+
+def _read_header(fh, kind, magic, version, n_counts, space):
+    """(flag, *counts) of a header written by :func:`_write_archive`, whose
+    first count, the DOF count, is checked against the space; leaves ``fh``
+    at the payload."""
+    fmt = "<II" + "Q" * n_counts
+    raw = fh.read(8 + struct.calcsize(fmt))
+    if raw[:8] != magic:
+        raise ArchiveFormatError(f"bad magic {raw[:8]!r}: not a {kind} archive")
+    if len(raw) != 8 + struct.calcsize(fmt):
+        raise ArchiveFormatError(f"truncated archive while reading the {kind} header")
+    found, flag, *counts = struct.unpack_from(fmt, raw, 8)
+    if found != version:
+        raise ArchiveFormatError(f"unsupported {kind} archive version {found}")
+    if space is not None and counts[0] != space.n_vel:
         raise ArchiveFormatError(
-            f"archive DOF count {ndof} does not match the configured mesh ({space.n_vel})")
+            f"archive DOF count {counts[0]} does not match the configured mesh ({space.n_vel})")
+    return flag, *counts
+
+
+def _read_blocks(fh, kind, blocks, wanted=None):
+    """The field arrays of the ``wanted`` blocks (all when None), in file order.
+
+    The file's size is checked against the whole block table before any
+    block is allocated or read; blocks not wanted are skipped.  The arrays
+    are writable views of one buffer per block.
+    """
+    sizes = [8 * sum(math.prod(shape) for shape in shapes) for _, shapes in blocks]
+    end, file_size = fh.tell(), os.fstat(fh.fileno()).st_size
+    for (name, _), size in zip(blocks, sizes):
+        end += size
+        if end > file_size:
+            raise ArchiveFormatError(f"{kind} payload size does not match the archive header "
+                                     f"(truncated archive while reading {name})")
+    if end < file_size:
+        raise ArchiveFormatError(f"{kind} payload size does not match the archive header "
+                                 "(trailing bytes after the last block)")
+    fields = []
+    for (name, shapes), size in zip(blocks, sizes):
+        if wanted is not None and name not in wanted:
+            fh.seek(size, os.SEEK_CUR)
+            continue
+        buf = bytearray(size)
+        fh.readinto(buf)
+        data = np.frombuffer(buf, dtype="<f8")
+        if not np.all(np.isfinite(data)):
+            raise ArchiveFormatError(f"non-finite value in {name}")
+        offsets = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        fields += [part.reshape(shape) for part, shape in zip(np.split(data, offsets), shapes)]
+    return fields
 
 
 def write_snapshots(path, snapshots):
     """Write a :class:`SnapshotSet` to a snapshot archive."""
-    mat = np.ascontiguousarray(snapshots.matrix.T, dtype="<f8")  # snapshot-major
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IIQQ", 1, 0, snapshots.matrix.shape[0], snapshots.count))
-        fh.write(np.asarray(snapshots.times, dtype="<f8").tobytes())
-        fh.write(mat.tobytes())
+    counts = (snapshots.matrix.shape[0], snapshots.count)
+    _write_archive(path, SNAPSHOT_MAGIC, 1, 0, counts, _snapshot_blocks(*counts),
+                   [snapshots.times, snapshots.matrix.T])
 
 
-def _read_snapshot_header(fh, space):
-    """(ndof, nsnap, times) of the snapshot archive open in ``fh``, left at its payload."""
-    magic = _read_exact(fh, 8, "magic")
-    if magic != SNAPSHOT_MAGIC:
-        raise ArchiveFormatError(f"bad magic {magic!r}: not a snapshot archive")
-    version, _, ndof, nsnap = struct.unpack("<IIQQ", _read_exact(fh, 24, "header"))
-    if version != 1:
-        raise ArchiveFormatError(f"unsupported snapshot archive version {version}")
-    _check_dofs(ndof, space)
-    return ndof, nsnap, _read_floats(fh, nsnap, "times")
+def _read_snapshot_blocks(path, space, wanted=None):
+    """The field arrays of a snapshot archive, as :func:`_read_blocks`."""
+    with open(path, "rb") as fh:
+        _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
+        return _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), wanted)
 
 
 def read_snapshots(path, space=None):
@@ -109,51 +146,39 @@ def read_snapshots(path, space=None):
     Raises :class:`ArchiveFormatError` on a malformed or non-finite payload
     and, when ``space`` is given, on a DOF count that does not match it.
     """
-    with open(path, "rb") as fh:
-        ndof, nsnap, times = _read_snapshot_header(fh, space)
-        data = _read_floats(fh, nsnap * ndof, "snapshot payload").reshape(nsnap, ndof)
-        if fh.read(1):
-            raise ArchiveFormatError("trailing bytes after snapshot payload")
+    times, data = _read_snapshot_blocks(path, space)
     return SnapshotSet(matrix=data.T.copy(), times=times)
 
 
 def read_snapshot_times(path, space=None):
-    """The times of a snapshot archive, without reading its payload.
-
-    Validated like :func:`read_snapshots`, except that the payload is only
-    checked to have the size its header gives.
-    """
-    with open(path, "rb") as fh:
-        ndof, nsnap, times = _read_snapshot_header(fh, space)
-        if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * nsnap * ndof:
-            raise ArchiveFormatError("snapshot payload size does not match the archive header")
-    return times
+    """The times of a snapshot archive, validated like :func:`read_snapshots`
+    except that its payload is skipped."""
+    return _read_snapshot_blocks(path, space, {"times"})[0]
 
 
 def write_basis(path, basis):
     """Write a :class:`PodBasis` to a basis archive."""
     ndof, rank = basis.modes.shape
-    proj, coords = basis.projection, basis.coordinates
-    nproj = 0 if proj is None else proj.m
-    nsnap = 0 if coords is None else coords.count
-    with open(path, "wb") as fh:
-        fh.write(BASIS_MAGIC)
-        fh.write(struct.pack("<IIQQQQQ", 4, int(basis.centered), ndof, rank, basis.spectrum.size,
-                             nproj, nsnap))
-        fh.write(np.asarray(basis.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.asarray(basis.spectrum, dtype="<f8").tobytes())
-        fh.write(np.asarray(basis.grad_norms, dtype="<f8").tobytes())
-        mean = basis.mean if basis.centered else np.zeros(ndof)
-        fh.write(np.asarray(mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.modes.T, dtype="<f8").tobytes())
-        if coords is not None:
-            for block in (coords.times, coords.coeffs, coords.outside_stiff, coords.outside_mass_sq,
-                          coords.outside_stiff_sq, coords.h1_norms, coords.div_norms,
-                          coords.stiff_gram):
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-        if proj is not None:
-            for block in (proj.conv, proj.div, proj.gram, proj.mass_gram, proj.curl_gram):
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    parts = [p for p in (basis.coordinates, basis.projection) if p is not None]
+    counts = (ndof, rank, basis.spectrum.size, 0 if basis.projection is None else basis.projection.m,
+              0 if basis.coordinates is None else basis.coordinates.count)
+    mean = basis.mean if basis.centered else np.zeros(ndof)
+    _write_archive(path, BASIS_MAGIC, 4, int(basis.centered), counts, _basis_blocks(*counts), [
+        basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T,
+        *(getattr(p, f.name) for p in parts for f in dataclasses.fields(p))])
+
+
+def _read_basis_blocks(path, space, wanted=None):
+    """(centered, nsnap, nproj, field arrays) of a basis archive, as :func:`_read_blocks`."""
+    with open(path, "rb") as fh:
+        centered, ndof, rank, nspec, nproj, nsnap = _read_header(fh, "basis", BASIS_MAGIC, 4, 5, space)
+        if rank > nspec:
+            raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
+        n_fields = rank + bool(centered)
+        if nproj > n_fields:
+            raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields")
+        blocks = _basis_blocks(ndof, rank, nspec, nproj, nsnap)
+        return centered, nsnap, nproj, _read_blocks(fh, "basis", blocks, wanted)
 
 
 def read_basis(path, space=None):
@@ -161,51 +186,26 @@ def read_basis(path, space=None):
 
     Validated like :func:`read_snapshots`.
     """
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, "magic")
-        if magic != BASIS_MAGIC:
-            raise ArchiveFormatError(f"bad magic {magic!r}: not a basis archive")
-        version, centered, ndof, rank, nspec, nproj, nsnap = struct.unpack(
-            "<IIQQQQQ", _read_exact(fh, 48, "header"))
-        if version != 4:
-            raise ArchiveFormatError(f"unsupported basis archive version {version}")
-        if rank > nspec:
-            raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
-        n_fields = rank + bool(centered)
-        if nproj > n_fields:
-            raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields")
-        _check_dofs(ndof, space)
-        eigenvalues = _read_floats(fh, rank, "eigenvalues")
-        spectrum = _read_floats(fh, nspec, "spectrum")
-        grad_norms = _read_floats(fh, rank, "grad_norms")
-        mean = _read_floats(fh, ndof, "mean")
-        modes = _read_floats(fh, rank * ndof, "modes").reshape(rank, ndof).T.copy()
-        coordinates = None
-        if nsnap:
-            times = _read_floats(fh, nsnap, "snapshot times")
-            coeffs = _read_floats(fh, 2 * nsnap * rank, "snapshot coordinates").reshape(2, nsnap, rank)
-            norms = _read_floats(fh, 4 * nsnap, "snapshot norms").reshape(4, nsnap)
-            coordinates = SnapshotCoordinates(
-                times=times, coeffs=coeffs[0], outside_stiff=coeffs[1], outside_mass_sq=norms[0],
-                outside_stiff_sq=norms[1], h1_norms=norms[2], div_norms=norms[3],
-                stiff_gram=_read_floats(fh, rank * rank, "stiffness Gram").reshape(rank, rank))
-        projection = None
-        if nproj:
-            cubes = _read_floats(fh, 2 * nproj**3, "projection cubes").reshape(2, nproj, nproj, nproj)
-            grams = _read_floats(fh, 3 * nproj**2, "projection Grams").reshape(3, nproj, nproj)
-            projection = RomProjection(conv=cubes[0], div=cubes[1], gram=grams[0],
-                                       mass_gram=grams[1], curl_gram=grams[2])
-        if fh.read(1):
-            raise ArchiveFormatError("trailing bytes after basis payload")
+    centered, nsnap, nproj, fields = _read_basis_blocks(path, space)
+    eigenvalues, spectrum, grad_norms, mean, modes, *rest = fields
+    n_coords = len(dataclasses.fields(SnapshotCoordinates)) if nsnap else 0
     return PodBasis(
-        modes=modes,
+        modes=modes.T.copy(),
         eigenvalues=eigenvalues,
         spectrum=spectrum,
         grad_norms=grad_norms,
         mean=mean if centered else None,
-        projection=projection,
-        coordinates=coordinates,
+        projection=RomProjection(*rest[n_coords:]) if nproj else None,
+        coordinates=SnapshotCoordinates(*rest[:n_coords]) if nsnap else None,
     )
+
+
+def read_basis_coordinates(path, space=None):
+    """The :class:`SnapshotCoordinates` of a basis archive (None when it
+    holds none), validated like :func:`read_basis` but reading no other block."""
+    _, nsnap, _, fields = _read_basis_blocks(path, space, {
+        "snapshot times", "snapshot coordinates", "snapshot norms", "stiffness Gram"})
+    return SnapshotCoordinates(*fields) if nsnap else None
 
 
 def write_csv(path, header, columns):

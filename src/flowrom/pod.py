@@ -182,8 +182,8 @@ def snapshot_coordinates(space, basis, snapshots):
     """The :class:`SnapshotCoordinates` of ``snapshots`` on ``basis``.
 
     One pass over the snapshot matrix, with the space's mass and stiffness
-    matrices; the snapshot norms are the ones ``diagnostics.trajectory_error``
-    reads (shared through its cache).
+    matrices; the snapshot norms are computed as ``diagnostics.trajectory_error``
+    computes them.
     """
     mass, stiffness = space.mass(), space.stiffness()
     xc = snapshots.matrix - basis.mean[:, None] if basis.centered else snapshots.matrix

@@ -1,4 +1,5 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ def homogeneous_field_pairs(square8):
         v[mask] = 0.0
         pairs.append((u, v))
     return pairs
+
+
+@dataclass(frozen=True)
+class FieldNorms:
+    l2: float
+    h1_semi: float
+    div_l2: float
+    curl_l2: float
+
+
+def field_norms(space, u):
+    """L2, H1-seminorm, divergence and curl norms of a velocity field."""
+    u = space._check_velocity(u)
+    l2sq = u @ (space.mass() @ u)
+    h1sq = u @ (space.stiffness() @ u)
+    divsq = u @ (space.div_form() @ u)
+    curlsq = u @ (space.curl_form() @ u)
+    clip = lambda v: float(np.sqrt(max(v, 0.0)))
+    return FieldNorms(clip(l2sq), clip(h1sq), clip(divsq), clip(curlsq))
 
 
 def signed_areas(mesh):

@@ -16,7 +16,6 @@ import flowrom
 from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,
-    field_norms,
     h1_semi_error,
     nonlinear_jacobian,
     nonlinear_residual,
@@ -37,7 +36,7 @@ from flowrom.pod import build_pod_basis, pod_projection_error, project_field, sn
 from flowrom.rom import assemble_rom_operators, project_fields, reconstruct_field, run_rom
 from flowrom.diagnostics import trajectory_error
 
-from conftest import rom_quadratic
+from conftest import field_norms, rom_quadratic
 from test_fem import oracle_eval, oracle_integral
 
 ALL_FORMS = list(NonlinearForm)

@@ -117,6 +117,24 @@ class TestPipeline:
                      "--basis", str(root / "micro_basis.bin"), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[:2] == ["emac", "3"]
 
+    def test_compare_reads_only_the_coordinates(self, micro_pipeline, tmp_path, capsys):
+        # NaN in the modes and the projection cubes: compare never reads them, rom does
+        root, cfg = micro_pipeline
+        basis = read_basis(root / "micro_basis.bin")
+        basis.modes[0, 0] = np.nan
+        basis.projection.conv[0, 1, 2] = np.nan
+        bad = tmp_path / "nan_basis.bin"
+        write_basis(bad, basis)
+        archive = str(root / "micro_snapshots.bin")
+        for source, out in ((root / "micro_basis.bin", "clean.csv"), (bad, "nan.csv")):
+            assert main(["compare", str(root / "micro_rom_skew_r3_traj.csv"), "--config", str(cfg),
+                         "--archive", archive, "--basis", str(source),
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "nan.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+        assert main(["rom", str(bad), "--archive", archive, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 4
+        assert "non-finite value in modes" in capsys.readouterr().err
+
     def test_fom_rerun_byte_identical(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline
         assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -332,6 +350,30 @@ class TestErrorPaths:
                 "too_many_fields": f"projected field count {rank + 1} exceeds",
                 "no_coordinates": "the basis holds no snapshot coordinates"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
+
+    @pytest.mark.parametrize("archive,offsets,block", [
+        ("snapshots", [24], "times"),              # nsnap
+        ("basis", [24, 32], "eigenvalues"),        # rank and nspectrum
+        ("basis", [48], "snapshot times"),         # nsnap
+    ])
+    def test_huge_header_count_is_format_error(self, micro_pipeline, tmp_path, capsys,
+                                               archive, offsets, block):
+        # counts of 2**61 values: the file size is checked before any block is allocated
+        root, cfg = micro_pipeline
+        paths = {"snapshots": root / "micro_snapshots.bin", "basis": root / "micro_basis.bin"}
+        raw = bytearray(paths[archive].read_bytes())
+        for offset in offsets:
+            raw[offset:offset + 8] = struct.pack("<Q", 2**61)
+        paths[archive] = tmp_path / paths[archive].name
+        paths[archive].write_bytes(bytes(raw))
+        snaps, basis = str(paths["snapshots"]), str(paths["basis"])
+        calls = [["rom", basis, "--archive", snaps, "--config", str(cfg), "--out", str(tmp_path)],
+                 ["compare", str(root / "micro_rom_skew_r3_traj.csv"), "--config", str(cfg),
+                  "--archive", snaps, "--basis", basis, "--out", str(tmp_path / "c.csv")]]
+        if archive == "snapshots":
+            calls.append(["pod", snaps, "--config", str(cfg), "--out", str(tmp_path)])
+        assert [main(call) for call in calls] == [4] * len(calls)
+        assert capsys.readouterr().err.count(f"truncated archive while reading {block})") == len(calls)
 
     def test_missing_mesh_file(self, tmp_path):
         cfg = tmp_path / "cyl.ini"

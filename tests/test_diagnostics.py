@@ -161,7 +161,7 @@ class TestTrajectoryError:
         assert err.linf_l2 == pytest.approx(max(per_step), rel=1e-12)
 
     def test_snapshot_norms_follow_the_snapshot_set(self, kh_run, kh_basis_session):
-        # the gradient and divergence series are cached per snapshot matrix
+        # the gradient and divergence series are those of the snapshot set passed
         _, space, snaps, _, cfg = kh_run
         basis = kh_basis_session
         traj = RomTrajectory(coeffs=np.zeros((snaps.count, 2)), times=snaps.times - snaps.times[0])

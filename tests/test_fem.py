@@ -12,7 +12,6 @@ from flowrom.fem import (
     _transport,
     apply_constraints,
     assemble_linear_operators,
-    field_norms,
     nonlinear_jacobian,
     nonlinear_residual,
     trilinear_value,
@@ -20,7 +19,7 @@ from flowrom.fem import (
 from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import factorize, solve_sparse
 
-from conftest import oracle_quadrature, signed_areas
+from conftest import field_norms, oracle_quadrature, signed_areas
 
 ALL_FORMS = list(NonlinearForm)
 

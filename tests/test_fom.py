@@ -11,7 +11,6 @@ from flowrom.fem import (
     apply_constraints,
     constrain_rows,
     constraint_mask,
-    field_norms,
     l2_error,
     nonlinear_jacobian,
     saddle_block,
@@ -34,7 +33,7 @@ from flowrom.fom import (
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
 
-from conftest import scheme_residual
+from conftest import field_norms, scheme_residual
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,9 @@ import pytest
 from flowrom.io import (
     ArchiveFormatError,
     read_basis,
+    read_basis_coordinates,
     read_csv,
+    read_snapshot_times,
     read_snapshots,
     write_basis,
     write_csv,
@@ -15,6 +17,22 @@ from flowrom.io import (
 )
 from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis, snapshot_coordinates
 from flowrom.rom import project_fields
+
+
+def _set_counts(path, offsets, value):
+    """Overwrite the u64 header fields at ``offsets`` of the archive at ``path``."""
+    raw = bytearray(path.read_bytes())
+    for offset in offsets:
+        raw[offset:offset + 8] = struct.pack("<Q", value)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.fixture
+def coordinates_basis(kh_run, kh_basis_session):
+    """The session basis with its snapshot coordinates and a three-field projection."""
+    _, space, snaps, _, _ = kh_run
+    return dataclasses.replace(kh_basis_session, projection=project_fields(space, kh_basis_session.fields(3)),
+                               coordinates=snapshot_coordinates(space, kh_basis_session, snaps))
 
 
 class TestSnapshotArchive:
@@ -47,6 +65,23 @@ class TestSnapshotArchive:
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(ArchiveFormatError, match="snapshot payload"):
             read_snapshots(path)
+
+    def test_huge_count_is_format_error(self, tmp_path, kh_run):
+        # 2**61 snapshots: the file size is checked before a block is allocated
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, kh_run[2])
+        _set_counts(path, [24], 2**61)
+        for reader in (read_snapshots, read_snapshot_times):
+            with pytest.raises(ArchiveFormatError, match=r"truncated archive while reading times\)"):
+                reader(path)
+
+    def test_trailing_byte_is_format_error(self, tmp_path, kh_run):
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, kh_run[2])
+        path.write_bytes(path.read_bytes() + b"\0")
+        for reader in (read_snapshots, read_snapshot_times):
+            with pytest.raises(ArchiveFormatError, match="trailing bytes"):
+                reader(path)
 
     def test_dof_count_checked_against_space(self, tmp_path, kh_run, square8):
         _, space, snaps, _, _ = kh_run
@@ -119,6 +154,34 @@ class TestBasisArchive:
         assert np.array_equal(back.projection.curl_gram, basis.projection.curl_gram)
         write_basis(tmp_path / "again.bin", back)
         assert (tmp_path / "again.bin").read_bytes() == raw
+
+    def test_coordinates_only(self, tmp_path, kh_basis_session, coordinates_basis):
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        coords = read_basis_coordinates(path)
+        for field in dataclasses.fields(SnapshotCoordinates):
+            assert np.array_equal(getattr(coords, field.name),
+                                  getattr(coordinates_basis.coordinates, field.name)), field.name
+        write_basis(path, kh_basis_session)
+        assert read_basis_coordinates(path) is None
+
+    @pytest.mark.parametrize("offsets,block", [([24, 32], "eigenvalues"), ([48], "snapshot times")])
+    def test_huge_count_is_format_error(self, tmp_path, coordinates_basis, offsets, block):
+        # rank = nspectrum = 2**61 or nsnap = 2**61: no block is allocated
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        _set_counts(path, offsets, 2**61)
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError, match=rf"truncated archive while reading {block}\)"):
+                reader(path)
+
+    def test_trailing_byte_is_format_error(self, tmp_path, coordinates_basis):
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        path.write_bytes(path.read_bytes() + b"\0")
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError, match="trailing bytes"):
+                reader(path)
 
     def test_inconsistent_header_names_field(self, tmp_path, kh_basis_session):
         path = tmp_path / "basis.bin"
