@@ -28,14 +28,14 @@ for nx in (16, 32, 64):
     space = TaylorHoodSpace(mesh)
     u0 = build_initial_condition("taylor-green", space)
     cfg = FomConfig(nu=NU, dt=dt, t_end=T_END, form="skew", scheme="bdf2",
-                    boundary={}, keep_states=True)
-    states, _, _ = run_fom(cfg, mesh, space, u0)
-    err_sq = sum(dt * h1_semi_error(space, st.u,
+                    boundary={}, snapshot_window=(0.0, T_END))
+    state, snaps, _ = run_fom(cfg, mesh, space, u0)
+    err_sq = sum(dt * h1_semi_error(space, u,
                                     lambda x, y, t: taylor_green_gradient(x, y, t, NU),
-                                    time=st.t) ** 2
-                 for st in states[1:])
+                                    time=t) ** 2
+                 for u, t in zip(snaps.matrix[:, 1:].T, snaps.times[1:]))
     err = np.sqrt(err_sq)
-    final = l2_error(space, states[-1].u,
+    final = l2_error(space, state.u,
                      lambda x, y, t: taylor_green_velocity(x, y, t, NU), time=T_END)
     order = f"{np.log2(prev / err):6.2f}" if prev else "     -"
     print(f"{h:8.4f} {dt:8.4f} {err:12.4e} {final:13.4e} {order}")

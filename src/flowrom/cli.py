@@ -129,20 +129,24 @@ class _Problem(NamedTuple):
     centering: str  # POD centering when [rom] centering is not set
 
 
+def _rect_mesh(prob, n, extent):
+    """The ``[problem] nx`` x ``ny`` square mesh (default ``n`` x ``n``) of side ``extent``."""
+    try:
+        nx = prob.getint("nx", n)
+        return uniform_rect_mesh(nx, prob.getint("ny", nx), extent, extent)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] nx, ny: {exc}") from exc
+
+
 def _build_problem(cp):
     prob = cp["problem"]
     name = prob.get("name")
     if name == "kelvin-helmholtz":
-        nx = prob.getint("nx", 32)
-        ny = prob.getint("ny", nx)
-        mesh = identify_periodic(uniform_rect_mesh(nx, ny), "x")
+        mesh = identify_periodic(_rect_mesh(prob, 32, 1.0), "x")
         return _Problem(name, mesh, TaylorHoodSpace(mesh), kelvin_helmholtz_boundary(),
                         None, True, "none")
     if name == "taylor-green":
-        nx = prob.getint("nx", 16)
-        ny = prob.getint("ny", nx)
-        mesh = uniform_rect_mesh(nx, ny, 2.0, 2.0)
-        mesh = identify_periodic(identify_periodic(mesh, "x"), "y")
+        mesh = identify_periodic(identify_periodic(_rect_mesh(prob, 16, 2.0), "x"), "y")
         return _Problem(name, mesh, TaylorHoodSpace(mesh), {}, None, False, "none")
     if name == "cylinder-channel":
         if prob.get("mesh", "bundled") == "bundled":
@@ -241,6 +245,8 @@ def cmd_pod(args):
     problem = _build_problem(cp)
     space = problem.space
     centering = cp.get("rom", "centering", fallback=problem.centering)
+    if centering not in ("none", "mean"):
+        raise ConfigError(f"[rom] centering must be 'none' or 'mean', got {centering!r}")
     snaps = fio.read_snapshots(args.archive, space=space)
     prefix = _out_prefix(cp, args.out)
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import _p2_basis, _p2_ref_grads
+from .fem import _p2_ref_grads
 
 
 @dataclass
@@ -108,9 +108,7 @@ def _edge_quadrature_data(space, label):
     xi = np.einsum("ekd,eqk->eqd", space.inv_jt[cells], rel)
     bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
 
-    flat = bary.reshape(-1, 3)
-    phi = _p2_basis(flat).reshape(len(cells), 3, 6)
-    ref = _p2_ref_grads(flat).reshape(len(cells), 3, 6, 2)
+    ref = _p2_ref_grads(bary.reshape(-1, 3)).reshape(len(cells), 3, 6, 2)
     dphi = np.einsum("edk,eqlk->eqld", space.inv_jt[cells], ref)
 
     data = {
@@ -119,7 +117,6 @@ def _edge_quadrature_data(space, label):
         "normals": normals,
         "tangents": tangents,
         "bary": bary,
-        "phi": phi,
         "dphi": dphi,
     }
     space._cache[key] = data

@@ -82,9 +82,9 @@ class FomConfig:
     """Settings of a full-order run.
 
     ``boundary`` maps mesh labels to essential conditions (see
-    ``TaylorHoodSpace.dirichlet_data``).  The snapshot window is a closed
-    time interval; snapshots are taken every ``snapshot_stride``-th step
-    inside it.
+    ``TaylorHoodSpace.dirichlet_data``).  ``t_end`` is a whole number of
+    steps ``dt``.  The snapshot window is a closed time interval; snapshots
+    are taken every ``snapshot_stride``-th step inside it.
     """
 
     nu: float
@@ -98,19 +98,22 @@ class FomConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 20
     drag_label: str = None
-    keep_states: bool = False
     project_initial: bool = False
 
     def __post_init__(self):
         self.form = NonlinearForm.parse(self.form)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer multiple of dt")
         if self.scheme not in ("backward_euler", "bdf2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.newton_max_iter < 0:
             raise ValueError("newton_max_iter must be non-negative")
+        if self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be at least 1")
         if self.snapshot_window is not None:
             ta, tb = self.snapshot_window
             if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
@@ -353,7 +356,7 @@ def rom_drag_series(space, config, basis, trajectory, stride=5):
     if times.size < 2:
         raise ValueError("trajectory too short for pressure recovery")
     dt = float(times[1] - times[0])
-    cfg = replace(config, dt=dt, t_end=max(config.t_end, dt))
+    cfg = replace(config, dt=dt, t_end=dt, snapshot_window=None)
     # every sample is a backward-Euler step at the same dt: one held factor
     held = HeldFactor()
     out_t, out_v = [], []
@@ -383,9 +386,8 @@ def snapshot_steps(window, stride, dt, n_steps):
 def run_fom(config, mesh, space, u0):
     """Run the full-order solver, recording snapshots and scalar series.
 
-    Returns ``(states, snapshots, series)`` where ``states`` is the list of
-    per-step :class:`FomState` objects when ``config.keep_states`` is set
-    (otherwise empty), ``snapshots`` is a :class:`SnapshotSet`, and
+    Returns ``(state, snapshots, series)`` where ``state`` is the final
+    :class:`FomState`, ``snapshots`` is a :class:`SnapshotSet`, and
     ``series`` maps names (``energy``, ``enstrophy``, ``div_error``,
     ``newton_iters``, ``factorizations``, ``newton_residual`` and ``drag``
     when configured) to :class:`ScalarSeries` sampled at every step
@@ -394,8 +396,6 @@ def run_fom(config, mesh, space, u0):
     """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
-    if abs(n_steps * dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
 
     u0 = np.array(u0, dtype=float, copy=True)
     mask, vals = constraint_mask(space, config.boundary, 0.0, space.n_vel)
@@ -411,7 +411,6 @@ def run_fom(config, mesh, space, u0):
     if config.drag_label is not None:
         series["drag"] = []
     times = []
-    states = [state] if config.keep_states else []
 
     def record(st):
         times.append(st.t)
@@ -434,8 +433,6 @@ def run_fom(config, mesh, space, u0):
     for _ in range(n_steps):
         state = advance_step(state, config, space, held)
         record(state)
-        if config.keep_states:
-            states.append(state)
 
     t_arr = np.array(times)
     out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}
@@ -443,4 +440,4 @@ def run_fom(config, mesh, space, u0):
         matrix=np.array(columns).T if columns else np.zeros((space.n_vel, 0)),
         times=np.array(snap_times),
     )
-    return states, snapshots, out_series
+    return state, snapshots, out_series

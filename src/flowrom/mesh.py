@@ -28,9 +28,14 @@ Triangle-generator text layout accepted by :func:`read_triangle_mesh`:
 
 Indices may be 0- or 1-based; the base is detected from the ``.node`` file
 and applied consistently, as the Triangle generator does.
+
+Each text is read in one scan: ``#`` comments and blank lines are stripped
+once, keeping each data line's number, and the records after the header are
+converted by one ``np.loadtxt``.  Errors name the offending record's line
+from those numbers; only a failed conversion looks for the short record or
+early end that caused it.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -90,10 +95,6 @@ class Mesh:
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
-
-    def labels(self):
-        """Set of distinct boundary labels."""
-        return set(self.boundary_labels)
 
     def boundary_edges_with_label(self, label):
         """Indices into ``boundary_edges`` carrying ``label``."""
@@ -173,75 +174,50 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
     return _build_mesh(vertices, triangles, edges, ("bottom", "top") * nx + ("right", "left") * ny)
 
 
-def _data_lines(text):
-    """Yield (lineno, line) skipping blanks and '#' comments."""
+def _table(text, what, nheader, noun, expected, min_fields, dtype):
+    """One Triangle-format text as its header, a record table and the records' line numbers.
+
+    One scan strips comments and blank lines, keeping each data line's
+    number.  The header holds ``nheader`` counts; the table holds the
+    leading ``min_fields(counts)`` fields of each of the ``counts[0]``
+    records, converted by one ``np.loadtxt``.  Returns ``(lineno, counts,
+    table, linenos)``.  An empty text, a malformed header, a record of fewer
+    fields (described by ``expected``), an early end (counted in ``noun``)
+    and an unconvertible field raise :class:`MeshFormatError`, in that order.
+    """
+    linenos, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line
-
-
-def _records(text, what, nheader, noun, expected, min_fields):
-    """Read one Triangle-format text: a header of ``nheader`` counts, then one record per item.
-
-    Yields the header's ``(lineno, counts)``, then ``(lineno, fields)`` for
-    each of the ``counts[0]`` records.  An empty text, a malformed header,
-    an early end (counted in ``noun``) and a record of fewer than
-    ``min_fields(counts)`` fields (described by ``expected``) raise
-    :class:`MeshFormatError`.
-    """
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MeshFormatError(f"empty {what} input") from None
-    parts = header.split()
+            linenos.append(lineno)
+            lines.append(line)
+    if not lines:
+        raise MeshFormatError(f"empty {what} input")
+    lineno, parts = linenos[0], lines[0].split()
     if len(parts) < nheader:
         raise MeshFormatError(f"{what} header at line {lineno}: expected {nheader} fields, got {len(parts)}")
     try:
         counts = [int(p) for p in parts[:nheader]]
     except ValueError as exc:
         raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
-    yield lineno, counts
-    for k in range(counts[0]):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"{what}: expected {counts[0]} {noun}, file ended after {k}") from None
-        parts = line.split()
-        if len(parts) < min_fields(counts):
-            raise MeshFormatError(f"{what} at line {lineno}: expected {expected}")
-        yield lineno, parts
-
-
-def _table(text, what, nheader, noun, expected, min_fields, dtype):
-    """One Triangle-format text as its header ``(lineno, counts)`` and a record table.
-
-    The table holds the leading ``min_fields(counts)`` fields of each record,
-    converted by one ``np.loadtxt``.  Errors are those of :func:`_records`,
-    whose line-by-line search runs only when the conversion fails.
-    """
-    records = _records(text, what, nheader, noun, expected, min_fields)
-    lineno, counts = next(records)
     ncols = min_fields(counts)
     if counts[0] == 0:
-        return lineno, counts, np.empty((0, ncols), dtype=dtype)
-    rows = [line for line in (raw.split("#", 1)[0] for raw in text.splitlines()[lineno:])
-            if line.strip()][:counts[0]]
+        # np.loadtxt warns on empty input
+        return lineno, counts, np.empty((0, ncols), dtype=dtype), []
+    end = 1 + max(counts[0], 0)    # a negative count takes no record
+    linenos, rows = linenos[1:end], lines[1:end]
     error = "too few records"
     if len(rows) == counts[0]:
         try:
-            return lineno, counts, np.loadtxt(rows, dtype=dtype, usecols=range(ncols), ndmin=2)
+            return lineno, counts, np.loadtxt(rows, dtype=dtype, usecols=range(ncols), ndmin=2), linenos
         except ValueError as exc:
             error = exc
-    for _ in records:  # raises the early end or the short record with its line
-        pass
+    for k, row in zip(linenos, rows):
+        if len(row.split()) < ncols:
+            raise MeshFormatError(f"{what} at line {k}: expected {expected}")
+    if len(rows) < counts[0]:
+        raise MeshFormatError(f"{what}: expected {counts[0]} {noun}, file ended after {len(rows)}")
     raise MeshFormatError(f"{what}: {error}")
-
-
-def _record_line(text, k):
-    """Line number of record ``k`` of a Triangle-format text, for an error message."""
-    return next(itertools.islice(_data_lines(text), k + 1, None))[0]
 
 
 def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
@@ -255,28 +231,27 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     """
     marker_labels = dict(marker_labels or {})
 
-    lineno, (nv, dim, _, _), nodes = _table(node_text, ".node", 4, "vertices", "index, x, y",
-                                            lambda c: 3 + c[2], float)
+    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, ".node", 4, "vertices", "index, x, y",
+                                                        lambda c: 3 + c[2], float)
     if dim != 2:
         raise MeshFormatError(f".node at line {lineno}: expected dimension 2, got {dim}")
     base = nodes[0, 0] if nv else 0
     if base not in (0, 1):
-        raise MeshFormatError(f".node at line {_record_line(node_text, 0)}: first vertex index must be 0 or 1")
+        raise MeshFormatError(f".node at line {node_lines[0]}: first vertex index must be 0 or 1")
     bad = np.flatnonzero(nodes[:, 0] != base + np.arange(nv))
     if bad.size:
-        raise MeshFormatError(f".node at line {_record_line(node_text, bad[0])}: "
-                              "vertex indices must be consecutive")
+        raise MeshFormatError(f".node at line {node_lines[bad[0]]}: vertex indices must be consecutive")
     vertices = np.ascontiguousarray(nodes[:, 1:3])
     base = int(base)
 
-    lineno, (nt, npe, _), cells = _table(ele_text, ".ele", 3, "triangles", "index and three vertices",
-                                         lambda c: 4, int)
+    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ".ele", 3, "triangles",
+                                                     "index and three vertices", lambda c: 4, int)
     if npe != 3:
         raise MeshFormatError(f".ele at line {lineno}: only 3-node triangles are supported, got {npe}")
     triangles = cells[:, 1:4] - base
     bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=1))
     if bad.size:
-        raise MeshFormatError(f".ele at line {_record_line(ele_text, bad[0])}: "
+        raise MeshFormatError(f".ele at line {cell_lines[bad[0]]}: "
                               f"vertex index out of range (have {nv} vertices)")
 
     # fix orientation and reject degenerate triangles
@@ -288,12 +263,12 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    _, _, sides = _table(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker", lambda c: 4, int)
+    _, _, sides, side_lines = _table(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker",
+                                     lambda c: 4, int)
     edges = sides[:, 1:3] - base
     bad = np.flatnonzero(((edges < 0) | (edges >= nv)).any(axis=1))
     if bad.size:
-        raise MeshFormatError(f"boundary at line {_record_line(boundary_text, bad[0])}: "
-                              "vertex index out of range")
+        raise MeshFormatError(f"boundary at line {side_lines[bad[0]]}: vertex index out of range")
     labels = [marker_labels.get(m, f"marker{m}") for m in sides[:, 3].tolist()]
 
     return _build_mesh(vertices, triangles, edges, labels)
@@ -325,39 +300,33 @@ def identify_periodic(mesh, axis, tolerance=None):
             f"periodic matching along {axis}: {on_lo.size} vertices on the low side "
             f"but {on_hi.size} on the high side"
         )
-    pairs = []
-    used = np.zeros(on_hi.size, dtype=bool)
-    hi_other = coords[on_hi, other]
-    for m in on_lo:
-        dist = np.abs(hi_other - coords[m, other])
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if not np.isfinite(dist[j]) or dist[j] > tolerance:
-            x, y = coords[m]
-            raise ValueError(
-                f"periodic matching along {axis}: vertex at ({x:.12g}, {y:.12g}) "
-                f"has no partner within tolerance {tolerance:g}"
-            )
-        used[j] = True
-        pairs.append((int(m), int(on_hi[j])))
-    new_pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    # the k-th vertices of the two sides in the order of the other coordinate pair up
+    partner = np.empty_like(on_hi)
+    partner[np.argsort(coords[on_lo, other])] = on_hi[np.argsort(coords[on_hi, other])]
+    gap = np.abs(coords[partner, other] - coords[on_lo, other])
+    bad = np.flatnonzero(~(gap <= tolerance))    # a NaN gap is no match either
+    if bad.size:
+        x, y = coords[on_lo[bad[0]]]
+        raise ValueError(
+            f"periodic matching along {axis}: vertex at ({x:.12g}, {y:.12g}) "
+            f"has no partner within tolerance {tolerance:g}"
+        )
+    new_pairs = np.column_stack([on_lo, partner])
     all_pairs = np.vstack([mesh.periodic_pairs, new_pairs])
     return replace(mesh, periodic_pairs=all_pairs)
 
 
 _BUNDLED = {
-    "unit_square": ("unit_square", {1: "left", 2: "right", 3: "bottom", 4: "top"}),
     "cylinder": ("cylinder_coarse", {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}),
 }
 
 
 def load_bundled_mesh(name):
-    """Load a mesh shipped with the package: ``"unit_square"`` or ``"cylinder"``.
+    """Load a mesh shipped with the package; ``"cylinder"`` is the only one.
 
-    The cylinder mesh is a coarse pre-generated triangulation of the
-    2.2 x 0.41 channel with a polygonal approximation of the radius-0.05
-    hole centered at (0.2, 0.2); labels are ``inflow``/``outflow``/``wall``/
-    ``cylinder``.
+    It is a coarse pre-generated triangulation of the 2.2 x 0.41 channel
+    with a polygonal approximation of the radius-0.05 hole centered at
+    (0.2, 0.2); labels are ``inflow``/``outflow``/``wall``/``cylinder``.
     """
     try:
         stem, labels = _BUNDLED[name]

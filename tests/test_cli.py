@@ -232,6 +232,25 @@ class TestErrorPaths:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "micro_snapshots.bin").exists()
 
+    @pytest.mark.parametrize("command, edit", [
+        ("fom", ("nx = 8", "nx = abc")),
+        ("fom", ("nx = 8", "nx = 0")),
+        ("fom", ("snapshot_stride = 1", "snapshot_stride = 0")),
+        ("fom", ("snapshot_stride = 1", "snapshot_stride = -1")),
+        ("fom", ("dt = 0.05", "dt = 0.07")),  # t_end = 0.25 is no multiple of it
+        ("fom", ("dt = 0.05", "dt = inf")),
+        ("fom", ("t_end = 0.25", "t_end = inf")),
+        ("pod", ("centering = none", "centering = bogus")),
+    ])
+    def test_malformed_config_value_is_config_error(self, micro_pipeline, tmp_path, capsys, command, edit):
+        root, _ = micro_pipeline
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*edit))
+        archive = [str(root / "micro_snapshots.bin")] if command == "pod" else []
+        assert main([command, *archive, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.bin"))
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
         assert _load_config(path).sections()

@@ -25,6 +25,7 @@ from flowrom.fom import (
     cylinder_boundary,
     kelvin_helmholtz_boundary,
     kelvin_helmholtz_velocity,
+    rom_drag_series,
     run_fom,
     snapshot_steps,
     stokes_project,
@@ -32,6 +33,8 @@ from flowrom.fom import (
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
+from flowrom.pod import snapshot_coordinates
+from flowrom.rom import RomTrajectory
 
 from conftest import field_norms, scheme_residual
 
@@ -197,10 +200,11 @@ class TestRunFom:
     def test_trajectory_length(self, kh16):
         mesh, space = kh16
         cfg = FomConfig(nu=0.01, dt=0.05, t_end=0.15, form="convective", scheme="bdf2",
-                        boundary=kelvin_helmholtz_boundary(), keep_states=True)
+                        boundary=kelvin_helmholtz_boundary())
         u0 = build_initial_condition("kelvin-helmholtz", space)
-        states, _, series = run_fom(cfg, mesh, space, u0)
-        assert len(states) == 4  # initial state plus three steps
+        state, snaps, series = run_fom(cfg, mesh, space, u0)
+        assert state.step == 3
+        assert snaps.count == 4  # initial state plus three steps
         assert series["energy"].values.size == 4
 
     def test_snapshot_window_counting(self):
@@ -213,11 +217,11 @@ class TestRunFom:
         mesh, space = kh16
         u0 = build_initial_condition("kelvin-helmholtz", space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.06, form="emac", scheme="bdf2",
-                        boundary=kelvin_helmholtz_boundary(), keep_states=True,
-                        project_initial=True)
-        states, _, _ = run_fom(cfg, mesh, space, u0)
-        st = states[-1]
-        res = scheme_residual(space, cfg, st.u, st.p, states[-2].u, states[-2].u_prev,
+                        boundary=kelvin_helmholtz_boundary(), project_initial=True)
+        st, snaps, _ = run_fom(cfg, mesh, space, u0)
+        # the state before the last step is snapshot -2, and its predecessor snapshot -3
+        assert np.array_equal(st.u_prev, snaps.matrix[:, -2])
+        res = scheme_residual(space, cfg, st.u, st.p, st.u_prev, snaps.matrix[:, -3],
                               st.t, bdf2_step=True)
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -237,11 +241,19 @@ class TestRunFom:
         for j in range(snaps.count):
             assert np.linalg.norm(div @ snaps.matrix[:, j]) <= 1e-9
 
-    def test_t_end_must_be_step_multiple(self, kh16):
-        mesh, space = kh16
-        cfg = FomConfig(nu=0.01, dt=0.02, t_end=0.05, boundary=kelvin_helmholtz_boundary())
+    def test_t_end_must_be_step_multiple(self):
         with pytest.raises(ValueError, match="multiple"):
-            run_fom(cfg, mesh, space, np.zeros(space.n_vel))
+            FomConfig(nu=0.01, dt=0.02, t_end=0.05, boundary=kelvin_helmholtz_boundary())
+
+    def test_rom_drag_series_steps_at_the_trajectory_spacing(self, kh_run, kh_basis_session):
+        # the spacing, three FOM steps of 0.02, divides neither t_end = 0.5 nor the window
+        _, space, snaps, _, cfg = kh_run
+        coords = snapshot_coordinates(space, kh_basis_session, snaps)
+        traj = RomTrajectory(coeffs=coords.coeffs[::3], times=coords.times[::3])
+        cfg = dataclasses.replace(cfg, drag_label="top")
+        times, drag = rom_drag_series(space, cfg, kh_basis_session, traj, stride=2)
+        assert np.array_equal(times, traj.times[2::2])
+        assert drag.shape == times.shape and np.all(np.isfinite(drag))
 
     def test_bdf2_beats_backward_euler_on_taylor_green(self, torus16):
         _, space = torus16
@@ -250,11 +262,10 @@ class TestRunFom:
         u0 = build_initial_condition("taylor-green", space)
         errs = {}
         for scheme in ("backward_euler", "bdf2"):
-            cfg = FomConfig(nu=nu, dt=0.05, t_end=0.5, form="skew", scheme=scheme, boundary={},
-                            keep_states=True)
-            states, _, _ = run_fom(cfg, mesh, space, u0)
+            cfg = FomConfig(nu=nu, dt=0.05, t_end=0.5, form="skew", scheme=scheme, boundary={})
+            state, _, _ = run_fom(cfg, mesh, space, u0)
             errs[scheme] = l2_error(
-                space, states[-1].u,
+                space, state.u,
                 lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.5)
         assert errs["bdf2"] < 0.5 * errs["backward_euler"]
 
@@ -268,12 +279,12 @@ class TestFactorReuse:
         u0 = build_initial_condition("kelvin-helmholtz", space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form=form, scheme=scheme,
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
-                        project_initial=True, keep_states=True)
-        states, snaps, series = run_fom(cfg, mesh, space, u0)
-        n_steps = len(states) - 1
+                        project_initial=True)
+        final, snaps, series = run_fom(cfg, mesh, space, u0)
+        n_steps = final.step
         assert n_steps == 50
         # each unshared step factorizes afresh at its first iteration
-        st = states[0]
+        st = FomState(u=snaps.matrix[:, 0].copy(), p=np.zeros(space.n_press), t=0.0, step=0)
         for k in range(1, n_steps + 1):
             st = advance_step(st, cfg, space)
             ref = snaps.matrix[:, k]

@@ -66,6 +66,27 @@ def loop_edge_table(mesh):
     return np.array(edges, dtype=int), np.array([[edge_id[e] for e in row] for row in sides], dtype=int)
 
 
+def loop_periodic_pairs(mesh, axis):
+    """New periodic pairs along ``axis``: each low-side vertex, in vertex
+    order, takes the nearest high-side vertex not yet taken."""
+    c = 0 if axis == "x" else 1
+    coords = mesh.vertices
+    boundary_vertices = np.unique(mesh.boundary_edges)
+    lo, hi = coords[:, c].min(), coords[:, c].max()
+    tolerance = 1e-8 * (hi - lo)
+    on_lo = boundary_vertices[np.abs(coords[boundary_vertices, c] - lo) <= tolerance]
+    on_hi = boundary_vertices[np.abs(coords[boundary_vertices, c] - hi) <= tolerance]
+    pairs, used = [], np.zeros(on_hi.size, dtype=bool)
+    for m in on_lo:
+        dist = np.abs(coords[on_hi, 1 - c] - coords[m, 1 - c])
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        assert dist[j] <= tolerance
+        used[j] = True
+        pairs.append((int(m), int(on_hi[j])))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
 def euler_characteristic(mesh):
     edges = np.sort(
         np.vstack([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]),
@@ -102,7 +123,7 @@ class TestUniformRectMesh:
 
     def test_boundary_labels_partition(self):
         m = uniform_rect_mesh(4, 5)
-        assert m.labels() == {"left", "right", "top", "bottom"}
+        assert set(m.boundary_labels) == {"left", "right", "top", "bottom"}
         assert len(m.boundary_labels) == 2 * (4 + 5)
 
     def test_euler_characteristic_no_hole(self):
@@ -132,7 +153,12 @@ class TestUniformRectMesh:
 
 class TestReadTriangleMesh:
     def test_bundled_fixture_matches_generator(self):
-        fixture = load_bundled_mesh("unit_square")
+        # the two-triangle unit square, once shipped as a bundled fixture
+        node = "# two-triangle unit square fixture\n4 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 2\n3 0.0 1.0 1\n4 1.0 1.0 2\n"
+        ele = "2 3 0\n1 1 2 4\n2 1 4 3\n"
+        edge = "4 1\n1 1 2 3\n2 4 3 4\n3 2 4 2\n4 3 1 1\n"
+        fixture = read_triangle_mesh(node, ele, edge,
+                                     marker_labels={1: "left", 2: "right", 3: "bottom", 4: "top"})
         built = uniform_rect_mesh(1, 1)
         assert np.array_equal(fixture.vertices, built.vertices)
         assert np.array_equal(fixture.triangles, built.triangles)
@@ -189,6 +215,7 @@ class TestReadTriangleMesh:
         ("node", "# unit triangle\n3 2 0 0\n1 0 0\n\n2 1 0\n", ".node: expected 3 vertices, file ended after 2"),
         ("node", "# unit triangle\n3 2 0 0\n1 0 0\n2 1\n3 0 1\n", ".node at line 4: expected index, x, y"),
         ("node", "3 2 1 0\n1 0 0 7\n2 1 0\n3 0 1 7\n", ".node at line 3: expected index, x, y"),
+        ("node", "3 2 0 0\n1 0 0\n\n2 1\n", ".node at line 4: expected index, x, y"),
         ("ele", "", "empty .ele input"),
         ("ele", "2 3 0\n1 1 2 3\n", ".ele: expected 2 triangles, file ended after 1"),
         ("ele", "1 3 0\n# the only triangle\n1 1 2\n", ".ele at line 3: expected index and three vertices"),
@@ -217,6 +244,11 @@ class TestReadTriangleMesh:
     def test_non_numeric_field_is_format_error(self):
         with pytest.raises(MeshFormatError, match=r"^\.ele: "):
             read_triangle_mesh(self.NODE, "1 3 0\n1 1 2 x\n", self.EDGE)
+
+    def test_zero_boundary_count_reads(self):
+        m = read_triangle_mesh(self.NODE, self.ELE, "0 1  # no boundary edges\n")
+        assert m.boundary_edges.shape == (0, 2) and m.boundary_edges.dtype == np.dtype(int)
+        assert m.boundary_labels == ()
 
     def test_well_formed_counterpart_reads(self):
         m = read_triangle_mesh(self.NODE, self.ELE, self.EDGE)
@@ -300,7 +332,7 @@ class TestCylinderMesh:
         assert euler_characteristic(mesh) == 0
 
     def test_labels(self, mesh):
-        assert mesh.labels() == {"inflow", "outflow", "wall", "cylinder"}
+        assert set(mesh.boundary_labels) == {"inflow", "outflow", "wall", "cylinder"}
 
     def test_reader_matches_line_loop_reference(self, mesh):
         # float() and int() per field, as the reader once did, give the same bits
@@ -363,6 +395,17 @@ class TestCylinderMesh:
 
 
 class TestIdentifyPeriodic:
+    @pytest.mark.parametrize("axes", ["x", "y", "xy", "yx"])
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 5), (7, 3), (16, 16), (33, 64), (64, 64)])
+    def test_matches_loop_reference(self, nx, ny, axes):
+        mesh = uniform_rect_mesh(nx, ny, x_extent=1.3, y_extent=0.7)
+        want = mesh.periodic_pairs
+        for axis in axes:
+            want = np.vstack([want, loop_periodic_pairs(mesh, axis)])
+            mesh = identify_periodic(mesh, axis)
+            assert mesh.periodic_pairs.dtype == want.dtype
+            assert np.array_equal(mesh.periodic_pairs, want)
+
     def test_unit_square_x(self):
         m = identify_periodic(uniform_rect_mesh(4, 3), axis="x")
         assert m.periodic_pairs.shape[0] == 4

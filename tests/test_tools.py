@@ -1,6 +1,10 @@
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -11,3 +15,14 @@ def test_cylinder_mesh_tool_reproduces_bundled_files(tmp_path):
     for ext in ("node", "ele", "edge"):
         want = (ROOT / "src" / "flowrom" / "data" / f"cylinder_coarse.{ext}").read_bytes()
         assert (tmp_path / f"cylinder_coarse.{ext}").read_bytes() == want, ext
+
+
+@pytest.mark.parametrize("script", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_imports_resolve(script):
+    # the scripts are not run by the suite, so an API they use must not vanish unseen
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "flowrom":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
