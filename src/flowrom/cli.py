@@ -37,13 +37,14 @@ stores in the basis archive the projection of the momentum operators and the
 snapshots' coordinates on the basis (``pod.SnapshotCoordinates``).  ``rom``
 starts from the first snapshot's coordinates and runs on the snapshot grid:
 from the first snapshot to the last, at the snapshot spacing
-(``dt * snapshot_stride``), with the ``[fom] scheme``.  ``compare`` expects
-each trajectory on that same grid, takes ``r`` from its coefficient columns
-and evaluates the errors from the coordinates, the only blocks of the basis
-it reads.  Both read only the header and times of their ``--archive``, which
-must equal the basis's times.
+(``dt * snapshot_stride``, ``numerics.uniform_step``), with the ``[fom]
+scheme``.  ``compare`` expects each trajectory on that same grid, takes ``r``
+from its coefficient columns and evaluates the errors from the coordinates,
+the only blocks of the basis it reads.  Both read only the header and times
+of their ``--archive``, which must equal the basis's times.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 format error.
+Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, or one snapshot for
+``rom``), 3 solver failure, 4 format error (e.g. a non-uniform snapshot grid).
 """
 
 import argparse
@@ -67,7 +68,7 @@ from .fom import (
     run_fom,
 )
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
-from .numerics import SingularSystemError
+from .numerics import SingularSystemError, uniform_step
 from .pod import build_pod_basis, pod_projection_error, snapshot_coordinates
 from .rom import (
     RomNewtonError,
@@ -198,11 +199,8 @@ def _write_scalars_csv(path, series):
     names = ["energy", "enstrophy", "div_error", "drag", "newton_iters", "factorizations",
              "newton_residual"]
     t = series["energy"].times
-    cols = [t]
-    for name in names:
-        cols.append(series[name].values if name in series
-                    else np.full(t.size, np.nan))
-    fio.write_csv(path, ["t"] + names, cols)
+    cols = [series[name].values if name in series else np.full(t.size, np.nan) for name in names]
+    fio.write_csv(path, ["t"] + names, [t] + cols)
 
 
 def cmd_fom(args):
@@ -211,11 +209,7 @@ def cmd_fom(args):
     cfg = _fom_config(cp, problem)
     prefix = _out_prefix(cp, args.out)
     u0 = build_initial_condition(problem.name, problem.space)
-    try:
-        _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
-    except NewtonConvergenceError as exc:
-        print(f"error: solver failed at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
     _write_scalars_csv(f"{prefix}_scalars.csv", series)
     print(f"wrote {prefix}_snapshots.bin ({snaps.count} snapshots) and {prefix}_scalars.csv")
@@ -266,13 +260,19 @@ def cmd_pod(args):
 
 
 def _pod_coordinates(coordinates, basis_path, archive_path, space):
-    """The snapshot coordinates stored by ``pod`` in the basis, whose times must be the archive's."""
+    """The snapshot coordinates stored by ``pod`` in the basis and the step of their time grid."""
     if coordinates is None:
         raise fio.ArchiveFormatError(f"{basis_path}: the basis holds no snapshot coordinates")
     if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), coordinates.times):
         raise fio.ArchiveFormatError(
             f"{archive_path}: snapshot times differ from those of the basis {basis_path}")
-    return coordinates
+    if coordinates.count < 2:
+        raise ConfigError(f"{basis_path}: a reduced model needs at least two snapshots, "
+                          f"found {coordinates.count}")
+    try:
+        return coordinates, uniform_step(coordinates.times)
+    except ValueError as exc:
+        raise fio.ArchiveFormatError(f"{basis_path}: snapshot times: {exc}") from exc
 
 
 def cmd_rom(args):
@@ -289,27 +289,17 @@ def cmd_rom(args):
     fom_cfg = _fom_config(cp, problem)
     form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
     basis = fio.read_basis(args.basis, space=space)
-    coords = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
+    coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
     r = _mode_count(cp, basis.rank, args.r)
     if r > basis.rank:
         raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
-    if coords.count < 2:
-        raise ConfigError(f"{args.basis}: a reduced run needs at least two snapshots, "
-                          f"found {coords.count}")
-    t0 = coords.times[0]
-    dt = float(coords.times[1] - t0)
-    t_end = float(coords.times[-1] - t0)
-    a0 = coords.coeffs[0, :r]
-
     basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
-    try:
-        traj = run_rom(ops, a0, dt, t_end, scheme=fom_cfg.scheme,
-                       newton_tol=fom_cfg.newton_tol, newton_max_iter=fom_cfg.newton_max_iter)
-    except RomNewtonError as exc:
-        print(f"error: reduced solver diverged at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    t0 = coords.times[0]
+    traj = run_rom(ops, coords.coeffs[0, :r], dt, float(coords.times[-1] - t0),
+                   scheme=fom_cfg.scheme, newton_tol=fom_cfg.newton_tol,
+                   newton_max_iter=fom_cfg.newton_max_iter)
 
     prefix = _out_prefix(cp, args.out)
     tag = f"{form.value}_r{r}"
@@ -339,6 +329,8 @@ def _parse_traj_csv(path):
     r is the number of coefficient columns, so it always matches the data.
     """
     header, cols = fio.read_csv(path)
+    if len(header) < 2:
+        raise fio.ArchiveFormatError(f"{path}: a trajectory needs at least one coefficient column")
     parts = Path(path).stem.split("_")
     form = parts[-3] if len(parts) >= 3 else "unknown"
     return form, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])
@@ -354,9 +346,12 @@ def cmd_compare(args):
     problem = _build_problem(cp)
     fom_cfg = _fom_config(cp, problem)
     space = problem.space
-    coords = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
-                              args.basis, args.archive, space)
+    coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
+                                  args.basis, args.archive, space)
 
+    # theorem norms of the FOM divergence series, the same in every row
+    div = coords.div_norms[1:]
+    div_norms = (float(dt * np.sum(div ** 2)), float(dt * np.sum(div)))
     rows = []
     for traj_path in args.trajectories:
         form, r, traj = _parse_traj_csv(traj_path)
@@ -364,18 +359,12 @@ def cmd_compare(args):
             err = reduced_trajectory_error(coords, traj, fom_cfg.nu)
         except ValueError as exc:
             raise ConfigError(f"{traj_path}: {exc}") from exc
-        dt = float(np.diff(coords.times)[0])
-        # theorem norms of the FOM divergence series
-        div_vals = err.div_series.values
-        div_l20_sq = float(dt * np.sum(div_vals[1:] ** 2))
-        div_l10 = float(dt * np.sum(div_vals[1:]))
-        rows.append((form, r, err.linf_l2, err.l2_h1, err.c_u, div_l20_sq, div_l10))
+        rows.append((form, r, err.linf_l2, err.l2_h1, err.c_u, *div_norms))
 
     out = Path(args.out or "compare.csv")
     with open(out, "w") as fh:
         fh.write("form,r,linf_l2,l2_h1,c_u,fom_div_l20_sq,fom_div_l10\n")
-        for form, r, a, b, c, d, e in rows:
-            fh.write("%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (form, r, a, b, c, d, e))
+        fh.writelines("%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

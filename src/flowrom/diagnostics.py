@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import _p2_ref_grads
+from .numerics import uniform_step
 
 
 @dataclass
@@ -147,30 +148,25 @@ def _snapshot_norms(space, snapshots):
     return norm(space.stiffness()), norm(space.div_form())
 
 
-def _uniform_step(times, trajectory_times):
-    """The step of the uniform grid ``times``, which the trajectory's must equal from its start."""
+def _grid_step(times, trajectory_times):
+    """``numerics.uniform_step(times)``, once the trajectory's times equal ``times`` from their start."""
+    dt = uniform_step(times)
     if times.size != trajectory_times.size or not np.allclose(
-        times - times[0], trajectory_times - trajectory_times[0], rtol=0.0, atol=1e-10
-    ):
+            times - times[0], trajectory_times - trajectory_times[0], rtol=0.0, atol=1e-10):
         raise ValueError("snapshot and trajectory time grids do not match")
-    if times.size < 2:
-        raise ValueError("need at least two states to form trajectory errors")
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("trajectory errors assume a uniform time grid")
-    return float(steps[0])
+    return dt
 
 
 def trajectory_error(space, snapshots, trajectory, basis, nu):
     """Theorem-style error functionals of a ROM trajectory vs FOM snapshots.
 
-    The time grids must match exactly.  The max-norm error covers every
-    recorded time; the viscous-weighted gradient sum and ``c_u`` run over
-    n >= 1 as in the discrete error bound.  This is the full-field
-    reference of :func:`reduced_trajectory_error`.
+    The time grids must match exactly and be uniform.  The max-norm error
+    covers every recorded time; the viscous-weighted gradient sum and
+    ``c_u`` run over n >= 1 as in the discrete error bound.  This is the
+    full-field reference of :func:`reduced_trajectory_error`.
     """
     times = snapshots.times
-    dt = _uniform_step(times, trajectory.times)
+    dt = _grid_step(times, trajectory.times)
 
     recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
     err = recon - snapshots.matrix
@@ -203,7 +199,7 @@ def reduced_trajectory_error(coordinates, trajectory, nu):
     the stored snapshot norms themselves.
     """
     times = coordinates.times
-    dt = _uniform_step(times, trajectory.times)
+    dt = _grid_step(times, trajectory.times)
     a = trajectory.coeffs
     rank = coordinates.coeffs.shape[1]
     if a.shape[1] > rank:

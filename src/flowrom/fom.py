@@ -7,8 +7,9 @@ Taylor-Hood space: find ``(u, p)`` with
     (div u, q) = 0
 
 for all free test functions, where ``D_t`` is the backward-Euler or BDF2
-difference and ``b`` is the configured nonlinear form.  The saddle-point
-Newton system is solved monolithically by a direct sparse factorization.
+difference (``numerics.implicit_step``, which the ROM steps as well) and
+``b`` is the configured nonlinear form.  The saddle-point Newton system is
+solved monolithically by a direct sparse factorization.
 
 The system is staged.  Its linear part is one saddle-point block
 
@@ -56,7 +57,7 @@ from .fem import (
     nonlinear_residual,
     saddle_block,
 )
-from .numerics import factorize, solve_sparse
+from .numerics import factorize, implicit_step, solve_sparse, step_count, uniform_step
 from .pod import SnapshotSet
 from .rom import reconstruct_field
 from .diagnostics import ScalarSeries, drag_coefficient, energy_enstrophy
@@ -82,9 +83,10 @@ class FomConfig:
     """Settings of a full-order run.
 
     ``boundary`` maps mesh labels to essential conditions (see
-    ``TaylorHoodSpace.dirichlet_data``).  ``t_end`` is a whole number of
-    steps ``dt``.  The snapshot window is a closed time interval; snapshots
-    are taken every ``snapshot_stride``-th step inside it.
+    ``TaylorHoodSpace.dirichlet_data``).  ``nu`` is positive and finite and
+    ``t_end`` a whole number of steps ``dt``.  The snapshot window is a
+    closed time interval; snapshots are taken every ``snapshot_stride``-th
+    step inside it.
     """
 
     nu: float
@@ -102,12 +104,9 @@ class FomConfig:
 
     def __post_init__(self):
         self.form = NonlinearForm.parse(self.form)
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 < self.t_end < np.inf:
-            raise ValueError("t_end must be positive and finite")
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer multiple of dt")
+        if not 0 < self.nu < np.inf:
+            raise ValueError("nu must be positive and finite")
+        step_count(self.dt, self.t_end)
         if self.scheme not in ("backward_euler", "bdf2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.newton_max_iter < 0:
@@ -255,12 +254,6 @@ def build_initial_condition(problem, space):
 # ----------------------------------------------------------------------
 # time stepping
 
-def _history_load(space, config, u_old, u_prev, bdf2):
-    """Velocity part of the history load h = [M hist / dt; 0]."""
-    hist = 2.0 * u_old - 0.5 * u_prev if bdf2 else u_old
-    return space.mass() @ hist / config.dt
-
-
 def _staged_residual(space, form, block, x, load, mask):
     """Residual L x - h + [N(u); 0] at ``x = [u, p]``, constrained rows zeroed."""
     n_vel = space.n_vel
@@ -284,28 +277,27 @@ def _newton_matrix(space, form, block, u, mask):
 def advance_step(state, config, space, held=None):
     """Advance one implicit step, returning the new state.
 
-    BDF2 uses backward Euler for the very first step (no second history
-    level yet).  Newton is the chord iteration of the module docstring:
-    ``held`` is the :class:`HeldFactor` to reuse and update.  It supplies the
-    linear block L for ``(alpha, dt, nu)``, rebuilt with the factors dropped
-    when that key differs from the held one; without a held factor the step
-    builds L, factorizes on its first iteration and reuses both within the
-    step only.  The history load and the essential mask are formed once per
-    step.  ``config.newton_max_iter`` bounds the linear solves per step.
-    Raises :class:`NewtonConvergenceError` when the residual does not reach
-    ``config.newton_tol`` within that budget.
+    The scheme is ``numerics.implicit_step``: BDF2 uses backward Euler for
+    the very first step (no second history level yet).  Newton is the chord
+    iteration of the module docstring: ``held`` is the :class:`HeldFactor`
+    to reuse and update.  It supplies the linear block L for ``(alpha, dt,
+    nu)``, rebuilt with the factors dropped when that key differs from the
+    held one; without a held factor the step builds L, factorizes on its
+    first iteration and reuses both within the step only.  The history load
+    and the essential mask are formed once per step.  ``config.newton_max_iter``
+    bounds the linear solves per step.  Raises :class:`NewtonConvergenceError`
+    when the residual does not reach ``config.newton_tol`` within that budget.
     """
     held = HeldFactor() if held is None else held
     dt = config.dt
     t_new = state.t + dt
-    bdf2 = config.scheme == "bdf2" and state.u_prev is not None
-    block = held.stage(space, 1.5 if bdf2 else 1.0, dt, config.nu)
-    load = _history_load(space, config, state.u, state.u_prev, bdf2)
+    alpha, hist, u = implicit_step(config.scheme, state.u, state.u_prev)
+    block = held.stage(space, alpha, dt, config.nu)
+    load = space.mass() @ hist / dt
 
-    # time-extrapolated initial guess saves one Newton iteration per step;
+    # the time-extrapolated start u saves one Newton iteration per step;
     # x = [u, p] starts from the essential values, which the identity rows of
     # the Newton system keep; u and p are views that follow its updates
-    u = 2.0 * state.u - state.u_prev if state.u_prev is not None else state.u
     x = np.concatenate([u, state.p])
     mask, vals = constraint_mask(space, config.boundary, t_new, x.size)
     x[mask] = vals[mask]
@@ -353,9 +345,7 @@ def rom_drag_series(space, config, basis, trajectory, stride=5):
     if config.drag_label is None:
         raise ValueError("no drag boundary label configured")
     times = trajectory.times
-    if times.size < 2:
-        raise ValueError("trajectory too short for pressure recovery")
-    dt = float(times[1] - times[0])
+    dt = uniform_step(times)
     cfg = replace(config, dt=dt, t_end=dt, snapshot_window=None)
     # every sample is a backward-Euler step at the same dt: one held factor
     held = HeldFactor()
@@ -372,15 +362,10 @@ def rom_drag_series(space, config, basis, trajectory, stride=5):
 
 def snapshot_steps(window, stride, dt, n_steps):
     """Step indices (0-based, initial state included) recorded as snapshots."""
-    if window is None:
-        ta, tb = 0.0, n_steps * dt
-    else:
-        ta, tb = window
+    ta, tb = (0.0, n_steps * dt) if window is None else window
     eps = 1e-9 * max(dt, 1.0)
-    n_start = int(np.ceil(ta / dt - eps))
-    n_stop = int(np.floor(tb / dt + eps))
-    n_stop = min(n_stop, n_steps)
-    return list(range(n_start, n_stop + 1, stride))
+    n_stop = min(int(np.floor(tb / dt + eps)), n_steps)
+    return list(range(int(np.ceil(ta / dt - eps)), n_stop + 1, stride))
 
 
 def run_fom(config, mesh, space, u0):
@@ -395,7 +380,7 @@ def run_fom(config, mesh, space, u0):
     One :class:`HeldFactor` serves the whole run.
     """
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
+    n_steps = step_count(dt, config.t_end)
 
     u0 = np.array(u0, dtype=float, copy=True)
     mask, vals = constraint_mask(space, config.boundary, 0.0, space.n_vel)

@@ -181,9 +181,10 @@ def _table(text, what, nheader, noun, expected, min_fields, dtype):
     number.  The header holds ``nheader`` counts; the table holds the
     leading ``min_fields(counts)`` fields of each of the ``counts[0]``
     records, converted by one ``np.loadtxt``.  Returns ``(lineno, counts,
-    table, linenos)``.  An empty text, a malformed header, a record of fewer
-    fields (described by ``expected``), an early end (counted in ``noun``)
-    and an unconvertible field raise :class:`MeshFormatError`, in that order.
+    table, linenos)``.  An empty text, a malformed header, a negative record
+    count, a record of fewer fields (described by ``expected``), an early end
+    (counted in ``noun``) and an unconvertible field raise
+    :class:`MeshFormatError`, in that order.
     """
     linenos, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,13 +201,13 @@ def _table(text, what, nheader, noun, expected, min_fields, dtype):
         counts = [int(p) for p in parts[:nheader]]
     except ValueError as exc:
         raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
+    if counts[0] < 0:
+        raise MeshFormatError(f"{what} header at line {lineno}: negative record count {counts[0]}")
     ncols = min_fields(counts)
     if counts[0] == 0:
         # np.loadtxt warns on empty input
         return lineno, counts, np.empty((0, ncols), dtype=dtype), []
-    end = 1 + max(counts[0], 0)    # a negative count takes no record
-    linenos, rows = linenos[1:end], lines[1:end]
-    error = "too few records"
+    linenos, rows = linenos[1:1 + counts[0]], lines[1:1 + counts[0]]
     if len(rows) == counts[0]:
         try:
             return lineno, counts, np.loadtxt(rows, dtype=dtype, usecols=range(ncols), ndmin=2), linenos

@@ -1,8 +1,8 @@
-"""Dense/sparse linear algebra and triangle quadrature.
+"""Dense/sparse linear algebra, triangle quadrature and the time scheme.
 
 Everything downstream (assembly, POD, reduced systems) funnels through the
-three operations here so that solver and quadrature behavior is fixed in one
-place:
+operations here so that solver, quadrature and time-stepping behavior is
+fixed in one place:
 
 * ``sym_eig``      -- symmetric eigendecomposition with a deterministic sign
                       convention, used for snapshot Gram matrices.
@@ -13,6 +13,8 @@ place:
                       triangle; exact for every integrand this package
                       assembles (trilinear terms are degree 5 on affine
                       elements).
+* ``step_count``, ``implicit_step``, ``uniform_step`` -- the one implicit
+                      time scheme and grid that the FOM and the ROM both step.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -213,3 +215,38 @@ def solve_sparse(m, rhs, order):
             "singular (missing pressure constraint or disconnected mesh?)"
         )
     return x
+
+
+def step_count(dt, t_end):
+    """The steps ``dt`` in ``t_end``, both positive and finite and ``t_end`` a whole number of them."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return n_steps
+
+
+def implicit_step(scheme, x, x_prev):
+    """``(alpha, history, start)`` of the step alpha x_new - history = dt f(x_new) after ``x``.
+
+    (alpha, history) is (3/2, 2 x - x_prev / 2) for BDF2 once ``x_prev``
+    exists, else (1, x); Newton starts from 2 x - x_prev, or from ``x``.
+    """
+    if scheme not in ("backward_euler", "bdf2"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if x_prev is None:
+        return 1.0, x, x
+    if scheme == "bdf2":
+        return 1.5, 2.0 * x - 0.5 * x_prev, 2.0 * x - x_prev
+    return 1.0, x, 2.0 * x - x_prev
+
+
+def uniform_step(times):
+    """The step of the time grid ``times``: at least two times, increasing by one step (to 1e-9)."""
+    steps = np.diff(times)
+    if not (steps.size and steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("the time grid is not uniform (at least two times, one increasing step)")
+    return float(steps[0])

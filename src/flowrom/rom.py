@@ -38,9 +38,9 @@ so it is O(m^3 P): linear in the mesh, cubic in the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and a dense LU (LAPACK getrf and
-getrs), mirroring the full-order scheme (BDF2 starts with one
-backward-Euler step, and each step's Newton starts from the extrapolated
-2 a^n - a^(n-1), the first from a^0).  :class:`RomOperators` forms the
+getrs), stepping the full-order scheme itself (``numerics.implicit_step``:
+BDF2 starts with one backward-Euler step, and each step's Newton starts
+from the extrapolated 2 a^n - a^(n-1), the first from a^0).  :class:`RomOperators` forms the
 (j, k)-symmetrized tensor S = T + T^{jk} once.  Each evaluated iterate
 costs one matrix-vector product g = S c (S viewed as an (r*m) x m matrix),
 the state derivative dN/dc, which gives both the quadratic term
@@ -54,6 +54,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .fem import NonlinearForm, _density, _transport
+from .numerics import implicit_step, step_count
 
 
 class RomNewtonError(RuntimeError):
@@ -209,22 +210,14 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
             newton_tol=1e-10, newton_max_iter=20):
     """Integrate the reduced system implicitly from coefficients ``a0``.
 
-    Mirrors the full-order stepping: backward Euler or BDF2 (with a
-    backward-Euler first step), Newton iteration to ``newton_tol`` on the
-    r-dimensional residual from the extrapolated start 2 a^n - a^(n-1)
-    (a^0 on the first step), dense linear solves.  Each evaluated iterate
+    Steps the full-order scheme (``numerics.step_count`` and
+    ``implicit_step``), with Newton iteration to ``newton_tol`` on the
+    r-dimensional residual and dense linear solves.  Each evaluated iterate
     takes one :meth:`RomOperators.quadratic_jacobian`.  The trajectory
     records the Newton updates of each step.  Raises
     :class:`RomNewtonError` with the failing step index on divergence.
     """
-    if scheme not in ("backward_euler", "bdf2"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
-
+    n_steps = step_count(dt, t_end)
     r = ops.r
     a = np.array(a0, dtype=float)
     if a.shape != (r,):
@@ -238,20 +231,18 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     a_prev = None
     shift_alpha = None
     for n in range(n_steps):
-        bdf2 = scheme == "bdf2" and a_prev is not None
-        alpha = 1.5 if bdf2 else 1.0
+        alpha, hist, a_new = implicit_step(scheme, a, a_prev)
         if alpha != shift_alpha:
             # the Jacobian's linear part, once per scheme phase; the residual
             # keeps alpha/dt a and visc c apart, since their sum rounds visc's
             # low bits away
             shift, shift_alpha = alpha / dt * np.eye(r) + visc_modes, alpha
-        hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
-        a_new = 2.0 * a - a_prev if a_prev is not None else a.copy()
+        load = hist / dt
         converged = False
         for it in range(newton_max_iter + 1):
             c = ops.extend(a_new)
             g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
-            res = alpha / dt * a_new - hist + 0.5 * (g @ c) + ops.visc @ c
+            res = alpha / dt * a_new - load + 0.5 * (g @ c) + ops.visc @ c
             res_norm = np.linalg.norm(res)
             if not np.isfinite(res_norm):
                 break

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 
 import flowrom
 from flowrom.fem import TaylorHoodSpace, constraint_mask, saddle_block
-from flowrom.fom import _history_load, _staged_residual
+from flowrom.fom import _staged_residual
 from flowrom.mesh import _signed_areas
+from flowrom.numerics import implicit_step
 
 
 def pytest_collection_modifyitems(config, items):
@@ -115,16 +116,17 @@ def rom_quadratic(ops, c):
     return 0.5 * (ops.quadratic_jacobian(c) @ c)
 
 
-def scheme_residual(space, config, u, p, u_old, u_prev, t, bdf2_step):
+def scheme_residual(space, config, u, p, u_old, u_prev, t):
     """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
 
-    Constrained velocity rows and the pinned pressure row are zeroed, so the
-    norm of the returned vector is the quantity Newton drives below
-    tolerance.  The same staged evaluation as ``fom.advance_step``.
+    ``u_prev`` is None on the first step.  Constrained velocity rows and the
+    pinned pressure row are zeroed, so the norm of the returned vector is the
+    quantity Newton drives below tolerance.  The same staged evaluation as
+    ``fom.advance_step``.
     """
-    alpha = 1.5 if bdf2_step else 1.0
+    alpha, hist, _ = implicit_step(config.scheme, u_old, u_prev)
     block = saddle_block(space, alpha / config.dt, config.nu)
-    load = _history_load(space, config, u_old, u_prev, bdf2_step)
+    load = space.mass() @ hist / config.dt
     x = np.concatenate([u, p])
     mask, _ = constraint_mask(space, config.boundary, t, x.size)
     return _staged_residual(space, config.form, block, x, load, mask)

@@ -241,6 +241,10 @@ class TestErrorPaths:
         ("fom", ("dt = 0.05", "dt = inf")),
         ("fom", ("t_end = 0.25", "t_end = inf")),
         ("pod", ("centering = none", "centering = bogus")),
+        ("fom", ("nu = 3.5714285714285714e-04", "nu = nan")),
+        ("fom", ("nu = 3.5714285714285714e-04", "nu = inf")),
+        ("fom", ("nu = 3.5714285714285714e-04", "nu = 0")),
+        ("fom", ("nu = 3.5714285714285714e-04", "nu = -1")),
     ])
     def test_malformed_config_value_is_config_error(self, micro_pipeline, tmp_path, capsys, command, edit):
         root, _ = micro_pipeline
@@ -332,6 +336,34 @@ class TestErrorPaths:
                    else "snapshot times differ from those of the basis")
         assert capsys.readouterr().err.count(message) == 2
         assert not list(tmp_path.glob("*_rom_*")) and not (tmp_path / "c.csv").exists()
+
+    def test_non_uniform_snapshot_grid_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        # pod accepts any times; rom and compare run on the grid, which must be uniform
+        root, cfg = micro_pipeline
+        snaps = read_snapshots(root / "micro_snapshots.bin")
+        snaps.times[:] = [0.0, 0.05, 0.15, 0.2, 0.25, 0.3]
+        archive, out = tmp_path / "gap_snapshots.bin", tmp_path / "out"
+        write_snapshots(archive, snaps)
+        common = ["--config", str(cfg), "--out", str(out)]
+        assert main(["pod", str(archive), *common]) == 0
+        basis = str(out / "micro_basis.bin")
+        assert main(["rom", basis, "--archive", str(archive), *common]) == 4
+        assert main(["compare", str(root / "micro_rom_skew_r3_traj.csv"), "--config", str(cfg),
+                     "--archive", str(archive), "--basis", basis, "--out", str(out / "c.csv")]) == 4
+        assert capsys.readouterr().err.count("time grid is not uniform") == 2
+        assert not list(out.glob("*_rom_*")) and not (out / "c.csv").exists()
+
+    def test_trajectory_without_coefficients_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        root, cfg = micro_pipeline
+        lines = (root / "micro_rom_skew_r3_traj.csv").read_text().splitlines()
+        bare = tmp_path / "micro_rom_skew_r0_traj.csv"
+        bare.write_text("".join(line.split(",")[0] + "\n" for line in lines))  # the t column only
+        code = main(["compare", str(bare), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
+        assert code == 4
+        assert str(bare) in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "truncated", "non_finite",
                                         "non_finite_gram", "too_many_fields", "no_coordinates"])
@@ -434,7 +466,7 @@ class TestErrorPaths:
         cfg = tmp_path / "stall.ini"
         cfg.write_text(MICRO_KH.replace("[rom]", "newton_max_iter = 0\n\n[rom]"))
         assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert "solver failed at step 1" in capsys.readouterr().err
+        assert "Newton stalled at step 1" in capsys.readouterr().err
         assert not (tmp_path / "micro_snapshots.bin").exists()
 
     def test_rom_newton_failure(self, micro_pipeline, tmp_path, capsys):

@@ -221,8 +221,7 @@ class TestRunFom:
         st, snaps, _ = run_fom(cfg, mesh, space, u0)
         # the state before the last step is snapshot -2, and its predecessor snapshot -3
         assert np.array_equal(st.u_prev, snaps.matrix[:, -2])
-        res = scheme_residual(space, cfg, st.u, st.p, st.u_prev, snaps.matrix[:, -3],
-                              st.t, bdf2_step=True)
+        res = scheme_residual(space, cfg, st.u, st.p, st.u_prev, snaps.matrix[:, -3], st.t)
         rng = np.random.default_rng(8)
         for _ in range(20):
             v = rng.standard_normal(res.size)

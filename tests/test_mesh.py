@@ -230,6 +230,18 @@ class TestReadTriangleMesh:
             read_triangle_mesh(files["node"], files["ele"], files["edge"])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("which, text, message", [
+        ("node", "# unit triangle\n-3 2 0 0\n1 0 0\n", ".node header at line 2: negative record count -3"),
+        ("ele", "-1 3 0\n1 1 2 3\n", ".ele header at line 1: negative record count -1"),
+        ("edge", "-3 1\n1 1 2 1\n", "boundary header at line 1: negative record count -3"),
+    ], ids=["node", "ele", "edge"])
+    def test_negative_record_count(self, which, text, message):
+        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
+        files[which] = text
+        with pytest.raises(MeshFormatError) as err:
+            read_triangle_mesh(files["node"], files["ele"], files["edge"])
+        assert str(err.value) == message
+
     def test_comments_extra_fields_and_trailing_lines(self):
         # comments, blank lines, attribute and marker columns, and lines past
         # the record count are read as the line-by-line reader read them

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import flowrom.rom
-from flowrom.diagnostics import energy_enstrophy, rom_energy_enstrophy
+from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
 from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
-from flowrom.mesh import load_bundled_mesh
-from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
+from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
+from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field, snapshot_coordinates
 from flowrom.rom import (
     RomNewtonError,
     RomOperators,
@@ -296,6 +297,25 @@ class TestRunRom:
         t_be = run_rom(ops, a0, 0.02, 0.02, scheme="backward_euler")
         t_bdf = run_rom(ops, a0, 0.02, 0.04, scheme="bdf2")
         assert np.abs(t_be.coeffs[1] - t_bdf.coeffs[1]).max() < 1e-9
+
+    def test_bdf2_snapshot_reproduction(self):
+        # the BDF2 counterpart of acceptance criterion 4: a consistent full-rank
+        # ROM stepping the FOM's own BDF2 scheme retraces the FOM trajectory
+        mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
+        space = TaylorHoodSpace(mesh)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form="skew", scheme="bdf2",
+                        boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
+                        project_initial=True, newton_tol=1e-11)
+        _, snaps, _ = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        mass = space.mass()
+        basis = build_pod_basis(snaps, mass, space.stiffness(), rank_tol=1e-14)
+        r = basis.rank
+        coords = snapshot_coordinates(space, basis, snaps)
+        ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
+        traj = run_rom(ops, coords.coeffs[0, :r], cfg.dt, cfg.t_end, scheme="bdf2", newton_tol=1e-12)
+        err = reduced_trajectory_error(coords, traj, cfg.nu)
+        umax = np.sqrt(np.einsum("ij,ij->j", snaps.matrix, mass @ snaps.matrix)).max()
+        assert err.linf_l2 <= 1e-6 * umax, (r, err.linf_l2 / umax)
 
 
 def loop_reference(ops, a0, dt, t_end, scheme):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,14 @@ def test_cylinder_mesh_tool_reproduces_bundled_files(tmp_path):
     for ext in ("node", "ele", "edge"):
         want = (ROOT / "src" / "flowrom" / "data" / f"cylinder_coarse.{ext}").read_bytes()
         assert (tmp_path / f"cylinder_coarse.{ext}").read_bytes() == want, ext
+
+
+def test_pod_spectrum_demo_runs():
+    # a run, not just an import check: it builds a FomConfig and runs the FOM and POD
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / "pod_spectrum.py")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("script", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]),
