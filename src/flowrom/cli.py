@@ -327,10 +327,13 @@ def _parse_traj_csv(path):
     """Form (from a ``<prefix>_rom_<form>_r<r>_traj.csv`` name), r and trajectory.
 
     r is the number of coefficient columns, so it always matches the data.
+    A non-finite time or coefficient is a format error.
     """
     header, cols = fio.read_csv(path)
     if len(header) < 2:
         raise fio.ArchiveFormatError(f"{path}: a trajectory needs at least one coefficient column")
+    if not all(np.isfinite(col).all() for col in cols):
+        raise fio.ArchiveFormatError(f"{path}: non-finite value in the trajectory")
     parts = Path(path).stem.split("_")
     form = parts[-3] if len(parts) >= 3 else "unknown"
     return form, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])

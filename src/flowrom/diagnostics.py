@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import _p2_ref_grads
+from .fem import _p2_ref_grads, boundary_edge_table
 from .numerics import uniform_step
 
 
@@ -85,40 +85,20 @@ def _edge_quadrature_data(space, label):
     key = ("edge_data", label)
     if key in space._cache:
         return space._cache[key]
-    mesh = space.mesh
-    idx = mesh.boundary_edges_with_label(label)
+    idx = space.mesh.boundary_edges_with_label(label)
     if idx.size == 0:
         raise ValueError(f"mesh has no boundary edges labeled {label!r}")
-    edges = mesh.boundary_edges[idx]
-    cells = mesh.boundary_cells[idx]
-
-    pa = mesh.vertices[edges[:, 0]]
-    pb = mesh.vertices[edges[:, 1]]
-    d = pb - pa
-    lengths = np.linalg.norm(d, axis=1)
-    # boundary edges keep the domain on their left, so (dy, -dx) points out
-    # of the fluid; the drag normal is its negation (into the fluid)
-    n_out = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    normals = -n_out
-    tangents = np.column_stack([normals[:, 1], -normals[:, 0]])
-
-    pts = pa[:, None, :] + _EDGE_T[None, :, None] * d[:, None, :]   # (ne, 3, 2)
-    v0 = mesh.vertices[mesh.triangles[cells, 0]]
-    rel = pts - v0[:, None, :]
-    # xi = J^{-1} (x - v0); inv_jt stores J^{-T}
-    xi = np.einsum("ekd,eqk->eqd", space.inv_jt[cells], rel)
-    bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
-
-    ref = _p2_ref_grads(bary.reshape(-1, 3)).reshape(len(cells), 3, 6, 2)
-    dphi = np.einsum("edk,eqlk->eqld", space.inv_jt[cells], ref)
-
+    table = boundary_edge_table(space, idx, _EDGE_T)
+    # the drag normal points into the fluid
+    normals = -table.normals
+    ref = _p2_ref_grads(table.bary.reshape(-1, 3)).reshape(idx.size, _EDGE_T.size, 6, 2)
     data = {
-        "cells": cells,
-        "lengths": lengths,
+        "cells": table.cells,
+        "lengths": table.lengths,
         "normals": normals,
-        "tangents": tangents,
-        "bary": bary,
-        "dphi": dphi,
+        "tangents": np.column_stack([normals[:, 1], -normals[:, 0]]),
+        "bary": table.bary,
+        "dphi": np.einsum("edk,eqlk->eqld", space.inv_jt[table.cells], ref),
     }
     space._cache[key] = data
     return data

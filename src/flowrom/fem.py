@@ -30,10 +30,10 @@ depend on ``u`` alone (:func:`_transport`):
 * emac:        no a,  L = 2 sym(grad u) + (div u) I
 
 :func:`_density` applies them to ``v``.  The full-order residual and
-Jacobian, :func:`trilinear_value` and the reduced convective cube all go
-through this pair.  Quadrature tables are component-major: values have shape
-(2, ..., nt, nq) and gradients (2, 2, ..., nt, nq), so the density is
-explicit arithmetic on contiguous (..., nt, nq) blocks.
+Jacobian and :func:`trilinear_value` go through this pair.  Quadrature
+tables are component-major: values have shape (2, ..., nt, nq) and
+gradients (2, 2, ..., nt, nq), so the density is explicit arithmetic on
+contiguous (..., nt, nq) blocks.
 
 Every integral reads one per-element basis table, ``space.tables`` (value
 and physical gradients of each local P2 basis function at each quadrature
@@ -516,6 +516,40 @@ class TaylorHoodSpace:
                 mask[dofs] = True
                 vals[dofs] = val
         return mask, vals
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """Quadrature points on boundary edges, each read from the one triangle it bounds."""
+
+    cells: np.ndarray     # (ne,) the triangle of each edge
+    bary: np.ndarray      # (ne, nq, 3) barycentric coordinates of the points in that triangle
+    phi: np.ndarray       # (ne, nq, 6) P2 basis values at the points
+    normals: np.ndarray   # (ne, 2) outward unit normals
+    lengths: np.ndarray   # (ne,)
+
+
+def boundary_edge_table(space, idx, t):
+    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges[idx]`` at the edge parameters ``t``.
+
+    ``t`` is the caller's rule on [0, 1], measured from each edge's first
+    vertex; its weights times ``lengths`` integrate along the edge.
+    """
+    mesh = space.mesh
+    edges = mesh.boundary_edges[idx]
+    cells = mesh.boundary_cells[idx]
+    pa = mesh.vertices[edges[:, 0]]
+    d = mesh.vertices[edges[:, 1]] - pa
+    lengths = np.linalg.norm(d, axis=1)
+    # boundary edges keep the domain on their left, so (dy, -dx) points out
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    pts = pa[:, None, :] + t[None, :, None] * d[:, None, :]   # (ne, nq, 2)
+    rel = pts - mesh.vertices[mesh.triangles[cells, 0]][:, None, :]
+    # xi = J^{-1} (x - v0); inv_jt stores J^{-T}
+    xi = np.einsum("ekd,eqk->eqd", space.inv_jt[cells], rel)
+    bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
+    phi = _p2_basis(bary.reshape(-1, 3)).reshape(bary.shape[:2] + (6,))
+    return EdgeTable(cells=cells, bary=bary, phi=phi, normals=normals, lengths=lengths)
 
 
 def assemble_linear_operators(mesh, space, nu):

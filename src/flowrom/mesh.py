@@ -174,17 +174,24 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
     return _build_mesh(vertices, triangles, edges, ("bottom", "top") * nx + ("right", "left") * ny)
 
 
-def _table(text, what, nheader, noun, expected, min_fields, dtype):
+# the header fields of the three Triangle texts, the record count first
+_NODE_HEADER = ("record count", "dimension", "attribute count", "boundary marker count")
+_ELE_HEADER = ("record count", "nodes per triangle", "attribute count")
+_BOUNDARY_HEADER = ("record count", "boundary marker count")
+
+
+def _table(text, what, header, noun, expected, min_fields, dtype):
     """One Triangle-format text as its header, a record table and the records' line numbers.
 
     One scan strips comments and blank lines, keeping each data line's
-    number.  The header holds ``nheader`` counts; the table holds the
-    leading ``min_fields(counts)`` fields of each of the ``counts[0]``
-    records, converted by one ``np.loadtxt``.  Returns ``(lineno, counts,
-    table, linenos)``.  An empty text, a malformed header, a negative record
-    count, a record of fewer fields (described by ``expected``), an early end
-    (counted in ``noun``) and an unconvertible field raise
-    :class:`MeshFormatError`, in that order.
+    number.  The header holds one count per name in ``header``, the record
+    count first; the table holds the leading ``min_fields(counts)`` fields of
+    each of the ``counts[0]`` records, converted by one ``np.loadtxt``.
+    Returns ``(lineno, counts, table, linenos)``.  An empty text, a
+    malformed header, a negative count (named from ``header``), a record of
+    fewer fields (described by ``expected``), an early end (counted in
+    ``noun``) and an unconvertible field raise :class:`MeshFormatError`, in
+    that order.
     """
     linenos, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -195,14 +202,15 @@ def _table(text, what, nheader, noun, expected, min_fields, dtype):
     if not lines:
         raise MeshFormatError(f"empty {what} input")
     lineno, parts = linenos[0], lines[0].split()
-    if len(parts) < nheader:
-        raise MeshFormatError(f"{what} header at line {lineno}: expected {nheader} fields, got {len(parts)}")
+    if len(parts) < len(header):
+        raise MeshFormatError(f"{what} header at line {lineno}: expected {len(header)} fields, got {len(parts)}")
     try:
-        counts = [int(p) for p in parts[:nheader]]
+        counts = [int(p) for p in parts[:len(header)]]
     except ValueError as exc:
         raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
-    if counts[0] < 0:
-        raise MeshFormatError(f"{what} header at line {lineno}: negative record count {counts[0]}")
+    for name, count in zip(header, counts):
+        if count < 0:
+            raise MeshFormatError(f"{what} header at line {lineno}: negative {name} {count}")
     ncols = min_fields(counts)
     if counts[0] == 0:
         # np.loadtxt warns on empty input
@@ -232,8 +240,8 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     """
     marker_labels = dict(marker_labels or {})
 
-    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, ".node", 4, "vertices", "index, x, y",
-                                                        lambda c: 3 + c[2], float)
+    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, ".node", _NODE_HEADER, "vertices",
+                                                        "index, x, y", lambda c: 3 + c[2], float)
     if dim != 2:
         raise MeshFormatError(f".node at line {lineno}: expected dimension 2, got {dim}")
     base = nodes[0, 0] if nv else 0
@@ -245,7 +253,7 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     vertices = np.ascontiguousarray(nodes[:, 1:3])
     base = int(base)
 
-    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ".ele", 3, "triangles",
+    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ".ele", _ELE_HEADER, "triangles",
                                                      "index and three vertices", lambda c: 4, int)
     if npe != 3:
         raise MeshFormatError(f".ele at line {lineno}: only 3-node triangles are supported, got {npe}")
@@ -264,8 +272,8 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    _, _, sides, side_lines = _table(boundary_text, "boundary", 2, "edges", "index, v1, v2, marker",
-                                     lambda c: 4, int)
+    _, _, sides, side_lines = _table(boundary_text, "boundary", _BOUNDARY_HEADER, "edges",
+                                     "index, v1, v2, marker", lambda c: 4, int)
     edges = sides[:, 1:3] - base
     bad = np.flatnonzero(((edges < 0) | (edges >= nv)).any(axis=1))
     if bad.size:

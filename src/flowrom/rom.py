@@ -28,32 +28,37 @@ and V = nu X^T K X; the mass and curl Grams give the reduced energy and
 enstrophy (``diagnostics.rom_energy_enstrophy``).  The modes are nested,
 so the operators at r are the test rows o:o+r and fields :o+r of a
 projection on more fields; ``flowrom pod`` stores one in the basis archive
-and :func:`assemble_rom_operators` slices it.  The projection goes through
-the full-order convective density (``fem._transport`` and ``fem._density``)
-in one element loop: the values and gradients of all m fields are formed
-once, and each transported field k then costs the convective density and
-the divergence density over the m advecting fields, stacked, and one
-(m x 2P)(2P x 2m) matrix product, with P = elements x quadrature points,
-so it is O(m^3 P): linear in the mesh, cubic in the modes.
+and :func:`assemble_rom_operators` slices it.  The projection is one
+element loop over the pair products of the fields, on the test pairs
+i >= k only (:func:`project_fields`): the values and gradients of all m
+fields are formed once, and each field k then costs the products X_i . X_k
+and (grad X_k)^T X_i with the n = m - k fields i >= k and two matrix
+products, (n x P)(P x m) for D and (n x 2P)(2P x m) for C, with
+P = elements x quadrature points.  D is mirrored, and C's other half
+follows exactly from integration by parts against a boundary-flux cube,
+so the cubes cost about 1.5 m^3 P multiply-adds: linear in the mesh, cubic
+in the modes.
 
 Online, each implicit step solves the r-dimensional system by Newton with
-the analytic Jacobian of the quadratic term and a dense LU (LAPACK getrf and
-getrs), stepping the full-order scheme itself (``numerics.implicit_step``:
-BDF2 starts with one backward-Euler step, and each step's Newton starts
-from the extrapolated 2 a^n - a^(n-1), the first from a^0).  :class:`RomOperators` forms the
-(j, k)-symmetrized tensor S = T + T^{jk} once.  Each evaluated iterate
-costs one matrix-vector product g = S c (S viewed as an (r*m) x m matrix),
-the state derivative dN/dc, which gives both the quadratic term
-N(c) = g c / 2 and its Jacobian dN/da = g[:, o:], so an iterate costs
-O(r m^2), independent of the finite element dimension.
+the analytic Jacobian of the quadratic term and one dense LU solve per
+update (LAPACK gesv), stepping the full-order scheme itself
+(``numerics.implicit_step``: BDF2 starts with one backward-Euler step, and
+each step's Newton starts from the extrapolated 2 a^n - a^(n-1), the first
+from a^0).  :class:`RomOperators` forms the (j, k)-symmetrized tensor
+S = T + T^{jk} once.  Each evaluated iterate costs one matrix-vector
+product g = S c (S viewed as an (r*m) x m matrix), the state derivative
+dN/dc, which gives both the quadratic term N(c) = g c / 2 and its Jacobian
+dN/da = g[:, o:], so an iterate costs O(r m^2), independent of the finite
+element dimension.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .fem import NonlinearForm, _density, _transport
+from .fem import NonlinearForm, boundary_edge_table
 from .numerics import implicit_step, step_count
 
 
@@ -130,7 +135,7 @@ class RomProjection:
     Every form's reduced tensor is a fixed combination of the two cubes
     (:data:`_COMBINATIONS`), and a leading slice of X is the field set of a
     smaller r, so one projection serves every form and every r <= m - o.
-    The Grams are exactly symmetric.
+    The Grams are exactly symmetric, and so is D in (i, k).
     """
 
     conv: np.ndarray        # (m, m, m) C[i, j, k] = b_conv(X_j, X_k, X_i)
@@ -163,12 +168,43 @@ _COMBINATIONS = {
 }
 
 
+# 4-point Gauss-Legendre rule on [0, 1]: exact to degree 7, the flux cube's integrand has degree 6
+_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(4)   # on [-1, 1]
+_GAUSS_T, _GAUSS_W = 0.5 + 0.5 * _GAUSS_T, 0.5 * _GAUSS_W
+
+
+def _boundary_flux(space, fields):
+    """Values X (2, m, b) and weighted normal fluxes (X . n) w (m, b) at the b boundary points.
+
+    The points are the 4-point Gauss rule on every edge of ``mesh.boundary_edges``.
+    """
+    m = fields.shape[1]
+    edges = boundary_edge_table(space, np.arange(space.mesh.boundary_edges.shape[0]), _GAUSS_T)
+    coef = fields.reshape(space.n_scalar, 2, m)[space.cell_scalar[edges.cells]]   # (ne, 6, 2, m)
+    vals = np.einsum("eql,elcm->cmeq", edges.phi, coef)                            # (2, m, ne, nq)
+    flux = np.einsum("cmeq,ec->meq", vals, edges.normals) * (edges.lengths[:, None] * _GAUSS_W)
+    return vals.reshape(2, m, -1), flux.reshape(m, -1)
+
+
 def project_fields(space, fields):
     """The :class:`RomProjection` of the columns X of ``fields``.
 
-    The mass and curl Grams are quadrature sums over the fields' values and
-    curls, which the rule integrates exactly (degrees 4 and 2), so they are
-    X^T M X and X^T G X without a sparse product.
+    Both cubes are evaluated on the test pairs i >= k only, each from the
+    pair products of the fields: D[i, j, k] = ((div X_j), X_i . X_k) from
+    the scalar products X_i . X_k, and C[i, j, k] = (X_j, (grad X_k)^T X_i)
+    from the vector products (grad X_k)^T X_i.  D is mirrored, and C's other
+    half follows from integration by parts of (X_j . grad)(X_i . X_k),
+
+        C[i, j, k] + C[k, j, i] + D[i, j, k] = B[i, j, k],
+
+    with B the boundary integral of (X_j . n)(X_i . X_k) over every boundary
+    edge (:func:`_boundary_flux`).  This holds exactly for any P2 fields,
+    whatever their boundary values: the degree-5 rule integrates every
+    volume term exactly, and the 4-point Gauss rule the degree-6 flux (the
+    periodic sides cancel).  The mass and curl Grams are quadrature sums
+    over the fields' values and curls, which the rule integrates exactly
+    (degrees 4 and 2), so they are X^T M X and X^T G X without a sparse
+    product.
     """
     m = fields.shape[1]
     vals, grads = space.values_and_grads(np.ascontiguousarray(fields.T))  # (2, m, e, q), (2, 2, m, e, q)
@@ -178,15 +214,23 @@ def project_fields(space, fields):
              tested @ vals.transpose(1, 0, 2, 3).reshape(m, -1).T,
              (curl * space.wdet).reshape(m, -1) @ curl.reshape(m, -1).T)
     stiff, mass, curl = (0.5 * (g + g.T) for g in grams)   # the (m, m) Grams, before the cubes' buffers
-    transport = _transport(NonlinearForm.CONVECTIVE, vals, grads)   # all m advecting fields
-    div = (grads[0, 0] + grads[1, 1])[:, None]                      # (m, 1, e, q)
-    s = np.empty((2, m, 2) + space.wdet.shape)   # cube, advecting field j, component, e, q
-    cubes = np.empty((2, m, m, m))
+    div = ((grads[0, 0] + grads[1, 1]) * space.wdet).reshape(m, -1)   # (m, P) weighted divergences
+    vals, grads = vals.reshape(2, m, -1), grads.reshape(2, 2, m, -1)
+    bvals, flux = _boundary_flux(space, fields)
+    conv, dcube = np.empty((2, m, m, m))
+    pairs = np.empty((m, 3, vals.shape[-1]))   # X_i . X_k, then (grad X_k)^T X_i
     for k in range(m):
-        _density(transport, vals[:, k], grads[:, :, k], out=s[0].transpose(1, 0, 2, 3))
-        np.multiply(div, vals[:, k], out=s[1])
-        cubes[:, :, :, k] = (tested @ s.reshape(2 * m, -1).T).reshape(m, 2, m).transpose(1, 0, 2)
-    return RomProjection(conv=cubes[0], div=cubes[1], gram=stiff, mass_gram=mass, curl_gram=curl)
+        n = m - k
+        column = np.concatenate([vals[:, None, k], grads[:, :, k]], axis=1)   # (X_k^c, d_x X_k^c, d_y X_k^c)
+        np.einsum("cip,ctp->itp", vals[:, k:], column, out=pairs[:n])
+        d = pairs[:n, 0] @ div.T                              # D[i, :, k], i >= k
+        c = pairs[:n, 1:].reshape(n, -1) @ tested.T           # C[i, :, k], i >= k
+        b = np.einsum("cib,cb->ib", bvals[:, k + 1:], bvals[:, k]) @ flux.T   # B[i, :, k], i > k
+        dcube[k:, :, k] = d
+        dcube[k, :, k:] = d.T
+        conv[k:, :, k] = c
+        conv[k, :, k + 1:] = (b - d[1:] - c[1:]).T
+    return RomProjection(conv=conv, div=dcube, gram=stiff, mass_gram=mass, curl_gram=curl)
 
 
 def covering_projection(space, basis, r):
@@ -206,6 +250,8 @@ def assemble_rom_operators(space, basis, r, form, nu):
     return covering_projection(space, basis, r).operators(form, nu, int(basis.centered), r)
 
 
+# a diverging iterate overflows; the residual check reports it as RomNewtonError
+@np.errstate(over="ignore", invalid="ignore")
 def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
             newton_tol=1e-10, newton_max_iter=20):
     """Integrate the reduced system implicitly from coefficients ``a0``.
@@ -214,8 +260,10 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     ``implicit_step``), with Newton iteration to ``newton_tol`` on the
     r-dimensional residual and dense linear solves.  Each evaluated iterate
     takes one :meth:`RomOperators.quadratic_jacobian`.  The trajectory
-    records the Newton updates of each step.  Raises
-    :class:`RomNewtonError` with the failing step index on divergence.
+    records the Newton updates of each step.  A non-finite residual, an
+    exactly singular Newton matrix and a step that does not converge in
+    ``newton_max_iter`` updates raise :class:`RomNewtonError` with the
+    failing step index.
     """
     n_steps = step_count(dt, t_end)
     r = ops.r
@@ -234,31 +282,33 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
         alpha, hist, a_new = implicit_step(scheme, a, a_prev)
         if alpha != shift_alpha:
             # the Jacobian's linear part, once per scheme phase; the residual
-            # keeps alpha/dt a and visc c apart, since their sum rounds visc's
+            # keeps rate a and visc c apart, since their sum rounds visc's
             # low bits away
-            shift, shift_alpha = alpha / dt * np.eye(r) + visc_modes, alpha
+            rate, shift_alpha = alpha / dt, alpha
+            shift = rate * np.eye(r) + visc_modes
         load = hist / dt
-        converged = False
+        failure = None
         for it in range(newton_max_iter + 1):
             c = ops.extend(a_new)
             g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
-            res = alpha / dt * a_new - load + 0.5 * (g @ c) + ops.visc @ c
-            res_norm = np.linalg.norm(res)
-            if not np.isfinite(res_norm):
+            res = rate * a_new - load + 0.5 * (g @ c) + ops.visc @ c
+            res_norm = math.sqrt(res @ res)
+            if not math.isfinite(res_norm):
+                failure = "non-finite residual"
                 break
             if res_norm <= newton_tol:
-                converged = True
                 break
             if it == newton_max_iter:
+                failure = f"residual {res_norm:.3e} after {it} updates"
                 break
-            lu, piv, info = lapack.dgetrf(shift + g[:, o:], overwrite_a=True)
-            if info > 0:  # exactly singular Jacobian
+            _, _, step, info = lapack.dgesv(shift + g[:, o:], res, overwrite_a=True)
+            if info > 0:
+                failure = "exactly singular Newton matrix"
                 break
-            step, _ = lapack.dgetrs(lu, piv, res)
             a_new = a_new - step
-        if not converged:
+        if failure is not None:
             raise RomNewtonError(
-                f"reduced Newton diverged at step {n + 1} (t={(n + 1) * dt:g}); "
+                f"reduced Newton diverged at step {n + 1} (t={(n + 1) * dt:g}): {failure}; "
                 "this is the expected failure mode of inconsistent shear-layer ROMs",
                 step=n + 1,
             )

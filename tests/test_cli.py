@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowrom.cli
 from flowrom.cli import _load_config, main
 from flowrom.fom import FomConfig
 from flowrom.io import read_basis, read_csv, read_snapshots, write_basis, write_snapshots
+from flowrom.numerics import uniform_step
 from flowrom.pod import SnapshotSet
+from flowrom.rom import RomOperators, assemble_rom_operators
 
 
 MICRO_KH = """
@@ -365,6 +368,24 @@ class TestErrorPaths:
         assert str(bare) in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (0, "inf"), (3, "-inf")],
+                             ids=["nan_coefficient", "inf_time", "negative_inf_coefficient"])
+    def test_non_finite_trajectory_is_format_error(self, micro_pipeline, tmp_path, capsys, column, value):
+        # read_csv accepts NaN (the scalars' drag column); a trajectory may not hold one
+        root, cfg = micro_pipeline
+        lines = (root / "micro_rom_skew_r3_traj.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[column] = value
+        lines[3] = ",".join(row)
+        bad = tmp_path / "micro_rom_skew_r3_traj.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["compare", str(bad), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
+        assert code == 4
+        assert f"{bad}: non-finite value in the trajectory" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "truncated", "non_finite",
                                         "non_finite_gram", "too_many_fields", "no_coordinates"])
     def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
@@ -479,6 +500,27 @@ class TestErrorPaths:
         assert code == 3
         assert "diverged at step 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_rom_*_traj.csv"))
+
+    @pytest.mark.parametrize("failure", ["non-finite residual", "exactly singular Newton matrix"])
+    def test_rom_newton_breakdown(self, micro_pipeline, tmp_path, capsys, monkeypatch, failure):
+        # an overflowing quadratic term, and a viscous matrix that cancels the
+        # time derivative (with no quadratic term the Newton matrix is exactly 0)
+        root, cfg = micro_pipeline
+        basis = root / "micro_basis.bin"
+        dt = uniform_step(read_basis(basis).coordinates.times)
+
+        def broken(space, basis, r, form, nu):
+            ops = assemble_rom_operators(space, basis, r, form, nu)
+            if failure == "non-finite residual":
+                return RomOperators(visc=ops.visc, tensor=1e300 * ops.tensor)
+            return RomOperators(visc=-(1.0 / dt) * np.eye(*ops.visc.shape), tensor=np.zeros_like(ops.tensor))
+
+        monkeypatch.setattr(flowrom.cli, "assemble_rom_operators", broken)
+        code = main(["rom", str(basis), "--archive", str(root / "micro_snapshots.bin"),
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"diverged at step 1 (t=0.05): {failure}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_rom_*"))
 
     def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline

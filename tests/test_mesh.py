@@ -242,6 +242,24 @@ class TestReadTriangleMesh:
             read_triangle_mesh(files["node"], files["ele"], files["edge"])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("which, text, message", [
+        ("node", "3 2 -1 0\n1 0 0\n2 1 0\n3 0 1\n", ".node header at line 1: negative attribute count -1"),
+        ("node", "# unit triangle\n3 2 0 -1\n1 0 0\n2 1 0\n3 0 1\n",
+         ".node header at line 2: negative boundary marker count -1"),
+        ("node", "3 -2 0 0\n1 0 0\n2 1 0\n3 0 1\n", ".node header at line 1: negative dimension -2"),
+        ("ele", "1 -3 0\n1 1 2 3\n", ".ele header at line 1: negative nodes per triangle -3"),
+        ("ele", "1 3 -2\n1 1 2 3\n", ".ele header at line 1: negative attribute count -2"),
+        ("edge", "3 -1\n1 1 2 1\n2 2 3 1\n3 3 1 1\n", "boundary header at line 1: negative boundary marker count -1"),
+    ], ids=["node_attributes", "node_markers", "node_dimension", "ele_nodes", "ele_attributes", "edge_markers"])
+    def test_negative_header_field(self, which, text, message):
+        # every count field is checked, not only the record count: a negative
+        # attribute count once sliced the coordinates short (IndexError)
+        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
+        files[which] = text
+        with pytest.raises(MeshFormatError) as err:
+            read_triangle_mesh(files["node"], files["ele"], files["edge"])
+        assert str(err.value) == message
+
     def test_comments_extra_fields_and_trailing_lines(self):
         # comments, blank lines, attribute and marker columns, and lines past
         # the record count are read as the line-by-line reader read them

@@ -115,6 +115,82 @@ class TestProjection:
             short.projection.operators("emac", 0.1, 0, 4)
 
 
+def boundary_flux_cube(space, x):
+    """B[i, j, k] = boundary integral of (X_j . n)(X_i . X_k) over every boundary edge.
+
+    Each edge is read from its own three P2 nodes (ends and midpoint) with
+    the 1D quadratic shape functions, at 4-point Gauss points.
+    """
+    mesh = space.mesh
+    t, w = np.polynomial.legendre.leggauss(4)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    shape = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)])   # (3, nq)
+    fields = x.reshape(space.n_scalar, 2, -1)
+    m = x.shape[1]
+    cube = np.zeros((m, m, m))
+    for (a, b), e in zip(mesh.boundary_edges, mesh.boundary_edge_ids):
+        nodes = space.scalar_index[[a, b, mesh.num_vertices + e]]
+        vals = np.einsum("nq,ncm->qcm", shape, fields[nodes])                       # (nq, 2, m)
+        d = mesh.vertices[b] - mesh.vertices[a]
+        flux = np.einsum("qcm,c->qm", vals, np.array([d[1], -d[0]]) / np.linalg.norm(d))
+        cube += np.linalg.norm(d) * np.einsum("q,qci,qj,qck->ijk", w, vals, flux, vals)
+    return cube
+
+
+@pytest.fixture(scope="module")
+def identity_sets(rom_setup, cylinder_basis):
+    """(space, X) field sets for the integration-by-parts identity of the cubes."""
+    kh_space = rom_setup[0]
+    tg_space = TaylorHoodSpace(identify_periodic(identify_periodic(uniform_rect_mesh(8, 8, 2.0, 2.0), "x"), "y"))
+    cyl_space, cyl = cylinder_basis
+    return {
+        # seeded fields, nonzero on the walls: the flux cube is not small
+        "kh": (kh_space, np.random.default_rng(43).standard_normal((kh_space.n_vel, 10))),
+        "cylinder": (cyl_space, cyl.fields(cyl.rank)),
+        # doubly periodic: the flux cube is roundoff
+        "tg": (tg_space, np.random.default_rng(47).standard_normal((tg_space.n_vel, 10))),
+    }
+
+
+class TestIntegrationByParts:
+    @pytest.mark.parametrize("case", ["kh", "cylinder", "tg"])
+    def test_divergence_cube_is_symmetric(self, identity_sets, case):
+        proj = project_fields(*identity_sets[case])
+        assert np.array_equal(proj.div, proj.div.transpose(2, 1, 0))
+
+    @pytest.mark.parametrize("case", ["kh", "cylinder", "tg"])
+    def test_cubes_meet_the_boundary_flux(self, identity_sets, case):
+        # C[i, j, k] + C[k, j, i] + D[i, j, k] = B[i, j, k] on every entry
+        space, x = identity_sets[case]
+        proj = project_fields(space, x)
+        flux = boundary_flux_cube(space, x)
+        scale = np.abs(proj.conv).max()
+        lhs = proj.conv + proj.conv.transpose(2, 1, 0) + proj.div
+        assert np.abs(lhs - flux).max() <= 1e-13 * scale
+        if case == "tg":
+            assert np.abs(flux).max() <= 1e-13 * scale
+        else:
+            assert np.abs(flux).max() >= 1e-3 * scale
+
+    @pytest.mark.parametrize("case", ["kh", "tg"])
+    def test_filled_half_matches_trilinear_value(self, identity_sets, case):
+        # entries with i < k come from the identity, not from a density
+        space, x = identity_sets[case]
+        m = x.shape[1]
+        assert m >= 10
+        proj = project_fields(space, x)
+        rng = np.random.default_rng(59)
+        samples = [(0, 0, m - 1), (0, m - 1, m - 1), (m - 2, 3, m - 1)]
+        for _ in range(8):
+            i, k = sorted(rng.choice(m, 2, replace=False))
+            samples.append((i, rng.integers(m), k))
+        for i, j, k in samples:
+            conv = trilinear_value(space, "convective", x[:, j], x[:, k], x[:, i])
+            skew = trilinear_value(space, "skew", x[:, j], x[:, k], x[:, i])
+            assert abs(proj.conv[i, j, k] - conv) <= 1e-12 * np.abs(proj.conv).max()
+            assert abs(proj.div[i, j, k] - 2.0 * (skew - conv)) <= 1e-12 * np.abs(proj.div).max()
+
+
 class TestAssembleRomOperators:
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_tensor_entries_match_direct_quadrature(self, rom_setup, wide_basis, form):
@@ -287,6 +363,24 @@ class TestRunRom:
         with pytest.raises(RomNewtonError) as err:
             run_rom(ops, np.ones(r), 1e-8, 1e-7, newton_tol=1e-30, newton_max_iter=1)
         assert err.value.step >= 1
+
+    def test_non_finite_residual_reports_step(self, rom_setup):
+        # an overflowing quadratic term gives an infinite residual on the first evaluation
+        space, _, basis = rom_setup
+        r = min(4, basis.rank)
+        ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
+        with pytest.raises(RomNewtonError, match="at step 1 .*: non-finite residual") as err:
+            run_rom(ops, np.full(r, 1e200), 0.05, 0.5)
+        assert err.value.step == 1
+
+    def test_singular_newton_matrix_reports_step(self):
+        # V = -(3/2)/dt I: backward Euler's first step solves (I/dt + V) a = a0/dt,
+        # then BDF2's alpha/dt I + V is exactly zero and its LU breaks down
+        r, dt = 3, 0.5
+        ops = RomOperators(visc=-1.5 / dt * np.eye(r), tensor=np.zeros((r, r, r)))
+        with pytest.raises(RomNewtonError, match="at step 2 .*: exactly singular Newton matrix") as err:
+            run_rom(ops, np.ones(r), dt, 4 * dt, scheme="bdf2")
+        assert err.value.step == 2
 
     def test_bdf2_starts_with_backward_euler(self, rom_setup):
         space, _, basis = rom_setup
