@@ -33,21 +33,29 @@ depend on ``u`` alone (:func:`_transport`):
 Jacobian and :func:`trilinear_value` go through this pair.  Quadrature
 tables are component-major: values have shape (2, ..., nt, nq) and
 gradients (2, 2, ..., nt, nq), so the density is explicit arithmetic on
-contiguous (..., nt, nq) blocks.
+contiguous (..., nt, nq) blocks.  A field component may be None, an exact
+zero: both functions then skip every product with it.  The Jacobian uses
+that for its directions, the six local basis functions of one velocity
+component at a time, so it forms no product with a structural zero.
 
 Every integral reads one per-element basis table, ``space.tables`` (value
 and physical gradients of each local P2 basis function at each quadrature
 point), and one weight array, ``space.wdet`` (quadrature weight times
-det J).  The symmetric element matrices are batched matrix products over
-that table, symmetrized per element so that their sums are exactly
-symmetric; the divergence keeps an einsum (see :meth:`divergence`).  Every
-assembled matrix is filled into one symbolic structure per space, the P2
-:class:`_NodeGraph`: its CSR pattern and each element entry's slot in it,
-from one ``np.unique`` over integer keys.  A matrix is then a
-``np.bincount`` of element values into those slots, laid out as one
-expansion of the graph: A (x) I_2 for mass and stiffness, full 2x2 node
-blocks for the velocity forms and the Jacobian, vertex rows times two
-components for the divergence.  The result is canonical CSR.
+det J).  A field's values and gradients there come from one contiguous
+``np.take`` of each element's coefficients and one batched matrix product
+with that table.  The symmetric element matrices are batched matrix
+products over the table, symmetrized per element so that their sums are
+exactly symmetric; the divergence keeps an einsum (see
+:meth:`divergence`).  Every assembled matrix is filled into one symbolic
+structure per space, the P2 :class:`_NodeGraph`: its CSR pattern and each
+element entry's slot in it, from one ``np.unique`` over integer keys.  A
+matrix is then a ``np.bincount`` of element values into those slots, laid
+out as one expansion of the graph: A (x) I_2 for mass and stiffness, full
+2x2 node blocks for the velocity forms and the Jacobian, vertex rows times
+two components for the divergence.  The full blocks are summed straight
+into the CSR data through the cached CSR position of every element entry.
+Each entry adds its element values in element order, whatever the layout,
+so it rounds the same in every expansion.  The result is canonical CSR.
 """
 
 import enum
@@ -127,7 +135,7 @@ class _NodeGraph:
     indptr: np.ndarray     # (n + 1,) int32
     indices: np.ndarray    # (nnz,) int32
     slots: np.ndarray      # (nt, 6, 6) int32
-    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)  # by width, and "at"
 
     @classmethod
     def build(cls, cell_scalar, n):
@@ -157,15 +165,10 @@ class _NodeGraph:
         row, deg = self.rows()
         return width * (np.arange(row.size) + self.indptr[row]), width * deg[row]
 
-    def _velocity(self, sums, width):
-        """Velocity CSR whose row 2s + c holds ``width`` columns 2t + d per neighbour t of s.
-
-        With width 1 the column is d = c (A (x) I_2), with width 2 both d
-        (full 2x2 node blocks).  ``sums(c, d)`` gives the per-entry values
-        of row component c, column component d (layout in :meth:`_offsets`).
-        """
-        first, shift = self._offsets(width)
+    def _pattern(self, width):
+        """The read-only ``(indptr, indices)`` of the velocity CSR of :meth:`_velocity`."""
         if width not in self._patterns:
+            first, shift = self._offsets(width)
             deg = np.diff(self.indptr)
             indptr = np.empty(2 * deg.size + 1, dtype=np.int32)
             indptr[0::2] = 2 * width * self.indptr
@@ -177,7 +180,17 @@ class _NodeGraph:
             indptr.setflags(write=False)
             indices.setflags(write=False)
             self._patterns[width] = indptr, indices
-        indptr, indices = self._patterns[width]
+        return self._patterns[width]
+
+    def _velocity(self, sums, width):
+        """Velocity CSR whose row 2s + c holds ``width`` columns 2t + d per neighbour t of s.
+
+        With width 1 the column is d = c (A (x) I_2), with width 2 both d
+        (full 2x2 node blocks).  ``sums(c, d)`` gives the per-entry values
+        of row component c, column component d (layout in :meth:`_offsets`).
+        """
+        indptr, indices = self._pattern(width)
+        first, shift = self._offsets(width)
         data = np.empty(indices.size)
         for c in range(2):
             for d in range(width):
@@ -192,10 +205,23 @@ class _NodeGraph:
     def blocks(self, elem):
         """Velocity element matrices (nt, 12, 12), summed, over full 2x2 node blocks.
 
-        Local DOF 2l + c is component c of local node l.
+        Local DOF 2l + c is component c of local node l.  One
+        ``np.bincount`` sums the entries, element by element, straight into
+        the CSR data through the CSR position of every element entry,
+        cached on first use.
         """
-        local = elem.reshape(-1, 6, 2, 6, 2)
-        return self._velocity(lambda c, d: self._sum(local[:, :, c, :, d]), 2)
+        indptr, indices = self._pattern(2)
+        if "at" not in self._patterns:
+            # at[e, a, c, b, d]: where entry (2a + c, 2b + d) of element e goes;
+            # filled in place, as a full-size temporary costs set-up time
+            first, shift = self._offsets(2)
+            at = np.empty((self.slots.shape[0], 6, 2, 6, 2), dtype=np.intp)
+            at[:, :, 0, :, 0] = first[self.slots]
+            np.add(at[:, :, 0, :, 0], shift[self.slots], out=at[:, :, 1, :, 0])
+            np.add(at[..., 0], 1, out=at[..., 1])
+            self._patterns["at"] = at.ravel()
+        data = np.bincount(self._patterns["at"], elem.ravel(), minlength=indices.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
     def cofactor_blocks(self, matrix):
         """The :meth:`blocks` matrix whose node blocks are those of ``matrix``, [[a, b], [c, d]],
@@ -444,7 +470,7 @@ class TaylorHoodSpace:
         m = u.size // self.n_vel
         # per element, the (2m x 6) coefficients, rows (component, field), times
         # the (6 x 3nq) basis table
-        coeffs = u.reshape(m, self.n_scalar, 2)[:, self.cell_scalar].transpose(1, 3, 0, 2)
+        coeffs = np.take(u.reshape(m, self.n_scalar, 2), self.cell_scalar, axis=1).transpose(1, 3, 0, 2)
         out = np.matmul(coeffs.reshape(nt, 2 * m, 6), self.tables.reshape(nt, 6, 3 * nq))
         out = np.ascontiguousarray(out.reshape(nt, 2, m, 3, nq).transpose(1, 3, 2, 0, 4))
         out = out.reshape((2, 3) + u.shape[:-1] + (nt, nq))
@@ -562,50 +588,76 @@ def assemble_linear_operators(mesh, space, nu):
 # ----------------------------------------------------------------------
 # trilinear forms
 
+def _add(x, y):
+    """x + y, where a None operand is an exact zero."""
+    return y if x is None else x if y is None else x + y
+
+
+def _scale(a, x):
+    """a x, where a None ``x`` is an exact zero."""
+    return None if x is None else a * x
+
+
 def _transport(form, uvals, ugrads):
     """The ``u``-only factors ``(a, L)`` of a form's density s = (a . grad) v + L v.
 
     ``a`` is the advecting velocity, or None.  ``L`` is the pointwise 2x2
     matrix as two rows of entries, a zero entry given as None, or L is None
-    when it vanishes.  Entries broadcast like ``uvals[0]``.
+    when it vanishes.  Entries broadcast like ``uvals[0]``.  A component i
+    of ``u`` may be None in both ``uvals`` and ``ugrads``: it is zero, and
+    the factors keep only the products of the other component.
     """
+    grad = lambda i, j: None if ugrads[i] is None else ugrads[i][j]
     if form == NonlinearForm.CONVECTIVE:
         return uvals, None
     if form == NonlinearForm.SKEW:
-        half_div = 0.5 * (ugrads[0, 0] + ugrads[1, 1])
+        half_div = _scale(0.5, _add(grad(0, 0), grad(1, 1)))
         return uvals, ((half_div, None), (None, half_div))
     if form == NonlinearForm.ROTATIONAL:
-        omega = ugrads[1, 0] - ugrads[0, 1]
-        return None, ((None, -omega), (omega, None))
+        omega = _add(grad(1, 0), _scale(-1.0, grad(0, 1)))
+        return None, ((None, _scale(-1.0, omega)), (omega, None))
     if form == NonlinearForm.EMAC:
-        div = ugrads[0, 0] + ugrads[1, 1]
-        shear = ugrads[0, 1] + ugrads[1, 0]
-        return None, ((2.0 * ugrads[0, 0] + div, shear), (shear, 2.0 * ugrads[1, 1] + div))
+        div = _add(grad(0, 0), grad(1, 1))
+        shear = _add(grad(0, 1), grad(1, 0))
+        return None, ((_add(_scale(2.0, grad(0, 0)), div), shear),
+                      (shear, _add(_scale(2.0, grad(1, 1)), div)))
     raise ValueError(f"unknown nonlinear form {form!r}")
 
 
-def _density(transport, vvals, vgrads, out=None):
+def _density(transport, vvals, vgrads, into=None):
     """Pointwise s = (a . grad) v + L v with b(u, v, w) = integral of s . w.
 
     ``transport`` is :func:`_transport` of ``u``; the result has shape
-    (2, ...) and is written to ``out`` when given.
+    (2, ...).  A component of ``v`` may be None in both ``vvals`` and
+    ``vgrads``, like a component of ``u`` in :func:`_transport`: the
+    products with it are skipped, and a component of s left with none is 0.
+    Given ``into``, each component of s is summed first and then added to
+    that of ``into``, which is returned; a zero component adds nothing.
     """
     adv, lmat = transport
     terms = ([], [])
     for c in range(2):
-        if adv is not None:
-            terms[c].extend(((adv[0], vgrads[c, 0]), (adv[1], vgrads[c, 1])))
+        if adv is not None and vgrads[c] is not None:
+            terms[c].extend((a, g) for a, g in zip(adv, vgrads[c]) if a is not None)
         if lmat is not None:
-            terms[c].extend((f, vvals[d]) for d, f in enumerate(lmat[c]) if f is not None)
-    if out is None:
-        out = np.empty((2,) + np.broadcast_shapes(*(np.shape(x) for row in terms for t in row for x in t)))
-    scratch = np.empty_like(out[0])
+            terms[c].extend((f, vvals[d]) for d, f in enumerate(lmat[c])
+                            if f is not None and vvals[d] is not None)
+    shape = np.broadcast_shapes(*(np.shape(x) for row in terms for t in row for x in t))
+    out = np.empty((2,) + shape if into is None else shape)
+    scratch = np.empty(shape)
     for c in range(2):
+        if not terms[c]:
+            if into is None:
+                out[c] = 0.0
+            continue
+        total = out[c] if into is None else out
         (f, g), *rest = terms[c]
-        np.multiply(f, g, out=out[c])
+        np.multiply(f, g, out=total)
         for f, g in rest:
-            out[c] += np.multiply(f, g, out=scratch)
-    return out
+            total += np.multiply(f, g, out=scratch)
+        if into is not None:
+            into[c] += total
+    return out if into is None else into
 
 
 def trilinear_value(space, form, u, v, w):
@@ -637,24 +689,27 @@ def nonlinear_jacobian(space, form, u):
 
     Assembled from the two linearizations b(du, u, phi) + b(u, du, phi),
     evaluated with the same pointwise density as the residual so the pair is
-    consistent by construction.
+    consistent by construction.  The directions du are the local basis
+    functions of one velocity component at a time, read from
+    ``space.tables``; the other component is None, so no product with a
+    structural zero is formed.
     """
     form = NonlinearForm.parse(form)
     uvals, ugrads = space.values_and_grads(u)
+    factors = _transport(form, uvals, ugrads)
     nt, nq = space.wdet.shape
-    # all 12 local basis directions at once, direction axis d = 2*l + c
-    dvals = np.zeros((2, 12, 1, nq))
-    dgrads = np.zeros((2, 2, 12, nt, nq))
-    for l in range(6):
-        for c in range(2):
-            d = 2 * l + c
-            dvals[c, d, 0] = space.phi[:, l]
-            dgrads[c, :, d] = space.tables[:, l, 1:].transpose(1, 0, 2)
-    s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
-    s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
-    # local[e, (m, a), d] from the loads (s_a of direction d, phi_m) on element e
-    local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
-    return space._graph().blocks(local)
+    # the six directions of one component: values (6, nt, nq) and gradients (2, 6, nt, nq)
+    values, *grads = np.ascontiguousarray(space.tables.transpose(2, 1, 0, 3))
+    # local[e, m, a, l, c] = (s_a of direction (l, c), phi_m) on element e
+    local = np.empty((nt, 6, 2, 6, 2))
+    for c in range(2):
+        dvals, dgrads = [None, None], [None, None]
+        dvals[c], dgrads[c] = values, grads
+        s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
+        _density(factors, dvals, dgrads, into=s)
+        s *= space.wdet
+        local[..., c] = (s @ space.phi).transpose(2, 3, 0, 1)
+    return space._graph().blocks(local.reshape(nt, 12, 12))
 
 
 # ----------------------------------------------------------------------
@@ -691,9 +746,29 @@ def saddle_block(space, c_mass, c_stiff):
 
 
 def constrain_rows(matrix, mask):
-    """Replace the rows of a sparse ``matrix`` selected by ``mask`` with identity rows, as CSR."""
-    keep = sp.diags((~mask).astype(float), format="csr")
-    return keep @ matrix + sp.diags(mask.astype(float), format="csr")
+    """Turn the rows of the CSR ``matrix`` selected by ``mask`` into identity rows, in place.
+
+    Edits the CSR arrays: the first entry of a masked row becomes its
+    diagonal 1, and every other entry of a masked row and every explicit
+    zero is dropped.  That gives ``diag(~mask) @ m + diag(mask)`` bit for
+    bit and with the same pattern: SuperLU treats an explicit zero as an
+    entry, so dropping one is part of the result.  The result is
+    canonical.  Returns ``matrix``.
+    """
+    matrix.sum_duplicates()
+    deg = np.diff(matrix.indptr)
+    held = mask & (deg > 0)
+    first = matrix.indptr[:-1][held]
+    matrix.data[np.repeat(mask, deg)] = 0.0
+    matrix.data[first] = 1.0
+    matrix.indices[first] = np.flatnonzero(held)
+    matrix.eliminate_zeros()
+    bare = mask & ~held
+    if bare.any():
+        # a masked row without entries has none to hold its diagonal
+        full = matrix + sp.diags(bare.astype(float), format="csr")
+        matrix.data, matrix.indices, matrix.indptr = full.data, full.indices, full.indptr
+    return matrix
 
 
 def apply_constraints(space, matrix, rhs, boundary_values):
@@ -706,7 +781,7 @@ def apply_constraints(space, matrix, rhs, boundary_values):
     mask, vals = constraint_mask(space, boundary_values, 0.0, matrix.shape[0])
     rhs = np.array(rhs, dtype=float, copy=True)
     rhs[mask] = vals[mask]
-    return constrain_rows(sp.csr_matrix(matrix), mask), rhs
+    return constrain_rows(sp.csr_matrix(matrix, copy=True), mask), rhs
 
 
 # ----------------------------------------------------------------------

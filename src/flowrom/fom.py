@@ -33,6 +33,12 @@ factorization is of the constrained ``L + [[N'(u), 0], [0, 0]]`` and
 eliminates the unknowns in the space's ``TaylorHoodSpace.saddle_order``.
 It is redone at the current iterate only when no factor is held, or when an
 iteration shrinks the residual norm by less than ``REFACTOR_CONTRACTION``.
+The matrix is one sparse sum of L and the Jacobian
+(``fem.nonlinear_jacobian``), whose constrained rows are then turned into
+identity rows in the sum's own CSR arrays (``fem.constrain_rows``, which
+the Stokes projection shares).  Exact zeros are dropped on the way, as
+``diag(~mask) @ m + diag(mask)`` drops them: SuperLU would keep an explicit
+zero as an entry, so the LU fill depends on it.
 The held factor is float32 (mixed-precision iterative refinement, Carson &
 Higham, SISC 2018): a float32 solve perturbs the update by about 1e-5
 relative, far below that contraction, so it triggers no extra
@@ -266,8 +272,8 @@ def _staged_residual(space, form, block, x, load, mask):
 def _newton_matrix(space, form, block, u, mask):
     """Constrained Newton matrix L + [[N'(u), 0], [0, 0]] (CSR).
 
-    The Jacobian and the unconstrained sum are freed on return, before the
-    caller factorizes.
+    The rows are constrained in place on the fresh sum, and the Jacobian is
+    freed on return, before the caller factorizes.
     """
     jac = nonlinear_jacobian(space, form, u)
     jac.resize(block.shape)  # zero pressure rows and columns

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import flowrom
-from flowrom.fem import TaylorHoodSpace, constraint_mask, saddle_block
+from flowrom.fem import TaylorHoodSpace, _density, _transport, constraint_mask, saddle_block
 from flowrom.fom import _staged_residual
 from flowrom.mesh import _signed_areas
 from flowrom.numerics import implicit_step
@@ -130,6 +130,38 @@ def scheme_residual(space, config, u, p, u_old, u_prev, t):
     x = np.concatenate([u, p])
     mask, _ = constraint_mask(space, config.boundary, t, x.size)
     return _staged_residual(space, config.form, block, x, load, mask)
+
+
+def twelve_direction_jacobian(space, form, u):
+    """Reference nonlinear Jacobian from zero-padded tables of all 12 local directions.
+
+    Direction 2l + c is basis function l in velocity component c; its tables
+    hold the other component as explicit zeros, so every density product is
+    formed, zero or not.  The element matrices are summed by a COO scatter.
+    Neither the direction handling nor the assembly is that of
+    ``fem.nonlinear_jacobian``, which must match it to roundoff.
+    """
+    uvals, ugrads = space.values_and_grads(u)
+    nt, nq = space.wdet.shape
+    dvals = np.zeros((2, 12, 1, nq))
+    dgrads = np.zeros((2, 2, 12, nt, nq))
+    for l in range(6):
+        for c in range(2):
+            dvals[c, 2 * l + c, 0] = space.phi[:, l]
+            dgrads[c, :, 2 * l + c] = space.tables[:, l, 1:].transpose(1, 0, 2)
+    s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
+    s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
+    local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
+    dofs = (2 * space.cell_scalar[:, :, None] + np.arange(2)).reshape(nt, 12)
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_vel,) * 2).tocsr()
+
+
+def diagonal_product_constraint(matrix, mask):
+    """Reference row constraint: ``diag(~mask) @ matrix + diag(mask)``, two sparse products and a sum."""
+    keep = sp.diags((~mask).astype(float), format="csr")
+    return keep @ matrix + sp.diags(mask.astype(float), format="csr")
 
 
 def oracle_quadrature():

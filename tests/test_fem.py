@@ -7,11 +7,10 @@ import flowrom
 from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,
-    _density,
     _p2_ref_grads,
-    _transport,
     apply_constraints,
     assemble_linear_operators,
+    constrain_rows,
     nonlinear_jacobian,
     nonlinear_residual,
     trilinear_value,
@@ -19,7 +18,13 @@ from flowrom.fem import (
 from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import factorize, solve_sparse
 
-from conftest import field_norms, oracle_quadrature, signed_areas
+from conftest import (
+    diagonal_product_constraint,
+    field_norms,
+    oracle_quadrature,
+    signed_areas,
+    twelve_direction_jacobian,
+)
 
 ALL_FORMS = list(NonlinearForm)
 
@@ -267,6 +272,22 @@ class TestResidualAndJacobian:
             assert r[i] == pytest.approx(trilinear_value(space, form, u, u, e), rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("case", ["square8", "kh16"])
+    def test_jacobian_matches_twelve_direction_oracle(self, request, case, form):
+        # the oracle forms every density product of all 12 zero-padded
+        # directions and sums through a COO scatter
+        if case == "square8":
+            _, space = request.getfixturevalue("square8")
+            u = np.random.default_rng(41).standard_normal(space.n_vel)
+        else:
+            space = request.getfixturevalue("three_spaces")["kh"]
+            u = flowrom.build_initial_condition("kelvin-helmholtz", space)
+        got = nonlinear_jacobian(space, form, u)
+        want = twelve_direction_jacobian(space, form, u)
+        assert got.shape == want.shape
+        assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
     def test_jacobian_matches_central_differences(self, square8, form):
         _, space = square8
         rng = np.random.default_rng(23)
@@ -304,6 +325,23 @@ class TestResidualAndJacobian:
 
 
 class TestConstraints:
+    def test_constrain_rows_matches_diagonal_products(self):
+        # explicit zeros, masked rows that hold only zeros and masked rows
+        # that hold nothing at all
+        rng = np.random.default_rng(31)
+        bare = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            m = sp.csr_matrix(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4))
+            m.data[rng.random(m.nnz) < 0.25] = 0.0
+            mask = rng.random(n) < 0.4
+            bare += np.count_nonzero(mask & (np.diff(m.indptr) == 0))
+            want = diagonal_product_constraint(m, mask)
+            got = constrain_rows(m.copy(), mask)
+            assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        assert bare > 0
+
     def test_noslip_zero_rhs_gives_zero(self, square8):
         mesh, space = square8
         M, K, _ = assemble_linear_operators(mesh, space, 1.0)
@@ -432,23 +470,7 @@ def coo_operators(space):
         "divergence": coo_scatter(divergence, space.cell_press, cv, (space.n_press, space.n_vel)),
         "div_form": paired(g),
         "curl_form": paired(curl),
-    }, cv
-
-
-def coo_jacobian(space, form, u, cv):
-    """The Jacobian's element matrices, from the form densities, through the COO scatter."""
-    uvals, ugrads = space.values_and_grads(u)
-    nt, nq = space.wdet.shape
-    dvals = np.zeros((2, 12, 1, nq))
-    dgrads = np.zeros((2, 2, 12, nt, nq))
-    for l in range(6):
-        for c in range(2):
-            dvals[c, 2 * l + c, 0] = space.phi[:, l]
-            dgrads[c, :, 2 * l + c] = space.tables[:, l, 1:].transpose(1, 0, 2)
-    s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
-    s += _density(_transport(form, uvals, ugrads), dvals, dgrads)
-    local = ((s * space.wdet) @ space.phi).transpose(2, 3, 0, 1).reshape(nt, 12, 12)
-    return coo_scatter(local, cv, cv, (space.n_vel,) * 2)
+    }
 
 
 def assert_canonical(m):
@@ -481,9 +503,9 @@ class TestNodeGraphAssembly:
     @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
     def test_operators_match_coo_reference(self, three_spaces, name):
         space = three_spaces[name]
-        reference, cv = coo_operators(space)
+        reference = coo_operators(space)
         u = np.random.default_rng(12).standard_normal(space.n_vel)
-        reference["jacobian"] = coo_jacobian(space, NonlinearForm.EMAC, u, cv)
+        reference["jacobian"] = twelve_direction_jacobian(space, NonlinearForm.EMAC, u)
         for op, want in reference.items():
             got = nonlinear_jacobian(space, "emac", u) if op == "jacobian" else getattr(space, op)()
             assert got.shape == want.shape, op
@@ -496,11 +518,11 @@ class TestNodeGraphAssembly:
         # blocks for the velocity forms; the divergence and the Jacobian keep
         # the COO pattern, explicit zeros included
         space = three_spaces[name]
-        reference, cv = coo_operators(space)
+        reference = coo_operators(space)
         u = np.zeros(space.n_vel)
         jac = nonlinear_jacobian(space, "skew", u)
         same = lambda a, b: np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-        assert same(jac, coo_jacobian(space, "skew", u, cv))
+        assert same(jac, twelve_direction_jacobian(space, "skew", u))
         assert same(space.divergence(), reference["divergence"])
         assert same(space.mass(), reference["mass"]) and same(space.stiffness(), space.mass())
         assert same(space.div_form(), jac) and same(space.curl_form(), jac)

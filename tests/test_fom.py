@@ -36,7 +36,7 @@ from flowrom.mesh import identify_periodic, uniform_rect_mesh
 from flowrom.pod import snapshot_coordinates
 from flowrom.rom import RomTrajectory
 
-from conftest import field_norms, scheme_residual
+from conftest import diagonal_product_constraint, field_norms, scheme_residual, twelve_direction_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -403,9 +403,33 @@ class TestStagedSystem:
         assert np.any(mask[: space.n_vel])
         for (matrix, _, dtype), (_, _, u) in zip(factored, linearized):
             assert dtype is np.float32
-            top = alpha / dt * space.mass() + nu * space.stiffness() + nonlinear_jacobian(space, form, u)
-            ref = constrain_rows(sp.bmat([[top, -div.T], [div, None]], format="csr"), mask)
+            # the Jacobian from the 12-direction oracle, the rows constrained by
+            # diagonal products: the same pattern, so the same LU fill
+            top = alpha / dt * space.mass() + nu * space.stiffness() + twelve_direction_jacobian(space, form, u)
+            ref = diagonal_product_constraint(sp.bmat([[top, -div.T], [div, None]], format="csr"), mask)
             _assert_entrywise_equal(matrix, ref)
+            assert np.array_equal(matrix.indptr, ref.indptr) and np.array_equal(matrix.indices, ref.indices)
+
+    @pytest.mark.parametrize("problem", ["kh16", "cylinder", "torus16"])
+    def test_constrain_rows_matches_diagonal_products(self, request, problem):
+        # free-slip walls, inhomogeneous inflow and no-slip walls, and a torus
+        # whose only constrained row is the pinned pressure
+        _, space = request.getfixturevalue(problem)
+        boundary = {"kh16": kelvin_helmholtz_boundary(), "cylinder": cylinder_boundary(), "torus16": {}}[problem]
+        n = space.n_vel + space.n_press
+        mask, _ = constraint_mask(space, boundary, 0.0, n)
+        assert mask.sum() == 1 if problem == "torus16" else mask[: space.n_vel].any()
+        jac = nonlinear_jacobian(space, "emac", np.random.default_rng(7).standard_normal(space.n_vel))
+        jac.resize((n, n))
+        m = saddle_block(space, 50.0, 1e-3) + jac
+        # SuperLU keeps an explicit zero as an entry: one in a free row, one in a constrained row
+        for row in (np.flatnonzero(~mask)[3], np.flatnonzero(mask)[-1]):
+            m.data[m.indptr[row] + 1] = 0.0
+        want = diagonal_product_constraint(m, mask)
+        got = constrain_rows(m.copy(), mask)
+        assert got.nnz < m.nnz
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
     @pytest.mark.parametrize("problem", ["kh16", "cylinder"])
     def test_stokes_matrix_matches_block_assembly(self, request, monkeypatch, problem):
