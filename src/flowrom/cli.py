@@ -67,7 +67,8 @@ from .fom import (
     rom_drag_series,
     run_fom,
 )
-from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh, uniform_rect_mesh
+from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
+                   uniform_rect_mesh)
 from .numerics import SingularSystemError, uniform_step
 from .pod import build_pod_basis, pod_projection_error, snapshot_coordinates
 from .rom import (
@@ -157,9 +158,8 @@ def _build_problem(cp):
             for key, p in paths.items():
                 if not p.is_file():
                     raise ConfigError(f"mesh file not found: {p} (problem.{key})")
-            labels = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
             mesh = read_triangle_mesh(paths["node"].read_text(), paths["ele"].read_text(),
-                                      paths["edge"].read_text(), marker_labels=labels)
+                                      paths["edge"].read_text(), marker_labels=CYLINDER_LABELS)
         return _Problem(name, mesh, TaylorHoodSpace(mesh), cylinder_boundary(),
                         "cylinder", True, "mean")
     raise ConfigError(f"unknown problem name {name!r}")

@@ -6,16 +6,16 @@ The drag coefficient follows the channel-benchmark definition
 
 with ``n`` the unit normal on the cylinder directed into the fluid, the
 tangent ``t = (n_y, -n_x)``, and the factor 20 = 2/(U^2 D) from the mean
-inflow speed and cylinder diameter.  The line integral uses 3-point Gauss
-quadrature per boundary edge with the P2 velocity gradient evaluated from
-the adjacent element.
+inflow speed and cylinder diameter.  The line integral reads the space's
+edge table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule):
+the P2 velocity gradient and the P1 pressure on each edge come from the
+element it bounds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import _p2_ref_grads, boundary_edge_table
 from .numerics import uniform_step
 
 
@@ -40,15 +40,12 @@ class TrajectoryError:
     """Error functionals between a reduced trajectory and the snapshots.
 
     ``linf_l2`` is max_n ||w^n - u^n||, ``l2_h1`` the viscous-weighted sum
-    nu dt sum_n ||grad(w^n - u^n)||^2, ``c_u`` the max FOM gradient norm,
-    and ``div_series`` the FOM divergence-error series feeding the
-    inconsistency terms.
+    nu dt sum_n ||grad(w^n - u^n)||^2 and ``c_u`` the max FOM gradient norm.
     """
 
     linf_l2: float
     l2_h1: float
     c_u: float
-    div_series: ScalarSeries
 
 
 def energy_enstrophy(space, u):
@@ -76,56 +73,21 @@ def rom_energy_enstrophy(projection, basis, coeffs):
                  for gram in (projection.mass_gram, projection.curl_gram))
 
 
-_EDGE_T = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-_EDGE_W = np.array([5.0, 8.0, 5.0]) / 18.0
-
-
-def _edge_quadrature_data(space, label):
-    """Per-edge geometry and basis tables for boundary line integrals (cached)."""
-    key = ("edge_data", label)
-    if key in space._cache:
-        return space._cache[key]
-    idx = space.mesh.boundary_edges_with_label(label)
-    if idx.size == 0:
-        raise ValueError(f"mesh has no boundary edges labeled {label!r}")
-    table = boundary_edge_table(space, idx, _EDGE_T)
-    # the drag normal points into the fluid
-    normals = -table.normals
-    ref = _p2_ref_grads(table.bary.reshape(-1, 3)).reshape(idx.size, _EDGE_T.size, 6, 2)
-    data = {
-        "cells": table.cells,
-        "lengths": table.lengths,
-        "normals": normals,
-        "tangents": np.column_stack([normals[:, 1], -normals[:, 0]]),
-        "bary": table.bary,
-        "dphi": np.einsum("edk,eqlk->eqld", space.inv_jt[table.cells], ref),
-    }
-    space._cache[key] = data
-    return data
-
-
 def drag_coefficient(space, u, p, label="cylinder", nu=1.0):
     """Drag coefficient of the flow on the boundary edges labeled ``label``."""
-    u = space._check_velocity(u)
-    data = _edge_quadrature_data(space, label)
-    cells = data["cells"]
-    coeffs = u.reshape(space.n_scalar, 2)[space.cell_scalar[cells]]   # (ne, 6, 2)
-    grads = np.einsum("eli,eqld->eqid", coeffs, data["dphi"])          # (ne, 3, 2, 2)
-    pvals = np.einsum("el,eql->eq", np.asarray(p, dtype=float)[space.cell_press[cells]], data["bary"])
-
-    n = data["normals"]
-    t = data["tangents"]
-    dudn_t = np.einsum("ei,eqij,ej->eq", t, grads, n)
-    density = nu * dudn_t * n[:, None, 1] - pvals * n[:, None, 0]
-    integral = np.einsum("e,q,eq->", data["lengths"], _EDGE_W, density)
-    return 20.0 * float(integral)
+    edges = space.edge_table(label)
+    _, grads = space.values_and_grads(space._check_velocity(u), at=edges)   # (2, 2, ne, nq)
+    pvals = np.einsum("el,eql->eq", np.asarray(p, dtype=float)[space.cell_press[edges.cells]], edges.bary)
+    n = -edges.normals.T[:, :, None]   # (2, ne, 1), into the fluid
+    t = np.stack([n[1], -n[0]])
+    dudn_t = np.sum(t[:, None] * grads * n, axis=(0, 1))
+    density = nu * dudn_t * n[1] - pvals * n[0]
+    return 20.0 * float(np.sum(edges.weights * density))
 
 
-def _snapshot_norms(space, snapshots):
-    """Gradient and divergence norms of every snapshot."""
-    u = snapshots.matrix
-    norm = lambda op: np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
-    return norm(space.stiffness()), norm(space.div_form())
+def _column_norms(u, op):
+    """The ``op``-norm of every column of ``u``."""
+    return np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
 
 
 def _grid_step(times, trajectory_times):
@@ -145,21 +107,19 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
     ``c_u`` run over n >= 1 as in the discrete error bound.  This is the
     full-field reference of :func:`reduced_trajectory_error`.
     """
-    times = snapshots.times
-    dt = _grid_step(times, trajectory.times)
+    dt = _grid_step(snapshots.times, trajectory.times)
 
     recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
     err = recon - snapshots.matrix
 
-    err_l2 = np.sqrt(np.clip(np.einsum("ij,ij->j", err, space.mass() @ err), 0.0, None))
+    err_l2 = _column_norms(err, space.mass())
     err_h1sq = np.clip(np.einsum("ij,ij->j", err, space.stiffness() @ err), 0.0, None)
-    u_h1, u_div = _snapshot_norms(space, snapshots)
+    u_h1 = _column_norms(snapshots.matrix, space.stiffness())
 
     return TrajectoryError(
         linf_l2=float(err_l2.max()),
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(u_h1[1:].max()),
-        div_series=ScalarSeries(times=times, values=u_div),
     )
 
 
@@ -175,11 +135,10 @@ def reduced_trajectory_error(coordinates, trajectory, nu):
         ||e^n||_K^2 = d^n . (Psi^T K Psi) d^n - 2 d^n . (Psi^T K w^n) + ||w^n||_K^2,
 
     O(rank^2) per state.  These equal the full-field values up to roundoff
-    relative to the snapshots' norms; ``c_u`` and the divergence series are
-    the stored snapshot norms themselves.
+    relative to the snapshots' norms; ``c_u`` is read from the stored
+    snapshot gradient norms.
     """
-    times = coordinates.times
-    dt = _grid_step(times, trajectory.times)
+    dt = _grid_step(coordinates.times, trajectory.times)
     a = trajectory.coeffs
     rank = coordinates.coeffs.shape[1]
     if a.shape[1] > rank:
@@ -195,5 +154,4 @@ def reduced_trajectory_error(coordinates, trajectory, nu):
         linf_l2=float(err_l2.max()),
         l2_h1=float(nu * dt * err_h1sq[1:].sum()),
         c_u=float(coordinates.h1_norms[1:].max()),
-        div_series=ScalarSeries(times=times, values=coordinates.div_norms.copy()),
     )

@@ -41,9 +41,14 @@ component at a time, so it forms no product with a structural zero.
 Every integral reads one per-element basis table, ``space.tables`` (value
 and physical gradients of each local P2 basis function at each quadrature
 point), and one weight array, ``space.wdet`` (quadrature weight times
-det J).  A field's values and gradients there come from one contiguous
+det J).  A boundary integral reads their edge counterparts, the
+:class:`EdgeTable` of ``space.edge_table(label)``: the same table at the
+points of the one boundary-edge rule (:data:`EDGE_POINTS`, 4-point Gauss),
+each edge read from the triangle it bounds, and the rule weight times the
+edge length.  A field's values and gradients at either set of points
+(:meth:`TaylorHoodSpace.values_and_grads`) come from one contiguous
 ``np.take`` of each element's coefficients and one batched matrix product
-with that table.  The symmetric element matrices are batched matrix
+with the table.  The symmetric element matrices are batched matrix
 products over the table, symmetrized per element so that their sums are
 exactly symmetric; the divergence keeps an einsum (see
 :meth:`divergence`).  Every assembled matrix is filled into one symbolic
@@ -105,6 +110,12 @@ def _p2_ref_grads(bary):
     # midpoint node 3 + i lies on the edge (j, k) opposite vertex i
     j, k = [1, 2, 0], [2, 0, 1]
     return np.concatenate([(4 * l - 1) * gl, 4 * (l[:, j] * gl[k] + l[:, k] * gl[j])], axis=1)
+
+
+# the one boundary-edge rule, 4-point Gauss-Legendre on [0, 1] from an edge's first
+# vertex: exact to degree 7, and the ROM flux cube's integrand has degree 6
+EDGE_POINTS, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(4)   # on [-1, 1]
+EDGE_POINTS, EDGE_WEIGHTS = 0.5 + 0.5 * EDGE_POINTS, 0.5 * EDGE_WEIGHTS
 
 
 def _resolve_roots(master):
@@ -455,23 +466,27 @@ class TaylorHoodSpace:
     # ------------------------------------------------------------------
     # field evaluation
 
-    def values_and_grads(self, u):
+    def values_and_grads(self, u, at=None):
         """Component-major velocity values and gradients at the quadrature points.
 
         ``u`` is one field (n_vel,) or a stack (m, n_vel).  Returns values
         (2, [m,] nt, nq) and gradients (2, 2, [m,] nt, nq), with
         ``grads[i, j]`` = du_i/dx_j, from one contraction with the basis
-        tables.
+        tables.  Given an :class:`EdgeTable` ``at``, the same at its edge
+        points, with the edges in place of the nt elements.
         """
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (self.n_vel,) or u.ndim > 2:
             raise ValueError(f"velocity field has shape {u.shape}, expected ([m,] {self.n_vel})")
-        nt, _, _, nq = self.tables.shape
+        tables, cells = self.tables, self.cell_scalar
+        if at is not None:
+            tables, cells = at.tables, self.cell_scalar[at.cells]
+        nt, _, _, nq = tables.shape
         m = u.size // self.n_vel
         # per element, the (2m x 6) coefficients, rows (component, field), times
         # the (6 x 3nq) basis table
-        coeffs = np.take(u.reshape(m, self.n_scalar, 2), self.cell_scalar, axis=1).transpose(1, 3, 0, 2)
-        out = np.matmul(coeffs.reshape(nt, 2 * m, 6), self.tables.reshape(nt, 6, 3 * nq))
+        coeffs = np.take(u.reshape(m, self.n_scalar, 2), cells, axis=1).transpose(1, 3, 0, 2)
+        out = np.matmul(coeffs.reshape(nt, 2 * m, 6), tables.reshape(nt, 6, 3 * nq))
         out = np.ascontiguousarray(out.reshape(nt, 2, m, 3, nq).transpose(1, 3, 2, 0, 4))
         out = out.reshape((2, 3) + u.shape[:-1] + (nt, nq))
         return out[:, 0], out[:, 1:]
@@ -491,6 +506,22 @@ class TaylorHoodSpace:
             raise ValueError(f"velocity field has shape {u.shape}, expected ({self.n_vel},)")
         return u
 
+    def edge_table(self, label=None):
+        """The :class:`EdgeTable` of the boundary edges labeled ``label``, or of every one (cached)."""
+        key = ("edge_table", label)
+        if key not in self._cache:
+            self._cache[key] = boundary_edge_table(self, self._labeled_edges(label))
+        return self._cache[key]
+
+    def _labeled_edges(self, label):
+        """Indices into ``mesh.boundary_edges`` of the edges labeled ``label``, all for None."""
+        if label is None:
+            return np.arange(self.mesh.boundary_edges.shape[0])
+        idx = self.mesh.boundary_edges_with_label(label)
+        if idx.size == 0:
+            raise ValueError(f"mesh has no boundary edges labeled {label!r}")
+        return idx
+
     # ------------------------------------------------------------------
     # essential constraints
 
@@ -499,9 +530,7 @@ class TaylorHoodSpace:
         key = ("boundary_nodes", label)
         if key in self._cache:
             return self._cache[key]
-        idx = self.mesh.boundary_edges_with_label(label)
-        if idx.size == 0:
-            raise ValueError(f"mesh has no boundary edges labeled {label!r}")
+        idx = self._labeled_edges(label)
         ends = self.mesh.boundary_edges[idx].ravel()
         mids = self.n_vertices + self.mesh.boundary_edge_ids[idx]
         out = np.unique(self.scalar_index[np.concatenate([ends, mids])])
@@ -546,21 +575,21 @@ class TaylorHoodSpace:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Quadrature points on boundary edges, each read from the one triangle it bounds."""
+    """The boundary-edge counterpart of ``space.tables`` and ``space.wdet``.
+
+    The points are :data:`EDGE_POINTS` on each edge, read from the one
+    triangle the edge bounds.
+    """
 
     cells: np.ndarray     # (ne,) the triangle of each edge
-    bary: np.ndarray      # (ne, nq, 3) barycentric coordinates of the points in that triangle
-    phi: np.ndarray       # (ne, nq, 6) P2 basis values at the points
+    bary: np.ndarray      # (ne, nq, 3) barycentric coordinates of the points there, the P1 basis values
+    tables: np.ndarray    # (ne, 6, 3, nq) P2 basis values and physical gradients, as ``space.tables``
+    weights: np.ndarray   # (ne, nq) rule weight times edge length
     normals: np.ndarray   # (ne, 2) outward unit normals
-    lengths: np.ndarray   # (ne,)
 
 
-def boundary_edge_table(space, idx, t):
-    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges[idx]`` at the edge parameters ``t``.
-
-    ``t`` is the caller's rule on [0, 1], measured from each edge's first
-    vertex; its weights times ``lengths`` integrate along the edge.
-    """
+def boundary_edge_table(space, idx):
+    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges[idx]``."""
     mesh = space.mesh
     edges = mesh.boundary_edges[idx]
     cells = mesh.boundary_cells[idx]
@@ -569,13 +598,19 @@ def boundary_edge_table(space, idx, t):
     lengths = np.linalg.norm(d, axis=1)
     # boundary edges keep the domain on their left, so (dy, -dx) points out
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    pts = pa[:, None, :] + t[None, :, None] * d[:, None, :]   # (ne, nq, 2)
+    pts = pa[:, None, :] + EDGE_POINTS[None, :, None] * d[:, None, :]   # (ne, nq, 2)
     rel = pts - mesh.vertices[mesh.triangles[cells, 0]][:, None, :]
     # xi = J^{-1} (x - v0); inv_jt stores J^{-T}
-    xi = np.einsum("ekd,eqk->eqd", space.inv_jt[cells], rel)
+    inv_jt = space.inv_jt[cells]
+    xi = np.einsum("ekd,eqk->eqd", inv_jt, rel)
     bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
-    phi = _p2_basis(bary.reshape(-1, 3)).reshape(bary.shape[:2] + (6,))
-    return EdgeTable(cells=cells, bary=bary, phi=phi, normals=normals, lengths=lengths)
+    flat = bary.reshape(-1, 3)
+    tables = np.empty((cells.size, 6, 3, EDGE_POINTS.size))
+    tables[:, :, 0, :] = _p2_basis(flat).reshape(cells.size, -1, 6).transpose(0, 2, 1)
+    ref = _p2_ref_grads(flat).reshape(cells.size, -1, 6, 2)
+    tables[:, :, 1:, :] = np.einsum("edk,eqlk->eldq", inv_jt, ref)
+    return EdgeTable(cells=cells, bary=bary, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS,
+                     normals=normals)
 
 
 def assemble_linear_operators(mesh, space, nu):

@@ -325,8 +325,11 @@ def identify_periodic(mesh, axis, tolerance=None):
     return replace(mesh, periodic_pairs=all_pairs)
 
 
+# the boundary markers of the cylinder channel's Triangle files
+CYLINDER_LABELS = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
+
 _BUNDLED = {
-    "cylinder": ("cylinder_coarse", {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}),
+    "cylinder": ("cylinder_coarse", CYLINDER_LABELS),
 }
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import _snapshot_norms
+from .diagnostics import _column_norms
 from .numerics import sym_eig
 
 
@@ -182,8 +182,8 @@ def snapshot_coordinates(space, basis, snapshots):
     """The :class:`SnapshotCoordinates` of ``snapshots`` on ``basis``.
 
     One pass over the snapshot matrix, with the space's mass and stiffness
-    matrices; the snapshot norms are computed as ``diagnostics.trajectory_error``
-    computes them.
+    matrices; the snapshot gradient norms are computed as
+    ``diagnostics.trajectory_error`` computes them.
     """
     mass, stiffness = space.mass(), space.stiffness()
     xc = snapshots.matrix - basis.mean[:, None] if basis.centered else snapshots.matrix
@@ -191,7 +191,7 @@ def snapshot_coordinates(space, basis, snapshots):
     coeffs = modes.T @ (mass @ xc)
     outside = xc - modes @ coeffs
     k_outside = stiffness @ outside
-    h1_norms, div_norms = _snapshot_norms(space, snapshots)
+    h1_norms, div_norms = (_column_norms(snapshots.matrix, op) for op in (stiffness, space.div_form()))
     return SnapshotCoordinates(
         times=snapshots.times.copy(),
         coeffs=coeffs.T,

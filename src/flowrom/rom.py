@@ -36,6 +36,8 @@ and (grad X_k)^T X_i with the n = m - k fields i >= k and two matrix
 products, (n x P)(P x m) for D and (n x 2P)(2P x m) for C, with
 P = elements x quadrature points.  D is mirrored, and C's other half
 follows exactly from integration by parts against a boundary-flux cube,
+whose field values come from the same evaluation on the space's edge
+table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule),
 so the cubes cost about 1.5 m^3 P multiply-adds: linear in the mesh, cubic
 in the modes.
 
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .fem import NonlinearForm, boundary_edge_table
+from .fem import NonlinearForm
 from .numerics import implicit_step, step_count
 
 
@@ -168,22 +170,16 @@ _COMBINATIONS = {
 }
 
 
-# 4-point Gauss-Legendre rule on [0, 1]: exact to degree 7, the flux cube's integrand has degree 6
-_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(4)   # on [-1, 1]
-_GAUSS_T, _GAUSS_W = 0.5 + 0.5 * _GAUSS_T, 0.5 * _GAUSS_W
-
-
 def _boundary_flux(space, fields):
     """Values X (2, m, b) and weighted normal fluxes (X . n) w (m, b) at the b boundary points.
 
-    The points are the 4-point Gauss rule on every edge of ``mesh.boundary_edges``.
+    ``fields`` is (m, n_vel); the points are those of ``space.edge_table()``,
+    fem's boundary-edge rule on every edge of ``mesh.boundary_edges``.
     """
-    m = fields.shape[1]
-    edges = boundary_edge_table(space, np.arange(space.mesh.boundary_edges.shape[0]), _GAUSS_T)
-    coef = fields.reshape(space.n_scalar, 2, m)[space.cell_scalar[edges.cells]]   # (ne, 6, 2, m)
-    vals = np.einsum("eql,elcm->cmeq", edges.phi, coef)                            # (2, m, ne, nq)
-    flux = np.einsum("cmeq,ec->meq", vals, edges.normals) * (edges.lengths[:, None] * _GAUSS_W)
-    return vals.reshape(2, m, -1), flux.reshape(m, -1)
+    edges = space.edge_table()
+    vals, _ = space.values_and_grads(fields, at=edges)   # (2, m, ne, nq)
+    flux = (vals[0] * edges.normals[:, 0, None] + vals[1] * edges.normals[:, 1, None]) * edges.weights
+    return vals.reshape(2, fields.shape[0], -1), flux.reshape(fields.shape[0], -1)
 
 
 def project_fields(space, fields):
@@ -200,14 +196,15 @@ def project_fields(space, fields):
     with B the boundary integral of (X_j . n)(X_i . X_k) over every boundary
     edge (:func:`_boundary_flux`).  This holds exactly for any P2 fields,
     whatever their boundary values: the degree-5 rule integrates every
-    volume term exactly, and the 4-point Gauss rule the degree-6 flux (the
-    periodic sides cancel).  The mass and curl Grams are quadrature sums
+    volume term exactly, and fem's 4-point Gauss edge rule the degree-6
+    flux (the periodic sides cancel).  The mass and curl Grams are quadrature sums
     over the fields' values and curls, which the rule integrates exactly
     (degrees 4 and 2), so they are X^T M X and X^T G X without a sparse
     product.
     """
     m = fields.shape[1]
-    vals, grads = space.values_and_grads(np.ascontiguousarray(fields.T))  # (2, m, e, q), (2, 2, m, e, q)
+    rows = np.ascontiguousarray(fields.T)
+    vals, grads = space.values_and_grads(rows)  # (2, m, e, q), (2, 2, m, e, q)
     tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
     curl = grads[1, 0] - grads[0, 1]                                # (m, e, q)
     grams = (fields.T @ (space.stiffness() @ fields),
@@ -216,7 +213,7 @@ def project_fields(space, fields):
     stiff, mass, curl = (0.5 * (g + g.T) for g in grams)   # the (m, m) Grams, before the cubes' buffers
     div = ((grads[0, 0] + grads[1, 1]) * space.wdet).reshape(m, -1)   # (m, P) weighted divergences
     vals, grads = vals.reshape(2, m, -1), grads.reshape(2, 2, m, -1)
-    bvals, flux = _boundary_flux(space, fields)
+    bvals, flux = _boundary_flux(space, rows)
     conv, dcube = np.empty((2, m, m, m))
     pairs = np.empty((m, 3, vals.shape[-1]))   # X_i . X_k, then (grad X_k)^T X_i
     for k in range(m):

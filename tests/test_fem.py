@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 import flowrom
 from flowrom.fem import (
+    EDGE_POINTS,
     NonlinearForm,
     TaylorHoodSpace,
     _p2_ref_grads,
@@ -113,6 +114,57 @@ class TestFieldEvaluation:
         vals, grads = space.values_and_grads(u)
         assert np.array_equal(vals, ref[:, 0])
         assert np.array_equal(grads, ref[:, 1:])
+
+
+@pytest.fixture(scope="module")
+def edge_spaces():
+    """(space, cross) by name: the cylinder, and the x-periodic 16x16 shear-layer space.
+
+    ``cross`` is the xy coefficient of :func:`quadratic_field` the space
+    represents exactly: none on the x-periodic square, whose nodes at x = 0
+    and x = 1 share their values.
+    """
+    kh = TaylorHoodSpace(flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x"))
+    return {"cylinder": (TaylorHoodSpace(load_bundled_mesh("cylinder")), 0.8), "kh16": (kh, 0.0)}
+
+
+def quadratic_field(x, y, cross):
+    """Values (2, ...) and gradients (2, 2, ...) of a quadratic field, equal at x = 0 and x = 1 for cross = 0."""
+    s, ds = x * (x - 1.0), 2.0 * x - 1.0
+    vals = np.stack([s + 2.0 * y**2 - 0.3 * y + cross * x * y + 0.7,
+                     -0.5 * s + 1.5 * y**2 + 0.4 * y - cross * x * y - 1.1])
+    grads = np.stack([np.stack([ds + cross * y, 4.0 * y - 0.3 + cross * x]),
+                      np.stack([-0.5 * ds - cross * y, 3.0 * y + 0.4 - cross * x])])
+    return vals, grads
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("case, label", [("cylinder", None), ("cylinder", "cylinder"), ("cylinder", "wall"),
+                                             ("kh16", None), ("kh16", "top"), ("kh16", "left")])
+    def test_evaluates_exact_quadratic_at_edge_points(self, edge_spaces, case, label):
+        space, cross = edge_spaces[case]
+        mesh = space.mesh
+        idx = np.arange(mesh.boundary_edges.shape[0]) if label is None else mesh.boundary_edges_with_label(label)
+        pa = mesh.vertices[mesh.boundary_edges[idx, 0]]
+        d = mesh.vertices[mesh.boundary_edges[idx, 1]] - pa
+        pts = pa[:, None, :] + EDGE_POINTS[:, None] * d[:, None, :]   # (ne, nq, 2)
+        want_vals, want_grads = quadratic_field(pts[..., 0], pts[..., 1], cross)
+
+        u = space.interpolate_velocity(lambda x, y, t: quadratic_field(x, y, cross)[0])
+        vals, grads = space.values_and_grads(u, at=space.edge_table(label))
+        assert vals.shape == want_vals.shape and grads.shape == want_grads.shape
+        assert np.abs(vals - want_vals).max() <= 1e-13 * np.abs(want_vals).max()
+        assert np.abs(grads - want_grads).max() <= 1e-12 * np.abs(want_grads).max()
+
+    @pytest.mark.parametrize("case", ["cylinder", "kh16"])
+    def test_every_edge_in_mesh_order(self, edge_spaces, case):
+        space, _ = edge_spaces[case]
+        mesh = space.mesh
+        table = space.edge_table()
+        assert space.edge_table() is table
+        assert np.array_equal(table.cells, mesh.boundary_cells)
+        d = mesh.vertices[mesh.boundary_edges[:, 1]] - mesh.vertices[mesh.boundary_edges[:, 0]]
+        assert np.allclose(table.weights.sum(axis=1), np.hypot(d[:, 0], d[:, 1]), rtol=1e-15, atol=0.0)
 
 
 class TestLinearOperators:

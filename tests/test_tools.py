@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,7 +27,8 @@ def test_pod_spectrum_demo_runs():
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("script", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]),
+@pytest.mark.parametrize("script", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py"),
+                                            *ROOT.glob("perfbench/*.py")]),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_script_imports_resolve(script):
     # the scripts are not run by the suite, so an API they use must not vanish unseen
@@ -35,3 +37,14 @@ def test_script_imports_resolve(script):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+
+
+def test_tracer_targets_resolve():
+    # a traced function that is renamed away only drops its per-layer metrics
+    # from a benchmark run, so every target must resolve here
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, path, _, _ in tracer.TARGETS:
+        assert callable(tracer._resolve(module, path)[2]), f"{module}.{path}"
