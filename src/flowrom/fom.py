@@ -7,9 +7,10 @@ Taylor-Hood space: find ``(u, p)`` with
     (div u, q) = 0
 
 for all free test functions, where ``D_t`` is the backward-Euler or BDF2
-difference (``numerics.implicit_step``, which the ROM steps as well) and
-``b`` is the configured nonlinear form.  The saddle-point Newton system is
-solved monolithically by a direct sparse factorization.
+difference (``numerics.implicit_step``, which the ROM steps as well; BDF2
+starts with one theta = 2/3 step) and ``b`` is the configured nonlinear
+form.  The saddle-point Newton system is solved monolithically by a direct
+sparse factorization.
 
 The system is staged.  Its linear part is one saddle-point block
 
@@ -17,20 +18,25 @@ The system is staged.  Its linear part is one saddle-point block
 
 (``fem.saddle_block``), where ``alpha`` is the time-derivative coefficient
 (1 for backward Euler, 3/2 for BDF2).  A step forms its history load
-h = [M hist / dt; 0] (hist = u_old, or 2 u_old - u_prev / 2 for BDF2) and
-its essential mask once; each residual is then L x - h + [N(u); 0] with the
-constrained rows zeroed: one sparse matrix-vector product and one
-nonlinear assembly.
+h = [M hist / dt - w (nu K u_old + N(u_old)); 0] and its essential mask
+once; each residual is then L x - h + [N(u); 0] with the constrained rows
+zeroed: one sparse matrix-vector product and one nonlinear assembly.
+hist is u_old for backward Euler and 2 u_old - u_prev / 2 for BDF2, and the
+weight w of the operator at the old state is 0, except on BDF2's first
+step.  That step has no u_prev and is the theta = 2/3 step, hist =
+3/2 u_old and w = 1/2, with the pressure implicit: its alpha is BDF2's 3/2,
+so it shares BDF2's L and Newton matrix.
 
 Newton runs as a chord iteration (Kelley, *Solving Nonlinear Equations with
 Newton's Method*, SIAM 2003): one factorized Jacobian is held in a
 :class:`HeldFactor` and reused across iterations and across time steps,
 since one factorization costs as much as dozens of residual evaluations or
 triangular solves.  The held factor also holds L, built for the key
-``(alpha, dt, nu)``; a step under another key rebuilds L and drops the
-factors, since a stale L would make the residual wrong, not just slow.  A
-factorization is of the constrained ``L + [[N'(u), 0], [0, 0]]`` and
-eliminates the unknowns in the space's ``TaylorHoodSpace.saddle_order``.
+``(alpha, dt, nu)``, which is the same on every step of a run; a step
+under another key rebuilds L and drops the factors, since a stale L would
+make the residual wrong, not just slow.  A factorization is of the
+constrained ``L + [[N'(u), 0], [0, 0]]`` and eliminates the unknowns in
+the space's ``TaylorHoodSpace.saddle_order``.
 It is redone at the current iterate only when no factor is held, or when an
 iteration shrinks the residual norm by less than ``REFACTOR_CONTRACTION``.
 The matrix is one sparse sum of L and the Jacobian
@@ -151,8 +157,10 @@ class HeldFactor:
 
     ``block`` is the linear saddle-point block L of the module docstring for
     ``key`` = ``(alpha, dt, nu)``, and ``lu`` factors a Newton matrix built
-    on it (None when none is held).  Deliberately not part of
-    :class:`FomState`: kept states would each pin a factorization.
+    on it (None when none is held).  Every step of a run has the same key,
+    BDF2's theta = 2/3 first step included, so only a new configuration
+    rebuilds L.  Deliberately not part of :class:`FomState`: kept states
+    would each pin a factorization.
     """
 
     lu: object = None
@@ -283,8 +291,9 @@ def _newton_matrix(space, form, block, u, mask):
 def advance_step(state, config, space, held=None):
     """Advance one implicit step, returning the new state.
 
-    The scheme is ``numerics.implicit_step``: BDF2 uses backward Euler for
-    the very first step (no second history level yet).  Newton is the chord
+    The scheme is ``numerics.implicit_step``: BDF2's very first step (no
+    second history level yet) is the theta = 2/3 step, whose load also
+    carries half the operator at the old state.  Newton is the chord
     iteration of the module docstring: ``held`` is the :class:`HeldFactor`
     to reuse and update.  It supplies the linear block L for ``(alpha, dt,
     nu)``, rebuilt with the factors dropped when that key differs from the
@@ -297,9 +306,13 @@ def advance_step(state, config, space, held=None):
     held = HeldFactor() if held is None else held
     dt = config.dt
     t_new = state.t + dt
-    alpha, hist, u = implicit_step(config.scheme, state.u, state.u_prev)
+    alpha, hist, u, weight = implicit_step(config.scheme, state.u, state.u_prev)
     block = held.stage(space, alpha, dt, config.nu)
     load = space.mass() @ hist / dt
+    if weight:
+        # the operator at the old state, nu K u_old + N(u_old), on BDF2's first step
+        load -= weight * (config.nu * (space.stiffness() @ state.u)
+                          + nonlinear_residual(space, config.form, state.u))
 
     # the time-extrapolated start u saves one Newton iteration per step;
     # x = [u, p] starts from the essential values, which the identity rows of
@@ -344,15 +357,16 @@ def rom_drag_series(space, config, basis, trajectory, stride=5):
     """Drag series of a reduced trajectory via one-step pressure recovery.
 
     The reduced model evolves no pressure, so the drag's pressure part is
-    recovered as the multiplier of one implicit full-order step taken from
-    the reconstructed state at the previous time level; the viscous part
-    uses the reduced velocity itself.  Sampled every ``stride``-th step.
+    recovered as the multiplier of one backward-Euler full-order step
+    taken from the reconstructed state at the previous time level,
+    whatever ``config.scheme``; the viscous part uses the reduced velocity
+    itself.  Sampled every ``stride``-th step.
     """
     if config.drag_label is None:
         raise ValueError("no drag boundary label configured")
     times = trajectory.times
     dt = uniform_step(times)
-    cfg = replace(config, dt=dt, t_end=dt, snapshot_window=None)
+    cfg = replace(config, dt=dt, t_end=dt, scheme="backward_euler", snapshot_window=None)
     # every sample is a backward-Euler step at the same dt: one held factor
     held = HeldFactor()
     out_t, out_v = [], []

@@ -14,7 +14,9 @@ fixed in one place:
                       assembles (trilinear terms are degree 5 on affine
                       elements).
 * ``step_count``, ``implicit_step``, ``uniform_step`` -- the one implicit
-                      time scheme and grid that the FOM and the ROM both step.
+                      time scheme and grid that the FOM and the ROM both step:
+                      backward Euler, or BDF2 started by one theta = 2/3
+                      step, which shares BDF2's Newton matrix.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -230,18 +232,27 @@ def step_count(dt, t_end):
 
 
 def implicit_step(scheme, x, x_prev):
-    """``(alpha, history, start)`` of the step alpha x_new - history = dt f(x_new) after ``x``.
+    """``(alpha, history, start, weight)`` of the step after ``x``.
 
-    (alpha, history) is (3/2, 2 x - x_prev / 2) for BDF2 once ``x_prev``
-    exists, else (1, x); Newton starts from 2 x - x_prev, or from ``x``.
+    The step solves alpha x_new - history = dt (f(x_new) + weight f(x))
+    for dx/dt = f, and Newton starts from ``start``.  Backward Euler is
+    (1, x, 2 x - x_prev, 0), starting from ``x`` on the first step.  BDF2
+    is (3/2, 2 x - x_prev / 2, 2 x - x_prev, 0) once ``x_prev`` exists.
+    Its first step is the theta method at theta = 2/3, divided by theta:
+    (3/2, 3/2 x, x, 1/2).  That step is A-stable, its local error
+    (theta - 1/2) dt^2 x'' is a third of backward Euler's, so BDF2 stays
+    second order, and its alpha is BDF2's: one Newton matrix serves the
+    whole run.
     """
     if scheme not in ("backward_euler", "bdf2"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if x_prev is None:
-        return 1.0, x, x
     if scheme == "bdf2":
-        return 1.5, 2.0 * x - 0.5 * x_prev, 2.0 * x - x_prev
-    return 1.0, x, 2.0 * x - x_prev
+        if x_prev is None:
+            return 1.5, 1.5 * x, x, 0.5
+        return 1.5, 2.0 * x - 0.5 * x_prev, 2.0 * x - x_prev, 0.0
+    if x_prev is None:
+        return 1.0, x, x, 0.0
+    return 1.0, x, 2.0 * x - x_prev, 0.0
 
 
 def uniform_step(times):

@@ -44,14 +44,16 @@ in the modes.
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and one dense LU solve per
 update (LAPACK gesv), stepping the full-order scheme itself
-(``numerics.implicit_step``: BDF2 starts with one backward-Euler step, and
-each step's Newton starts from the extrapolated 2 a^n - a^(n-1), the first
-from a^0).  :class:`RomOperators` forms the (j, k)-symmetrized tensor
-S = T + T^{jk} once.  Each evaluated iterate costs one matrix-vector
-product g = S c (S viewed as an (r*m) x m matrix), the state derivative
-dN/dc, which gives both the quadratic term N(c) = g c / 2 and its Jacobian
-dN/da = g[:, o:], so an iterate costs O(r m^2), independent of the finite
-element dimension.
+(``numerics.implicit_step``: BDF2 starts with one theta = 2/3 step, whose
+load also carries half of V c^0 + N(c^0), and each step's Newton starts
+from the extrapolated 2 a^n - a^(n-1), the first from a^0).  The time
+coefficient alpha, and with it the Jacobian's linear part, is the same
+on every step of a run.  :class:`RomOperators` forms the
+(j, k)-symmetrized tensor S = T + T^{jk} once.  Each evaluated iterate
+costs one matrix-vector product g = S c (S viewed as an (r*m) x m
+matrix), the state derivative dN/dc, which gives both the quadratic term
+N(c) = g c / 2 and its Jacobian dN/da = g[:, o:], so an iterate costs
+O(r m^2), independent of the finite element dimension.
 """
 
 import math
@@ -256,8 +258,9 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     Steps the full-order scheme (``numerics.step_count`` and
     ``implicit_step``), with Newton iteration to ``newton_tol`` on the
     r-dimensional residual and dense linear solves.  Each evaluated iterate
-    takes one :meth:`RomOperators.quadratic_jacobian`.  The trajectory
-    records the Newton updates of each step.  A non-finite residual, an
+    takes one :meth:`RomOperators.quadratic_jacobian`; BDF2's first step
+    reads the operator at a^0 off its first iterate's, which is a^0.  The
+    trajectory records the Newton updates of each step.  A non-finite residual, an
     exactly singular Newton matrix and a step that does not converge in
     ``newton_max_iter`` updates raise :class:`RomNewtonError` with the
     failing step index.
@@ -274,21 +277,25 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     coeffs[0] = a
     newton_iters = np.zeros(n_steps + 1, dtype=int)
     a_prev = None
-    shift_alpha = None
     for n in range(n_steps):
-        alpha, hist, a_new = implicit_step(scheme, a, a_prev)
-        if alpha != shift_alpha:
-            # the Jacobian's linear part, once per scheme phase; the residual
-            # keeps rate a and visc c apart, since their sum rounds visc's
-            # low bits away
-            rate, shift_alpha = alpha / dt, alpha
+        alpha, hist, a_new, weight = implicit_step(scheme, a, a_prev)
+        if n == 0:
+            # alpha is the same on every step, so the Jacobian's linear part is
+            # formed once; the residual keeps rate a and visc c apart, since
+            # their sum rounds visc's low bits away
+            rate = alpha / dt
             shift = rate * np.eye(r) + visc_modes
         load = hist / dt
         failure = None
         for it in range(newton_max_iter + 1):
             c = ops.extend(a_new)
             g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
-            res = rate * a_new - load + 0.5 * (g @ c) + ops.visc @ c
+            quad, visc = 0.5 * (g @ c), ops.visc @ c
+            if weight and it == 0:
+                # BDF2's first step starts from a^0 itself: this contraction
+                # also gives the operator at the old state, V c^0 + N(c^0)
+                load = load - weight * (visc + quad)
+            res = rate * a_new - load + quad + visc
             res_norm = math.sqrt(res @ res)
             if not math.isfinite(res_norm):
                 failure = "non-finite residual"

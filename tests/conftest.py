@@ -6,7 +6,14 @@ import pytest
 import scipy.sparse as sp
 
 import flowrom
-from flowrom.fem import TaylorHoodSpace, _density, _transport, constraint_mask, saddle_block
+from flowrom.fem import (
+    TaylorHoodSpace,
+    _density,
+    _transport,
+    constraint_mask,
+    nonlinear_residual,
+    saddle_block,
+)
 from flowrom.fom import _staged_residual
 from flowrom.mesh import _signed_areas
 from flowrom.numerics import implicit_step
@@ -124,9 +131,10 @@ def scheme_residual(space, config, u, p, u_old, u_prev, t):
     quantity Newton drives below tolerance.  The same staged evaluation as
     ``fom.advance_step``.
     """
-    alpha, hist, _ = implicit_step(config.scheme, u_old, u_prev)
+    alpha, hist, _, weight = implicit_step(config.scheme, u_old, u_prev)
     block = saddle_block(space, alpha / config.dt, config.nu)
-    load = space.mass() @ hist / config.dt
+    load = space.mass() @ hist / config.dt - weight * (
+        config.nu * (space.stiffness() @ u_old) + nonlinear_residual(space, config.form, u_old))
     x = np.concatenate([u, p])
     mask, _ = constraint_mask(space, config.boundary, t, x.size)
     return _staged_residual(space, config.form, block, x, load, mask)

@@ -13,6 +13,7 @@ from flowrom.fem import (
     constraint_mask,
     l2_error,
     nonlinear_jacobian,
+    nonlinear_residual,
     saddle_block,
 )
 from flowrom.fom import (
@@ -119,13 +120,13 @@ class TestAdvanceStep:
 
     def test_taylor_green_one_step_error_second_order(self, torus16):
         # One backward-Euler step commits an O(dt^2) error, so halving dt
-        # divides it by ~4.  The Richardson pair is (one step) vs (two half
-        # steps) from a pre-evolved base state: a few implicit steps first
-        # damp the stiff mesh-scale content of the interpolated initial data,
-        # which otherwise hides the asymptotic order (BE damping of modes
-        # with lambda*dt = O(1) is not in its Taylor regime); comparing
-        # against the analytic solution instead would add the fixed spatial
-        # interpolation floor on top.
+        # divides it by ~4, and so does BDF2's theta = 2/3 start.  The
+        # Richardson pair is (one step) vs (two half steps) from a pre-evolved
+        # base state: a few implicit steps first damp the stiff mesh-scale
+        # content of the interpolated initial data, which otherwise hides the
+        # asymptotic order (BE damping of modes with lambda*dt = O(1) is not in
+        # its Taylor regime); comparing against the analytic solution instead
+        # would add the fixed spatial interpolation floor on top.
         _, space = torus16
         nu = 0.05
         u0 = build_initial_condition("taylor-green", space)
@@ -136,9 +137,9 @@ class TestAdvanceStep:
             st = advance_step(st, cfg, space)
         base = st.u
 
-        def step_to(dt, nsub):
+        def step_to(scheme, dt, nsub):
             c = FomConfig(nu=nu, dt=dt / nsub, t_end=dt, form="skew",
-                          scheme="backward_euler", boundary={}, newton_tol=1e-12)
+                          scheme=scheme, boundary={}, newton_tol=1e-12)
             s = FomState(u=base.copy(), p=np.zeros(space.n_press), t=0.0, step=0)
             for _ in range(nsub):
                 s = advance_step(s, c, space)
@@ -146,16 +147,41 @@ class TestAdvanceStep:
 
         mass = space.mass()
         errs = {}
-        errs_analytic = {}
+        for scheme in ("backward_euler", "bdf2"):
+            for dt in (0.04, 0.02, 0.01):
+                d = step_to(scheme, dt, 1) - step_to(scheme, dt, 2)
+                errs[scheme, dt] = np.sqrt(d @ (mass @ d))
+            assert 3.4 <= errs[scheme, 0.04] / errs[scheme, 0.02] <= 4.6
+            assert 3.4 <= errs[scheme, 0.02] / errs[scheme, 0.01] <= 4.6
+        # the theta step's local error (theta - 1/2) dt^2 u'' is a third of
+        # backward Euler's; on this pair the half-step path carries its start
+        # error through one BDF2 step (x 4/3), so the ratio is 4/9 (measured 0.45)
         for dt in (0.04, 0.02, 0.01):
-            d = step_to(dt, 1) - step_to(dt, 2)
-            errs[dt] = np.sqrt(d @ (mass @ d))
-            errs_analytic[dt] = l2_error(
-                space, step_to(dt, 1),
-                lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.24 + dt)
-        assert 3.4 <= errs[0.04] / errs[0.02] <= 4.6
-        assert 3.4 <= errs[0.02] / errs[0.01] <= 4.6
-        assert errs_analytic[0.04] > errs_analytic[0.01]
+            assert errs["bdf2", dt] <= 0.5 * errs["backward_euler", dt]
+        analytic = {dt: l2_error(space, step_to("backward_euler", dt, 1),
+                                 lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.24 + dt)
+                    for dt in (0.04, 0.01)}
+        assert analytic[0.04] > analytic[0.01]
+
+    def test_bdf2_start_solves_the_theta_two_thirds_step(self, kh16):
+        # M (u1 - u0) / dt + theta F(u1) + (1 - theta) F(u0) - theta D^T p1 = 0
+        # and D u1 = 0, F(u) = nu K u + N(u), theta = 2/3, in the free rows
+        _, space = kh16
+        boundary, nu, dt, theta = kelvin_helmholtz_boundary(), 1 / 2800, 0.02, 2.0 / 3.0
+        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        cfg = FomConfig(nu=nu, dt=dt, t_end=dt, form="emac", scheme="bdf2", boundary=boundary)
+        st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0), cfg, space)
+        mass, stiff, div = space.mass(), space.stiffness(), space.divergence()
+
+        def op(u):
+            return nu * (stiff @ u) + nonlinear_residual(space, "emac", u)
+
+        momentum = mass @ (st.u - u0) / dt + theta * (op(st.u) - div.T @ st.p) + (1 - theta) * op(u0)
+        mask, _ = constraint_mask(space, boundary, dt, space.n_vel)
+        assert mask.any()
+        assert np.linalg.norm(momentum[~mask]) <= theta * cfg.newton_tol
+        assert np.linalg.norm(div @ st.u) <= cfg.newton_tol
+        assert st.factorizations == 1
 
     def test_energy_decay_backward_euler_skew(self, kh16):
         mesh, space = kh16
@@ -268,6 +294,20 @@ class TestRunFom:
                 lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.5)
         assert errs["bdf2"] < 0.5 * errs["backward_euler"]
 
+    def test_bdf2_is_second_order_in_time(self, torus16):
+        # self-convergence against dt/8 on one mesh, so the spatial error cancels
+        mesh, space = torus16
+        u0 = build_initial_condition("taylor-green", space)
+        final = {}
+        for k in (1, 2, 4, 8):
+            cfg = FomConfig(nu=0.05, dt=0.05 / k, t_end=0.4, form="skew", scheme="bdf2",
+                            boundary={}, newton_tol=1e-12)
+            final[k] = run_fom(cfg, mesh, space, u0)[0].u
+        mass = space.mass()
+        errs = [np.sqrt((final[k] - final[8]) @ (mass @ (final[k] - final[8]))) for k in (1, 2, 4)]
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(orders >= 1.8), orders
+
 
 class TestFactorReuse:
     """The chord iteration holds one LU across iterations and steps."""
@@ -293,15 +333,15 @@ class TestFactorReuse:
         assert factorizations.sum() < n_steps / 2
         assert np.all(series["newton_iters"].values[1:] >= 1)
 
-    def test_bdf2_refactorizes_at_the_scheme_switch(self, kh16):
+    def test_bdf2_keeps_the_start_factor(self, kh16):
         mesh, space = kh16
         u0 = build_initial_condition("kelvin-helmholtz", space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
         _, _, series = run_fom(cfg, mesh, space, u0)
         factorizations = series["factorizations"].values
-        assert factorizations[1] >= 1  # first factor, backward Euler
-        assert factorizations[2] >= 1  # BDF2 changes the mass coefficient
+        assert factorizations[1] == 1  # first factor, at the theta = 2/3 start
+        assert factorizations[2:].sum() == 0  # BDF2 keeps the start's mass coefficient
 
     def test_float32_factor_tracks_float64_run(self, kh16, monkeypatch):
         mesh, space = kh16
@@ -385,13 +425,13 @@ class TestStagedSystem:
             boundary, form, nu, dt = kelvin_helmholtz_boundary(), "skew", 1 / 2800, 0.02
             u0 = build_initial_condition("kelvin-helmholtz", space)
         u0 = stokes_project(space, u0, boundary)
-        cfg = FomConfig(nu=nu, dt=dt, t_end=2 * dt, form=form, scheme="bdf2", boundary=boundary)
-        held = HeldFactor()
+        scheme, alpha = ("backward_euler", 1.0) if case == "kh_backward_euler" else ("bdf2", 1.5)
+        cfg = FomConfig(nu=nu, dt=dt, t_end=2 * dt, form=form, scheme=scheme, boundary=boundary)
         st = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
-        alpha = 1.0
+        # the cylinder stages BDF2's theta = 2/3 start, kh_bdf2 the BDF2 step after it
         if case == "kh_bdf2":
-            st = advance_step(st, cfg, space, held)  # the backward-Euler start
-            alpha = 1.5
+            st = advance_step(st, cfg, space)
+        held = HeldFactor()
         factored = _spy(monkeypatch, "factorize")
         linearized = _spy(monkeypatch, "nonlinear_jacobian")
         advance_step(st, cfg, space, held)
@@ -465,7 +505,7 @@ class TestStagedSystem:
         for a, b in ((reused.u, fresh.u), (reused.p, fresh.p)):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("scheme,builds", [("backward_euler", 1), ("bdf2", 2)])
+    @pytest.mark.parametrize("scheme,builds", [("backward_euler", 1), ("bdf2", 1)])
     def test_block_built_once_per_key(self, kh16, monkeypatch, scheme, builds):
         mesh, space = kh16
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme=scheme,

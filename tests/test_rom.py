@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
@@ -374,23 +375,33 @@ class TestRunRom:
         assert err.value.step == 1
 
     def test_singular_newton_matrix_reports_step(self):
-        # V = -(3/2)/dt I: backward Euler's first step solves (I/dt + V) a = a0/dt,
-        # then BDF2's alpha/dt I + V is exactly zero and its LU breaks down
+        # V = -(3/2)/dt I: backward Euler solves (I/dt + V) a = a0/dt at every
+        # step, while BDF2's alpha/dt I + V, its start's included, is exactly
+        # zero and its LU breaks down
         r, dt = 3, 0.5
         ops = RomOperators(visc=-1.5 / dt * np.eye(r), tensor=np.zeros((r, r, r)))
-        with pytest.raises(RomNewtonError, match="at step 2 .*: exactly singular Newton matrix") as err:
+        assert np.all(np.isfinite(run_rom(ops, np.ones(r), dt, 4 * dt, scheme="backward_euler").coeffs))
+        with pytest.raises(RomNewtonError, match="at step 1 .*: exactly singular Newton matrix") as err:
             run_rom(ops, np.ones(r), dt, 4 * dt, scheme="bdf2")
-        assert err.value.step == 2
+        assert err.value.step == 1
 
-    def test_bdf2_starts_with_backward_euler(self, rom_setup):
+    def test_bdf2_starts_with_the_theta_step(self, rom_setup):
+        # (a1 - a0) / dt + theta F(c1) + (1 - theta) F(c0) = 0, F(c) = V c + N(c), theta = 2/3
         space, _, basis = rom_setup
         r = min(5, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
         rng = np.random.default_rng(41)
         a0 = rng.standard_normal(r)
-        t_be = run_rom(ops, a0, 0.02, 0.02, scheme="backward_euler")
-        t_bdf = run_rom(ops, a0, 0.02, 0.04, scheme="bdf2")
-        assert np.abs(t_be.coeffs[1] - t_bdf.coeffs[1]).max() < 1e-9
+        dt, theta = 0.02, 2.0 / 3.0
+
+        def op(a):
+            c = ops.extend(a)
+            return ops.visc @ c + rom_quadratic(ops, c)
+
+        a1 = scipy.optimize.fsolve(lambda a: (a - a0) / dt + theta * op(a) + (1 - theta) * op(a0),
+                                   a0, xtol=1e-14)
+        t_bdf = run_rom(ops, a0, dt, 2 * dt, scheme="bdf2")
+        assert np.abs(t_bdf.coeffs[1] - a1).max() < 1e-9
 
     def test_bdf2_snapshot_reproduction(self):
         # the BDF2 counterpart of acceptance criterion 4: a consistent full-rank
@@ -415,19 +426,24 @@ class TestRunRom:
 def loop_reference(ops, a0, dt, t_end, scheme):
     """The reduced Newton loop with three tensor contractions and np.linalg.solve per iteration.
 
-    Each step starts from the same extrapolated guess as ``run_rom``.
+    Each step starts from the same extrapolated guess as ``run_rom``.  BDF2's
+    first step is the theta = 2/3 step, divided by theta:
+    3/2 (a1 - a0) / dt + F(c1) + F(c0) / 2 = 0.
     """
     r = ops.r
     m = ops.tensor.shape[1]
     flat = ops.tensor.reshape(r * m, m)
     visc_modes = ops.visc[:, m - r:]
+    alpha = 1.5 if scheme == "bdf2" else 1.0
+    shift = alpha / dt * np.eye(r) + visc_modes
     a, a_prev = np.array(a0, dtype=float), None
     coeffs, iters = [a], [0]
     for n in range(int(round(t_end / dt))):
-        bdf2 = scheme == "bdf2" and a_prev is not None
-        alpha = 1.5 if bdf2 else 1.0
-        shift = alpha / dt * np.eye(r) + visc_modes
-        hist = (2.0 * a - 0.5 * a_prev) / dt if bdf2 else a / dt
+        if scheme == "bdf2" and a_prev is None:
+            c0 = ops.extend(a)
+            hist = 1.5 * a / dt - 0.5 * ((flat @ c0).reshape(r, m) @ c0 + ops.visc @ c0)
+        else:
+            hist = (2.0 * a - 0.5 * a_prev) / dt if scheme == "bdf2" else a / dt
         a_new = 2.0 * a - a_prev if a_prev is not None else a.copy()
         for it in range(21):
             c = ops.extend(a_new)
