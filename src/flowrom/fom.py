@@ -45,12 +45,15 @@ identity rows in the sum's own CSR arrays (``fem.constrain_rows``, which
 the Stokes projection shares).  Exact zeros are dropped on the way, as
 ``diag(~mask) @ m + diag(mask)`` drops them: SuperLU would keep an explicit
 zero as an entry, so the LU fill depends on it.
-The held factor is float32 (mixed-precision iterative refinement, Carson &
-Higham, SISC 2018): a float32 solve perturbs the update by about 1e-5
+Every factor is float32 and every residual float64 (mixed-precision
+iterative refinement, Carson & Higham, SISC 2018; see ``flowrom.numerics``).
+In the chord iteration a float32 solve perturbs the update by about 1e-5
 relative, far below that contraction, so it triggers no extra
 refactorization; near the tolerance it can cost an extra solve.  The
-residual is always exact and float64, so the converged state meets the
-same tolerance as exact Newton.  The Stokes projection solves in float64.
+residual is always exact, so the converged state meets the same tolerance
+as exact Newton.  The Stokes projection (``numerics.solve_sparse``) refines
+its float32 solve in float64 to a float64 residual, two or three
+refinements on the package's meshes.
 
 Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
@@ -340,8 +343,7 @@ def advance_step(state, config, space, held=None):
         if held.lu is None or stalled:
             # release the old factors first so that only one is ever alive
             held.lu = None
-            held.lu = factorize(_newton_matrix(space, config.form, block, u, mask),
-                                space.saddle_order(), np.float32)
+            held.lu = factorize(_newton_matrix(space, config.form, block, u, mask), space.saddle_order())
             n_factor += 1
         x += held.lu.solve(-residual)
         prev_norm = res_norm

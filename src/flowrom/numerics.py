@@ -7,8 +7,8 @@ fixed in one place:
 * ``sym_eig``      -- symmetric eigendecomposition with a deterministic sign
                       convention, used for snapshot Gram matrices.
 * ``solve_sparse`` -- direct sparse solve (LU with diagonal-preferring
-                      threshold pivoting in a given order) for the
-                      saddle-point systems.
+                      threshold pivoting in a given order, refined in
+                      float64) for the saddle-point systems.
 * ``triangle_quadrature`` -- one degree-5, 7-point rule on the reference
                       triangle; exact for every integrand this package
                       assembles (trilinear terms are degree 5 on affine
@@ -23,14 +23,16 @@ matrices.  ``factorize`` takes the fill-reducing order from the caller:
 the saddle-point systems use ``TaylorHoodSpace.saddle_order``, a minimum
 degree order of the P2 node graph.  A factorization still costs as much
 as dozens of solves with it, so the full-order solver holds one and reuses
-it across Newton iterations and time steps (see ``flowrom.fom``).  That
-held factor is single precision: ``factorize`` casts the permuted matrix
-to its ``dtype`` once, a solve casts the permuted right-hand side and
-returns float64, and the caller's residuals stay float64.  A float32
-factor solves the Newton system to about 1e-5 relative, which the chord
-iteration absorbs like any other approximate Jacobian.  ``solve_sparse``
-(the Stokes projection) factors in float64.  Factors are not meant to be
-shared across threads.
+it across Newton iterations and time steps (see ``flowrom.fom``).
+
+Every LU is single precision, and every residual double (mixed-precision
+iterative refinement, Carson & Higham, SISC 40, 2018): ``factorize`` casts
+the permuted matrix to float32 once, and a solve casts the permuted
+right-hand side and returns float64.  A float32 solve is accurate to about
+1e-5 relative on the Newton system, which the chord iteration absorbs like
+any other approximate Jacobian.  ``solve_sparse`` (the Stokes projection)
+refines its float32 solve with float64 residuals to a float64 backward
+error.  Factors are not meant to be shared across threads.
 """
 
 from dataclasses import dataclass
@@ -137,48 +139,52 @@ def sym_eig(m):
 PIVOT_THRESHOLD = 0.01
 
 
-class Factor:
-    """LU factors of ``m[order][:, order]``, solving with ``m`` itself.
+# A float64 refinement of a float32 solve gains about -log10(kappa u32)
+# digits, u32 = 6e-8: two or three steps reach roundoff on the projections
+# this package solves.  The loop stops as soon as the residual stops halving.
+MAX_REFINEMENTS = 4
 
-    ``nnz`` is the fill, the stored entries of L and U together, and
-    ``dtype`` the precision the factors are held in.  Solutions are float64
-    whatever that precision.
+
+class Factor:
+    """Float32 LU factors of ``m[order][:, order]``, solving with ``m`` itself.
+
+    ``nnz`` is the fill, the stored entries of L and U together.  Solutions
+    are float64.
     """
 
-    def __init__(self, lu, order, dtype):
+    def __init__(self, lu, order):
         self._lu = lu
         self._order = order
         self.nnz = lu.nnz
-        self.dtype = np.dtype(dtype)
 
     def solve(self, rhs):
-        """Solve ``m x = rhs``."""
+        """Solve ``m x = rhs`` to float32 accuracy."""
         rhs = np.asarray(rhs)
         x = np.empty(rhs.shape)
-        x[self._order] = self._lu.solve(rhs[self._order].astype(self.dtype, copy=False))
+        x[self._order] = self._lu.solve(rhs[self._order].astype(np.float32))
         return x
 
 
-def _permuted_csc(m, order, dtype):
-    """``m[order][:, order]`` of CSR ``m`` as CSC of ``dtype``: one row gather, columns relabeled."""
+def _permuted_csc(m, order):
+    """``m[order][:, order]`` of CSR ``m`` as float32 CSC: one row gather, columns relabeled."""
     position = np.empty(order.size, dtype=m.indices.dtype)
     position[order] = np.arange(order.size)
     rows = m[order]  # a row gather of CSR arrays
     rows.indices = position[rows.indices]
-    rows.data = rows.data.astype(dtype, copy=False)
+    rows.data = rows.data.astype(np.float32)
     rows.has_sorted_indices = False
     return rows.tocsc()
 
 
-def factorize(m, order, dtype=np.float64):
-    """LU-factorize a square sparse matrix for repeated solves.
+def factorize(m, order):
+    """LU-factorize a square sparse matrix in float32 for repeated solves.
 
     Factors ``m[order][:, order]`` with SuperLU, keeping that column order
     and preferring diagonal pivots (``PIVOT_THRESHOLD``).  ``order`` is a
     fill-reducing permutation of the unknowns; a finite-element matrix in
-    its natural order fills catastrophically.  The factors are held in
-    ``dtype``: the permuted matrix is cast once, and each solve casts its
-    permuted right-hand side.  Returns a :class:`Factor`.
+    its natural order fills catastrophically.  The permuted matrix is cast
+    to float32 once, and each solve casts its permuted right-hand side.
+    Returns a :class:`Factor`.
     """
     m = sp.csr_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -192,29 +198,51 @@ def factorize(m, order, dtype=np.float64):
             "(missing pressure constraint or disconnected mesh?)"
         )
     try:
-        lu = spla.splu(_permuted_csc(m, np.asarray(order), dtype), permc_spec="NATURAL",
+        lu = spla.splu(_permuted_csc(m, np.asarray(order)), permc_spec="NATURAL",
                        diag_pivot_thresh=PIVOT_THRESHOLD, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse LU factorization failed ({exc}); a pivot vanished -- check "
             "constraint application and mesh connectivity"
         ) from exc
-    return Factor(lu, order, dtype)
+    return Factor(lu, order)
 
 
 def solve_sparse(m, rhs, order):
-    """Solve ``m x = rhs`` by direct factorization in ``order`` (see ``factorize``).
+    """Solve ``m x = rhs`` by a float32 factorization in ``order``, refined in float64.
 
-    The residual satisfies ||m x - rhs|| <= 1e-10 (||m|| ||x|| + ||rhs||) for
-    any nonsingular system; no tuning knobs are exposed.
+    ``m`` is factorized once (see ``factorize``); then x += F.solve(rhs - m x)
+    with float64 residuals until the residual norm stops halving, at most
+    ``MAX_REFINEMENTS`` times.  The result satisfies
+    ||m x - rhs|| <= 1e-10 (||m|| ||x|| + ||rhs||), Frobenius norm of ``m``,
+    or :class:`SingularSystemError` is raised.  Refinement converges only
+    while kappa(m) u32 < 1, u32 = 6e-8, so a system too ill-conditioned for
+    a float32 LU (kappa above about 1e7) is refused, although a float64 LU
+    might solve it.  No tuning knobs are exposed.
     """
+    m = sp.csr_matrix(m)
     rhs = np.asarray(rhs, dtype=float)
     lu = factorize(m, order)
     x = lu.solve(rhs)
+    residual = rhs - m @ x
+    res_norm = np.linalg.norm(residual)
+    for _ in range(MAX_REFINEMENTS):
+        refined = x + lu.solve(residual)
+        refined_residual = rhs - m @ refined
+        refined_norm = np.linalg.norm(refined_residual)
+        if not refined_norm < 0.5 * res_norm:
+            break
+        x, residual, res_norm = refined, refined_residual, refined_norm
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "sparse solve produced non-finite values; the system is numerically "
             "singular (missing pressure constraint or disconnected mesh?)"
+        )
+    bound = 1e-10 * (np.linalg.norm(m.data) * np.linalg.norm(x) + np.linalg.norm(rhs))
+    if not res_norm <= bound:
+        raise SingularSystemError(
+            f"sparse solve left a residual of {res_norm:.3e} against its bound {bound:.3e}; "
+            "the system is too ill-conditioned for a float32 factorization"
         )
     return x
 

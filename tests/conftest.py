@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import flowrom
 from flowrom.fem import (
@@ -16,7 +17,7 @@ from flowrom.fem import (
 )
 from flowrom.fom import _staged_residual
 from flowrom.mesh import _signed_areas
-from flowrom.numerics import implicit_step
+from flowrom.numerics import PIVOT_THRESHOLD, implicit_step
 
 
 def pytest_collection_modifyitems(config, items):
@@ -164,6 +165,28 @@ def twelve_direction_jacobian(space, form, u):
     rows = np.broadcast_to(dofs[:, :, None], local.shape)
     cols = np.broadcast_to(dofs[:, None, :], local.shape)
     return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_vel,) * 2).tocsr()
+
+
+class Float64Factor:
+    """Reference for ``numerics.factorize`` with double-precision factors.
+
+    The same column order and diagonal-preferring pivoting as the package's
+    float32 factor, on the unconverted float64 matrix; ``Float64Factor(m,
+    order)`` takes ``factorize``'s arguments, and ``solve`` and ``nnz``
+    behave as ``numerics.Factor``'s.
+    """
+
+    def __init__(self, m, order):
+        m = sp.csr_matrix(m)
+        self._order = np.asarray(order)
+        self._lu = spla.splu(sp.csc_matrix(m[self._order][:, self._order]), permc_spec="NATURAL",
+                             diag_pivot_thresh=PIVOT_THRESHOLD, options={"SymmetricMode": True})
+        self.nnz = self._lu.nnz
+
+    def solve(self, rhs):
+        x = np.empty(len(rhs))
+        x[self._order] = self._lu.solve(np.asarray(rhs, dtype=float)[self._order])
+        return x
 
 
 def diagonal_product_constraint(matrix, mask):

@@ -34,10 +34,17 @@ from flowrom.fom import (
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
+from flowrom.numerics import solve_sparse
 from flowrom.pod import snapshot_coordinates
 from flowrom.rom import RomTrajectory
 
-from conftest import diagonal_product_constraint, field_norms, scheme_residual, twelve_direction_jacobian
+from conftest import (
+    Float64Factor,
+    diagonal_product_constraint,
+    field_norms,
+    scheme_residual,
+    twelve_direction_jacobian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +113,53 @@ class TestInitialConditions:
         # projection preserves the essential values
         mask, vals = space.dirichlet_data(kelvin_helmholtz_boundary())
         assert np.allclose(w[mask], vals[mask])
+
+
+class TestRefinedStokesSolve:
+    """The Stokes projection: one float32 LU, refined in float64 by ``numerics.solve_sparse``."""
+
+    @pytest.mark.parametrize("problem", ["kh16", "cylinder"])
+    def test_matches_a_float64_factorization(self, request, problem):
+        _, space = request.getfixturevalue(problem)
+        if problem == "cylinder":
+            boundary, u = cylinder_boundary(), build_initial_condition("cylinder-channel", space)
+        else:
+            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition("kelvin-helmholtz", space)
+        n = space.n_vel
+        a, b = apply_constraints(space, saddle_block(space, 1.0, 0.0),
+                                 np.concatenate([space.mass() @ u, np.zeros(space.n_press)]), boundary)
+        order = space.saddle_order()
+        x = solve_sparse(a, b, order)
+        # the float64 reference, refined once: unrefined it is itself off by
+        # 8.5e-13 on the cylinder
+        lu = Float64Factor(a, order)
+        ref = lu.solve(b)
+        ref += lu.solve(b - a @ ref)
+        assert np.linalg.norm(x[:n] - ref[:n]) <= 1e-12 * np.linalg.norm(ref[:n])
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * (np.linalg.norm(a.data) * np.linalg.norm(x) + np.linalg.norm(b))
+        div = space.divergence()
+        # at roundoff: against the scale of the products summed in D u
+        assert np.linalg.norm(div @ x[:n]) <= 1e-14 * np.linalg.norm(abs(div) @ abs(x[:n]))
+        w = stokes_project(space, u, boundary)
+        assert np.array_equal(w, x[:n])
+        mask, vals = space.dirichlet_data(boundary)
+        assert np.array_equal(w[mask], vals[mask])
+
+    def test_a_projected_run_factorizes_only_in_float32(self, kh16, monkeypatch):
+        mesh, space = kh16
+        factored = []
+        real = flowrom.numerics.spla.splu
+
+        def spy(a, *args, **kwargs):
+            factored.append(a.dtype)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(flowrom.numerics.spla, "splu", spy)
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.04, form="skew", scheme="backward_euler",
+                        boundary=kelvin_helmholtz_boundary(), project_initial=True)
+        run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        # the projection, then the held Newton factor
+        assert len(factored) >= 2 and all(dtype == np.float32 for dtype in factored)
 
 
 class TestAdvanceStep:
@@ -350,8 +404,7 @@ class TestFactorReuse:
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
                         project_initial=True)
         _, snaps, series = run_fom(cfg, mesh, space, u0)
-        real = flowrom.fom.factorize
-        monkeypatch.setattr(flowrom.fom, "factorize", lambda m, order, dtype: real(m, order))
+        monkeypatch.setattr(flowrom.fom, "factorize", Float64Factor)
         _, ref_snaps, ref_series = run_fom(cfg, mesh, space, u0)
 
         assert snaps.matrix.shape == ref_snaps.matrix.shape == (space.n_vel, 51)
@@ -441,8 +494,7 @@ class TestStagedSystem:
         div = space.divergence()
         mask, _ = constraint_mask(space, boundary, st.t + dt, space.n_vel + space.n_press)
         assert np.any(mask[: space.n_vel])
-        for (matrix, _, dtype), (_, _, u) in zip(factored, linearized):
-            assert dtype is np.float32
+        for (matrix, _), (_, _, u) in zip(factored, linearized):
             # the Jacobian from the 12-direction oracle, the rows constrained by
             # diagonal products: the same pattern, so the same LU fill
             top = alpha / dt * space.mass() + nu * space.stiffness() + twelve_direction_jacobian(space, form, u)
