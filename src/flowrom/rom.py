@@ -30,11 +30,14 @@ so the operators at r are the test rows o:o+r and fields :o+r of a
 projection on more fields; ``flowrom pod`` stores one in the basis archive
 and :func:`assemble_rom_operators` slices it.  The projection is one
 element loop over the pair products of the fields, on the test pairs
-i >= k only (:func:`project_fields`): the values and gradients of all m
-fields are formed once, and each field k then costs the products X_i . X_k
-and (grad X_k)^T X_i with the n = m - k fields i >= k and two matrix
-products, (n x P)(P x m) for D and (n x 2P)(2P x m) for C, with
-P = elements x quadrature points.  D is mirrored, and C's other half
+i >= k only (:func:`project_fields`): the values, divergences and curls
+of all m fields are tabulated once, a few fields at a time, and each
+field k then evaluates its own gradients and costs the products
+X_i . X_k and (grad X_k)^T X_i with the n = m - k fields i >= k and two
+matrix products, (n x P)(P x m) for D and (n x 2P)(2P x m) for C, with
+P = elements x quadrature points.  No table of every field's gradients
+exists, so the projection's memory is what those products read, about
+7 m P + 2 m^3 floats.  D is mirrored, and C's other half
 follows exactly from integration by parts against a boundary-flux cube,
 whose field values come from the same evaluation on the space's edge
 table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule),
@@ -172,6 +175,11 @@ _COMBINATIONS = {
 }
 
 
+# fields per evaluation in project_fields: it bounds the evaluation's
+# temporaries and does not change a bit of the products
+_FIELD_BLOCK = 4
+
+
 def _boundary_flux(space, fields):
     """Values X (2, m, b) and weighted normal fluxes (X . n) w (m, b) at the b boundary points.
 
@@ -181,7 +189,28 @@ def _boundary_flux(space, fields):
     edges = space.edge_table()
     vals, _ = space.values_and_grads(fields, at=edges)   # (2, m, ne, nq)
     flux = (vals[0] * edges.normals[:, 0, None] + vals[1] * edges.normals[:, 1, None]) * edges.weights
-    return vals.reshape(2, fields.shape[0], -1), flux.reshape(fields.shape[0], -1)
+    # a copy of the values, so that the edge gradients are freed
+    return vals.reshape(2, fields.shape[0], -1).copy(), flux.reshape(fields.shape[0], -1)
+
+
+def _tabulate(space, fields):
+    """Per field, at the P quadrature points: values, weighted values, weighted divergence, curl.
+
+    Returns (m, 2P), (m, 2P), (m, P) and (m, P) arrays, the values
+    component-major in each row.  The fields are evaluated in blocks of
+    :data:`_FIELD_BLOCK`, so no table of all m fields' gradients exists.
+    """
+    m, size = fields.shape[1], space.wdet.size
+    vals, tested = np.empty((2, m, 2, size))
+    div, curl = np.empty((m, size)), np.empty((m, size))
+    for a in range(0, m, _FIELD_BLOCK):
+        v, g = space.values_and_grads(fields[:, a:a + _FIELD_BLOCK].T)   # (2, b, e, q), (2, 2, b, e, q)
+        b = v.shape[1]
+        vals[a:a + b] = v.reshape(2, b, -1).transpose(1, 0, 2)
+        tested[a:a + b] = (v * space.wdet).reshape(2, b, -1).transpose(1, 0, 2)
+        div[a:a + b] = ((g[0, 0] + g[1, 1]) * space.wdet).reshape(b, -1)
+        curl[a:a + b] = (g[1, 0] - g[0, 1]).reshape(b, -1)
+    return vals.reshape(m, -1), tested.reshape(m, -1), div, curl
 
 
 def project_fields(space, fields):
@@ -203,27 +232,32 @@ def project_fields(space, fields):
     over the fields' values and curls, which the rule integrates exactly
     (degrees 4 and 2), so they are X^T M X and X^T G X without a sparse
     product.
+
+    The fields are read in place (columns of ``fields``) and evaluated in
+    blocks of :data:`_FIELD_BLOCK` (:func:`_tabulate`); field k's
+    gradients are evaluated again in step k, when its products need them.
+    The working set is the values, the weighted values and the weighted
+    divergences of all fields (5 m P floats), one (m, 2, P) pair-product
+    buffer that serves the D product and then the C product, and the
+    two cubes: about 7 m P + 2 m^3 floats.  Every output is bitwise the
+    same as from one evaluation of all fields at once.
     """
     m = fields.shape[1]
-    rows = np.ascontiguousarray(fields.T)
-    vals, grads = space.values_and_grads(rows)  # (2, m, e, q), (2, 2, m, e, q)
-    tested = (vals * space.wdet).transpose(1, 0, 2, 3).reshape(m, -1)   # (m, 2*e*q)
-    curl = grads[1, 0] - grads[0, 1]                                # (m, e, q)
-    grams = (fields.T @ (space.stiffness() @ fields),
-             tested @ vals.transpose(1, 0, 2, 3).reshape(m, -1).T,
-             (curl * space.wdet).reshape(m, -1) @ curl.reshape(m, -1).T)
+    stiff = fields.T @ (space.stiffness() @ fields)
+    vals, tested, div, curl = _tabulate(space, fields)
+    grams = (stiff, tested @ vals.T, (curl * space.wdet.reshape(-1)) @ curl.T)
     stiff, mass, curl = (0.5 * (g + g.T) for g in grams)   # the (m, m) Grams, before the cubes' buffers
-    div = ((grads[0, 0] + grads[1, 1]) * space.wdet).reshape(m, -1)   # (m, P) weighted divergences
-    vals, grads = vals.reshape(2, m, -1), grads.reshape(2, 2, m, -1)
-    bvals, flux = _boundary_flux(space, rows)
+    vals = vals.reshape(m, 2, -1)
+    bvals, flux = _boundary_flux(space, fields.T)
     conv, dcube = np.empty((2, m, m, m))
-    pairs = np.empty((m, 3, vals.shape[-1]))   # X_i . X_k, then (grad X_k)^T X_i
+    pairs = np.empty((m, 2, div.shape[1]))   # X_i . X_k in [:, 0], then (grad X_k)^T X_i, i >= k
     for k in range(m):
         n = m - k
-        column = np.concatenate([vals[:, None, k], grads[:, :, k]], axis=1)   # (X_k^c, d_x X_k^c, d_y X_k^c)
-        np.einsum("cip,ctp->itp", vals[:, k:], column, out=pairs[:n])
+        np.einsum("icp,cp->ip", vals[k:], vals[k], out=pairs[:n, 0])
         d = pairs[:n, 0] @ div.T                              # D[i, :, k], i >= k
-        c = pairs[:n, 1:].reshape(n, -1) @ tested.T           # C[i, :, k], i >= k
+        _, grad = space.values_and_grads(fields[:, k])        # (2, 2, e, q): d_t X_k^c
+        np.einsum("icp,ctp->itp", vals[k:], grad.reshape(2, 2, -1), out=pairs[:n])
+        c = pairs[:n].reshape(n, -1) @ tested.T               # C[i, :, k], i >= k
         b = np.einsum("cib,cb->ib", bvals[:, k + 1:], bvals[:, k]) @ flux.T   # B[i, :, k], i > k
         dcube[k:, :, k] = d
         dcube[k, :, k:] = d.T

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_bou
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field, snapshot_coordinates
 from flowrom.rom import (
+    _FIELD_BLOCK,
     RomNewtonError,
     RomOperators,
     assemble_rom_operators,
@@ -115,6 +117,22 @@ class TestProjection:
         with pytest.raises(ValueError, match="projection holds 2 fields"):
             short.projection.operators("emac", 0.1, 0, 4)
 
+    def test_traced_peak_is_the_working_set(self, rom_setup):
+        # 46 fields on the 16x16 shear layer, the size the kh16 pipeline projects.  The
+        # blocked evaluation peaks at 11.2 MiB (about 7 m P + 2 m^3 floats, P = 3584
+        # quadrature points); a stacked table of all fields' gradients peaked at 18.4 MiB
+        space = rom_setup[0]
+        fields = np.random.default_rng(11).standard_normal((space.n_vel, 46))
+        project_fields(space, fields)   # the space's cached operators and edge table exist before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            project_fields(space, fields)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.4 * 2**20
+
 
 def boundary_flux_cube(space, x):
     """B[i, j, k] = boundary integral of (X_j . n)(X_i . X_k) over every boundary edge.
@@ -193,18 +211,22 @@ class TestIntegrationByParts:
 
 
 class TestAssembleRomOperators:
-    @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_tensor_entries_match_direct_quadrature(self, rom_setup, wide_basis, form):
+    # r = 30 slices the fixture's stored projection; the other r project exactly r
+    # fields, at the block boundaries of project_fields' field evaluation
+    @pytest.mark.parametrize("form, r", [pytest.param(form, 30, id=form) for form in ALL_FORMS] + [
+        pytest.param(form, r, id=f"{form.value}-r{r}") for form in ALL_FORMS for r in (1, _FIELD_BLOCK, _FIELD_BLOCK + 1)])
+    def test_tensor_entries_match_direct_quadrature(self, rom_setup, wide_basis, form, r):
         space, _, _ = rom_setup
-        basis = wide_basis
-        r = min(30, basis.rank)
+        basis = wide_basis if r == 30 else dataclasses.replace(wide_basis, projection=None)
         ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        # relative to the form's tensor on all 30 fields, of which ops.tensor is a
+        # slice: at r = 1 the rotational tensor b(X, X, X) is exactly zero
+        scale = np.abs(assemble_rom_operators(space, wide_basis, 30, form, nu=1 / 2800).tensor).max()
         rng = np.random.default_rng(99)
         corners = [(0, 0, 0), (r - 1, r - 1, r - 1), (0, r - 1, 0), (r - 1, 0, r - 1)]
         for i, j, k in corners + [tuple(rng.integers(0, r, size=3)) for _ in range(12)]:
             direct = trilinear_value(space, form, basis.modes[:, j], basis.modes[:, k],
                                      basis.modes[:, i])
-            scale = np.abs(ops.tensor).max()
             assert ops.tensor[i, j, k] == pytest.approx(direct, rel=1e-12, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("form", ["skew", "emac", "rotational"])
