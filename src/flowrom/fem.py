@@ -57,10 +57,11 @@ element entry's slot in it, from one ``np.unique`` over integer keys.  A
 matrix is then a ``np.bincount`` of element values into those slots, laid
 out as one expansion of the graph: A (x) I_2 for mass and stiffness, full
 2x2 node blocks for the velocity forms and the Jacobian, vertex rows times
-two components for the divergence.  The full blocks are summed straight
-into the CSR data through the cached CSR position of every element entry.
-Each entry adds its element values in element order, whatever the layout,
-so it rounds the same in every expansion.  The result is canonical CSR.
+two components for the divergence.  A full block matrix takes one such
+``np.bincount`` per (row, column) component pair; the Jacobian sums each
+pair as soon as it has formed its element values.  Each entry adds its
+element values in element order, whatever the layout, so it rounds the
+same in every expansion.  The result is canonical CSR.
 """
 
 import enum
@@ -137,16 +138,16 @@ class _NodeGraph:
     ``indices[indptr[s]:indptr[s + 1]]``, and ``slots[e, a, b]`` is the
     position there of the pair (``cell_scalar[e, a]``, ``cell_scalar[e, b]``).
     Every FE matrix is a ``np.bincount`` of its element values into these
-    slots, laid out as one expansion of the graph (:meth:`kron_i2`,
-    :meth:`blocks`, :meth:`vertex_rows`); its CSR is canonical by
-    construction.  The matrices of one velocity expansion share its index
-    arrays, which are read-only.
+    slots (:meth:`_sum`, once per component pair of a velocity matrix),
+    laid out as one expansion of the graph (:meth:`kron_i2`, :meth:`blocks`,
+    :meth:`vertex_rows`); its CSR is canonical by construction.  The
+    matrices of one velocity expansion share its read-only index arrays.
     """
 
     indptr: np.ndarray     # (n + 1,) int32
     indices: np.ndarray    # (nnz,) int32
     slots: np.ndarray      # (nt, 6, 6) int32
-    _patterns: dict = field(default_factory=dict, repr=False, compare=False)  # by width, and "at"
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)  # by width
 
     @classmethod
     def build(cls, cell_scalar, n):
@@ -216,23 +217,12 @@ class _NodeGraph:
     def blocks(self, elem):
         """Velocity element matrices (nt, 12, 12), summed, over full 2x2 node blocks.
 
-        Local DOF 2l + c is component c of local node l.  One
-        ``np.bincount`` sums the entries, element by element, straight into
-        the CSR data through the CSR position of every element entry,
-        cached on first use.
+        Local DOF 2l + c is component c of local node l.  Each (row, column)
+        component pair is summed by :meth:`_sum`, as :meth:`kron_i2` sums
+        its one matrix.
         """
-        indptr, indices = self._pattern(2)
-        if "at" not in self._patterns:
-            # at[e, a, c, b, d]: where entry (2a + c, 2b + d) of element e goes;
-            # filled in place, as a full-size temporary costs set-up time
-            first, shift = self._offsets(2)
-            at = np.empty((self.slots.shape[0], 6, 2, 6, 2), dtype=np.intp)
-            at[:, :, 0, :, 0] = first[self.slots]
-            np.add(at[:, :, 0, :, 0], shift[self.slots], out=at[:, :, 1, :, 0])
-            np.add(at[..., 0], 1, out=at[..., 1])
-            self._patterns["at"] = at.ravel()
-        data = np.bincount(self._patterns["at"], elem.ravel(), minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+        elem = elem.reshape(-1, 6, 2, 6, 2)
+        return self._velocity(lambda c, d: self._sum(elem[:, :, c, :, d]), 2)
 
     def cofactor_blocks(self, matrix):
         """The :meth:`blocks` matrix whose node blocks are those of ``matrix``, [[a, b], [c, d]],
@@ -249,18 +239,21 @@ class _NodeGraph:
 
         Rows are the first ``n_rows`` nodes, which must be the element
         vertices (local nodes 0-2); row s holds the columns 2t and 2t + 1
-        of each neighbour t of s, a (1 x 2) block per graph entry.
+        of each neighbour t of s, two CSR entries per graph entry.
         """
         nnz = self.indptr[n_rows]
         at = 2 * self.slots[:, :3, :, None].astype(np.intp) + np.arange(2)
-        data = np.bincount(at.ravel(), elem.ravel(), minlength=2 * nnz).reshape(nnz, 1, 2)
+        data = np.bincount(at.ravel(), elem.ravel(), minlength=2 * nnz)
+        indices = (2 * self.indices[:nnz, None] + np.arange(2, dtype=np.int32)).ravel()
         shape = (n_rows, 2 * (self.indptr.size - 1))
-        return sp.bsr_matrix((data, self.indices[:nnz], self.indptr[: n_rows + 1]), shape=shape).tocsr()
+        return sp.csr_matrix((data, indices, 2 * self.indptr[: n_rows + 1]), shape=shape)
 
 
 def _symmetric(elem):
     """Element matrices made exactly symmetric, so that their sums are too."""
-    return 0.5 * (elem + elem.transpose(0, 2, 1))
+    out = elem + elem.transpose(0, 2, 1)
+    out *= 0.5
+    return out
 
 
 class TaylorHoodSpace:
@@ -373,11 +366,12 @@ class TaylorHoodSpace:
     def _gram(self, coef):
         """Element matrices sum_kq w_q coef[:, a, k, q] coef[:, b, k, q], exactly symmetric.
 
-        ``coef`` is (nt, a, k, nq); one batched product over the (k, q) axis.
+        ``coef`` is (nt, a, k, nq); one batched product over the (k, q) axis,
+        whose weighted operand is freed before the symmetrization.
         """
         nt, a = coef.shape[:2]
-        weighted = (coef * self.wdet[:, None, None, :]).reshape(nt, a, -1)
-        return _symmetric(np.matmul(weighted, coef.reshape(nt, a, -1).transpose(0, 2, 1)))
+        return _symmetric(np.matmul((coef * self.wdet[:, None, None, :]).reshape(nt, a, -1),
+                                    coef.reshape(nt, a, -1).transpose(0, 2, 1)))
 
     def mass(self):
         """Vector mass matrix (u, v)."""
@@ -727,24 +721,26 @@ def nonlinear_jacobian(space, form, u):
     consistent by construction.  The directions du are the local basis
     functions of one velocity component at a time, read from
     ``space.tables``; the other component is None, so no product with a
-    structural zero is formed.
+    structural zero is formed.  Each (row, column) component block goes
+    to the node graph's :meth:`_NodeGraph._sum` as soon as it is formed.
     """
     form = NonlinearForm.parse(form)
     uvals, ugrads = space.values_and_grads(u)
     factors = _transport(form, uvals, ugrads)
-    nt, nq = space.wdet.shape
     # the six directions of one component: values (6, nt, nq) and gradients (2, 6, nt, nq)
     values, *grads = np.ascontiguousarray(space.tables.transpose(2, 1, 0, 3))
-    # local[e, m, a, l, c] = (s_a of direction (l, c), phi_m) on element e
-    local = np.empty((nt, 6, 2, 6, 2))
+    sums = []   # sums[c][a]: the block of row component a, column component c
     for c in range(2):
         dvals, dgrads = [None, None], [None, None]
         dvals[c], dgrads[c] = values, grads
         s = _density(_transport(form, dvals, dgrads), uvals, ugrads)
         _density(factors, dvals, dgrads, into=s)
         s *= space.wdet
-        local[..., c] = (s @ space.phi).transpose(2, 3, 0, 1)
-    return space._graph().blocks(local.reshape(nt, 12, 12))
+        # s[a, e, m, l] becomes (s_a of direction (l, c), phi_m) on element e
+        s = (s @ space.phi).transpose(0, 2, 3, 1)
+        sums.append([space._graph()._sum(block) for block in s])
+        del s   # not held while the next component's density forms
+    return space._graph()._velocity(lambda a, c: sums[c][a], 2)
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,12 @@ it across Newton iterations and time steps (see ``flowrom.fom``).
 
 Every LU is single precision, and every residual double (mixed-precision
 iterative refinement, Carson & Higham, SISC 40, 2018): ``factorize`` casts
-the permuted matrix to float32 once, and a solve casts the permuted
-right-hand side and returns float64.  A float32 solve is accurate to about
-1e-5 relative on the Newton system, which the chord iteration absorbs like
-any other approximate Jacobian.  ``solve_sparse`` (the Stokes projection)
-refines its float32 solve with float64 residuals to a float64 backward
-error.  Factors are not meant to be shared across threads.
+the values to float32 once, before it permutes them, and a solve casts the
+permuted right-hand side and returns float64.  A float32 solve is accurate
+to about 1e-5 relative on the Newton system, which the chord iteration
+absorbs like any other approximate Jacobian.  ``solve_sparse`` (the Stokes
+projection) refines its float32 solve with float64 residuals to a float64
+backward error.  Factors are not meant to be shared across threads.
 """
 
 from dataclasses import dataclass
@@ -166,12 +166,11 @@ class Factor:
 
 
 def _permuted_csc(m, order):
-    """``m[order][:, order]`` of CSR ``m`` as float32 CSC: one row gather, columns relabeled."""
+    """``m[order][:, order]`` of CSR ``m`` as float32 CSC: values cast, one row gather, columns relabeled."""
     position = np.empty(order.size, dtype=m.indices.dtype)
     position[order] = np.arange(order.size)
-    rows = m[order]  # a row gather of CSR arrays
+    rows = sp.csr_matrix((m.data.astype(np.float32), m.indices, m.indptr), shape=m.shape)[order]
     rows.indices = position[rows.indices]
-    rows.data = rows.data.astype(np.float32)
     rows.has_sorted_indices = False
     return rows.tocsc()
 
@@ -182,8 +181,9 @@ def factorize(m, order):
     Factors ``m[order][:, order]`` with SuperLU, keeping that column order
     and preferring diagonal pivots (``PIVOT_THRESHOLD``).  ``order`` is a
     fill-reducing permutation of the unknowns; a finite-element matrix in
-    its natural order fills catastrophically.  The permuted matrix is cast
-    to float32 once, and each solve casts its permuted right-hand side.
+    its natural order fills catastrophically.  The values are cast to
+    float32 once, before the permutation gathers them (``m`` is not
+    copied in float64), and each solve casts its permuted right-hand side.
     Returns a :class:`Factor`.
     """
     m = sp.csr_matrix(m)

@@ -56,6 +56,15 @@ def kh16_saddle():
 
 
 @pytest.fixture(scope="session")
+def three_spaces():
+    """Periodic-x shear layer, doubly periodic Taylor-Green and the cylinder."""
+    kh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
+    tg = flowrom.identify_periodic(flowrom.identify_periodic(flowrom.uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
+    return {name: TaylorHoodSpace(mesh)
+            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", flowrom.load_bundled_mesh("cylinder")))}
+
+
+@pytest.fixture(scope="session")
 def kh_run():
     """Short shear-layer run shared by the POD/ROM/diagnostics tests."""
     from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom

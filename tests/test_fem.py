@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -450,15 +452,6 @@ class TestConstraints:
 # loop and COO references for the vectorized numbering and the node-graph
 # assembly
 
-@pytest.fixture(scope="module")
-def three_spaces():
-    """Periodic-x shear layer, doubly periodic Taylor-Green and the cylinder."""
-    kh = flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x")
-    tg = flowrom.identify_periodic(flowrom.identify_periodic(uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
-    return {name: TaylorHoodSpace(mesh)
-            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", load_bundled_mesh("cylinder")))}
-
-
 def loop_numbering(mesh):
     """Edges, scalar/pressure indices and element nodes, built with dicts and loops."""
     nv = mesh.num_vertices
@@ -583,6 +576,57 @@ class TestNodeGraphAssembly:
         assert np.shares_memory(space.stiffness().indices, space.mass().indices)
         assert np.shares_memory(space.curl_form().indices, jac.indices)
         assert not jac.indices.flags.writeable
+
+
+class TestFootprint:
+    """Traced memory of a 24x24 doubly periodic space (1,152 elements) and its operators.
+
+    The node graph sums every matrix by one ``np.bincount`` per component
+    pair over its slots, and the Jacobian sums each block as it forms it.
+    A cached position of every element entry of a full block matrix took
+    6.21 MiB of live space here, and a (nt, 12, 12) Jacobian element array
+    took a 5.02 MiB transient.
+    """
+
+    @pytest.fixture(scope="class")
+    def torus24(self):
+        mesh = flowrom.identify_periodic(uniform_rect_mesh(24, 24, 2.0, 2.0), "x")
+        mesh = flowrom.identify_periodic(mesh, "y")
+        self.with_operators(uniform_rect_mesh(2, 2))   # first-call allocations happen before tracing
+        return mesh
+
+    @staticmethod
+    def traced(build):
+        """The memory that ``build()`` and its result leave traced, and its traced peak, in MiB."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = build()   # held while the memory is read
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return (live - base) / 2**20, (peak - base) / 2**20
+
+    @staticmethod
+    def with_operators(mesh):
+        """A space with the six operators of a full-order set-up."""
+        space = TaylorHoodSpace(mesh)
+        for op in ("mass", "stiffness", "divergence", "div_form", "curl_form", "pressure_volume"):
+            getattr(space, op)()
+        return space
+
+    def test_space_with_its_operators(self, torus24):
+        # measured 4.94 MiB
+        live, _ = self.traced(lambda: self.with_operators(torus24))
+        assert live <= 5.2
+
+    def test_skew_jacobian_transient(self, torus24):
+        # measured 3.87 MiB above the space, the returned matrix included
+        space = self.with_operators(torus24)
+        u = np.random.default_rng(4).standard_normal(space.n_vel)
+        _, peak = self.traced(lambda: nonlinear_jacobian(space, "skew", u))
+        assert peak <= 4.1
 
 
 @pytest.fixture(scope="module")

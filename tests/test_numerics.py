@@ -5,8 +5,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from flowrom.fem import constraint_mask, saddle_block
+from flowrom.fom import _newton_matrix, cylinder_boundary, kelvin_helmholtz_boundary
 from flowrom.numerics import (
     SingularSystemError,
+    _permuted_csc,
     factorize,
     solve_sparse,
     sym_eig,
@@ -214,3 +217,27 @@ class TestSinglePrecisionFactor:
     def test_fill_matches_float64(self, kh16_factors):
         _, single, double = kh16_factors
         assert abs(single.nnz - double.nnz) <= 0.01 * double.nnz
+
+
+class TestPermutedCsc:
+    """The float32 matrix that SuperLU factors, gathered without a float64 copy."""
+
+    @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
+    def test_is_the_float64_gather_cast(self, three_spaces, name):
+        # a skew backward-Euler Newton matrix at a random state, rows constrained
+        space = three_spaces[name]
+        boundary = {"kh": kelvin_helmholtz_boundary(), "tg": {}, "cylinder": cylinder_boundary()}[name]
+        mask, _ = constraint_mask(space, boundary, 0.0, space.n_vel + space.n_press)
+        u = np.random.default_rng(6).standard_normal(space.n_vel)
+        newton = _newton_matrix(space, "skew", saddle_block(space, 50.0, 1e-3), u, mask)
+        data = newton.data.copy()
+        order = space.saddle_order()
+        got = _permuted_csc(newton, order)
+        # reference: the float64 matrix permuted by scipy, then cast
+        want = sp.csc_matrix(newton[order][:, order]).astype(np.float32)
+        assert got.dtype == np.float32 and got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int32), want.data.view(np.int32))
+        # the caller's matrix keeps its float64 values
+        assert newton.data.dtype == np.float64
+        assert np.array_equal(newton.data.view(np.int64), data.view(np.int64))
