@@ -4,8 +4,10 @@ Drives ``flowrom fom/pod/rom/compare`` on configs/cylinder.ini: the EMAC FOM
 on the bundled coarse mesh from rest into vortex shedding, a mean-centered
 POD basis from a late window of every second step, and 13-mode ROMs with
 three nonlinear forms on that snapshot grid.  The ROM that reuses the FOM's
-form tracks the drag series best; the mismatched forms drift.  ROM drag uses
-one-step pressure recovery (the reduced model carries no pressure).
+form tracks the drag series best; the mismatched forms drift.  Every drag,
+FOM and ROM, is the force of the discrete momentum equation
+(``fom.step_drag``, with the FOM's form), which needs no pressure: the ROM
+has one at every step of its reconstructed trajectory.
 
 CLI outputs go to cylinder_run/; writes cylinder_drag.csv (FOM + ROM drag
 series) and cylinder_mismatch.csv.
@@ -56,8 +58,7 @@ for form in forms:
         columns = {"t_fom": rom[0], "drag_fom": np.interp(rom[0], t_all, drag_all)}
         late = drag_all[t_all >= rom[0][0]]
         print(f"late drag mean {late.mean():.4f}, oscillation amplitude {late.std():.4f}")
-    sampled = ~np.isnan(rom[3])
-    t_d, d = rom[0][sampled], rom[3][sampled]
+    t_d, d = rom[0][1:], rom[3][1:]  # no step ends at the first row
     mismatch[form] = float(np.sqrt(np.mean((d - np.interp(t_d, t_all, drag_all)) ** 2)))
     columns[f"t_{form}"], columns[f"drag_{form}"] = t_d, d
     print(f"{form:>11}-ROM drag mismatch (rms): {mismatch[form]:.4e}")

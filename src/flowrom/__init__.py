@@ -11,7 +11,7 @@ one that generated the snapshots.
 from .numerics import QuadratureRule, SingularSystemError, sym_eig, triangle_quadrature
 from .mesh import Mesh, identify_periodic, read_triangle_mesh, uniform_rect_mesh, load_bundled_mesh
 from .fem import NonlinearForm, TaylorHoodSpace, trilinear_value
-from .fom import FomConfig, FomState, build_initial_condition, advance_step, run_fom
+from .fom import FomConfig, FomState, build_initial_condition, advance_step, run_fom, step_drag
 from .pod import (
     PodBasis,
     SnapshotSet,
@@ -24,7 +24,6 @@ from .rom import RomOperators, RomTrajectory, assemble_rom_operators, reconstruc
 from .diagnostics import (
     ScalarSeries,
     TrajectoryError,
-    drag_coefficient,
     energy_enstrophy,
     reduced_trajectory_error,
     trajectory_error,
@@ -50,6 +49,7 @@ __all__ = [
     "build_initial_condition",
     "advance_step",
     "run_fom",
+    "step_drag",
     "PodBasis",
     "SnapshotSet",
     "build_pod_basis",
@@ -63,7 +63,6 @@ __all__ = [
     "run_rom",
     "ScalarSeries",
     "TrajectoryError",
-    "drag_coefficient",
     "energy_enstrophy",
     "reduced_trajectory_error",
     "trajectory_error",

@@ -64,8 +64,8 @@ from .fom import (
     build_initial_condition,
     cylinder_boundary,
     kelvin_helmholtz_boundary,
-    rom_drag_series,
     run_fom,
+    step_drag,
 )
 from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
                    uniform_rect_mesh)
@@ -77,6 +77,7 @@ from .rom import (
     assemble_rom_operators,
     covering_projection,
     project_fields,
+    reconstruct_field,
     run_rom,
 )
 
@@ -311,10 +312,10 @@ def cmd_rom(args):
     cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
-        drag_t, drag = rom_drag_series(space, fom_cfg, basis, traj)
-        dragcol = np.full(traj.times.size, np.nan)
-        dragcol[np.searchsorted(traj.times, drag_t)] = drag
-        cols.append(dragcol)
+        # fom.step_drag, with the FOM's form, of each reconstructed step; none ends at row 0
+        u = [reconstruct_field(basis, c) for c in traj.coeffs]
+        cols.append([np.nan] + [step_drag(space, fom_cfg, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+                                for n in range(1, len(u))])
         headers.append("drag")
     cols.append(traj.newton_iters)
     headers.append("newton_iters")

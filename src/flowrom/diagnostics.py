@@ -1,15 +1,7 @@
-"""Scalar and trajectory diagnostics: energy, enstrophy, drag, error functionals.
+"""Scalar and trajectory diagnostics: energy, enstrophy, error functionals.
 
-The drag coefficient follows the channel-benchmark definition
-
-    c_d(t) = 20 * integral over the cylinder of (nu du_t/dn n_y - p n_x) dS,
-
-with ``n`` the unit normal on the cylinder directed into the fluid, the
-tangent ``t = (n_y, -n_x)``, and the factor 20 = 2/(U^2 D) from the mean
-inflow speed and cylinder diameter.  The line integral reads the space's
-edge table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule):
-the P2 velocity gradient and the P1 pressure on each edge come from the
-element it bounds.
+The drag is the force of the discrete momentum equation and lives with
+the time step that defines it (``fom.step_drag``).
 """
 
 from dataclasses import dataclass
@@ -71,18 +63,6 @@ def rom_energy_enstrophy(projection, basis, coeffs):
         raise ValueError(f"projection holds {projection.m} fields, {n} requested")
     return tuple(0.5 * np.einsum("ni,ni->n", c @ gram[:n, :n], c)
                  for gram in (projection.mass_gram, projection.curl_gram))
-
-
-def drag_coefficient(space, u, p, label="cylinder", nu=1.0):
-    """Drag coefficient of the flow on the boundary edges labeled ``label``."""
-    edges = space.edge_table(label)
-    _, grads = space.values_and_grads(space._check_velocity(u), at=edges)   # (2, 2, ne, nq)
-    pvals = np.einsum("el,eql->eq", np.asarray(p, dtype=float)[space.cell_press[edges.cells]], edges.bary)
-    n = -edges.normals.T[:, :, None]   # (2, ne, 1), into the fluid
-    t = np.stack([n[1], -n[0]])
-    dudn_t = np.sum(t[:, None] * grads * n, axis=(0, 1))
-    density = nu * dudn_t * n[1] - pvals * n[0]
-    return 20.0 * float(np.sum(edges.weights * density))
 
 
 def _column_norms(u, op):

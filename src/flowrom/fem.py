@@ -41,11 +41,12 @@ component at a time, so it forms no product with a structural zero.
 Every integral reads one per-element basis table, ``space.tables`` (value
 and physical gradients of each local P2 basis function at each quadrature
 point), and one weight array, ``space.wdet`` (quadrature weight times
-det J).  A boundary integral reads their edge counterparts, the
-:class:`EdgeTable` of ``space.edge_table(label)``: the same table at the
-points of the one boundary-edge rule (:data:`EDGE_POINTS`, 4-point Gauss),
-each edge read from the triangle it bounds, and the rule weight times the
-edge length.  A field's values and gradients at either set of points
+det J).  A boundary integral (the ROM's flux cube) reads their edge
+counterparts, the :class:`EdgeTable` of ``space.edge_table()``: the same
+table at the points of the one boundary-edge rule (:data:`EDGE_POINTS`,
+4-point Gauss) on every boundary edge, each edge read from the triangle it
+bounds, and the rule weight times the edge length.  A field's values and
+gradients at either set of points
 (:meth:`TaylorHoodSpace.values_and_grads`) come from one contiguous
 ``np.take`` of each element's coefficients and one batched matrix product
 with the table.  The symmetric element matrices are batched matrix
@@ -500,21 +501,11 @@ class TaylorHoodSpace:
             raise ValueError(f"velocity field has shape {u.shape}, expected ({self.n_vel},)")
         return u
 
-    def edge_table(self, label=None):
-        """The :class:`EdgeTable` of the boundary edges labeled ``label``, or of every one (cached)."""
-        key = ("edge_table", label)
-        if key not in self._cache:
-            self._cache[key] = boundary_edge_table(self, self._labeled_edges(label))
-        return self._cache[key]
-
-    def _labeled_edges(self, label):
-        """Indices into ``mesh.boundary_edges`` of the edges labeled ``label``, all for None."""
-        if label is None:
-            return np.arange(self.mesh.boundary_edges.shape[0])
-        idx = self.mesh.boundary_edges_with_label(label)
-        if idx.size == 0:
-            raise ValueError(f"mesh has no boundary edges labeled {label!r}")
-        return idx
+    def edge_table(self):
+        """The :class:`EdgeTable` of every boundary edge, in ``mesh.boundary_edges`` order (cached)."""
+        if "edge_table" not in self._cache:
+            self._cache["edge_table"] = boundary_edge_table(self)
+        return self._cache["edge_table"]
 
     # ------------------------------------------------------------------
     # essential constraints
@@ -524,7 +515,9 @@ class TaylorHoodSpace:
         key = ("boundary_nodes", label)
         if key in self._cache:
             return self._cache[key]
-        idx = self._labeled_edges(label)
+        idx = self.mesh.boundary_edges_with_label(label)
+        if idx.size == 0:
+            raise ValueError(f"mesh has no boundary edges labeled {label!r}")
         ends = self.mesh.boundary_edges[idx].ravel()
         mids = self.n_vertices + self.mesh.boundary_edge_ids[idx]
         out = np.unique(self.scalar_index[np.concatenate([ends, mids])])
@@ -576,17 +569,16 @@ class EdgeTable:
     """
 
     cells: np.ndarray     # (ne,) the triangle of each edge
-    bary: np.ndarray      # (ne, nq, 3) barycentric coordinates of the points there, the P1 basis values
     tables: np.ndarray    # (ne, 6, 3, nq) P2 basis values and physical gradients, as ``space.tables``
     weights: np.ndarray   # (ne, nq) rule weight times edge length
     normals: np.ndarray   # (ne, 2) outward unit normals
 
 
-def boundary_edge_table(space, idx):
-    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges[idx]``."""
+def boundary_edge_table(space):
+    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges``."""
     mesh = space.mesh
-    edges = mesh.boundary_edges[idx]
-    cells = mesh.boundary_cells[idx]
+    edges = mesh.boundary_edges
+    cells = mesh.boundary_cells
     pa = mesh.vertices[edges[:, 0]]
     d = mesh.vertices[edges[:, 1]] - pa
     lengths = np.linalg.norm(d, axis=1)
@@ -603,8 +595,7 @@ def boundary_edge_table(space, idx):
     tables[:, :, 0, :] = _p2_basis(flat).reshape(cells.size, -1, 6).transpose(0, 2, 1)
     ref = _p2_ref_grads(flat).reshape(cells.size, -1, 6, 2)
     tables[:, :, 1:, :] = np.einsum("edk,eqlk->eldq", inv_jt, ref)
-    return EdgeTable(cells=cells, bary=bary, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS,
-                     normals=normals)
+    return EdgeTable(cells=cells, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS, normals=normals)
 
 
 def assemble_linear_operators(mesh, space, nu):

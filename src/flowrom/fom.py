@@ -55,11 +55,17 @@ as exact Newton.  The Stokes projection (``numerics.solve_sparse``) refines
 its float32 solve in float64 to a float64 residual, two or three
 refinements on the package's meshes.
 
+The drag is the force of these discrete equations (:func:`step_drag`;
+John & Matthies, IJNMF 37, 2001): the step's velocity residual without its
+pressure term, tested with a discretely divergence-free lifting v_d of e_x
+on the drag boundary, so the pressure drops out exactly.  The ROM needs no
+pressure: the same function of its reconstructed states is its drag.
+
 Initial-condition builders for the package's experiments (Kelvin-Helmholtz
 shear layer, cylinder channel, Taylor-Green vortex) live here as well.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +78,9 @@ from .fem import (
     nonlinear_residual,
     saddle_block,
 )
-from .numerics import factorize, implicit_step, solve_sparse, step_count, uniform_step
+from .numerics import factorize, implicit_step, solve_sparse, step_count
 from .pod import SnapshotSet
-from .rom import reconstruct_field
-from .diagnostics import ScalarSeries, drag_coefficient, energy_enstrophy
+from .diagnostics import ScalarSeries, energy_enstrophy
 
 
 # A chord iteration refactorizes once the residual norm shrinks by less than
@@ -101,7 +106,8 @@ class FomConfig:
     ``TaylorHoodSpace.dirichlet_data``).  ``nu`` is positive and finite and
     ``t_end`` a whole number of steps ``dt``.  The snapshot window is a
     closed time interval; snapshots are taken every ``snapshot_stride``-th
-    step inside it.
+    step inside it.  ``drag_label`` names the boundary whose drag
+    (:func:`step_drag`) is recorded, if any.
     """
 
     nu: float
@@ -280,6 +286,11 @@ def _staged_residual(space, form, block, x, load, mask):
     return residual
 
 
+def _operator(space, config, u):
+    """F(u) = nu K u + N(u), the velocity operator of the momentum equation."""
+    return config.nu * (space.stiffness() @ u) + nonlinear_residual(space, config.form, u)
+
+
 def _newton_matrix(space, form, block, u, mask):
     """Constrained Newton matrix L + [[N'(u), 0], [0, 0]] (CSR).
 
@@ -313,14 +324,14 @@ def advance_step(state, config, space, held=None):
     block = held.stage(space, alpha, dt, config.nu)
     load = space.mass() @ hist / dt
     if weight:
-        # the operator at the old state, nu K u_old + N(u_old), on BDF2's first step
-        load -= weight * (config.nu * (space.stiffness() @ state.u)
-                          + nonlinear_residual(space, config.form, state.u))
+        # the operator at the old state on BDF2's first step
+        load -= weight * _operator(space, config, state.u)
 
     # the time-extrapolated start u saves one Newton iteration per step;
     # x = [u, p] starts from the essential values, which the identity rows of
-    # the Newton system keep; u and p are views that follow its updates
-    x = np.concatenate([u, state.p])
+    # the Newton system keep, and from p_old in the pinned gauge, which the
+    # pinned DOF's 0 keeps; u and p are views that follow its updates
+    x = np.concatenate([u, state.p - state.p[space.pinned_pressure]])
     mask, vals = constraint_mask(space, config.boundary, t_new, x.size)
     x[mask] = vals[mask]
     u, p = x[: space.n_vel], x[space.n_vel :]
@@ -355,31 +366,39 @@ def advance_step(state, config, space, held=None):
                     newton_iters=it, factorizations=n_factor, newton_residual=float(res_norm))
 
 
-def rom_drag_series(space, config, basis, trajectory, stride=5):
-    """Drag series of a reduced trajectory via one-step pressure recovery.
+def _drag_lifting(space, config):
+    """v_d: e_x on ``config.drag_label``, 0 on the other labels of ``config.boundary``, D v_d = 0.
 
-    The reduced model evolves no pressure, so the drag's pressure part is
-    recovered as the multiplier of one backward-Euler full-order step
-    taken from the reconstructed state at the previous time level,
-    whatever ``config.scheme``; the viscous part uses the reduced velocity
-    itself.  Sampled every ``stride``-th step.
+    One Stokes projection of zero, cached on the space per label and
+    boundary; a label missing from the mesh raises ``ValueError``.
     """
-    if config.drag_label is None:
-        raise ValueError("no drag boundary label configured")
-    times = trajectory.times
-    dt = uniform_step(times)
-    cfg = replace(config, dt=dt, t_end=dt, scheme="backward_euler", snapshot_window=None)
-    # every sample is a backward-Euler step at the same dt: one held factor
-    held = HeldFactor()
-    out_t, out_v = [], []
-    for n in range(stride, times.size, stride):
-        w_prev = reconstruct_field(basis, trajectory.coeffs[n - 1])
-        w_n = reconstruct_field(basis, trajectory.coeffs[n])
-        st = FomState(u=w_prev, p=np.zeros(space.n_press), t=float(times[n - 1]), step=n - 1)
-        recovered = advance_step(st, cfg, space, held)
-        out_t.append(float(times[n]))
-        out_v.append(drag_coefficient(space, w_n, recovered.p, config.drag_label, config.nu))
-    return np.array(out_t), np.array(out_v)
+    key = ("drag_lifting", config.drag_label, tuple(config.boundary))
+    if key not in space._cache:
+        boundary = {label: ("noslip",) for label in config.boundary}
+        boundary[config.drag_label] = ("velocity", (1.0, 0.0))
+        space._cache[key] = stokes_project(space, np.zeros(space.n_vel), boundary)
+    return space._cache[key]
+
+
+def step_drag(space, config, dt, u, u_old, u_prev=None):
+    """Drag coefficient c_D = -20 v_d . R / (1 + w) of the step from ``u_old`` to ``u``.
+
+    R = M (alpha u - hist) / dt + F(u) + w F(u_old), F(u) = nu K u + N(u),
+    is the step's velocity residual without -D^T p, with alpha, hist and w
+    from ``numerics.implicit_step(config.scheme, u_old, u_prev)`` as
+    :func:`advance_step` forms them (``u_prev`` is None on a run's first
+    step).  BDF2's theta = 2/3 start is the theta step divided by theta,
+    so its R is 1 + w = 1/theta times the step's force; w is 0 on every
+    other step.  D v_d = 0, so the pressure term is exactly 0; 20 =
+    2/(U^2 D) from the mean inflow speed and the cylinder diameter.  At a
+    converged step R = D^T p at every free DOF, so c_D depends on v_d only
+    through its boundary values, to the Newton tolerance.
+    """
+    alpha, hist, _, weight = implicit_step(config.scheme, u_old, u_prev)
+    residual = space.mass() @ (alpha * u - hist) / dt + _operator(space, config, u)
+    if weight:
+        residual += weight * _operator(space, config, u_old)
+    return -20.0 * float(_drag_lifting(space, config) @ residual) / (1.0 + weight)
 
 
 def snapshot_steps(window, stride, dt, n_steps):
@@ -398,8 +417,9 @@ def run_fom(config, mesh, space, u0):
     ``series`` maps names (``energy``, ``enstrophy``, ``div_error``,
     ``newton_iters``, ``factorizations``, ``newton_residual`` and ``drag``
     when configured) to :class:`ScalarSeries` sampled at every step
-    including the initial state (whose solver counts and residual are 0).
-    One :class:`HeldFactor` serves the whole run.
+    including the initial state (whose solver counts and residual are 0,
+    and whose drag is NaN: no step ends there; the drag is
+    :func:`step_drag`).  One :class:`HeldFactor` serves the whole run.
     """
     dt = config.dt
     n_steps = step_count(dt, config.t_end)
@@ -419,7 +439,7 @@ def run_fom(config, mesh, space, u0):
         series["drag"] = []
     times = []
 
-    def record(st):
+    def record(st, drag=np.nan):
         times.append(st.t)
         energy, enstrophy = energy_enstrophy(space, st.u)
         series["energy"].append(energy)
@@ -430,7 +450,7 @@ def run_fom(config, mesh, space, u0):
         series["factorizations"].append(st.factorizations)
         series["newton_residual"].append(st.newton_residual)
         if config.drag_label is not None:
-            series["drag"].append(drag_coefficient(space, st.u, st.p, config.drag_label, config.nu))
+            series["drag"].append(drag)
         if st.step in snap_at:
             columns.append(st.u.copy())
             snap_times.append(st.t)
@@ -438,8 +458,9 @@ def run_fom(config, mesh, space, u0):
     held = HeldFactor()
     record(state)
     for _ in range(n_steps):
-        state = advance_step(state, config, space, held)
-        record(state)
+        old, state = state, advance_step(state, config, space, held)
+        record(state, np.nan if config.drag_label is None
+               else step_drag(space, config, dt, state.u, old.u, old.u_prev))
 
     t_arr = np.array(times)
     out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}

@@ -12,10 +12,10 @@ sorted vertex pairs ``(lo, hi)`` of the triangles' sides, ordered by the
 integer key ``lo * nv + hi``; ``cell_edges`` numbers each triangle's local
 edge i, the edge opposite vertex i; and each boundary edge knows its global
 edge and the one triangle that holds it.  The Taylor-Hood numbering, the
-essential boundary nodes and the drag integral all read this table, and no
-other module derives edges from triangles.  A boundary edge takes the
-direction of that triangle's counterclockwise side, which puts the domain
-on its left.
+essential boundary nodes and the boundary-edge rule of the ROM's flux cube
+all read this table, and no other module derives edges from triangles.  A
+boundary edge takes the direction of that triangle's counterclockwise
+side, which puts the domain on its left.
 
 Triangle-generator text layout accepted by :func:`read_triangle_mesh`:
 

@@ -39,6 +39,27 @@ centering = none
 prefix = micro
 """
 
+MICRO_CYLINDER = """
+[problem]
+name = cylinder-channel
+
+[fom]
+nu = 5e-4
+dt = 0.0025
+t_end = 0.0125
+form = emac
+scheme = bdf2
+snapshot_start = 0.0
+snapshot_end = 0.0125
+
+[rom]
+r = 3
+form = skew
+
+[output]
+prefix = micro
+"""
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 MICRO_CONFIG = CONFIG_DIR / "kh_micro.ini"
 
@@ -216,6 +237,32 @@ class TestPipeline:
             assert stored.centered and stored.projection.m == 1 + min(3, stored.rank)  # mean, [rom] r
         assert len(outputs[0]) == 13  # archive, scalars, basis, spectrum, 4 x 2 ROM files, compare
         assert outputs[0] == outputs[1]
+
+    def test_cylinder_drag_at_every_step(self, tmp_path):
+        # the FOM and the ROM drag are fom.step_drag, with the FOM's form, of
+        # each step; no step ends at the first row
+        from flowrom.cli import _build_problem, _fom_config
+        from flowrom.fom import step_drag
+        from flowrom.rom import reconstruct_field
+
+        cfg, archive, basis_path, common = _run_micro(tmp_path, MICRO_CYLINDER)
+        assert main(["rom", basis_path, "--archive", archive, *common]) == 0
+        _, fom = read_csv(tmp_path / "micro_scalars.csv")
+        header, rom = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
+        assert header == ["t", "energy", "enstrophy", "drag", "newton_iters"]
+        for drag in (fom[4], rom[3]):
+            assert drag.size == 6 and np.isnan(drag[0]) and np.all(np.isfinite(drag[1:]))
+
+        config = _load_config(cfg)
+        problem = _build_problem(config)
+        fom_cfg = _fom_config(config, problem)
+        basis = read_basis(basis_path, space=problem.space)
+        dt = uniform_step(basis.coordinates.times)
+        _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
+        u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
+        want = [step_drag(problem.space, fom_cfg, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+                for n in range(1, len(u))]
+        assert np.array_equal(rom[3][1:], want)
 
 
 class TestErrorPaths:

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 import flowrom
 from flowrom.diagnostics import (
     ScalarSeries,
-    drag_coefficient,
     energy_enstrophy,
     reduced_trajectory_error,
     trajectory_error,
@@ -77,7 +76,7 @@ class TestBoundaryCells:
     def test_cylinder_matches_directed_side_reference(self, cylinder_space, label):
         mesh = cylinder_space.mesh
         edges = mesh.boundary_edges[mesh.boundary_edges_with_label(label)]
-        cells = cylinder_space.edge_table(label).cells
+        cells = cylinder_space.edge_table().cells[mesh.boundary_edges_with_label(label)]
         assert np.array_equal(cells, directed_side_cells(mesh, edges))
 
     @pytest.mark.parametrize("label", ["left", "right", "top", "bottom"])
@@ -85,66 +84,8 @@ class TestBoundaryCells:
         space = TaylorHoodSpace(flowrom.identify_periodic(flowrom.uniform_rect_mesh(5, 4), "x"))
         mesh = space.mesh
         edges = mesh.boundary_edges[mesh.boundary_edges_with_label(label)]
-        cells = space.edge_table(label).cells
+        cells = space.edge_table().cells[mesh.boundary_edges_with_label(label)]
         assert np.array_equal(cells, directed_side_cells(mesh, edges))
-
-
-class TestDragCoefficient:
-    def test_constant_pressure_closed_curve(self, cylinder_space):
-        space = cylinder_space
-        u = np.zeros(space.n_vel)
-        p = np.ones(space.n_press)
-        assert abs(drag_coefficient(space, u, p, "cylinder", nu=1.0)) < 1e-12
-
-    def test_linear_pressure_measures_hole_area(self, cylinder_space):
-        # c_d = 20 * contour integral of -x n_x = -20 * hole area by the
-        # divergence theorem; the hole area comes from an independent
-        # shoelace sum over the same polygon
-        space = cylinder_space
-        mesh = space.mesh
-        idx = mesh.boundary_edges_with_label("cylinder")
-        edges = mesh.boundary_edges[idx]
-        pa = mesh.vertices[edges[:, 0]]
-        pb = mesh.vertices[edges[:, 1]]
-        signed = 0.5 * np.sum(pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])
-        hole_area = -signed  # domain-on-left orientation walks the hole clockwise
-        assert hole_area > 0
-        # inscribed 30-gon: area deficit sin(2 pi/n)/(2 pi/n) ~ 0.73%
-        assert hole_area == pytest.approx(np.pi * 0.05**2, rel=1.2e-2)
-
-        u = np.zeros(space.n_vel)
-        p = np.zeros(space.n_press)
-        verts = np.unique(mesh.triangles)
-        p[space.pressure_index[verts]] = mesh.vertices[verts, 0]
-        cd = drag_coefficient(space, u, p, "cylinder", nu=1.0)
-        assert cd == pytest.approx(-20.0 * hole_area, rel=1e-10)
-
-    def test_viscous_half_matches_polygon_sum(self, cylinder_space):
-        # u = (y^2, x^2) is exact in P2 and has grad u = [[0, 2y], [2x, 0]], so
-        # du_t/dn = 2y n_y^2 - 2x n_x^2 with t = (n_y, -n_x); the drag density
-        # is linear along each straight edge, and its midpoint value is exact
-        space = cylinder_space
-        mesh = space.mesh
-        edges = mesh.boundary_edges[mesh.boundary_edges_with_label("cylinder")]
-        pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
-        mid, d = 0.5 * (pa + pb), pb - pa
-        length = np.hypot(d[:, 0], d[:, 1])
-        n = np.column_stack([-d[:, 1], d[:, 0]]) / length[:, None]
-        # into the fluid: away from the hole's center (0.2, 0.2)
-        n *= np.sign(np.einsum("ec,ec->e", n, mid - 0.2))[:, None]
-        nu = 0.3
-        ref = 20.0 * nu * np.sum(length * (2.0 * mid[:, 1] * n[:, 1] ** 2 - 2.0 * mid[:, 0] * n[:, 0] ** 2)
-                                 * n[:, 1])
-        assert abs(ref) > 1e-3
-
-        u = space.interpolate_velocity(lambda x, y, t: (y**2, x**2))
-        cd = drag_coefficient(space, u, np.zeros(space.n_press), "cylinder", nu=nu)
-        assert cd == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-    def test_missing_label(self, square8):
-        _, space = square8
-        with pytest.raises(ValueError, match="labeled"):
-            drag_coefficient(space, np.zeros(space.n_vel), np.zeros(space.n_press), "cylinder", 1.0)
 
 
 class TestTrajectoryError:

@@ -26,17 +26,15 @@ from flowrom.fom import (
     cylinder_boundary,
     kelvin_helmholtz_boundary,
     kelvin_helmholtz_velocity,
-    rom_drag_series,
     run_fom,
     snapshot_steps,
+    step_drag,
     stokes_project,
     taylor_green_gradient,
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
 from flowrom.numerics import solve_sparse
-from flowrom.pod import snapshot_coordinates
-from flowrom.rom import RomTrajectory
 
 from conftest import (
     Float64Factor,
@@ -237,6 +235,18 @@ class TestAdvanceStep:
         assert np.linalg.norm(div @ st.u) <= cfg.newton_tol
         assert st.factorizations == 1
 
+    def test_start_is_independent_of_the_old_pressure_gauge(self, kh16):
+        # p_old enters the Newton start only in the pinned gauge, so a constant
+        # shift of it changes neither the solves nor the new state
+        mesh, space = kh16
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.04, form="skew", scheme="bdf2",
+                        boundary=kelvin_helmholtz_boundary(), project_initial=True)
+        st, _, _ = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        steps = [advance_step(dataclasses.replace(st, p=st.p + shift), cfg, space) for shift in (0.0, 1e3)]
+        assert steps[0].newton_iters == steps[1].newton_iters
+        assert np.abs(steps[0].u - steps[1].u).max() <= 1e-12
+        assert np.abs(steps[0].p - steps[1].p).max() <= 1e-12
+
     def test_energy_decay_backward_euler_skew(self, kh16):
         mesh, space = kh16
         u0 = build_initial_condition("kelvin-helmholtz", space)
@@ -324,16 +334,6 @@ class TestRunFom:
         with pytest.raises(ValueError, match="multiple"):
             FomConfig(nu=0.01, dt=0.02, t_end=0.05, boundary=kelvin_helmholtz_boundary())
 
-    def test_rom_drag_series_steps_at_the_trajectory_spacing(self, kh_run, kh_basis_session):
-        # the spacing, three FOM steps of 0.02, divides neither t_end = 0.5 nor the window
-        _, space, snaps, _, cfg = kh_run
-        coords = snapshot_coordinates(space, kh_basis_session, snaps)
-        traj = RomTrajectory(coeffs=coords.coeffs[::3], times=coords.times[::3])
-        cfg = dataclasses.replace(cfg, drag_label="top")
-        times, drag = rom_drag_series(space, cfg, kh_basis_session, traj, stride=2)
-        assert np.array_equal(times, traj.times[2::2])
-        assert drag.shape == times.shape and np.all(np.isfinite(drag))
-
     def test_bdf2_beats_backward_euler_on_taylor_green(self, torus16):
         _, space = torus16
         mesh = space.mesh
@@ -361,6 +361,72 @@ class TestRunFom:
         errs = [np.sqrt((final[k] - final[8]) @ (mass @ (final[k] - final[8]))) for k in (1, 2, 4)]
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(orders >= 1.8), orders
+
+
+class TestStepDrag:
+    @pytest.fixture(scope="class")
+    def cylinder_drag(self, cylinder):
+        """The first four steps of the criterion-9 cylinder run and their drag."""
+        mesh, space = cylinder
+        cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.01, form="emac", scheme="bdf2",
+                        boundary=cylinder_boundary(), drag_label="cylinder", project_initial=True)
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("cylinder-channel", space))
+        return cfg, series["drag"].values
+
+    def test_lifting_is_discretely_divergence_free(self, cylinder, cylinder_drag):
+        _, space = cylinder
+        cfg, drag = cylinder_drag
+        v = flowrom.fom._drag_lifting(space, cfg)
+        mask, vals = space.dirichlet_data({**{label: ("noslip",) for label in cfg.boundary},
+                                           "cylinder": ("velocity", (1.0, 0.0))})
+        assert np.array_equal(v[mask], vals[mask]) and vals.max() == 1.0
+        assert np.abs(space.divergence() @ v).max() <= 1e-15
+        assert np.isnan(drag[0]) and np.all(drag[1:] > 1.0)
+
+    def test_independent_of_the_lifting(self, cylinder, cylinder_drag, monkeypatch):
+        # any discretely divergence-free field with the same boundary values
+        # gives the same force, to the Newton tolerance
+        mesh, space = cylinder
+        cfg, drag = cylinder_drag
+        boundary = {**{label: ("noslip",) for label in cfg.boundary}, "cylinder": ("velocity", (1.0, 0.0))}
+        other = stokes_project(space, np.random.default_rng(0).standard_normal(space.n_vel), boundary)
+        assert np.abs(other - flowrom.fom._drag_lifting(space, cfg)).max() > 1.0
+        monkeypatch.setattr(flowrom.fom, "_drag_lifting", lambda space, config: other)
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("cylinder-channel", space))
+        assert np.abs(series["drag"].values[1:] / drag[1:] - 1.0).max() <= 1e-9
+
+    def test_theta_start_is_the_force_of_the_theta_step(self, cylinder, cylinder_drag):
+        # BDF2's first step is the theta = 2/3 step divided by theta; its drag
+        # is that of the undivided step, M (u1 - u0) / dt + 2/3 F(u1) + 1/3 F(u0)
+        _, space = cylinder
+        cfg, _ = cylinder_drag
+        u0, u1 = np.random.default_rng(1).standard_normal((2, space.n_vel))
+
+        def op(u):
+            return cfg.nu * (space.stiffness() @ u) + nonlinear_residual(space, cfg.form, u)
+
+        force = space.mass() @ (u1 - u0) / cfg.dt + (2.0 * op(u1) + op(u0)) / 3.0
+        want = -20.0 * (flowrom.fom._drag_lifting(space, cfg) @ force)
+        assert step_drag(space, cfg, cfg.dt, u1, u0) == pytest.approx(want, rel=1e-12)
+
+    def test_free_slip_wall_carries_no_x_force(self, kh16):
+        mesh, space = kh16
+        cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.08, form="skew", scheme="bdf2",
+                        boundary=kelvin_helmholtz_boundary(), drag_label="top", project_initial=True)
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        # the top wall's x-velocity DOFs are free, so the residual it tests is
+        # the Newton residual
+        bound = 20.0 * cfg.newton_tol * np.linalg.norm(flowrom.fom._drag_lifting(space, cfg))
+        drag = series["drag"].values
+        assert np.isnan(drag[0]) and np.abs(drag[1:]).max() <= bound
+
+    def test_missing_label(self, kh16):
+        _, space = kh16
+        cfg = FomConfig(nu=0.01, dt=0.1, t_end=0.1, boundary=kelvin_helmholtz_boundary(),
+                        drag_label="cylinder")
+        u = np.zeros(space.n_vel)
+        with pytest.raises(ValueError, match="labeled"):
+            step_drag(space, cfg, cfg.dt, u, u)
 
 
 class TestFactorReuse:
