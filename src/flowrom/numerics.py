@@ -21,9 +21,10 @@ fixed in one place:
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
 the saddle-point systems use ``TaylorHoodSpace.saddle_order``, a minimum
-degree order of the P2 node graph.  A factorization still costs as much
-as dozens of solves with it, so the full-order solver holds one and reuses
-it across Newton iterations and time steps (see ``flowrom.fom``).
+degree order of the P2 node graph in its reverse Cuthill-McKee numbering.
+A factorization still costs as much as dozens of solves with it, so the
+full-order solver holds one and reuses it across Newton iterations and
+time steps (see ``flowrom.fom``).
 
 Every LU is single precision, and every residual double (mixed-precision
 iterative refinement, Carson & Higham, SISC 40, 2018): ``factorize`` casts
@@ -132,10 +133,11 @@ def sym_eig(m):
 # SuperLU pivots on the diagonal unless it is smaller than this fraction of
 # the largest entry in its column, so the factors keep the caller's
 # fill-reducing order.  A free pressure has a zero diagonal and pivots off it.
-# The Stokes-projection matrix (mass block only, no 1/dt scaling) is the
-# tightest case: on the 32x32 shear layer a threshold of 0.1 already moves
-# its velocity pivots, and its fill grows from 1.38M to 47M entries.  A
-# smaller threshold would only admit smaller, less stable pivots.
+# The Newton matrices and the balanced Stokes projection (see
+# ``fom.stokes_project``) of the shear layer and the torus keep every pivot
+# up to a threshold of 0.1; at 0.5 the 32x32 shear layer's Newton matrix
+# swaps 124 rows and fills 6% more.  A smaller threshold would only admit
+# smaller, less stable pivots.
 PIVOT_THRESHOLD = 0.01
 
 

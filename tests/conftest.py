@@ -37,7 +37,7 @@ def square8():
 
 @pytest.fixture(scope="session")
 def kh16_saddle():
-    """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and Stokes-projection matrices."""
+    """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and balanced Stokes-projection matrices."""
     from flowrom.fem import apply_constraints, constrain_rows, constraint_mask, nonlinear_jacobian
     from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary
 
@@ -50,7 +50,8 @@ def kh16_saddle():
     block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
     mask, _ = constraint_mask(space, boundary, 0.02, n)
     newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
-    stokes, _ = apply_constraints(space, sp.bmat([[space.mass(), -div.T], [div, None]], format="csr"),
+    balance = np.abs(div.data).max() / space.mass().diagonal().max()
+    stokes, _ = apply_constraints(space, sp.bmat([[balance * space.mass(), -div.T], [div, None]], format="csr"),
                                   np.zeros(n), boundary)
     return space, newton, stokes
 

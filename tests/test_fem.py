@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import flowrom
 from flowrom.fem import (
@@ -14,10 +15,13 @@ from flowrom.fem import (
     apply_constraints,
     assemble_linear_operators,
     constrain_rows,
+    constraint_mask,
     nonlinear_jacobian,
     nonlinear_residual,
+    saddle_block,
     trilinear_value,
 )
+from flowrom.fom import _newton_matrix, build_initial_condition, cylinder_boundary, kelvin_helmholtz_boundary
 from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import factorize, solve_sparse
 
@@ -408,8 +412,6 @@ class TestConstraints:
     def test_inflow_profile_midpoint_value(self):
         mesh = load_bundled_mesh("cylinder")
         space = TaylorHoodSpace(mesh)
-        from flowrom.fom import cylinder_boundary
-
         mask, vals = space.dirichlet_data(cylinder_boundary())
         nodes = space.boundary_scalar_nodes("inflow")
         mid = nodes[np.argmin(np.abs(space.scalar_xy[nodes, 1] - 0.205))]
@@ -655,34 +657,61 @@ class TestCurlForm:
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
+def node_graph_pattern(space):
+    """The P2 node graph as an SPD matrix: diagonal deg(s), off-diagonal -1."""
+    graph = space._graph()
+    row, deg = graph.rows()
+    return sp.csr_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices, graph.indptr),
+                         shape=(deg.size,) * 2)
+
+
+def mmd_saddle_order(space, pattern, numbering):
+    """The saddle order of a complete MMD factorization of ``pattern`` numbered by ``numbering``.
+
+    ``numbering[i]`` is the scalar node numbered i; the ranks are mapped back
+    to the space's nodes and expanded to (u_x, u_y, p) per node.
+    """
+    rank = np.empty(numbering.size, dtype=np.int64)
+    rank[numbering] = spla.splu(sp.csc_matrix(pattern[numbering][:, numbering]), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
+    key = np.empty(space.n_vel + space.n_press, dtype=np.int64)
+    key[0 : space.n_vel : 2] = 3 * rank
+    key[1 : space.n_vel : 2] = 3 * rank + 1
+    key[space.n_vel + space.pressure_index] = 3 * rank[space.scalar_index[: space.n_vertices]] + 2
+    return np.argsort(key)
+
+
 class TestSaddleOrder:
     @pytest.mark.parametrize("name", ["kh32", "tg48", "cylinder", "rect5x3"])
     def test_order_matches_full_factor_order(self, benchmark_spaces, name):
-        # reference: the perm_c of a complete MMD factorization of the node-graph pattern
+        # reference: the perm_c of a complete MMD factorization of the RCM-numbered node graph
         space = benchmark_spaces[name]
-        graph = space._graph()
-        row, deg = graph.rows()
-        pattern = sp.csc_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
-                                 graph.indptr), shape=(deg.size,) * 2)
-        rank = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).perm_c
-        key = np.empty(space.n_vel + space.n_press, dtype=np.int64)
-        key[0 : space.n_vel : 2] = 3 * rank
-        key[1 : space.n_vel : 2] = 3 * rank + 1
-        key[space.n_vel + space.pressure_index] = 3 * rank[space.scalar_index[: space.n_vertices]] + 2
-        assert np.array_equal(space.saddle_order(), np.argsort(key))
+        pattern = node_graph_pattern(space)
+        rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        assert np.array_equal(space.saddle_order(), mmd_saddle_order(space, pattern, rcm))
 
     def test_matches_mass_matrix_ordering(self, kh16_saddle):
-        # reference: minimum degree on the scalar mass matrix's own pattern
+        # reference: RCM, then minimum degree, on the scalar mass matrix's own pattern
         space, _, _ = kh16_saddle
-        scalar_mass = sp.csc_matrix(space.mass()[0::2, 0::2])
-        rank = spla.splu(scalar_mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).perm_c
-        key = np.empty(space.n_vel + space.n_press, dtype=np.int64)
-        key[0 : space.n_vel : 2] = 3 * rank
-        key[1 : space.n_vel : 2] = 3 * rank + 1
-        key[space.n_vel + space.pressure_index] = 3 * rank[space.scalar_index[: space.n_vertices]] + 2
-        assert np.array_equal(space.saddle_order(), np.argsort(key))
+        scalar_mass = sp.csr_matrix(space.mass()[0::2, 0::2])
+        rcm = reverse_cuthill_mckee(scalar_mass, symmetric_mode=True)
+        assert np.array_equal(space.saddle_order(), mmd_saddle_order(space, scalar_mass, rcm))
+
+    @pytest.mark.parametrize("name, problem, dt, nu, bound", [
+        ("kh32", "kelvin-helmholtz", 0.02, 1 / 2800, 0.85),
+        ("tg48", "taylor-green", 2.0 / 48 / 4, 0.01, 0.85),
+        ("cylinder", "cylinder-channel", 0.0025, 5e-4, 1.02)])
+    def test_fill_against_mmd_in_the_space_numbering(self, benchmark_spaces, name, problem, dt, nu, bound):
+        # minimum degree breaks its ties by the numbering it starts from: the
+        # space's own (vertices, then edge midpoints) fills most on the periodic meshes
+        space = benchmark_spaces[name]
+        boundary = {"kh32": kelvin_helmholtz_boundary(), "tg48": {}, "cylinder": cylinder_boundary()}[name]
+        u = build_initial_condition(problem, space)
+        mask, _ = constraint_mask(space, boundary, dt, space.n_vel + space.n_press)
+        newton = _newton_matrix(space, "skew", saddle_block(space, 1 / dt, nu), u, mask)
+        pattern = node_graph_pattern(space)
+        natural = mmd_saddle_order(space, pattern, np.arange(pattern.shape[0]))
+        assert factorize(newton, space.saddle_order()).nnz <= bound * factorize(newton, natural).nnz
 
     def test_permutation_cached_and_grouped_by_node(self, kh16_saddle):
         space, _, _ = kh16_saddle
@@ -704,7 +733,7 @@ class TestSaddleOrder:
         assert np.linalg.norm(newton @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_stokes_fill_stays_near_newton_fill(self, kh16_saddle):
-        # the unscaled mass block of the projection must keep diagonal pivots
+        # the projection's balanced mass block must keep diagonal pivots
         space, newton, stokes = kh16_saddle
         order = space.saddle_order()
         assert factorize(stokes, order).nnz <= 1.5 * factorize(newton, order).nnz

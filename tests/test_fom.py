@@ -21,6 +21,7 @@ from flowrom.fom import (
     FomState,
     HeldFactor,
     NewtonConvergenceError,
+    _newton_matrix,
     advance_step,
     build_initial_condition,
     cylinder_boundary,
@@ -34,7 +35,7 @@ from flowrom.fom import (
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
-from flowrom.numerics import solve_sparse
+from flowrom.numerics import factorize, solve_sparse
 
 from conftest import (
     Float64Factor,
@@ -124,15 +125,20 @@ class TestRefinedStokesSolve:
         else:
             boundary, u = kelvin_helmholtz_boundary(), build_initial_condition("kelvin-helmholtz", space)
         n = space.n_vel
-        a, b = apply_constraints(space, saddle_block(space, 1.0, 0.0),
-                                 np.concatenate([space.mass() @ u, np.zeros(space.n_press)]), boundary)
+        mass = space.mass()
+        balance = np.abs(space.divergence().data).max() / mass.diagonal().max()
+        a, b = apply_constraints(space, saddle_block(space, balance, 0.0),
+                                 np.concatenate([balance * (mass @ u), np.zeros(space.n_press)]), boundary)
         order = space.saddle_order()
         x = solve_sparse(a, b, order)
-        # the float64 reference, refined once: unrefined it is itself off by
-        # 8.5e-13 on the cylinder
-        lu = Float64Factor(a, order)
-        ref = lu.solve(b)
-        ref += lu.solve(b - a @ ref)
+        # the float64 reference on the unbalanced system, refined once
+        # (unrefined it is itself off by 8.5e-13 on the cylinder): the
+        # balance leaves the projected field unchanged
+        a1, b1 = apply_constraints(space, saddle_block(space, 1.0, 0.0),
+                                   np.concatenate([mass @ u, np.zeros(space.n_press)]), boundary)
+        lu = Float64Factor(a1, order)
+        ref = lu.solve(b1)
+        ref += lu.solve(b1 - a1 @ ref)
         assert np.linalg.norm(x[:n] - ref[:n]) <= 1e-12 * np.linalg.norm(ref[:n])
         assert np.linalg.norm(a @ x - b) <= 1e-10 * (np.linalg.norm(a.data) * np.linalg.norm(x) + np.linalg.norm(b))
         div = space.divergence()
@@ -142,6 +148,27 @@ class TestRefinedStokesSolve:
         assert np.array_equal(w, x[:n])
         mask, vals = space.dirichlet_data(boundary)
         assert np.array_equal(w[mask], vals[mask])
+
+    def test_balanced_projection_keeps_diagonal_pivots(self, monkeypatch):
+        # with the unbalanced mass block the 48x48 shear layer's projection
+        # swaps thousands of rows in the saddle order and fills about 20 times more
+        space = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(48, 48), "x"))
+        boundary = kelvin_helmholtz_boundary()
+        factors = []
+        real = flowrom.numerics.spla.splu
+
+        def spy(a, *args, **kwargs):
+            factors.append(real(a, *args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(flowrom.numerics.spla, "splu", spy)
+        u = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        projection, = factors
+        assert np.array_equal(projection.perm_r, np.arange(projection.perm_r.size))
+        mask, _ = constraint_mask(space, boundary, 0.02, space.n_vel + space.n_press)
+        newton = _newton_matrix(space, "skew", saddle_block(space, 1 / 0.02, 1 / 2800), u, mask)
+        factorize(newton, space.saddle_order())
+        assert projection.nnz <= 1.5 * factors[-1].nnz
 
     def test_a_projected_run_factorizes_only_in_float32(self, kh16, monkeypatch):
         mesh, space = kh16
@@ -600,8 +627,11 @@ class TestStagedSystem:
         stokes_project(space, u, boundary)
         (matrix, rhs, _), = solved
         mass, div = space.mass(), space.divergence()
-        ref, ref_rhs = apply_constraints(space, sp.bmat([[mass, -div.T], [div, None]], format="csr"),
-                                         np.concatenate([mass @ u, np.zeros(space.n_press)]), boundary)
+        # the mass block and its load balanced against the divergence
+        balance = np.abs(div.data).max() / mass.diagonal().max()
+        ref, ref_rhs = apply_constraints(space, sp.bmat([[balance * mass, -div.T], [div, None]], format="csr"),
+                                         np.concatenate([balance * (mass @ u), np.zeros(space.n_press)]),
+                                         boundary)
         _assert_entrywise_equal(matrix, ref)
         assert np.array_equal(rhs, ref_rhs)
 
