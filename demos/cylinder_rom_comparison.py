@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from flowrom.cli import EXIT_SOLVER, main
-from flowrom.io import read_csv
+from flowrom.io import read_csv, write_csv
 
 CONFIG = Path(__file__).resolve().parent / "configs" / "cylinder.ini"
 OUT = Path("cylinder_run")
@@ -63,10 +63,8 @@ for form in forms:
     columns[f"t_{form}"], columns[f"drag_{form}"] = t_d, d
     print(f"{form:>11}-ROM drag mismatch (rms): {mismatch[form]:.4e}")
 
-with open("cylinder_mismatch.csv", "w") as fh:
-    fh.write("form,r,drag_mismatch_rms\n")
-    for form, val in mismatch.items():
-        fh.write(f"{form},{R},{val:.17g}\n")
+write_csv("cylinder_mismatch.csv", ["form", "r", "drag_mismatch_rms"],
+          [list(mismatch), [R] * len(mismatch), list(mismatch.values())])
 
 n = max(len(v) for v in columns.values())
 with open("cylinder_drag.csv", "w") as fh:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from flowrom.cli import EXIT_SOLVER, main
-from flowrom.io import read_csv
+from flowrom.io import read_csv, write_csv
 
 CONFIG = Path(__file__).resolve().parent / "configs" / "kh_desk.ini"
 OUT = Path("kh_study_run")
@@ -71,10 +71,7 @@ for form, r, a, b in rows:
 plateau = rows[-1][2] / max(div_20, 1e-300)
 print(f"\ninconsistent floor / ||div u_h||_2,0 = {plateau:.3f} (reported, not asserted)")
 
-with open("kh_locking.csv", "w") as fh:
-    fh.write("form,r,linf_l2,l2_h1\n")
-    for form, r, a, b in rows:
-        fh.write(f"{form},{r},{a:.17g},{b:.17g}\n")
+write_csv("kh_locking.csv", ["form", "r", "linf_l2", "l2_h1"], list(zip(*rows)))
 print("wrote kh_locking.csv")
 
 # ---- energy and enstrophy at r = R_ENERGY -----------------------------
@@ -90,9 +87,8 @@ for form in ("skew", "emac", "convective"):
           f"final enstrophy {z[-1]:.3f} (FOM {fom[1][-1]:.3f})")
 
 names = sorted(curves)
-np.savetxt("kh_energy.csv", np.column_stack([t] + [c for n in names for c in curves[n]]),
-           fmt="%.17g", delimiter=",", comments="",
-           header="t," + ",".join(f"energy_{n},enstrophy_{n}" for n in names))
+write_csv("kh_energy.csv", ["t", *(f"{q}_{n}" for n in names for q in ("energy", "enstrophy"))],
+          [t, *(c for n in names for c in curves[n])])
 print("wrote kh_energy.csv")
 
 try:

@@ -196,14 +196,6 @@ def _out_prefix(cp, outdir):
     return out / cp.get("output", "prefix", fallback="run")
 
 
-def _write_scalars_csv(path, series):
-    names = ["energy", "enstrophy", "div_error", "drag", "newton_iters", "factorizations",
-             "newton_residual"]
-    t = series["energy"].times
-    cols = [series[name].values if name in series else np.full(t.size, np.nan) for name in names]
-    fio.write_csv(path, ["t"] + names, [t] + cols)
-
-
 def cmd_fom(args):
     cp = _load_config(args.config)
     problem = _build_problem(cp)
@@ -212,7 +204,8 @@ def cmd_fom(args):
     u0 = build_initial_condition(problem.name, problem.space)
     _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
-    _write_scalars_csv(f"{prefix}_scalars.csv", series)
+    fio.write_csv(f"{prefix}_scalars.csv", ["t", *series],
+                  [series["energy"].times, *(s.values for s in series.values())])
     print(f"wrote {prefix}_snapshots.bin ({snaps.count} snapshots) and {prefix}_scalars.csv")
     return EXIT_OK
 
@@ -312,10 +305,14 @@ def cmd_rom(args):
     cols = [traj.times + t0, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
-        # fom.step_drag, with the FOM's form, of each reconstructed step; none ends at row 0
-        u = [reconstruct_field(basis, c) for c in traj.coeffs]
-        cols.append([np.nan] + [step_drag(space, fom_cfg, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
-                                for n in range(1, len(u))])
+        # fom.step_drag, with the FOM's form, of each reconstructed step; none ends at row 0.
+        # Only the three states a step reads are held.
+        drag, u_prev, u_old = [np.nan], None, reconstruct_field(basis, traj.coeffs[0])
+        for c in traj.coeffs[1:]:
+            u = reconstruct_field(basis, c)
+            drag.append(step_drag(space, fom_cfg, dt, u, u_old, u_prev))
+            u_prev, u_old = u_old, u
+        cols.append(drag)
         headers.append("drag")
     cols.append(traj.newton_iters)
     headers.append("newton_iters")
@@ -366,9 +363,8 @@ def cmd_compare(args):
         rows.append((form, r, err.linf_l2, err.l2_h1, err.c_u, *div_norms))
 
     out = Path(args.out or "compare.csv")
-    with open(out, "w") as fh:
-        fh.write("form,r,linf_l2,l2_h1,c_u,fom_div_l20_sq,fom_div_l10\n")
-        fh.writelines("%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+    fio.write_csv(out, ["form", "r", "linf_l2", "l2_h1", "c_u", "fom_div_l20_sq", "fom_div_l10"],
+                  list(zip(*rows)))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -421,12 +421,13 @@ def run_fom(config, mesh, space, u0):
 
     Returns ``(state, snapshots, series)`` where ``state`` is the final
     :class:`FomState`, ``snapshots`` is a :class:`SnapshotSet`, and
-    ``series`` maps names (``energy``, ``enstrophy``, ``div_error``,
-    ``newton_iters``, ``factorizations``, ``newton_residual`` and ``drag``
-    when configured) to :class:`ScalarSeries` sampled at every step
-    including the initial state (whose solver counts and residual are 0,
-    and whose drag is NaN: no step ends there; the drag is
-    :func:`step_drag`).  One :class:`HeldFactor` serves the whole run.
+    ``series`` maps the CLI scalars file's columns, in its order (``energy``,
+    ``enstrophy``, ``div_error``, ``drag``, ``newton_iters``,
+    ``factorizations``, ``newton_residual``), to :class:`ScalarSeries`
+    sampled at every step including the initial state (whose solver counts
+    and residual are 0).  ``drag`` (:func:`step_drag`) is always present:
+    NaN at t = 0, where no step ends, and throughout without a
+    ``drag_label``.  One :class:`HeldFactor` serves the whole run.
     """
     dt = config.dt
     n_steps = step_count(dt, config.t_end)
@@ -440,10 +441,8 @@ def run_fom(config, mesh, space, u0):
 
     snap_at = set(snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))
     columns, snap_times = [], []
-    series = {name: [] for name in ("energy", "enstrophy", "div_error",
+    series = {name: [] for name in ("energy", "enstrophy", "div_error", "drag",
                                     "newton_iters", "factorizations", "newton_residual")}
-    if config.drag_label is not None:
-        series["drag"] = []
     times = []
 
     def record(st, drag=np.nan):
@@ -453,11 +452,10 @@ def run_fom(config, mesh, space, u0):
         series["enstrophy"].append(enstrophy)
         divsq = st.u @ (space.div_form() @ st.u)
         series["div_error"].append(float(np.sqrt(max(divsq, 0.0))))
+        series["drag"].append(drag)
         series["newton_iters"].append(st.newton_iters)
         series["factorizations"].append(st.factorizations)
         series["newton_residual"].append(st.newton_residual)
-        if config.drag_label is not None:
-            series["drag"].append(drag)
         if st.step in snap_at:
             columns.append(st.u.copy())
             snap_times.append(st.t)

@@ -13,8 +13,10 @@ they need.
 Basis archive version 3 lacked the snapshot coordinates and version 2 also
 the mass and curl Grams; both are rejected like any other unknown version.
 
-CSV files all carry a header row and print floats with 17 significant
-digits, so rereading reproduces the values bit-exactly.
+Every table of the CLI and the demos (but the demos' ragged drag table) is
+written by :func:`write_csv`: a header row, then a string column verbatim
+and every other column with 17 significant digits, so rereading reproduces
+the values bit-exactly.  :func:`read_csv` reads numeric tables.
 """
 
 import dataclasses
@@ -209,21 +211,22 @@ def read_basis_coordinates(path, space=None):
 
 
 def write_csv(path, header, columns):
-    """Write columns to CSV with a header row and 17-significant-digit floats."""
+    """Write columns to CSV with a header row: a string column verbatim and
+    every other column as 17-significant-digit numbers."""
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError("header and column counts differ")
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    row = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def read_csv(path):
-    """Read a CSV written by :func:`write_csv`: returns (header, columns).
+    """Read a numeric CSV written by :func:`write_csv`: returns (header, columns).
 
     An empty file, a value that is not a number and a row whose width
     differs from the header's raise :class:`ArchiveFormatError`.

@@ -7,11 +7,13 @@ import pytest
 
 import flowrom.cli
 from flowrom.cli import _load_config, main
-from flowrom.fom import FomConfig
-from flowrom.io import read_basis, read_csv, read_snapshots, write_basis, write_snapshots
+from flowrom.diagnostics import reduced_trajectory_error
+from flowrom.fom import FomConfig, run_fom
+from flowrom.io import (read_basis, read_basis_coordinates, read_csv, read_snapshots, write_basis,
+                        write_snapshots)
 from flowrom.numerics import uniform_step
 from flowrom.pod import SnapshotSet
-from flowrom.rom import RomOperators, assemble_rom_operators
+from flowrom.rom import RomOperators, RomTrajectory, assemble_rom_operators
 
 
 MICRO_KH = """
@@ -118,17 +120,24 @@ class TestPipeline:
         assert scols[-1][0] == 0 and np.all(scols[-1][1:] >= 1)  # Newton updates per step
 
     def test_compare(self, micro_pipeline):
+        # the header and one row as text: the form verbatim, r and the errors
+        # and divergence norms with 17 significant digits
         root, cfg = micro_pipeline
         out = root / "compare.csv"
-        assert main(["compare", str(root / "micro_rom_skew_r3_traj.csv"),
+        traj_path = root / "micro_rom_skew_r3_traj.csv"
+        assert main(["compare", str(traj_path),
                      "--config", str(cfg), "--archive", str(root / "micro_snapshots.bin"),
                      "--basis", str(root / "micro_basis.bin"), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("form,r,linf_l2")
-        fields = lines[1].split(",")
-        assert fields[0] == "skew"
-        assert int(fields[1]) == 3
-        assert float(fields[2]) >= 0.0
+        header, row = out.read_text().splitlines()
+        assert header == "form,r,linf_l2,l2_h1,c_u,fom_div_l20_sq,fom_div_l10"
+        coords = read_basis_coordinates(root / "micro_basis.bin")
+        _, cols = read_csv(traj_path)
+        err = reduced_trajectory_error(coords, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0]),
+                                       float(_load_config(cfg)["fom"]["nu"]))
+        dt, div = uniform_step(coords.times), coords.div_norms[1:]
+        values = (err.linf_l2, err.l2_h1, err.c_u, dt * np.sum(div ** 2), dt * np.sum(div))
+        assert row == "skew,3," + ",".join("%.17g" % v for v in values)
+        assert err.linf_l2 > 0.0
 
     def test_compare_takes_r_from_columns(self, micro_pipeline, tmp_path):
         # a renamed file cannot report an r its coefficients do not have
@@ -158,6 +167,31 @@ class TestPipeline:
         assert main(["rom", str(bad), "--archive", archive, "--config", str(cfg),
                      "--out", str(tmp_path)]) == 4
         assert "non-finite value in modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,drag_label", [(MICRO_KH, False), (MICRO_CYLINDER, True)],
+                             ids=["kh", "cylinder"])
+    def test_fom_series_are_the_scalars_columns(self, tmp_path, monkeypatch, text, drag_label):
+        # run_fom's series are the scalars file's columns, in order; the drag
+        # is NaN at t = 0 and, without a drag boundary, at every step
+        runs = []
+
+        def recording(*args):
+            runs.append(run_fom(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(flowrom.cli, "run_fom", recording)
+        cfg = tmp_path / "micro.ini"
+        cfg.write_text(text)
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        [(_, _, series)] = runs
+        header, cols = read_csv(tmp_path / "micro_scalars.csv")
+        assert header == ["t", *series]
+        assert np.array_equal(cols[0], series["energy"].times)
+        for col, s in zip(cols[1:], series.values(), strict=True):
+            assert np.array_equal(s.times, cols[0]) and np.array_equal(col, s.values, equal_nan=True)
+        drag = series["drag"].values
+        assert drag.size == 6 and np.isnan(drag[0])
+        assert np.all(np.isfinite(drag[1:]) if drag_label else np.isnan(drag[1:]))
 
     def test_fom_rerun_byte_identical(self, micro_pipeline, tmp_path):
         root, cfg = micro_pipeline

@@ -235,6 +235,12 @@ class TestCsv:
         assert np.signbit(cols[0][3])
         assert np.array_equal(cols[1], counts)
 
+    def test_string_column_verbatim(self, tmp_path):
+        # a str column is written as is; an int and a float column with %.17g
+        path = tmp_path / "table.csv"
+        write_csv(path, ["form", "r", "value"], [["skew", "emac"], [3, 40], [0.1, -2.5e-300]])
+        assert path.read_text() == "form,r,value\nskew,3,0.10000000000000001\nemac,40,-2.5e-300\n"
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(path, ["t", "value"], [np.zeros(0), np.zeros(0)])

@@ -48,3 +48,11 @@ def test_tracer_targets_resolve():
     assert tracer.TARGETS
     for module, path, _, _ in tracer.TARGETS:
         assert callable(tracer._resolve(module, path)[2]), f"{module}.{path}"
+
+
+def test_only_io_formats_numbers():
+    # io.write_csv is the only writer of tables, so no other module spells out
+    # its 17-digit float format, as %.17g or as an f-string's :.17g
+    offenders = [path.name for path in sorted((ROOT / "src" / "flowrom").rglob("*.py"))
+                 if path.name != "io.py" and ".17g" in path.read_text()]
+    assert offenders == []
