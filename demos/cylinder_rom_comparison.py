@@ -9,8 +9,9 @@ FOM and ROM, is the force of the discrete momentum equation
 (``fom.step_drag``, with the FOM's form), which needs no pressure: the ROM
 has one at every step of its reconstructed trajectory.
 
-CLI outputs go to cylinder_run/; writes cylinder_drag.csv (FOM + ROM drag
-series) and cylinder_mismatch.csv.
+CLI outputs go to cylinder_run/; writes cylinder_drag.csv (the FOM drag,
+interpolated to the snapshot grid, and each converged ROM's drag on it,
+NaN at the first row, which no ROM step ends) and cylinder_mismatch.csv.
 
 Run:  python3 demos/cylinder_rom_comparison.py    (about ten minutes)
 """
@@ -49,26 +50,21 @@ for form in ("emac", "skew", "convective"):
 trajectories = [str(OUT / f"cyl_rom_{form}_r{R}_traj.csv") for form in forms]
 flowrom("compare", *trajectories, "--archive", SNAPS, "--basis", BASIS, out=OUT / "compare.csv")
 
-_, fom = read_csv(OUT / "cyl_scalars.csv")
-t_all, drag_all = fom[0], fom[4]
-columns, mismatch = {}, {}
+fom = dict(zip(*read_csv(OUT / "cyl_scalars.csv")))
+t_all, drag_all = fom["t"], fom["drag"]
+drag, mismatch = {}, {}
 for form in forms:
-    _, rom = read_csv(OUT / f"cyl_rom_{form}_r{R}_scalars.csv")
-    if not columns:  # the ROM steps on the snapshot grid
-        columns = {"t_fom": rom[0], "drag_fom": np.interp(rom[0], t_all, drag_all)}
-        late = drag_all[t_all >= rom[0][0]]
+    rom = dict(zip(*read_csv(OUT / f"cyl_rom_{form}_r{R}_scalars.csv")))
+    if not drag:  # the ROM steps on the snapshot grid
+        drag = {"t": rom["t"], "drag_fom": np.interp(rom["t"], t_all, drag_all)}
+        late = drag_all[t_all >= rom["t"][0]]
         print(f"late drag mean {late.mean():.4f}, oscillation amplitude {late.std():.4f}")
-    t_d, d = rom[0][1:], rom[3][1:]  # no step ends at the first row
+    drag[f"drag_{form}"] = rom["drag"]
+    t_d, d = rom["t"][1:], rom["drag"][1:]  # no step ends at the first row
     mismatch[form] = float(np.sqrt(np.mean((d - np.interp(t_d, t_all, drag_all)) ** 2)))
-    columns[f"t_{form}"], columns[f"drag_{form}"] = t_d, d
     print(f"{form:>11}-ROM drag mismatch (rms): {mismatch[form]:.4e}")
 
 write_csv("cylinder_mismatch.csv", ["form", "r", "drag_mismatch_rms"],
           [list(mismatch), [R] * len(mismatch), list(mismatch.values())])
-
-n = max(len(v) for v in columns.values())
-with open("cylinder_drag.csv", "w") as fh:
-    fh.write(",".join(columns) + "\n")
-    for i in range(n):
-        fh.write(",".join("%.17g" % v[i] if i < len(v) else "" for v in columns.values()) + "\n")
+write_csv("cylinder_drag.csv", list(drag), list(drag.values()))
 print("wrote cylinder_mismatch.csv and cylinder_drag.csv")

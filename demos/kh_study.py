@@ -54,13 +54,14 @@ flowrom("compare", *trajectories, "--archive", SNAPS, "--basis", BASIS, out=OUT 
 
 # ---- locking: error against r ----------------------------------------
 
-lines = (OUT / "compare.csv").read_text().splitlines()[1:]  # form, r, linf_l2, l2_h1, ...
-table = {(f, int(r)): [float(v) for v in vals] for f, r, *vals in (ln.split(",") for ln in lines)}
-div_20 = np.sqrt(next(iter(table.values()))[3])
+compare = dict(zip(*read_csv(OUT / "compare.csv")))
+table = {(f, int(r)): (a, b)
+         for f, r, a, b in zip(compare["form"], compare["r"], compare["linf_l2"], compare["l2_h1"])}
+div_20 = np.sqrt(compare["fom_div_l20_sq"][0])
 print(f"FOM divergence error ||div u_h||_2,0 = {div_20:.4f} "
       "(the fuel of the inconsistency terms)")
 
-rows = [(form, r, *table.get((form, r), (np.inf, np.inf))[:2])
+rows = [(form, r, *table.get((form, r), (np.inf, np.inf)))
         for form in ("skew", "emac") for r in R_VALUES]
 print(f"\n{'form':>6} {'r':>4} {'linf_l2':>12} {'l2_h1':>12}")
 for form, r, a, b in rows:
@@ -76,13 +77,15 @@ print("wrote kh_locking.csv")
 
 # ---- energy and enstrophy at r = R_ENERGY -----------------------------
 
-t, *fom = read_csv(OUT / "kh_scalars.csv")[1][:3]  # t, energy, enstrophy
+scalars = dict(zip(*read_csv(OUT / "kh_scalars.csv")))
+t, fom = scalars["t"], (scalars["energy"], scalars["enstrophy"])
 curves = {"fom": fom}
 for form in ("skew", "emac", "convective"):
     if (form, R_ENERGY) not in converged:
         print(f"{form}-ROM diverged (expected for inconsistent runs)")
         continue
-    e, z = curves[form] = read_csv(OUT / f"kh_rom_{form}_r{R_ENERGY}_scalars.csv")[1][1:3]
+    rom = dict(zip(*read_csv(OUT / f"kh_rom_{form}_r{R_ENERGY}_scalars.csv")))
+    e, z = curves[form] = rom["energy"], rom["enstrophy"]
     print(f"{form:>11}-ROM final energy {e[-1]:.5f} (FOM {fom[0][-1]:.5f}), "
           f"final enstrophy {z[-1]:.3f} (FOM {fom[1][-1]:.3f})")
 

@@ -43,8 +43,9 @@ from its coefficient columns and evaluates the errors from the coordinates,
 the only blocks of the basis it reads.  Both read only the header and times
 of their ``--archive``, which must equal the basis's times.
 
-Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, or one snapshot for
-``rom``), 3 solver failure, 4 format error (e.g. a non-uniform snapshot grid).
+Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, a snapshot window
+that holds no step, no snapshot for ``pod`` or one for ``rom``), 3 solver
+failure, 4 format error (e.g. a non-uniform snapshot grid).
 """
 
 import argparse
@@ -236,6 +237,8 @@ def cmd_pod(args):
     if centering not in ("none", "mean"):
         raise ConfigError(f"[rom] centering must be 'none' or 'mean', got {centering!r}")
     snaps = fio.read_snapshots(args.archive, space=space)
+    if snaps.count == 0:
+        raise ConfigError(f"{args.archive}: a basis needs at least one snapshot, found none")
     prefix = _out_prefix(cp, args.out)
     basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
     r = min(_mode_count(cp, basis.rank), basis.rank)
@@ -281,7 +284,10 @@ def cmd_rom(args):
     problem = _build_problem(cp)
     space = problem.space
     fom_cfg = _fom_config(cp, problem)
-    form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
+    try:
+        form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
+    except ValueError as exc:
+        raise ConfigError(f"[rom] form: {exc}") from exc
     basis = fio.read_basis(args.basis, space=space)
     coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
     r = _mode_count(cp, basis.rank, args.r)
@@ -325,11 +331,13 @@ def _parse_traj_csv(path):
     """Form (from a ``<prefix>_rom_<form>_r<r>_traj.csv`` name), r and trajectory.
 
     r is the number of coefficient columns, so it always matches the data.
-    A non-finite time or coefficient is a format error.
+    A text column and a non-finite time or coefficient are format errors.
     """
     header, cols = fio.read_csv(path)
     if len(header) < 2:
         raise fio.ArchiveFormatError(f"{path}: a trajectory needs at least one coefficient column")
+    if any(col.dtype.kind != "f" for col in cols):
+        raise fio.ArchiveFormatError(f"{path}: a trajectory holds numbers only, found a text column")
     if not all(np.isfinite(col).all() for col in cols):
         raise fio.ArchiveFormatError(f"{path}: non-finite value in the trajectory")
     parts = Path(path).stem.split("_")

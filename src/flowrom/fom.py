@@ -105,9 +105,9 @@ class FomConfig:
     ``boundary`` maps mesh labels to essential conditions (see
     ``TaylorHoodSpace.dirichlet_data``).  ``nu`` is positive and finite and
     ``t_end`` a whole number of steps ``dt``.  The snapshot window is a
-    closed time interval; snapshots are taken every ``snapshot_stride``-th
-    step inside it.  ``drag_label`` names the boundary whose drag
-    (:func:`step_drag`) is recorded, if any.
+    closed time interval that holds at least one step; snapshots are taken
+    every ``snapshot_stride``-th step inside it.  ``drag_label`` names the
+    boundary whose drag (:func:`step_drag`) is recorded, if any.
     """
 
     nu: float
@@ -127,7 +127,7 @@ class FomConfig:
         self.form = NonlinearForm.parse(self.form)
         if not 0 < self.nu < np.inf:
             raise ValueError("nu must be positive and finite")
-        step_count(self.dt, self.t_end)
+        n_steps = step_count(self.dt, self.t_end)
         if self.scheme not in ("backward_euler", "bdf2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.newton_max_iter < 0:
@@ -138,6 +138,8 @@ class FomConfig:
             ta, tb = self.snapshot_window
             if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
                 raise ValueError("snapshot window must lie inside [0, t_end]")
+            if not snapshot_steps(self.snapshot_window, self.snapshot_stride, self.dt, n_steps):
+                raise ValueError(f"snapshot window [{ta}, {tb}] holds no step of dt = {self.dt}")
 
 
 @dataclass

@@ -13,10 +13,12 @@ they need.
 Basis archive version 3 lacked the snapshot coordinates and version 2 also
 the mass and curl Grams; both are rejected like any other unknown version.
 
-Every table of the CLI and the demos (but the demos' ragged drag table) is
-written by :func:`write_csv`: a header row, then a string column verbatim
-and every other column with 17 significant digits, so rereading reproduces
-the values bit-exactly.  :func:`read_csv` reads numeric tables.
+Every table of the CLI and the demos is written by :func:`write_csv` and
+read back by :func:`read_csv`: a header row, then one row per record.  The
+columns named in :data:`TEXT_COLUMNS` hold text, written verbatim; every
+other column holds numbers, written with 17 significant digits, so
+rereading reproduces the values bit-exactly.  Readers look a column up by
+its header name.
 """
 
 import dataclasses
@@ -32,6 +34,10 @@ from .rom import RomProjection
 
 SNAPSHOT_MAGIC = b"FLOWSNP1"
 BASIS_MAGIC = b"FLOWPOD1"
+
+# The only table columns that hold text; :func:`write_csv` and :func:`read_csv`
+# treat every other column as numbers.
+TEXT_COLUMNS = ("form",)
 
 
 class ArchiveFormatError(ValueError):
@@ -211,38 +217,45 @@ def read_basis_coordinates(path, space=None):
 
 
 def write_csv(path, header, columns):
-    """Write columns to CSV with a header row: a string column verbatim and
-    every other column as 17-significant-digit numbers."""
+    """Write columns to CSV with a header row: a column named in
+    :data:`TEXT_COLUMNS` verbatim and every other column as
+    17-significant-digit numbers."""
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError("header and column counts differ")
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
-    row = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    row = ",".join("%s" if name in TEXT_COLUMNS else "%.17g" for name in header) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def read_csv(path):
-    """Read a numeric CSV written by :func:`write_csv`: returns (header, columns).
+    """Read a CSV written by :func:`write_csv`: returns (header, columns).
 
-    An empty file, a value that is not a number and a row whose width
-    differs from the header's raise :class:`ArchiveFormatError`.
+    A column named in :data:`TEXT_COLUMNS` comes back as a ``str`` array and
+    every other column as float64; the numeric columns are parsed together.
+    An empty file, a row whose width differs from the header's and a value
+    that is not a number in a numeric column raise
+    :class:`ArchiveFormatError`.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header == [""]:
             raise ArchiveFormatError(f"{path}: empty CSV")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header without rows
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ArchiveFormatError(f"{path}: {exc}") from exc
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    if data.shape[1] != len(header):
-        raise ArchiveFormatError(f"{path}: row width does not match header")
-    return header, [data[:, j] for j in range(len(header))]
+        rows = fh.read().splitlines()
+    for line, row in enumerate(rows, 2):
+        if row.count(",") != len(header) - 1:
+            raise ArchiveFormatError(f"{path}: row width does not match header (line {line})")
+    numeric = [j for j, name in enumerate(header) if name not in TEXT_COLUMNS]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header without rows
+            data = np.loadtxt(rows, delimiter=",", usecols=numeric, ndmin=2)
+    except ValueError as exc:
+        raise ArchiveFormatError(f"{path}: {exc}") from exc
+    values = iter(data.T)
+    return header, [np.array([row.split(",")[j] for row in rows], dtype=str) if name in TEXT_COLUMNS
+                    else next(values) for j, name in enumerate(header)]

@@ -148,7 +148,8 @@ class TestPipeline:
         assert main(["compare", str(renamed), "--config", str(cfg),
                      "--archive", str(root / "micro_snapshots.bin"),
                      "--basis", str(root / "micro_basis.bin"), "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1].split(",")[:2] == ["emac", "3"]
+        table = dict(zip(*read_csv(out)))
+        assert table["form"].tolist() == ["emac"] and table["r"].tolist() == [3]
 
     def test_compare_reads_only_the_coordinates(self, micro_pipeline, tmp_path, capsys):
         # NaN in the modes and the projection cubes: compare never reads them, rom does
@@ -212,7 +213,7 @@ class TestPipeline:
         out = tmp_path / "compare.csv"
         assert main(["compare", str(traj), "--config", str(cfg), "--archive", archive,
                      "--basis", basis, "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 2  # header and one row
+        assert dict(zip(*read_csv(out)))["form"].tolist() == ["skew"]  # one row
 
     def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch):
         # rom assembles no mass matrix or curl form: it starts from the stored
@@ -263,9 +264,9 @@ class TestPipeline:
             out = root / "compare.csv"
             assert main(["compare", *trajs, "--config", str(cfg), "--archive", archive,
                          "--basis", basis, "--out", str(out)]) == 0
-            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            assert [row[:2] for row in rows] == [[form, "3"] for form in forms]
-            assert np.all(np.isfinite(np.array([row[2:] for row in rows], dtype=float)))
+            table = dict(zip(*read_csv(out)))
+            assert table["form"].tolist() == list(forms) and table["r"].tolist() == [3] * len(forms)
+            assert all(np.isfinite(col).all() for name, col in table.items() if name != "form")
             outputs.append({p.name: p.read_bytes() for p in root.iterdir() if p.name != "micro.ini"})
             stored = read_basis(basis)
             assert stored.centered and stored.projection.m == 1 + min(3, stored.rank)  # mean, [rom] r
@@ -329,15 +330,19 @@ class TestErrorPaths:
         ("fom", ("nu = 3.5714285714285714e-04", "nu = inf")),
         ("fom", ("nu = 3.5714285714285714e-04", "nu = 0")),
         ("fom", ("nu = 3.5714285714285714e-04", "nu = -1")),
+        # a snapshot window that holds no step
+        ("fom", ("snapshot_start = 0.0\nsnapshot_end = 0.25", "snapshot_start = 0.01\nsnapshot_end = 0.02")),
+        ("rom", ("r = 3\nform = skew", "r = 3\nform = upwind")),
     ])
     def test_malformed_config_value_is_config_error(self, micro_pipeline, tmp_path, capsys, command, edit):
         root, _ = micro_pipeline
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MICRO_KH.replace(*edit))
-        archive = [str(root / "micro_snapshots.bin")] if command == "pod" else []
-        assert main([command, *archive, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        archive = str(root / "micro_snapshots.bin")
+        inputs = {"fom": [], "pod": [archive], "rom": [str(root / "micro_basis.bin"), "--archive", archive]}
+        assert main([command, *inputs[command], "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.bin"))
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
@@ -447,6 +452,18 @@ class TestErrorPaths:
                      "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
         assert code == 4
         assert str(bare) in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_trajectory_with_text_column_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        # read_csv returns a form column as text, which no trajectory holds
+        root, cfg = micro_pipeline
+        bad = tmp_path / "micro_rom_skew_r3_traj.csv"
+        bad.write_text((root / "micro_rom_skew_r3_traj.csv").read_text().replace("t,a_1,", "t,form,", 1))
+        code = main(["compare", str(bad), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
+        assert code == 4
+        assert f"{bad}: a trajectory holds numbers only" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("column, value", [(2, "nan"), (0, "inf"), (3, "-inf")],
@@ -624,6 +641,15 @@ class TestErrorPaths:
         _, archive, basis, common = _run_micro(tmp_path, text)
         assert main(["rom", basis, "--archive", archive, *common, "--r", "1"]) == 2
         assert "at least two snapshots" in capsys.readouterr().err
+
+    def test_pod_without_snapshots_is_config_error(self, micro_pipeline, tmp_path, capsys):
+        root, cfg = micro_pipeline
+        snaps = read_snapshots(root / "micro_snapshots.bin")
+        empty = tmp_path / "empty.bin"
+        write_snapshots(empty, SnapshotSet(matrix=snaps.matrix[:, :0], times=snaps.times[:0]))
+        assert main(["pod", str(empty), "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "at least one snapshot" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.bin"]
 
     def test_compare_grid_mismatch(self, micro_pipeline, tmp_path, capsys):
         root, cfg = micro_pipeline

@@ -241,6 +241,24 @@ class TestCsv:
         write_csv(path, ["form", "r", "value"], [["skew", "emac"], [3, 40], [0.1, -2.5e-300]])
         assert path.read_text() == "form,r,value\nskew,3,0.10000000000000001\nemac,40,-2.5e-300\n"
 
+    def test_text_column_round_trip(self, tmp_path):
+        # a compare.csv-shaped table: form comes back as str, every number bit for bit
+        header = ["form", "r", "linf_l2", "l2_h1", "c_u", "fom_div_l20_sq", "fom_div_l10"]
+        floats = [np.array([np.nan, 0.1, 2.0**-1074]), np.array([np.inf, -np.inf, -0.0]),
+                  np.array([1.0 / 3.0, -0.0, 1e308]), np.array([0.0, np.nan, -2.5e-300]),
+                  np.array([np.pi, -np.inf, 7.0])]
+        columns = [np.array(["skew", "emac", "convective"]), np.array([10, 20, 40]), *floats]
+        path = tmp_path / "compare.csv"
+        write_csv(path, header, columns)
+        back_header, back = read_csv(path)
+        assert back_header == header
+        assert back[0].dtype.kind == "U" and back[0].tolist() == ["skew", "emac", "convective"]
+        assert back[1].dtype == np.float64 and back[1].tolist() == [10, 20, 40]
+        for got, want in zip(back[2:], floats, strict=True):
+            assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+        write_csv(tmp_path / "again.csv", back_header, back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(path, ["t", "value"], [np.zeros(0), np.zeros(0)])
@@ -249,9 +267,11 @@ class TestCsv:
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty CSV"),
-        ("t,a\n1,2\n3\n", "bad.csv"),  # ragged row: numpy's message, after the path
+        ("t,a\n1,2\n3\n", "bad.csv"),  # ragged row
         ("t,a\n1,2,3\n4,5,6\n", "row width does not match header"),
         ("t,a\n1,x\n", "bad.csv"),
+        ("form,r\nskew,x\n", "bad.csv"),  # a non-number beside a text column
+        ("form,r\nskew,3,4\n", "row width does not match header"),
     ])
     def test_malformed_is_format_error(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

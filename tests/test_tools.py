@@ -50,9 +50,19 @@ def test_tracer_targets_resolve():
         assert callable(tracer._resolve(module, path)[2]), f"{module}.{path}"
 
 
+def _modules_holding(text):
+    """The modules under src/flowrom and demos/, io.py aside, that hold ``text``."""
+    paths = sorted([*(ROOT / "src" / "flowrom").rglob("*.py"), *(ROOT / "demos").rglob("*.py")])
+    return [f"{path.parent.name}/{path.name}" for path in paths
+            if path != ROOT / "src" / "flowrom" / "io.py" and text in path.read_text()]
+
+
 def test_only_io_formats_numbers():
     # io.write_csv is the only writer of tables, so no other module spells out
     # its 17-digit float format, as %.17g or as an f-string's :.17g
-    offenders = [path.name for path in sorted((ROOT / "src" / "flowrom").rglob("*.py"))
-                 if path.name != "io.py" and ".17g" in path.read_text()]
-    assert offenders == []
+    assert _modules_holding(".17g") == []
+
+
+def test_only_io_splits_csv_rows():
+    # io.read_csv is the only reader of tables; the others look its columns up by name
+    assert _modules_holding('split(",")') == []
