@@ -12,7 +12,7 @@ import numpy as np
 
 from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
 from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
-from flowrom.pod import build_pod_basis, pod_projection_error, snapshot_coordinates
+from flowrom.pod import build_pod_basis, pod_projection_error
 
 mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
 space = TaylorHoodSpace(mesh)
@@ -22,8 +22,7 @@ cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.8, form="skew", scheme="backward_e
                 project_initial=True)
 _, snaps, _ = run_fom(cfg, mesh, space, u0)
 
-mass, stiff = space.mass(), space.stiffness()
-basis = build_pod_basis(snaps, mass, stiff)
+basis = build_pod_basis(snaps, space)
 print(f"{snaps.count} snapshots -> rank {basis.rank} basis "
       f"(cutoff 1e-12 relative to lambda_1)")
 
@@ -34,7 +33,7 @@ for k in range(basis.rank):
 
 print(f"\nprojection-error equality (both sides computed independently):")
 print(f"{'r':>3} {'direct residual':>16} {'spectral sum':>14} {'rel. defect':>12}")
-lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+lhs, rhs = pod_projection_error(basis)
 for r in range(basis.rank + 1):
     rel = abs(lhs[r] - rhs[r]) / rhs[r] if rhs[r] > 0 else float("nan")
     print(f"{r:3d} {lhs[r]:16.6e} {rhs[r]:14.6e} {rel:12.3e}")

@@ -18,7 +18,6 @@ from .pod import (
     build_pod_basis,
     pod_projection_error,
     project_field,
-    snapshot_coordinates,
 )
 from .rom import RomOperators, RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 from .diagnostics import (
@@ -55,7 +54,6 @@ __all__ = [
     "build_pod_basis",
     "pod_projection_error",
     "project_field",
-    "snapshot_coordinates",
     "RomOperators",
     "RomTrajectory",
     "assemble_rom_operators",

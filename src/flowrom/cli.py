@@ -71,7 +71,7 @@ from .fom import (
 from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
                    uniform_rect_mesh)
 from .numerics import SingularSystemError, uniform_step
-from .pod import build_pod_basis, pod_projection_error, snapshot_coordinates
+from .pod import build_pod_basis, pod_projection_error
 from .rom import (
     RomNewtonError,
     RomTrajectory,
@@ -240,15 +240,14 @@ def cmd_pod(args):
     if snaps.count == 0:
         raise ConfigError(f"{args.archive}: a basis needs at least one snapshot, found none")
     prefix = _out_prefix(cp, args.out)
-    basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+    basis = build_pod_basis(snaps, space, centering=centering)
     r = min(_mode_count(cp, basis.rank), basis.rank)
     basis.projection = project_fields(space, basis.fields(r))
-    basis.coordinates = snapshot_coordinates(space, basis, snaps)
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],
                   [np.arange(1, basis.rank + 1), basis.eigenvalues])
     # automatic projection-error equality report
-    lhs, rhs = pod_projection_error(basis, basis.coordinates)
+    lhs, rhs = pod_projection_error(basis)
     worst = np.abs(lhs - rhs)[: basis.rank].max() / max(rhs[0], 1e-300)
     print(f"rank {basis.rank} basis; projection-error equality max relative "
           f"mismatch {worst:.3e} (vs total gradient energy)")
@@ -331,8 +330,14 @@ def _parse_traj_csv(path):
     """Form (from a ``<prefix>_rom_<form>_r<r>_traj.csv`` name), r and trajectory.
 
     r is the number of coefficient columns, so it always matches the data.
-    A text column and a non-finite time or coefficient are format errors.
+    A name without a form, a text column and a non-finite time or
+    coefficient are format errors.
     """
+    parts = Path(path).stem.split("_")
+    try:
+        form = NonlinearForm.parse(parts[-3] if len(parts) >= 3 else "")
+    except ValueError as exc:
+        raise fio.ArchiveFormatError(f"{path}: not a <prefix>_rom_<form>_r<r>_traj.csv name; {exc}") from exc
     header, cols = fio.read_csv(path)
     if len(header) < 2:
         raise fio.ArchiveFormatError(f"{path}: a trajectory needs at least one coefficient column")
@@ -340,9 +345,7 @@ def _parse_traj_csv(path):
         raise fio.ArchiveFormatError(f"{path}: a trajectory holds numbers only, found a text column")
     if not all(np.isfinite(col).all() for col in cols):
         raise fio.ArchiveFormatError(f"{path}: non-finite value in the trajectory")
-    parts = Path(path).stem.split("_")
-    form = parts[-3] if len(parts) >= 3 else "unknown"
-    return form, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])
+    return form.value, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])
 
 
 def cmd_compare(args):

@@ -438,7 +438,9 @@ class TaylorHoodSpace:
         (George & Liu, SIAM Rev. 31, 1989); on the periodic meshes the
         space's own (vertices, then edge midpoints) fills most, and RCM's
         cuts the Newton LU fill by a fifth on the 32x32 shear layer and the
-        48x48 torus.
+        48x48 torus.  On 16x16, 32x32 and 48x48 no-slip squares, non-periodic
+        meshes that no package problem uses, RCM's start fills 7.5%, 4.6% and
+        27.1% more than the space's own.
         Each node expands to its ``u_x`` and ``u_y`` DOFs, followed on a
         vertex by its pressure DOF; a pressure couples only to the P2
         neighbours of its vertex, so the compressed graph loses no edge.

@@ -14,11 +14,12 @@ cutoff, where plain double-precision Gram eigenvectors lose orthogonality:
 
 The raw (clamped) Gram spectrum is kept alongside for trace identities.
 
-:func:`snapshot_coordinates` then writes the snapshots in the basis's
-coordinates: their coefficients on every mode and the norms of the part
+The same pass writes the snapshots in the basis's coordinates
+(:class:`SnapshotCoordinates`): their coefficients on every mode, which
+are also the Rayleigh quotients' projections, and the norms of the part
 outside the basis.  The projection-error equality and the ROM error
 functionals (``diagnostics.reduced_trajectory_error``) read only these, so
-after ``flowrom pod`` no stage needs the snapshot matrix again.
+once the basis is built no stage needs the snapshot matrix again.
 """
 
 from dataclasses import dataclass
@@ -57,10 +58,10 @@ class PodBasis:
     ``spectrum`` is the full clamped Gram spectrum (one entry per snapshot);
     ``eigenvalues`` holds the retained ``rank`` leading values.  ``mean`` is
     the snapshot average when centering was enabled, else ``None``.
+    ``coordinates`` are the :class:`SnapshotCoordinates` of the snapshots it
+    was built from, None only when read from an archive written without them.
     ``projection`` is the ``rom.RomProjection`` of the leading
-    :meth:`fields` and ``coordinates`` the :class:`SnapshotCoordinates` of
-    the basis's snapshots, which ``flowrom pod`` stores with the basis; both
-    are None for a basis built in memory.
+    :meth:`fields`, which ``flowrom pod`` stores; None in memory until set.
     """
 
     modes: np.ndarray        # (ndof, rank)
@@ -94,65 +95,6 @@ class PodBasis:
         return np.concatenate([np.ones(a.shape[:-1] + (1,)), a], axis=-1) if self.centered else a
 
 
-def _m_orthonormalize(modes, mass, passes=2):
-    """Cholesky-QR in the ``mass`` inner product; returns corrected modes."""
-    for _ in range(passes):
-        gram = modes.T @ (mass @ modes)
-        gram = 0.5 * (gram + gram.T)
-        chol = np.linalg.cholesky(gram)
-        modes = scipy.linalg.solve_triangular(chol, modes.T, lower=True).T
-    return modes
-
-
-def build_pod_basis(snapshots, mass, stiffness, centering="none", rank_tol=1e-12):
-    """Build the POD basis of a snapshot set.
-
-    Parameters
-    ----------
-    snapshots : SnapshotSet
-    mass, stiffness : sparse matrices
-        Velocity mass matrix (the L2 inner product) and unscaled stiffness
-        (for the stored mode gradient norms).
-    centering : "none" or "mean"
-        With ``"mean"`` the snapshot average is subtracted first; the modes
-        then carry homogeneous values on any boundary where the snapshots
-        agree.
-    rank_tol : float
-        Modes with ``lambda_k <= rank_tol * lambda_1`` are dropped.
-    """
-    if centering not in ("none", "mean"):
-        raise ValueError(f"centering must be 'none' or 'mean', got {centering!r}")
-    x = snapshots.matrix
-    count = x.shape[1]
-    if count < 1:
-        raise ValueError("need at least one snapshot")
-    mean = x.mean(axis=1) if centering == "mean" else None
-    xc = x - mean[:, None] if mean is not None else x
-
-    mx = mass @ xc
-    gram = xc.T @ mx / count
-    gram = 0.5 * (gram + gram.T)
-    vals, vecs = sym_eig(gram)
-    vals = np.clip(vals, 0.0, None)
-    if vals[0] <= 0.0:
-        raise ValueError("snapshot set has rank 0 (all snapshots vanish)")
-    rank = int(np.sum(vals > rank_tol * vals[0]))
-    modes = xc @ vecs[:, :rank] / np.sqrt(count * vals[:rank])
-    modes = _m_orthonormalize(modes, mass)
-
-    # Rayleigh-refined eigenvalues for the corrected directions
-    proj = mx.T @ modes  # (count, rank): (u_j, psi_k)
-    lam = np.einsum("jk,jk->k", proj, proj) / count
-    grad_sq = np.einsum("ik,ik->k", modes, stiffness @ modes)
-    return PodBasis(
-        modes=modes,
-        eigenvalues=lam,
-        spectrum=vals,
-        grad_norms=np.sqrt(np.clip(grad_sq, 0.0, None)),
-        mean=mean,
-    )
-
-
 @dataclass
 class SnapshotCoordinates:
     """Snapshots u^n in the coordinates of a basis with modes Psi and mean ubar.
@@ -178,38 +120,91 @@ class SnapshotCoordinates:
         return self.times.size
 
 
-def snapshot_coordinates(space, basis, snapshots):
-    """The :class:`SnapshotCoordinates` of ``snapshots`` on ``basis``.
+def _m_orthonormalize(modes, mass, passes=2):
+    """Cholesky-QR in the ``mass`` inner product; returns corrected modes."""
+    for _ in range(passes):
+        gram = modes.T @ (mass @ modes)
+        gram = 0.5 * (gram + gram.T)
+        chol = np.linalg.cholesky(gram)
+        modes = scipy.linalg.solve_triangular(chol, modes.T, lower=True).T
+    return modes
 
-    One pass over the snapshot matrix, with the space's mass and stiffness
-    matrices; the snapshot gradient norms are computed as
-    ``diagnostics.trajectory_error`` computes them.
+
+def build_pod_basis(snapshots, space, centering="none", rank_tol=1e-12):
+    """Build the POD basis of a snapshot set, with the snapshots' coordinates on it.
+
+    Parameters
+    ----------
+    snapshots : SnapshotSet
+    space : fem.TaylorHoodSpace
+        Gives the velocity mass matrix (the L2 inner product), the unscaled
+        stiffness and the ``div_form`` of the snapshot divergence norms.
+    centering : "none" or "mean"
+        With ``"mean"`` the snapshot average is subtracted first; the modes
+        then carry homogeneous values on any boundary where the snapshots
+        agree.
+    rank_tol : float
+        Modes with ``lambda_k <= rank_tol * lambda_1`` are dropped.
+
+    M X (released before the part outside the basis is formed), a_hat =
+    (M X)^T Psi and K Psi are each formed once for the basis and its
+    coordinates.
     """
+    if centering not in ("none", "mean"):
+        raise ValueError(f"centering must be 'none' or 'mean', got {centering!r}")
+    x = snapshots.matrix
+    count = x.shape[1]
+    if count < 1:
+        raise ValueError("need at least one snapshot")
     mass, stiffness = space.mass(), space.stiffness()
-    xc = snapshots.matrix - basis.mean[:, None] if basis.centered else snapshots.matrix
-    modes = basis.modes
-    coeffs = modes.T @ (mass @ xc)
-    outside = xc - modes @ coeffs
+    mean = x.mean(axis=1) if centering == "mean" else None
+    xc = x - mean[:, None] if mean is not None else x
+
+    mx = mass @ xc
+    gram = xc.T @ mx / count
+    gram = 0.5 * (gram + gram.T)
+    vals, vecs = sym_eig(gram)
+    vals = np.clip(vals, 0.0, None)
+    if vals[0] <= 0.0:
+        raise ValueError("snapshot set has rank 0 (all snapshots vanish)")
+    rank = int(np.sum(vals > rank_tol * vals[0]))
+    modes = xc @ vecs[:, :rank] / np.sqrt(count * vals[:rank])
+    modes = _m_orthonormalize(modes, mass)
+
+    coeffs = mx.T @ modes  # (count, rank): a_hat^n_k = (u^n - ubar, psi_k)_M
+    del mx
+    outside = xc - modes @ coeffs.T
     k_outside = stiffness @ outside
-    h1_norms, div_norms = (_column_norms(snapshots.matrix, op) for op in (stiffness, space.div_form()))
-    return SnapshotCoordinates(
+    k_modes = stiffness @ modes
+    # Rayleigh-refined eigenvalues for the corrected directions
+    lam = np.einsum("jk,jk->k", coeffs, coeffs) / count
+    grad_sq = np.einsum("ik,ik->k", modes, k_modes)
+    coordinates = SnapshotCoordinates(
         times=snapshots.times.copy(),
-        coeffs=coeffs.T,
+        coeffs=coeffs,
         outside_stiff=(modes.T @ k_outside).T,
         outside_mass_sq=np.einsum("ij,ij->j", outside, mass @ outside),
         outside_stiff_sq=np.einsum("ij,ij->j", outside, k_outside),
-        h1_norms=h1_norms,
-        div_norms=div_norms,
-        stiff_gram=modes.T @ (stiffness @ modes),
+        h1_norms=_column_norms(x, stiffness),
+        div_norms=_column_norms(x, space.div_form()),
+        stiff_gram=modes.T @ k_modes,
+    )
+    return PodBasis(
+        modes=modes,
+        eigenvalues=lam,
+        spectrum=vals,
+        grad_norms=np.sqrt(np.clip(grad_sq, 0.0, None)),
+        mean=mean,
+        coordinates=coordinates,
     )
 
 
-def pod_projection_error(basis, coordinates):
+def pod_projection_error(basis):
     """Both sides of the POD projection-error equality at every rank r = 0..rank.
 
     Returns arrays ``(lhs, rhs)`` of length ``rank + 1``, indexed by r.  The
     left side averages the H1-seminorm of the out-of-basis part of each
-    (centered) snapshot, from its :class:`SnapshotCoordinates`; the right
+    (centered) snapshot, from the basis's :class:`SnapshotCoordinates`; the right
     side sums ``||grad psi_k||^2 lambda_k`` over the discarded modes.  The
     two are computed from independent data and agree to roundoff for an
     exact POD.
@@ -222,6 +217,7 @@ def pod_projection_error(basis, coordinates):
 
     each sum taken from the tail end, so no term cancels a larger one.
     """
+    coordinates = basis.coordinates
     coeffs = coordinates.coeffs.T
     count = coordinates.count
     cross = np.einsum("kj,kj->k", coeffs, coordinates.outside_stiff.T) / count

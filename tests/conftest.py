@@ -85,7 +85,7 @@ def kh_basis_session(kh_run):
     from flowrom.pod import build_pod_basis
 
     _, space, snaps, _, _ = kh_run
-    return build_pod_basis(snaps, space.mass(), space.stiffness(), centering="none")
+    return build_pod_basis(snaps, space, centering="none")
 
 
 @pytest.fixture(scope="session")

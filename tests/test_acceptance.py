@@ -32,7 +32,7 @@ from flowrom.fom import (
 )
 from flowrom.io import write_basis, write_snapshots
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
-from flowrom.pod import build_pod_basis, pod_projection_error, project_field, snapshot_coordinates
+from flowrom.pod import build_pod_basis, pod_projection_error, project_field
 from flowrom.rom import assemble_rom_operators, project_fields, reconstruct_field, run_rom
 from flowrom.diagnostics import trajectory_error
 
@@ -62,7 +62,7 @@ def kh50(tmp_path_factory):
 @pytest.fixture(scope="session")
 def kh50_basis(kh50):
     _, space, snaps, _, _ = kh50
-    return build_pod_basis(snaps, space.mass(), space.stiffness(), centering="none")
+    return build_pod_basis(snaps, space, centering="none")
 
 
 @pytest.fixture(scope="session")
@@ -185,7 +185,7 @@ def test_criterion_03_pod_exactness(kh50, kh50_basis):
     # every r; correcting for that single forced term the equality holds to
     # 1e-8 relative at every rank (and uncorrected wherever the tail fits
     # inside the 1e-8 budget)
-    lhs_r, rhs_r = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+    lhs_r, rhs_r = pod_projection_error(basis)
     tail, total = lhs_r[basis.rank], rhs_r[0]
     assert tail <= 1e-9 * total
     worst_eq = 0.0
@@ -211,7 +211,7 @@ def test_criterion_04_snapshot_reproduction(kh50):
     """
     _, space, snaps, cfg, _ = kh50
     mass = space.mass()
-    basis = build_pod_basis(snaps, mass, space.stiffness(), rank_tol=1e-14)
+    basis = build_pod_basis(snaps, space, rank_tol=1e-14)
     r = basis.rank
     ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
     a0 = project_field(basis, r, snaps.matrix[:, 0], mass)
@@ -307,8 +307,8 @@ def test_criterion_08_consistency_beats_inconsistency(desk_kh_skew):
     """Consistent ROM converges with r; inconsistent ROM locks at the
     divergence-error floor (desk rendering of the shear-layer study)."""
     space, snaps, _ = desk_kh_skew
-    mass, stiff = space.mass(), space.stiffness()
-    basis = build_pod_basis(snaps, mass, stiff)
+    mass = space.mass()
+    basis = build_pod_basis(snaps, space)
     r_values = (10, 20, 30, 40)
     assert basis.rank >= max(r_values)
     basis.projection = project_fields(space, basis.fields(max(r_values)))  # sliced for each (form, r)
@@ -379,8 +379,8 @@ def test_criterion_09_cylinder_pipeline():
     assert peaks, "no shedding period found in the drag signal"
     assert max(ac[k] for k in peaks) >= 0.4
 
-    mass, stiff = space.mass(), space.stiffness()
-    basis = build_pod_basis(snaps, mass, stiff, centering="mean")
+    mass = space.mass()
+    basis = build_pod_basis(snaps, space, centering="mean")
     r = 13
     assert basis.rank >= r
     j0 = 0
@@ -408,7 +408,7 @@ def test_criterion_10_determinism(kh50, kh50_basis, tmp_path):
     """Repeating the criterion-4 pipeline reproduces archives byte for byte."""
     mesh, space, snaps, cfg, u0 = kh50
     _, snaps2, _ = run_fom(cfg, mesh, space, u0)
-    basis2 = build_pod_basis(snaps2, space.mass(), space.stiffness(), centering="none")
+    basis2 = build_pod_basis(snaps2, space, centering="none")
 
     a1, a2 = tmp_path / "s1.bin", tmp_path / "s2.bin"
     write_snapshots(a1, snaps)

@@ -151,6 +151,20 @@ class TestPipeline:
         table = dict(zip(*read_csv(out)))
         assert table["form"].tolist() == ["emac"] and table["r"].tolist() == [3]
 
+    @pytest.mark.parametrize("name", ["foo_traj.csv", "a_b_c.csv"])
+    def test_compare_rejects_a_name_without_a_form(self, micro_pipeline, tmp_path, capsys, name):
+        # compare.csv rows are keyed by (form, r), so compare invents no form
+        root, cfg = micro_pipeline
+        renamed = tmp_path / name
+        renamed.write_bytes((root / "micro_rom_skew_r3_traj.csv").read_bytes())
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(renamed), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"format error: {renamed}: " in err and "unknown nonlinear form" in err
+        assert not out.exists()
+
     def test_compare_reads_only_the_coordinates(self, micro_pipeline, tmp_path, capsys):
         # NaN in the modes and the projection cubes: compare never reads them, rom does
         root, cfg = micro_pipeline

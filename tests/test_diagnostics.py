@@ -11,7 +11,7 @@ from flowrom.diagnostics import (
 )
 from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import build_initial_condition, cylinder_boundary
-from flowrom.pod import SnapshotSet, build_pod_basis, project_field, snapshot_coordinates
+from flowrom.pod import SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
 
@@ -155,7 +155,7 @@ def cylinder_snapshots(cylinder_space):
     times = 0.01 * np.arange(31)
     coef = np.cos(np.outer(times, 300.0 * np.arange(1, 13)) + rng.uniform(0.0, 6.0, 12))
     snaps = SnapshotSet(matrix=values[:, None] + fields @ coef.T, times=times)
-    return space, snaps, build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+    return space, snaps, build_pod_basis(snaps, space, centering="mean")
 
 
 class TestReducedTrajectoryError:
@@ -166,14 +166,14 @@ class TestReducedTrajectoryError:
         """(space, snapshots, basis, nu, trajectories) of one case."""
         if case == "cylinder":  # centered: projected coefficients, perturbed at three sizes
             space, snaps, basis = cylinder_snapshots
-            coeffs = snapshot_coordinates(space, basis, snaps).coeffs
+            coeffs = basis.coordinates.coeffs
             rng = np.random.default_rng(12)
             trajs = [coeffs[:, :r] + scale * rng.standard_normal((snaps.count, r))
                      for r in (1, 4, basis.rank) for scale in (0.0, 1e-6, 1e-2)]
             return space, snaps, basis, 5e-4, trajs
         _, space, snaps, _, cfg = kh_run  # uncentered: ROMs of every form, projected coefficients
         basis = kh_basis_session
-        coeffs = snapshot_coordinates(space, basis, snaps).coeffs
+        coeffs = basis.coordinates.coeffs
         trajs = [coeffs[:, :1], coeffs]
         for form in ("skew", "emac", "convective", "rotational"):
             for r in (2, 6, basis.rank):
@@ -189,7 +189,7 @@ class TestReducedTrajectoryError:
         # small error.  c_u is the same number.
         space, snaps, basis, nu, trajs = self._trajectories(case, kh_run, kh_basis_session,
                                                             cylinder_snapshots)
-        coords = snapshot_coordinates(space, basis, snaps)
+        coords = basis.coordinates
         u = snaps.matrix
         eps = np.finfo(float).eps
         u_l2 = np.sqrt(np.einsum("ij,ij->j", u, space.mass() @ u).max())
@@ -205,7 +205,7 @@ class TestReducedTrajectoryError:
 
     def test_checks_grid_and_rank(self, kh_run, kh_basis_session):
         _, space, snaps, _, cfg = kh_run
-        coords = snapshot_coordinates(space, kh_basis_session, snaps)
+        coords = kh_basis_session.coordinates
         short = RomTrajectory(coeffs=np.zeros((snaps.count - 1, 2)), times=snaps.times[:-1])
         with pytest.raises(ValueError, match="grids"):
             reduced_trajectory_error(coords, short, cfg.nu)

@@ -15,7 +15,7 @@ from flowrom.io import (
     write_csv,
     write_snapshots,
 )
-from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis, snapshot_coordinates
+from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis
 from flowrom.rom import project_fields
 
 
@@ -29,10 +29,8 @@ def _set_counts(path, offsets, value):
 
 @pytest.fixture
 def coordinates_basis(kh_run, kh_basis_session):
-    """The session basis with its snapshot coordinates and a three-field projection."""
-    _, space, snaps, _, _ = kh_run
-    return dataclasses.replace(kh_basis_session, projection=project_fields(space, kh_basis_session.fields(3)),
-                               coordinates=snapshot_coordinates(space, kh_basis_session, snaps))
+    """The session basis, with its snapshot coordinates, and a three-field projection."""
+    return dataclasses.replace(kh_basis_session, projection=project_fields(kh_run[1], kh_basis_session.fields(3)))
 
 
 class TestSnapshotArchive:
@@ -115,7 +113,7 @@ class TestBasisArchive:
 
     def test_round_trip_centered(self, tmp_path, kh_run):
         _, space, snaps, _, _ = kh_run
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+        basis = build_pod_basis(snaps, space, centering="mean")
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         back = read_basis(path)
@@ -138,9 +136,8 @@ class TestBasisArchive:
     def test_round_trip_coordinates(self, tmp_path, kh_run, centering):
         # version 4: the snapshot coordinates between the modes and the projection
         _, space, snaps, _, _ = kh_run
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        basis = build_pod_basis(snaps, space, centering=centering)
         basis.projection = project_fields(space, basis.fields(3))
-        basis.coordinates = snapshot_coordinates(space, basis, snaps)
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         raw = path.read_bytes()
@@ -162,7 +159,7 @@ class TestBasisArchive:
         for field in dataclasses.fields(SnapshotCoordinates):
             assert np.array_equal(getattr(coords, field.name),
                                   getattr(coordinates_basis.coordinates, field.name)), field.name
-        write_basis(path, kh_basis_session)
+        write_basis(path, dataclasses.replace(kh_basis_session, coordinates=None))
         assert read_basis_coordinates(path) is None
 
     @pytest.mark.parametrize("offsets,block", [([24, 32], "eigenvalues"), ([48], "snapshot times")])

@@ -3,11 +3,11 @@ import pytest
 
 from flowrom.fom import kelvin_helmholtz_boundary
 from flowrom.pod import (
+    SnapshotCoordinates,
     SnapshotSet,
     build_pod_basis,
     pod_projection_error,
     project_field,
-    snapshot_coordinates,
 )
 
 
@@ -29,7 +29,7 @@ class TestBuildPodBasis:
         u = snaps.matrix[:, 3]
         single = SnapshotSet(matrix=u[:, None], times=snaps.times[3:4])
         mass = space.mass()
-        basis = build_pod_basis(single, mass, space.stiffness())
+        basis = build_pod_basis(single, space)
         norm_sq = float(u @ (mass @ u))
         assert basis.rank == 1
         assert basis.eigenvalues[0] == pytest.approx(norm_sq, rel=1e-12)
@@ -45,7 +45,7 @@ class TestBuildPodBasis:
         a /= np.sqrt(a @ (mass @ a))
         b /= np.sqrt(b @ (mass @ b))
         snaps = SnapshotSet(matrix=np.column_stack([a, b]), times=np.array([0.0, 1.0]))
-        basis = build_pod_basis(snaps, mass, space.stiffness())
+        basis = build_pod_basis(snaps, space)
         assert basis.rank == 2
         assert np.allclose(basis.eigenvalues, 0.5, rtol=1e-10)
         # modes span the same 2D space: projector equality
@@ -83,15 +83,49 @@ class TestBuildPodBasis:
         space, _ = kh_snapshots
         snaps = SnapshotSet(matrix=np.zeros((space.n_vel, 3)), times=np.arange(3.0))
         with pytest.raises(ValueError, match="rank 0"):
-            build_pod_basis(snaps, space.mass(), space.stiffness())
+            build_pod_basis(snaps, space)
 
     def test_centering_gives_homogeneous_modes_on_shared_boundary(self, kh_snapshots):
         space, snaps = kh_snapshots
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+        basis = build_pod_basis(snaps, space, centering="mean")
         mask, _ = space.dirichlet_data(kelvin_helmholtz_boundary())
         assert np.abs(basis.modes[mask, :]).max() < 1e-9
         assert basis.centered
         assert basis.mean.shape == (space.n_vel,)
+
+
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_coordinates_match_two_pass_reference(self, kh_snapshots, centering):
+        # every coordinate field rebuilt from the snapshot matrix and the finished modes
+        space, snaps = kh_snapshots
+        mass, stiff = space.mass(), space.stiffness()
+        basis = build_pod_basis(snaps, space, centering=centering)
+        modes, x = basis.modes, snaps.matrix
+        xc = x - basis.mean[:, None] if basis.centered else x
+        coeffs = modes.T @ (mass @ xc)
+        outside = xc - modes @ coeffs
+        want = SnapshotCoordinates(
+            times=snaps.times,
+            coeffs=coeffs.T,
+            outside_stiff=(modes.T @ (stiff @ outside)).T,
+            outside_mass_sq=np.einsum("ij,ij->j", outside, mass @ outside),
+            outside_stiff_sq=np.einsum("ij,ij->j", outside, stiff @ outside),
+            h1_norms=np.sqrt(np.einsum("ij,ij->j", x, stiff @ x)),
+            div_norms=np.sqrt(np.einsum("ij,ij->j", x, space.div_form() @ x)),
+            stiff_gram=modes.T @ (stiff @ modes),
+        )
+        got = basis.coordinates
+        assert np.array_equal(got.times, snaps.times)
+        # roundoff of the snapshots' size: |Psi^T K w| <= max|grad psi| ||w||_K
+        u_m = np.sqrt(np.einsum("ij,ij->j", xc, mass @ xc).max())
+        u_k = np.sqrt(np.einsum("ij,ij->j", xc, stiff @ xc).max())
+        grad = basis.grad_norms.max()
+        size = {"coeffs": u_m, "outside_mass_sq": u_m**2, "outside_stiff": grad * u_k,
+                "outside_stiff_sq": u_k**2, "h1_norms": want.h1_norms.max(),
+                "div_norms": want.div_norms.max(), "stiff_gram": grad**2}
+        for name, scale in size.items():
+            diff = np.abs(getattr(got, name) - getattr(want, name)).max()
+            assert diff <= 64 * np.finfo(float).eps * scale, (name, diff / scale)
 
 
 class TestProjectionErrorEquality:
@@ -99,22 +133,22 @@ class TestProjectionErrorEquality:
         # with snapshots of exact numerical rank, the full basis reproduces
         # them and both sides vanish
         space, _ = kh_snapshots
-        mass, stiff = space.mass(), space.stiffness()
+        stiff = space.stiffness()
         rng = np.random.default_rng(3)
         a = rng.standard_normal(space.n_vel)
         b = rng.standard_normal(space.n_vel)
         snaps = SnapshotSet(matrix=np.column_stack([a, b, a + 2 * b, a - b]),
                             times=np.arange(4.0))
-        basis = build_pod_basis(snaps, mass, stiff)
+        basis = build_pod_basis(snaps, space)
         assert basis.rank == 2
-        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+        lhs, rhs = pod_projection_error(basis)
         assert rhs[basis.rank] == 0.0
         assert abs(lhs[basis.rank]) <= 1e-10 * float(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix).mean())
 
     def test_r_zero_matches_total(self, kh_basis):
         space, snaps, basis = kh_basis
         stiff = space.stiffness()
-        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+        lhs, rhs = pod_projection_error(basis)
         direct = np.mean(np.einsum("ij,ij->j", snaps.matrix, stiff @ snaps.matrix))
         assert lhs[0] == pytest.approx(direct, rel=1e-12)
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-8)
@@ -125,9 +159,8 @@ class TestProjectionErrorEquality:
         # never the eigenvalue sum (rhs).  Correcting for that single forced
         # term, the equality holds to 1e-8 relative at every rank; on ranks
         # where the tail is negligible the uncorrected equality holds too.
-        space, snaps, basis = kh_basis
-        mass, stiff = space.mass(), space.stiffness()
-        lhs_r, rhs_r = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+        basis = kh_basis[2]
+        lhs_r, rhs_r = pod_projection_error(basis)
         tail, total = lhs_r[basis.rank], rhs_r[0]
         assert tail <= 1e-9 * total
         for r in range(basis.rank + 1):
@@ -141,8 +174,8 @@ class TestProjectionErrorEquality:
         # reference: the out-of-basis residual rebuilt and measured at each r
         space, snaps = kh_snapshots
         mass, stiff = space.mass(), space.stiffness()
-        basis = build_pod_basis(snaps, mass, stiff, centering=centering)
-        lhs, rhs = pod_projection_error(basis, snapshot_coordinates(space, basis, snaps))
+        basis = build_pod_basis(snaps, space, centering=centering)
+        lhs, rhs = pod_projection_error(basis)
         assert lhs.shape == rhs.shape == (basis.rank + 1,)
         xc = snaps.matrix - basis.mean[:, None] if basis.centered else snaps.matrix
         for r in range(basis.rank + 1):
@@ -163,7 +196,7 @@ class TestProjectField:
 
     def test_mean_projects_to_zero_when_centered(self, kh_snapshots):
         space, snaps = kh_snapshots
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+        basis = build_pod_basis(snaps, space, centering="mean")
         a = project_field(basis, basis.rank, basis.mean, space.mass())
         assert np.abs(a).max() < 1e-12
 

@@ -10,7 +10,7 @@ from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_
 from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
 from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
-from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field, snapshot_coordinates
+from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import (
     _FIELD_BLOCK,
     RomNewtonError,
@@ -52,7 +52,7 @@ def projected(rom_setup):
     space, snaps, _ = rom_setup
     bases = {}
     for centering in ("none", "mean"):
-        basis = build_pod_basis(snaps, space.mass(), space.stiffness(), centering=centering)
+        basis = build_pod_basis(snaps, space, centering=centering)
         bases[centering] = with_projection(space, basis, min(12, basis.rank))
     return bases
 
@@ -67,7 +67,7 @@ def cylinder_basis():
     space = TaylorHoodSpace(load_bundled_mesh("cylinder"))
     fields = np.random.default_rng(29).standard_normal((space.n_vel, 5))
     snaps = SnapshotSet(matrix=fields, times=np.arange(5.0))
-    return space, build_pod_basis(snaps, space.mass(), space.stiffness(), centering="mean")
+    return space, build_pod_basis(snaps, space, centering="mean")
 
 
 def _case(name, rom_setup, cylinder_basis):
@@ -440,9 +440,9 @@ class TestRunRom:
                         project_initial=True, newton_tol=1e-11)
         _, snaps, _ = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
         mass = space.mass()
-        basis = build_pod_basis(snaps, mass, space.stiffness(), rank_tol=1e-14)
+        basis = build_pod_basis(snaps, space, rank_tol=1e-14)
         r = basis.rank
-        coords = snapshot_coordinates(space, basis, snaps)
+        coords = basis.coordinates
         ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
         traj = run_rom(ops, coords.coeffs[0, :r], cfg.dt, cfg.t_end, scheme="bdf2", newton_tol=1e-12)
         err = reduced_trajectory_error(coords, traj, cfg.nu)

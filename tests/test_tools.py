@@ -66,3 +66,26 @@ def test_only_io_formats_numbers():
 def test_only_io_splits_csv_rows():
     # io.read_csv is the only reader of tables; the others look its columns up by name
     assert _modules_holding('split(",")') == []
+
+
+def test_benchmark_hooks_are_called(tmp_path, monkeypatch):
+    # perfbench/workloads.py rebinds or times these module attributes by name;
+    # one renamed away would crash the benchmark or silently drop its ticks
+    import flowrom.cli as cli
+    import flowrom.fom as fom
+
+    hooks = [(cli, "build_initial_condition"), (cli, "assemble_rom_operators"), (cli, "run_rom"),
+             (fom, "advance_step"), (fom, "factorize")]
+    calls = {}
+    for module, name in hooks:
+        def counted(*args, _original=getattr(module, name), _key=f"{module.__name__}.{name}", **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    common = ["--config", str(ROOT / "demos" / "configs" / "kh_micro.ini"), "--out", str(tmp_path)]
+    archive = str(tmp_path / "micro_snapshots.bin")
+    assert cli.main(["fom", *common]) == 0
+    assert cli.main(["pod", archive, *common]) == 0
+    assert cli.main(["rom", str(tmp_path / "micro_basis.bin"), "--archive", archive, *common]) == 0
+    assert sorted(calls) == sorted(f"{module.__name__}.{name}" for module, name in hooks), calls
