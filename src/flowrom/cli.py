@@ -28,9 +28,11 @@ Configuration files use INI syntax (flat key-value pairs in sections); see
 
 The keys above, plus ``[problem] mesh/node/ele/edge`` for the cylinder and
 ``[fom] newton_max_iter``, are all that is read (:data:`CONFIG_KEYS`); any
-other section or key is a config error.  ``fom``, ``rom`` and ``compare``
-require ``[fom]`` with ``nu``, ``dt`` and ``t_end``.  Outputs go to
-``--out`` or the working directory, named from ``[output] prefix``.
+other section or key is a config error, and so is a malformed value in any
+key, in every subcommand: every value is parsed on load by its key's parser.
+The ``[fom]`` keys are :class:`FomConfig` fields, unset ones its defaults;
+``fom``, ``rom`` and ``compare`` require ``nu``, ``dt`` and ``t_end``.
+Outputs go to ``--out`` or the working directory, named from ``[output] prefix``.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
 stores in the basis archive the projection of the momentum operators and the
@@ -43,9 +45,10 @@ from its coefficient columns and evaluates the errors from the coordinates,
 the only blocks of the basis it reads.  Both read only the header and times
 of their ``--archive``, which must equal the basis's times.
 
-Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, a snapshot window
-that holds no step, no snapshot for ``pod`` or one for ``rom``), 3 solver
-failure, 4 format error (e.g. a non-uniform snapshot grid).
+Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, ``r = x``, a
+snapshot window that holds no step, no snapshot for ``pod`` or one for
+``rom``, a path that cannot be read or written), 3 solver failure, 4 format
+error (e.g. a non-uniform snapshot grid).
 """
 
 import argparse
@@ -61,7 +64,6 @@ from .diagnostics import reduced_trajectory_error, rom_energy_enstrophy
 from .fem import NonlinearForm, TaylorHoodSpace
 from .fom import (
     FomConfig,
-    NewtonConvergenceError,
     build_initial_condition,
     cylinder_boundary,
     kelvin_helmholtz_boundary,
@@ -70,10 +72,9 @@ from .fom import (
 )
 from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
                    uniform_rect_mesh)
-from .numerics import SingularSystemError, uniform_step
+from .numerics import NewtonConvergenceError, SingularSystemError, uniform_step
 from .pod import build_pod_basis, pod_projection_error
 from .rom import (
-    RomNewtonError,
     RomTrajectory,
     assemble_rom_operators,
     covering_projection,
@@ -87,13 +88,22 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_FORMAT = 4
 
-# Every section and key a subcommand reads; a config with any other is rejected.
+
+def _centering(text):
+    """The ``[rom] centering`` value, ``none`` or ``mean``."""
+    if text not in ("none", "mean"):
+        raise ValueError(f"must be 'none' or 'mean', got {text!r}")
+    return text
+
+
+# Every section and key a subcommand reads, with the parser of its value; a
+# config with any other section or key, or a value its parser rejects, is rejected.
 CONFIG_KEYS = {
-    "problem": {"name", "nx", "ny", "mesh", "node", "ele", "edge"},
-    "fom": {"nu", "dt", "t_end", "form", "scheme", "snapshot_start", "snapshot_end",
-            "snapshot_stride", "newton_max_iter"},
-    "rom": {"r", "form", "centering"},
-    "output": {"prefix"},
+    "problem": {"name": str, "nx": int, "ny": int, "mesh": str, "node": Path, "ele": Path, "edge": Path},
+    "fom": {"nu": float, "dt": float, "t_end": float, "form": NonlinearForm.parse, "scheme": str,
+            "snapshot_start": float, "snapshot_end": float, "snapshot_stride": int, "newton_max_iter": int},
+    "rom": {"r": int, "form": NonlinearForm.parse, "centering": _centering},
+    "output": {"prefix": str},
 }
 
 
@@ -102,6 +112,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(path):
+    """``{section: {key: value}}`` with every section of :data:`CONFIG_KEYS` and every value parsed."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -110,15 +121,20 @@ def _load_config(path):
         cp.read(p)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    config = {section: {} for section in CONFIG_KEYS}
     for section in cp.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in cp[section]:
+        for key, text in cp[section].items():
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-    if "problem" not in cp or "name" not in cp["problem"]:
+            try:
+                config[section][key] = CONFIG_KEYS[section][key](text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+    if "name" not in config["problem"]:
         raise ConfigError(f"{path}: missing [problem] section with a 'name' key")
-    return cp
+    return config
 
 
 class _Problem(NamedTuple):
@@ -135,16 +151,16 @@ class _Problem(NamedTuple):
 
 def _rect_mesh(prob, n, extent):
     """The ``[problem] nx`` x ``ny`` square mesh (default ``n`` x ``n``) of side ``extent``."""
+    nx = prob.get("nx", n)
     try:
-        nx = prob.getint("nx", n)
-        return uniform_rect_mesh(nx, prob.getint("ny", nx), extent, extent)
+        return uniform_rect_mesh(nx, prob.get("ny", nx), extent, extent)
     except ValueError as exc:
         raise ConfigError(f"[problem] nx, ny: {exc}") from exc
 
 
-def _build_problem(cp):
-    prob = cp["problem"]
-    name = prob.get("name")
+def _build_problem(config):
+    prob = config["problem"]
+    name = prob["name"]
     if name == "kelvin-helmholtz":
         mesh = identify_periodic(_rect_mesh(prob, 32, 1.0), "x")
         return _Problem(name, mesh, TaylorHoodSpace(mesh), kelvin_helmholtz_boundary(),
@@ -156,7 +172,7 @@ def _build_problem(cp):
         if prob.get("mesh", "bundled") == "bundled":
             mesh = load_bundled_mesh("cylinder")
         else:
-            paths = {key: Path(prob.get(key, "")) for key in ("node", "ele", "edge")}
+            paths = {key: prob.get(key, Path()) for key in ("node", "ele", "edge")}
             for key, p in paths.items():
                 if not p.is_file():
                     raise ConfigError(f"mesh file not found: {p} (problem.{key})")
@@ -167,41 +183,32 @@ def _build_problem(cp):
     raise ConfigError(f"unknown problem name {name!r}")
 
 
-def _fom_config(cp, problem):
-    if not all(cp.has_option("fom", key) for key in ("nu", "dt", "t_end")):
+def _fom_config(config, problem):
+    """The ``[fom]`` keys as :class:`FomConfig` fields, the snapshot window from its two ends."""
+    fom = dict(config["fom"])
+    if not {"nu", "dt", "t_end"} <= fom.keys():
         raise ConfigError("[fom] section requires nu, dt, t_end")
-    fom = cp["fom"]
+    window = None
+    if "snapshot_start" in fom or "snapshot_end" in fom:
+        window = (fom.pop("snapshot_start", 0.0), fom.pop("snapshot_end", fom["t_end"]))
     try:
-        t_end = fom.getfloat("t_end")
-        window = None
-        if "snapshot_start" in fom or "snapshot_end" in fom:
-            window = (fom.getfloat("snapshot_start", 0.0), fom.getfloat("snapshot_end", t_end))
-        return FomConfig(
-            nu=fom.getfloat("nu"), dt=fom.getfloat("dt"), t_end=t_end,
-            form=NonlinearForm.parse(fom.get("form", "skew")),
-            scheme=fom.get("scheme", "bdf2"),
-            boundary=problem.boundary,
-            snapshot_window=window,
-            snapshot_stride=fom.getint("snapshot_stride", 1),
-            newton_max_iter=fom.getint("newton_max_iter", 20),
-            drag_label=problem.drag_label,
-            project_initial=problem.project_initial,
-        )
+        return FomConfig(**fom, boundary=problem.boundary, snapshot_window=window,
+                         drag_label=problem.drag_label, project_initial=problem.project_initial)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _out_prefix(cp, outdir):
+def _out_prefix(config, outdir):
     out = Path(outdir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out / cp.get("output", "prefix", fallback="run")
+    return out / config["output"].get("prefix", "run")
 
 
 def cmd_fom(args):
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
-    cfg = _fom_config(cp, problem)
-    prefix = _out_prefix(cp, args.out)
+    config = _load_config(args.config)
+    problem = _build_problem(config)
+    cfg = _fom_config(config, problem)
+    prefix = _out_prefix(config, args.out)
     u0 = build_initial_condition(problem.name, problem.space)
     _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
@@ -211,12 +218,9 @@ def cmd_fom(args):
     return EXIT_OK
 
 
-def _mode_count(cp, rank, override=None):
-    """r from ``override``, else ``[rom] r``, else ``rank``; one integer of at least 1."""
-    try:
-        r = override if override is not None else int(cp.get("rom", "r", fallback=rank))
-    except ValueError as exc:
-        raise ConfigError(f"[rom] r must be one integer, got {cp.get('rom', 'r')!r}") from exc
+def _mode_count(config, rank, override=None):
+    """r from ``override``, else ``[rom] r``, else ``rank``; at least 1."""
+    r = override if override is not None else config["rom"].get("r", rank)
     if r < 1:
         raise ConfigError(f"requested r={r} is outside 1..{rank} (the basis rank)")
     return r
@@ -230,18 +234,15 @@ def cmd_pod(args):
     the rank, so a ``rom`` run at that r or below only slices it.  The
     coordinates also give the projection-error report.
     """
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
+    config = _load_config(args.config)
+    problem = _build_problem(config)
     space = problem.space
-    centering = cp.get("rom", "centering", fallback=problem.centering)
-    if centering not in ("none", "mean"):
-        raise ConfigError(f"[rom] centering must be 'none' or 'mean', got {centering!r}")
     snaps = fio.read_snapshots(args.archive, space=space)
     if snaps.count == 0:
         raise ConfigError(f"{args.archive}: a basis needs at least one snapshot, found none")
-    prefix = _out_prefix(cp, args.out)
-    basis = build_pod_basis(snaps, space, centering=centering)
-    r = min(_mode_count(cp, basis.rank), basis.rank)
+    prefix = _out_prefix(config, args.out)
+    basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
+    r = min(_mode_count(config, basis.rank), basis.rank)
     basis.projection = project_fields(space, basis.fields(r))
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],
@@ -279,17 +280,14 @@ def cmd_rom(args):
     one when r exceeds it, gives both the operators and the energy and
     enstrophy series.
     """
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
+    config = _load_config(args.config)
+    problem = _build_problem(config)
     space = problem.space
-    fom_cfg = _fom_config(cp, problem)
-    try:
-        form = NonlinearForm.parse(args.form or cp.get("rom", "form", fallback=fom_cfg.form))
-    except ValueError as exc:
-        raise ConfigError(f"[rom] form: {exc}") from exc
+    fom_cfg = _fom_config(config, problem)
+    form = NonlinearForm.parse(args.form or config["rom"].get("form", fom_cfg.form))
     basis = fio.read_basis(args.basis, space=space)
     coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
-    r = _mode_count(cp, basis.rank, args.r)
+    r = _mode_count(config, basis.rank, args.r)
     if r > basis.rank:
         raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
 
@@ -300,7 +298,7 @@ def cmd_rom(args):
                    scheme=fom_cfg.scheme, newton_tol=fom_cfg.newton_tol,
                    newton_max_iter=fom_cfg.newton_max_iter)
 
-    prefix = _out_prefix(cp, args.out)
+    prefix = _out_prefix(config, args.out)
     tag = f"{form.value}_r{r}"
     fio.write_csv(f"{prefix}_rom_{tag}_traj.csv",
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
@@ -354,9 +352,9 @@ def cmd_compare(args):
     They come from the snapshot coordinates stored in the basis
     (``diagnostics.reduced_trajectory_error``); no field is formed.
     """
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
-    fom_cfg = _fom_config(cp, problem)
+    config = _load_config(args.config)
+    problem = _build_problem(config)
+    fom_cfg = _fom_config(config, problem)
     space = problem.space
     coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
                                   args.basis, args.archive, space)
@@ -429,10 +427,10 @@ def main(argv=None):
     except (fio.ArchiveFormatError, MeshFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NewtonConvergenceError, RomNewtonError, SingularSystemError) as exc:
+    except (NewtonConvergenceError, SingularSystemError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

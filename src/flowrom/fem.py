@@ -515,8 +515,29 @@ class TaylorHoodSpace:
 
     def edge_table(self):
         """The :class:`EdgeTable` of every boundary edge, in ``mesh.boundary_edges`` order (cached)."""
-        if "edge_table" not in self._cache:
-            self._cache["edge_table"] = boundary_edge_table(self)
+        if "edge_table" in self._cache:
+            return self._cache["edge_table"]
+        mesh = self.mesh
+        edges = mesh.boundary_edges
+        cells = mesh.boundary_cells
+        pa = mesh.vertices[edges[:, 0]]
+        d = mesh.vertices[edges[:, 1]] - pa
+        lengths = np.linalg.norm(d, axis=1)
+        # boundary edges keep the domain on their left, so (dy, -dx) points out
+        normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+        pts = pa[:, None, :] + EDGE_POINTS[None, :, None] * d[:, None, :]   # (ne, nq, 2)
+        rel = pts - mesh.vertices[mesh.triangles[cells, 0]][:, None, :]
+        # xi = J^{-1} (x - v0); inv_jt stores J^{-T}
+        inv_jt = self.inv_jt[cells]
+        xi = np.einsum("ekd,eqk->eqd", inv_jt, rel)
+        bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
+        flat = bary.reshape(-1, 3)
+        tables = np.empty((cells.size, 6, 3, EDGE_POINTS.size))
+        tables[:, :, 0, :] = _p2_basis(flat).reshape(cells.size, -1, 6).transpose(0, 2, 1)
+        ref = _p2_ref_grads(flat).reshape(cells.size, -1, 6, 2)
+        tables[:, :, 1:, :] = np.einsum("edk,eqlk->eldq", inv_jt, ref)
+        self._cache["edge_table"] = EdgeTable(cells=cells, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS,
+                                              normals=normals)
         return self._cache["edge_table"]
 
     # ------------------------------------------------------------------
@@ -584,30 +605,6 @@ class EdgeTable:
     tables: np.ndarray    # (ne, 6, 3, nq) P2 basis values and physical gradients, as ``space.tables``
     weights: np.ndarray   # (ne, nq) rule weight times edge length
     normals: np.ndarray   # (ne, 2) outward unit normals
-
-
-def boundary_edge_table(space):
-    """The :class:`EdgeTable` of the edges ``mesh.boundary_edges``."""
-    mesh = space.mesh
-    edges = mesh.boundary_edges
-    cells = mesh.boundary_cells
-    pa = mesh.vertices[edges[:, 0]]
-    d = mesh.vertices[edges[:, 1]] - pa
-    lengths = np.linalg.norm(d, axis=1)
-    # boundary edges keep the domain on their left, so (dy, -dx) points out
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    pts = pa[:, None, :] + EDGE_POINTS[None, :, None] * d[:, None, :]   # (ne, nq, 2)
-    rel = pts - mesh.vertices[mesh.triangles[cells, 0]][:, None, :]
-    # xi = J^{-1} (x - v0); inv_jt stores J^{-T}
-    inv_jt = space.inv_jt[cells]
-    xi = np.einsum("ekd,eqk->eqd", inv_jt, rel)
-    bary = np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
-    flat = bary.reshape(-1, 3)
-    tables = np.empty((cells.size, 6, 3, EDGE_POINTS.size))
-    tables[:, :, 0, :] = _p2_basis(flat).reshape(cells.size, -1, 6).transpose(0, 2, 1)
-    ref = _p2_ref_grads(flat).reshape(cells.size, -1, 6, 2)
-    tables[:, :, 1:, :] = np.einsum("edk,eqlk->eldq", inv_jt, ref)
-    return EdgeTable(cells=cells, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS, normals=normals)
 
 
 def assemble_linear_operators(mesh, space, nu):
@@ -749,22 +746,18 @@ def nonlinear_jacobian(space, form, u):
 # ----------------------------------------------------------------------
 # constraints
 
-def constraint_mask(space, boundary_values, time, size):
-    """Essential DOFs and their values for a vector or system of ``size`` unknowns.
+def constraint_mask(space, boundary_values, time):
+    """Essential DOFs and their values in the saddle-point layout ``[u, p]``.
 
-    ``size`` selects the layout: ``n_vel`` for velocity only, or
-    ``n_vel + n_press`` for the saddle-point layout ``[u, p]``, whose pinned
-    pressure DOF is also fixed, at zero.  Periodic slaves are already folded
-    by the DOF numbering.
+    The velocity DOFs come from ``space.dirichlet_data``; the pinned
+    pressure DOF is also fixed, at zero.  Periodic slaves are already
+    folded by the DOF numbering.
     """
     n_vel = space.n_vel
-    if size not in (n_vel, n_vel + space.n_press):
-        raise ValueError(f"system size {size} matches neither velocity nor saddle-point layout")
-    mask = np.zeros(size, dtype=bool)
-    vals = np.zeros(size)
+    mask = np.zeros(n_vel + space.n_press, dtype=bool)
+    vals = np.zeros(mask.size)
     mask[:n_vel], vals[:n_vel] = space.dirichlet_data(boundary_values, time)
-    if size > n_vel:
-        mask[n_vel + space.pinned_pressure] = True
+    mask[n_vel + space.pinned_pressure] = True
     return mask, vals
 
 
@@ -807,13 +800,12 @@ def constrain_rows(matrix, mask):
 
 
 def apply_constraints(space, matrix, rhs, boundary_values):
-    """Impose essential conditions, evaluated at t = 0, on an assembled system.
+    """Impose essential conditions, evaluated at t = 0, on an assembled saddle-point system.
 
-    Works on velocity-only or saddle-point systems (see
-    :func:`constraint_mask`).  Constrained rows become identity rows whose
-    right-hand side carries the prescribed values.
+    The mask is :func:`constraint_mask`'s.  Constrained rows become identity
+    rows whose right-hand side carries the prescribed values.
     """
-    mask, vals = constraint_mask(space, boundary_values, 0.0, matrix.shape[0])
+    mask, vals = constraint_mask(space, boundary_values, 0.0)
     rhs = np.array(rhs, dtype=float, copy=True)
     rhs[mask] = vals[mask]
     return constrain_rows(sp.csr_matrix(matrix, copy=True), mask), rhs

@@ -78,7 +78,7 @@ from .fem import (
     nonlinear_residual,
     saddle_block,
 )
-from .numerics import factorize, implicit_step, solve_sparse, step_count
+from .numerics import NewtonConvergenceError, factorize, implicit_step, solve_sparse, step_count
 from .pod import SnapshotSet
 from .diagnostics import ScalarSeries, energy_enstrophy
 
@@ -87,15 +87,6 @@ from .diagnostics import ScalarSeries, energy_enstrophy
 # this factor in one iteration; a fresh Jacobian then restores quadratic
 # convergence.
 REFACTOR_CONTRACTION = 0.1
-
-
-class NewtonConvergenceError(RuntimeError):
-    """Newton failed to reach tolerance; usually means the time step is too large."""
-
-    def __init__(self, message, step=None, residual=None):
-        super().__init__(message)
-        self.step = step
-        self.residual = residual
 
 
 @dataclass
@@ -278,7 +269,7 @@ def build_initial_condition(problem, space):
     if problem == "taylor-green":
         return space.interpolate_velocity(taylor_green_velocity)
     if problem == "cylinder-channel":
-        _, vals = constraint_mask(space, cylinder_boundary(), 0.0, space.n_vel)
+        _, vals = space.dirichlet_data(cylinder_boundary(), 0.0)
         return vals
     raise ValueError(f"unknown problem {problem!r}")
 
@@ -341,7 +332,7 @@ def advance_step(state, config, space, held=None):
     # the Newton system keep, and from p_old in the pinned gauge, which the
     # pinned DOF's 0 keeps; u and p are views that follow its updates
     x = np.concatenate([u, state.p - state.p[space.pinned_pressure]])
-    mask, vals = constraint_mask(space, config.boundary, t_new, x.size)
+    mask, vals = constraint_mask(space, config.boundary, t_new)
     x[mask] = vals[mask]
     u, p = x[: space.n_vel], x[space.n_vel :]
 
@@ -435,7 +426,7 @@ def run_fom(config, mesh, space, u0):
     n_steps = step_count(dt, config.t_end)
 
     u0 = np.array(u0, dtype=float, copy=True)
-    mask, vals = constraint_mask(space, config.boundary, 0.0, space.n_vel)
+    mask, vals = space.dirichlet_data(config.boundary, 0.0)
     u0[mask] = vals[mask]
     if config.project_initial:
         u0 = stokes_project(space, u0, config.boundary)

@@ -283,14 +283,14 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     return _build_mesh(vertices, triangles, edges, labels)
 
 
-def identify_periodic(mesh, axis, tolerance=None):
+def identify_periodic(mesh, axis):
     """Pair opposite-boundary vertices along ``axis`` ("x" or "y").
 
     Master vertices sit on the low side (x or y minimum), slaves on the high
     side; pairs are appended to any already present (so calling once per axis
     yields a doubly periodic mesh).  Raises ``ValueError`` listing the
-    coordinates of any vertex that has no partner within ``tolerance``
-    (default ``1e-8 *`` domain extent along the axis).
+    coordinates of any vertex that has no partner within ``1e-8`` times the
+    domain extent along the axis.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -299,9 +299,7 @@ def identify_periodic(mesh, axis, tolerance=None):
     coords = mesh.vertices
     boundary_vertices = np.unique(mesh.boundary_edges)
     lo, hi = coords[:, c].min(), coords[:, c].max()
-    extent = hi - lo
-    if tolerance is None:
-        tolerance = 1e-8 * extent
+    tolerance = 1e-8 * (hi - lo)
     on_lo = boundary_vertices[np.abs(coords[boundary_vertices, c] - lo) <= tolerance]
     on_hi = boundary_vertices[np.abs(coords[boundary_vertices, c] - hi) <= tolerance]
     if on_lo.size != on_hi.size:
@@ -328,10 +326,6 @@ def identify_periodic(mesh, axis, tolerance=None):
 # the boundary markers of the cylinder channel's Triangle files
 CYLINDER_LABELS = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
 
-_BUNDLED = {
-    "cylinder": ("cylinder_coarse", CYLINDER_LABELS),
-}
-
 
 def load_bundled_mesh(name):
     """Load a mesh shipped with the package; ``"cylinder"`` is the only one.
@@ -340,12 +334,8 @@ def load_bundled_mesh(name):
     with a polygonal approximation of the radius-0.05 hole centered at
     (0.2, 0.2); labels are ``inflow``/``outflow``/``wall``/``cylinder``.
     """
-    try:
-        stem, labels = _BUNDLED[name]
-    except KeyError:
-        raise ValueError(f"no bundled mesh named {name!r}; available: {sorted(_BUNDLED)}") from None
+    if name != "cylinder":
+        raise ValueError(f"no bundled mesh named {name!r}; available: ['cylinder']")
     data = resources.files("flowrom").joinpath("data")
-    node = data.joinpath(f"{stem}.node").read_text()
-    ele = data.joinpath(f"{stem}.ele").read_text()
-    edge = data.joinpath(f"{stem}.edge").read_text()
-    return read_triangle_mesh(node, ele, edge, marker_labels=labels)
+    node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text() for ext in ("node", "ele", "edge"))
+    return read_triangle_mesh(node, ele, edge, marker_labels=CYLINDER_LABELS)

@@ -16,7 +16,9 @@ fixed in one place:
 * ``step_count``, ``implicit_step``, ``uniform_step`` -- the one implicit
                       time scheme and grid that the FOM and the ROM both step:
                       backward Euler, or BDF2 started by one theta = 2/3
-                      step, which shares BDF2's Newton matrix.
+                      step, which shares BDF2's Newton matrix.  A Newton
+                      iteration of either that fails raises
+                      ``NewtonConvergenceError``.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -41,6 +43,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+class NewtonConvergenceError(RuntimeError):
+    """Newton failed to reach tolerance in a step of the FOM or the ROM.
+
+    ``step`` is the index of the failing step and ``residual`` the last
+    residual norm.  In the FOM it usually means the time step is too large;
+    inconsistent shear-layer ROMs are expected to trip it.
+    """
+
+    def __init__(self, message, step=None, residual=None):
+        super().__init__(message)
+        self.step = step
+        self.residual = residual
 
 
 class SingularSystemError(RuntimeError):

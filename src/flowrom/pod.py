@@ -120,9 +120,9 @@ class SnapshotCoordinates:
         return self.times.size
 
 
-def _m_orthonormalize(modes, mass, passes=2):
-    """Cholesky-QR in the ``mass`` inner product; returns corrected modes."""
-    for _ in range(passes):
+def _m_orthonormalize(modes, mass):
+    """Two passes of Cholesky-QR in the ``mass`` inner product; returns corrected modes."""
+    for _ in range(2):
         gram = modes.T @ (mass @ modes)
         gram = 0.5 * (gram + gram.T)
         chol = np.linalg.cholesky(gram)

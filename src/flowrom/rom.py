@@ -66,15 +66,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .fem import NonlinearForm
-from .numerics import implicit_step, step_count
-
-
-class RomNewtonError(RuntimeError):
-    """Online Newton diverged; inconsistent ROMs are expected to trip this."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+from .numerics import NewtonConvergenceError, implicit_step, step_count
 
 
 @dataclass
@@ -283,7 +275,7 @@ def assemble_rom_operators(space, basis, r, form, nu):
     return covering_projection(space, basis, r).operators(form, nu, int(basis.centered), r)
 
 
-# a diverging iterate overflows; the residual check reports it as RomNewtonError
+# a diverging iterate overflows; the residual check reports it as NewtonConvergenceError
 @np.errstate(over="ignore", invalid="ignore")
 def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
             newton_tol=1e-10, newton_max_iter=20):
@@ -296,8 +288,8 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
     reads the operator at a^0 off its first iterate's, which is a^0.  The
     trajectory records the Newton updates of each step.  A non-finite residual, an
     exactly singular Newton matrix and a step that does not converge in
-    ``newton_max_iter`` updates raise :class:`RomNewtonError` with the
-    failing step index.
+    ``newton_max_iter`` updates raise ``numerics.NewtonConvergenceError``
+    with the failing step index and the last residual norm.
     """
     n_steps = step_count(dt, t_end)
     r = ops.r
@@ -345,10 +337,11 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             a_new = a_new - step
         if failure is not None:
-            raise RomNewtonError(
+            raise NewtonConvergenceError(
                 f"reduced Newton diverged at step {n + 1} (t={(n + 1) * dt:g}): {failure}; "
                 "this is the expected failure mode of inconsistent shear-layer ROMs",
                 step=n + 1,
+                residual=res_norm,
             )
         a_prev = a
         a = a_new

@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,25 @@ def _run_micro(root, text):
     archive, basis = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
     assert main(["pod", archive, *common]) == 0
     return cfg, archive, basis, common
+
+
+def _subcommand(command, root, cfg, out):
+    """argv of ``command`` on the files of ``micro_pipeline``'s ``root``, writing into ``out``."""
+    archive, basis = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
+    inputs = {"fom": [], "pod": [archive], "rom": [basis, "--archive", archive],
+              "compare": [str(root / "micro_rom_skew_r3_traj.csv"), "--archive", archive, "--basis", basis]}
+    target = out / "compare.csv" if command == "compare" else out
+    return [command, *inputs[command], "--config", str(cfg), "--out", str(target)]
+
+
+# an edit of MICRO_KH that no parser accepts, by the section and key it breaks
+MALFORMED = {
+    "[rom] centering": ("centering = none", "centering = bogus"),
+    "[rom] r": ("r = 3", "r = x"),
+    "[rom] form": ("r = 3\nform = skew", "r = 3\nform = upwind"),
+    "[fom] dt": ("dt = 0.05", "dt = abc"),
+    "[problem] nx": ("nx = 8", "nx = abc"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -352,15 +375,67 @@ class TestErrorPaths:
         root, _ = micro_pipeline
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MICRO_KH.replace(*edit))
-        archive = str(root / "micro_snapshots.bin")
-        inputs = {"fom": [], "pod": [archive], "rom": [str(root / "micro_basis.bin"), "--archive", archive]}
-        assert main([command, *inputs[command], "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(_subcommand(command, root, cfg, tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
+    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
+    @pytest.mark.parametrize("key", list(MALFORMED))
+    def test_malformed_value_fails_every_subcommand(self, micro_pipeline, tmp_path, capsys, key, command):
+        # every value is parsed on load, also those of keys the subcommand does not read
+        root, _ = micro_pipeline
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*MALFORMED[key]))
+        assert main(_subcommand(command, root, cfg, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+    @pytest.mark.parametrize("flag, key", [(["--r", "3"], "[rom] r"), (["--form", "skew"], "[rom] form")])
+    def test_flag_does_not_pass_a_malformed_key(self, micro_pipeline, tmp_path, capsys, flag, key):
+        root, _ = micro_pipeline
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*MALFORMED[key]))
+        assert main([*_subcommand("rom", root, cfg, tmp_path), *flag]) == 2
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+    @pytest.mark.parametrize("command", ["pod", "fom"])
+    def test_unusable_path_is_config_error(self, micro_pipeline, tmp_path, command):
+        # a directory as the snapshot archive, an existing file as --out
+        _, cfg = micro_pipeline
+        if command == "pod":
+            path = tmp_path / "snapshots.bin"
+            path.mkdir()
+            argv = ["pod", str(path), "--config", str(cfg), "--out", str(tmp_path)]
+        else:
+            path = tmp_path / "out"
+            path.write_text("")
+            argv = ["fom", "--config", str(cfg), "--out", str(path)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(flowrom.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "flowrom", *argv], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert "config error" in run.stderr and str(path) in run.stderr and "Traceback" not in run.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_unset_fom_keys_take_the_fomconfig_defaults(self, tmp_path):
+        from flowrom.cli import _build_problem, _fom_config
+
+        cfg = tmp_path / "min.ini"
+        cfg.write_text("[problem]\nname = kelvin-helmholtz\nnx = 4\nny = 4\n"
+                       "[fom]\nnu = 1e-3\ndt = 0.05\nt_end = 0.25\n")
+        config = _load_config(cfg)
+        problem = _build_problem(config)
+        got = _fom_config(config, problem)
+        want = FomConfig(1e-3, 0.05, 0.25, boundary=problem.boundary, drag_label=problem.drag_label,
+                         project_initial=problem.project_initial)
+        for field in dataclasses.fields(FomConfig):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
-        assert _load_config(path).sections()
+        assert _load_config(path)["problem"]["name"]
 
     @pytest.mark.parametrize("removed", [["verify"], ["verify", "--seed", "0"],
                                          ["pod", "--centering", "mean"]])

@@ -461,4 +461,4 @@ class TestIdentifyPeriodic:
 
         broken = replace(m, vertices=verts)
         with pytest.raises(ValueError, match="no partner"):
-            identify_periodic(broken, axis="x", tolerance=1e-8)
+            identify_periodic(broken, axis="x")
