@@ -11,12 +11,13 @@ Run:  python3 demos/pod_spectrum.py   (seconds)
 import numpy as np
 
 from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
-from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
+from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity,
+                         run_fom)
 from flowrom.pod import build_pod_basis, pod_projection_error
 
 mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
 space = TaylorHoodSpace(mesh)
-u0 = build_initial_condition("kelvin-helmholtz", space)
+u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
 cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.8, form="skew", scheme="backward_euler",
                 boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 0.8),
                 project_initial=True)

@@ -26,7 +26,7 @@ for nx in (16, 32, 64):
     dt = h / 4.0
     mesh = identify_periodic(identify_periodic(uniform_rect_mesh(nx, nx, 2.0, 2.0), "x"), "y")
     space = TaylorHoodSpace(mesh)
-    u0 = build_initial_condition("taylor-green", space)
+    u0 = build_initial_condition(taylor_green_velocity, space)
     cfg = FomConfig(nu=NU, dt=dt, t_end=T_END, form="skew", scheme="bdf2",
                     boundary={}, snapshot_window=(0.0, T_END))
     state, snaps, _ = run_fom(cfg, mesh, space, u0)

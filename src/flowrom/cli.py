@@ -20,7 +20,6 @@ Configuration files use INI syntax (flat key-value pairs in sections); see
 
     [rom]
     r = 40
-    form = skew
     centering = none
 
     [output]
@@ -30,8 +29,10 @@ The keys above, plus ``[problem] mesh/node/ele/edge`` for the cylinder and
 ``[fom] newton_max_iter``, are all that is read (:data:`CONFIG_KEYS`); any
 other section or key is a config error, and so is a malformed value in any
 key, in every subcommand: every value is parsed on load by its key's parser.
-The ``[fom]`` keys are :class:`FomConfig` fields, unset ones its defaults;
-``fom``, ``rom`` and ``compare`` require ``nu``, ``dt`` and ``t_end``.
+Every subcommand starts from :func:`_build_problem`: the space, the ``[fom]``
+keys as a :class:`FomConfig` (``nu``, ``dt`` and ``t_end`` required, unset
+keys its defaults), the POD centering and the initial velocity.  The ROM form
+is ``--form``, else ``[fom] form``.
 Outputs go to ``--out`` or the working directory, named from ``[output] prefix``.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
@@ -48,7 +49,8 @@ of their ``--archive``, which must equal the basis's times.
 Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, ``r = x``, a
 snapshot window that holds no step, no snapshot for ``pod`` or one for
 ``rom``, a path that cannot be read or written), 3 solver failure, 4 format
-error (e.g. a non-uniform snapshot grid).
+error (e.g. a non-uniform snapshot grid, a trajectory whose header is not
+``t, a_1, ..., a_r``).
 """
 
 import argparse
@@ -64,11 +66,14 @@ from .diagnostics import reduced_trajectory_error, rom_energy_enstrophy
 from .fem import NonlinearForm, TaylorHoodSpace
 from .fom import (
     FomConfig,
+    at_rest,
     build_initial_condition,
     cylinder_boundary,
     kelvin_helmholtz_boundary,
+    kelvin_helmholtz_velocity,
     run_fom,
     step_drag,
+    taylor_green_velocity,
 )
 from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
                    uniform_rect_mesh)
@@ -102,7 +107,7 @@ CONFIG_KEYS = {
     "problem": {"name": str, "nx": int, "ny": int, "mesh": str, "node": Path, "ele": Path, "edge": Path},
     "fom": {"nu": float, "dt": float, "t_end": float, "form": NonlinearForm.parse, "scheme": str,
             "snapshot_start": float, "snapshot_end": float, "snapshot_stride": int, "newton_max_iter": int},
-    "rom": {"r": int, "form": NonlinearForm.parse, "centering": _centering},
+    "rom": {"r": int, "centering": _centering},
     "output": {"prefix": str},
 }
 
@@ -113,13 +118,11 @@ class ConfigError(ValueError):
 
 def _load_config(path):
     """``{section: {key: value}}`` with every section of :data:`CONFIG_KEYS` and every value parsed."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read(p)
-    except configparser.Error as exc:
+        with open(path) as f:
+            cp.read_file(f)
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     config = {section: {} for section in CONFIG_KEYS}
     for section in cp.sections():
@@ -127,7 +130,7 @@ def _load_config(path):
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, text in cp[section].items():
             if key not in CONFIG_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
             try:
                 config[section][key] = CONFIG_KEYS[section][key](text)
             except ValueError as exc:
@@ -140,13 +143,10 @@ def _load_config(path):
 class _Problem(NamedTuple):
     """The configured problem and the values it fixes."""
 
-    name: str
-    mesh: object
     space: TaylorHoodSpace
-    boundary: dict
-    drag_label: str  # boundary whose drag is recorded, or None
-    project_initial: bool  # Stokes-project the initial field
+    fom: FomConfig
     centering: str  # POD centering when [rom] centering is not set
+    velocity: object  # initial velocity (x, y, t) -> (u1, u2)
 
 
 def _rect_mesh(prob, n, extent):
@@ -159,16 +159,22 @@ def _rect_mesh(prob, n, extent):
 
 
 def _build_problem(config):
+    """The named problem's space, :class:`FomConfig`, POD centering and initial velocity.
+
+    This is the only code that knows a problem name.  The ``[fom]`` keys are
+    :class:`FomConfig` fields, the snapshot window from its two ends; the name
+    fixes the boundary, the drag label and the projection of u0.
+    """
     prob = config["problem"]
     name = prob["name"]
     if name == "kelvin-helmholtz":
         mesh = identify_periodic(_rect_mesh(prob, 32, 1.0), "x")
-        return _Problem(name, mesh, TaylorHoodSpace(mesh), kelvin_helmholtz_boundary(),
-                        None, True, "none")
-    if name == "taylor-green":
+        fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
+        centering, velocity = "none", kelvin_helmholtz_velocity
+    elif name == "taylor-green":
         mesh = identify_periodic(identify_periodic(_rect_mesh(prob, 16, 2.0), "x"), "y")
-        return _Problem(name, mesh, TaylorHoodSpace(mesh), {}, None, False, "none")
-    if name == "cylinder-channel":
+        fixed, centering, velocity = {}, "none", taylor_green_velocity
+    elif name == "cylinder-channel":
         if prob.get("mesh", "bundled") == "bundled":
             mesh = load_bundled_mesh("cylinder")
         else:
@@ -178,13 +184,11 @@ def _build_problem(config):
                     raise ConfigError(f"mesh file not found: {p} (problem.{key})")
             mesh = read_triangle_mesh(paths["node"].read_text(), paths["ele"].read_text(),
                                       paths["edge"].read_text(), marker_labels=CYLINDER_LABELS)
-        return _Problem(name, mesh, TaylorHoodSpace(mesh), cylinder_boundary(),
-                        "cylinder", True, "mean")
-    raise ConfigError(f"unknown problem name {name!r}")
+        fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
+        centering, velocity = "mean", at_rest
+    else:
+        raise ConfigError(f"unknown problem name {name!r}")
 
-
-def _fom_config(config, problem):
-    """The ``[fom]`` keys as :class:`FomConfig` fields, the snapshot window from its two ends."""
     fom = dict(config["fom"])
     if not {"nu", "dt", "t_end"} <= fom.keys():
         raise ConfigError("[fom] section requires nu, dt, t_end")
@@ -192,10 +196,10 @@ def _fom_config(config, problem):
     if "snapshot_start" in fom or "snapshot_end" in fom:
         window = (fom.pop("snapshot_start", 0.0), fom.pop("snapshot_end", fom["t_end"]))
     try:
-        return FomConfig(**fom, boundary=problem.boundary, snapshot_window=window,
-                         drag_label=problem.drag_label, project_initial=problem.project_initial)
+        fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return _Problem(TaylorHoodSpace(mesh), fom_cfg, centering, velocity)
 
 
 def _out_prefix(config, outdir):
@@ -207,10 +211,10 @@ def _out_prefix(config, outdir):
 def cmd_fom(args):
     config = _load_config(args.config)
     problem = _build_problem(config)
-    cfg = _fom_config(config, problem)
+    space = problem.space
     prefix = _out_prefix(config, args.out)
-    u0 = build_initial_condition(problem.name, problem.space)
-    _, snaps, series = run_fom(cfg, problem.mesh, problem.space, u0)
+    u0 = build_initial_condition(problem.velocity, space)
+    _, snaps, series = run_fom(problem.fom, space.mesh, space, u0)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
     fio.write_csv(f"{prefix}_scalars.csv", ["t", *series],
                   [series["energy"].times, *(s.values for s in series.values())])
@@ -273,7 +277,8 @@ def _pod_coordinates(coordinates, basis_path, archive_path, space):
 
 
 def cmd_rom(args):
-    """Run one ROM on the basis's snapshot grid with the ``[fom] scheme``.
+    """Run one ROM, of the ``--form`` or else the ``[fom] form``, on the basis's
+    snapshot grid with the ``[fom] scheme``.
 
     It starts from the first snapshot's coordinates on the leading r modes
     and assembles no FE matrix.  One projection, the archive's or a fresh
@@ -282,9 +287,8 @@ def cmd_rom(args):
     """
     config = _load_config(args.config)
     problem = _build_problem(config)
-    space = problem.space
-    fom_cfg = _fom_config(config, problem)
-    form = NonlinearForm.parse(args.form or config["rom"].get("form", fom_cfg.form))
+    space, fom_cfg = problem.space, problem.fom
+    form = NonlinearForm.parse(args.form or fom_cfg.form)
     basis = fio.read_basis(args.basis, space=space)
     coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
     r = _mode_count(config, basis.rank, args.r)
@@ -328,8 +332,8 @@ def _parse_traj_csv(path):
     """Form (from a ``<prefix>_rom_<form>_r<r>_traj.csv`` name), r and trajectory.
 
     r is the number of coefficient columns, so it always matches the data.
-    A name without a form, a text column and a non-finite time or
-    coefficient are format errors.
+    A name without a form, a text column, a header other than ``t, a_1,
+    ..., a_r`` and a non-finite time or coefficient are format errors.
     """
     parts = Path(path).stem.split("_")
     try:
@@ -341,6 +345,8 @@ def _parse_traj_csv(path):
         raise fio.ArchiveFormatError(f"{path}: a trajectory needs at least one coefficient column")
     if any(col.dtype.kind != "f" for col in cols):
         raise fio.ArchiveFormatError(f"{path}: a trajectory holds numbers only, found a text column")
+    if header != ["t"] + [f"a_{k}" for k in range(1, len(header))]:
+        raise fio.ArchiveFormatError(f"{path}: a trajectory's header is t, a_1, ..., a_r, found {header}")
     if not all(np.isfinite(col).all() for col in cols):
         raise fio.ArchiveFormatError(f"{path}: non-finite value in the trajectory")
     return form.value, len(header) - 1, RomTrajectory(coeffs=np.column_stack(cols[1:]), times=cols[0])
@@ -354,7 +360,6 @@ def cmd_compare(args):
     """
     config = _load_config(args.config)
     problem = _build_problem(config)
-    fom_cfg = _fom_config(config, problem)
     space = problem.space
     coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
                                   args.basis, args.archive, space)
@@ -366,7 +371,7 @@ def cmd_compare(args):
     for traj_path in args.trajectories:
         form, r, traj = _parse_traj_csv(traj_path)
         try:
-            err = reduced_trajectory_error(coords, traj, fom_cfg.nu)
+            err = reduced_trajectory_error(coords, traj, problem.fom.nu)
         except ValueError as exc:
             raise ConfigError(f"{traj_path}: {exc}") from exc
         rows.append((form, r, err.linf_l2, err.l2_h1, err.c_u, *div_norms))

@@ -61,8 +61,9 @@ pressure term, tested with a discretely divergence-free lifting v_d of e_x
 on the drag boundary, so the pressure drops out exactly.  The ROM needs no
 pressure: the same function of its reconstructed states is its drag.
 
-Initial-condition builders for the package's experiments (Kelvin-Helmholtz
-shear layer, cylinder channel, Taylor-Green vortex) live here as well.
+The experiments' initial velocities (Kelvin-Helmholtz shear layer,
+Taylor-Green vortex, the cylinder channel at rest) and boundary conditions
+live here as well; ``cli._build_problem`` pairs them with a problem name.
 """
 
 from dataclasses import dataclass, field
@@ -216,6 +217,11 @@ def cylinder_inflow(x, y, t=0.0):
     return u1, np.zeros_like(u1)
 
 
+def at_rest(x, y, t=0.0):
+    """The fluid at rest: the cylinder's initial velocity, whose boundary values :func:`run_fom` sets."""
+    return np.zeros_like(x), np.zeros_like(x)
+
+
 def kelvin_helmholtz_boundary():
     """No-penetration top/bottom; the periodic sides carry no essential values."""
     return {"top": ("component", 1, 0.0), "bottom": ("component", 1, 0.0)}
@@ -254,24 +260,9 @@ def stokes_project(space, u, boundary):
     return x[: space.n_vel]
 
 
-def build_initial_condition(problem, space):
-    """Interpolate an experiment's initial velocity onto the P2 nodes.
-
-    ``problem`` is one of ``"kelvin-helmholtz"``, ``"cylinder-channel"``,
-    ``"taylor-green"``, or a callable ``(x, y, t) -> (u1, u2)`` for custom
-    data.  The cylinder starts from rest (zero field with the boundary
-    profile applied).
-    """
-    if callable(problem):
-        return space.interpolate_velocity(problem)
-    if problem == "kelvin-helmholtz":
-        return space.interpolate_velocity(kelvin_helmholtz_velocity)
-    if problem == "taylor-green":
-        return space.interpolate_velocity(taylor_green_velocity)
-    if problem == "cylinder-channel":
-        _, vals = space.dirichlet_data(cylinder_boundary(), 0.0)
-        return vals
-    raise ValueError(f"unknown problem {problem!r}")
+def build_initial_condition(velocity, space):
+    """Interpolate an initial velocity ``(x, y, t) -> (u1, u2)`` onto the P2 nodes."""
+    return space.interpolate_velocity(velocity)
 
 
 # ----------------------------------------------------------------------

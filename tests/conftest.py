@@ -39,14 +39,14 @@ def square8():
 def kh16_saddle():
     """16x16 shear-layer space with its Newton (skew, BE, dt 0.02) and balanced Stokes-projection matrices."""
     from flowrom.fem import apply_constraints, constrain_rows, constraint_mask, nonlinear_jacobian
-    from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary
+    from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity
 
     mesh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
     space = TaylorHoodSpace(mesh)
     boundary = kelvin_helmholtz_boundary()
     n = space.n_vel + space.n_press
     div = space.divergence()
-    u = build_initial_condition("kelvin-helmholtz", space)
+    u = build_initial_condition(kelvin_helmholtz_velocity, space)
     block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
     mask, _ = constraint_mask(space, boundary, 0.02)
     newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
@@ -68,11 +68,12 @@ def three_spaces():
 @pytest.fixture(scope="session")
 def kh_run():
     """Short shear-layer run shared by the POD/ROM/diagnostics tests."""
-    from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
+    from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary,
+                             kelvin_helmholtz_velocity, run_fom)
 
     mesh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
     space = TaylorHoodSpace(mesh)
-    u0 = build_initial_condition("kelvin-helmholtz", space)
+    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.5, form="skew", scheme="backward_euler",
                     boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 0.5),
                     project_initial=True)

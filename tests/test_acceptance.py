@@ -23,12 +23,15 @@ from flowrom.fem import (
 )
 from flowrom.fom import (
     FomConfig,
+    at_rest,
     build_initial_condition,
     cylinder_boundary,
     kelvin_helmholtz_boundary,
+    kelvin_helmholtz_velocity,
     run_fom,
     step_drag,
     taylor_green_gradient,
+    taylor_green_velocity,
 )
 from flowrom.io import write_basis, write_snapshots
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
@@ -51,7 +54,7 @@ def kh50(tmp_path_factory):
     """Criterion-4 pipeline: 16x16 shear layer, backward Euler, skew, 50 steps."""
     mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
     space = TaylorHoodSpace(mesh)
-    u0 = build_initial_condition("kelvin-helmholtz", space)
+    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=1.0, form="skew", scheme="backward_euler",
                     boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
                     project_initial=True, newton_tol=1e-11)
@@ -70,7 +73,7 @@ def desk_kh_skew():
     """Desk shear layer (h=1/32, Re=100, dt=0.02, T=3), backward Euler, skew."""
     mesh = identify_periodic(uniform_rect_mesh(32, 32), "x")
     space = TaylorHoodSpace(mesh)
-    u0 = build_initial_condition("kelvin-helmholtz", space)
+    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=3.0, form="skew", scheme="backward_euler",
                     boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 3.0),
                     project_initial=True)
@@ -266,7 +269,7 @@ def test_criterion_06_taylor_green_convergence():
         dt = h / 4.0
         mesh = identify_periodic(identify_periodic(uniform_rect_mesh(nx, nx, 2.0, 2.0), "x"), "y")
         space = TaylorHoodSpace(mesh)
-        u0 = build_initial_condition("taylor-green", space)
+        u0 = build_initial_condition(taylor_green_velocity, space)
         cfg = FomConfig(nu=nu, dt=dt, t_end=t_end, form="skew", scheme="bdf2",
                         boundary={}, snapshot_window=(0.0, t_end))
         _, snaps, _ = run_fom(cfg, mesh, space, u0)
@@ -293,7 +296,7 @@ def test_criterion_07_energy_stability(desk_kh_skew):
     assert growth_skew <= 1e-12
 
     mesh = space.mesh
-    u0 = build_initial_condition("kelvin-helmholtz", space)
+    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=3.0, form="emac", scheme="backward_euler",
                     boundary=kelvin_helmholtz_boundary(), project_initial=True)
     _, _, series_e = run_fom(cfg, mesh, space, u0)
@@ -349,7 +352,7 @@ def test_criterion_09_cylinder_pipeline():
     space = TaylorHoodSpace(mesh)
     nu = 5e-4
     dt = 0.0025
-    u0 = build_initial_condition("cylinder-channel", space)
+    u0 = build_initial_condition(at_rest, space)
     cfg = FomConfig(nu=nu, dt=dt, t_end=8.0, form="emac", scheme="bdf2",
                     boundary=cylinder_boundary(), snapshot_window=(6.5, 8.0),
                     snapshot_stride=2, drag_label="cylinder", project_initial=True)

@@ -38,7 +38,6 @@ snapshot_stride = 1
 
 [rom]
 r = 3
-form = skew
 centering = none
 
 [output]
@@ -60,7 +59,6 @@ snapshot_end = 0.0125
 
 [rom]
 r = 3
-form = skew
 
 [output]
 prefix = micro
@@ -90,11 +88,12 @@ def _subcommand(command, root, cfg, out):
     return [command, *inputs[command], "--config", str(cfg), "--out", str(target)]
 
 
-# an edit of MICRO_KH that no parser accepts, by the section and key it breaks
+# an edit of MICRO_KH that the loader rejects, by the section and key it breaks
 MALFORMED = {
     "[rom] centering": ("centering = none", "centering = bogus"),
     "[rom] r": ("r = 3", "r = x"),
-    "[rom] form": ("r = 3\nform = skew", "r = 3\nform = upwind"),
+    "[rom] form": ("r = 3", "r = 3\nform = skew"),  # retired: the ROM form is --form or [fom] form
+    "[fom] form": ("form = skew", "form = upwind"),
     "[fom] dt": ("dt = 0.05", "dt = abc"),
     "[problem] nx": ("nx = 8", "nx = abc"),
 }
@@ -313,26 +312,24 @@ class TestPipeline:
     def test_cylinder_drag_at_every_step(self, tmp_path):
         # the FOM and the ROM drag are fom.step_drag, with the FOM's form, of
         # each step; no step ends at the first row
-        from flowrom.cli import _build_problem, _fom_config
+        from flowrom.cli import _build_problem
         from flowrom.fom import step_drag
         from flowrom.rom import reconstruct_field
 
         cfg, archive, basis_path, common = _run_micro(tmp_path, MICRO_CYLINDER)
-        assert main(["rom", basis_path, "--archive", archive, *common]) == 0
+        assert main(["rom", basis_path, "--archive", archive, *common, "--form", "skew"]) == 0
         _, fom = read_csv(tmp_path / "micro_scalars.csv")
         header, rom = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
         assert header == ["t", "energy", "enstrophy", "drag", "newton_iters"]
         for drag in (fom[4], rom[3]):
             assert drag.size == 6 and np.isnan(drag[0]) and np.all(np.isfinite(drag[1:]))
 
-        config = _load_config(cfg)
-        problem = _build_problem(config)
-        fom_cfg = _fom_config(config, problem)
+        problem = _build_problem(_load_config(cfg))
         basis = read_basis(basis_path, space=problem.space)
         dt = uniform_step(basis.coordinates.times)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
-        want = [step_drag(problem.space, fom_cfg, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+        want = [step_drag(problem.space, problem.fom, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
                 for n in range(1, len(u))]
         assert np.array_equal(rom[3][1:], want)
 
@@ -369,7 +366,7 @@ class TestErrorPaths:
         ("fom", ("nu = 3.5714285714285714e-04", "nu = -1")),
         # a snapshot window that holds no step
         ("fom", ("snapshot_start = 0.0\nsnapshot_end = 0.25", "snapshot_start = 0.01\nsnapshot_end = 0.02")),
-        ("rom", ("r = 3\nform = skew", "r = 3\nform = upwind")),
+        ("rom", ("form = skew", "form = upwind")),
     ])
     def test_malformed_config_value_is_config_error(self, micro_pipeline, tmp_path, capsys, command, edit):
         root, _ = micro_pipeline
@@ -391,7 +388,8 @@ class TestErrorPaths:
         assert "config error" in err and key in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
-    @pytest.mark.parametrize("flag, key", [(["--r", "3"], "[rom] r"), (["--form", "skew"], "[rom] form")])
+    @pytest.mark.parametrize("flag, key", [(["--r", "3"], "[rom] r"), (["--form", "skew"], "[rom] form"),
+                                           (["--form", "skew"], "[fom] form")])
     def test_flag_does_not_pass_a_malformed_key(self, micro_pipeline, tmp_path, capsys, flag, key):
         root, _ = micro_pipeline
         cfg = tmp_path / "bad.ini"
@@ -420,22 +418,51 @@ class TestErrorPaths:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_unset_fom_keys_take_the_fomconfig_defaults(self, tmp_path):
-        from flowrom.cli import _build_problem, _fom_config
+        from flowrom.cli import _build_problem
+        from flowrom.fom import kelvin_helmholtz_boundary
 
         cfg = tmp_path / "min.ini"
         cfg.write_text("[problem]\nname = kelvin-helmholtz\nnx = 4\nny = 4\n"
                        "[fom]\nnu = 1e-3\ndt = 0.05\nt_end = 0.25\n")
-        config = _load_config(cfg)
-        problem = _build_problem(config)
-        got = _fom_config(config, problem)
-        want = FomConfig(1e-3, 0.05, 0.25, boundary=problem.boundary, drag_label=problem.drag_label,
-                         project_initial=problem.project_initial)
+        got = _build_problem(_load_config(cfg)).fom
+        want = FomConfig(1e-3, 0.05, 0.25, boundary=kelvin_helmholtz_boundary(), project_initial=True)
         for field in dataclasses.fields(FomConfig):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
-        assert _load_config(path)["problem"]["name"]
+        # the whole set-up of every subcommand: the space and the validated FomConfig
+        from flowrom.cli import _build_problem
+
+        problem = _build_problem(_load_config(path))
+        assert isinstance(problem.fom, FomConfig) and problem.space.n_vel > 0
+
+    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
+    @pytest.mark.parametrize("edit", [
+        ("nu = 3.5714285714285714e-04", "nu = 0"),
+        ("scheme = backward_euler", "scheme = bogus"),
+        ("nu = 3.5714285714285714e-04\n", ""),
+    ], ids=["nu_zero", "unknown_scheme", "no_nu"])
+    def test_invalid_fom_settings_fail_every_subcommand(self, micro_pipeline, tmp_path, capsys, edit, command):
+        # every subcommand builds the FomConfig, so each rejects what it rejects
+        root, _ = micro_pipeline
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*edit))
+        assert main(_subcommand(command, root, cfg, tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+    @pytest.mark.parametrize("kind", ["directory", "not_text"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        # the loader opens the file itself, so an unreadable path is named, not skipped
+        path = tmp_path
+        if kind == "not_text":
+            path = tmp_path / "binary.ini"
+            path.write_bytes(b"\xff\xfe\x00[problem]")
+        assert main(["fom", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err and "[problem]" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("removed", [["verify"], ["verify", "--seed", "0"],
                                          ["pod", "--centering", "mean"]])
@@ -541,6 +568,17 @@ class TestErrorPaths:
                      "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
         assert code == 4
         assert str(bare) in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_scalars_file_is_no_trajectory(self, micro_pipeline, tmp_path, capsys):
+        # its name has a form token, but its columns are no coefficients
+        root, cfg = micro_pipeline
+        scalars = root / "micro_rom_skew_r3_scalars.csv"
+        code = main(["compare", str(scalars), "--config", str(cfg),
+                     "--archive", str(root / "micro_snapshots.bin"),
+                     "--basis", str(root / "micro_basis.bin"), "--out", str(tmp_path / "c.csv")])
+        assert code == 4
+        assert f"{scalars}: a trajectory's header is t, a_1, ..., a_r" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
     def test_trajectory_with_text_column_is_format_error(self, micro_pipeline, tmp_path, capsys):

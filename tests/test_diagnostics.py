@@ -10,7 +10,7 @@ from flowrom.diagnostics import (
     trajectory_error,
 )
 from flowrom.fem import TaylorHoodSpace
-from flowrom.fom import build_initial_condition, cylinder_boundary
+from flowrom.fom import build_initial_condition, cylinder_boundary, kelvin_helmholtz_velocity
 from flowrom.pod import SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
@@ -45,7 +45,7 @@ class TestEnergyEnstrophy:
     def test_kh_energy_against_1d_quadrature(self):
         mesh = flowrom.uniform_rect_mesh(32, 32)
         space = TaylorHoodSpace(mesh)
-        u = build_initial_condition("kelvin-helmholtz", space)
+        u = build_initial_condition(kelvin_helmholtz_velocity, space)
         energy, _ = energy_enstrophy(space, u)
         # the ripple contributes O(1e-6); the tanh profile carries the energy
         exact = 0.5 * quad(lambda y: np.tanh(28 * (2 * y - 1)) ** 2, 0.0, 1.0, limit=200)[0]

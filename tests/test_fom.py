@@ -23,6 +23,7 @@ from flowrom.fom import (
     NewtonConvergenceError,
     _newton_matrix,
     advance_step,
+    at_rest,
     build_initial_condition,
     cylinder_boundary,
     kelvin_helmholtz_boundary,
@@ -67,14 +68,14 @@ def torus16():
 class TestInitialConditions:
     def test_kh_centerline_horizontal_velocity_vanishes(self, kh16):
         _, space = kh16
-        u = build_initial_condition("kelvin-helmholtz", space)
+        u = build_initial_condition(kelvin_helmholtz_velocity, space)
         on_center = np.isclose(space.scalar_xy[:, 1], 0.5)
         assert on_center.sum() > 0
         assert np.all(u[0::2][on_center] == 0.0)
 
     def test_kh_corner_value(self, kh16):
         _, space = kh16
-        u = build_initial_condition("kelvin-helmholtz", space)
+        u = build_initial_condition(kelvin_helmholtz_velocity, space)
         node = np.flatnonzero(np.isclose(space.scalar_xy[:, 0], 0.0)
                               & np.isclose(space.scalar_xy[:, 1], 1.0))[0]
         assert abs(u[2 * node] - 1.0) < 1e-10
@@ -86,25 +87,23 @@ class TestInitialConditions:
         xs = np.linspace(0, 2, 17)
         g = taylor_green_gradient(xs, xs[::-1], t=0.3, nu=0.05)
         assert np.abs(g[0][0] + g[1][1]).max() < 1e-14
-        u = build_initial_condition("taylor-green", space)
+        u = build_initial_condition(taylor_green_velocity, space)
         assert field_norms(space, u).div_l2 < 0.2  # interpolant: small, not zero
 
-    def test_cylinder_rest_state(self):
-        mesh = flowrom.load_bundled_mesh("cylinder")
-        space = TaylorHoodSpace(mesh)
-        u = build_initial_condition("cylinder-channel", space)
+    def test_cylinder_rest_state(self, cylinder):
+        # from rest, run_fom's u0 is zero with the boundary profile applied
+        mesh, space = cylinder
+        u = build_initial_condition(at_rest, space)
+        assert not u.any()
+        cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.0025, form="emac", boundary=cylinder_boundary(),
+                        snapshot_window=(0.0, 0.0))
+        _, snaps, _ = run_fom(cfg, mesh, space, u)
         mask, vals = space.dirichlet_data(cylinder_boundary())
-        assert np.allclose(u[mask], vals[mask])
-        assert np.all(u[~mask] == 0.0)
-
-    def test_unknown_problem(self, kh16):
-        _, space = kh16
-        with pytest.raises(ValueError, match="unknown problem"):
-            build_initial_condition("lid-driven", space)
+        assert vals[mask].any() and np.array_equal(snaps.matrix[:, 0], vals)
 
     def test_stokes_projection_kills_weak_divergence(self, kh16):
         _, space = kh16
-        u = build_initial_condition("kelvin-helmholtz", space)
+        u = build_initial_condition(kelvin_helmholtz_velocity, space)
         div = space.divergence()
         assert np.linalg.norm(div @ u) > 1e-6  # interpolant violates the constraint
         w = stokes_project(space, u, kelvin_helmholtz_boundary())
@@ -121,9 +120,9 @@ class TestRefinedStokesSolve:
     def test_matches_a_float64_factorization(self, request, problem):
         _, space = request.getfixturevalue(problem)
         if problem == "cylinder":
-            boundary, u = cylinder_boundary(), build_initial_condition("cylinder-channel", space)
+            boundary, u = cylinder_boundary(), space.dirichlet_data(cylinder_boundary())[1]
         else:
-            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition("kelvin-helmholtz", space)
+            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition(kelvin_helmholtz_velocity, space)
         n = space.n_vel
         mass = space.mass()
         balance = np.abs(space.divergence().data).max() / mass.diagonal().max()
@@ -162,7 +161,7 @@ class TestRefinedStokesSolve:
             return factors[-1]
 
         monkeypatch.setattr(flowrom.numerics.spla, "splu", spy)
-        u = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        u = stokes_project(space, build_initial_condition(kelvin_helmholtz_velocity, space), boundary)
         projection, = factors
         assert np.array_equal(projection.perm_r, np.arange(projection.perm_r.size))
         mask, _ = constraint_mask(space, boundary, 0.02)
@@ -182,7 +181,7 @@ class TestRefinedStokesSolve:
         monkeypatch.setattr(flowrom.numerics.spla, "splu", spy)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.04, form="skew", scheme="backward_euler",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
-        run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         # the projection, then the held Newton factor
         assert len(factored) >= 2 and all(dtype == np.float32 for dtype in factored)
 
@@ -208,7 +207,7 @@ class TestAdvanceStep:
         # would add the fixed spatial interpolation floor on top.
         _, space = torus16
         nu = 0.05
-        u0 = build_initial_condition("taylor-green", space)
+        u0 = build_initial_condition(taylor_green_velocity, space)
         cfg = FomConfig(nu=nu, dt=0.02, t_end=0.02, form="skew",
                         scheme="backward_euler", boundary={}, newton_tol=1e-12)
         st = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
@@ -247,7 +246,7 @@ class TestAdvanceStep:
         # and D u1 = 0, F(u) = nu K u + N(u), theta = 2/3, in the free rows
         _, space = kh16
         boundary, nu, dt, theta = kelvin_helmholtz_boundary(), 1 / 2800, 0.02, 2.0 / 3.0
-        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        u0 = stokes_project(space, build_initial_condition(kelvin_helmholtz_velocity, space), boundary)
         cfg = FomConfig(nu=nu, dt=dt, t_end=dt, form="emac", scheme="bdf2", boundary=boundary)
         st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0), cfg, space)
         mass, stiff, div = space.mass(), space.stiffness(), space.divergence()
@@ -268,7 +267,7 @@ class TestAdvanceStep:
         mesh, space = kh16
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.04, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
-        st, _, _ = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        st, _, _ = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         steps = [advance_step(dataclasses.replace(st, p=st.p + shift), cfg, space) for shift in (0.0, 1e3)]
         assert steps[0].newton_iters == steps[1].newton_iters
         assert np.abs(steps[0].u - steps[1].u).max() <= 1e-12
@@ -276,7 +275,7 @@ class TestAdvanceStep:
 
     def test_energy_decay_backward_euler_skew(self, kh16):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme="backward_euler",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
         _, _, series = run_fom(cfg, mesh, space, u0)
@@ -285,7 +284,7 @@ class TestAdvanceStep:
 
     def test_newton_failure_reports_step(self, kh16):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.02, form="skew", scheme="backward_euler",
                         boundary=kelvin_helmholtz_boundary(), newton_max_iter=0)
         st = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
@@ -304,7 +303,7 @@ class TestAdvanceStep:
         boundary = cylinder_boundary()
         mask, vals = space.dirichlet_data(boundary)
         div = space.divergence()
-        u0 = stokes_project(space, build_initial_condition("cylinder-channel", space), boundary)
+        u0 = stokes_project(space, vals, boundary)
         cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.0025, form="emac", scheme="bdf2",
                         boundary=boundary)
         st = advance_step(FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0), cfg, space)
@@ -318,7 +317,7 @@ class TestRunFom:
         mesh, space = kh16
         cfg = FomConfig(nu=0.01, dt=0.05, t_end=0.15, form="convective", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary())
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         state, snaps, series = run_fom(cfg, mesh, space, u0)
         assert state.step == 3
         assert snaps.count == 4  # initial state plus three steps
@@ -332,7 +331,7 @@ class TestRunFom:
 
     def test_scheme_residual_at_accepted_state(self, kh16):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.06, form="emac", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
         st, snaps, _ = run_fom(cfg, mesh, space, u0)
@@ -347,7 +346,7 @@ class TestRunFom:
 
     def test_snapshots_discretely_divergence_free(self, kh16):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme="backward_euler",
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 0.1),
                         project_initial=True)
@@ -365,7 +364,7 @@ class TestRunFom:
         _, space = torus16
         mesh = space.mesh
         nu = 0.05
-        u0 = build_initial_condition("taylor-green", space)
+        u0 = build_initial_condition(taylor_green_velocity, space)
         errs = {}
         for scheme in ("backward_euler", "bdf2"):
             cfg = FomConfig(nu=nu, dt=0.05, t_end=0.5, form="skew", scheme=scheme, boundary={})
@@ -378,7 +377,7 @@ class TestRunFom:
     def test_bdf2_is_second_order_in_time(self, torus16):
         # self-convergence against dt/8 on one mesh, so the spatial error cancels
         mesh, space = torus16
-        u0 = build_initial_condition("taylor-green", space)
+        u0 = build_initial_condition(taylor_green_velocity, space)
         final = {}
         for k in (1, 2, 4, 8):
             cfg = FomConfig(nu=0.05, dt=0.05 / k, t_end=0.4, form="skew", scheme="bdf2",
@@ -397,7 +396,7 @@ class TestStepDrag:
         mesh, space = cylinder
         cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.01, form="emac", scheme="bdf2",
                         boundary=cylinder_boundary(), drag_label="cylinder", project_initial=True)
-        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("cylinder-channel", space))
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition(at_rest, space))
         return cfg, series["drag"].values
 
     def test_lifting_is_discretely_divergence_free(self, cylinder, cylinder_drag):
@@ -419,7 +418,7 @@ class TestStepDrag:
         other = stokes_project(space, np.random.default_rng(0).standard_normal(space.n_vel), boundary)
         assert np.abs(other - flowrom.fom._drag_lifting(space, cfg)).max() > 1.0
         monkeypatch.setattr(flowrom.fom, "_drag_lifting", lambda space, config: other)
-        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("cylinder-channel", space))
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition(at_rest, space))
         assert np.abs(series["drag"].values[1:] / drag[1:] - 1.0).max() <= 1e-9
 
     def test_theta_start_is_the_force_of_the_theta_step(self, cylinder, cylinder_drag):
@@ -440,7 +439,7 @@ class TestStepDrag:
         mesh, space = kh16
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.08, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), drag_label="top", project_initial=True)
-        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         # the top wall's x-velocity DOFs are free, so the residual it tests is
         # the Newton residual
         bound = 20.0 * cfg.newton_tol * np.linalg.norm(flowrom.fom._drag_lifting(space, cfg))
@@ -462,7 +461,7 @@ class TestFactorReuse:
     @pytest.mark.parametrize("form,scheme", [("skew", "backward_euler"), ("emac", "bdf2")])
     def test_shared_factor_matches_unshared_steps(self, kh16, form, scheme):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form=form, scheme=scheme,
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
                         project_initial=True)
@@ -482,7 +481,7 @@ class TestFactorReuse:
 
     def test_bdf2_keeps_the_start_factor(self, kh16):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), project_initial=True)
         _, _, series = run_fom(cfg, mesh, space, u0)
@@ -492,7 +491,7 @@ class TestFactorReuse:
 
     def test_float32_factor_tracks_float64_run(self, kh16, monkeypatch):
         mesh, space = kh16
-        u0 = build_initial_condition("kelvin-helmholtz", space)
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form="skew", scheme="backward_euler",
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
                         project_initial=True)
@@ -509,7 +508,7 @@ class TestFactorReuse:
 
     def test_held_factor_is_never_used_at_another_dt(self, kh16):
         _, space = kh16
-        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space),
+        u0 = stokes_project(space, build_initial_condition(kelvin_helmholtz_velocity, space),
                             kelvin_helmholtz_boundary())
 
         class CountingLU:
@@ -565,11 +564,11 @@ class TestStagedSystem:
         if case == "cylinder":
             _, space = request.getfixturevalue("cylinder")
             boundary, form, nu, dt = cylinder_boundary(), "emac", 5e-4, 0.0025
-            u0 = build_initial_condition("cylinder-channel", space)
+            u0 = space.dirichlet_data(boundary)[1]
         else:
             _, space = request.getfixturevalue("kh16")
             boundary, form, nu, dt = kelvin_helmholtz_boundary(), "skew", 1 / 2800, 0.02
-            u0 = build_initial_condition("kelvin-helmholtz", space)
+            u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
         u0 = stokes_project(space, u0, boundary)
         scheme, alpha = ("backward_euler", 1.0) if case == "kh_backward_euler" else ("bdf2", 1.5)
         cfg = FomConfig(nu=nu, dt=dt, t_end=2 * dt, form=form, scheme=scheme, boundary=boundary)
@@ -620,9 +619,9 @@ class TestStagedSystem:
     def test_stokes_matrix_matches_block_assembly(self, request, monkeypatch, problem):
         _, space = request.getfixturevalue(problem)
         if problem == "cylinder":
-            boundary, u = cylinder_boundary(), build_initial_condition("cylinder-channel", space)
+            boundary, u = cylinder_boundary(), space.dirichlet_data(cylinder_boundary())[1]
         else:
-            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition("kelvin-helmholtz", space)
+            boundary, u = kelvin_helmholtz_boundary(), build_initial_condition(kelvin_helmholtz_velocity, space)
         solved = _spy(monkeypatch, "solve_sparse")
         stokes_project(space, u, boundary)
         (matrix, rhs, _), = solved
@@ -639,7 +638,7 @@ class TestStagedSystem:
     def test_held_factor_rebuilds_the_block_for_a_new_key(self, kh16, change):
         _, space = kh16
         boundary = kelvin_helmholtz_boundary()
-        u0 = stokes_project(space, build_initial_condition("kelvin-helmholtz", space), boundary)
+        u0 = stokes_project(space, build_initial_condition(kelvin_helmholtz_velocity, space), boundary)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.02, form="skew", scheme="backward_euler",
                         boundary=boundary)
         other = dataclasses.replace(cfg, **change)
@@ -659,6 +658,6 @@ class TestStagedSystem:
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.1, form="skew", scheme=scheme,
                         boundary=kelvin_helmholtz_boundary())
         built = _spy(monkeypatch, "saddle_block")
-        _, _, series = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        _, _, series = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         assert len(built) == builds
         assert series["factorizations"].values.sum() >= builds

@@ -8,7 +8,8 @@ import scipy.optimize
 import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
 from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
-from flowrom.fom import FomConfig, build_initial_condition, kelvin_helmholtz_boundary, run_fom
+from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity,
+                         run_fom)
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import NewtonConvergenceError
 from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
@@ -438,7 +439,7 @@ class TestRunRom:
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
                         project_initial=True, newton_tol=1e-11)
-        _, snaps, _ = run_fom(cfg, mesh, space, build_initial_condition("kelvin-helmholtz", space))
+        _, snaps, _ = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         mass = space.mass()
         basis = build_pod_basis(snaps, space, rank_tol=1e-14)
         r = basis.rank
