@@ -29,10 +29,10 @@ The keys above, plus ``[problem] mesh/node/ele/edge`` for the cylinder and
 ``[fom] newton_max_iter``, are all that is read (:data:`CONFIG_KEYS`); any
 other section or key is a config error, and so is a malformed value in any
 key, in every subcommand: every value is parsed on load by its key's parser.
-Every subcommand starts from :func:`_build_problem`: the space, the ``[fom]``
-keys as a :class:`FomConfig` (``nu``, ``dt`` and ``t_end`` required, unset
-keys its defaults), the POD centering and the initial velocity.  The ROM form
-is ``--form``, else ``[fom] form``.
+Every subcommand starts from :func:`_build_problem`: the parsed config, the
+space, the ``[fom]`` keys as a :class:`FomConfig` (``nu``, ``dt`` and
+``t_end`` required, unset keys its defaults), the POD centering and the
+initial velocity.  The ROM form is ``--form``, else ``[fom] form``.
 Outputs go to ``--out`` or the working directory, named from ``[output] prefix``.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
@@ -47,10 +47,10 @@ the only blocks of the basis it reads.  Both read only the header and times
 of their ``--archive``, which must equal the basis's times.
 
 Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, ``r = x``, a
-snapshot window that holds no step, no snapshot for ``pod`` or one for
-``rom``, a path that cannot be read or written), 3 solver failure, 4 format
-error (e.g. a non-uniform snapshot grid, a trajectory whose header is not
-``t, a_1, ..., a_r``).
+snapshot window that holds no step, no snapshot or only vanishing ones for
+``pod`` and one for ``rom``, a path that cannot be read or written), 3 solver
+failure, 4 format error (e.g. a non-uniform snapshot grid, a trajectory whose
+header is not ``t, a_1, ..., a_r``, a mesh without a label the problem needs).
 """
 
 import argparse
@@ -141,38 +141,42 @@ def _load_config(path):
 
 
 class _Problem(NamedTuple):
-    """The configured problem and the values it fixes."""
+    """The parsed config, the problem it names and the values that problem fixes."""
 
+    config: dict  # as _load_config returns it
     space: TaylorHoodSpace
     fom: FomConfig
     centering: str  # POD centering when [rom] centering is not set
     velocity: object  # initial velocity (x, y, t) -> (u1, u2)
 
 
-def _rect_mesh(prob, n, extent):
+def _rect_mesh(path, prob, n, extent):
     """The ``[problem] nx`` x ``ny`` square mesh (default ``n`` x ``n``) of side ``extent``."""
     nx = prob.get("nx", n)
     try:
         return uniform_rect_mesh(nx, prob.get("ny", nx), extent, extent)
     except ValueError as exc:
-        raise ConfigError(f"[problem] nx, ny: {exc}") from exc
+        raise ConfigError(f"{path}: [problem] nx, ny: {exc}") from exc
 
 
-def _build_problem(config):
-    """The named problem's space, :class:`FomConfig`, POD centering and initial velocity.
+def _build_problem(path):
+    """The config at ``path`` with its problem's space, FomConfig, POD centering and initial velocity.
 
     This is the only code that knows a problem name.  The ``[fom]`` keys are
     :class:`FomConfig` fields, the snapshot window from its two ends; the name
-    fixes the boundary, the drag label and the projection of u0.
+    fixes the boundary, the drag label and the projection of u0.  A config
+    error names ``path``, a missing boundary label (format error) the mesh.
     """
+    config = _load_config(path)
     prob = config["problem"]
     name = prob["name"]
+    edge = f"the {name} mesh"
     if name == "kelvin-helmholtz":
-        mesh = identify_periodic(_rect_mesh(prob, 32, 1.0), "x")
+        mesh = identify_periodic(_rect_mesh(path, prob, 32, 1.0), "x")
         fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
         centering, velocity = "none", kelvin_helmholtz_velocity
     elif name == "taylor-green":
-        mesh = identify_periodic(identify_periodic(_rect_mesh(prob, 16, 2.0), "x"), "y")
+        mesh = identify_periodic(identify_periodic(_rect_mesh(path, prob, 16, 2.0), "x"), "y")
         fixed, centering, velocity = {}, "none", taylor_green_velocity
     elif name == "cylinder-channel":
         if prob.get("mesh", "bundled") == "bundled":
@@ -181,25 +185,29 @@ def _build_problem(config):
             paths = {key: prob.get(key, Path()) for key in ("node", "ele", "edge")}
             for key, p in paths.items():
                 if not p.is_file():
-                    raise ConfigError(f"mesh file not found: {p} (problem.{key})")
+                    raise ConfigError(f"{path}: [problem] {key}: mesh file not found: {p}")
             mesh = read_triangle_mesh(paths["node"].read_text(), paths["ele"].read_text(),
                                       paths["edge"].read_text(), marker_labels=CYLINDER_LABELS)
+            edge = paths["edge"]
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
     else:
-        raise ConfigError(f"unknown problem name {name!r}")
+        raise ConfigError(f"{path}: [problem] name: unknown problem {name!r}")
 
     fom = dict(config["fom"])
     if not {"nu", "dt", "t_end"} <= fom.keys():
-        raise ConfigError("[fom] section requires nu, dt, t_end")
+        raise ConfigError(f"{path}: [fom] section requires nu, dt, t_end")
     window = None
     if "snapshot_start" in fom or "snapshot_end" in fom:
         window = (fom.pop("snapshot_start", 0.0), fom.pop("snapshot_end", fom["t_end"]))
     try:
         fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return _Problem(TaylorHoodSpace(mesh), fom_cfg, centering, velocity)
+        raise ConfigError(f"{path}: [fom] {exc}") from exc
+    missing = sorted({*fom_cfg.boundary, fom_cfg.drag_label} - {None} - set(mesh.boundary_labels))
+    if missing:
+        raise MeshFormatError(f"{edge}: no boundary edge labeled {missing[0]!r}, which {name} needs")
+    return _Problem(config, TaylorHoodSpace(mesh), fom_cfg, centering, velocity)
 
 
 def _out_prefix(config, outdir):
@@ -209,10 +217,9 @@ def _out_prefix(config, outdir):
 
 
 def cmd_fom(args):
-    config = _load_config(args.config)
-    problem = _build_problem(config)
+    problem = _build_problem(args.config)
     space = problem.space
-    prefix = _out_prefix(config, args.out)
+    prefix = _out_prefix(problem.config, args.out)
     u0 = build_initial_condition(problem.velocity, space)
     _, snaps, series = run_fom(problem.fom, space.mesh, space, u0)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
@@ -238,14 +245,15 @@ def cmd_pod(args):
     the rank, so a ``rom`` run at that r or below only slices it.  The
     coordinates also give the projection-error report.
     """
-    config = _load_config(args.config)
-    problem = _build_problem(config)
+    problem = _build_problem(args.config)
+    config = problem.config
     space = problem.space
     snaps = fio.read_snapshots(args.archive, space=space)
-    if snaps.count == 0:
-        raise ConfigError(f"{args.archive}: a basis needs at least one snapshot, found none")
+    try:
+        basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
+    except ValueError as exc:  # no snapshot, or only vanishing ones
+        raise ConfigError(f"{args.archive}: {exc}") from exc
     prefix = _out_prefix(config, args.out)
-    basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
     r = min(_mode_count(config, basis.rank), basis.rank)
     basis.projection = project_fields(space, basis.fields(r))
     fio.write_basis(f"{prefix}_basis.bin", basis)
@@ -285,8 +293,8 @@ def cmd_rom(args):
     one when r exceeds it, gives both the operators and the energy and
     enstrophy series.
     """
-    config = _load_config(args.config)
-    problem = _build_problem(config)
+    problem = _build_problem(args.config)
+    config = problem.config
     space, fom_cfg = problem.space, problem.fom
     form = NonlinearForm.parse(args.form or fom_cfg.form)
     basis = fio.read_basis(args.basis, space=space)
@@ -358,8 +366,7 @@ def cmd_compare(args):
     They come from the snapshot coordinates stored in the basis
     (``diagnostics.reduced_trajectory_error``); no field is formed.
     """
-    config = _load_config(args.config)
-    problem = _build_problem(config)
+    problem = _build_problem(args.config)
     space = problem.space
     coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
                                   args.basis, args.archive, space)

@@ -557,7 +557,7 @@ class TaylorHoodSpace:
         self._cache[key] = out
         return out
 
-    def dirichlet_data(self, boundary_values, time=0.0):
+    def dirichlet_data(self, boundary_values):
         """Evaluate a boundary spec into an essential mask and value vector.
 
         ``boundary_values`` maps labels to conditions:
@@ -566,8 +566,8 @@ class TaylorHoodSpace:
         * ``("velocity", fn_or_pair)``       -- both components prescribed
         * ``("component", c, fn_or_value)``  -- single component prescribed
 
-        Callables receive ``(x, y, t)`` arrays.  Labels missing from the mesh
-        raise ``ValueError``.
+        Callables receive ``(x, y, t)`` arrays at t = 0 (the data are steady, as
+        in :meth:`interpolate_velocity`); labels missing from the mesh raise ``ValueError``.
         """
         mask = np.zeros(self.n_vel, dtype=bool)
         vals = np.zeros(self.n_vel)
@@ -579,11 +579,11 @@ class TaylorHoodSpace:
                 comps = ((0, 0.0), (1, 0.0))
             elif kind == "velocity":
                 val = cond[1]
-                u1, u2 = val(x, y, time) if callable(val) else val
+                u1, u2 = val(x, y, 0.0) if callable(val) else val
                 comps = ((0, u1), (1, u2))
             elif kind == "component":
                 c, val = cond[1], cond[2]
-                comps = ((c, val(x, y, time) if callable(val) else val),)
+                comps = ((c, val(x, y, 0.0) if callable(val) else val),)
             else:
                 raise ValueError(f"unknown boundary condition kind {kind!r} for label {label!r}")
             for c, val in comps:
@@ -746,17 +746,17 @@ def nonlinear_jacobian(space, form, u):
 # ----------------------------------------------------------------------
 # constraints
 
-def constraint_mask(space, boundary_values, time):
+def constraint_mask(space, boundary_values):
     """Essential DOFs and their values in the saddle-point layout ``[u, p]``.
 
-    The velocity DOFs come from ``space.dirichlet_data``; the pinned
+    The velocity DOFs come from ``space.dirichlet_data`` (steady, at t = 0); the pinned
     pressure DOF is also fixed, at zero.  Periodic slaves are already
     folded by the DOF numbering.
     """
     n_vel = space.n_vel
     mask = np.zeros(n_vel + space.n_press, dtype=bool)
     vals = np.zeros(mask.size)
-    mask[:n_vel], vals[:n_vel] = space.dirichlet_data(boundary_values, time)
+    mask[:n_vel], vals[:n_vel] = space.dirichlet_data(boundary_values)
     mask[n_vel + space.pinned_pressure] = True
     return mask, vals
 
@@ -805,7 +805,7 @@ def apply_constraints(space, matrix, rhs, boundary_values):
     The mask is :func:`constraint_mask`'s.  Constrained rows become identity
     rows whose right-hand side carries the prescribed values.
     """
-    mask, vals = constraint_mask(space, boundary_values, 0.0)
+    mask, vals = constraint_mask(space, boundary_values)
     rhs = np.array(rhs, dtype=float, copy=True)
     rhs[mask] = vals[mask]
     return constrain_rows(sp.csr_matrix(matrix, copy=True), mask), rhs

@@ -17,10 +17,11 @@ The system is staged.  Its linear part is one saddle-point block
     L = [[alpha/dt M + nu K, -D^T], [D, 0]]
 
 (``fem.saddle_block``), where ``alpha`` is the time-derivative coefficient
-(1 for backward Euler, 3/2 for BDF2).  A step forms its history load
-h = [M hist / dt - w (nu K u_old + N(u_old)); 0] and its essential mask
-once; each residual is then L x - h + [N(u); 0] with the constrained rows
-zeroed: one sparse matrix-vector product and one nonlinear assembly.
+(1 for backward Euler, 3/2 for BDF2).  A run fixes L and its steady
+essential mask and values on its first step; a step forms its history load
+h = [M hist / dt - w (nu K u_old + N(u_old)); 0] once, and each residual is
+L x - h + [N(u); 0] with the constrained rows zeroed: one sparse
+matrix-vector product and one nonlinear assembly.
 hist is u_old for backward Euler and 2 u_old - u_prev / 2 for BDF2, and the
 weight w of the operator at the old state is 0, except on BDF2's first
 step.  That step has no u_prev and is the theta = 2/3 step, hist =
@@ -29,13 +30,10 @@ so it shares BDF2's L and Newton matrix.
 
 Newton runs as a chord iteration (Kelley, *Solving Nonlinear Equations with
 Newton's Method*, SIAM 2003): one factorized Jacobian is held in a
-:class:`HeldFactor` and reused across iterations and across time steps,
-since one factorization costs as much as dozens of residual evaluations or
-triangular solves.  The held factor also holds L, built for the key
-``(alpha, dt, nu)``, which is the same on every step of a run; a step
-under another key rebuilds L and drops the factors, since a stale L would
-make the residual wrong, not just slow.  A factorization is of the
-constrained ``L + [[N'(u), 0], [0, 0]]`` and eliminates the unknowns in
+:class:`HeldFactor`, with L and the essential data, and reused across
+iterations and across time steps, since one factorization costs as much as
+dozens of residual evaluations or triangular solves.  A factorization is of
+the constrained ``L + [[N'(u), 0], [0, 0]]`` and eliminates the unknowns in
 the space's ``TaylorHoodSpace.saddle_order``.
 It is redone at the current iterate only when no factor is held, or when an
 iteration shrinks the residual norm by less than ``REFACTOR_CONTRACTION``.
@@ -156,29 +154,21 @@ class FomState:
 
 @dataclass
 class HeldFactor:
-    """The linear block and the LU factors of a Newton matrix, kept across steps.
+    """What a run fixes, built on its first step: L, the essential data and the LU.
 
-    ``block`` is the linear saddle-point block L of the module docstring for
-    ``key`` = ``(alpha, dt, nu)``, and ``lu`` factors a Newton matrix built
-    on it (None when none is held).  Every step of a run has the same key,
-    BDF2's theta = 2/3 first step included, so only a new configuration
-    rebuilds L.  Deliberately not part of :class:`FomState`: kept states
-    would each pin a factorization.
+    ``block`` is the linear saddle-point block L of the module docstring,
+    ``mask`` and ``vals`` the essential DOFs and values of
+    ``fem.constraint_mask``, and ``lu`` the factors of a Newton matrix built
+    on L (None when none is held).  Every step of a run has the same alpha,
+    dt, nu and boundary, BDF2's theta = 2/3 first step included, so one
+    object serves the whole run and belongs to that run only.  Deliberately
+    not part of :class:`FomState`: kept states would each pin a factorization.
     """
 
     lu: object = None
-    key: tuple = None
     block: object = None
-
-    def stage(self, space, alpha, dt, nu):
-        """L for ``(alpha, dt, nu)``; a new key rebuilds it and drops the factors."""
-        key = (alpha, dt, nu)
-        if key != self.key:
-            # release the old block and factors first
-            self.lu = self.block = None
-            self.block = saddle_block(space, alpha / dt, nu)
-            self.key = key
-        return self.block
+    mask: np.ndarray = None
+    vals: np.ndarray = None
 
 
 # ----------------------------------------------------------------------
@@ -299,20 +289,23 @@ def advance_step(state, config, space, held=None):
     The scheme is ``numerics.implicit_step``: BDF2's very first step (no
     second history level yet) is the theta = 2/3 step, whose load also
     carries half the operator at the old state.  Newton is the chord
-    iteration of the module docstring: ``held`` is the :class:`HeldFactor`
-    to reuse and update.  It supplies the linear block L for ``(alpha, dt,
-    nu)``, rebuilt with the factors dropped when that key differs from the
-    held one; without a held factor the step builds L, factorizes on its
-    first iteration and reuses both within the step only.  The history load
-    and the essential mask are formed once per step.  ``config.newton_max_iter``
-    bounds the linear solves per step.  Raises :class:`NewtonConvergenceError`
-    when the residual does not reach ``config.newton_tol`` within that budget.
+    iteration of the module docstring: ``held`` is the run's
+    :class:`HeldFactor`, built on its first step and reused and updated on
+    every later one; L, the essential mask and the values come from it.
+    Without one the step builds its own, factorizes on its first iteration
+    and reuses both within the step only.  The history load is formed once
+    per step.  ``config.newton_max_iter`` bounds the linear solves per step.
+    Raises :class:`NewtonConvergenceError` when the residual does not reach
+    ``config.newton_tol`` within that budget.
     """
     held = HeldFactor() if held is None else held
     dt = config.dt
     t_new = state.t + dt
     alpha, hist, u, weight = implicit_step(config.scheme, state.u, state.u_prev)
-    block = held.stage(space, alpha, dt, config.nu)
+    if held.block is None:
+        held.block = saddle_block(space, alpha / dt, config.nu)
+        held.mask, held.vals = constraint_mask(space, config.boundary)
+    block, mask = held.block, held.mask
     load = space.mass() @ hist / dt
     if weight:
         # the operator at the old state on BDF2's first step
@@ -323,8 +316,7 @@ def advance_step(state, config, space, held=None):
     # the Newton system keep, and from p_old in the pinned gauge, which the
     # pinned DOF's 0 keeps; u and p are views that follow its updates
     x = np.concatenate([u, state.p - state.p[space.pinned_pressure]])
-    mask, vals = constraint_mask(space, config.boundary, t_new)
-    x[mask] = vals[mask]
+    x[mask] = held.vals[mask]
     u, p = x[: space.n_vel], x[space.n_vel :]
 
     n_factor = 0
@@ -417,7 +409,7 @@ def run_fom(config, mesh, space, u0):
     n_steps = step_count(dt, config.t_end)
 
     u0 = np.array(u0, dtype=float, copy=True)
-    mask, vals = space.dirichlet_data(config.boundary, 0.0)
+    mask, vals = space.dirichlet_data(config.boundary)
     u0[mask] = vals[mask]
     if config.project_initial:
         u0 = stokes_project(space, u0, config.boundary)

@@ -48,7 +48,7 @@ def kh16_saddle():
     div = space.divergence()
     u = build_initial_condition(kelvin_helmholtz_velocity, space)
     block = space.mass() / 0.02 + space.stiffness() / 2800 + nonlinear_jacobian(space, "skew", u)
-    mask, _ = constraint_mask(space, boundary, 0.02)
+    mask, _ = constraint_mask(space, boundary)
     newton = constrain_rows(sp.bmat([[block, -div.T], [div, None]], format="csr"), mask)
     balance = np.abs(div.data).max() / space.mass().diagonal().max()
     stokes, _ = apply_constraints(space, sp.bmat([[balance * space.mass(), -div.T], [div, None]], format="csr"),
@@ -135,7 +135,7 @@ def rom_quadratic(ops, c):
     return 0.5 * (ops.quadratic_jacobian(c) @ c)
 
 
-def scheme_residual(space, config, u, p, u_old, u_prev, t):
+def scheme_residual(space, config, u, p, u_old, u_prev):
     """Momentum + continuity residual of the implicit scheme at ``(u, p)``.
 
     ``u_prev`` is None on the first step.  Constrained velocity rows and the
@@ -148,7 +148,7 @@ def scheme_residual(space, config, u, p, u_old, u_prev, t):
     load = space.mass() @ hist / config.dt - weight * (
         config.nu * (space.stiffness() @ u_old) + nonlinear_residual(space, config.form, u_old))
     x = np.concatenate([u, p])
-    mask, _ = constraint_mask(space, config.boundary, t)
+    mask, _ = constraint_mask(space, config.boundary)
     return _staged_residual(space, config.form, block, x, load, mask)
 
 

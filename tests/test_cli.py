@@ -274,7 +274,7 @@ class TestPipeline:
             patch.setattr(TaylorHoodSpace, "curl_form", forbidden)
             for r in (3, basis.rank):
                 assert main([*argv, "--r", str(r)]) == 0
-        space = _build_problem(_load_config(cfg)).space
+        space = _build_problem(cfg).space
         for r in (3, basis.rank):
             _, traj = read_csv(tmp_path / f"micro_rom_skew_r{r}_traj.csv")
             header, scalars = read_csv(tmp_path / f"micro_rom_skew_r{r}_scalars.csv")
@@ -324,7 +324,7 @@ class TestPipeline:
         for drag in (fom[4], rom[3]):
             assert drag.size == 6 and np.isnan(drag[0]) and np.all(np.isfinite(drag[1:]))
 
-        problem = _build_problem(_load_config(cfg))
+        problem = _build_problem(cfg)
         basis = read_basis(basis_path, space=problem.space)
         dt = uniform_step(basis.coordinates.times)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
@@ -424,7 +424,7 @@ class TestErrorPaths:
         cfg = tmp_path / "min.ini"
         cfg.write_text("[problem]\nname = kelvin-helmholtz\nnx = 4\nny = 4\n"
                        "[fom]\nnu = 1e-3\ndt = 0.05\nt_end = 0.25\n")
-        got = _build_problem(_load_config(cfg)).fom
+        got = _build_problem(cfg).fom
         want = FomConfig(1e-3, 0.05, 0.25, boundary=kelvin_helmholtz_boundary(), project_initial=True)
         for field in dataclasses.fields(FomConfig):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
@@ -434,7 +434,7 @@ class TestErrorPaths:
         # the whole set-up of every subcommand: the space and the validated FomConfig
         from flowrom.cli import _build_problem
 
-        problem = _build_problem(_load_config(path))
+        problem = _build_problem(path)
         assert isinstance(problem.fom, FomConfig) and problem.space.n_vel > 0
 
     @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
@@ -449,7 +449,7 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MICRO_KH.replace(*edit))
         assert main(_subcommand(command, root, cfg, tmp_path)) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {cfg}: [fom] " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
     @pytest.mark.parametrize("kind", ["directory", "not_text"])
@@ -672,7 +672,7 @@ class TestErrorPaths:
         assert [main(call) for call in calls] == [4] * len(calls)
         assert capsys.readouterr().err.count(f"truncated archive while reading {block})") == len(calls)
 
-    def test_missing_mesh_file(self, tmp_path):
+    def test_missing_mesh_file(self, tmp_path, capsys):
         cfg = tmp_path / "cyl.ini"
         cfg.write_text(
             "[problem]\nname = cylinder-channel\nmesh = files\n"
@@ -680,11 +680,39 @@ class TestErrorPaths:
             "[fom]\nnu = 5e-4\ndt = 0.002\nt_end = 0.002\n"
         )
         assert main(["fom", "--config", str(cfg)]) == 2
+        assert f"{cfg}: [problem] node: mesh file not found: missing.node" in capsys.readouterr().err
 
-    def test_unknown_problem(self, tmp_path):
+    def test_unknown_problem(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[problem]\nname = channel-of-mystery\n[fom]\nnu=1\ndt=1\nt_end=1\n")
         assert main(["fom", "--config", str(cfg)]) == 2
+        assert f"{cfg}: [problem] name: unknown problem 'channel-of-mystery'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
+    def test_mesh_without_a_needed_label_is_format_error(self, micro_pipeline, tmp_path, capsys, command):
+        # the bundled cylinder mesh with its cylinder edges (marker 4) relabeled as walls (marker 3)
+        from importlib import resources
+
+        root, _ = micro_pipeline
+        data = resources.files("flowrom").joinpath("data")
+        mesh_dir = tmp_path / "mesh"
+        mesh_dir.mkdir()
+        for ext in ("node", "ele", "edge"):
+            text = data.joinpath(f"cylinder_coarse.{ext}").read_text()
+            if ext == "edge":
+                head, *rows = text.splitlines()
+                text = "\n".join([head, *(row[:-1] + "3" if row.split()[3] == "4" else row for row in rows)])
+            (mesh_dir / f"c.{ext}").write_text(text + "\n")
+        cfg = tmp_path / "cyl.ini"
+        cfg.write_text(MICRO_CYLINDER.replace(
+            "name = cylinder-channel",
+            f"name = cylinder-channel\nmesh = files\nnode = {mesh_dir / 'c.node'}\n"
+            f"ele = {mesh_dir / 'c.ele'}\nedge = {mesh_dir / 'c.edge'}"))
+        assert main(_subcommand(command, root, cfg, tmp_path / "out")) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "format error" in err
+        assert f"{mesh_dir / 'c.edge'}: no boundary edge labeled 'cylinder'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_archive(self, tmp_path, micro_pipeline):
         _, cfg = micro_pipeline
@@ -777,6 +805,25 @@ class TestErrorPaths:
         assert main(["pod", str(empty), "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "at least one snapshot" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["empty.bin"]
+
+    @pytest.mark.parametrize("case", ["all_zero", "one_centered"])
+    def test_pod_of_vanishing_snapshots_is_config_error(self, micro_pipeline, tmp_path, capsys, case):
+        # zero snapshots, or one snapshot less its mean, span nothing
+        root, _ = micro_pipeline
+        snaps = read_snapshots(root / "micro_snapshots.bin")
+        cfg = tmp_path / "micro.ini"
+        if case == "all_zero":
+            cfg.write_text(MICRO_KH)
+            vanishing = SnapshotSet(matrix=np.zeros_like(snaps.matrix), times=snaps.times)
+        else:
+            cfg.write_text(MICRO_KH.replace("centering = none", "centering = mean"))
+            vanishing = SnapshotSet(matrix=snaps.matrix[:, :1], times=snaps.times[:1])
+        archive = tmp_path / "vanishing.bin"
+        write_snapshots(archive, vanishing)
+        assert main(["pod", str(archive), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {archive}: snapshot set has rank 0 (all snapshots vanish)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["micro.ini", "vanishing.bin"]
 
     def test_compare_grid_mismatch(self, micro_pipeline, tmp_path, capsys):
         root, cfg = micro_pipeline

@@ -711,7 +711,7 @@ class TestSaddleOrder:
         velocity = {"kelvin-helmholtz": kelvin_helmholtz_velocity, "taylor-green": taylor_green_velocity}.get(problem)
         # the cylinder at rest, with the boundary profile that run_fom sets
         u = space.dirichlet_data(boundary)[1] if velocity is None else build_initial_condition(velocity, space)
-        mask, _ = constraint_mask(space, boundary, dt)
+        mask, _ = constraint_mask(space, boundary)
         newton = _newton_matrix(space, "skew", saddle_block(space, 1 / dt, nu), u, mask)
         pattern = node_graph_pattern(space)
         natural = mmd_saddle_order(space, pattern, np.arange(pattern.shape[0]))

@@ -227,7 +227,7 @@ class TestPermutedCsc:
         # a skew backward-Euler Newton matrix at a random state, rows constrained
         space = three_spaces[name]
         boundary = {"kh": kelvin_helmholtz_boundary(), "tg": {}, "cylinder": cylinder_boundary()}[name]
-        mask, _ = constraint_mask(space, boundary, 0.0)
+        mask, _ = constraint_mask(space, boundary)
         u = np.random.default_rng(6).standard_normal(space.n_vel)
         newton = _newton_matrix(space, "skew", saddle_block(space, 50.0, 1e-3), u, mask)
         data = newton.data.copy()
