@@ -186,8 +186,8 @@ def _build_problem(path):
             for key, p in paths.items():
                 if not p.is_file():
                     raise ConfigError(f"{path}: [problem] {key}: mesh file not found: {p}")
-            mesh = read_triangle_mesh(paths["node"].read_text(), paths["ele"].read_text(),
-                                      paths["edge"].read_text(), marker_labels=CYLINDER_LABELS)
+            mesh = read_triangle_mesh(*(p.read_text() for p in paths.values()), marker_labels=CYLINDER_LABELS,
+                                      names=tuple(paths.values()))
             edge = paths["edge"]
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
@@ -219,9 +219,9 @@ def _out_prefix(config, outdir):
 def cmd_fom(args):
     problem = _build_problem(args.config)
     space = problem.space
-    prefix = _out_prefix(problem.config, args.out)
     u0 = build_initial_condition(problem.velocity, space)
     _, snaps, series = run_fom(problem.fom, space.mesh, space, u0)
+    prefix = _out_prefix(problem.config, args.out)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
     fio.write_csv(f"{prefix}_scalars.csv", ["t", *series],
                   [series["energy"].times, *(s.values for s in series.values())])
@@ -253,8 +253,8 @@ def cmd_pod(args):
         basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
     except ValueError as exc:  # no snapshot, or only vanishing ones
         raise ConfigError(f"{args.archive}: {exc}") from exc
-    prefix = _out_prefix(config, args.out)
     r = min(_mode_count(config, basis.rank), basis.rank)
+    prefix = _out_prefix(config, args.out)
     basis.projection = project_fields(space, basis.fields(r))
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],

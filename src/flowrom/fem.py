@@ -62,12 +62,14 @@ two components for the divergence.  A full block matrix takes one such
 ``np.bincount`` per (row, column) component pair; the Jacobian sums each
 pair as soon as it has formed its element values.  Each entry adds its
 element values in element order, whatever the layout, so it rounds the
-same in every expansion.  The result is canonical CSR.
+same in every expansion.  The result is canonical CSR.  The graph, the
+operators and all else a space derives from its mesh are built on the
+first call and kept on the space, per argument, by :func:`cached`.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,6 +123,20 @@ EDGE_POINTS, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(4)   # on [-1, 1]
 EDGE_POINTS, EDGE_WEIGHTS = 0.5 + 0.5 * EDGE_POINTS, 0.5 * EDGE_WEIGHTS
 
 
+def cached(fn):
+    """``fn(owner, *args)``, kept in ``owner._cache`` under ``(fn.__qualname__, *args)``; a raise keeps nothing.
+
+    The store dies with its owner, where a ``functools`` cache would keep every owner alive.
+    """
+    @functools.wraps(fn)
+    def memo(owner, *args):
+        key = (fn.__qualname__, *args)
+        if key not in owner._cache:
+            owner._cache[key] = fn(owner, *args)
+        return owner._cache[key]
+    return memo
+
+
 def _resolve_roots(master):
     """Collapse master chains (slave of a slave) to their final root."""
     master = master.copy()
@@ -149,7 +165,7 @@ class _NodeGraph:
     indptr: np.ndarray     # (n + 1,) int32
     indices: np.ndarray    # (nnz,) int32
     slots: np.ndarray      # (nt, 6, 6) int32
-    _patterns: dict = field(default_factory=dict, repr=False, compare=False)  # by width
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, cell_scalar, n):
@@ -179,22 +195,21 @@ class _NodeGraph:
         row, deg = self.rows()
         return width * (np.arange(row.size) + self.indptr[row]), width * deg[row]
 
+    @cached
     def _pattern(self, width):
         """The read-only ``(indptr, indices)`` of the velocity CSR of :meth:`_velocity`."""
-        if width not in self._patterns:
-            first, shift = self._offsets(width)
-            deg = np.diff(self.indptr)
-            indptr = np.empty(2 * deg.size + 1, dtype=np.int32)
-            indptr[0::2] = 2 * width * self.indptr
-            indptr[1::2] = width * (2 * self.indptr[:-1] + deg)
-            indices = np.empty(indptr[-1], dtype=np.int32)
-            for c in range(2):
-                for d in range(width):
-                    indices[first + c * shift + d] = 2 * self.indices + (d if width == 2 else c)
-            indptr.setflags(write=False)
-            indices.setflags(write=False)
-            self._patterns[width] = indptr, indices
-        return self._patterns[width]
+        first, shift = self._offsets(width)
+        deg = np.diff(self.indptr)
+        indptr = np.empty(2 * deg.size + 1, dtype=np.int32)
+        indptr[0::2] = 2 * width * self.indptr
+        indptr[1::2] = width * (2 * self.indptr[:-1] + deg)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for c in range(2):
+            for d in range(width):
+                indices[first + c * shift + d] = 2 * self.indices + (d if width == 2 else c)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
 
     def _velocity(self, sums, width):
         """Velocity CSR whose row 2s + c holds ``width`` columns 2t + d per neighbour t of s.
@@ -343,22 +358,21 @@ class TaylorHoodSpace:
 
         self._cache = {}
 
-    @cached_property
+    @cached
     def qp_xy(self):
         """Physical coordinates of the quadrature points, (nt, nq, 2).
 
-        Formed on first use: only the error quadrature reads them.
+        Formed on the first call: only the error quadrature reads them.
         """
         return np.matmul(self.quadrature.points, self.mesh.vertices[self.mesh.triangles])
 
     # ------------------------------------------------------------------
     # assembled operators (cached, unscaled)
 
+    @cached
     def _graph(self):
         """The :class:`_NodeGraph` of the P2 nodes, which every operator fills."""
-        if "graph" not in self._cache:
-            self._cache["graph"] = _NodeGraph.build(self.cell_scalar, self.n_scalar)
-        return self._cache["graph"]
+        return _NodeGraph.build(self.cell_scalar, self.n_scalar)
 
     def _velocity_gradients(self):
         """Physical gradient coefficients (nt, 12, nq): d_c phi_l for local DOF 2l + c."""
@@ -375,39 +389,34 @@ class TaylorHoodSpace:
         return _symmetric(np.matmul((coef * self.wdet[:, None, None, :]).reshape(nt, a, -1),
                                     coef.reshape(nt, a, -1).transpose(0, 2, 1)))
 
+    @cached
     def mass(self):
         """Vector mass matrix (u, v)."""
-        if "mass" not in self._cache:
-            nq = self.phi.shape[0]
-            pairs = (self.phi[:, :, None] * self.phi[:, None, :]).reshape(nq, 36)
-            elem = _symmetric((self.wdet @ pairs).reshape(-1, 6, 6))
-            self._cache["mass"] = self._graph().kron_i2(elem)
-        return self._cache["mass"]
+        nq = self.phi.shape[0]
+        pairs = (self.phi[:, :, None] * self.phi[:, None, :]).reshape(nq, 36)
+        return self._graph().kron_i2(_symmetric((self.wdet @ pairs).reshape(-1, 6, 6)))
 
+    @cached
     def stiffness(self):
         """Vector stiffness matrix (grad u, grad v), unscaled by viscosity."""
-        if "stiffness" not in self._cache:
-            self._cache["stiffness"] = self._graph().kron_i2(self._gram(self.tables[:, :, 1:]))
-        return self._cache["stiffness"]
+        return self._graph().kron_i2(self._gram(self.tables[:, :, 1:]))
 
+    @cached
     def divergence(self):
         """Divergence operator B with (B u)_q = (div u, psi_q), psi the P1 (barycentric) basis."""
-        if "divergence" not in self._cache:
-            # an einsum, not a batched product: it rounds entries that are equal
-            # by mesh symmetry alike, and the saddle-point LU breaks its pivot
-            # ties among them by position, so its fill depends on this
-            elem = np.einsum("eq,qp,elq->epl", self.wdet, self.quadrature.points, self._velocity_gradients())
-            self._cache["divergence"] = self._graph().vertex_rows(elem, self.n_press)
-        return self._cache["divergence"]
+        # an einsum, not a batched product: it rounds entries that are equal
+        # by mesh symmetry alike, and the saddle-point LU breaks its pivot
+        # ties among them by position, so its fill depends on this
+        elem = np.einsum("eq,qp,elq->epl", self.wdet, self.quadrature.points, self._velocity_gradients())
+        return self._graph().vertex_rows(elem, self.n_press)
 
+    @cached
     def div_form(self):
         """Operator for ||div u||^2 = u^T G u."""
-        if "div_form" not in self._cache:
-            # divergence coefficient of local dof (l, c) is d_c phi_l
-            elem = self._gram(self._velocity_gradients()[:, :, None])
-            self._cache["div_form"] = self._graph().blocks(elem)
-        return self._cache["div_form"]
+        # divergence coefficient of local dof (l, c) is d_c phi_l
+        return self._graph().blocks(self._gram(self._velocity_gradients()[:, :, None]))
 
+    @cached
     def curl_form(self):
         """Operator for ||curl u||^2 = u^T G u (scalar 2D curl).
 
@@ -416,18 +425,15 @@ class TaylorHoodSpace:
         [[a, b], [c, d]] of :meth:`div_form` becomes its cofactor
         [[d, -c], [-b, a]]: bitwise the Gram assembly of the curl coefficients.
         """
-        if "curl_form" not in self._cache:
-            self._cache["curl_form"] = self._graph().cofactor_blocks(self.div_form())
-        return self._cache["curl_form"]
+        return self._graph().cofactor_blocks(self.div_form())
 
+    @cached
     def pressure_volume(self):
         """Vector of integrals of the pressure basis functions."""
-        if "pressure_volume" not in self._cache:
-            elem = self.wdet @ self.quadrature.points
-            self._cache["pressure_volume"] = np.bincount(self.cell_press.ravel(), elem.ravel(),
-                                                         minlength=self.n_press)
-        return self._cache["pressure_volume"]
+        elem = self.wdet @ self.quadrature.points
+        return np.bincount(self.cell_press.ravel(), elem.ravel(), minlength=self.n_press)
 
+    @cached
     def saddle_order(self):
         """Fill-reducing order of the ``[u, p]`` saddle-point unknowns.
 
@@ -448,27 +454,25 @@ class TaylorHoodSpace:
         pressure diagonal force off-diagonal pivots.  Returns the index
         array ``order`` with ``m[order][:, order]`` the reordered matrix.
         """
-        if "saddle_order" not in self._cache:
-            graph = self._graph()
-            row, deg = graph.rows()
-            # the graph with diagonal deg(s) and off-diagonal -1 is diagonally
-            # dominant, so it factors with diagonal pivots
-            pattern = sp.csr_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
-                                     graph.indptr), shape=(deg.size,) * 2)
-            pre = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-            # SuperLU orders before it factors; an incomplete factor that keeps
-            # no fill gives the same perm_c as a full one, at a fraction of the cost
-            mmd = spla.spilu(pattern[pre][:, pre].tocsc(), drop_tol=1.0, fill_factor=1,
-                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-            rank = np.empty_like(mmd.perm_c)  # rank[s]: position of scalar node s in the elimination
-            rank[pre] = mmd.perm_c
-            key = np.empty(self.n_vel + self.n_press, dtype=np.int64)
-            key[0 : self.n_vel : 2] = 3 * rank
-            key[1 : self.n_vel : 2] = 3 * rank + 1
-            key[self.n_vel + self.pressure_index] = 3 * rank[self.scalar_index[: self.n_vertices]] + 2
-            self._cache["saddle_order"] = np.argsort(key)
-        return self._cache["saddle_order"]
+        graph = self._graph()
+        row, deg = graph.rows()
+        # the graph with diagonal deg(s) and off-diagonal -1 is diagonally
+        # dominant, so it factors with diagonal pivots
+        pattern = sp.csr_matrix((np.where(graph.indices == row, deg[row], -1.0), graph.indices,
+                                 graph.indptr), shape=(deg.size,) * 2)
+        pre = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        # SuperLU orders before it factors; an incomplete factor that keeps
+        # no fill gives the same perm_c as a full one, at a fraction of the cost
+        mmd = spla.spilu(pattern[pre][:, pre].tocsc(), drop_tol=1.0, fill_factor=1,
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        rank = np.empty_like(mmd.perm_c)  # rank[s]: position of scalar node s in the elimination
+        rank[pre] = mmd.perm_c
+        key = np.empty(self.n_vel + self.n_press, dtype=np.int64)
+        key[0 : self.n_vel : 2] = 3 * rank
+        key[1 : self.n_vel : 2] = 3 * rank + 1
+        key[self.n_vel + self.pressure_index] = 3 * rank[self.scalar_index[: self.n_vertices]] + 2
+        return np.argsort(key)
 
     # ------------------------------------------------------------------
     # field evaluation
@@ -513,10 +517,9 @@ class TaylorHoodSpace:
             raise ValueError(f"velocity field has shape {u.shape}, expected ({self.n_vel},)")
         return u
 
+    @cached
     def edge_table(self):
-        """The :class:`EdgeTable` of every boundary edge, in ``mesh.boundary_edges`` order (cached)."""
-        if "edge_table" in self._cache:
-            return self._cache["edge_table"]
+        """The :class:`EdgeTable` of every boundary edge, in ``mesh.boundary_edges`` order."""
         mesh = self.mesh
         edges = mesh.boundary_edges
         cells = mesh.boundary_cells
@@ -536,26 +539,20 @@ class TaylorHoodSpace:
         tables[:, :, 0, :] = _p2_basis(flat).reshape(cells.size, -1, 6).transpose(0, 2, 1)
         ref = _p2_ref_grads(flat).reshape(cells.size, -1, 6, 2)
         tables[:, :, 1:, :] = np.einsum("edk,eqlk->eldq", inv_jt, ref)
-        self._cache["edge_table"] = EdgeTable(cells=cells, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS,
-                                              normals=normals)
-        return self._cache["edge_table"]
+        return EdgeTable(cells=cells, tables=tables, weights=lengths[:, None] * EDGE_WEIGHTS, normals=normals)
 
     # ------------------------------------------------------------------
     # essential constraints
 
+    @cached
     def boundary_scalar_nodes(self, label):
         """Merged scalar node ids (vertices + midpoints) on edges labeled ``label``."""
-        key = ("boundary_nodes", label)
-        if key in self._cache:
-            return self._cache[key]
         idx = self.mesh.boundary_edges_with_label(label)
         if idx.size == 0:
             raise ValueError(f"mesh has no boundary edges labeled {label!r}")
         ends = self.mesh.boundary_edges[idx].ravel()
         mids = self.n_vertices + self.mesh.boundary_edge_ids[idx]
-        out = np.unique(self.scalar_index[np.concatenate([ends, mids])])
-        self._cache[key] = out
-        return out
+        return np.unique(self.scalar_index[np.concatenate([ends, mids])])
 
     def dirichlet_data(self, boundary_values):
         """Evaluate a boundary spec into an essential mask and value vector.
@@ -817,7 +814,7 @@ def apply_constraints(space, matrix, rhs, boundary_values):
 def l2_error(space, u, fn, time=0.0):
     """L2 distance between a velocity field and an analytic ``fn(x, y, t)``."""
     vals, _ = space.values_and_grads(u)
-    x, y = space.qp_xy[..., 0], space.qp_xy[..., 1]
+    x, y = space.qp_xy().transpose(2, 0, 1)
     e1, e2 = fn(x, y, time)
     val = np.sum(space.wdet * ((vals[0] - e1) ** 2 + (vals[1] - e2) ** 2))
     return float(np.sqrt(max(val, 0.0)))
@@ -826,7 +823,7 @@ def l2_error(space, u, fn, time=0.0):
 def h1_semi_error(space, u, grad_fn, time=0.0):
     """H1-seminorm distance to an analytic gradient ``grad_fn(x, y, t) -> (2,2) rows du_i/dx_j``."""
     _, grads = space.values_and_grads(u)
-    x, y = space.qp_xy[..., 0], space.qp_xy[..., 1]
+    x, y = space.qp_xy().transpose(2, 0, 1)
     g = grad_fn(x, y, time)
     val = sum(np.sum(space.wdet * (grads[i, j] - g[i][j]) ** 2) for i in range(2) for j in range(2))
     return float(np.sqrt(max(val, 0.0)))

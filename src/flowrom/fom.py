@@ -71,6 +71,7 @@ import numpy as np
 from .fem import (
     NonlinearForm,
     apply_constraints,
+    cached,
     constrain_rows,
     constraint_mask,
     nonlinear_jacobian,
@@ -349,18 +350,16 @@ def advance_step(state, config, space, held=None):
                     newton_iters=it, factorizations=n_factor, newton_residual=float(res_norm))
 
 
-def _drag_lifting(space, config):
-    """v_d: e_x on ``config.drag_label``, 0 on the other labels of ``config.boundary``, D v_d = 0.
+@cached
+def _drag_lifting(space, label, labels):
+    """v_d: e_x on ``label``, 0 on the other boundary ``labels``, D v_d = 0.
 
-    One Stokes projection of zero, cached on the space per label and
-    boundary; a label missing from the mesh raises ``ValueError``.
+    One Stokes projection of zero, kept on the space per ``(label, labels)``
+    by :func:`fem.cached`; a label missing from the mesh raises ``ValueError``.
     """
-    key = ("drag_lifting", config.drag_label, tuple(config.boundary))
-    if key not in space._cache:
-        boundary = {label: ("noslip",) for label in config.boundary}
-        boundary[config.drag_label] = ("velocity", (1.0, 0.0))
-        space._cache[key] = stokes_project(space, np.zeros(space.n_vel), boundary)
-    return space._cache[key]
+    boundary = {other: ("noslip",) for other in labels}
+    boundary[label] = ("velocity", (1.0, 0.0))
+    return stokes_project(space, np.zeros(space.n_vel), boundary)
 
 
 def step_drag(space, config, dt, u, u_old, u_prev=None):
@@ -381,7 +380,8 @@ def step_drag(space, config, dt, u, u_old, u_prev=None):
     residual = space.mass() @ (alpha * u - hist) / dt + _operator(space, config, u)
     if weight:
         residual += weight * _operator(space, config, u_old)
-    return -20.0 * float(_drag_lifting(space, config) @ residual) / (1.0 + weight)
+    lifting = _drag_lifting(space, config.drag_label, tuple(config.boundary))
+    return -20.0 * float(lifting @ residual) / (1.0 + weight)
 
 
 def snapshot_steps(window, stride, dt, n_steps):

@@ -229,38 +229,40 @@ def _table(text, what, header, noun, expected, min_fields, dtype):
     raise MeshFormatError(f"{what}: {error}")
 
 
-def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
-    """Build a :class:`Mesh` from Triangle-generator text files.
+def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
+                       names=(".node", ".ele", "boundary")):
+    """Build a :class:`Mesh` from Triangle-generator text files, named by ``names`` in errors.
 
     ``marker_labels`` maps integer boundary markers to label strings; markers
     without an entry become ``"marker<k>"``.  Triangles are reoriented to CCW;
     malformed counts, dangling vertex indices, and zero-area triangles raise
-    :class:`MeshFormatError` with the offending line number.  So does a
-    boundary edge that is not the side of exactly one triangle, naming it.
+    :class:`MeshFormatError` with the file and offending line number.  So does
+    a boundary edge that is not the side of exactly one triangle, naming it.
     """
     marker_labels = dict(marker_labels or {})
+    node, ele, side = names
 
-    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, ".node", _NODE_HEADER, "vertices",
+    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, node, _NODE_HEADER, "vertices",
                                                         "index, x, y", lambda c: 3 + c[2], float)
     if dim != 2:
-        raise MeshFormatError(f".node at line {lineno}: expected dimension 2, got {dim}")
+        raise MeshFormatError(f"{node} at line {lineno}: expected dimension 2, got {dim}")
     base = nodes[0, 0] if nv else 0
     if base not in (0, 1):
-        raise MeshFormatError(f".node at line {node_lines[0]}: first vertex index must be 0 or 1")
+        raise MeshFormatError(f"{node} at line {node_lines[0]}: first vertex index must be 0 or 1")
     bad = np.flatnonzero(nodes[:, 0] != base + np.arange(nv))
     if bad.size:
-        raise MeshFormatError(f".node at line {node_lines[bad[0]]}: vertex indices must be consecutive")
+        raise MeshFormatError(f"{node} at line {node_lines[bad[0]]}: vertex indices must be consecutive")
     vertices = np.ascontiguousarray(nodes[:, 1:3])
     base = int(base)
 
-    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ".ele", _ELE_HEADER, "triangles",
+    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ele, _ELE_HEADER, "triangles",
                                                      "index and three vertices", lambda c: 4, int)
     if npe != 3:
-        raise MeshFormatError(f".ele at line {lineno}: only 3-node triangles are supported, got {npe}")
+        raise MeshFormatError(f"{ele} at line {lineno}: only 3-node triangles are supported, got {npe}")
     triangles = cells[:, 1:4] - base
     bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=1))
     if bad.size:
-        raise MeshFormatError(f".ele at line {cell_lines[bad[0]]}: "
+        raise MeshFormatError(f"{ele} at line {cell_lines[bad[0]]}: "
                               f"vertex index out of range (have {nv} vertices)")
 
     # fix orientation and reject degenerate triangles
@@ -268,16 +270,16 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
     scale = np.abs(areas).max() if nt else 1.0
     bad = np.flatnonzero(np.abs(areas) <= 1e-14 * scale)
     if bad.size:
-        raise MeshFormatError(f".ele: triangle {bad[0]} has zero area")
+        raise MeshFormatError(f"{ele}: triangle {bad[0]} has zero area")
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    _, _, sides, side_lines = _table(boundary_text, "boundary", _BOUNDARY_HEADER, "edges",
+    _, _, sides, side_lines = _table(boundary_text, side, _BOUNDARY_HEADER, "edges",
                                      "index, v1, v2, marker", lambda c: 4, int)
     edges = sides[:, 1:3] - base
     bad = np.flatnonzero(((edges < 0) | (edges >= nv)).any(axis=1))
     if bad.size:
-        raise MeshFormatError(f"boundary at line {side_lines[bad[0]]}: vertex index out of range")
+        raise MeshFormatError(f"{side} at line {side_lines[bad[0]]}: vertex index out of range")
     labels = [marker_labels.get(m, f"marker{m}") for m in sides[:, 3].tolist()]
 
     return _build_mesh(vertices, triangles, edges, labels)

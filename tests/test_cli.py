@@ -688,30 +688,58 @@ class TestErrorPaths:
         assert main(["fom", "--config", str(cfg)]) == 2
         assert f"{cfg}: [problem] name: unknown problem 'channel-of-mystery'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
-    def test_mesh_without_a_needed_label_is_format_error(self, micro_pipeline, tmp_path, capsys, command):
-        # the bundled cylinder mesh with its cylinder edges (marker 4) relabeled as walls (marker 3)
+    @staticmethod
+    def cylinder_files(tmp_path, ext, edit):
+        """A cylinder config on copies of the bundled mesh files, ``edit`` applied to the lines of ``ext``."""
         from importlib import resources
 
-        root, _ = micro_pipeline
         data = resources.files("flowrom").joinpath("data")
         mesh_dir = tmp_path / "mesh"
         mesh_dir.mkdir()
-        for ext in ("node", "ele", "edge"):
-            text = data.joinpath(f"cylinder_coarse.{ext}").read_text()
-            if ext == "edge":
-                head, *rows = text.splitlines()
-                text = "\n".join([head, *(row[:-1] + "3" if row.split()[3] == "4" else row for row in rows)])
-            (mesh_dir / f"c.{ext}").write_text(text + "\n")
+        for name in ("node", "ele", "edge"):
+            lines = data.joinpath(f"cylinder_coarse.{name}").read_text().splitlines()
+            (mesh_dir / f"c.{name}").write_text("\n".join(edit(lines) if name == ext else lines) + "\n")
         cfg = tmp_path / "cyl.ini"
         cfg.write_text(MICRO_CYLINDER.replace(
             "name = cylinder-channel",
             f"name = cylinder-channel\nmesh = files\nnode = {mesh_dir / 'c.node'}\n"
             f"ele = {mesh_dir / 'c.ele'}\nedge = {mesh_dir / 'c.edge'}"))
+        return cfg, mesh_dir
+
+    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
+    def test_mesh_without_a_needed_label_is_format_error(self, micro_pipeline, tmp_path, capsys, command):
+        # the bundled cylinder mesh with its cylinder edges (marker 4) relabeled as walls (marker 3)
+        root, _ = micro_pipeline
+        cfg, mesh_dir = self.cylinder_files(tmp_path, "edge", lambda lines: [
+            lines[0], *(row[:-1] + "3" if row.split()[3] == "4" else row for row in lines[1:])])
         assert main(_subcommand(command, root, cfg, tmp_path / "out")) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "format error" in err
         assert f"{mesh_dir / 'c.edge'}: no boundary edge labeled 'cylinder'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ext, edit, detail", [
+        ("node", lambda lines: lines[:3], ": expected 1391 vertices, file ended after 2"),
+        ("ele", lambda lines: [lines[0], "1 897 830 9999", *lines[2:]],
+         " at line 2: vertex index out of range (have 1391 vertices)"),
+    ], ids=["truncated_node", "bad_ele"])
+    def test_mesh_format_error_names_the_file(self, tmp_path, capsys, ext, edit, detail):
+        cfg, mesh_dir = self.cylinder_files(tmp_path, ext, edit)
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"format error: {mesh_dir / f'c.{ext}'}{detail}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit, code", [
+        ("fom", ("[rom]", "newton_max_iter = 0\n\n[rom]"), 3),
+        ("pod", ("r = 3", "r = 0"), 2),
+    ], ids=["fom_newton_stall", "pod_r_zero"])
+    def test_failure_makes_no_out_directory(self, micro_pipeline, tmp_path, capsys, command, edit, code):
+        # --out is made only after the last check that can fail
+        root, _ = micro_pipeline
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MICRO_KH.replace(*edit))
+        assert main(_subcommand(command, root, cfg, tmp_path / "out")) == code
+        assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_archive(self, tmp_path, micro_pipeline):

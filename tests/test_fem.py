@@ -14,6 +14,7 @@ from flowrom.fem import (
     _p2_ref_grads,
     apply_constraints,
     assemble_linear_operators,
+    cached,
     constrain_rows,
     constraint_mask,
     nonlinear_jacobian,
@@ -581,6 +582,60 @@ class TestNodeGraphAssembly:
         assert np.shares_memory(space.stiffness().indices, space.mass().indices)
         assert np.shares_memory(space.curl_form().indices, jac.indices)
         assert not jac.indices.flags.writeable
+
+
+# every memo of fem.cached, as (method, arguments); _pattern is the node graph's
+MEMOIZED = [(name, ()) for name in ("_graph", "mass", "stiffness", "divergence", "div_form", "curl_form",
+                                    "pressure_volume", "saddle_order", "edge_table", "qp_xy")]
+MEMOIZED += [("boundary_scalar_nodes", ("top",)), ("_pattern", (1,)), ("_pattern", (2,))]
+
+
+def memo_call(space, name, args):
+    return getattr(space._graph() if name == "_pattern" else space, name)(*args)
+
+
+class TestMemo:
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return flowrom.identify_periodic(uniform_rect_mesh(4, 4), "x")
+
+    @pytest.mark.parametrize("name,args", MEMOIZED, ids=[f"{name}{args or ''}" for name, args in MEMOIZED])
+    def test_kept_per_space(self, mesh, name, args):
+        space, other = TaylorHoodSpace(mesh), TaylorHoodSpace(mesh)
+        first = memo_call(space, name, args)
+        assert memo_call(space, name, args) is first
+        assert memo_call(other, name, args) is not first
+
+    def test_boundary_nodes_kept_per_label(self, mesh):
+        space = TaylorHoodSpace(mesh)
+        top, bottom = space.boundary_scalar_nodes("top"), space.boundary_scalar_nodes("bottom")
+        assert np.intersect1d(top, bottom).size == 0
+        assert space.boundary_scalar_nodes("top") is top and space.boundary_scalar_nodes("bottom") is bottom
+
+    def test_missing_label_raises_on_every_call(self, mesh):
+        space = TaylorHoodSpace(mesh)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no boundary edges labeled 'lid'"):
+                space.boundary_scalar_nodes("lid")
+
+    def test_a_raise_keeps_nothing(self):
+        class Owner:
+            def __init__(self):
+                self._cache, self.calls = {}, []
+
+            @cached
+            def square(self, x):
+                self.calls.append(x)
+                if x < 0:
+                    raise ValueError(x)
+                return [x * x]
+
+        owner = Owner()
+        assert owner.square(3) is owner.square(3) and owner.square(2) == [4]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                owner.square(-1)
+        assert owner.calls == [3, 2, -1, -1]
 
 
 class TestFootprint:

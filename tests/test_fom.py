@@ -389,6 +389,10 @@ class TestRunFom:
         assert np.all(orders >= 1.8), orders
 
 
+def drag_lifting(space, cfg):
+    return flowrom.fom._drag_lifting(space, cfg.drag_label, tuple(cfg.boundary))
+
+
 class TestStepDrag:
     @pytest.fixture(scope="class")
     def cylinder_drag(self, cylinder):
@@ -402,7 +406,7 @@ class TestStepDrag:
     def test_lifting_is_discretely_divergence_free(self, cylinder, cylinder_drag):
         _, space = cylinder
         cfg, drag = cylinder_drag
-        v = flowrom.fom._drag_lifting(space, cfg)
+        v = drag_lifting(space, cfg)
         mask, vals = space.dirichlet_data({**{label: ("noslip",) for label in cfg.boundary},
                                            "cylinder": ("velocity", (1.0, 0.0))})
         assert np.array_equal(v[mask], vals[mask]) and vals.max() == 1.0
@@ -416,8 +420,8 @@ class TestStepDrag:
         cfg, drag = cylinder_drag
         boundary = {**{label: ("noslip",) for label in cfg.boundary}, "cylinder": ("velocity", (1.0, 0.0))}
         other = stokes_project(space, np.random.default_rng(0).standard_normal(space.n_vel), boundary)
-        assert np.abs(other - flowrom.fom._drag_lifting(space, cfg)).max() > 1.0
-        monkeypatch.setattr(flowrom.fom, "_drag_lifting", lambda space, config: other)
+        assert np.abs(other - drag_lifting(space, cfg)).max() > 1.0
+        monkeypatch.setattr(flowrom.fom, "_drag_lifting", lambda space, label, labels: other)
         _, _, series = run_fom(cfg, mesh, space, build_initial_condition(at_rest, space))
         assert np.abs(series["drag"].values[1:] / drag[1:] - 1.0).max() <= 1e-9
 
@@ -432,7 +436,7 @@ class TestStepDrag:
             return cfg.nu * (space.stiffness() @ u) + nonlinear_residual(space, cfg.form, u)
 
         force = space.mass() @ (u1 - u0) / cfg.dt + (2.0 * op(u1) + op(u0)) / 3.0
-        want = -20.0 * (flowrom.fom._drag_lifting(space, cfg) @ force)
+        want = -20.0 * (drag_lifting(space, cfg) @ force)
         assert step_drag(space, cfg, cfg.dt, u1, u0) == pytest.approx(want, rel=1e-12)
 
     def test_free_slip_wall_carries_no_x_force(self, kh16):
@@ -442,7 +446,7 @@ class TestStepDrag:
         _, _, series = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         # the top wall's x-velocity DOFs are free, so the residual it tests is
         # the Newton residual
-        bound = 20.0 * cfg.newton_tol * np.linalg.norm(flowrom.fom._drag_lifting(space, cfg))
+        bound = 20.0 * cfg.newton_tol * np.linalg.norm(drag_lifting(space, cfg))
         drag = series["drag"].values
         assert np.isnan(drag[0]) and np.abs(drag[1:]).max() <= bound
 
@@ -453,6 +457,31 @@ class TestStepDrag:
         u = np.zeros(space.n_vel)
         with pytest.raises(ValueError, match="labeled"):
             step_drag(space, cfg, cfg.dt, u, u)
+
+    def test_lifting_projected_once_per_space_and_labels(self, cylinder, monkeypatch):
+        # the lifting is kept on the space: a second run on it, and every step
+        # of a run, reuse it; a new space, drag label or label tuple projects again
+        mesh, _ = cylinder
+        liftings = []
+
+        def spy(space, u, boundary):
+            lifted = [label for label, cond in boundary.items() if cond == ("velocity", (1.0, 0.0))]
+            liftings.extend((space, label) for label in lifted)
+            return stokes_project(space, u, boundary)
+
+        monkeypatch.setattr(flowrom.fom, "stokes_project", spy)
+        cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.005, form="emac", boundary=cylinder_boundary(),
+                        drag_label="cylinder", project_initial=True)
+        first, second = TaylorHoodSpace(mesh), TaylorHoodSpace(mesh)
+        for space in (first, first, second):
+            _, _, series = run_fom(cfg, mesh, space, build_initial_condition(at_rest, space))
+            assert np.isfinite(series["drag"].values[1:]).all()
+        assert liftings == [(first, "cylinder"), (second, "cylinder")]
+        wall = dataclasses.replace(cfg, drag_label="wall")
+        run_fom(wall, mesh, first, build_initial_condition(at_rest, first))
+        assert liftings == [(first, "cylinder"), (second, "cylinder"), (first, "wall")]
+        flowrom.fom._drag_lifting(first, "cylinder", tuple(reversed(cfg.boundary)))
+        assert liftings[3:] == [(first, "cylinder")]
 
 
 class TestFactorReuse:

@@ -68,6 +68,20 @@ def test_only_io_splits_csv_rows():
     assert _modules_holding('split(",")') == []
 
 
+def test_only_cached_touches_the_memo():
+    # fem.cached is the one memo of what a space derives; besides it, only the
+    # space and its node graph name their store, where they create it
+    fem = ROOT / "src" / "flowrom" / "fem.py"
+    memo = [range(node.lineno, node.end_lineno + 1) for node in ast.parse(fem.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name == "cached"]
+    creations = ("self._cache = {}", "_cache: dict = field(default_factory=dict, repr=False, compare=False)")
+    hits = [f"{path.name}:{k}: {line.strip()}" for path in sorted((ROOT / "src" / "flowrom").rglob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), start=1)
+            if "_cache" in line and line.strip() not in creations
+            and not (path == fem and any(k in span for span in memo))]
+    assert hits == []
+
+
 def test_benchmark_hooks_are_called(tmp_path, monkeypatch):
     # perfbench/workloads.py rebinds or times these module attributes by name;
     # one renamed away would crash the benchmark or silently drop its ticks
