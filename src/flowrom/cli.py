@@ -165,7 +165,8 @@ def _build_problem(path):
     This is the only code that knows a problem name.  The ``[fom]`` keys are
     :class:`FomConfig` fields, the snapshot window from its two ends; the name
     fixes the boundary, the drag label and the projection of u0.  A config
-    error names ``path``, a missing boundary label (format error) the mesh.
+    error names ``path``, a missing boundary label (format error) the mesh,
+    and a mesh file that is not UTF-8 text (format error) that file.
     """
     config = _load_config(path)
     prob = config["problem"]
@@ -183,11 +184,15 @@ def _build_problem(path):
             mesh = load_bundled_mesh("cylinder")
         else:
             paths = {key: prob.get(key, Path()) for key in ("node", "ele", "edge")}
+            texts = []
             for key, p in paths.items():
                 if not p.is_file():
                     raise ConfigError(f"{path}: [problem] {key}: mesh file not found: {p}")
-            mesh = read_triangle_mesh(*(p.read_text() for p in paths.values()), marker_labels=CYLINDER_LABELS,
-                                      names=tuple(paths.values()))
+                try:
+                    texts.append(p.read_text(encoding="utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise MeshFormatError(f"{p}: {exc}") from exc
+            mesh = read_triangle_mesh(*texts, marker_labels=CYLINDER_LABELS, names=tuple(paths.values()))
             edge = paths["edge"]
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest

@@ -57,14 +57,15 @@ structure per space, the P2 :class:`_NodeGraph`: its CSR pattern and each
 element entry's slot in it, from one ``np.unique`` over integer keys.  A
 matrix is then a ``np.bincount`` of element values into those slots, laid
 out as one expansion of the graph: A (x) I_2 for mass and stiffness, full
-2x2 node blocks for the velocity forms and the Jacobian, vertex rows times
-two components for the divergence.  A full block matrix takes one such
-``np.bincount`` per (row, column) component pair; the Jacobian sums each
-pair as soon as it has formed its element values.  Each entry adds its
-element values in element order, whatever the layout, so it rounds the
-same in every expansion.  The result is canonical CSR.  The graph, the
-operators and all else a space derives from its mesh are built on the
-first call and kept on the space, per argument, by :func:`cached`.
+2x2 node blocks for the div and curl forms and the Jacobian, vertex rows
+times two components for the divergence.  A full block matrix takes one
+such ``np.bincount`` per (row, column) component pair, summed as soon as
+its element values are formed (the div and curl forms share four such
+sums).  Each entry adds its element values in element order, whatever the
+layout, so it rounds the same in every expansion.  The result is canonical
+CSR.  The graph, the operators and all else a space derives from its mesh
+are built on the first call and kept on the space, per argument, by
+:func:`cached`.
 """
 
 import enum
@@ -157,7 +158,7 @@ class _NodeGraph:
     position there of the pair (``cell_scalar[e, a]``, ``cell_scalar[e, b]``).
     Every FE matrix is a ``np.bincount`` of its element values into these
     slots (:meth:`_sum`, once per component pair of a velocity matrix),
-    laid out as one expansion of the graph (:meth:`kron_i2`, :meth:`blocks`,
+    laid out as one expansion of the graph (:meth:`kron_i2`, :meth:`_velocity`,
     :meth:`vertex_rows`); its CSR is canonical by construction.  The
     matrices of one velocity expansion share its read-only index arrays.
     """
@@ -230,26 +231,6 @@ class _NodeGraph:
         """Scalar element matrices (nt, 6, 6), summed, as the velocity matrix A (x) I_2."""
         values = self._sum(elem)
         return self._velocity(lambda c, d: values, 1)
-
-    def blocks(self, elem):
-        """Velocity element matrices (nt, 12, 12), summed, over full 2x2 node blocks.
-
-        Local DOF 2l + c is component c of local node l.  Each (row, column)
-        component pair is summed by :meth:`_sum`, as :meth:`kron_i2` sums
-        its one matrix.
-        """
-        elem = elem.reshape(-1, 6, 2, 6, 2)
-        return self._velocity(lambda c, d: self._sum(elem[:, :, c, :, d]), 2)
-
-    def cofactor_blocks(self, matrix):
-        """The :meth:`blocks` matrix whose node blocks are those of ``matrix``, [[a, b], [c, d]],
-        turned into their cofactors [[d, -c], [-b, a]].
-
-        The negation is 0 - x, so that a zero sum stays +0 as ``np.bincount`` gives it.
-        """
-        first, shift = self._offsets(2)
-        value = lambda c, d: matrix.data[first + c * shift + d]
-        return self._velocity(lambda c, d: value(1 - c, 1 - d) if c == d else 0.0 - value(1 - c, 1 - d), 2)
 
     def vertex_rows(self, elem, n_rows):
         """Element matrices (nt, 3, 12) from the vertex nodes to velocity DOFs, summed.
@@ -374,11 +355,6 @@ class TaylorHoodSpace:
         """The :class:`_NodeGraph` of the P2 nodes, which every operator fills."""
         return _NodeGraph.build(self.cell_scalar, self.n_scalar)
 
-    def _velocity_gradients(self):
-        """Physical gradient coefficients (nt, 12, nq): d_c phi_l for local DOF 2l + c."""
-        nt, _, _, nq = self.tables.shape
-        return self.tables[:, :, 1:].reshape(nt, 12, nq)
-
     def _gram(self, coef):
         """Element matrices sum_kq w_q coef[:, a, k, q] coef[:, b, k, q], exactly symmetric.
 
@@ -407,25 +383,38 @@ class TaylorHoodSpace:
         # an einsum, not a batched product: it rounds entries that are equal
         # by mesh symmetry alike, and the saddle-point LU breaks its pivot
         # ties among them by position, so its fill depends on this
-        elem = np.einsum("eq,qp,elq->epl", self.wdet, self.quadrature.points, self._velocity_gradients())
+        grads = self.tables[:, :, 1:].reshape(len(self.tables), 12, -1)   # d_c phi_l of local DOF 2l + c
+        elem = np.einsum("eq,qp,elq->epl", self.wdet, self.quadrature.points, grads)
         return self._graph().vertex_rows(elem, self.n_press)
 
     @cached
-    def div_form(self):
-        """Operator for ||div u||^2 = u^T G u."""
-        # divergence coefficient of local dof (l, c) is d_c phi_l
-        return self._graph().blocks(self._gram(self._velocity_gradients()[:, :, None]))
+    def _gradient_forms(self):
+        """The :meth:`div_form` and :meth:`curl_form` matrices, from four component-pair sums.
 
-    @cached
-    def curl_form(self):
-        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl).
-
-        Component u1 contributes -dy phi and u2 +dx phi, the divergence
-        coefficients swapped and one negated, so each 2x2 node block
-        [[a, b], [c, d]] of :meth:`div_form` becomes its cofactor
-        [[d, -c], [-b, a]]: bitwise the Gram assembly of the curl coefficients.
+        Pair (c, d) sums sum_q w_q d_c phi_a d_d phi_b, made symmetric against
+        pair (d, c) as :func:`_symmetric` makes a whole Gram.  The curl's
+        coefficients (-dy phi, +dx phi) make its node blocks the cofactors
+        [[s11, -s10], [-s01, s00]]; 0 - x keeps a zero sum +0, as ``np.bincount`` gives it.
         """
-        return self._graph().cofactor_blocks(self.div_form())
+        grads = self.tables[:, :, 1:]
+        weighted = grads * self.wdet[:, None, None, :]
+        gram = lambda c, d: np.matmul(weighted[:, :, c], grads[:, :, d].transpose(0, 2, 1))
+        graph = self._graph()
+        sums = {(c, c): graph._sum(_symmetric(gram(c, c))) for c in range(2)}
+        cross = 0.5 * (gram(0, 1) + gram(1, 0).transpose(0, 2, 1))
+        sums[0, 1], sums[1, 0] = graph._sum(cross), graph._sum(cross.transpose(0, 2, 1))
+        del weighted, cross   # not held while the two matrices are laid out
+        div = graph._velocity(lambda c, d: sums[c, d], 2)
+        curl = graph._velocity(lambda c, d: sums[1 - c, 1 - d] if c == d else 0.0 - sums[1 - c, 1 - d], 2)
+        return div, curl
+
+    def div_form(self):
+        """Operator for ||div u||^2 = u^T G u, built with :meth:`curl_form`."""
+        return self._gradient_forms()[0]
+
+    def curl_form(self):
+        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl), built with :meth:`div_form`."""
+        return self._gradient_forms()[1]
 
     @cached
     def pressure_volume(self):

@@ -107,13 +107,14 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _build_mesh(vertices, triangles, boundary, labels):
+def _build_mesh(vertices, triangles, boundary, labels, name_edge=None):
     """A :class:`Mesh` with its edge table; ``boundary`` edges may come in either direction.
 
     The edges are the distinct integer keys ``lo * nv + hi`` of the
     triangles' sides.  Each boundary edge is looked up among them and must
     be a side of exactly one triangle; that side gives both the triangle and
-    the edge's direction.
+    the edge's direction.  The first edge that is not raises
+    :class:`MeshFormatError`, named by ``name_edge(k)`` for its row k (default ``boundary edge (a, b)``).
     """
     nv = len(vertices)
     sides = triangles[:, [[1, 2], [2, 0], [0, 1]]]    # counterclockwise, side i opposite vertex i
@@ -124,13 +125,12 @@ def _build_mesh(vertices, triangles, boundary, labels):
     ids = np.searchsorted(keys, bkeys)
     # closed by a key above every edge's, so that a search never runs off the end
     missing = np.append(keys, nv * nv)[ids] != bkeys
+    name_edge = name_edge or (lambda k: "boundary edge ({}, {})".format(*boundary[k]))
     if missing.any():
-        a, b = boundary[np.argmax(missing)]
-        raise MeshFormatError(f"boundary edge ({a}, {b}) does not belong to any triangle")
+        raise MeshFormatError(f"{name_edge(np.argmax(missing))} does not belong to any triangle")
     shared = counts[ids] > 1
     if shared.any():
-        a, b = boundary[np.argmax(shared)]
-        raise MeshFormatError(f"boundary edge ({a}, {b}) is shared by more than one triangle")
+        raise MeshFormatError(f"{name_edge(np.argmax(shared))} is shared by more than one triangle")
     side = first[ids]
     return Mesh(vertices=vertices, triangles=triangles, boundary_edges=sides.reshape(-1, 2)[side],
                 boundary_labels=tuple(labels), edges=np.column_stack(np.divmod(keys, nv)),
@@ -237,7 +237,8 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
     without an entry become ``"marker<k>"``.  Triangles are reoriented to CCW;
     malformed counts, dangling vertex indices, and zero-area triangles raise
     :class:`MeshFormatError` with the file and offending line number.  So does
-    a boundary edge that is not the side of exactly one triangle, naming it.
+    a boundary edge that is not the side of exactly one triangle, naming it
+    with its vertices numbered as the file writes them.
     """
     marker_labels = dict(marker_labels or {})
     node, ele, side = names
@@ -270,7 +271,7 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
     scale = np.abs(areas).max() if nt else 1.0
     bad = np.flatnonzero(np.abs(areas) <= 1e-14 * scale)
     if bad.size:
-        raise MeshFormatError(f"{ele}: triangle {bad[0]} has zero area")
+        raise MeshFormatError(f"{ele} at line {cell_lines[bad[0]]}: triangle {cells[bad[0], 0]} has zero area")
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
@@ -282,7 +283,8 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
         raise MeshFormatError(f"{side} at line {side_lines[bad[0]]}: vertex index out of range")
     labels = [marker_labels.get(m, f"marker{m}") for m in sides[:, 3].tolist()]
 
-    return _build_mesh(vertices, triangles, edges, labels)
+    return _build_mesh(vertices, triangles, edges, labels, lambda k: (
+        f"{side} at line {side_lines[k]}: boundary edge ({sides[k, 1]}, {sides[k, 2]})"))
 
 
 def identify_periodic(mesh, axis):

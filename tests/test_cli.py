@@ -270,8 +270,8 @@ class TestPipeline:
             raise AssertionError("rom assembled the mass matrix or the curl form")
 
         with monkeypatch.context() as patch:
-            patch.setattr(TaylorHoodSpace, "mass", forbidden)
-            patch.setattr(TaylorHoodSpace, "curl_form", forbidden)
+            for name in ("mass", "curl_form", "_gradient_forms"):
+                patch.setattr(TaylorHoodSpace, name, forbidden)
             for r in (3, basis.rank):
                 assert main([*argv, "--r", str(r)]) == 0
         space = _build_problem(cfg).space
@@ -722,11 +722,26 @@ class TestErrorPaths:
         ("node", lambda lines: lines[:3], ": expected 1391 vertices, file ended after 2"),
         ("ele", lambda lines: [lines[0], "1 897 830 9999", *lines[2:]],
          " at line 2: vertex index out of range (have 1391 vertices)"),
-    ], ids=["truncated_node", "bad_ele"])
+        # the vertices of a record are as the 1-based files write them
+        ("ele", lambda lines: [lines[0], "1 897 830 830", *lines[2:]], " at line 2: triangle 1 has zero area"),
+        ("edge", lambda lines: [lines[0], "1 897 830 1", *lines[2:]],
+         " at line 2: boundary edge (897, 830) is shared by more than one triangle"),
+        ("edge", lambda lines: [lines[0], "1 897 375 1", *lines[2:]],
+         " at line 2: boundary edge (897, 375) does not belong to any triangle"),
+    ], ids=["truncated_node", "bad_ele", "zero_area", "interior_edge", "edge_of_no_triangle"])
     def test_mesh_format_error_names_the_file(self, tmp_path, capsys, ext, edit, detail):
         cfg, mesh_dir = self.cylinder_files(tmp_path, ext, edit)
         assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == f"format error: {mesh_dir / f'c.{ext}'}{detail}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_mesh_file_not_utf8_is_format_error(self, tmp_path, capsys):
+        cfg, mesh_dir = self.cylinder_files(tmp_path, "node", lambda lines: lines)
+        node = mesh_dir / "c.node"
+        node.write_bytes(b"\xff\xfe" + node.read_bytes())
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"format error: {node}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, edit, code", [

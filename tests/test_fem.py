@@ -584,9 +584,10 @@ class TestNodeGraphAssembly:
         assert not jac.indices.flags.writeable
 
 
-# every memo of fem.cached, as (method, arguments); _pattern is the node graph's
-MEMOIZED = [(name, ()) for name in ("_graph", "mass", "stiffness", "divergence", "div_form", "curl_form",
-                                    "pressure_volume", "saddle_order", "edge_table", "qp_xy")]
+# every memo of fem.cached, as (method, arguments), and div_form and curl_form, which
+# return _gradient_forms' matrices; _pattern is the node graph's
+MEMOIZED = [(name, ()) for name in ("_graph", "mass", "stiffness", "divergence", "_gradient_forms", "div_form",
+                                    "curl_form", "pressure_volume", "saddle_order", "edge_table", "qp_xy")]
 MEMOIZED += [("boundary_scalar_nodes", ("top",)), ("_pattern", (1,)), ("_pattern", (2,))]
 
 
@@ -699,19 +700,28 @@ def benchmark_spaces():
         ("rect5x3", uniform_rect_mesh(5, 3)))}
 
 
+def twelve_wide_gram(space, coef):
+    """The Gram of velocity coefficients (nt, 12, nq), local DOF 2l + c, as (nt, 12, 12) element
+    matrices summed per (row, column) component pair over full 2x2 node blocks."""
+    graph = space._graph()
+    elem = space._gram(coef[:, :, None]).reshape(-1, 6, 2, 6, 2)
+    return graph._velocity(lambda c, d: graph._sum(elem[:, :, c, :, d]), 2)
+
+
 class TestCurlForm:
     @pytest.mark.parametrize("name", ["kh32", "tg48", "cylinder"])
     def test_cofactor_of_div_form_is_bitwise_the_curl_gram(self, benchmark_spaces, name):
-        # reference: the Gram assembly of the curl coefficients (-dy phi, +dx phi)
+        # reference: the 12-wide Gram assembly of the divergence coefficients
+        # (dx phi, dy phi) and of the curl coefficients (-dy phi, +dx phi)
         space = benchmark_spaces[name]
-        g = space._velocity_gradients()
+        g = space.tables[:, :, 1:].reshape(len(space.tables), 12, -1)   # d_c phi_l of local DOF 2l + c
         coef = np.empty_like(g)
         coef[:, 0::2] = -g[:, 1::2]
         coef[:, 1::2] = g[:, 0::2]
-        want = space._graph().blocks(space._gram(coef[:, :, None]))
-        got = space.curl_form()
-        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        for got, want in ((space.div_form(), twelve_wide_gram(space, g)),
+                          (space.curl_form(), twelve_wide_gram(space, coef))):
+            assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def node_graph_pattern(space):

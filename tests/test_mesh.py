@@ -176,8 +176,9 @@ class TestReadTriangleMesh:
         node = "3 2 0 0\n1 0 0\n2 1 0\n3 2 0\n"
         ele = "1 3 0\n1 1 2 3\n"
         edge = "0 0\n"
-        with pytest.raises(MeshFormatError, match="zero area"):
+        with pytest.raises(MeshFormatError) as err:
             read_triangle_mesh(node, ele, edge)
+        assert str(err.value) == ".ele at line 2: triangle 1 has zero area"
 
     def test_orientation_fixed(self):
         node = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
@@ -191,16 +192,18 @@ class TestReadTriangleMesh:
         node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
         ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
         edge = "2 1\n1 1 2 1\n2 2 4 1\n"
-        with pytest.raises(MeshFormatError, match=r"boundary edge \(1, 3\) does not belong"):
+        with pytest.raises(MeshFormatError) as err:
             read_triangle_mesh(node, ele, edge)
+        assert str(err.value) == "boundary at line 3: boundary edge (2, 4) does not belong to any triangle"
 
     def test_boundary_edge_inside_the_domain(self):
         # the unit square cut along (1, 3), whose diagonal is listed as boundary
         node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
         ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
         edge = "5 1\n1 1 2 1\n2 2 3 1\n3 3 4 1\n4 4 1 1\n5 3 1 2\n"
-        with pytest.raises(MeshFormatError, match=r"boundary edge \(2, 0\) is shared by more than one triangle"):
+        with pytest.raises(MeshFormatError) as err:
             read_triangle_mesh(node, ele, edge)
+        assert str(err.value) == "boundary at line 6: boundary edge (3, 1) is shared by more than one triangle"
 
     def test_malformed_header(self):
         with pytest.raises(MeshFormatError):
