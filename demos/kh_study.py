@@ -17,7 +17,7 @@ then ROMs that reuse the skew form (consistent) or switch to EMAC
 
 CLI outputs go to kh_study_run/; the plots need matplotlib.
 
-Run:  python3 demos/kh_study.py   (about half a minute; the FOM dominates)
+Run:  python3 demos/kh_study.py   (about five seconds on a 2-vCPU host; the FOM dominates)
 """
 
 import sys

@@ -234,11 +234,13 @@ def cmd_fom(args):
     return EXIT_OK
 
 
-def _mode_count(config, rank, override=None):
-    """r from ``override``, else ``[rom] r``, else ``rank``; at least 1."""
+def _mode_count(path, config, rank, override=None, clamp=False):
+    """r in 1..rank: ``override`` (``--r``), else ``[rom] r`` at ``path``, else rank; ``clamp`` caps it at rank."""
     r = override if override is not None else config["rom"].get("r", rank)
-    if r < 1:
-        raise ConfigError(f"requested r={r} is outside 1..{rank} (the basis rank)")
+    r = min(r, rank) if clamp else r
+    if not 1 <= r <= rank:
+        source = "--r" if override is not None else f"{path}: [rom] r"
+        raise ConfigError(f"{source}: requested r={r} is outside 1..{rank} (the basis rank)")
     return r
 
 
@@ -251,14 +253,13 @@ def cmd_pod(args):
     coordinates also give the projection-error report.
     """
     problem = _build_problem(args.config)
-    config = problem.config
-    space = problem.space
+    config, space = problem.config, problem.space
     snaps = fio.read_snapshots(args.archive, space=space)
     try:
         basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
     except ValueError as exc:  # no snapshot, or only vanishing ones
         raise ConfigError(f"{args.archive}: {exc}") from exc
-    r = min(_mode_count(config, basis.rank), basis.rank)
+    r = _mode_count(args.config, config, basis.rank, clamp=True)
     prefix = _out_prefix(config, args.out)
     basis.projection = project_fields(space, basis.fields(r))
     fio.write_basis(f"{prefix}_basis.bin", basis)
@@ -293,20 +294,17 @@ def cmd_rom(args):
     """Run one ROM, of the ``--form`` or else the ``[fom] form``, on the basis's
     snapshot grid with the ``[fom] scheme``.
 
-    It starts from the first snapshot's coordinates on the leading r modes
-    and assembles no FE matrix.  One projection, the archive's or a fresh
-    one when r exceeds it, gives both the operators and the energy and
-    enstrophy series.
+    It starts from the first snapshot's coordinates on the leading r modes.
+    One projection, the archive's or a fresh one when r exceeds it, gives
+    both the operators and the energy and enstrophy series; only a fresh
+    projection and the drag assemble FE matrices.
     """
     problem = _build_problem(args.config)
-    config = problem.config
-    space, fom_cfg = problem.space, problem.fom
+    config, space, fom_cfg = problem.config, problem.space, problem.fom
     form = NonlinearForm.parse(args.form or fom_cfg.form)
     basis = fio.read_basis(args.basis, space=space)
     coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
-    r = _mode_count(config, basis.rank, args.r)
-    if r > basis.rank:
-        raise ConfigError(f"requested r={r} is outside 1..{basis.rank} (the basis rank)")
+    r = _mode_count(args.config, config, basis.rank, args.r)
 
     basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)

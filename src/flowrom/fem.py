@@ -57,15 +57,15 @@ structure per space, the P2 :class:`_NodeGraph`: its CSR pattern and each
 element entry's slot in it, from one ``np.unique`` over integer keys.  A
 matrix is then a ``np.bincount`` of element values into those slots, laid
 out as one expansion of the graph: A (x) I_2 for mass and stiffness, full
-2x2 node blocks for the div and curl forms and the Jacobian, vertex rows
-times two components for the divergence.  A full block matrix takes one
-such ``np.bincount`` per (row, column) component pair, summed as soon as
-its element values are formed (the div and curl forms share four such
-sums).  Each entry adds its element values in element order, whatever the
-layout, so it rounds the same in every expansion.  The result is canonical
-CSR.  The graph, the operators and all else a space derives from its mesh
-are built on the first call and kept on the space, per argument, by
-:func:`cached`.
+2x2 node blocks for the div form and the Jacobian, vertex rows times two
+components for the divergence.  A full block matrix takes one such
+``np.bincount`` per (row, column) component pair, summed as soon as its
+element values are formed.  The curl form is the div form's node blocks
+relabeled as cofactors, on the div form's pattern.  Each entry adds its
+element values in element order, whatever the layout, so it rounds the
+same in every expansion.  The result is canonical CSR.  The graph, the
+operators and all else a space derives from its mesh are built on the
+first call and kept on the space, per argument, by :func:`cached`.
 """
 
 import enum
@@ -388,13 +388,10 @@ class TaylorHoodSpace:
         return self._graph().vertex_rows(elem, self.n_press)
 
     @cached
-    def _gradient_forms(self):
-        """The :meth:`div_form` and :meth:`curl_form` matrices, from four component-pair sums.
+    def div_form(self):
+        """Operator for ||div u||^2 = u^T G u, from four component-pair sums.
 
-        Pair (c, d) sums sum_q w_q d_c phi_a d_d phi_b, made symmetric against
-        pair (d, c) as :func:`_symmetric` makes a whole Gram.  The curl's
-        coefficients (-dy phi, +dx phi) make its node blocks the cofactors
-        [[s11, -s10], [-s01, s00]]; 0 - x keeps a zero sum +0, as ``np.bincount`` gives it.
+        Pair (c, d) sums sum_q w_q d_c phi_a d_d phi_b, symmetric against (d, c) as in :func:`_symmetric`.
         """
         grads = self.tables[:, :, 1:]
         weighted = grads * self.wdet[:, None, None, :]
@@ -403,18 +400,23 @@ class TaylorHoodSpace:
         sums = {(c, c): graph._sum(_symmetric(gram(c, c))) for c in range(2)}
         cross = 0.5 * (gram(0, 1) + gram(1, 0).transpose(0, 2, 1))
         sums[0, 1], sums[1, 0] = graph._sum(cross), graph._sum(cross.transpose(0, 2, 1))
-        del weighted, cross   # not held while the two matrices are laid out
-        div = graph._velocity(lambda c, d: sums[c, d], 2)
-        curl = graph._velocity(lambda c, d: sums[1 - c, 1 - d] if c == d else 0.0 - sums[1 - c, 1 - d], 2)
-        return div, curl
+        del weighted, cross   # not held while the matrix is laid out
+        return graph._velocity(lambda c, d: sums[c, d], 2)
 
-    def div_form(self):
-        """Operator for ||div u||^2 = u^T G u, built with :meth:`curl_form`."""
-        return self._gradient_forms()[0]
-
+    @cached
     def curl_form(self):
-        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl), built with :meth:`div_form`."""
-        return self._gradient_forms()[1]
+        """Operator for ||curl u||^2 = u^T G u (scalar 2D curl), on the :meth:`div_form` pattern.
+
+        The curl's coefficients (-dy phi, +dx phi) make its node blocks the cofactors
+        [[s11, -s10], [-s01, s00]] of the div form's; 0 - x keeps a zero sum +0.
+        """
+        div = self.div_form()
+        first, shift = self._graph()._offsets(2)
+        data = np.empty_like(div.data)
+        for c, d in np.ndindex(2, 2):
+            block = div.data[first + (1 - c) * shift + (1 - d)]
+            data[first + c * shift + d] = block if c == d else 0.0 - block
+        return sp.csr_matrix((data, div.indices, div.indptr), shape=div.shape)
 
     @cached
     def pressure_volume(self):

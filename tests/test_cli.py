@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import flowrom.cli
 from flowrom.cli import _load_config, main
 from flowrom.diagnostics import reduced_trajectory_error
+from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import FomConfig, run_fom
 from flowrom.io import (read_basis, read_basis_coordinates, read_csv, read_snapshots, write_basis,
                         write_snapshots)
@@ -86,6 +88,39 @@ def _subcommand(command, root, cfg, out):
               "compare": [str(root / "micro_rom_skew_r3_traj.csv"), "--archive", archive, "--basis", basis]}
     target = out / "compare.csv" if command == "compare" else out
     return [command, *inputs[command], "--config", str(cfg), "--out", str(target)]
+
+
+def _spaces_made(monkeypatch, argv):
+    """Every space that a successful ``main(argv)`` makes, in order."""
+    spaces, init = [], TaylorHoodSpace.__init__
+
+    def collect(space, mesh):
+        init(space, mesh)
+        spaces.append(space)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TaylorHoodSpace, "__init__", collect)
+        assert main(argv) == 0
+    return spaces
+
+
+# the space's memos that assemble an operator
+OPERATORS = {"mass", "stiffness", "divergence", "div_form", "curl_form", "pressure_volume", "saddle_order"}
+
+
+def _formed(space):
+    """The :data:`OPERATORS` that ``space`` has formed."""
+    return {key[0].rpartition(".")[2] for key in space._cache} & OPERATORS
+
+
+def _digest(matrix):
+    return hashlib.sha256(matrix.data.tobytes()).hexdigest()
+
+
+def _kept_data(space):
+    """The :func:`_digest` of every sparse matrix in ``space``'s memo, tuples opened."""
+    values = [v for value in space._cache.values() for v in (value if isinstance(value, tuple) else (value,))]
+    return {_digest(v) for v in values if sp.issparse(v)}
 
 
 # an edit of MICRO_KH that the loader rejects, by the section and key it breaks
@@ -252,29 +287,26 @@ class TestPipeline:
         assert dict(zip(*read_csv(out)))["form"].tolist() == ["skew"]  # one row
 
     def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch):
-        # rom assembles no mass matrix or curl form: it starts from the stored
+        # rom forms no operator at the stored r = 3: it starts from the stored
         # coordinates, and the energy and enstrophy series read the
-        # projection's Grams, stored (r = 3) or projected afresh (r = rank > 3)
+        # projection's Grams; at r = rank > 3 it forms only what a fresh
+        # projection reads.  compare forms none.
         from flowrom.cli import _build_problem
         from flowrom.diagnostics import energy_enstrophy
-        from flowrom.fem import TaylorHoodSpace
-        from flowrom.rom import reconstruct_field
+        from flowrom.rom import project_fields, reconstruct_field
 
         root, cfg = micro_pipeline
         basis = read_basis(root / "micro_basis.bin")
         assert basis.projection.m == 3 < basis.rank
         argv = ["rom", str(root / "micro_basis.bin"), "--archive", str(root / "micro_snapshots.bin"),
                 "--config", str(cfg), "--out", str(tmp_path)]
-
-        def forbidden(space):
-            raise AssertionError("rom assembled the mass matrix or the curl form")
-
-        with monkeypatch.context() as patch:
-            for name in ("mass", "curl_form", "_gradient_forms"):
-                patch.setattr(TaylorHoodSpace, name, forbidden)
-            for r in (3, basis.rank):
-                assert main([*argv, "--r", str(r)]) == 0
+        [stored] = _spaces_made(monkeypatch, [*argv, "--r", "3"])
+        [fresh] = _spaces_made(monkeypatch, [*argv, "--r", str(basis.rank)])
+        [compared] = _spaces_made(monkeypatch, _subcommand("compare", root, cfg, tmp_path))
         space = _build_problem(cfg).space
+        project_fields(space, basis.fields(basis.rank))
+        assert _formed(stored) == _formed(compared) == set()
+        assert _formed(fresh) == _formed(space) == {"stiffness"}
         for r in (3, basis.rank):
             _, traj = read_csv(tmp_path / f"micro_rom_skew_r{r}_traj.csv")
             header, scalars = read_csv(tmp_path / f"micro_rom_skew_r{r}_scalars.csv")
@@ -283,6 +315,17 @@ class TestPipeline:
                 e, z = energy_enstrophy(space, reconstruct_field(basis, a))
                 assert scalars[1][n] == pytest.approx(e, rel=1e-12)
                 assert scalars[2][n] == pytest.approx(z, rel=1e-12)
+
+    def test_only_fom_forms_the_curl_form(self, micro_pipeline, tmp_path, monkeypatch):
+        # pod reads the div form, for the snapshots' divergence norms, and
+        # keeps no curl matrix; fom keeps both, for div_error and the enstrophy
+        root, cfg = micro_pipeline
+        [pod] = _spaces_made(monkeypatch, _subcommand("pod", root, cfg, tmp_path / "pod"))
+        [fom] = _spaces_made(monkeypatch, _subcommand("fom", root, cfg, tmp_path / "fom"))
+        reference = TaylorHoodSpace(pod.mesh)
+        div, curl = _digest(reference.div_form()), _digest(reference.curl_form())
+        assert div in _kept_data(pod) and curl not in _kept_data(pod)
+        assert {div, curl} <= _kept_data(fom)
 
     def test_centered_pipeline(self, tmp_path):
         # [rom] centering = mean through pod, a ROM per form and compare, run twice
@@ -744,17 +787,20 @@ class TestErrorPaths:
             f"format error: {node}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, edit, code", [
-        ("fom", ("[rom]", "newton_max_iter = 0\n\n[rom]"), 3),
-        ("pod", ("r = 3", "r = 0"), 2),
+    @pytest.mark.parametrize("command, edit, code, message", [
+        ("fom", ("[rom]", "newton_max_iter = 0\n\n[rom]"), 3, "solver error: Newton stalled at step 1"),
+        ("pod", ("r = 3", "r = 0"), 2,
+         "config error: {cfg}: [rom] r: requested r=0 is outside 1..6 (the basis rank)"),
     ], ids=["fom_newton_stall", "pod_r_zero"])
-    def test_failure_makes_no_out_directory(self, micro_pipeline, tmp_path, capsys, command, edit, code):
+    def test_failure_makes_no_out_directory(self, micro_pipeline, tmp_path, capsys, command, edit, code,
+                                            message):
         # --out is made only after the last check that can fail
         root, _ = micro_pipeline
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MICRO_KH.replace(*edit))
         assert main(_subcommand(command, root, cfg, tmp_path / "out")) == code
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message.format(cfg=cfg))
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_archive(self, tmp_path, micro_pipeline):
@@ -818,20 +864,29 @@ class TestErrorPaths:
         assert f"diverged at step 1 (t=0.05): {failure}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_rom_*"))
 
-    def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path):
+    def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path, capsys):
+        # the message names the flag, or the config file and key, that set r
         root, cfg = micro_pipeline
-        code = main(["rom", str(root / "micro_basis.bin"), "--archive",
-                     str(root / "micro_snapshots.bin"), "--config", str(cfg),
-                     "--r", "5000", "--out", str(tmp_path)])
-        assert code == 2
+        big = tmp_path / "big.ini"
+        big.write_text(MICRO_KH.replace("r = 3", "r = 7"))
+        for flags, source in ((["--config", str(cfg), "--r", "5000"], "--r"),
+                              (["--config", str(big)], f"{big}: [rom] r")):
+            code = main(["rom", str(root / "micro_basis.bin"), "--archive",
+                         str(root / "micro_snapshots.bin"), *flags, "--out", str(tmp_path / "out")])
+            assert code == 2
+            r = flags[-1] if source == "--r" else "7"
+            assert capsys.readouterr().err == (
+                f"config error: {source}: requested r={r} is outside 1..6 (the basis rank)\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("r", ["0", "-1"])
-    def test_rom_r_below_one_is_config_error(self, micro_pipeline, tmp_path, r):
+    def test_rom_r_below_one_is_config_error(self, micro_pipeline, tmp_path, capsys, r):
         root, cfg = micro_pipeline
         code = main(["rom", str(root / "micro_basis.bin"), "--archive",
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      f"--r={r}", "--out", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().err == f"config error: --r: requested r={r} is outside 1..6 (the basis rank)\n"
         assert not list(tmp_path.iterdir())
 
     def test_rom_single_snapshot_is_config_error(self, tmp_path, capsys):

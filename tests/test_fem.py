@@ -584,10 +584,9 @@ class TestNodeGraphAssembly:
         assert not jac.indices.flags.writeable
 
 
-# every memo of fem.cached, as (method, arguments), and div_form and curl_form, which
-# return _gradient_forms' matrices; _pattern is the node graph's
-MEMOIZED = [(name, ()) for name in ("_graph", "mass", "stiffness", "divergence", "_gradient_forms", "div_form",
-                                    "curl_form", "pressure_volume", "saddle_order", "edge_table", "qp_xy")]
+# every memo of fem.cached, as (method, arguments); _pattern is the node graph's
+MEMOIZED = [(name, ()) for name in ("_graph", "mass", "stiffness", "divergence", "div_form", "curl_form",
+                                    "pressure_volume", "saddle_order", "edge_table", "qp_xy")]
 MEMOIZED += [("boundary_scalar_nodes", ("top",)), ("_pattern", (1,)), ("_pattern", (2,))]
 
 

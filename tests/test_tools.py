@@ -41,13 +41,16 @@ def test_script_imports_resolve(script):
 
 def test_tracer_targets_resolve():
     # a traced function that is renamed away only drops its per-layer metrics
-    # from a benchmark run, so every target must resolve here
+    # from a benchmark run, or only a detail line if it feeds none, so every
+    # target must resolve here, and install as the benchmark installs it
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.TARGETS
     for module, path, _, _ in tracer.TARGETS:
         assert callable(tracer._resolve(module, path)[2]), f"{module}.{path}"
+    with tracer.Tracer() as installed:
+        assert installed.missing == []
 
 
 def _modules_holding(text):
