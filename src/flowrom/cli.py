@@ -202,9 +202,7 @@ def _build_problem(path):
     fom = dict(config["fom"])
     if not {"nu", "dt", "t_end"} <= fom.keys():
         raise ConfigError(f"{path}: [fom] section requires nu, dt, t_end")
-    window = None
-    if "snapshot_start" in fom or "snapshot_end" in fom:
-        window = (fom.pop("snapshot_start", 0.0), fom.pop("snapshot_end", fom["t_end"]))
+    window = (fom.pop("snapshot_start", 0.0), fom.pop("snapshot_end", fom["t_end"]))
     try:
         fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:

@@ -546,38 +546,30 @@ class TaylorHoodSpace:
         return np.unique(self.scalar_index[np.concatenate([ends, mids])])
 
     def dirichlet_data(self, boundary_values):
-        """Evaluate a boundary spec into an essential mask and value vector.
+        """Evaluate essential boundary data into a mask and value vector.
 
-        ``boundary_values`` maps labels to conditions:
-
-        * ``("noslip",)``                    -- both components zero
-        * ``("velocity", fn_or_pair)``       -- both components prescribed
-        * ``("component", c, fn_or_value)``  -- single component prescribed
-
-        Callables receive ``(x, y, t)`` arrays at t = 0 (the data are steady, as
-        in :meth:`interpolate_velocity`); labels missing from the mesh raise ``ValueError``.
+        ``boundary_values`` maps mesh labels to the velocity each prescribes:
+        a pair ``(u1, u2)`` of numbers, with ``None`` for a free component,
+        or a callable ``(x, y, t) -> (u1, u2)`` of the label's node
+        coordinates.  ``(0.0, 0.0)`` is no-slip and ``(None, 0.0)``
+        no-penetration through a horizontal wall.  Callables are evaluated at
+        t = 0 (the data are steady, as in :meth:`interpolate_velocity`).  A
+        label missing from the mesh, or a condition (or what its callable
+        returns) that is not a two-entry pair, raises ``ValueError``.
         """
         mask = np.zeros(self.n_vel, dtype=bool)
         vals = np.zeros(self.n_vel)
         for label, cond in boundary_values.items():
             nodes = self.boundary_scalar_nodes(label)
-            x, y = self.scalar_xy[nodes, 0], self.scalar_xy[nodes, 1]
-            kind = cond[0]
-            if kind == "noslip":
-                comps = ((0, 0.0), (1, 0.0))
-            elif kind == "velocity":
-                val = cond[1]
-                u1, u2 = val(x, y, 0.0) if callable(val) else val
-                comps = ((0, u1), (1, u2))
-            elif kind == "component":
-                c, val = cond[1], cond[2]
-                comps = ((c, val(x, y, 0.0) if callable(val) else val),)
-            else:
-                raise ValueError(f"unknown boundary condition kind {kind!r} for label {label!r}")
-            for c, val in comps:
-                dofs = 2 * nodes + c
-                mask[dofs] = True
-                vals[dofs] = val
+            if callable(cond):
+                cond = cond(self.scalar_xy[nodes, 0], self.scalar_xy[nodes, 1], 0.0)
+            if not (isinstance(cond, (tuple, list)) and len(cond) == 2):
+                raise ValueError(f"boundary condition for label {label!r} is not a velocity pair (u1, u2)")
+            for c, val in enumerate(cond):
+                if val is not None:
+                    dofs = 2 * nodes + c
+                    mask[dofs] = True
+                    vals[dofs] = val
         return mask, vals
 
 

@@ -93,11 +93,13 @@ REFACTOR_CONTRACTION = 0.1
 class FomConfig:
     """Settings of a full-order run.
 
-    ``boundary`` maps mesh labels to essential conditions (see
-    ``TaylorHoodSpace.dirichlet_data``).  ``nu`` is positive and finite and
-    ``t_end`` a whole number of steps ``dt``.  The snapshot window is a
-    closed time interval that holds at least one step; snapshots are taken
-    every ``snapshot_stride``-th step inside it.  ``drag_label`` names the
+    ``boundary`` maps mesh labels to the velocity each prescribes: a pair
+    ``(u1, u2)`` with ``None`` for a free component, or a callable ``(x, y,
+    t) -> (u1, u2)`` (see ``TaylorHoodSpace.dirichlet_data``).  ``nu`` is
+    positive and finite and ``t_end`` a whole number of steps ``dt``.  The
+    snapshot window is a closed time interval that holds at least one step,
+    ``(0.0, t_end)`` when unset; snapshots are taken every
+    ``snapshot_stride``-th step inside it.  ``drag_label`` names the
     boundary whose drag (:func:`step_drag`) is recorded, if any.
     """
 
@@ -125,12 +127,13 @@ class FomConfig:
             raise ValueError("newton_max_iter must be non-negative")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        if self.snapshot_window is not None:
-            ta, tb = self.snapshot_window
-            if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
-                raise ValueError("snapshot window must lie inside [0, t_end]")
-            if not snapshot_steps(self.snapshot_window, self.snapshot_stride, self.dt, n_steps):
-                raise ValueError(f"snapshot window [{ta}, {tb}] holds no step of dt = {self.dt}")
+        if self.snapshot_window is None:
+            self.snapshot_window = (0.0, self.t_end)
+        ta, tb = self.snapshot_window
+        if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
+            raise ValueError("snapshot window must lie inside [0, t_end]")
+        if not snapshot_steps(self.snapshot_window, self.snapshot_stride, self.dt, n_steps):
+            raise ValueError(f"snapshot window [{ta}, {tb}] holds no step of dt = {self.dt}")
 
 
 @dataclass
@@ -214,18 +217,13 @@ def at_rest(x, y, t=0.0):
 
 
 def kelvin_helmholtz_boundary():
-    """No-penetration top/bottom; the periodic sides carry no essential values."""
-    return {"top": ("component", 1, 0.0), "bottom": ("component", 1, 0.0)}
+    """No-penetration top/bottom, u2 = 0 with u1 free; the periodic sides carry no essential values."""
+    return {"top": (None, 0.0), "bottom": (None, 0.0)}
 
 
 def cylinder_boundary():
-    """Inflow/outflow parabolic profile, no-slip walls and cylinder."""
-    return {
-        "inflow": ("velocity", cylinder_inflow),
-        "outflow": ("velocity", cylinder_inflow),
-        "wall": ("noslip",),
-        "cylinder": ("noslip",),
-    }
+    """The parabolic :func:`cylinder_inflow` at inflow and outflow, no-slip on the walls and cylinder."""
+    return {"inflow": cylinder_inflow, "outflow": cylinder_inflow, "wall": (0.0, 0.0), "cylinder": (0.0, 0.0)}
 
 
 def stokes_project(space, u, boundary):
@@ -352,13 +350,13 @@ def advance_step(state, config, space, held=None):
 
 @cached
 def _drag_lifting(space, label, labels):
-    """v_d: e_x on ``label``, 0 on the other boundary ``labels``, D v_d = 0.
+    """v_d: e_x = (1, 0) on ``label``, (0, 0) on the other boundary ``labels``, D v_d = 0.
 
     One Stokes projection of zero, kept on the space per ``(label, labels)``
     by :func:`fem.cached`; a label missing from the mesh raises ``ValueError``.
     """
-    boundary = {other: ("noslip",) for other in labels}
-    boundary[label] = ("velocity", (1.0, 0.0))
+    boundary = {other: (0.0, 0.0) for other in labels}
+    boundary[label] = (1.0, 0.0)
     return stokes_project(space, np.zeros(space.n_vel), boundary)
 
 
@@ -385,8 +383,8 @@ def step_drag(space, config, dt, u, u_old, u_prev=None):
 
 
 def snapshot_steps(window, stride, dt, n_steps):
-    """Step indices (0-based, initial state included) recorded as snapshots."""
-    ta, tb = (0.0, n_steps * dt) if window is None else window
+    """Step indices (0-based, initial state included) recorded as snapshots in the interval ``window``."""
+    ta, tb = window
     eps = 1e-9 * max(dt, 1.0)
     n_stop = min(int(np.floor(tb / dt + eps)), n_steps)
     return list(range(int(np.ceil(ta / dt - eps)), n_stop + 1, stride))

@@ -94,7 +94,7 @@ def homogeneous_field_pairs(square8):
     """Seeded random velocity pairs vanishing on the whole boundary."""
     _, space = square8
     labels = ["left", "right", "top", "bottom"]
-    mask, _ = space.dirichlet_data({lab: ("noslip",) for lab in labels})
+    mask, _ = space.dirichlet_data({lab: (0.0, 0.0) for lab in labels})
     rng = np.random.default_rng(2024)
     pairs = []
     for _ in range(20):

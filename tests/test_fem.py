@@ -406,7 +406,7 @@ class TestConstraints:
     def test_noslip_zero_rhs_gives_zero(self, square8):
         mesh, space = square8
         M, K, B = assemble_linear_operators(mesh, space, 1.0)
-        bc = {lab: ("noslip",) for lab in ("left", "right", "top", "bottom")}
+        bc = {lab: (0.0, 0.0) for lab in ("left", "right", "top", "bottom")}
         sys_mat = sp.bmat([[M + K, -B.T], [B, None]], format="csr")
         a, rhs = apply_constraints(space, sys_mat, np.zeros(sys_mat.shape[0]), bc)
         x = solve_sparse(a, rhs, space.saddle_order())
@@ -424,7 +424,7 @@ class TestConstraints:
 
     def test_free_slip_constrains_only_normal_component(self, square8):
         _, space = square8
-        mask, _ = space.dirichlet_data({"top": ("component", 1, 0.0), "bottom": ("component", 1, 0.0)})
+        mask, _ = space.dirichlet_data({"top": (None, 0.0), "bottom": (None, 0.0)})
         top_bottom = np.concatenate([space.boundary_scalar_nodes("top"),
                                      space.boundary_scalar_nodes("bottom")])
         assert np.all(mask[2 * top_bottom + 1])
@@ -434,7 +434,14 @@ class TestConstraints:
     def test_unlabeled_boundary_errors(self, square8):
         _, space = square8
         with pytest.raises(ValueError, match="no boundary edges labeled"):
-            space.dirichlet_data({"lid": ("noslip",)})
+            space.dirichlet_data({"lid": (0.0, 0.0)})
+
+    @pytest.mark.parametrize("cond", [(0.0, 0.0, 0.0), lambda x, y, t: np.zeros_like(x)],
+                             ids=["three_entries", "callable_one_array"])
+    def test_condition_not_a_pair_errors(self, square8, cond):
+        _, space = square8
+        with pytest.raises(ValueError, match="'top'.*velocity pair"):
+            space.dirichlet_data({"bottom": (0.0, 0.0), "top": cond})
 
     def test_stokes_saddle_point_solve(self):
         mesh = uniform_rect_mesh(2, 2)
@@ -444,7 +451,7 @@ class TestConstraints:
         sys_mat = sp.bmat([[K, -B.T], [B, None]], format="csr")
         rng = np.random.default_rng(4)
         rhs = np.concatenate([M @ rng.standard_normal(n), np.zeros(m)])
-        bc = {lab: ("noslip",) for lab in ("left", "right", "top", "bottom")}
+        bc = {lab: (0.0, 0.0) for lab in ("left", "right", "top", "bottom")}
         a, b = apply_constraints(space, sys_mat, rhs, bc)
         x = solve_sparse(a, b, space.saddle_order())
         norm_a = np.sqrt((a.multiply(a)).sum())

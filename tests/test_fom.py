@@ -322,11 +322,14 @@ class TestRunFom:
         assert state.step == 3
         assert snaps.count == 4  # initial state plus three steps
         assert series["energy"].values.size == 4
+        # an unset window is the whole run
+        assert cfg.snapshot_window == (0.0, 0.15)
+        assert np.array_equal(snaps.times, series["energy"].times)
 
     def test_snapshot_window_counting(self):
         assert len(snapshot_steps((5.0, 6.0), 10, 0.001, 15000)) == 101
         assert len(snapshot_steps((0.0, 0.2), 1, 0.02, 10)) == 11
-        assert len(snapshot_steps(None, 1, 0.1, 5)) == 6
+        assert len(snapshot_steps((0.0, 0.5), 1, 0.1, 5)) == 6
         assert snapshot_steps((0.1, 0.3), 2, 0.1, 10) == [1, 3]
 
     def test_scheme_residual_at_accepted_state(self, kh16):
@@ -407,8 +410,8 @@ class TestStepDrag:
         _, space = cylinder
         cfg, drag = cylinder_drag
         v = drag_lifting(space, cfg)
-        mask, vals = space.dirichlet_data({**{label: ("noslip",) for label in cfg.boundary},
-                                           "cylinder": ("velocity", (1.0, 0.0))})
+        mask, vals = space.dirichlet_data({**{label: (0.0, 0.0) for label in cfg.boundary},
+                                           "cylinder": (1.0, 0.0)})
         assert np.array_equal(v[mask], vals[mask]) and vals.max() == 1.0
         assert np.abs(space.divergence() @ v).max() <= 1e-15
         assert np.isnan(drag[0]) and np.all(drag[1:] > 1.0)
@@ -418,7 +421,7 @@ class TestStepDrag:
         # gives the same force, to the Newton tolerance
         mesh, space = cylinder
         cfg, drag = cylinder_drag
-        boundary = {**{label: ("noslip",) for label in cfg.boundary}, "cylinder": ("velocity", (1.0, 0.0))}
+        boundary = {**{label: (0.0, 0.0) for label in cfg.boundary}, "cylinder": (1.0, 0.0)}
         other = stokes_project(space, np.random.default_rng(0).standard_normal(space.n_vel), boundary)
         assert np.abs(other - drag_lifting(space, cfg)).max() > 1.0
         monkeypatch.setattr(flowrom.fom, "_drag_lifting", lambda space, label, labels: other)
@@ -465,7 +468,7 @@ class TestStepDrag:
         liftings = []
 
         def spy(space, u, boundary):
-            lifted = [label for label, cond in boundary.items() if cond == ("velocity", (1.0, 0.0))]
+            lifted = [label for label, cond in boundary.items() if cond == (1.0, 0.0)]
             liftings.extend((space, label) for label in lifted)
             return stokes_project(space, u, boundary)
 
