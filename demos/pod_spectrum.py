@@ -10,9 +10,10 @@ Run:  python3 demos/pod_spectrum.py   (seconds)
 
 import numpy as np
 
-from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
+from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity,
                          run_fom)
+from flowrom.mesh import identify_periodic, uniform_rect_mesh
 from flowrom.pod import build_pod_basis, pod_projection_error
 
 mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")

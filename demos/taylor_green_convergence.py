@@ -11,9 +11,9 @@ Run:  python3 demos/taylor_green_convergence.py
 
 import numpy as np
 
-from flowrom import TaylorHoodSpace, identify_periodic, uniform_rect_mesh
-from flowrom.fem import h1_semi_error, l2_error
+from flowrom.fem import TaylorHoodSpace, h1_semi_error, l2_error
 from flowrom.fom import FomConfig, build_initial_condition, run_fom, taylor_green_gradient, taylor_green_velocity
+from flowrom.mesh import identify_periodic, uniform_rect_mesh
 
 NU = 0.01
 T_END = 0.25

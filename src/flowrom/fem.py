@@ -493,15 +493,6 @@ class TaylorHoodSpace:
         out = out.reshape((2, 3) + u.shape[:-1] + (nt, nq))
         return out[:, 0], out[:, 1:]
 
-    def interpolate_velocity(self, fn):
-        """Nodal interpolation of ``fn(x, y, t) -> (u1, u2)`` at t = 0 onto the P2 nodes."""
-        x, y = self.scalar_xy[:, 0], self.scalar_xy[:, 1]
-        u1, u2 = fn(x, y, 0.0)
-        u = np.empty(self.n_vel)
-        u[0::2] = u1
-        u[1::2] = u2
-        return u
-
     def _check_velocity(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_vel,):
@@ -553,7 +544,7 @@ class TaylorHoodSpace:
         or a callable ``(x, y, t) -> (u1, u2)`` of the label's node
         coordinates.  ``(0.0, 0.0)`` is no-slip and ``(None, 0.0)``
         no-penetration through a horizontal wall.  Callables are evaluated at
-        t = 0 (the data are steady, as in :meth:`interpolate_velocity`).  A
+        t = 0 (the data are steady, as in ``fom.build_initial_condition``).  A
         label missing from the mesh, or a condition (or what its callable
         returns) that is not a two-entry pair, raises ``ValueError``.
         """

@@ -78,7 +78,7 @@ from .fem import (
     nonlinear_residual,
     saddle_block,
 )
-from .numerics import NewtonConvergenceError, factorize, implicit_step, solve_sparse, step_count
+from .numerics import NewtonConvergenceError, factorize, grid_step, implicit_step, solve_sparse, step_count
 from .pod import SnapshotSet
 from .diagnostics import ScalarSeries, energy_enstrophy
 
@@ -130,7 +130,7 @@ class FomConfig:
         if self.snapshot_window is None:
             self.snapshot_window = (0.0, self.t_end)
         ta, tb = self.snapshot_window
-        if not (0.0 <= ta <= tb <= self.t_end + 1e-12 * self.t_end):
+        if not (0.0 <= ta <= tb and (tb <= self.t_end or grid_step(tb, self.dt) == n_steps)):
             raise ValueError("snapshot window must lie inside [0, t_end]")
         if not snapshot_steps(self.snapshot_window, self.snapshot_stride, self.dt, n_steps):
             raise ValueError(f"snapshot window [{ta}, {tb}] holds no step of dt = {self.dt}")
@@ -138,8 +138,9 @@ class FomConfig:
 
 @dataclass
 class FomState:
-    """Solver state after ``step`` steps: ``t = step * dt``.
+    """Solver state after ``step`` steps at ``t``, the running sum of the steps (``step * dt`` up to roundoff).
 
+    :func:`run_fom` records these ``t`` as its snapshot and series times.
     ``newton_iters`` and ``factorizations`` count the linear solves and the
     Jacobian factorizations of the step that produced this state, and
     ``newton_residual`` is the residual norm it stopped at (0 for a state
@@ -250,8 +251,10 @@ def stokes_project(space, u, boundary):
 
 
 def build_initial_condition(velocity, space):
-    """Interpolate an initial velocity ``(x, y, t) -> (u1, u2)`` onto the P2 nodes."""
-    return space.interpolate_velocity(velocity)
+    """Nodal interpolation of an initial velocity ``(x, y, t) -> (u1, u2)`` at t = 0 onto the P2 nodes."""
+    u = np.empty(space.n_vel)
+    u[0::2], u[1::2] = velocity(space.scalar_xy[:, 0], space.scalar_xy[:, 1], 0.0)
+    return u
 
 
 # ----------------------------------------------------------------------
@@ -383,11 +386,12 @@ def step_drag(space, config, dt, u, u_old, u_prev=None):
 
 
 def snapshot_steps(window, stride, dt, n_steps):
-    """Step indices (0-based, initial state included) recorded as snapshots in the interval ``window``."""
+    """Snapshot steps (0-based, initial state included) in the closed interval ``window``; see ``grid_step``."""
     ta, tb = window
-    eps = 1e-9 * max(dt, 1.0)
-    n_stop = min(int(np.floor(tb / dt + eps)), n_steps)
-    return list(range(int(np.ceil(ta / dt - eps)), n_stop + 1, stride))
+    first, last = grid_step(ta, dt), grid_step(tb, dt)
+    first = int(np.ceil(ta / dt)) if first is None else first
+    last = int(np.floor(tb / dt)) if last is None else last
+    return list(range(first, min(last, n_steps) + 1, stride))
 
 
 def run_fom(config, mesh, space, u0):

@@ -18,7 +18,8 @@ fixed in one place:
                       backward Euler, or BDF2 started by one theta = 2/3
                       step, which shares BDF2's Newton matrix.  A Newton
                       iteration of either that fails raises
-                      ``NewtonConvergenceError``.
+                      ``NewtonConvergenceError``.  ``grid_step`` is the one
+                      rule for whether a time lies on a step of the grid.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -265,14 +266,20 @@ def solve_sparse(m, rhs, order):
     return x
 
 
+def grid_step(t, dt):
+    """The step n that time ``t`` lies on, ``|n dt - t| <= 1e-9 max(1, |t|)``, or None if there is none."""
+    n = int(round(t / dt))
+    return n if abs(n * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
 def step_count(dt, t_end):
-    """The steps ``dt`` in ``t_end``, both positive and finite and ``t_end`` a whole number of them."""
+    """The steps ``dt`` in ``t_end``, both positive and finite and ``t_end`` on a step (:func:`grid_step`)."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    n_steps = grid_step(t_end, dt)
+    if n_steps is None:
         raise ValueError("t_end must be an integer multiple of dt")
     return n_steps
 

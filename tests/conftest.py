@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import flowrom
 from flowrom.fem import (
     TaylorHoodSpace,
     _density,
@@ -16,7 +15,7 @@ from flowrom.fem import (
     saddle_block,
 )
 from flowrom.fom import _staged_residual
-from flowrom.mesh import _signed_areas
+from flowrom.mesh import _signed_areas, identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import PIVOT_THRESHOLD, implicit_step
 
 
@@ -31,7 +30,7 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture(scope="session")
 def square8():
-    mesh = flowrom.uniform_rect_mesh(8, 8)
+    mesh = uniform_rect_mesh(8, 8)
     return mesh, TaylorHoodSpace(mesh)
 
 
@@ -41,7 +40,7 @@ def kh16_saddle():
     from flowrom.fem import apply_constraints, constrain_rows, constraint_mask, nonlinear_jacobian
     from flowrom.fom import build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity
 
-    mesh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
+    mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
     space = TaylorHoodSpace(mesh)
     boundary = kelvin_helmholtz_boundary()
     n = space.n_vel + space.n_press
@@ -59,10 +58,10 @@ def kh16_saddle():
 @pytest.fixture(scope="session")
 def three_spaces():
     """Periodic-x shear layer, doubly periodic Taylor-Green and the cylinder."""
-    kh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
-    tg = flowrom.identify_periodic(flowrom.identify_periodic(flowrom.uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
+    kh = identify_periodic(uniform_rect_mesh(16, 16), "x")
+    tg = identify_periodic(identify_periodic(uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
     return {name: TaylorHoodSpace(mesh)
-            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", flowrom.load_bundled_mesh("cylinder")))}
+            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", load_bundled_mesh("cylinder")))}
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +70,7 @@ def kh_run():
     from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary,
                              kelvin_helmholtz_velocity, run_fom)
 
-    mesh = flowrom.identify_periodic(flowrom.uniform_rect_mesh(16, 16), "x")
+    mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
     space = TaylorHoodSpace(mesh)
     u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=0.5, form="skew", scheme="backward_euler",

@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-import flowrom
 from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,

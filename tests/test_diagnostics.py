@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import flowrom
 from flowrom.diagnostics import (
     ScalarSeries,
     energy_enstrophy,
@@ -11,13 +10,14 @@ from flowrom.diagnostics import (
 )
 from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import build_initial_condition, cylinder_boundary, kelvin_helmholtz_velocity
+from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.pod import SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
 
 @pytest.fixture(scope="module")
 def cylinder_space():
-    return TaylorHoodSpace(flowrom.load_bundled_mesh("cylinder"))
+    return TaylorHoodSpace(load_bundled_mesh("cylinder"))
 
 
 class TestScalarSeries:
@@ -37,13 +37,13 @@ class TestEnergyEnstrophy:
 
     def test_uniform_stream(self, square8):
         _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
+        u = build_initial_condition(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)), space)
         energy, enstrophy = energy_enstrophy(space, u)
         assert energy == pytest.approx(0.5, rel=1e-12)
         assert enstrophy < 1e-13
 
     def test_kh_energy_against_1d_quadrature(self):
-        mesh = flowrom.uniform_rect_mesh(32, 32)
+        mesh = uniform_rect_mesh(32, 32)
         space = TaylorHoodSpace(mesh)
         u = build_initial_condition(kelvin_helmholtz_velocity, space)
         energy, _ = energy_enstrophy(space, u)
@@ -81,7 +81,7 @@ class TestBoundaryCells:
 
     @pytest.mark.parametrize("label", ["left", "right", "top", "bottom"])
     def test_rect_matches_directed_side_reference(self, label):
-        space = TaylorHoodSpace(flowrom.identify_periodic(flowrom.uniform_rect_mesh(5, 4), "x"))
+        space = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(5, 4), "x"))
         mesh = space.mesh
         edges = mesh.boundary_edges[mesh.boundary_edges_with_label(label)]
         cells = space.edge_table().cells[mesh.boundary_edges_with_label(label)]

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-import flowrom
 from flowrom.fem import (
     EDGE_POINTS,
     NonlinearForm,
@@ -24,7 +23,7 @@ from flowrom.fem import (
 )
 from flowrom.fom import (_newton_matrix, build_initial_condition, cylinder_boundary, kelvin_helmholtz_boundary,
                          kelvin_helmholtz_velocity, taylor_green_velocity)
-from flowrom.mesh import load_bundled_mesh, uniform_rect_mesh
+from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import factorize, solve_sparse
 
 from conftest import (
@@ -132,7 +131,7 @@ def edge_spaces():
     represents exactly: none on the x-periodic square, whose nodes at x = 0
     and x = 1 share their values.
     """
-    kh = TaylorHoodSpace(flowrom.identify_periodic(uniform_rect_mesh(16, 16), "x"))
+    kh = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(16, 16), "x"))
     return {"cylinder": (TaylorHoodSpace(load_bundled_mesh("cylinder")), 0.8), "kh16": (kh, 0.0)}
 
 
@@ -158,7 +157,7 @@ class TestEdgeTable:
         pts = pa[:, None, :] + EDGE_POINTS[:, None] * d[:, None, :]   # (ne, nq, 2)
         want_vals, want_grads = quadratic_field(pts[..., 0], pts[..., 1], cross)
 
-        u = space.interpolate_velocity(lambda x, y, t: quadratic_field(x, y, cross)[0])
+        u = build_initial_condition(lambda x, y, t: quadratic_field(x, y, cross)[0], space)
         vals, grads = space.values_and_grads(u, at=space.edge_table())
         vals, grads = vals[:, idx], grads[:, :, idx]
         assert vals.shape == want_vals.shape and grads.shape == want_grads.shape
@@ -180,13 +179,13 @@ class TestLinearOperators:
     def test_stiffness_of_constant_vanishes(self, square8):
         mesh, space = square8
         _, K, _ = assemble_linear_operators(mesh, space, 1.0)
-        u = space.interpolate_velocity(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
+        u = build_initial_condition(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)), space)
         assert np.abs(K @ u).max() < 1e-13
 
     def test_divergence_of_linear_solenoidal_field(self, square8):
         mesh, space = square8
         _, _, B = assemble_linear_operators(mesh, space, 1.0)
-        u = space.interpolate_velocity(lambda x, y, t: (x, -y))
+        u = build_initial_condition(lambda x, y, t: (x, -y), space)
         assert np.abs(B @ u).max() < 1e-12
 
     def test_mass_row_sums(self, square8):
@@ -215,7 +214,7 @@ class TestFieldNorms:
 
     def test_constant(self, square8):
         _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
+        u = build_initial_condition(lambda x, y, t: (np.ones_like(x), np.zeros_like(x)), space)
         n = field_norms(space, u)
         assert n.l2 == pytest.approx(1.0, abs=1e-13)
         # the quadratic form sits at machine epsilon; its root at ~1e-8
@@ -223,7 +222,7 @@ class TestFieldNorms:
 
     def test_shear(self, square8):
         _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (y, np.zeros_like(y)))
+        u = build_initial_condition(lambda x, y, t: (y, np.zeros_like(y)), space)
         n = field_norms(space, u)
         assert n.l2**2 == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert n.h1_semi**2 == pytest.approx(1.0, rel=1e-12)
@@ -235,8 +234,8 @@ class TestTrilinearForms:
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_constants_give_zero(self, square8, form):
         _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (np.full_like(x, 1.3), np.full_like(x, -0.4)))
-        v = space.interpolate_velocity(lambda x, y, t: (np.full_like(x, 0.2), np.full_like(x, 2.0)))
+        u = build_initial_condition(lambda x, y, t: (np.full_like(x, 1.3), np.full_like(x, -0.4)), space)
+        v = build_initial_condition(lambda x, y, t: (np.full_like(x, 0.2), np.full_like(x, 2.0)), space)
         assert trilinear_value(space, form, u, u, v) == pytest.approx(0.0, abs=1e-14)
         assert trilinear_value(space, form, u, v, v) == pytest.approx(0.0, abs=1e-14)
 
@@ -287,7 +286,7 @@ class TestTrilinearForms:
         # u = (y, x) is pointwise divergence-free; the forms then differ only
         # by the potential integral of grad(|u|^2 / 2) = (x, y)
         mesh, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (y, x))
+        u = build_initial_condition(lambda x, y, t: (y, x), space)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(space.n_vel)
         bc = trilinear_value(space, "convective", u, u, v)
@@ -342,7 +341,7 @@ class TestResidualAndJacobian:
             u = np.random.default_rng(41).standard_normal(space.n_vel)
         else:
             space = request.getfixturevalue("three_spaces")["kh"]
-            u = flowrom.build_initial_condition(kelvin_helmholtz_velocity, space)
+            u = build_initial_condition(kelvin_helmholtz_velocity, space)
         got = nonlinear_jacobian(space, form, u)
         want = twelve_direction_jacobian(space, form, u)
         assert got.shape == want.shape
@@ -604,7 +603,7 @@ def memo_call(space, name, args):
 class TestMemo:
     @pytest.fixture(scope="class")
     def mesh(self):
-        return flowrom.identify_periodic(uniform_rect_mesh(4, 4), "x")
+        return identify_periodic(uniform_rect_mesh(4, 4), "x")
 
     @pytest.mark.parametrize("name,args", MEMOIZED, ids=[f"{name}{args or ''}" for name, args in MEMOIZED])
     def test_kept_per_space(self, mesh, name, args):
@@ -657,8 +656,8 @@ class TestFootprint:
 
     @pytest.fixture(scope="class")
     def torus24(self):
-        mesh = flowrom.identify_periodic(uniform_rect_mesh(24, 24, 2.0, 2.0), "x")
-        mesh = flowrom.identify_periodic(mesh, "y")
+        mesh = identify_periodic(uniform_rect_mesh(24, 24, 2.0, 2.0), "x")
+        mesh = identify_periodic(mesh, "y")
         self.with_operators(uniform_rect_mesh(2, 2))   # first-call allocations happen before tracing
         return mesh
 
@@ -699,8 +698,8 @@ class TestFootprint:
 @pytest.fixture(scope="module")
 def benchmark_spaces():
     """The 32x32 shear layer, 48x48 Taylor-Green, the cylinder and a 5x3 rectangle."""
-    kh = flowrom.identify_periodic(uniform_rect_mesh(32, 32), "x")
-    tg = flowrom.identify_periodic(flowrom.identify_periodic(uniform_rect_mesh(48, 48, 2.0, 2.0), "x"), "y")
+    kh = identify_periodic(uniform_rect_mesh(32, 32), "x")
+    tg = identify_periodic(identify_periodic(uniform_rect_mesh(48, 48, 2.0, 2.0), "x"), "y")
     return {name: TaylorHoodSpace(mesh) for name, mesh in (
         ("kh32", kh), ("tg48", tg), ("cylinder", load_bundled_mesh("cylinder")),
         ("rect5x3", uniform_rect_mesh(5, 3)))}
@@ -824,7 +823,7 @@ class TestErrorQuadrature:
         from flowrom.fem import h1_semi_error, l2_error
 
         _, space = square8
-        u = space.interpolate_velocity(lambda x, y, t: (x * y, x * x))
+        u = build_initial_condition(lambda x, y, t: (x * y, x * x), space)
         assert l2_error(space, u, lambda x, y, t: (x * y, x * x)) < 1e-13
         g = lambda x, y, t: ((y, x), (2 * x, np.zeros_like(x)))
         assert h1_semi_error(space, u, g) < 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import flowrom
 import flowrom.fom
 from flowrom.fem import (
     TaylorHoodSpace,
@@ -35,8 +34,8 @@ from flowrom.fom import (
     taylor_green_gradient,
     taylor_green_velocity,
 )
-from flowrom.mesh import identify_periodic, uniform_rect_mesh
-from flowrom.numerics import factorize, solve_sparse
+from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from flowrom.numerics import factorize, solve_sparse, step_count
 
 from conftest import (
     Float64Factor,
@@ -55,7 +54,7 @@ def kh16():
 
 @pytest.fixture(scope="module")
 def cylinder():
-    mesh = flowrom.load_bundled_mesh("cylinder")
+    mesh = load_bundled_mesh("cylinder")
     return mesh, TaylorHoodSpace(mesh)
 
 
@@ -299,7 +298,7 @@ class TestAdvanceStep:
 
     def test_inhomogeneous_essential_values_hold_exactly(self):
         # the cylinder's inflow/outflow profile gives nonzero essential values
-        space = TaylorHoodSpace(flowrom.load_bundled_mesh("cylinder"))
+        space = TaylorHoodSpace(load_bundled_mesh("cylinder"))
         boundary = cylinder_boundary()
         mask, vals = space.dirichlet_data(boundary)
         div = space.divergence()
@@ -331,6 +330,14 @@ class TestRunFom:
         assert len(snapshot_steps((0.0, 0.2), 1, 0.02, 10)) == 11
         assert len(snapshot_steps((0.0, 0.5), 1, 0.1, 5)) == 6
         assert snapshot_steps((0.1, 0.3), 2, 0.1, 10) == [1, 3]
+
+    def test_window_end_on_the_last_step(self):
+        # t_end lies 5e-10 below step 1,000, on it by the one grid rule, so the
+        # run's default window ends on that step too
+        cfg = FomConfig(nu=1.0, dt=1e-4, t_end=0.1 - 5e-10)
+        n_steps = step_count(cfg.dt, cfg.t_end)
+        steps = snapshot_steps(cfg.snapshot_window, cfg.snapshot_stride, cfg.dt, n_steps)
+        assert n_steps == 1000 and len(steps) == 1001 and steps[-1] == 1000
 
     def test_scheme_residual_at_accepted_state(self, kh16):
         mesh, space = kh16

@@ -19,11 +19,23 @@ def test_cylinder_mesh_tool_reproduces_bundled_files(tmp_path):
         assert (tmp_path / f"cylinder_coarse.{ext}").read_bytes() == want, ext
 
 
+def run_with_src(*args):
+    """Run ``python args`` in a fresh interpreter with ``src`` first on ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_pod_spectrum_demo_runs():
     # a run, not just an import check: it builds a FomConfig and runs the FOM and POD
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / "pod_spectrum.py")],
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    run = run_with_src(str(ROOT / "demos" / "pod_spectrum.py"))
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in (ROOT / "src" / "flowrom").glob("[!_]*.py")))
+def test_module_imports_alone(module):
+    # the package init imports no module, so each module must import what it needs itself
+    run = run_with_src("-c", f"import flowrom.{module}")
     assert run.returncode == 0, run.stderr
 
 
