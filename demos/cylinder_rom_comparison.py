@@ -13,7 +13,7 @@ CLI outputs go to cylinder_run/; writes cylinder_drag.csv (the FOM drag,
 interpolated to the snapshot grid, and each converged ROM's drag on it,
 NaN at the first row, which no ROM step ends) and cylinder_mismatch.csv.
 
-Run:  python3 demos/cylinder_rom_comparison.py    (about ten minutes)
+Run:  python3 demos/cylinder_rom_comparison.py    (about two minutes on a 2-vCPU host at one BLAS thread)
 """
 
 import sys

@@ -9,6 +9,8 @@ then ROMs that reuse the skew form (consistent) or switch to EMAC
   inconsistent family stalls at a floor set by the FOM divergence error --
   the locking behavior the error bound predicts, whose inconsistency terms
   scale with ||div u_h||.  Writes kh_locking.csv (and kh_locking.png).
+  Acceptance criterion 8 (tests/test_acceptance.py) asserts this table on
+  the same config and the same ``rom`` and ``compare`` calls.
 * Energy: the consistent 30-mode ROM follows the full-order energy and
   enstrophy curves; ROMs that switch the nonlinearity drift from them once
   the shear layer rolls up.  All start from the same projected field, so

@@ -434,15 +434,12 @@ def main(argv=None):
     handlers = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an unreadable or unwritable path is a config error
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (fio.ArchiveFormatError, MeshFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NewtonConvergenceError, SingularSystemError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

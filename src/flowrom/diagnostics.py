@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import uniform_step
+from .numerics import times_agree, uniform_step
 
 
 @dataclass
@@ -71,10 +71,10 @@ def _column_norms(u, op):
 
 
 def _grid_step(times, trajectory_times):
-    """``numerics.uniform_step(times)``, once the trajectory's times equal ``times`` from their start."""
+    """``numerics.uniform_step(times)``, once the trajectory's times agree with ``times`` from their start."""
     dt = uniform_step(times)
-    if times.size != trajectory_times.size or not np.allclose(
-            times - times[0], trajectory_times - trajectory_times[0], rtol=0.0, atol=1e-10):
+    if times.size != trajectory_times.size or not times_agree(trajectory_times - trajectory_times[0],
+                                                              times - times[0]).all():
         raise ValueError("snapshot and trajectory time grids do not match")
     return dt
 

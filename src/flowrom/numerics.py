@@ -18,8 +18,8 @@ fixed in one place:
                       backward Euler, or BDF2 started by one theta = 2/3
                       step, which shares BDF2's Newton matrix.  A Newton
                       iteration of either that fails raises
-                      ``NewtonConvergenceError``.  ``grid_step`` is the one
-                      rule for whether a time lies on a step of the grid.
+                      ``NewtonConvergenceError``.  ``times_agree`` is the one
+                      rule for whether two times on a grid are the same.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -266,10 +266,15 @@ def solve_sparse(m, rhs, order):
     return x
 
 
+def times_agree(t, s):
+    """Whether times ``t`` equal ``s`` on a grid, ``|t - s| <= 1e-9 max(1, |s|)``, elementwise."""
+    return np.abs(t - s) <= 1e-9 * np.maximum(1.0, np.abs(s))
+
+
 def grid_step(t, dt):
-    """The step n that time ``t`` lies on, ``|n dt - t| <= 1e-9 max(1, |t|)``, or None if there is none."""
+    """The step n that time ``t`` lies on (``times_agree(n dt, t)``), or None if there is none."""
     n = int(round(t / dt))
-    return n if abs(n * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+    return n if times_agree(n * dt, t) else None
 
 
 def step_count(dt, t_end):

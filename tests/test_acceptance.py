@@ -1,17 +1,22 @@
 """Acceptance suite: one test per criterion, tolerances pinned in the asserts.
 
 Run with ``python3 -m pytest tests/test_acceptance.py -v -rA`` to get one
-pass/fail line per criterion plus the measured numbers.  Criterion 9 (the
-cylinder pipeline) is part of the extended suite: set ``FLOWROM_EXTENDED=1``
-to enable it (it runs the full-order channel solver to the periodic regime,
-which takes about two and a half minutes on a 2-vCPU host).
+pass/fail line per criterion plus the measured numbers.  Criteria 7-9 run the
+command-line pipeline (``flowrom.cli.main``: ``fom``, ``pod``, ``rom``,
+``compare``) on the configs the two study demos use,
+``demos/configs/kh_desk.ini`` and ``demos/configs/cylinder.ini``, and read
+its CSV outputs.  Criterion 9 (the cylinder pipeline) is part of the extended
+suite: set ``FLOWROM_EXTENDED=1`` to enable it (it runs the full-order
+channel solver to the periodic regime, which takes about two and a half
+minutes on a 2-vCPU host).
 """
 
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowrom.cli import main
 from flowrom.fem import (
     NonlinearForm,
     TaylorHoodSpace,
@@ -22,20 +27,17 @@ from flowrom.fem import (
 )
 from flowrom.fom import (
     FomConfig,
-    at_rest,
     build_initial_condition,
-    cylinder_boundary,
     kelvin_helmholtz_boundary,
     kelvin_helmholtz_velocity,
     run_fom,
-    step_drag,
     taylor_green_gradient,
     taylor_green_velocity,
 )
-from flowrom.io import write_basis, write_snapshots
-from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from flowrom.io import read_csv, write_basis, write_snapshots
+from flowrom.mesh import identify_periodic, uniform_rect_mesh
 from flowrom.pod import build_pod_basis, pod_projection_error, project_field
-from flowrom.rom import assemble_rom_operators, project_fields, reconstruct_field, run_rom
+from flowrom.rom import assemble_rom_operators, reconstruct_field, run_rom
 from flowrom.diagnostics import trajectory_error
 
 from conftest import field_norms, rom_quadratic
@@ -43,6 +45,13 @@ from test_fem import oracle_eval, oracle_integral
 
 ALL_FORMS = list(NonlinearForm)
 KH_NU = 1.0 / 2800.0  # Re = 1/(28 nu) = 100
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+KH_DESK, CYLINDER = CONFIGS / "kh_desk.ini", CONFIGS / "cylinder.ini"
+
+
+def flowrom(*argv, config, out):
+    """One ``flowrom`` CLI call on ``config`` writing to ``out``; it must succeed."""
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -68,16 +77,12 @@ def kh50_basis(kh50):
 
 
 @pytest.fixture(scope="session")
-def desk_kh_skew():
-    """Desk shear layer (h=1/32, Re=100, dt=0.02, T=3), backward Euler, skew."""
-    mesh = identify_periodic(uniform_rect_mesh(32, 32), "x")
-    space = TaylorHoodSpace(mesh)
-    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
-    cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=3.0, form="skew", scheme="backward_euler",
-                    boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 3.0),
-                    project_initial=True)
-    _, snaps, series = run_fom(cfg, mesh, space, u0)
-    return space, snaps, series
+def desk_kh_skew(tmp_path_factory):
+    """The output directory of ``fom`` and ``pod`` on kh_desk.ini (h=1/32, Re=100, dt=0.02, T=3, BE, skew)."""
+    out = tmp_path_factory.mktemp("kh_desk")
+    flowrom("fom", config=KH_DESK, out=out)
+    flowrom("pod", str(out / "kh_snapshots.bin"), config=KH_DESK, out=out)
+    return out
 
 
 def test_criterion_01_nonlinear_form_identities(square8, homogeneous_field_pairs):
@@ -288,18 +293,17 @@ def test_criterion_06_taylor_green_convergence():
           f"-> observed order {slope:.3f} (pairs {pair_orders[0]:.2f}, {pair_orders[1]:.2f})")
 
 
-def test_criterion_07_energy_stability(desk_kh_skew):
+def test_criterion_07_energy_stability(desk_kh_skew, tmp_path):
     """Backward Euler with skew and EMAC forms dissipates discrete energy."""
-    space, _, series = desk_kh_skew
-    growth_skew = np.diff(series["energy"].values).max()
+    growth_skew = np.diff(dict(zip(*read_csv(desk_kh_skew / "kh_scalars.csv")))["energy"]).max()
     assert growth_skew <= 1e-12
 
-    mesh = space.mesh
-    u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
-    cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=3.0, form="emac", scheme="backward_euler",
-                    boundary=kelvin_helmholtz_boundary(), project_initial=True)
-    _, _, series_e = run_fom(cfg, mesh, space, u0)
-    growth_emac = np.diff(series_e["energy"].values).max()
+    text = KH_DESK.read_text()
+    assert text.count("form = skew") == 1
+    emac = tmp_path / "kh_desk_emac.ini"
+    emac.write_text(text.replace("form = skew", "form = emac"))
+    flowrom("fom", config=emac, out=tmp_path)
+    growth_emac = np.diff(dict(zip(*read_csv(tmp_path / "kh_scalars.csv")))["energy"]).max()
     assert growth_emac <= 1e-12
     print(f"ACCEPTANCE 7 PASS: energy nonincreasing at every step "
           f"(max increment skew {growth_skew:.2e}, emac {growth_emac:.2e})")
@@ -308,19 +312,16 @@ def test_criterion_07_energy_stability(desk_kh_skew):
 def test_criterion_08_consistency_beats_inconsistency(desk_kh_skew):
     """Consistent ROM converges with r; inconsistent ROM locks at the
     divergence-error floor (desk rendering of the shear-layer study)."""
-    space, snaps, _ = desk_kh_skew
-    mass = space.mass()
-    basis = build_pod_basis(snaps, space)
+    out = desk_kh_skew
+    snaps, basis = str(out / "kh_snapshots.bin"), str(out / "kh_basis.bin")
     r_values = (10, 20, 30, 40)
-    assert basis.rank >= max(r_values)
-    basis.projection = project_fields(space, basis.fields(max(r_values)))  # sliced for each (form, r)
-    errs = {}
-    for form in ("skew", "emac"):
-        for r in r_values:
-            ops = assemble_rom_operators(space, basis, r, form, nu=KH_NU)
-            a0 = project_field(basis, r, snaps.matrix[:, 0], mass)
-            traj = run_rom(ops, a0, 0.02, 3.0, scheme="backward_euler")
-            errs[(form, r)] = trajectory_error(space, snaps, traj, basis, KH_NU).linf_l2
+    runs = [(form, r) for form in ("skew", "emac") for r in r_values]
+    for form, r in runs:
+        flowrom("rom", basis, "--archive", snaps, "--form", form, "--r", str(r), config=KH_DESK, out=out)
+    flowrom("compare", *(str(out / f"kh_rom_{form}_r{r}_traj.csv") for form, r in runs),
+            "--archive", snaps, "--basis", basis, config=KH_DESK, out=out / "compare.csv")
+    compare = dict(zip(*read_csv(out / "compare.csv")))
+    errs = {(form, int(r)): e for form, r, e in zip(compare["form"], compare["r"], compare["linf_l2"])}
 
     consistent = [errs[("skew", r)] for r in r_values]
     inconsistent = [errs[("emac", r)] for r in r_values]
@@ -341,28 +342,24 @@ def test_criterion_08_consistency_beats_inconsistency(desk_kh_skew):
 
 
 @pytest.mark.extended
-def test_criterion_09_cylinder_pipeline():
-    """Channel-cylinder smoke: the consistent ROM tracks the FOM drag best.
+def test_criterion_09_cylinder_pipeline(tmp_path):
+    """Channel-cylinder smoke on cylinder.ini: the consistent ROM tracks the FOM drag best.
 
     Every drag is ``fom.step_drag`` with the FOM's form: the FOM's at every
-    step, the ROMs' at every step of their reconstructed trajectories.
+    step (``cyl_scalars.csv``), the ROMs' at every step of their
+    reconstructed trajectories on the snapshot grid
+    (``cyl_rom_<form>_r13_scalars.csv``).
     """
-    mesh = load_bundled_mesh("cylinder")
-    space = TaylorHoodSpace(mesh)
-    nu = 5e-4
-    dt = 0.0025
-    u0 = build_initial_condition(at_rest, space)
-    cfg = FomConfig(nu=nu, dt=dt, t_end=8.0, form="emac", scheme="bdf2",
-                    boundary=cylinder_boundary(), snapshot_window=(6.5, 8.0),
-                    snapshot_stride=2, drag_label="cylinder", project_initial=True)
-    _, snaps, series = run_fom(cfg, mesh, space, u0)
+    snaps, basis = str(tmp_path / "cyl_snapshots.bin"), str(tmp_path / "cyl_basis.bin")
+    flowrom("fom", config=CYLINDER, out=tmp_path)
+    flowrom("pod", snaps, config=CYLINDER, out=tmp_path)
 
     # statistically steady regime: the drag oscillation has saturated (the
     # late-window amplitude matches the preceding window) and the signal
     # repeats (autocorrelation peak; the coarse mesh leaves the oscillation
     # multi-harmonic, so the peak is well below 1)
-    times_d = series["drag"].times
-    drag = series["drag"].values
+    fom = dict(zip(*read_csv(tmp_path / "cyl_scalars.csv")))
+    times_d, drag = fom["t"], fom["drag"]
 
     def osc_amp(t0, t1):
         m = (times_d >= t0) & (times_d < t1)
@@ -381,24 +378,12 @@ def test_criterion_09_cylinder_pipeline():
     assert peaks, "no shedding period found in the drag signal"
     assert max(ac[k] for k in peaks) >= 0.4
 
-    mass = space.mass()
-    basis = build_pod_basis(snaps, space, centering="mean")
-    r = 13
-    assert basis.rank >= r
-    j0 = 0
-    a0 = project_field(basis, r, snaps.matrix[:, j0], mass)
-    t_span = float(snaps.times[-1] - snaps.times[j0])
-    dt_rom = float(snaps.times[1] - snaps.times[0])
-    fom_drag_grid = np.interp(snaps.times, series["drag"].times, drag)
-
     mism = {}
     for form in ("emac", "skew", "convective"):
-        ops = assemble_rom_operators(space, basis, r, form, nu)
-        traj = run_rom(ops, a0, dt_rom, t_span, scheme="bdf2")
-        u = [reconstruct_field(basis, a) for a in traj.coeffs]
-        rom_drag = np.array([step_drag(space, cfg, dt_rom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
-                             for n in range(1, len(u))])
-        mism[form] = np.sqrt(np.mean((rom_drag - fom_drag_grid[j0 + 1:]) ** 2))
+        flowrom("rom", basis, "--archive", snaps, "--form", form, "--r", "13", config=CYLINDER, out=tmp_path)
+        rom = dict(zip(*read_csv(tmp_path / f"cyl_rom_{form}_r13_scalars.csv")))
+        t_rom, rom_drag = rom["t"][1:], rom["drag"][1:]  # no step ends at the first row
+        mism[form] = np.sqrt(np.mean((rom_drag - np.interp(t_rom, times_d, drag)) ** 2))
     assert mism["emac"] < mism["skew"]
     assert mism["emac"] < mism["convective"]
     print(f"FOM drag over t = 6.5-8.0: mean {tail.mean():.4f}, amplitude {amp_late:.3e}")

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +13,8 @@ from flowrom.diagnostics import (
 from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import build_initial_condition, cylinder_boundary, kelvin_helmholtz_velocity
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
-from flowrom.pod import SnapshotSet, build_pod_basis, project_field
+from flowrom.numerics import uniform_step
+from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
 
@@ -212,3 +215,20 @@ class TestReducedTrajectoryError:
         wide = RomTrajectory(coeffs=np.zeros((snaps.count, kh_basis_session.rank + 1)), times=snaps.times)
         with pytest.raises(ValueError, match="basis rank"):
             reduced_trajectory_error(coords, wide, cfg.nu)
+
+    def test_accepts_rom_times_on_a_running_sum_grid(self):
+        # The FOM records its times as running sums of dt; rom writes t0 + h n
+        # with h = uniform_step(times).  At dt = 1e-3, 100,000 steps and
+        # stride 10 the two grids differ by 1.1e-10.
+        times = np.array(list(accumulate([1e-3] * 100_000, initial=0.0))[::10])
+        n = times.size
+        coords = SnapshotCoordinates(times=times, coeffs=np.ones((n, 1)), outside_stiff=np.zeros((n, 1)),
+                                     outside_mass_sq=np.zeros(n), outside_stiff_sq=np.zeros(n),
+                                     h1_norms=np.ones(n), div_norms=np.zeros(n), stiff_gram=np.eye(1))
+        rom_times = times[0] + uniform_step(times) * np.arange(n)
+        assert np.abs(rom_times - times).max() > 1e-10
+        err = reduced_trajectory_error(coords, RomTrajectory(coeffs=np.ones((n, 1)), times=rom_times), 1.0)
+        assert err.linf_l2 == 0.0
+        scaled = RomTrajectory(coeffs=np.ones((n, 1)), times=rom_times * (1 + 1e-7))
+        with pytest.raises(ValueError, match="grids"):
+            reduced_trajectory_error(coords, scaled, 1.0)
