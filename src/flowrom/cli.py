@@ -1,56 +1,25 @@
 """Command-line front end: fom / pod / rom / compare.
 
-Configuration files use INI syntax (flat key-value pairs in sections); see
-``demos/configs`` for complete examples.  A minimal config::
+``README.md`` describes the command-line contract: the subcommands, the
+config keys with their defaults, the exit codes and the outputs.  Its
+sources here are :data:`CONFIG_KEYS`, every section and key with the parser
+of its value, and the ``EXIT_*`` codes that :func:`main` maps each error
+type to; ``demos/configs`` holds complete configs.
 
-    [problem]
-    name = kelvin-helmholtz
-    nx = 32
-    ny = 32
-
-    [fom]
-    nu = 3.5714285714285714e-04
-    dt = 0.02
-    t_end = 3.0
-    form = skew
-    scheme = backward_euler
-    snapshot_start = 0.0
-    snapshot_end = 3.0
-    snapshot_stride = 1
-
-    [rom]
-    r = 40
-    centering = none
-
-    [output]
-    prefix = kh
-
-The keys above, plus ``[problem] mesh/node/ele/edge`` for the cylinder and
-``[fom] newton_max_iter``, are all that is read (:data:`CONFIG_KEYS`); any
-other section or key is a config error, and so is a malformed value in any
-key, in every subcommand: every value is parsed on load by its key's parser.
 Every subcommand starts from :func:`_build_problem`: the parsed config, the
-space, the ``[fom]`` keys as a :class:`FomConfig` (``nu``, ``dt`` and
-``t_end`` required, unset keys its defaults), the POD centering and the
-initial velocity.  The ROM form is ``--form``, else ``[fom] form``.
-Outputs go to ``--out`` or the working directory, named from ``[output] prefix``.
+space, the ``[fom]`` keys as a :class:`FomConfig`, the POD centering and the
+initial velocity.  So a value that any stage would reject fails every
+subcommand, before anything is written.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
 stores in the basis archive the projection of the momentum operators and the
-snapshots' coordinates on the basis (``pod.SnapshotCoordinates``).  ``rom``
-starts from the first snapshot's coordinates and runs on the snapshot grid:
-from the first snapshot to the last, at the snapshot spacing
-(``dt * snapshot_stride``, ``numerics.uniform_step``), with the ``[fom]
-scheme``.  ``compare`` expects each trajectory on that same grid, takes ``r``
-from its coefficient columns and evaluates the errors from the coordinates,
-the only blocks of the basis it reads.  Both read only the header and times
-of their ``--archive``, which must equal the basis's times.
-
-Exit codes: 0 success, 2 config error (e.g. ``nu = 0``, ``r = x``, a
-snapshot window that holds no step, no snapshot or only vanishing ones for
-``pod`` and one for ``rom``, a path that cannot be read or written), 3 solver
-failure, 4 format error (e.g. a non-uniform snapshot grid, a trajectory whose
-header is not ``t, a_1, ..., a_r``, a mesh without a label the problem needs).
+snapshots' coordinates on the basis (``pod.SnapshotCoordinates``), so that
+``rom`` and ``compare`` need no snapshot: ``rom`` starts from the first
+snapshot's coordinates and runs on the snapshot grid
+(``numerics.uniform_step``), and ``compare`` evaluates the errors from the
+coordinates, the only blocks of the basis it reads.  Both read only the
+header and times of their ``--archive``, which must equal the basis's times,
+so every call names the basis's source.
 """
 
 import argparse

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,39 @@ def test_script_imports_resolve(script):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+
+
+README = ROOT / "README.md"
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table is the user-facing list of cli.CONFIG_KEYS, one row per key
+    import flowrom.cli as cli
+
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", README.read_text(), re.MULTILINE)
+    assert sorted(rows) == sorted((section, key) for section, keys in cli.CONFIG_KEYS.items() for key in keys)
+
+
+def test_readme_gives_every_exit_code():
+    import flowrom.cli as cli
+
+    cited = {name: int(code) for name, code in re.findall(r"`(EXIT_\w+)` = (\d+)", README.read_text())}
+    assert cited == {name: getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+
+
+def test_readme_cited_names_resolve():
+    # a README note names the code that makes its decision as `module.name`;
+    # a rename must not leave it pointing at nothing
+    modules = {path.stem for path in (ROOT / "src" / "flowrom").glob("[!_]*.py")}
+    cited = [span for span in re.findall(r"`([^`\n]+)`", README.read_text())
+             if re.fullmatch(r"\w+(\.\w+)+", span) and span.split(".")[0] in modules]
+    assert cited
+    for span in cited:
+        module, *path = span.split(".")
+        obj = importlib.import_module(f"flowrom.{module}")
+        for name in path:
+            assert hasattr(obj, name), span
+            obj = getattr(obj, name)
 
 
 def test_tracer_targets_resolve():
