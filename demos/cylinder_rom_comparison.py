@@ -3,15 +3,16 @@
 Drives ``flowrom fom/pod/rom/compare`` on configs/cylinder.ini: the EMAC FOM
 on the bundled coarse mesh from rest into vortex shedding, a mean-centered
 POD basis from a late window of every second step, and 13-mode ROMs with
-three nonlinear forms on that snapshot grid.  The ROM that reuses the FOM's
-form tracks the drag series best; the mismatched forms drift.  Every drag,
-FOM and ROM, is the force of the discrete momentum equation
-(``fom.step_drag``, with the FOM's form), which needs no pressure: the ROM
-has one at every step of its reconstructed trajectory.
+three nonlinear forms that step the FOM's dt over that window.  The ROM that
+reuses the FOM's form tracks the drag series best; the mismatched forms
+drift.  Every drag, FOM and ROM, is the force of the discrete momentum
+equation (``fom.step_drag``, with the FOM's form), which needs no pressure:
+the ROM has one at every step of its reconstructed trajectory.
 
 CLI outputs go to cylinder_run/; writes cylinder_drag.csv (the FOM drag,
-interpolated to the snapshot grid, and each converged ROM's drag on it,
-NaN at the first row, which no ROM step ends) and cylinder_mismatch.csv.
+interpolated to the ROM's times, which are the FOM's steps in the window,
+and each converged ROM's drag there, NaN at the first row, which no ROM step
+ends) and cylinder_mismatch.csv.
 
 Run:  python3 demos/cylinder_rom_comparison.py    (about two minutes on a 2-vCPU host at one BLAS thread)
 """
@@ -55,7 +56,7 @@ t_all, drag_all = fom["t"], fom["drag"]
 drag, mismatch = {}, {}
 for form in forms:
     rom = dict(zip(*read_csv(OUT / f"cyl_rom_{form}_r{R}_scalars.csv")))
-    if not drag:  # the ROM steps on the snapshot grid
+    if not drag:  # the ROM steps the FOM's dt over the snapshot window
         drag = {"t": rom["t"], "drag_fom": np.interp(rom["t"], t_all, drag_all)}
         late = drag_all[t_all >= rom["t"][0]]
         print(f"late drag mean {late.mean():.4f}, oscillation amplitude {late.std():.4f}")

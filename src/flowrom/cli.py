@@ -15,11 +15,12 @@ subcommand, before anything is written.
 stores in the basis archive the projection of the momentum operators and the
 snapshots' coordinates on the basis (``pod.SnapshotCoordinates``), so that
 ``rom`` and ``compare`` need no snapshot: ``rom`` starts from the first
-snapshot's coordinates and runs on the snapshot grid
-(``numerics.uniform_step``), and ``compare`` evaluates the errors from the
-coordinates, the only blocks of the basis it reads.  Both read only the
-header and times of their ``--archive``, which must equal the basis's times,
-so every call names the basis's source.
+snapshot's coordinates and steps ``[fom] dt``, which must divide the
+snapshot spacing (``numerics.uniform_step``) into whole steps, and
+``compare`` evaluates the errors from the coordinates, the only blocks of
+the basis it reads.  Both read only the header and times of their
+``--archive``, which must equal the basis's times, so every call names the
+basis's source.
 """
 
 import argparse
@@ -42,11 +43,9 @@ from .fom import (
     kelvin_helmholtz_velocity,
     run_fom,
     step_drag,
-    taylor_green_velocity,
 )
-from .mesh import (CYLINDER_LABELS, MeshFormatError, identify_periodic, load_bundled_mesh, read_triangle_mesh,
-                   uniform_rect_mesh)
-from .numerics import NewtonConvergenceError, SingularSystemError, uniform_step
+from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from .numerics import NewtonConvergenceError, SingularSystemError, grid_step, uniform_step
 from .pod import build_pod_basis, pod_projection_error
 from .rom import (
     RomTrajectory,
@@ -73,7 +72,7 @@ def _centering(text):
 # Every section and key a subcommand reads, with the parser of its value; a
 # config with any other section or key, or a value its parser rejects, is rejected.
 CONFIG_KEYS = {
-    "problem": {"name": str, "nx": int, "ny": int, "mesh": str, "node": Path, "ele": Path, "edge": Path},
+    "problem": {"name": str, "nx": int, "ny": int},
     "fom": {"nu": float, "dt": float, "t_end": float, "form": NonlinearForm.parse, "scheme": str,
             "snapshot_start": float, "snapshot_end": float, "snapshot_stride": int, "newton_max_iter": int},
     "rom": {"r": int, "centering": _centering},
@@ -119,50 +118,31 @@ class _Problem(NamedTuple):
     velocity: object  # initial velocity (x, y, t) -> (u1, u2)
 
 
-def _rect_mesh(path, prob, n, extent):
-    """The ``[problem] nx`` x ``ny`` square mesh (default ``n`` x ``n``) of side ``extent``."""
-    nx = prob.get("nx", n)
-    try:
-        return uniform_rect_mesh(nx, prob.get("ny", nx), extent, extent)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [problem] nx, ny: {exc}") from exc
-
-
 def _build_problem(path):
     """The config at ``path`` with its problem's space, FomConfig, POD centering and initial velocity.
 
-    This is the only code that knows a problem name.  The ``[fom]`` keys are
+    This is the only code that knows a problem name, one of the paper's two
+    cases: ``kelvin-helmholtz``, the shear layer on the ``[problem] nx`` x
+    ``ny`` unit square (default 32 x 32), periodic in x, and
+    ``cylinder-channel``, the bundled cylinder mesh.  The ``[fom]`` keys are
     :class:`FomConfig` fields, the snapshot window from its two ends; the name
     fixes the boundary, the drag label and the projection of u0.  A config
-    error names ``path``, a missing boundary label (format error) the mesh,
-    and a mesh file that is not UTF-8 text (format error) that file.
+    error names ``path``.
     """
     config = _load_config(path)
     prob = config["problem"]
     name = prob["name"]
-    edge = f"the {name} mesh"
     if name == "kelvin-helmholtz":
-        mesh = identify_periodic(_rect_mesh(path, prob, 32, 1.0), "x")
+        nx = prob.get("nx", 32)
+        try:
+            square = uniform_rect_mesh(nx, prob.get("ny", nx))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [problem] nx, ny: {exc}") from exc
+        mesh = identify_periodic(square, "x")
         fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
         centering, velocity = "none", kelvin_helmholtz_velocity
-    elif name == "taylor-green":
-        mesh = identify_periodic(identify_periodic(_rect_mesh(path, prob, 16, 2.0), "x"), "y")
-        fixed, centering, velocity = {}, "none", taylor_green_velocity
     elif name == "cylinder-channel":
-        if prob.get("mesh", "bundled") == "bundled":
-            mesh = load_bundled_mesh("cylinder")
-        else:
-            paths = {key: prob.get(key, Path()) for key in ("node", "ele", "edge")}
-            texts = []
-            for key, p in paths.items():
-                if not p.is_file():
-                    raise ConfigError(f"{path}: [problem] {key}: mesh file not found: {p}")
-                try:
-                    texts.append(p.read_text(encoding="utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise MeshFormatError(f"{p}: {exc}") from exc
-            mesh = read_triangle_mesh(*texts, marker_labels=CYLINDER_LABELS, names=tuple(paths.values()))
-            edge = paths["edge"]
+        mesh = load_bundled_mesh("cylinder")
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
     else:
@@ -176,9 +156,6 @@ def _build_problem(path):
         fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:
         raise ConfigError(f"{path}: [fom] {exc}") from exc
-    missing = sorted({*fom_cfg.boundary, fom_cfg.drag_label} - {None} - set(mesh.boundary_labels))
-    if missing:
-        raise MeshFormatError(f"{edge}: no boundary edge labeled {missing[0]!r}, which {name} needs")
     return _Problem(config, TaylorHoodSpace(mesh), fom_cfg, centering, velocity)
 
 
@@ -258,36 +235,46 @@ def _pod_coordinates(coordinates, basis_path, archive_path, space):
 
 
 def cmd_rom(args):
-    """Run one ROM, of the ``--form`` or else the ``[fom] form``, on the basis's
-    snapshot grid with the ``[fom] scheme``.
+    """Run one ROM, of the ``--form`` or else the ``[fom] form``, at the
+    ``[fom] dt`` with the ``[fom] scheme``, over the basis's snapshot window.
 
     It starts from the first snapshot's coordinates on the leading r modes.
-    One projection, the archive's or a fresh one when r exceeds it, gives
-    both the operators and the energy and enstrophy series; only a fresh
-    projection and the drag assemble FE matrices.
+    The snapshot spacing must be a whole number k of steps
+    (``numerics.grid_step``), or the config is rejected.  The trajectory
+    file keeps every k-th step, the snapshot grid that ``compare`` reads;
+    the scalars file has every step.  One projection, the archive's or a
+    fresh one when r exceeds it, gives both the operators and the energy
+    and enstrophy series; only a fresh projection and the drag assemble FE
+    matrices.
     """
     problem = _build_problem(args.config)
     config, space, fom_cfg = problem.config, problem.space, problem.fom
     form = NonlinearForm.parse(args.form or fom_cfg.form)
     basis = fio.read_basis(args.basis, space=space)
-    coords, dt = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
+    coords, spacing = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
+    dt = fom_cfg.dt
+    stride = grid_step(spacing, dt)
+    if not stride:
+        raise ConfigError(f"{args.config}: [fom] dt = {dt:g} does not divide the snapshot spacing "
+                          f"{spacing:g} of the basis {args.basis} into whole steps")
     r = _mode_count(args.config, config, basis.rank, args.r)
 
     basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
     t0 = coords.times[0]
-    traj = run_rom(ops, coords.coeffs[0, :r], dt, float(coords.times[-1] - t0),
+    traj = run_rom(ops, coords.coeffs[0, :r], dt, (coords.count - 1) * stride * dt,
                    scheme=fom_cfg.scheme, newton_tol=fom_cfg.newton_tol,
                    newton_max_iter=fom_cfg.newton_max_iter)
 
     prefix = _out_prefix(config, args.out)
     tag = f"{form.value}_r{r}"
+    times = traj.times + t0
     fio.write_csv(f"{prefix}_rom_{tag}_traj.csv",
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
-                  [traj.times + t0] + [traj.coeffs[:, k] for k in range(r)])
+                  [times[::stride]] + [traj.coeffs[::stride, k] for k in range(r)])
 
     energy, enstrophy = rom_energy_enstrophy(basis.projection, basis, traj.coeffs)
-    cols = [traj.times + t0, energy, enstrophy]
+    cols = [times, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
         # fom.step_drag, with the FOM's form, of each reconstructed step; none ends at row 0.

@@ -229,9 +229,8 @@ def _table(text, what, header, noun, expected, min_fields, dtype):
     raise MeshFormatError(f"{what}: {error}")
 
 
-def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
-                       names=(".node", ".ele", "boundary")):
-    """Build a :class:`Mesh` from Triangle-generator text files, named by ``names`` in errors.
+def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
+    """Build a :class:`Mesh` from Triangle-generator texts; errors name them ``.node``, ``.ele``, ``boundary``.
 
     ``marker_labels`` maps integer boundary markers to label strings; markers
     without an entry become ``"marker<k>"``.  Triangles are reoriented to CCW;
@@ -241,7 +240,7 @@ def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None,
     with its vertices numbered as the file writes them.
     """
     marker_labels = dict(marker_labels or {})
-    node, ele, side = names
+    node, ele, side = ".node", ".ele", "boundary"
 
     lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, node, _NODE_HEADER, "vertices",
                                                         "index, x, y", lambda c: 3 + c[2], float)

@@ -346,9 +346,8 @@ def test_criterion_09_cylinder_pipeline(tmp_path):
     """Channel-cylinder smoke on cylinder.ini: the consistent ROM tracks the FOM drag best.
 
     Every drag is ``fom.step_drag`` with the FOM's form: the FOM's at every
-    step (``cyl_scalars.csv``), the ROMs' at every step of their
-    reconstructed trajectories on the snapshot grid
-    (``cyl_rom_<form>_r13_scalars.csv``).
+    step (``cyl_scalars.csv``), the ROMs' at every FOM step of their
+    reconstructed trajectories (``cyl_rom_<form>_r13_scalars.csv``).
     """
     snaps, basis = str(tmp_path / "cyl_snapshots.bin"), str(tmp_path / "cyl_basis.bin")
     flowrom("fom", config=CYLINDER, out=tmp_path)

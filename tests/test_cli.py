@@ -274,6 +274,8 @@ class TestPipeline:
         assert (root / "micro_scalars.csv").read_text() == (tmp_path / "micro_scalars.csv").read_text()
 
     def test_strided_snapshots(self, tmp_path):
+        # the ROM steps [fom] dt = 0.05: its trajectory keeps the snapshot
+        # grid, its scalars every step
         text = MICRO_CONFIG.read_text().replace(
             "snapshot_end = 0.25", "snapshot_end = 0.25\nsnapshot_stride = 2")
         cfg, archive, basis, common = _run_micro(tmp_path, text)
@@ -281,6 +283,8 @@ class TestPipeline:
         traj = tmp_path / "micro_rom_skew_r3_traj.csv"
         _, cols = read_csv(traj)
         np.testing.assert_allclose(cols[0], [0.0, 0.1, 0.2], rtol=0.0, atol=1e-12)
+        _, scalars = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
+        np.testing.assert_allclose(scalars[0], [0.0, 0.05, 0.1, 0.15, 0.2], rtol=0.0, atol=1e-12)
         out = tmp_path / "compare.csv"
         assert main(["compare", str(traj), "--config", str(cfg), "--archive", archive,
                      "--basis", basis, "--out", str(out)]) == 0
@@ -369,11 +373,10 @@ class TestPipeline:
 
         problem = _build_problem(cfg)
         basis = read_basis(basis_path, space=problem.space)
-        dt = uniform_step(basis.coordinates.times)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
-        want = [step_drag(problem.space, problem.fom, dt, u[n], u[n - 1], u[n - 2] if n > 1 else None)
-                for n in range(1, len(u))]
+        want = [step_drag(problem.space, problem.fom, problem.fom.dt, u[n], u[n - 1],
+                          u[n - 2] if n > 1 else None) for n in range(1, len(u))]
         assert np.array_equal(rom[3][1:], want)
 
 
@@ -386,6 +389,7 @@ class TestErrorPaths:
         ("snapshot_stride = 1", "snapshot_strde = 1"),  # misspelled
         ("[output]", "[solver]\nnewton_tol = 1e-12\n\n[output]"),  # unknown section
         ("nx = 8\nny = 8", "nx = 8\nnx = 9\nny = 8"),  # duplicate key
+        ("ny = 8", "ny = 8\nmesh = bundled"),  # deleted: the bundled mesh is the only cylinder mesh
     ])
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys, edit):
         cfg = tmp_path / "bad.ini"
@@ -478,6 +482,7 @@ class TestErrorPaths:
         from flowrom.cli import _build_problem
 
         problem = _build_problem(path)
+        assert problem.config["problem"]["name"] in ("kelvin-helmholtz", "cylinder-channel")
         assert isinstance(problem.fom, FomConfig) and problem.space.n_vel > 0
 
     @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
@@ -715,77 +720,13 @@ class TestErrorPaths:
         assert [main(call) for call in calls] == [4] * len(calls)
         assert capsys.readouterr().err.count(f"truncated archive while reading {block})") == len(calls)
 
-    def test_missing_mesh_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cyl.ini"
-        cfg.write_text(
-            "[problem]\nname = cylinder-channel\nmesh = files\n"
-            "node = missing.node\nele = missing.ele\nedge = missing.edge\n"
-            "[fom]\nnu = 5e-4\ndt = 0.002\nt_end = 0.002\n"
-        )
-        assert main(["fom", "--config", str(cfg)]) == 2
-        assert f"{cfg}: [problem] node: mesh file not found: missing.node" in capsys.readouterr().err
-
     def test_unknown_problem(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[problem]\nname = channel-of-mystery\n[fom]\nnu=1\ndt=1\nt_end=1\n")
-        assert main(["fom", "--config", str(cfg)]) == 2
-        assert f"{cfg}: [problem] name: unknown problem 'channel-of-mystery'" in capsys.readouterr().err
-
-    @staticmethod
-    def cylinder_files(tmp_path, ext, edit):
-        """A cylinder config on copies of the bundled mesh files, ``edit`` applied to the lines of ``ext``."""
-        from importlib import resources
-
-        data = resources.files("flowrom").joinpath("data")
-        mesh_dir = tmp_path / "mesh"
-        mesh_dir.mkdir()
-        for name in ("node", "ele", "edge"):
-            lines = data.joinpath(f"cylinder_coarse.{name}").read_text().splitlines()
-            (mesh_dir / f"c.{name}").write_text("\n".join(edit(lines) if name == ext else lines) + "\n")
-        cfg = tmp_path / "cyl.ini"
-        cfg.write_text(MICRO_CYLINDER.replace(
-            "name = cylinder-channel",
-            f"name = cylinder-channel\nmesh = files\nnode = {mesh_dir / 'c.node'}\n"
-            f"ele = {mesh_dir / 'c.ele'}\nedge = {mesh_dir / 'c.edge'}"))
-        return cfg, mesh_dir
-
-    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
-    def test_mesh_without_a_needed_label_is_format_error(self, micro_pipeline, tmp_path, capsys, command):
-        # the bundled cylinder mesh with its cylinder edges (marker 4) relabeled as walls (marker 3)
-        root, _ = micro_pipeline
-        cfg, mesh_dir = self.cylinder_files(tmp_path, "edge", lambda lines: [
-            lines[0], *(row[:-1] + "3" if row.split()[3] == "4" else row for row in lines[1:])])
-        assert main(_subcommand(command, root, cfg, tmp_path / "out")) == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "format error" in err
-        assert f"{mesh_dir / 'c.edge'}: no boundary edge labeled 'cylinder'" in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("ext, edit, detail", [
-        ("node", lambda lines: lines[:3], ": expected 1391 vertices, file ended after 2"),
-        ("ele", lambda lines: [lines[0], "1 897 830 9999", *lines[2:]],
-         " at line 2: vertex index out of range (have 1391 vertices)"),
-        # the vertices of a record are as the 1-based files write them
-        ("ele", lambda lines: [lines[0], "1 897 830 830", *lines[2:]], " at line 2: triangle 1 has zero area"),
-        ("edge", lambda lines: [lines[0], "1 897 830 1", *lines[2:]],
-         " at line 2: boundary edge (897, 830) is shared by more than one triangle"),
-        ("edge", lambda lines: [lines[0], "1 897 375 1", *lines[2:]],
-         " at line 2: boundary edge (897, 375) does not belong to any triangle"),
-    ], ids=["truncated_node", "bad_ele", "zero_area", "interior_edge", "edge_of_no_triangle"])
-    def test_mesh_format_error_names_the_file(self, tmp_path, capsys, ext, edit, detail):
-        cfg, mesh_dir = self.cylinder_files(tmp_path, ext, edit)
-        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == f"format error: {mesh_dir / f'c.{ext}'}{detail}\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_mesh_file_not_utf8_is_format_error(self, tmp_path, capsys):
-        cfg, mesh_dir = self.cylinder_files(tmp_path, "node", lambda lines: lines)
-        node = mesh_dir / "c.node"
-        node.write_bytes(b"\xff\xfe" + node.read_bytes())
-        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == (
-            f"format error: {node}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
-        assert not (tmp_path / "out").exists()
+        # the command line poses the paper's two cases only; Taylor-Green is the library's
+        for name in ("channel-of-mystery", "taylor-green"):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(f"[problem]\nname = {name}\n[fom]\nnu=1\ndt=1\nt_end=1\n")
+            assert main(["fom", "--config", str(cfg)]) == 2
+            assert f"{cfg}: [problem] name: unknown problem {name!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, edit, code, message", [
         ("fom", ("[rom]", "newton_max_iter = 0\n\n[rom]"), 3, "solver error: Newton stalled at step 1"),
@@ -849,7 +790,7 @@ class TestErrorPaths:
         # time derivative (with no quadratic term the Newton matrix is exactly 0)
         root, cfg = micro_pipeline
         basis = root / "micro_basis.bin"
-        dt = uniform_step(read_basis(basis).coordinates.times)
+        dt = _load_config(cfg)["fom"]["dt"]
 
         def broken(space, basis, r, form, nu):
             ops = assemble_rom_operators(space, basis, r, form, nu)
@@ -894,6 +835,19 @@ class TestErrorPaths:
         _, archive, basis, common = _run_micro(tmp_path, text)
         assert main(["rom", basis, "--archive", archive, *common, "--r", "1"]) == 2
         assert "at least two snapshots" in capsys.readouterr().err
+
+    def test_rom_dt_off_the_snapshot_grid_is_config_error(self, tmp_path, capsys):
+        # the ROM steps [fom] dt, so the snapshot spacing must be a whole number of them
+        text = MICRO_KH.replace("snapshot_stride = 1", "snapshot_stride = 2")
+        _, archive, basis, _ = _run_micro(tmp_path, text)
+        cfg = tmp_path / "off.ini"
+        cfg.write_text(text.replace("dt = 0.05", "dt = 0.0625"))
+        assert main(["rom", basis, "--archive", archive, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: [fom] dt = 0.0625 does not divide the snapshot spacing 0.1 "
+            f"of the basis {basis} into whole steps\n")
+        assert not (tmp_path / "out").exists()
 
     def test_pod_without_snapshots_is_config_error(self, micro_pipeline, tmp_path, capsys):
         root, cfg = micro_pipeline
