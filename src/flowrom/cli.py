@@ -124,10 +124,11 @@ def _build_problem(path):
     This is the only code that knows a problem name, one of the paper's two
     cases: ``kelvin-helmholtz``, the shear layer on the ``[problem] nx`` x
     ``ny`` unit square (default 32 x 32), periodic in x, and
-    ``cylinder-channel``, the bundled cylinder mesh.  The ``[fom]`` keys are
-    :class:`FomConfig` fields, the snapshot window from its two ends; the name
-    fixes the boundary, the drag label and the projection of u0.  A config
-    error names ``path``.
+    ``cylinder-channel``, the bundled cylinder mesh, for which ``nx`` or
+    ``ny`` is a config error.  The ``[fom]`` keys are :class:`FomConfig`
+    fields, the snapshot window from its two ends; the name fixes the
+    boundary, the drag label and the projection of u0.  A config error names
+    ``path``.
     """
     config = _load_config(path)
     prob = config["problem"]
@@ -142,6 +143,9 @@ def _build_problem(path):
         fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
         centering, velocity = "none", kelvin_helmholtz_velocity
     elif name == "cylinder-channel":
+        for key in ("nx", "ny"):
+            if key in prob:
+                raise ConfigError(f"{path}: [problem] {key}: {name} runs on the bundled mesh, which has no {key}")
         mesh = load_bundled_mesh("cylinder")
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest

@@ -1,4 +1,4 @@
-"""Triangulations: built-in rectangle generator and a Triangle-format reader.
+"""Triangulations: a rectangle generator and the bundled cylinder channel.
 
 A :class:`Mesh` is immutable once built.  Boundary edges are stored oriented
 so that the fluid domain lies on their left; the outward normal of an edge
@@ -16,24 +16,6 @@ essential boundary nodes and the boundary-edge rule of the ROM's flux cube
 all read this table, and no other module derives edges from triangles.  A
 boundary edge takes the direction of that triangle's counterclockwise
 side, which puts the domain on its left.
-
-Triangle-generator text layout accepted by :func:`read_triangle_mesh`:
-
-* ``.node``:  ``<#vertices> <dim> <#attrs> <#markers>`` then one line per
-  vertex ``<idx> <x> <y> [attrs...] [marker]``.
-* ``.ele``:   ``<#triangles> <nodes-per-tri> <#attrs>`` then
-  ``<idx> <v1> <v2> <v3> [attrs...]``.
-* boundary (``.edge``-style): ``<#edges> <#markers>`` then
-  ``<idx> <v1> <v2> <marker>``.
-
-Indices may be 0- or 1-based; the base is detected from the ``.node`` file
-and applied consistently, as the Triangle generator does.
-
-Each text is read in one scan: ``#`` comments and blank lines are stripped
-once, keeping each data line's number, and the records after the header are
-converted by one ``np.loadtxt``.  Errors name the offending record's line
-from those numbers; only a failed conversion looks for the short record or
-early end that caused it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,15 +25,16 @@ import numpy as np
 
 
 class MeshFormatError(ValueError):
-    """Raised for malformed mesh files; carries the offending line number."""
+    """Raised for a boundary edge that is not the side of exactly one triangle."""
 
 
 @dataclass(frozen=True)
 class Mesh:
     """Planar triangulation with labeled boundary and periodic identifications.
 
-    Built by :func:`uniform_rect_mesh` or :func:`read_triangle_mesh`, which
-    fill in the edge table (``edges`` to ``boundary_cells``).
+    Built by :func:`uniform_rect_mesh` (a rectangle) or :func:`load_bundled_mesh`
+    (the cylinder channel), which fill in the edge table (``edges`` to
+    ``boundary_cells``).
 
     Attributes
     ----------
@@ -101,20 +84,14 @@ class Mesh:
         return np.flatnonzero(np.array(self.boundary_labels, dtype=str) == label)
 
 
-def _signed_areas(vertices, triangles):
-    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def _build_mesh(vertices, triangles, boundary, labels, name_edge=None):
+def _build_mesh(vertices, triangles, boundary, labels):
     """A :class:`Mesh` with its edge table; ``boundary`` edges may come in either direction.
 
     The edges are the distinct integer keys ``lo * nv + hi`` of the
     triangles' sides.  Each boundary edge is looked up among them and must
     be a side of exactly one triangle; that side gives both the triangle and
     the edge's direction.  The first edge that is not raises
-    :class:`MeshFormatError`, named by ``name_edge(k)`` for its row k (default ``boundary edge (a, b)``).
+    :class:`MeshFormatError`, which names it ``boundary edge (a, b)``.
     """
     nv = len(vertices)
     sides = triangles[:, [[1, 2], [2, 0], [0, 1]]]    # counterclockwise, side i opposite vertex i
@@ -125,12 +102,11 @@ def _build_mesh(vertices, triangles, boundary, labels, name_edge=None):
     ids = np.searchsorted(keys, bkeys)
     # closed by a key above every edge's, so that a search never runs off the end
     missing = np.append(keys, nv * nv)[ids] != bkeys
-    name_edge = name_edge or (lambda k: "boundary edge ({}, {})".format(*boundary[k]))
     if missing.any():
-        raise MeshFormatError(f"{name_edge(np.argmax(missing))} does not belong to any triangle")
+        raise MeshFormatError("boundary edge ({}, {}) does not belong to any triangle".format(*boundary[missing][0]))
     shared = counts[ids] > 1
     if shared.any():
-        raise MeshFormatError(f"{name_edge(np.argmax(shared))} is shared by more than one triangle")
+        raise MeshFormatError("boundary edge ({}, {}) is shared by more than one triangle".format(*boundary[shared][0]))
     side = first[ids]
     return Mesh(vertices=vertices, triangles=triangles, boundary_edges=sides.reshape(-1, 2)[side],
                 boundary_labels=tuple(labels), edges=np.column_stack(np.divmod(keys, nv)),
@@ -172,118 +148,6 @@ def uniform_rect_mesh(nx, ny, x_extent=1.0, y_extent=1.0):
                  axis=1).reshape(-1, 2),
     ])
     return _build_mesh(vertices, triangles, edges, ("bottom", "top") * nx + ("right", "left") * ny)
-
-
-# the header fields of the three Triangle texts, the record count first
-_NODE_HEADER = ("record count", "dimension", "attribute count", "boundary marker count")
-_ELE_HEADER = ("record count", "nodes per triangle", "attribute count")
-_BOUNDARY_HEADER = ("record count", "boundary marker count")
-
-
-def _table(text, what, header, noun, expected, min_fields, dtype):
-    """One Triangle-format text as its header, a record table and the records' line numbers.
-
-    One scan strips comments and blank lines, keeping each data line's
-    number.  The header holds one count per name in ``header``, the record
-    count first; the table holds the leading ``min_fields(counts)`` fields of
-    each of the ``counts[0]`` records, converted by one ``np.loadtxt``.
-    Returns ``(lineno, counts, table, linenos)``.  An empty text, a
-    malformed header, a negative count (named from ``header``), a record of
-    fewer fields (described by ``expected``), an early end (counted in
-    ``noun``) and an unconvertible field raise :class:`MeshFormatError`, in
-    that order.
-    """
-    linenos, lines = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            linenos.append(lineno)
-            lines.append(line)
-    if not lines:
-        raise MeshFormatError(f"empty {what} input")
-    lineno, parts = linenos[0], lines[0].split()
-    if len(parts) < len(header):
-        raise MeshFormatError(f"{what} header at line {lineno}: expected {len(header)} fields, got {len(parts)}")
-    try:
-        counts = [int(p) for p in parts[:len(header)]]
-    except ValueError as exc:
-        raise MeshFormatError(f"{what} header at line {lineno}: {exc}") from exc
-    for name, count in zip(header, counts):
-        if count < 0:
-            raise MeshFormatError(f"{what} header at line {lineno}: negative {name} {count}")
-    ncols = min_fields(counts)
-    if counts[0] == 0:
-        # np.loadtxt warns on empty input
-        return lineno, counts, np.empty((0, ncols), dtype=dtype), []
-    linenos, rows = linenos[1:1 + counts[0]], lines[1:1 + counts[0]]
-    if len(rows) == counts[0]:
-        try:
-            return lineno, counts, np.loadtxt(rows, dtype=dtype, usecols=range(ncols), ndmin=2), linenos
-        except ValueError as exc:
-            error = exc
-    for k, row in zip(linenos, rows):
-        if len(row.split()) < ncols:
-            raise MeshFormatError(f"{what} at line {k}: expected {expected}")
-    if len(rows) < counts[0]:
-        raise MeshFormatError(f"{what}: expected {counts[0]} {noun}, file ended after {len(rows)}")
-    raise MeshFormatError(f"{what}: {error}")
-
-
-def read_triangle_mesh(node_text, ele_text, boundary_text, marker_labels=None):
-    """Build a :class:`Mesh` from Triangle-generator texts; errors name them ``.node``, ``.ele``, ``boundary``.
-
-    ``marker_labels`` maps integer boundary markers to label strings; markers
-    without an entry become ``"marker<k>"``.  Triangles are reoriented to CCW;
-    malformed counts, dangling vertex indices, and zero-area triangles raise
-    :class:`MeshFormatError` with the file and offending line number.  So does
-    a boundary edge that is not the side of exactly one triangle, naming it
-    with its vertices numbered as the file writes them.
-    """
-    marker_labels = dict(marker_labels or {})
-    node, ele, side = ".node", ".ele", "boundary"
-
-    lineno, (nv, dim, _, _), nodes, node_lines = _table(node_text, node, _NODE_HEADER, "vertices",
-                                                        "index, x, y", lambda c: 3 + c[2], float)
-    if dim != 2:
-        raise MeshFormatError(f"{node} at line {lineno}: expected dimension 2, got {dim}")
-    base = nodes[0, 0] if nv else 0
-    if base not in (0, 1):
-        raise MeshFormatError(f"{node} at line {node_lines[0]}: first vertex index must be 0 or 1")
-    bad = np.flatnonzero(nodes[:, 0] != base + np.arange(nv))
-    if bad.size:
-        raise MeshFormatError(f"{node} at line {node_lines[bad[0]]}: vertex indices must be consecutive")
-    vertices = np.ascontiguousarray(nodes[:, 1:3])
-    base = int(base)
-
-    lineno, (nt, npe, _), cells, cell_lines = _table(ele_text, ele, _ELE_HEADER, "triangles",
-                                                     "index and three vertices", lambda c: 4, int)
-    if npe != 3:
-        raise MeshFormatError(f"{ele} at line {lineno}: only 3-node triangles are supported, got {npe}")
-    triangles = cells[:, 1:4] - base
-    bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=1))
-    if bad.size:
-        raise MeshFormatError(f"{ele} at line {cell_lines[bad[0]]}: "
-                              f"vertex index out of range (have {nv} vertices)")
-
-    # fix orientation and reject degenerate triangles
-    areas = _signed_areas(vertices, triangles)
-    scale = np.abs(areas).max() if nt else 1.0
-    bad = np.flatnonzero(np.abs(areas) <= 1e-14 * scale)
-    if bad.size:
-        raise MeshFormatError(f"{ele} at line {cell_lines[bad[0]]}: triangle {cells[bad[0], 0]} has zero area")
-    flip = areas < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-
-    _, _, sides, side_lines = _table(boundary_text, side, _BOUNDARY_HEADER, "edges",
-                                     "index, v1, v2, marker", lambda c: 4, int)
-    edges = sides[:, 1:3] - base
-    bad = np.flatnonzero(((edges < 0) | (edges >= nv)).any(axis=1))
-    if bad.size:
-        raise MeshFormatError(f"{side} at line {side_lines[bad[0]]}: vertex index out of range")
-    labels = [marker_labels.get(m, f"marker{m}") for m in sides[:, 3].tolist()]
-
-    return _build_mesh(vertices, triangles, edges, labels, lambda k: (
-        f"{side} at line {side_lines[k]}: boundary edge ({sides[k, 1]}, {sides[k, 2]})"))
 
 
 def identify_periodic(mesh, axis):
@@ -330,6 +194,20 @@ def identify_periodic(mesh, axis):
 CYLINDER_LABELS = {1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"}
 
 
+def read_triangle_mesh(node_text, ele_text, boundary_text):
+    """The cylinder channel from its three Triangle texts, as ``tools/make_cylinder_mesh.py`` writes them.
+
+    Each text is a header line and then one record per line: ``.node``
+    ``<idx> <x> <y>``, ``.ele`` ``<idx> <v1> <v2> <v3>`` counterclockwise,
+    and ``.edge`` ``<idx> <v1> <v2> <marker>`` with the markers of
+    :data:`CYLINDER_LABELS`; vertices are numbered from 1.
+    """
+    vertices = np.loadtxt(node_text.splitlines(), skiprows=1, usecols=(1, 2))
+    triangles = np.loadtxt(ele_text.splitlines(), dtype=int, skiprows=1, usecols=(1, 2, 3)) - 1
+    edges = np.loadtxt(boundary_text.splitlines(), dtype=int, skiprows=1, usecols=(1, 2, 3))
+    return _build_mesh(vertices, triangles, edges[:, :2] - 1, [CYLINDER_LABELS[m] for m in edges[:, 2].tolist()])
+
+
 def load_bundled_mesh(name):
     """Load a mesh shipped with the package; ``"cylinder"`` is the only one.
 
@@ -341,4 +219,4 @@ def load_bundled_mesh(name):
         raise ValueError(f"no bundled mesh named {name!r}; available: ['cylinder']")
     data = resources.files("flowrom").joinpath("data")
     node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text() for ext in ("node", "ele", "edge"))
-    return read_triangle_mesh(node, ele, edge, marker_labels=CYLINDER_LABELS)
+    return read_triangle_mesh(node, ele, edge)

@@ -15,7 +15,7 @@ from flowrom.fem import (
     saddle_block,
 )
 from flowrom.fom import _staged_residual
-from flowrom.mesh import _signed_areas, identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import PIVOT_THRESHOLD, implicit_step
 
 
@@ -126,7 +126,8 @@ def field_norms(space, u):
 
 def signed_areas(mesh):
     """Signed area of each triangle of ``mesh`` (positive for CCW orientation)."""
-    return _signed_areas(mesh.vertices, mesh.triangles)
+    d1, d2 = (mesh.vertices[mesh.triangles[:, k]] - mesh.vertices[mesh.triangles[:, 0]] for k in (1, 2))
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def rom_quadratic(ops, c):

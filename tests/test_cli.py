@@ -131,6 +131,7 @@ MALFORMED = {
     "[fom] form": ("form = skew", "form = upwind"),
     "[fom] dt": ("dt = 0.05", "dt = abc"),
     "[problem] nx": ("nx = 8", "nx = abc"),
+    "[problem] ny": ("name = kelvin-helmholtz\nnx = 8", "name = cylinder-channel"),  # the cylinder has no ny
 }
 
 

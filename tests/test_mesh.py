@@ -9,7 +9,6 @@ from flowrom.mesh import (
     _build_mesh,
     identify_periodic,
     load_bundled_mesh,
-    read_triangle_mesh,
     uniform_rect_mesh,
 )
 
@@ -151,143 +150,22 @@ class TestUniformRectMesh:
             assert (int(b), int(a)) not in directed  # boundary: no neighbor
 
 
-class TestReadTriangleMesh:
-    def test_bundled_fixture_matches_generator(self):
-        # the two-triangle unit square, once shipped as a bundled fixture
-        node = "# two-triangle unit square fixture\n4 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 2\n3 0.0 1.0 1\n4 1.0 1.0 2\n"
-        ele = "2 3 0\n1 1 2 4\n2 1 4 3\n"
-        edge = "4 1\n1 1 2 3\n2 4 3 4\n3 2 4 2\n4 3 1 1\n"
-        fixture = read_triangle_mesh(node, ele, edge,
-                                     marker_labels={1: "left", 2: "right", 3: "bottom", 4: "top"})
-        built = uniform_rect_mesh(1, 1)
-        assert np.array_equal(fixture.vertices, built.vertices)
-        assert np.array_equal(fixture.triangles, built.triangles)
-        assert np.array_equal(fixture.boundary_edges, built.boundary_edges)
-        assert fixture.boundary_labels == built.boundary_labels
-
-    def test_dangling_vertex_index(self):
-        node = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
-        ele = "1 3 0\n1 1 2 9\n"
-        edge = "0 0\n"
-        with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(node, ele, edge)
-        assert str(err.value) == ".ele at line 2: vertex index out of range (have 3 vertices)"
-
-    def test_zero_area_triangle(self):
-        node = "3 2 0 0\n1 0 0\n2 1 0\n3 2 0\n"
-        ele = "1 3 0\n1 1 2 3\n"
-        edge = "0 0\n"
-        with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(node, ele, edge)
-        assert str(err.value) == ".ele at line 2: triangle 1 has zero area"
-
-    def test_orientation_fixed(self):
-        node = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
-        ele = "1 3 0\n1 1 3 2\n"  # clockwise on purpose
-        edge = "3 1\n1 1 2 1\n2 2 3 1\n3 3 1 1\n"
-        m = read_triangle_mesh(node, ele, edge)
-        assert np.all(signed_areas(m) > 0)
+class TestBuildMesh:
+    # the unit square cut along its diagonal (0, 2)
+    VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
 
     def test_boundary_edge_outside_every_triangle(self):
-        # the unit square cut along (1, 3): the other diagonal is no triangle side
-        node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
-        ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
-        edge = "2 1\n1 1 2 1\n2 2 4 1\n"
+        # the other diagonal is no triangle side
         with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(node, ele, edge)
-        assert str(err.value) == "boundary at line 3: boundary edge (2, 4) does not belong to any triangle"
+            _build_mesh(self.VERTICES, self.TRIANGLES, [[0, 1], [1, 3]], ["a", "a"])
+        assert str(err.value) == "boundary edge (1, 3) does not belong to any triangle"
 
     def test_boundary_edge_inside_the_domain(self):
-        # the unit square cut along (1, 3), whose diagonal is listed as boundary
-        node = "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
-        ele = "2 3 0\n1 1 2 3\n2 1 3 4\n"
-        edge = "5 1\n1 1 2 1\n2 2 3 1\n3 3 4 1\n4 4 1 1\n5 3 1 2\n"
+        # the diagonal, listed as boundary after the square's four sides
         with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(node, ele, edge)
-        assert str(err.value) == "boundary at line 6: boundary edge (3, 1) is shared by more than one triangle"
-
-    def test_malformed_header(self):
-        with pytest.raises(MeshFormatError):
-            read_triangle_mesh("oops\n", "1 3 0\n1 1 2 3\n", "0 0\n")
-
-    NODE = "# unit triangle\n3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
-    ELE = "1 3 0\n1 1 2 3\n"
-    EDGE = "3 1\n1 1 2 1\n2 2 3 1\n3 3 1 1\n"
-
-    @pytest.mark.parametrize("which, text, message", [
-        ("node", "", "empty .node input"),
-        ("node", "# unit triangle\n3 2 0 0\n1 0 0\n\n2 1 0\n", ".node: expected 3 vertices, file ended after 2"),
-        ("node", "# unit triangle\n3 2 0 0\n1 0 0\n2 1\n3 0 1\n", ".node at line 4: expected index, x, y"),
-        ("node", "3 2 1 0\n1 0 0 7\n2 1 0\n3 0 1 7\n", ".node at line 3: expected index, x, y"),
-        ("node", "3 2 0 0\n1 0 0\n\n2 1\n", ".node at line 4: expected index, x, y"),
-        ("ele", "", "empty .ele input"),
-        ("ele", "2 3 0\n1 1 2 3\n", ".ele: expected 2 triangles, file ended after 1"),
-        ("ele", "1 3 0\n# the only triangle\n1 1 2\n", ".ele at line 3: expected index and three vertices"),
-        ("edge", "", "empty boundary input"),
-        ("edge", "3 1\n1 1 2 1\n", "boundary: expected 3 edges, file ended after 1"),
-        ("edge", "3 1\n1 1 2 1\n2 2 3\n3 3 1 1\n", "boundary at line 3: expected index, v1, v2, marker"),
-    ])
-    def test_truncated_and_short_record_messages(self, which, text, message):
-        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
-        files[which] = text
-        with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(files["node"], files["ele"], files["edge"])
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("which, text, message", [
-        ("node", "# unit triangle\n-3 2 0 0\n1 0 0\n", ".node header at line 2: negative record count -3"),
-        ("ele", "-1 3 0\n1 1 2 3\n", ".ele header at line 1: negative record count -1"),
-        ("edge", "-3 1\n1 1 2 1\n", "boundary header at line 1: negative record count -3"),
-    ], ids=["node", "ele", "edge"])
-    def test_negative_record_count(self, which, text, message):
-        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
-        files[which] = text
-        with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(files["node"], files["ele"], files["edge"])
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("which, text, message", [
-        ("node", "3 2 -1 0\n1 0 0\n2 1 0\n3 0 1\n", ".node header at line 1: negative attribute count -1"),
-        ("node", "# unit triangle\n3 2 0 -1\n1 0 0\n2 1 0\n3 0 1\n",
-         ".node header at line 2: negative boundary marker count -1"),
-        ("node", "3 -2 0 0\n1 0 0\n2 1 0\n3 0 1\n", ".node header at line 1: negative dimension -2"),
-        ("ele", "1 -3 0\n1 1 2 3\n", ".ele header at line 1: negative nodes per triangle -3"),
-        ("ele", "1 3 -2\n1 1 2 3\n", ".ele header at line 1: negative attribute count -2"),
-        ("edge", "3 -1\n1 1 2 1\n2 2 3 1\n3 3 1 1\n", "boundary header at line 1: negative boundary marker count -1"),
-    ], ids=["node_attributes", "node_markers", "node_dimension", "ele_nodes", "ele_attributes", "edge_markers"])
-    def test_negative_header_field(self, which, text, message):
-        # every count field is checked, not only the record count: a negative
-        # attribute count once sliced the coordinates short (IndexError)
-        files = {"node": self.NODE, "ele": self.ELE, "edge": self.EDGE}
-        files[which] = text
-        with pytest.raises(MeshFormatError) as err:
-            read_triangle_mesh(files["node"], files["ele"], files["edge"])
-        assert str(err.value) == message
-
-    def test_comments_extra_fields_and_trailing_lines(self):
-        # comments, blank lines, attribute and marker columns, and lines past
-        # the record count are read as the line-by-line reader read them
-        node = "3 2 1 1  # header\n\n0 0 0 5 1\n# between\n1 1.5 0 6 1 # tail\n2 0 1e0 7 0\nextra line\n"
-        ele = "1 3 1\n0 0 2 1 9\n\n"
-        edge = "2 1\n0 0 1 3\n1 2 0 4\n2 1 2 3 ignored\n"
-        m = read_triangle_mesh(node, ele, edge, marker_labels={3: "wall"})
-        assert np.array_equal(m.vertices, [[0.0, 0.0], [1.5, 0.0], [0.0, 1.0]])
-        assert np.array_equal(m.triangles, [[0, 1, 2]])
-        assert m.boundary_labels == ("wall", "marker4")
-
-    def test_non_numeric_field_is_format_error(self):
-        with pytest.raises(MeshFormatError, match=r"^\.ele: "):
-            read_triangle_mesh(self.NODE, "1 3 0\n1 1 2 x\n", self.EDGE)
-
-    def test_zero_boundary_count_reads(self):
-        m = read_triangle_mesh(self.NODE, self.ELE, "0 1  # no boundary edges\n")
-        assert m.boundary_edges.shape == (0, 2) and m.boundary_edges.dtype == np.dtype(int)
-        assert m.boundary_labels == ()
-
-    def test_well_formed_counterpart_reads(self):
-        m = read_triangle_mesh(self.NODE, self.ELE, self.EDGE)
-        assert m.num_vertices == 3 and len(m.triangles) == 1
-        assert m.boundary_labels == ("marker1",) * 3
+            _build_mesh(self.VERTICES, self.TRIANGLES, [[0, 1], [1, 2], [2, 3], [3, 0], [2, 0]], ["a"] * 5)
+        assert str(err.value) == "boundary edge (2, 0) is shared by more than one triangle"
 
 
 class TestEdgeTable:
@@ -394,21 +272,6 @@ class TestCylinderMesh:
         flipped[::2] = flipped[::2, ::-1]
         rebuilt = _build_mesh(mesh.vertices, mesh.triangles, flipped, mesh.boundary_labels)
         assert np.array_equal(rebuilt.boundary_edges, want)
-
-    def test_every_third_edge_flipped_on_input(self, mesh):
-        data = resources.files("flowrom").joinpath("data")
-        node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text() for ext in ("node", "ele", "edge"))
-        lines = edge.splitlines()
-        for k in range(1, len(lines), 3):
-            i, a, b, marker = lines[k].split()
-            lines[k] = f"{i} {b} {a} {marker}"
-        assert lines != edge.splitlines()
-        flipped = read_triangle_mesh(node, ele, "\n".join(lines) + "\n",
-                                     marker_labels={1: "inflow", 2: "outflow", 3: "wall", 4: "cylinder"})
-        assert np.array_equal(flipped.boundary_edges, mesh.boundary_edges)
-        assert flipped.boundary_labels == mesh.boundary_labels
-        raw = np.array([line.split()[1:3] for line in edge.splitlines()[1:]], dtype=int) - 1
-        assert np.array_equal(flipped.boundary_edges, loop_orient(mesh.triangles, raw))
 
     def test_quality(self, mesh):
         # no sliver triangles: minimum angle above 20 degrees
