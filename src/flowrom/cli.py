@@ -74,7 +74,7 @@ def _centering(text):
 CONFIG_KEYS = {
     "problem": {"name": str, "nx": int, "ny": int},
     "fom": {"nu": float, "dt": float, "t_end": float, "form": NonlinearForm.parse, "scheme": str,
-            "snapshot_start": float, "snapshot_end": float, "snapshot_stride": int, "newton_max_iter": int},
+            "snapshot_start": float, "snapshot_end": float, "snapshot_stride": int},
     "rom": {"r": int, "centering": _centering},
     "output": {"prefix": str},
 }
@@ -146,7 +146,7 @@ def _build_problem(path):
         for key in ("nx", "ny"):
             if key in prob:
                 raise ConfigError(f"{path}: [problem] {key}: {name} runs on the bundled mesh, which has no {key}")
-        mesh = load_bundled_mesh("cylinder")
+        mesh = load_bundled_mesh()
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
     else:
@@ -266,9 +266,7 @@ def cmd_rom(args):
     basis.projection = covering_projection(space, basis, r)
     ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
     t0 = coords.times[0]
-    traj = run_rom(ops, coords.coeffs[0, :r], dt, (coords.count - 1) * stride * dt,
-                   scheme=fom_cfg.scheme, newton_tol=fom_cfg.newton_tol,
-                   newton_max_iter=fom_cfg.newton_max_iter)
+    traj = run_rom(ops, coords.coeffs[0, :r], dt, (coords.count - 1) * stride * dt, scheme=fom_cfg.scheme)
 
     prefix = _out_prefix(config, args.out)
     tag = f"{form.value}_r{r}"
@@ -286,7 +284,7 @@ def cmd_rom(args):
         drag, u_prev, u_old = [np.nan], None, reconstruct_field(basis, traj.coeffs[0])
         for c in traj.coeffs[1:]:
             u = reconstruct_field(basis, c)
-            drag.append(step_drag(space, fom_cfg, dt, u, u_old, u_prev))
+            drag.append(step_drag(space, fom_cfg, u, u_old, u_prev))
             u_prev, u_old = u_old, u
         cols.append(drag)
         headers.append("drag")

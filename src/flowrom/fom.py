@@ -78,7 +78,8 @@ from .fem import (
     nonlinear_residual,
     saddle_block,
 )
-from .numerics import NewtonConvergenceError, factorize, grid_step, implicit_step, solve_sparse, step_count
+from .numerics import (NEWTON_MAX_ITER, NEWTON_TOL, SCHEMES, NewtonConvergenceError, factorize, grid_step,
+                       implicit_step, solve_sparse, step_count)
 from .pod import SnapshotSet
 from .diagnostics import ScalarSeries, energy_enstrophy
 
@@ -100,7 +101,8 @@ class FomConfig:
     snapshot window is a closed time interval that holds at least one step,
     ``(0.0, t_end)`` when unset; snapshots are taken every
     ``snapshot_stride``-th step inside it.  ``drag_label`` names the
-    boundary whose drag (:func:`step_drag`) is recorded, if any.
+    boundary whose drag (:func:`step_drag`) is recorded, if any, and
+    ``scheme`` is one of ``numerics.SCHEMES``.
     """
 
     nu: float
@@ -111,8 +113,7 @@ class FomConfig:
     boundary: dict = field(default_factory=dict)
     snapshot_window: tuple = None
     snapshot_stride: int = 1
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 20
+    newton_tol: float = NEWTON_TOL
     drag_label: str = None
     project_initial: bool = False
 
@@ -121,10 +122,8 @@ class FomConfig:
         if not 0 < self.nu < np.inf:
             raise ValueError("nu must be positive and finite")
         n_steps = step_count(self.dt, self.t_end)
-        if self.scheme not in ("backward_euler", "bdf2"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.newton_max_iter < 0:
-            raise ValueError("newton_max_iter must be non-negative")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
         if self.snapshot_window is None:
@@ -296,9 +295,8 @@ def advance_step(state, config, space, held=None):
     every later one; L, the essential mask and the values come from it.
     Without one the step builds its own, factorizes on its first iteration
     and reuses both within the step only.  The history load is formed once
-    per step.  ``config.newton_max_iter`` bounds the linear solves per step.
-    Raises :class:`NewtonConvergenceError` when the residual does not reach
-    ``config.newton_tol`` within that budget.
+    per step.  Raises :class:`NewtonConvergenceError` when ``config.newton_tol``
+    is not reached in ``numerics.NEWTON_MAX_ITER`` linear solves.
     """
     held = HeldFactor() if held is None else held
     dt = config.dt
@@ -323,12 +321,12 @@ def advance_step(state, config, space, held=None):
 
     n_factor = 0
     prev_norm = None
-    for it in range(config.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         residual = _staged_residual(space, config.form, block, x, load, mask)
         res_norm = np.linalg.norm(residual)
         if res_norm <= config.newton_tol:
             break
-        if it == config.newton_max_iter or not np.isfinite(res_norm):
+        if it == NEWTON_MAX_ITER or not np.isfinite(res_norm):
             raise NewtonConvergenceError(
                 f"Newton stalled at step {state.step + 1} (t={t_new:g}): "
                 f"residual {res_norm:.3e} after {it} iterations",
@@ -363,8 +361,8 @@ def _drag_lifting(space, label, labels):
     return stokes_project(space, np.zeros(space.n_vel), boundary)
 
 
-def step_drag(space, config, dt, u, u_old, u_prev=None):
-    """Drag coefficient c_D = -20 v_d . R / (1 + w) of the step from ``u_old`` to ``u``.
+def step_drag(space, config, u, u_old, u_prev=None):
+    """Drag coefficient c_D = -20 v_d . R / (1 + w) of the ``config.dt`` step from ``u_old`` to ``u``.
 
     R = M (alpha u - hist) / dt + F(u) + w F(u_old), F(u) = nu K u + N(u),
     is the step's velocity residual without -D^T p, with alpha, hist and w
@@ -378,7 +376,7 @@ def step_drag(space, config, dt, u, u_old, u_prev=None):
     through its boundary values, to the Newton tolerance.
     """
     alpha, hist, _, weight = implicit_step(config.scheme, u_old, u_prev)
-    residual = space.mass() @ (alpha * u - hist) / dt + _operator(space, config, u)
+    residual = space.mass() @ (alpha * u - hist) / config.dt + _operator(space, config, u)
     if weight:
         residual += weight * _operator(space, config, u_old)
     lifting = _drag_lifting(space, config.drag_label, tuple(config.boundary))
@@ -443,7 +441,7 @@ def run_fom(config, mesh, space, u0):
     for _ in range(n_steps):
         old, state = state, advance_step(state, config, space, held)
         record(state, np.nan if config.drag_label is None
-               else step_drag(space, config, dt, state.u, old.u, old.u_prev))
+               else step_drag(space, config, state.u, old.u, old.u_prev))
 
     t_arr = np.array(times)
     out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}

@@ -208,15 +208,13 @@ def read_triangle_mesh(node_text, ele_text, boundary_text):
     return _build_mesh(vertices, triangles, edges[:, :2] - 1, [CYLINDER_LABELS[m] for m in edges[:, 2].tolist()])
 
 
-def load_bundled_mesh(name):
-    """Load a mesh shipped with the package; ``"cylinder"`` is the only one.
+def load_bundled_mesh():
+    """Load the mesh shipped with the package, the cylinder channel.
 
     It is a coarse pre-generated triangulation of the 2.2 x 0.41 channel
     with a polygonal approximation of the radius-0.05 hole centered at
     (0.2, 0.2); labels are ``inflow``/``outflow``/``wall``/``cylinder``.
     """
-    if name != "cylinder":
-        raise ValueError(f"no bundled mesh named {name!r}; available: ['cylinder']")
     data = resources.files("flowrom").joinpath("data")
     node, ele, edge = (data.joinpath(f"cylinder_coarse.{ext}").read_text() for ext in ("node", "ele", "edge"))
     return read_triangle_mesh(node, ele, edge)

@@ -16,10 +16,10 @@ fixed in one place:
 * ``step_count``, ``implicit_step``, ``uniform_step`` -- the one implicit
                       time scheme and grid that the FOM and the ROM both step:
                       backward Euler, or BDF2 started by one theta = 2/3
-                      step, which shares BDF2's Newton matrix.  A Newton
-                      iteration of either that fails raises
-                      ``NewtonConvergenceError``.  ``times_agree`` is the one
-                      rule for whether two times on a grid are the same.
+                      step, which shares BDF2's Newton matrix.  Newton stops
+                      at ``NEWTON_TOL``, or raises ``NewtonConvergenceError``
+                      after ``NEWTON_MAX_ITER`` updates.  ``times_agree`` is
+                      the one rule for whether two times on a grid are the same.
 
 All functions are pure and operate on plain numpy arrays / scipy sparse
 matrices.  ``factorize`` takes the fill-reducing order from the caller:
@@ -110,7 +110,7 @@ def sym_eig(m):
     Parameters
     ----------
     m : (n, n) array_like
-        Symmetric matrix (checked to 1e-12 relative).
+        Symmetric matrix (checked to 1e-12 relative, then symmetrized).
 
     Returns
     -------
@@ -289,6 +289,12 @@ def step_count(dt, t_end):
     return n_steps
 
 
+# the schemes of both models, and each step's Newton residual norm and update budget
+SCHEMES = ("backward_euler", "bdf2")
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 20
+
+
 def implicit_step(scheme, x, x_prev):
     """``(alpha, history, start, weight)`` of the step after ``x``.
 
@@ -302,7 +308,7 @@ def implicit_step(scheme, x, x_prev):
     second order, and its alpha is BDF2's: one Newton matrix serves the
     whole run.
     """
-    if scheme not in ("backward_euler", "bdf2"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "bdf2":
         if x_prev is None:

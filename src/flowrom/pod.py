@@ -162,7 +162,6 @@ def build_pod_basis(snapshots, space, centering="none", rank_tol=1e-12):
 
     mx = mass @ xc
     gram = xc.T @ mx / count
-    gram = 0.5 * (gram + gram.T)
     vals, vecs = sym_eig(gram)
     vals = np.clip(vals, 0.0, None)
     if vals[0] <= 0.0:

@@ -66,7 +66,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .fem import NonlinearForm
-from .numerics import NewtonConvergenceError, implicit_step, step_count
+from .numerics import NEWTON_MAX_ITER, NEWTON_TOL, NewtonConvergenceError, implicit_step, step_count
 
 
 @dataclass
@@ -277,19 +277,19 @@ def assemble_rom_operators(space, basis, r, form, nu):
 
 # a diverging iterate overflows; the residual check reports it as NewtonConvergenceError
 @np.errstate(over="ignore", invalid="ignore")
-def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
-            newton_tol=1e-10, newton_max_iter=20):
+def run_rom(ops, a0, dt, t_end, scheme, newton_tol=NEWTON_TOL):
     """Integrate the reduced system implicitly from coefficients ``a0``.
 
-    Steps the full-order scheme (``numerics.step_count`` and
-    ``implicit_step``), with Newton iteration to ``newton_tol`` on the
+    Steps the FOM's ``scheme``, which has no default (``numerics.step_count``
+    and ``implicit_step``), with Newton iteration to ``newton_tol`` on the
     r-dimensional residual and dense linear solves.  Each evaluated iterate
     takes one :meth:`RomOperators.quadratic_jacobian`; BDF2's first step
     reads the operator at a^0 off its first iterate's, which is a^0.  The
-    trajectory records the Newton updates of each step.  A non-finite residual, an
-    exactly singular Newton matrix and a step that does not converge in
-    ``newton_max_iter`` updates raise ``numerics.NewtonConvergenceError``
-    with the failing step index and the last residual norm.
+    trajectory records the Newton updates of each step.  A non-finite
+    residual, an exactly singular Newton matrix and a step that does not
+    converge in ``numerics.NEWTON_MAX_ITER`` updates raise
+    ``numerics.NewtonConvergenceError`` with the failing step index and the
+    last residual norm.
     """
     n_steps = step_count(dt, t_end)
     r = ops.r
@@ -313,7 +313,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
             shift = rate * np.eye(r) + visc_modes
         load = hist / dt
         failure = None
-        for it in range(newton_max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             c = ops.extend(a_new)
             g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
             quad, visc = 0.5 * (g @ c), ops.visc @ c
@@ -328,7 +328,7 @@ def run_rom(ops, a0, dt, t_end, scheme="backward_euler",
                 break
             if res_norm <= newton_tol:
                 break
-            if it == newton_max_iter:
+            if it == NEWTON_MAX_ITER:
                 failure = f"residual {res_norm:.3e} after {it} updates"
                 break
             _, _, step, info = lapack.dgesv(shift + g[:, o:], res, overwrite_a=True)

@@ -61,7 +61,7 @@ def three_spaces():
     kh = identify_periodic(uniform_rect_mesh(16, 16), "x")
     tg = identify_periodic(identify_periodic(uniform_rect_mesh(12, 12, 2.0, 2.0), "x"), "y")
     return {name: TaylorHoodSpace(mesh)
-            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", load_bundled_mesh("cylinder")))}
+            for name, mesh in (("kh", kh), ("tg", tg), ("cylinder", load_bundled_mesh()))}
 
 
 @pytest.fixture(scope="session")

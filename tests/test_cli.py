@@ -376,8 +376,8 @@ class TestPipeline:
         basis = read_basis(basis_path, space=problem.space)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
-        want = [step_drag(problem.space, problem.fom, problem.fom.dt, u[n], u[n - 1],
-                          u[n - 2] if n > 1 else None) for n in range(1, len(u))]
+        want = [step_drag(problem.space, problem.fom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+                for n in range(1, len(u))]
         assert np.array_equal(rom[3][1:], want)
 
 
@@ -391,6 +391,7 @@ class TestErrorPaths:
         ("[output]", "[solver]\nnewton_tol = 1e-12\n\n[output]"),  # unknown section
         ("nx = 8\nny = 8", "nx = 8\nnx = 9\nny = 8"),  # duplicate key
         ("ny = 8", "ny = 8\nmesh = bundled"),  # deleted: the bundled mesh is the only cylinder mesh
+        ("[rom]", "newton_max_iter = 5\n\n[rom]"),  # deleted: the budget is fixed
     ])
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys, edit):
         cfg = tmp_path / "bad.ini"
@@ -730,16 +731,18 @@ class TestErrorPaths:
             assert f"{cfg}: [problem] name: unknown problem {name!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, edit, code, message", [
-        ("fom", ("[rom]", "newton_max_iter = 0\n\n[rom]"), 3, "solver error: Newton stalled at step 1"),
+        ("fom", None, 3, "solver error: Newton stalled at step 1"),  # a Newton budget of 0
         ("pod", ("r = 3", "r = 0"), 2,
          "config error: {cfg}: [rom] r: requested r=0 is outside 1..6 (the basis rank)"),
     ], ids=["fom_newton_stall", "pod_r_zero"])
-    def test_failure_makes_no_out_directory(self, micro_pipeline, tmp_path, capsys, command, edit, code,
-                                            message):
+    def test_failure_makes_no_out_directory(self, micro_pipeline, tmp_path, capsys, monkeypatch, command, edit,
+                                            code, message):
         # --out is made only after the last check that can fail
         root, _ = micro_pipeline
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(MICRO_KH.replace(*edit))
+        if edit is None:
+            monkeypatch.setattr("flowrom.fom.NEWTON_MAX_ITER", 0)
+        cfg.write_text(MICRO_KH.replace(*edit) if edit else MICRO_KH)
         assert main(_subcommand(command, root, cfg, tmp_path / "out")) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(message.format(cfg=cfg))
@@ -767,17 +770,19 @@ class TestErrorPaths:
                          "--form", form, "--out", str(tmp_path)])
             assert code == 0
 
-    def test_fom_newton_failure(self, tmp_path, capsys):
+    def test_fom_newton_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("flowrom.fom.NEWTON_MAX_ITER", 0)
         cfg = tmp_path / "stall.ini"
-        cfg.write_text(MICRO_KH.replace("[rom]", "newton_max_iter = 0\n\n[rom]"))
+        cfg.write_text(MICRO_KH)
         assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "Newton stalled at step 1" in capsys.readouterr().err
         assert not (tmp_path / "micro_snapshots.bin").exists()
 
-    def test_rom_newton_failure(self, micro_pipeline, tmp_path, capsys):
+    def test_rom_newton_failure(self, micro_pipeline, tmp_path, capsys, monkeypatch):
         root, _ = micro_pipeline
+        monkeypatch.setattr("flowrom.rom.NEWTON_MAX_ITER", 0)
         cfg = tmp_path / "stall.ini"
-        cfg.write_text(MICRO_KH.replace("[rom]", "newton_max_iter = 0\n\n[rom]"))
+        cfg.write_text(MICRO_KH)
         code = main(["rom", str(root / "micro_basis.bin"), "--archive",
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      "--out", str(tmp_path)])

@@ -20,7 +20,7 @@ from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field
 
 @pytest.fixture(scope="module")
 def cylinder_space():
-    return TaylorHoodSpace(load_bundled_mesh("cylinder"))
+    return TaylorHoodSpace(load_bundled_mesh())
 
 
 class TestScalarSeries:
@@ -181,7 +181,7 @@ class TestReducedTrajectoryError:
         for form in ("skew", "emac", "convective", "rotational"):
             for r in (2, 6, basis.rank):
                 ops = assemble_rom_operators(space, basis, r, form, cfg.nu)
-                trajs.append(run_rom(ops, coeffs[0, :r], cfg.dt, cfg.t_end).coeffs)
+                trajs.append(run_rom(ops, coeffs[0, :r], cfg.dt, cfg.t_end, cfg.scheme).coeffs)
         return space, snaps, basis, cfg.nu, trajs
 
     @pytest.mark.parametrize("case", ["kh", "cylinder"])

@@ -132,7 +132,7 @@ def edge_spaces():
     and x = 1 share their values.
     """
     kh = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(16, 16), "x"))
-    return {"cylinder": (TaylorHoodSpace(load_bundled_mesh("cylinder")), 0.8), "kh16": (kh, 0.0)}
+    return {"cylinder": (TaylorHoodSpace(load_bundled_mesh()), 0.8), "kh16": (kh, 0.0)}
 
 
 def quadratic_field(x, y, cross):
@@ -412,7 +412,7 @@ class TestConstraints:
         assert np.abs(x).max() < 1e-14
 
     def test_inflow_profile_midpoint_value(self):
-        mesh = load_bundled_mesh("cylinder")
+        mesh = load_bundled_mesh()
         space = TaylorHoodSpace(mesh)
         mask, vals = space.dirichlet_data(cylinder_boundary())
         nodes = space.boundary_scalar_nodes("inflow")
@@ -701,7 +701,7 @@ def benchmark_spaces():
     kh = identify_periodic(uniform_rect_mesh(32, 32), "x")
     tg = identify_periodic(identify_periodic(uniform_rect_mesh(48, 48, 2.0, 2.0), "x"), "y")
     return {name: TaylorHoodSpace(mesh) for name, mesh in (
-        ("kh32", kh), ("tg48", tg), ("cylinder", load_bundled_mesh("cylinder")),
+        ("kh32", kh), ("tg48", tg), ("cylinder", load_bundled_mesh()),
         ("rect5x3", uniform_rect_mesh(5, 3)))}
 
 

@@ -217,7 +217,7 @@ class TestEdgeTable:
 
 @pytest.fixture(scope="module")
 def cylinder_mesh():
-    return load_bundled_mesh("cylinder")
+    return load_bundled_mesh()
 
 
 class TestCylinderMesh:

@@ -65,7 +65,7 @@ def cylinder_basis():
     The mean carries inflow values, so the integration-by-parts identities
     between the forms fail here; the pointwise cube combinations do not.
     """
-    space = TaylorHoodSpace(load_bundled_mesh("cylinder"))
+    space = TaylorHoodSpace(load_bundled_mesh())
     fields = np.random.default_rng(29).standard_normal((space.n_vel, 5))
     snaps = SnapshotSet(matrix=fields, times=np.arange(5.0))
     return space, build_pod_basis(snaps, space, centering="mean")
@@ -361,7 +361,7 @@ class TestRunRom:
         space, _, basis = rom_setup
         r = min(4, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
-        traj = run_rom(ops, np.zeros(r), 0.05, 0.5)
+        traj = run_rom(ops, np.zeros(r), 0.05, 0.5, scheme="backward_euler")
         assert np.all(traj.coeffs == 0.0)
         assert traj.times[-1] == pytest.approx(0.5)
         assert np.all(traj.newton_iters == 0)  # the initial guess already solves every step
@@ -376,7 +376,7 @@ class TestRunRom:
         assert traj.newton_iters[0] == 0
         assert np.all((traj.newton_iters[1:] >= 1) & (traj.newton_iters[1:] <= 20))
 
-    def test_newton_blowup_reports_step(self, rom_setup):
+    def test_newton_blowup_reports_step(self, rom_setup, monkeypatch):
         space, _, basis = rom_setup
         r = min(4, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=1e-6)
@@ -384,8 +384,9 @@ class TestRunRom:
         # a stiff unstable linear term the dt cannot resolve: backward Euler
         # still solves it, so force failure via the iteration budget
         ops.visc[:] = -1e8 * np.eye(r)
+        monkeypatch.setattr(flowrom.rom, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonConvergenceError) as err:
-            run_rom(ops, np.ones(r), 1e-8, 1e-7, newton_tol=1e-30, newton_max_iter=1)
+            run_rom(ops, np.ones(r), 1e-8, 1e-7, scheme="backward_euler", newton_tol=1e-30)
         assert err.value.step >= 1 and err.value.residual > 1e-30
 
     def test_non_finite_residual_reports_step(self, rom_setup):
@@ -394,7 +395,7 @@ class TestRunRom:
         r = min(4, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
         with pytest.raises(NewtonConvergenceError, match="at step 1 .*: non-finite residual") as err:
-            run_rom(ops, np.full(r, 1e200), 0.05, 0.5)
+            run_rom(ops, np.full(r, 1e200), 0.05, 0.5, scheme="backward_euler")
         assert err.value.step == 1 and not np.isfinite(err.value.residual)
 
     def test_singular_newton_matrix_reports_step(self):

@@ -99,11 +99,11 @@ def test_tracer_targets_resolve():
         assert installed.missing == []
 
 
-def _modules_holding(text):
-    """The modules under src/flowrom and demos/, io.py aside, that hold ``text``."""
+def _modules_holding(text, owner="io.py"):
+    """The modules under src/flowrom and demos/, the package's ``owner`` aside, that hold ``text``."""
     paths = sorted([*(ROOT / "src" / "flowrom").rglob("*.py"), *(ROOT / "demos").rglob("*.py")])
     return [f"{path.parent.name}/{path.name}" for path in paths
-            if path != ROOT / "src" / "flowrom" / "io.py" and text in path.read_text()]
+            if path != ROOT / "src" / "flowrom" / owner and text in path.read_text()]
 
 
 def test_only_io_formats_numbers():
@@ -115,6 +115,12 @@ def test_only_io_formats_numbers():
 def test_only_io_splits_csv_rows():
     # io.read_csv is the only reader of tables; the others look its columns up by name
     assert _modules_holding('split(",")') == []
+
+
+def test_only_numerics_sets_the_newton_iteration():
+    # numerics.NEWTON_TOL and NEWTON_MAX_ITER stop the Newton iteration of
+    # both models; no other module keeps a tolerance or a budget of its own
+    assert [_modules_holding(text, owner="numerics.py") for text in ("1e-10", "newton_max_iter")] == [[], []]
 
 
 def test_only_cached_touches_the_memo():
