@@ -14,7 +14,7 @@ from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity,
                          run_fom)
 from flowrom.mesh import identify_periodic, uniform_rect_mesh
-from flowrom.pod import build_pod_basis, pod_projection_error
+from flowrom.pod import RANK_TOL, build_pod_basis, pod_projection_error
 
 mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
 space = TaylorHoodSpace(mesh)
@@ -26,7 +26,7 @@ _, snaps, _ = run_fom(cfg, mesh, space, u0)
 
 basis = build_pod_basis(snaps, space)
 print(f"{snaps.count} snapshots -> rank {basis.rank} basis "
-      f"(cutoff 1e-12 relative to lambda_1)")
+      f"(cutoff {RANK_TOL:g} relative to lambda_1)")
 
 print(f"\n{'k':>3} {'lambda_k':>12} {'lambda_k/lambda_1':>18} {'|grad psi_k|':>13}")
 for k in range(basis.rank):

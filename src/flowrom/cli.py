@@ -136,17 +136,16 @@ def _build_problem(path):
     if name == "kelvin-helmholtz":
         nx = prob.get("nx", 32)
         try:
-            square = uniform_rect_mesh(nx, prob.get("ny", nx))
+            space = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(nx, prob.get("ny", nx)), "x"))
         except ValueError as exc:
             raise ConfigError(f"{path}: [problem] nx, ny: {exc}") from exc
-        mesh = identify_periodic(square, "x")
         fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
         centering, velocity = "none", kelvin_helmholtz_velocity
     elif name == "cylinder-channel":
         for key in ("nx", "ny"):
             if key in prob:
                 raise ConfigError(f"{path}: [problem] {key}: {name} runs on the bundled mesh, which has no {key}")
-        mesh = load_bundled_mesh()
+        space = TaylorHoodSpace(load_bundled_mesh())
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
     else:
@@ -160,7 +159,7 @@ def _build_problem(path):
         fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:
         raise ConfigError(f"{path}: [fom] {exc}") from exc
-    return _Problem(config, TaylorHoodSpace(mesh), fom_cfg, centering, velocity)
+    return _Problem(config, space, fom_cfg, centering, velocity)
 
 
 def _out_prefix(config, outdir):

@@ -259,8 +259,10 @@ class TaylorHoodSpace:
 
     Periodic vertex pairs of the mesh are folded: slave P2 nodes (vertices
     and midpoints of slave edges) share the DOF of their master, both for
-    velocity and pressure.  One pressure DOF (index 0) is pinned during
-    solves since neither experiment carries an essential pressure condition.
+    velocity and pressure.  A fold that maps an edge's two vertices to one,
+    or merges two edges that share a vertex, raises ``ValueError``.  One
+    pressure DOF (index 0) is pinned during solves since neither experiment
+    carries an essential pressure condition.
     """
 
     def __init__(self, mesh):
@@ -287,6 +289,13 @@ class TaylorHoodSpace:
         _, first, seam = np.unique(np.minimum(ra, rb) * nv + np.maximum(ra, rb),
                                    return_index=True, return_inverse=True)
         eroot = first[seam]
+        # a translate shares no vertex with its copies; a fold of a mesh one
+        # or two cells across a seam collapses an edge or merges two edges
+        # that share a vertex, and leaves no P2 space
+        distinct = np.bincount(np.unique(np.repeat(seam, 2) * nv + self.edges.ravel()) // nv)
+        if np.any(ra == rb) or np.any(distinct < 2 * np.bincount(seam)):
+            raise ValueError("the periodic fold collapses an edge or merges two that share a vertex: "
+                             "too few cells across a seam")
 
         scalar_root = np.concatenate([vroot, nv + eroot])
         roots = np.unique(scalar_root)

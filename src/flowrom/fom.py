@@ -102,7 +102,8 @@ class FomConfig:
     ``(0.0, t_end)`` when unset; snapshots are taken every
     ``snapshot_stride``-th step inside it.  ``drag_label`` names the
     boundary whose drag (:func:`step_drag`) is recorded, if any, and
-    ``scheme`` is one of ``numerics.SCHEMES``.
+    ``scheme`` is one of ``numerics.SCHEMES``.  The Newton tolerance and
+    budget are not settings: every step stops at ``numerics.NEWTON_TOL``.
     """
 
     nu: float
@@ -113,7 +114,6 @@ class FomConfig:
     boundary: dict = field(default_factory=dict)
     snapshot_window: tuple = None
     snapshot_stride: int = 1
-    newton_tol: float = NEWTON_TOL
     drag_label: str = None
     project_initial: bool = False
 
@@ -295,8 +295,9 @@ def advance_step(state, config, space, held=None):
     every later one; L, the essential mask and the values come from it.
     Without one the step builds its own, factorizes on its first iteration
     and reuses both within the step only.  The history load is formed once
-    per step.  Raises :class:`NewtonConvergenceError` when ``config.newton_tol``
-    is not reached in ``numerics.NEWTON_MAX_ITER`` linear solves.
+    per step.  Raises :class:`NewtonConvergenceError` when
+    ``numerics.NEWTON_TOL`` is not reached in ``NEWTON_MAX_ITER`` linear
+    solves.
     """
     held = HeldFactor() if held is None else held
     dt = config.dt
@@ -324,7 +325,7 @@ def advance_step(state, config, space, held=None):
     for it in range(NEWTON_MAX_ITER + 1):
         residual = _staged_residual(space, config.form, block, x, load, mask)
         res_norm = np.linalg.norm(residual)
-        if res_norm <= config.newton_tol:
+        if res_norm <= NEWTON_TOL:
             break
         if it == NEWTON_MAX_ITER or not np.isfinite(res_norm):
             raise NewtonConvergenceError(

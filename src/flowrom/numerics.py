@@ -278,7 +278,7 @@ def grid_step(t, dt):
 
 
 def step_count(dt, t_end):
-    """The steps ``dt`` in ``t_end``, both positive and finite and ``t_end`` on a step (:func:`grid_step`)."""
+    """The steps ``dt`` in ``t_end``, both positive and finite and ``t_end`` on a step (:func:`grid_step`) past 0."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < t_end < np.inf:
@@ -286,6 +286,8 @@ def step_count(dt, t_end):
     n_steps = grid_step(t_end, dt)
     if n_steps is None:
         raise ValueError("t_end must be an integer multiple of dt")
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end:g} holds no step of dt = {dt:g}")
     return n_steps
 
 

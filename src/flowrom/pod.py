@@ -3,7 +3,8 @@
 The snapshot Gram matrix ``C_ij = (u_i, u_j)_{L2} / (M+1)`` is
 eigendecomposed and the modes are formed as the corresponding snapshot
 combinations.  Two refinements keep the basis usable down to the rank
-cutoff, where plain double-precision Gram eigenvectors lose orthogonality:
+cutoff ``RANK_TOL``, where plain double-precision Gram eigenvectors lose
+orthogonality:
 
 * the modes are re-orthonormalized in the mass inner product with two
   Cholesky-QR passes (upper-triangular correction, so mode ``k`` stays in
@@ -29,6 +30,9 @@ import scipy.linalg
 
 from .diagnostics import _column_norms
 from .numerics import sym_eig
+
+# the rank cutoff: a basis keeps the modes with lambda_k > RANK_TOL * lambda_1
+RANK_TOL = 1e-12
 
 
 @dataclass
@@ -130,7 +134,7 @@ def _m_orthonormalize(modes, mass):
     return modes
 
 
-def build_pod_basis(snapshots, space, centering="none", rank_tol=1e-12):
+def build_pod_basis(snapshots, space, centering="none"):
     """Build the POD basis of a snapshot set, with the snapshots' coordinates on it.
 
     Parameters
@@ -143,9 +147,8 @@ def build_pod_basis(snapshots, space, centering="none", rank_tol=1e-12):
         With ``"mean"`` the snapshot average is subtracted first; the modes
         then carry homogeneous values on any boundary where the snapshots
         agree.
-    rank_tol : float
-        Modes with ``lambda_k <= rank_tol * lambda_1`` are dropped.
 
+    Modes with ``lambda_k <= RANK_TOL * lambda_1`` are dropped.
     M X (released before the part outside the basis is formed), a_hat =
     (M X)^T Psi and K Psi are each formed once for the basis and its
     coordinates.
@@ -166,7 +169,7 @@ def build_pod_basis(snapshots, space, centering="none", rank_tol=1e-12):
     vals = np.clip(vals, 0.0, None)
     if vals[0] <= 0.0:
         raise ValueError("snapshot set has rank 0 (all snapshots vanish)")
-    rank = int(np.sum(vals > rank_tol * vals[0]))
+    rank = int(np.sum(vals > RANK_TOL * vals[0]))
     modes = xc @ vecs[:, :rank] / np.sqrt(count * vals[:rank])
     modes = _m_orthonormalize(modes, mass)
 

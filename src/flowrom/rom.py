@@ -277,14 +277,15 @@ def assemble_rom_operators(space, basis, r, form, nu):
 
 # a diverging iterate overflows; the residual check reports it as NewtonConvergenceError
 @np.errstate(over="ignore", invalid="ignore")
-def run_rom(ops, a0, dt, t_end, scheme, newton_tol=NEWTON_TOL):
+def run_rom(ops, a0, dt, t_end, scheme):
     """Integrate the reduced system implicitly from coefficients ``a0``.
 
     Steps the FOM's ``scheme``, which has no default (``numerics.step_count``
-    and ``implicit_step``), with Newton iteration to ``newton_tol`` on the
-    r-dimensional residual and dense linear solves.  Each evaluated iterate
-    takes one :meth:`RomOperators.quadratic_jacobian`; BDF2's first step
-    reads the operator at a^0 off its first iterate's, which is a^0.  The
+    and ``implicit_step``), with Newton iteration to the FOM's tolerance
+    ``numerics.NEWTON_TOL`` on the r-dimensional residual and dense linear
+    solves.  Each evaluated iterate takes one
+    :meth:`RomOperators.quadratic_jacobian`; BDF2's first step reads the
+    operator at a^0 off its first iterate's, which is a^0.  The
     trajectory records the Newton updates of each step.  A non-finite
     residual, an exactly singular Newton matrix and a step that does not
     converge in ``numerics.NEWTON_MAX_ITER`` updates raise
@@ -326,7 +327,7 @@ def run_rom(ops, a0, dt, t_end, scheme, newton_tol=NEWTON_TOL):
             if not math.isfinite(res_norm):
                 failure = "non-finite residual"
                 break
-            if res_norm <= newton_tol:
+            if res_norm <= NEWTON_TOL:
                 break
             if it == NEWTON_MAX_ITER:
                 failure = f"residual {res_norm:.3e} after {it} updates"

@@ -45,6 +45,7 @@ from test_fem import oracle_eval, oracle_integral
 
 ALL_FORMS = list(NonlinearForm)
 KH_NU = 1.0 / 2800.0  # Re = 1/(28 nu) = 100
+KH50_NEWTON_TOL = 1e-11  # the criterion-4 FOM's Newton tolerance, patched over numerics.NEWTON_TOL
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 KH_DESK, CYLINDER = CONFIGS / "kh_desk.ini", CONFIGS / "cylinder.ini"
 
@@ -65,8 +66,10 @@ def kh50(tmp_path_factory):
     u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
     cfg = FomConfig(nu=KH_NU, dt=0.02, t_end=1.0, form="skew", scheme="backward_euler",
                     boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
-                    project_initial=True, newton_tol=1e-11)
-    _, snaps, _ = run_fom(cfg, mesh, space, u0)
+                    project_initial=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("flowrom.fom.NEWTON_TOL", KH50_NEWTON_TOL)
+        _, snaps, _ = run_fom(cfg, mesh, space, u0)
     return mesh, space, snaps, cfg, u0
 
 
@@ -208,21 +211,24 @@ def test_criterion_03_pod_exactness(kh50, kh50_basis):
           f"equality defect {worst_eq:.2e}, sub-cutoff tail {tail:.2e})")
 
 
-def test_criterion_04_snapshot_reproduction(kh50):
+def test_criterion_04_snapshot_reproduction(kh50, monkeypatch):
     """A consistent full-rank ROM retraces the generating trajectory.
 
     "Full rank" keeps every mode above the float noise floor of the snapshot
-    Gram spectrum (rank_tol 1e-14) so the reduced space actually spans the
-    snapshots; the default 1e-12 truncation alone leaves a projection floor
-    of about 1e-6 relative, right at this criterion's bound.
+    Gram spectrum (``pod.RANK_TOL`` patched to 1e-14) so the reduced space
+    actually spans the snapshots; the package's 1e-12 truncation alone leaves
+    a projection floor of about 1e-6 relative, right at this criterion's
+    bound.  The ROM's Newton stops at 1e-12 (``rom.NEWTON_TOL`` patched).
     """
+    monkeypatch.setattr("flowrom.pod.RANK_TOL", 1e-14)
+    monkeypatch.setattr("flowrom.rom.NEWTON_TOL", 1e-12)
     _, space, snaps, cfg, _ = kh50
     mass = space.mass()
-    basis = build_pod_basis(snaps, space, rank_tol=1e-14)
+    basis = build_pod_basis(snaps, space)
     r = basis.rank
     ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
     a0 = project_field(basis, r, snaps.matrix[:, 0], mass)
-    traj = run_rom(ops, a0, cfg.dt, cfg.t_end, scheme="backward_euler", newton_tol=1e-12)
+    traj = run_rom(ops, a0, cfg.dt, cfg.t_end, scheme="backward_euler")
     err = trajectory_error(space, snaps, traj, basis, cfg.nu)
     umax = max(np.sqrt(snaps.matrix[:, j] @ (mass @ snaps.matrix[:, j]))
                for j in range(snaps.count))
@@ -390,8 +396,9 @@ def test_criterion_09_cylinder_pipeline(tmp_path):
           f"< skew {mism['skew']:.3e}, < convective {mism['convective']:.3e}")
 
 
-def test_criterion_10_determinism(kh50, kh50_basis, tmp_path):
+def test_criterion_10_determinism(kh50, kh50_basis, tmp_path, monkeypatch):
     """Repeating the criterion-4 pipeline reproduces archives byte for byte."""
+    monkeypatch.setattr("flowrom.fom.NEWTON_TOL", KH50_NEWTON_TOL)
     mesh, space, snaps, cfg, u0 = kh50
     _, snaps2, _ = run_fom(cfg, mesh, space, u0)
     basis2 = build_pod_basis(snaps2, space, centering="none")

@@ -17,7 +17,7 @@ from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import FomConfig, run_fom
 from flowrom.io import (read_basis, read_basis_coordinates, read_csv, read_snapshots, write_basis,
                         write_snapshots)
-from flowrom.numerics import uniform_step
+from flowrom.numerics import NEWTON_TOL, uniform_step
 from flowrom.pod import SnapshotSet
 from flowrom.rom import RomOperators, RomTrajectory, assemble_rom_operators
 
@@ -159,7 +159,7 @@ class TestPipeline:
         assert np.all(np.isnan(cols[4]))  # no cylinder boundary
         assert cols[5][0] == 0 and np.all(cols[5][1:] >= 1)  # linear solves per step
         assert cols[6][0] == 0 and cols[6][1] >= 1  # the first step factorizes
-        assert cols[7][0] == 0 and np.all(cols[7][1:] <= FomConfig.newton_tol)  # converged steps
+        assert cols[7][0] == 0 and np.all(cols[7][1:] <= NEWTON_TOL)  # converged steps
 
     def test_pod_outputs(self, micro_pipeline):
         root, _ = micro_pipeline
@@ -416,6 +416,7 @@ class TestErrorPaths:
         # a snapshot window that holds no step
         ("fom", ("snapshot_start = 0.0\nsnapshot_end = 0.25", "snapshot_start = 0.01\nsnapshot_end = 0.02")),
         ("rom", ("form = skew", "form = upwind")),
+        ("fom", ("t_end = 0.25", "t_end = 1e-10")),  # step 0 of dt = 0.05, to roundoff: a run of no step
     ])
     def test_malformed_config_value_is_config_error(self, micro_pipeline, tmp_path, capsys, command, edit):
         root, _ = micro_pipeline
@@ -721,6 +722,21 @@ class TestErrorPaths:
             calls.append(["pod", snaps, "--config", str(cfg), "--out", str(tmp_path)])
         assert [main(call) for call in calls] == [4] * len(calls)
         assert capsys.readouterr().err.count(f"truncated archive while reading {block})") == len(calls)
+
+    @pytest.mark.parametrize("nx", [1, 2])
+    def test_mesh_too_coarse_to_fold_is_config_error(self, tmp_path, capsys, nx):
+        # one or two cells across the periodic seam leave no P2 space
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text(MICRO_KH.replace("nx = 8\nny = 8", f"nx = {nx}\nny = 4"))
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {cfg}: [problem] nx, ny: the periodic fold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mesh_three_cells_across_the_seam_runs(self, tmp_path):
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text(MICRO_KH.replace("nx = 8\nny = 8", "nx = 3\nny = 4"))
+        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert read_snapshots(tmp_path / "micro_snapshots.bin").count == 6
 
     def test_unknown_problem(self, tmp_path, capsys):
         # the command line poses the paper's two cases only; Taylor-Green is the library's

@@ -536,6 +536,30 @@ def assert_canonical(m):
     assert np.all(np.diff(row.astype(np.int64) * m.shape[1] + m.indices) > 0)
 
 
+class TestPeriodicFold:
+    @pytest.mark.parametrize("nx", [1, 2])
+    @pytest.mark.parametrize("axes", ["x", "xy"])
+    def test_fold_of_one_or_two_cells_is_rejected(self, nx, axes):
+        # one cell folds an edge onto its own two ends, two merge edges that share a vertex
+        mesh = uniform_rect_mesh(nx, 4)
+        for axis in axes:
+            mesh = identify_periodic(mesh, axis)
+        with pytest.raises(ValueError, match="periodic fold collapses an edge"):
+            TaylorHoodSpace(mesh)
+
+    @pytest.mark.parametrize("axes", ["x", "xy"])
+    def test_fold_of_three_cells_is_a_space(self, axes):
+        mesh = uniform_rect_mesh(3, 3)
+        for axis in axes:
+            mesh = identify_periodic(mesh, axis)
+        space = TaylorHoodSpace(mesh)
+        # the annulus (12 vertices) and the torus (9) have Euler characteristic
+        # 0, so as many edges as vertices plus triangles (18): one scalar node
+        # per vertex and per edge
+        n_vertices = {"x": 12, "xy": 9}[axes]
+        assert space.n_press == n_vertices and space.n_scalar == n_vertices + (n_vertices + 18)
+
+
 class TestVectorizedNumbering:
     @pytest.mark.parametrize("name", ["kh", "tg", "cylinder"])
     def test_matches_loop_reference(self, three_spaces, name):

@@ -35,7 +35,7 @@ from flowrom.fom import (
     taylor_green_velocity,
 )
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
-from flowrom.numerics import factorize, solve_sparse, step_count
+from flowrom.numerics import NEWTON_TOL, factorize, solve_sparse, step_count
 
 from conftest import (
     Float64Factor,
@@ -195,7 +195,7 @@ class TestAdvanceStep:
         assert np.all(st1.u == 0.0)
         assert np.abs(st1.p).max() < 1e-14
 
-    def test_taylor_green_one_step_error_second_order(self, torus16):
+    def test_taylor_green_one_step_error_second_order(self, torus16, monkeypatch):
         # One backward-Euler step commits an O(dt^2) error, so halving dt
         # divides it by ~4, and so does BDF2's theta = 2/3 start.  The
         # Richardson pair is (one step) vs (two half steps) from a pre-evolved
@@ -204,11 +204,12 @@ class TestAdvanceStep:
         # asymptotic order (BE damping of modes with lambda*dt = O(1) is not in
         # its Taylor regime); comparing against the analytic solution instead
         # would add the fixed spatial interpolation floor on top.
+        monkeypatch.setattr(flowrom.fom, "NEWTON_TOL", 1e-12)
         _, space = torus16
         nu = 0.05
         u0 = build_initial_condition(taylor_green_velocity, space)
         cfg = FomConfig(nu=nu, dt=0.02, t_end=0.02, form="skew",
-                        scheme="backward_euler", boundary={}, newton_tol=1e-12)
+                        scheme="backward_euler", boundary={})
         st = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
         for _ in range(12):
             st = advance_step(st, cfg, space)
@@ -216,7 +217,7 @@ class TestAdvanceStep:
 
         def step_to(scheme, dt, nsub):
             c = FomConfig(nu=nu, dt=dt / nsub, t_end=dt, form="skew",
-                          scheme=scheme, boundary={}, newton_tol=1e-12)
+                          scheme=scheme, boundary={})
             s = FomState(u=base.copy(), p=np.zeros(space.n_press), t=0.0, step=0)
             for _ in range(nsub):
                 s = advance_step(s, c, space)
@@ -256,8 +257,8 @@ class TestAdvanceStep:
         momentum = mass @ (st.u - u0) / dt + theta * (op(st.u) - div.T @ st.p) + (1 - theta) * op(u0)
         mask, _ = space.dirichlet_data(boundary)
         assert mask.any()
-        assert np.linalg.norm(momentum[~mask]) <= theta * cfg.newton_tol
-        assert np.linalg.norm(div @ st.u) <= cfg.newton_tol
+        assert np.linalg.norm(momentum[~mask]) <= theta * NEWTON_TOL
+        assert np.linalg.norm(div @ st.u) <= NEWTON_TOL
         assert st.factorizations == 1
 
     def test_start_is_independent_of_the_old_pressure_gauge(self, kh16):
@@ -349,7 +350,7 @@ class TestRunFom:
         for _ in range(20):
             v = rng.standard_normal(res.size)
             v /= np.linalg.norm(v)
-            assert abs(v @ res) <= cfg.newton_tol
+            assert abs(v @ res) <= NEWTON_TOL
 
     def test_snapshots_discretely_divergence_free(self, kh16):
         mesh, space = kh16
@@ -367,6 +368,16 @@ class TestRunFom:
         with pytest.raises(ValueError, match="multiple"):
             FomConfig(nu=0.01, dt=0.02, t_end=0.05, boundary=kelvin_helmholtz_boundary())
 
+    def test_t_end_must_hold_a_step(self):
+        # 1e-10 lies on step 0 of the grid, to roundoff: a run of no step
+        with pytest.raises(ValueError, match="holds no step of dt = 0.05"):
+            FomConfig(nu=1e-3, dt=0.05, t_end=1e-10)
+
+    def test_no_newton_tolerance_setting(self):
+        # the tolerance is numerics.NEWTON_TOL, for every run
+        with pytest.raises(TypeError, match="newton_tol"):
+            FomConfig(nu=1e-3, dt=0.05, t_end=0.05, newton_tol=1e-12)
+
     def test_bdf2_beats_backward_euler_on_taylor_green(self, torus16):
         _, space = torus16
         mesh = space.mesh
@@ -381,14 +392,14 @@ class TestRunFom:
                 lambda x, y, t: taylor_green_velocity(x, y, t, nu), time=0.5)
         assert errs["bdf2"] < 0.5 * errs["backward_euler"]
 
-    def test_bdf2_is_second_order_in_time(self, torus16):
+    def test_bdf2_is_second_order_in_time(self, torus16, monkeypatch):
         # self-convergence against dt/8 on one mesh, so the spatial error cancels
+        monkeypatch.setattr(flowrom.fom, "NEWTON_TOL", 1e-12)
         mesh, space = torus16
         u0 = build_initial_condition(taylor_green_velocity, space)
         final = {}
         for k in (1, 2, 4, 8):
-            cfg = FomConfig(nu=0.05, dt=0.05 / k, t_end=0.4, form="skew", scheme="bdf2",
-                            boundary={}, newton_tol=1e-12)
+            cfg = FomConfig(nu=0.05, dt=0.05 / k, t_end=0.4, form="skew", scheme="bdf2", boundary={})
             final[k] = run_fom(cfg, mesh, space, u0)[0].u
         mass = space.mass()
         errs = [np.sqrt((final[k] - final[8]) @ (mass @ (final[k] - final[8]))) for k in (1, 2, 4)]
@@ -453,7 +464,7 @@ class TestStepDrag:
         _, _, series = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         # the top wall's x-velocity DOFs are free, so the residual it tests is
         # the Newton residual
-        bound = 20.0 * cfg.newton_tol * np.linalg.norm(drag_lifting(space, cfg))
+        bound = 20.0 * NEWTON_TOL * np.linalg.norm(drag_lifting(space, cfg))
         drag = series["drag"].values
         assert np.isnan(drag[0]) and np.abs(drag[1:]).max() <= bound
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import flowrom.fom
+import flowrom.pod
 import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
 from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
@@ -342,7 +344,7 @@ class TestAssembleRomOperators:
 
 
 class TestRunRom:
-    def test_pure_viscous_decay_matches_linear_recurrence(self, rom_setup):
+    def test_pure_viscous_decay_matches_linear_recurrence(self, rom_setup, monkeypatch):
         space, _, basis = rom_setup
         r = min(6, basis.rank)
         ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
@@ -350,7 +352,8 @@ class TestRunRom:
         rng = np.random.default_rng(31)
         a0 = rng.standard_normal(r)
         dt, nsteps = 0.1, 12
-        traj = run_rom(ops, a0, dt, dt * nsteps, scheme="backward_euler", newton_tol=1e-13)
+        monkeypatch.setattr(flowrom.rom, "NEWTON_TOL", 1e-13)
+        traj = run_rom(ops, a0, dt, dt * nsteps, scheme="backward_euler")
         a = a0.copy()
         mat = np.eye(r) + dt * ops.visc
         for n in range(nsteps):
@@ -385,8 +388,9 @@ class TestRunRom:
         # still solves it, so force failure via the iteration budget
         ops.visc[:] = -1e8 * np.eye(r)
         monkeypatch.setattr(flowrom.rom, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(flowrom.rom, "NEWTON_TOL", 1e-30)
         with pytest.raises(NewtonConvergenceError) as err:
-            run_rom(ops, np.ones(r), 1e-8, 1e-7, scheme="backward_euler", newton_tol=1e-30)
+            run_rom(ops, np.ones(r), 1e-8, 1e-7, scheme="backward_euler")
         assert err.value.step >= 1 and err.value.residual > 1e-30
 
     def test_non_finite_residual_reports_step(self, rom_setup):
@@ -432,21 +436,24 @@ class TestRunRom:
         t_bdf = run_rom(ops, a0, dt, 2 * dt, scheme="bdf2")
         assert np.abs(t_bdf.coeffs[1] - a1).max() < 1e-9
 
-    def test_bdf2_snapshot_reproduction(self):
+    def test_bdf2_snapshot_reproduction(self, monkeypatch):
         # the BDF2 counterpart of acceptance criterion 4: a consistent full-rank
         # ROM stepping the FOM's own BDF2 scheme retraces the FOM trajectory
+        monkeypatch.setattr(flowrom.fom, "NEWTON_TOL", 1e-11)
+        monkeypatch.setattr(flowrom.pod, "RANK_TOL", 1e-14)
+        monkeypatch.setattr(flowrom.rom, "NEWTON_TOL", 1e-12)
         mesh = identify_periodic(uniform_rect_mesh(16, 16), "x")
         space = TaylorHoodSpace(mesh)
         cfg = FomConfig(nu=1 / 2800, dt=0.02, t_end=1.0, form="skew", scheme="bdf2",
                         boundary=kelvin_helmholtz_boundary(), snapshot_window=(0.0, 1.0),
-                        project_initial=True, newton_tol=1e-11)
+                        project_initial=True)
         _, snaps, _ = run_fom(cfg, mesh, space, build_initial_condition(kelvin_helmholtz_velocity, space))
         mass = space.mass()
-        basis = build_pod_basis(snaps, space, rank_tol=1e-14)
+        basis = build_pod_basis(snaps, space)
         r = basis.rank
         coords = basis.coordinates
         ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
-        traj = run_rom(ops, coords.coeffs[0, :r], cfg.dt, cfg.t_end, scheme="bdf2", newton_tol=1e-12)
+        traj = run_rom(ops, coords.coeffs[0, :r], cfg.dt, cfg.t_end, scheme="bdf2")
         err = reduced_trajectory_error(coords, traj, cfg.nu)
         umax = np.sqrt(np.einsum("ij,ij->j", snaps.matrix, mass @ snaps.matrix)).max()
         assert err.linf_l2 <= 1e-6 * umax, (r, err.linf_l2 / umax)

@@ -100,10 +100,10 @@ def test_tracer_targets_resolve():
 
 
 def _modules_holding(text, owner="io.py"):
-    """The modules under src/flowrom and demos/, the package's ``owner`` aside, that hold ``text``."""
+    """The modules under src/flowrom and demos/, the package's ``owner`` (if any) aside, that hold ``text``."""
     paths = sorted([*(ROOT / "src" / "flowrom").rglob("*.py"), *(ROOT / "demos").rglob("*.py")])
     return [f"{path.parent.name}/{path.name}" for path in paths
-            if path != ROOT / "src" / "flowrom" / owner and text in path.read_text()]
+            if (owner is None or path != ROOT / "src" / "flowrom" / owner) and text in path.read_text()]
 
 
 def test_only_io_formats_numbers():
@@ -121,6 +121,13 @@ def test_only_numerics_sets_the_newton_iteration():
     # numerics.NEWTON_TOL and NEWTON_MAX_ITER stop the Newton iteration of
     # both models; no other module keeps a tolerance or a budget of its own
     assert [_modules_holding(text, owner="numerics.py") for text in ("1e-10", "newton_max_iter")] == [[], []]
+
+
+def test_no_tolerance_is_a_parameter():
+    # the Newton tolerance numerics.NEWTON_TOL and the POD rank cutoff
+    # pod.RANK_TOL are module constants: no config field, function parameter
+    # or demo sets either
+    assert [_modules_holding(text, owner=None) for text in ("newton_tol", "rank_tol")] == [[], []]
 
 
 def test_only_cached_touches_the_memo():
