@@ -47,14 +47,7 @@ from .fom import (
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from .numerics import NewtonConvergenceError, SingularSystemError, grid_step, uniform_step
 from .pod import build_pod_basis, pod_projection_error
-from .rom import (
-    RomTrajectory,
-    assemble_rom_operators,
-    covering_projection,
-    project_fields,
-    reconstruct_field,
-    run_rom,
-)
+from .rom import RomTrajectory, assemble_rom_operators, project_fields, reconstruct_field, run_rom
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,13 +174,15 @@ def cmd_fom(args):
     return EXIT_OK
 
 
-def _mode_count(path, config, rank, override=None, clamp=False):
-    """r in 1..rank: ``override`` (``--r``), else ``[rom] r`` at ``path``, else rank; ``clamp`` caps it at rank."""
-    r = override if override is not None else config["rom"].get("r", rank)
-    r = min(r, rank) if clamp else r
-    if not 1 <= r <= rank:
+def _mode_count(path, config, limit, override=None, clamp=False):
+    """r in 1..limit: ``override`` (``--r``), else ``[rom] r`` at ``path``, else limit; ``clamp``
+    caps it at limit (``pod``: limit is the rank; ``rom``: the stored projection's modes, unclamped)."""
+    r = override if override is not None else config["rom"].get("r", limit)
+    r = min(r, limit) if clamp else r
+    if not 1 <= r <= limit:
         source = "--r" if override is not None else f"{path}: [rom] r"
-        raise ConfigError(f"{source}: requested r={r} is outside 1..{rank} (the basis rank)")
+        bound = "the basis rank" if clamp else "the modes of the stored projection; pod projects [rom] r modes"
+        raise ConfigError(f"{source}: requested r={r} is outside 1..{limit} ({bound})")
     return r
 
 
@@ -195,9 +190,9 @@ def cmd_pod(args):
     """Build the basis and store with it the projection of its leading fields
     and the snapshots' coordinates.
 
-    The projection covers the r that ``rom`` defaults to, ``[rom] r`` or
-    the rank, so a ``rom`` run at that r or below only slices it.  The
-    coordinates also give the projection-error report.
+    The projection covers ``[rom] r`` modes, capped at the rank, and is the
+    only source of ROM operators: ``rom`` runs any r up to those modes and
+    refuses more.  The coordinates also give the projection-error report.
     """
     problem = _build_problem(args.config)
     config, space = problem.config, problem.space
@@ -245,10 +240,9 @@ def cmd_rom(args):
     The snapshot spacing must be a whole number k of steps
     (``numerics.grid_step``), or the config is rejected.  The trajectory
     file keeps every k-th step, the snapshot grid that ``compare`` reads;
-    the scalars file has every step.  One projection, the archive's or a
-    fresh one when r exceeds it, gives both the operators and the energy
-    and enstrophy series; only a fresh projection and the drag assemble FE
-    matrices.
+    the scalars file has every step.  The projection that ``pod`` stored,
+    which r must not outgrow, gives the operators and the energy and
+    enstrophy series; only the drag assembles FE matrices.
     """
     problem = _build_problem(args.config)
     config, space, fom_cfg = problem.config, problem.space, problem.fom
@@ -260,10 +254,11 @@ def cmd_rom(args):
     if not stride:
         raise ConfigError(f"{args.config}: [fom] dt = {dt:g} does not divide the snapshot spacing "
                           f"{spacing:g} of the basis {args.basis} into whole steps")
-    r = _mode_count(args.config, config, basis.rank, args.r)
+    if basis.projection is None:
+        raise fio.ArchiveFormatError(f"{args.basis}: the basis holds no projection")
+    r = _mode_count(args.config, config, basis.projection.m - int(basis.centered), args.r)
 
-    basis.projection = covering_projection(space, basis, r)
-    ops = assemble_rom_operators(space, basis, r, form, fom_cfg.nu)
+    ops = assemble_rom_operators(basis, r, form, fom_cfg.nu)
     t0 = coords.times[0]
     traj = run_rom(ops, coords.coeffs[0, :r], dt, (coords.count - 1) * stride * dt, scheme=fom_cfg.scheme)
 

@@ -27,8 +27,8 @@ combination of the cubes:
 and V = nu X^T K X; the mass and curl Grams give the reduced energy and
 enstrophy (``diagnostics.rom_energy_enstrophy``).  The modes are nested,
 so the operators at r are the test rows o:o+r and fields :o+r of a
-projection on more fields; ``flowrom pod`` stores one in the basis archive
-and :func:`assemble_rom_operators` slices it.  The projection is one
+projection on more fields; ``flowrom pod`` stores one of its ``[rom] r``
+modes, and the online stage only slices it.  The projection is one
 element loop over the pair products of the fields, on the test pairs
 i >= k only (:func:`project_fields`): the values, divergences and curls
 of all m fields are tabulated once, a few fields at a time, and each
@@ -258,21 +258,13 @@ def project_fields(space, fields):
     return RomProjection(conv=conv, div=dcube, gram=stiff, mass_gram=mass, curl_gram=curl)
 
 
-def covering_projection(space, basis, r):
-    """``basis.projection`` when it covers the o + r fields of ``basis.fields(r)``, else their projection."""
-    projection = basis.projection
-    if projection is None or projection.m < int(basis.centered) + r:
-        projection = project_fields(space, basis.fields(r))
-    return projection
+def assemble_rom_operators(basis, r, form, nu):
+    """The momentum operators on the leading ``r`` modes, sliced from ``basis.projection``.
 
-
-def assemble_rom_operators(space, basis, r, form, nu):
-    """Project the momentum operators onto the leading ``r`` modes.
-
-    Slices :func:`covering_projection`.  Every tensor entry equals the
-    full-order ``trilinear_value`` of the corresponding field triple.
+    Every tensor entry equals the full-order ``trilinear_value`` of the
+    corresponding field triple.
     """
-    return covering_projection(space, basis, r).operators(form, nu, int(basis.centered), r)
+    return basis.projection.operators(form, nu, int(basis.centered), r)
 
 
 # a diverging iterate overflows; the residual check reports it as NewtonConvergenceError
@@ -354,4 +346,5 @@ def run_rom(ops, a0, dt, t_end, scheme):
 def reconstruct_field(basis, a):
     """Full velocity coefficients of the reduced state: ubar + sum a_j psi_j."""
     a = np.asarray(a, dtype=float)
-    return basis.fields(a.size) @ basis.extend(a)
+    u = basis.modes[:, :a.size] @ a
+    return basis.mean + u if basis.centered else u

@@ -1,5 +1,5 @@
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from flowrom.fem import (
 from flowrom.fom import _staged_residual
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import PIVOT_THRESHOLD, implicit_step
+from flowrom.rom import project_fields
 
 
 def pytest_collection_modifyitems(config, items):
@@ -128,6 +129,11 @@ def signed_areas(mesh):
     """Signed area of each triangle of ``mesh`` (positive for CCW orientation)."""
     d1, d2 = (mesh.vertices[mesh.triangles[:, k]] - mesh.vertices[mesh.triangles[:, 0]] for k in (1, 2))
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def with_projection(space, basis, r):
+    """``basis`` carrying the projection of its leading r modes, as ``flowrom pod`` stores it."""
+    return replace(basis, projection=project_fields(space, basis.fields(r)))
 
 
 def rom_quadratic(ops, c):

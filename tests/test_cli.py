@@ -291,14 +291,14 @@ class TestPipeline:
                      "--basis", basis, "--out", str(out)]) == 0
         assert dict(zip(*read_csv(out)))["form"].tolist() == ["skew"]  # one row
 
-    def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch):
+    def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch, capsys):
         # rom forms no operator at the stored r = 3: it starts from the stored
         # coordinates, and the energy and enstrophy series read the
-        # projection's Grams; at r = rank > 3 it forms only what a fresh
-        # projection reads.  compare forms none.
+        # projection's Grams.  At r = rank > 3 it refuses to run and writes
+        # nothing: it never projects.  compare forms none.
         from flowrom.cli import _build_problem
         from flowrom.diagnostics import energy_enstrophy
-        from flowrom.rom import project_fields, reconstruct_field
+        from flowrom.rom import reconstruct_field
 
         root, cfg = micro_pipeline
         basis = read_basis(root / "micro_basis.bin")
@@ -306,20 +306,20 @@ class TestPipeline:
         argv = ["rom", str(root / "micro_basis.bin"), "--archive", str(root / "micro_snapshots.bin"),
                 "--config", str(cfg), "--out", str(tmp_path)]
         [stored] = _spaces_made(monkeypatch, [*argv, "--r", "3"])
-        [fresh] = _spaces_made(monkeypatch, [*argv, "--r", str(basis.rank)])
         [compared] = _spaces_made(monkeypatch, _subcommand("compare", root, cfg, tmp_path))
-        space = _build_problem(cfg).space
-        project_fields(space, basis.fields(basis.rank))
         assert _formed(stored) == _formed(compared) == set()
-        assert _formed(fresh) == _formed(space) == {"stiffness"}
-        for r in (3, basis.rank):
-            _, traj = read_csv(tmp_path / f"micro_rom_skew_r{r}_traj.csv")
-            header, scalars = read_csv(tmp_path / f"micro_rom_skew_r{r}_scalars.csv")
-            assert header[1:3] == ["energy", "enstrophy"]
-            for n, a in enumerate(np.column_stack(traj[1:])):
-                e, z = energy_enstrophy(space, reconstruct_field(basis, a))
-                assert scalars[1][n] == pytest.approx(e, rel=1e-12)
-                assert scalars[2][n] == pytest.approx(z, rel=1e-12)
+        space = _build_problem(cfg).space
+        _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
+        header, scalars = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
+        assert header[1:3] == ["energy", "enstrophy"]
+        for n, a in enumerate(np.column_stack(traj[1:])):
+            e, z = energy_enstrophy(space, reconstruct_field(basis, a))
+            assert scalars[1][n] == pytest.approx(e, rel=1e-12)
+            assert scalars[2][n] == pytest.approx(z, rel=1e-12)
+        capsys.readouterr()
+        assert main([*argv, "--r", str(basis.rank)]) == 2
+        assert f"--r: requested r={basis.rank} is outside 1..3" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"*_r{basis.rank}_*"))
 
     def test_only_fom_forms_the_curl_form(self, micro_pipeline, tmp_path, monkeypatch):
         # pod reads the div form, for the snapshots' divergence norms, and
@@ -663,7 +663,7 @@ class TestErrorPaths:
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "truncated", "non_finite",
-                                        "non_finite_gram", "too_many_fields", "no_coordinates"])
+                                        "non_finite_gram", "too_many_fields", "no_coordinates", "no_projection"])
     def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
         root, cfg = micro_pipeline
         raw = bytearray((root / "micro_basis.bin").read_bytes())
@@ -676,14 +676,16 @@ class TestErrorPaths:
         elif defect == "too_many_fields":
             raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
         bad.write_bytes(bytes(raw))
-        if defect.startswith("non_finite") or defect == "no_coordinates":
+        if defect.startswith("non_finite") or defect.startswith("no_"):
             basis = read_basis(root / "micro_basis.bin")
             if defect == "non_finite":
                 basis.projection.div[1, 0, 2] = np.inf
             elif defect == "non_finite_gram":
                 basis.projection.mass_gram[1, 0] = np.inf
-            else:  # a basis written from memory, not by pod
+            elif defect == "no_coordinates":  # a basis written from memory, not by pod
                 basis.coordinates = None
+            else:
+                basis.projection = None
             write_basis(bad, basis)
         code = main(["rom", str(bad), "--archive", str(root / "micro_snapshots.bin"),
                      "--config", str(cfg), "--out", str(tmp_path)])
@@ -696,7 +698,8 @@ class TestErrorPaths:
                 "non_finite": "non-finite value in projection",
                 "non_finite_gram": "non-finite value in projection Grams",
                 "too_many_fields": f"projected field count {rank + 1} exceeds",
-                "no_coordinates": "the basis holds no snapshot coordinates"}[defect] in err
+                "no_coordinates": "the basis holds no snapshot coordinates",
+                "no_projection": "the basis holds no projection"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
 
     @pytest.mark.parametrize("archive,offsets,block", [
@@ -814,8 +817,8 @@ class TestErrorPaths:
         basis = root / "micro_basis.bin"
         dt = _load_config(cfg)["fom"]["dt"]
 
-        def broken(space, basis, r, form, nu):
-            ops = assemble_rom_operators(space, basis, r, form, nu)
+        def broken(basis, r, form, nu):
+            ops = assemble_rom_operators(basis, r, form, nu)
             if failure == "non-finite residual":
                 return RomOperators(visc=ops.visc, tensor=1e300 * ops.tensor)
             return RomOperators(visc=-(1.0 / dt) * np.eye(*ops.visc.shape), tensor=np.zeros_like(ops.tensor))
@@ -828,18 +831,21 @@ class TestErrorPaths:
         assert not list(tmp_path.glob("*_rom_*"))
 
     def test_rom_r_exceeds_rank(self, micro_pipeline, tmp_path, capsys):
-        # the message names the flag, or the config file and key, that set r
+        # r is bounded by the 3 modes that pod projected, not by the rank 6; the
+        # message names the flag, or the config file and key, that set r
         root, cfg = micro_pipeline
         big = tmp_path / "big.ini"
         big.write_text(MICRO_KH.replace("r = 3", "r = 7"))
         for flags, source in ((["--config", str(cfg), "--r", "5000"], "--r"),
+                              (["--config", str(cfg), "--r", "4"], "--r"),
                               (["--config", str(big)], f"{big}: [rom] r")):
             code = main(["rom", str(root / "micro_basis.bin"), "--archive",
                          str(root / "micro_snapshots.bin"), *flags, "--out", str(tmp_path / "out")])
             assert code == 2
             r = flags[-1] if source == "--r" else "7"
             assert capsys.readouterr().err == (
-                f"config error: {source}: requested r={r} is outside 1..6 (the basis rank)\n")
+                f"config error: {source}: requested r={r} is outside 1..3 "
+                "(the modes of the stored projection; pod projects [rom] r modes)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("r", ["0", "-1"])
@@ -849,7 +855,8 @@ class TestErrorPaths:
                      str(root / "micro_snapshots.bin"), "--config", str(cfg),
                      f"--r={r}", "--out", str(tmp_path)])
         assert code == 2
-        assert capsys.readouterr().err == f"config error: --r: requested r={r} is outside 1..6 (the basis rank)\n"
+        assert capsys.readouterr().err == (f"config error: --r: requested r={r} is outside 1..3 "
+                                           "(the modes of the stored projection; pod projects [rom] r modes)\n")
         assert not list(tmp_path.iterdir())
 
     def test_rom_single_snapshot_is_config_error(self, tmp_path, capsys):

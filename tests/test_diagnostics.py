@@ -17,6 +17,8 @@ from flowrom.numerics import uniform_step
 from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis, project_field
 from flowrom.rom import RomTrajectory, assemble_rom_operators, reconstruct_field, run_rom
 
+from conftest import with_projection
+
 
 @pytest.fixture(scope="module")
 def cylinder_space():
@@ -175,12 +177,12 @@ class TestReducedTrajectoryError:
                      for r in (1, 4, basis.rank) for scale in (0.0, 1e-6, 1e-2)]
             return space, snaps, basis, 5e-4, trajs
         _, space, snaps, _, cfg = kh_run  # uncentered: ROMs of every form, projected coefficients
-        basis = kh_basis_session
+        basis = with_projection(space, kh_basis_session, kh_basis_session.rank)
         coeffs = basis.coordinates.coeffs
         trajs = [coeffs[:, :1], coeffs]
         for form in ("skew", "emac", "convective", "rotational"):
             for r in (2, 6, basis.rank):
-                ops = assemble_rom_operators(space, basis, r, form, cfg.nu)
+                ops = assemble_rom_operators(basis, r, form, cfg.nu)
                 trajs.append(run_rom(ops, coeffs[0, :r], cfg.dt, cfg.t_end, cfg.scheme).coeffs)
         return space, snaps, basis, cfg.nu, trajs
 

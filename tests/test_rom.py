@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,20 +23,16 @@ from flowrom.rom import (
     run_rom,
 )
 
-from conftest import rom_quadratic
+from conftest import rom_quadratic, with_projection
 
 ALL_FORMS = list(NonlinearForm)
 
 
 @pytest.fixture(scope="module")
 def rom_setup(kh_run, kh_basis_session):
+    """The shear-layer space, snapshots and basis, projected once at the largest r the tests slice (12)."""
     _, space, snaps, _, _ = kh_run
-    return space, snaps, kh_basis_session
-
-
-def with_projection(space, basis, r):
-    """``basis`` carrying the projection of its leading r modes, as ``flowrom pod`` stores it."""
-    return dataclasses.replace(basis, projection=project_fields(space, basis.fields(r)))
+    return space, snaps, with_projection(space, kh_basis_session, min(12, kh_basis_session.rank))
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +47,9 @@ def wide_basis(rom_setup):
 @pytest.fixture(scope="module")
 def projected(rom_setup):
     """The shear-layer basis per centering, projected once at the largest r the tests slice (12)."""
-    space, snaps, _ = rom_setup
-    bases = {}
-    for centering in ("none", "mean"):
-        basis = build_pod_basis(snaps, space, centering=centering)
-        bases[centering] = with_projection(space, basis, min(12, basis.rank))
-    return bases
+    space, snaps, basis = rom_setup
+    centered = build_pod_basis(snaps, space, centering="mean")
+    return {"none": basis, "mean": with_projection(space, centered, min(12, centered.rank))}
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +82,7 @@ class TestProjection:
         m = x.shape[1]
         basis = with_projection(space, basis, r)
         for form in ALL_FORMS:
-            tensor = assemble_rom_operators(space, basis, r, form, nu=1.0).tensor
+            tensor = assemble_rom_operators(basis, r, form, nu=1.0).tensor
             direct = np.array([[[trilinear_value(space, form, x[:, j], x[:, k], x[:, i])
                                  for k in range(m)] for j in range(m)] for i in range(m - r, m)])
             assert np.abs(tensor - direct).max() <= 1e-12 * np.abs(direct).max(), form
@@ -98,7 +90,8 @@ class TestProjection:
     @pytest.mark.parametrize("case", ["cylinder", "kh"])
     def test_slice_matches_projection_at_r(self, rom_setup, cylinder_basis, case, monkeypatch):
         space, basis, r_max = _case(case, rom_setup, cylinder_basis)
-        fresh = {(r, form): assemble_rom_operators(space, basis, r, form, nu=0.3)
+        exact = {r: with_projection(space, basis, r) for r in range(1, r_max + 1)}
+        fresh = {(r, form): assemble_rom_operators(exact[r], r, form, nu=0.3)
                  for r in range(1, r_max + 1) for form in ALL_FORMS}
         basis = with_projection(space, basis, r_max)
         monkeypatch.setattr(flowrom.rom, "project_fields", None)  # the slice must not project
@@ -106,19 +99,17 @@ class TestProjection:
             # relative to the form's r_max operators: a single entry such as
             # b(psi_1, psi_1, psi_1) can be a near-cancellation
             scale = fresh[(r_max, form)]
-            sliced = assemble_rom_operators(space, basis, r, form, nu=0.3)
+            sliced = assemble_rom_operators(basis, r, form, nu=0.3)
             assert sliced.tensor.shape == ops.tensor.shape and sliced.visc.shape == ops.visc.shape
             assert np.abs(sliced.tensor - ops.tensor).max() <= 1e-14 * np.abs(scale.tensor).max()
             assert np.abs(sliced.visc - ops.visc).max() <= 1e-14 * np.abs(scale.visc).max()
 
     def test_short_projection_is_not_sliced(self, rom_setup):
-        # a projection of fewer fields than r needs is bypassed, not read past its end
+        # a projection of fewer fields than r needs is refused, not read past its end
         space, _, basis = rom_setup
         short = with_projection(space, basis, 2)
-        ops = assemble_rom_operators(space, short, 4, "emac", nu=0.1)
-        assert np.array_equal(ops.tensor, assemble_rom_operators(space, basis, 4, "emac", nu=0.1).tensor)
         with pytest.raises(ValueError, match="projection holds 2 fields"):
-            short.projection.operators("emac", 0.1, 0, 4)
+            assemble_rom_operators(short, 4, "emac", nu=0.1)
 
     def test_traced_peak_is_the_working_set(self, rom_setup):
         # 46 fields on the 16x16 shear layer, the size the kh16 pipeline projects.  The
@@ -220,11 +211,11 @@ class TestAssembleRomOperators:
         pytest.param(form, r, id=f"{form.value}-r{r}") for form in ALL_FORMS for r in (1, _FIELD_BLOCK, _FIELD_BLOCK + 1)])
     def test_tensor_entries_match_direct_quadrature(self, rom_setup, wide_basis, form, r):
         space, _, _ = rom_setup
-        basis = wide_basis if r == 30 else dataclasses.replace(wide_basis, projection=None)
-        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        basis = wide_basis if r == 30 else with_projection(space, wide_basis, r)
+        ops = assemble_rom_operators(basis, r, form, nu=1 / 2800)
         # relative to the form's tensor on all 30 fields, of which ops.tensor is a
         # slice: at r = 1 the rotational tensor b(X, X, X) is exactly zero
-        scale = np.abs(assemble_rom_operators(space, wide_basis, 30, form, nu=1 / 2800).tensor).max()
+        scale = np.abs(assemble_rom_operators(wide_basis, 30, form, nu=1 / 2800).tensor).max()
         rng = np.random.default_rng(99)
         corners = [(0, 0, 0), (r - 1, r - 1, r - 1), (0, r - 1, 0), (r - 1, 0, r - 1)]
         for i, j, k in corners + [tuple(rng.integers(0, r, size=3)) for _ in range(12)]:
@@ -236,9 +227,9 @@ class TestAssembleRomOperators:
     def test_quadratic_energy_identity(self, rom_setup, projected, form):
         # a^T N(a) = b(w, w, w) = 0 carries over to the reduced tensor for
         # the energy-conserving forms (rotational: pointwise orthogonality)
-        space, basis = rom_setup[0], projected["none"]
+        basis = projected["none"]
         r = min(8, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        ops = assemble_rom_operators(basis, r, form, nu=1 / 2800)
         scale = np.abs(ops.tensor).max()
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -248,9 +239,9 @@ class TestAssembleRomOperators:
 
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_quadratic_kernels_match_einsum_definitions(self, rom_setup, projected, form):
-        space, basis = rom_setup[0], projected["none"]
+        basis = projected["none"]
         r = min(12, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        ops = assemble_rom_operators(basis, r, form, nu=1 / 2800)
         rng = np.random.default_rng(17)
         for _ in range(5):
             a = rng.standard_normal(r)
@@ -265,7 +256,7 @@ class TestAssembleRomOperators:
         space, _, basis = rom_setup
         r = min(5, basis.rank)
         nu = 0.37
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=nu)
+        ops = assemble_rom_operators(basis, r, "skew", nu=nu)
         stiff = space.stiffness()
         direct = nu * basis.modes[:, :r].T @ (stiff @ basis.modes[:, :r])
         assert np.abs(ops.visc - direct).max() < 1e-12 * np.abs(direct).max()
@@ -273,9 +264,9 @@ class TestAssembleRomOperators:
 
     def test_uncentered_has_no_mean_coupling(self, rom_setup):
         # without a mean the field set is the r modes alone
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(4, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "emac", nu=0.01)
+        ops = assemble_rom_operators(basis, r, "emac", nu=0.01)
         assert ops.tensor.shape == (r, r, r)
         assert ops.visc.shape == (r, r)
 
@@ -284,7 +275,7 @@ class TestAssembleRomOperators:
         space, basis = rom_setup[0], projected["mean"]
         r = min(4, basis.rank)
         nu = 1 / 2800
-        ops = assemble_rom_operators(space, basis, r, "convective", nu=nu)
+        ops = assemble_rom_operators(basis, r, "convective", nu=nu)
         assert ops.tensor.shape == (r, r + 1, r + 1)
         assert ops.visc.shape == (r, r + 1)
         stiff = space.stiffness()
@@ -307,7 +298,7 @@ class TestAssembleRomOperators:
         space, basis = rom_setup[0], projected[centering]
         r = min(8, basis.rank)
         nu = 1 / 2800
-        ops = assemble_rom_operators(space, basis, r, form, nu=nu)
+        ops = assemble_rom_operators(basis, r, form, nu=nu)
         rng = np.random.default_rng(61)
         a, d = rng.standard_normal((2, r))
         c = ops.extend(a)
@@ -323,31 +314,31 @@ class TestAssembleRomOperators:
         assert np.abs(jd - diff).max() <= 1e-11 * np.abs(diff).max()
 
     def test_rank_overflow(self, rom_setup):
-        space, _, basis = rom_setup
-        with pytest.raises(ValueError, match="rank"):
-            assemble_rom_operators(space, basis, basis.rank + 1, "skew", nu=0.1)
+        _, _, basis = rom_setup
+        with pytest.raises(ValueError, match="projection holds"):
+            assemble_rom_operators(basis, basis.rank + 1, "skew", nu=0.1)
 
     def test_tensor_is_read_only(self, rom_setup):
         # the symmetrized tensor is formed at construction and must not go stale
-        space, _, basis = rom_setup
-        ops = assemble_rom_operators(space, basis, min(3, basis.rank), "skew", nu=0.1)
+        _, _, basis = rom_setup
+        ops = assemble_rom_operators(basis, min(3, basis.rank), "skew", nu=0.1)
         with pytest.raises(ValueError, match="read-only"):
             ops.tensor[0, 0, 0] = 1.0
 
     def test_rerun_is_bit_identical(self, rom_setup):
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(6, basis.rank)
-        ops1 = assemble_rom_operators(space, basis, r, "emac", nu=0.02)
-        ops2 = assemble_rom_operators(space, basis, r, "emac", nu=0.02)
+        ops1 = assemble_rom_operators(basis, r, "emac", nu=0.02)
+        ops2 = assemble_rom_operators(basis, r, "emac", nu=0.02)
         assert np.array_equal(ops1.tensor, ops2.tensor)
         assert np.array_equal(ops1.visc, ops2.visc)
 
 
 class TestRunRom:
     def test_pure_viscous_decay_matches_linear_recurrence(self, rom_setup, monkeypatch):
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(6, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
+        ops = assemble_rom_operators(basis, r, "skew", nu=0.05)
         ops = RomOperators(visc=ops.visc, tensor=np.zeros_like(ops.tensor))
         rng = np.random.default_rng(31)
         a0 = rng.standard_normal(r)
@@ -361,9 +352,9 @@ class TestRunRom:
             assert np.abs(traj.coeffs[n + 1] - a).max() < 1e-11
 
     def test_zero_initial_state_stays_zero(self, rom_setup):
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(4, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
+        ops = assemble_rom_operators(basis, r, "skew", nu=0.05)
         traj = run_rom(ops, np.zeros(r), 0.05, 0.5, scheme="backward_euler")
         assert np.all(traj.coeffs == 0.0)
         assert traj.times[-1] == pytest.approx(0.5)
@@ -372,7 +363,7 @@ class TestRunRom:
     def test_records_newton_iterations(self, rom_setup):
         space, snaps, basis = rom_setup
         r = min(8, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=1 / 2800)
+        ops = assemble_rom_operators(basis, r, "skew", nu=1 / 2800)
         a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
         traj = run_rom(ops, a0, 0.02, 0.2, scheme="bdf2")
         assert traj.newton_iters.shape == traj.times.shape
@@ -380,9 +371,9 @@ class TestRunRom:
         assert np.all((traj.newton_iters[1:] >= 1) & (traj.newton_iters[1:] <= 20))
 
     def test_newton_blowup_reports_step(self, rom_setup, monkeypatch):
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(4, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=1e-6)
+        ops = assemble_rom_operators(basis, r, "skew", nu=1e-6)
         ops = RomOperators(visc=ops.visc, tensor=np.zeros_like(ops.tensor))
         # a stiff unstable linear term the dt cannot resolve: backward Euler
         # still solves it, so force failure via the iteration budget
@@ -395,9 +386,9 @@ class TestRunRom:
 
     def test_non_finite_residual_reports_step(self, rom_setup):
         # an overflowing quadratic term gives an infinite residual on the first evaluation
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(4, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
+        ops = assemble_rom_operators(basis, r, "skew", nu=0.05)
         with pytest.raises(NewtonConvergenceError, match="at step 1 .*: non-finite residual") as err:
             run_rom(ops, np.full(r, 1e200), 0.05, 0.5, scheme="backward_euler")
         assert err.value.step == 1 and not np.isfinite(err.value.residual)
@@ -415,9 +406,9 @@ class TestRunRom:
 
     def test_bdf2_starts_with_the_theta_step(self, rom_setup):
         # (a1 - a0) / dt + theta F(c1) + (1 - theta) F(c0) = 0, F(c) = V c + N(c), theta = 2/3
-        space, _, basis = rom_setup
+        _, _, basis = rom_setup
         r = min(5, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=0.05)
+        ops = assemble_rom_operators(basis, r, "skew", nu=0.05)
         rng = np.random.default_rng(41)
         a0 = rng.standard_normal(r)
         dt, theta = 0.02, 2.0 / 3.0
@@ -452,7 +443,7 @@ class TestRunRom:
         basis = build_pod_basis(snaps, space)
         r = basis.rank
         coords = basis.coordinates
-        ops = assemble_rom_operators(space, basis, r, "skew", nu=cfg.nu)
+        ops = assemble_rom_operators(with_projection(space, basis, r), r, "skew", nu=cfg.nu)
         traj = run_rom(ops, coords.coeffs[0, :r], cfg.dt, cfg.t_end, scheme="bdf2")
         err = reduced_trajectory_error(coords, traj, cfg.nu)
         umax = np.sqrt(np.einsum("ij,ij->j", snaps.matrix, mass @ snaps.matrix)).max()
@@ -503,7 +494,7 @@ class TestNewtonLoopReference:
         space, snaps, _ = rom_setup
         basis = projected[centering]
         r = min(12, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, form, nu=1 / 2800)
+        ops = assemble_rom_operators(basis, r, form, nu=1 / 2800)
         a0 = project_field(basis, r, snaps.matrix[:, 0], space.mass())
         coeffs, iters = loop_reference(ops, a0, 0.02, 0.5, "bdf2")
         traj = run_rom(ops, a0, 0.02, 0.5, scheme="bdf2")
@@ -517,7 +508,7 @@ class TestNewtonLoopCost:
         space, snaps, _ = rom_setup
         basis = projected["mean"]
         r = min(8, basis.rank)
-        ops = assemble_rom_operators(space, basis, r, "emac", nu=1 / 2800)
+        ops = assemble_rom_operators(basis, r, "emac", nu=1 / 2800)
         calls = []
         original = RomOperators.quadratic_jacobian
 

@@ -130,6 +130,19 @@ def test_no_tolerance_is_a_parameter():
     assert [_modules_holding(text, owner=None) for text in ("newton_tol", "rank_tol")] == [[], []]
 
 
+def test_only_pod_projects():
+    # the projection that flowrom pod stores is the one source of ROM operators:
+    # no other function under src/flowrom and demos/ calls rom.project_fields
+    callers = []
+    for path in sorted([*(ROOT / "src" / "flowrom").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Call) and "project_fields" in (getattr(node.func, "id", None),
+                                                                       getattr(node.func, "attr", None))
+                   for node in ast.walk(top)):
+                callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["cli.cmd_pod"]
+
+
 def test_only_cached_touches_the_memo():
     # fem.cached is the one memo of what a space derives; besides it, only the
     # space and its node graph name their store, where they create it
