@@ -7,7 +7,8 @@ three nonlinear forms that step the FOM's dt over that window.  The ROM that
 reuses the FOM's form tracks the drag series best; the mismatched forms
 drift.  Every drag, FOM and ROM, is the force of the discrete momentum
 equation (``fom.step_drag``, with the FOM's form), which needs no pressure:
-the ROM has one at every step of its reconstructed trajectory.
+the ROM has one at every step, read off the basis's projection of the modes
+and the drag lifting (``rom.RomProjection.drag``) without forming a field.
 
 CLI outputs go to cylinder_run/; writes cylinder_drag.csv (the FOM drag,
 interpolated to the ROM's times, which are the FOM's steps in the window,

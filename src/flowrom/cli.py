@@ -12,9 +12,10 @@ initial velocity.  So a value that any stage would reject fails every
 subcommand, before anything is written.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
-stores in the basis archive the projection of the momentum operators and the
-snapshots' coordinates on the basis (``pod.SnapshotCoordinates``), so that
-``rom`` and ``compare`` need no snapshot: ``rom`` starts from the first
+stores in the basis archive the projection of the momentum operators, with
+the drag lifting on the cylinder, and the snapshots' coordinates on the
+basis (``pod.SnapshotCoordinates``), so that ``rom`` and ``compare`` need no
+snapshot and form no field: ``rom`` starts from the first
 snapshot's coordinates and steps ``[fom] dt``, which must divide the
 snapshot spacing (``numerics.uniform_step``) into whole steps, and
 ``compare`` evaluates the errors from the coordinates, the only blocks of
@@ -39,15 +40,15 @@ from .fom import (
     at_rest,
     build_initial_condition,
     cylinder_boundary,
+    drag_lifting,
     kelvin_helmholtz_boundary,
     kelvin_helmholtz_velocity,
     run_fom,
-    step_drag,
 )
 from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from .numerics import NewtonConvergenceError, SingularSystemError, grid_step, uniform_step
 from .pod import build_pod_basis, pod_projection_error
-from .rom import RomTrajectory, assemble_rom_operators, project_fields, reconstruct_field, run_rom
+from .rom import RomTrajectory, assemble_rom_operators, project_fields, run_rom
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,7 +193,10 @@ def cmd_pod(args):
 
     The projection covers ``[rom] r`` modes, capped at the rank, and is the
     only source of ROM operators: ``rom`` runs any r up to those modes and
-    refuses more.  The coordinates also give the projection-error report.
+    refuses more.  On a problem with a drag label the drag lifting
+    (``fom.drag_lifting``) is projected after the modes, so that ``rom``
+    reads its drag off the projection too (``rom.RomProjection.drag``).  The
+    coordinates also give the projection-error report.
     """
     problem = _build_problem(args.config)
     config, space = problem.config, problem.space
@@ -203,7 +207,12 @@ def cmd_pod(args):
         raise ConfigError(f"{args.archive}: {exc}") from exc
     r = _mode_count(args.config, config, basis.rank, clamp=True)
     prefix = _out_prefix(config, args.out)
-    basis.projection = project_fields(space, basis.fields(r))
+    fields = basis.fields(r)
+    if problem.fom.drag_label is None:
+        basis.projection = project_fields(space, fields)
+    else:  # the lifting comes last, so every leading slice is as without it
+        basis.projection = project_fields(space, np.column_stack([fields, drag_lifting(space, problem.fom)]),
+                                          liftings=1)
     fio.write_basis(f"{prefix}_basis.bin", basis)
     fio.write_csv(f"{prefix}_spectrum.csv", ["k", "lambda"],
                   [np.arange(1, basis.rank + 1), basis.eigenvalues])
@@ -241,8 +250,9 @@ def cmd_rom(args):
     (``numerics.grid_step``), or the config is rejected.  The trajectory
     file keeps every k-th step, the snapshot grid that ``compare`` reads;
     the scalars file has every step.  The projection that ``pod`` stored,
-    which r must not outgrow, gives the operators and the energy and
-    enstrophy series; only the drag assembles FE matrices.
+    whose modes r must not outgrow, gives the operators, the energy and
+    enstrophy series and, with a drag label, the drag of each step with the
+    ``[fom] form`` (``rom.RomProjection.drag``); no field is formed.
     """
     problem = _build_problem(args.config)
     config, space, fom_cfg = problem.config, problem.space, problem.fom
@@ -254,9 +264,14 @@ def cmd_rom(args):
     if not stride:
         raise ConfigError(f"{args.config}: [fom] dt = {dt:g} does not divide the snapshot spacing "
                           f"{spacing:g} of the basis {args.basis} into whole steps")
-    if basis.projection is None:
+    projection = basis.projection
+    if projection is None:
         raise fio.ArchiveFormatError(f"{args.basis}: the basis holds no projection")
-    r = _mode_count(args.config, config, basis.projection.m - int(basis.centered), args.r)
+    if fom_cfg.drag_label is not None and not projection.liftings:
+        raise fio.ArchiveFormatError(f"{args.basis}: the basis holds no drag lifting, "
+                                     f"which pod projects for the drag label {fom_cfg.drag_label!r}")
+    o = int(basis.centered)
+    r = _mode_count(args.config, config, projection.m - o - projection.liftings, args.r)
 
     ops = assemble_rom_operators(basis, r, form, fom_cfg.nu)
     t0 = coords.times[0]
@@ -269,18 +284,11 @@ def cmd_rom(args):
                   ["t"] + [f"a_{k + 1}" for k in range(r)],
                   [times[::stride]] + [traj.coeffs[::stride, k] for k in range(r)])
 
-    energy, enstrophy = rom_energy_enstrophy(basis.projection, basis, traj.coeffs)
+    energy, enstrophy = rom_energy_enstrophy(projection, basis, traj.coeffs)
     cols = [times, energy, enstrophy]
     headers = ["t", "energy", "enstrophy"]
     if fom_cfg.drag_label is not None:
-        # fom.step_drag, with the FOM's form, of each reconstructed step; none ends at row 0.
-        # Only the three states a step reads are held.
-        drag, u_prev, u_old = [np.nan], None, reconstruct_field(basis, traj.coeffs[0])
-        for c in traj.coeffs[1:]:
-            u = reconstruct_field(basis, c)
-            drag.append(step_drag(space, fom_cfg, u, u_old, u_prev))
-            u_prev, u_old = u_old, u
-        cols.append(drag)
+        cols.append(projection.drag(fom_cfg, o, traj.coeffs))
         headers.append("drag")
     cols.append(traj.newton_iters)
     headers.append("newton_iters")

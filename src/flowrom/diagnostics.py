@@ -1,7 +1,9 @@
 """Scalar and trajectory diagnostics: energy, enstrophy, error functionals.
 
 The drag is the force of the discrete momentum equation and lives with
-the time step that defines it (``fom.step_drag``).
+the time step that defines it (``fom.step_drag``); a ROM's is read off its
+projection (``rom.RomProjection.drag``), as are its energy and enstrophy
+(:func:`rom_energy_enstrophy`).
 """
 
 from dataclasses import dataclass

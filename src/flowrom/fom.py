@@ -56,8 +56,10 @@ refinements on the package's meshes.
 The drag is the force of these discrete equations (:func:`step_drag`;
 John & Matthies, IJNMF 37, 2001): the step's velocity residual without its
 pressure term, tested with a discretely divergence-free lifting v_d of e_x
-on the drag boundary, so the pressure drops out exactly.  The ROM needs no
-pressure: the same function of its reconstructed states is its drag.
+on the drag boundary (:func:`drag_lifting`), so the pressure drops out
+exactly.  The ROM needs no pressure: the same function of its states is its
+drag, which ``rom.RomProjection.drag`` reads off the projection of the
+modes and v_d.
 
 The experiments' initial velocities (Kelvin-Helmholtz shear layer,
 Taylor-Green vortex, the cylinder channel at rest) and boundary conditions
@@ -350,6 +352,10 @@ def advance_step(state, config, space, held=None):
                     newton_iters=it, factorizations=n_factor, newton_residual=float(res_norm))
 
 
+# c_D = -DRAG_SCALE v_d . R: 2 / (U^2 D) from the mean inflow speed U = 1 and the cylinder diameter D = 0.1
+DRAG_SCALE = 20.0
+
+
 @cached
 def _drag_lifting(space, label, labels):
     """v_d: e_x = (1, 0) on ``label``, (0, 0) on the other boundary ``labels``, D v_d = 0.
@@ -362,8 +368,13 @@ def _drag_lifting(space, label, labels):
     return stokes_project(space, np.zeros(space.n_vel), boundary)
 
 
+def drag_lifting(space, config):
+    """v_d of ``config.drag_label`` against the other labels of ``config.boundary``, once per space."""
+    return _drag_lifting(space, config.drag_label, tuple(config.boundary))
+
+
 def step_drag(space, config, u, u_old, u_prev=None):
-    """Drag coefficient c_D = -20 v_d . R / (1 + w) of the ``config.dt`` step from ``u_old`` to ``u``.
+    """Drag coefficient c_D = -DRAG_SCALE v_d . R / (1 + w) of the ``config.dt`` step from ``u_old`` to ``u``.
 
     R = M (alpha u - hist) / dt + F(u) + w F(u_old), F(u) = nu K u + N(u),
     is the step's velocity residual without -D^T p, with alpha, hist and w
@@ -371,8 +382,7 @@ def step_drag(space, config, u, u_old, u_prev=None):
     :func:`advance_step` forms them (``u_prev`` is None on a run's first
     step).  BDF2's theta = 2/3 start is the theta step divided by theta,
     so its R is 1 + w = 1/theta times the step's force; w is 0 on every
-    other step.  D v_d = 0, so the pressure term is exactly 0; 20 =
-    2/(U^2 D) from the mean inflow speed and the cylinder diameter.  At a
+    other step.  D v_d = 0, so the pressure term is exactly 0.  At a
     converged step R = D^T p at every free DOF, so c_D depends on v_d only
     through its boundary values, to the Newton tolerance.
     """
@@ -380,8 +390,7 @@ def step_drag(space, config, u, u_old, u_prev=None):
     residual = space.mass() @ (alpha * u - hist) / config.dt + _operator(space, config, u)
     if weight:
         residual += weight * _operator(space, config, u_old)
-    lifting = _drag_lifting(space, config.drag_label, tuple(config.boundary))
-    return -20.0 * float(lifting @ residual) / (1.0 + weight)
+    return -DRAG_SCALE * float(drag_lifting(space, config) @ residual) / (1.0 + weight)
 
 
 def snapshot_steps(window, stride, dt, n_steps):

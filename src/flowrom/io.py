@@ -10,8 +10,9 @@ allocate or read any block, so a header count that disagrees with the file
 is a format error naming the block it runs into, and read only the blocks
 they need.
 
-Basis archive version 3 lacked the snapshot coordinates and version 2 also
-the mass and curl Grams; both are rejected like any other unknown version.
+Basis archive version 4 lacked the lifting count, version 3 also the
+snapshot coordinates and version 2 also the mass and curl Grams; all are
+rejected like any other unknown version.
 
 Every table of the CLI and the demos is written by :func:`write_csv` and
 read back by :func:`read_csv`: a header row, then one row per record.  The
@@ -34,6 +35,7 @@ from .rom import RomProjection
 
 SNAPSHOT_MAGIC = b"FLOWSNP1"
 BASIS_MAGIC = b"FLOWPOD1"
+BASIS_VERSION = 5
 
 # The only table columns that hold text; :func:`write_csv` and :func:`read_csv`
 # treat every other column as numbers.
@@ -55,13 +57,16 @@ def _snapshot_blocks(ndof, nsnap):
 def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
     """The basis archive's blocks, as :func:`_snapshot_blocks`, after its header::
 
-        magic[8]="FLOWPOD1" | u32 version=4 | u32 centered | u64 ndof | u64 rank
-                            | u64 nspectrum | u64 nprojected | u64 nsnap
+        magic[8]="FLOWPOD1" | u32 version=5 | u32 centered | u64 ndof | u64 rank
+                            | u64 nspectrum | u64 nprojected | u64 nsnap | u64 nlifting
 
     The mean is zeros when uncentered.  The fields of the basis's
     :class:`SnapshotCoordinates` on all rank modes follow the modes (none
-    when nsnap == 0), then those of its :class:`RomProjection` on the leading
-    m = nprojected <= centered + rank fields (none when 0), in field order.
+    when nsnap == 0), then the arrays of its :class:`RomProjection` (none
+    when nprojected == 0), in field order.  The projection's
+    m = nprojected fields are the leading m - nlifting <= centered + rank
+    fields of the basis, then ``RomProjection.liftings`` = nlifting
+    liftings, which the header alone records.
     """
     blocks = [("eigenvalues", [(rank,)]), ("spectrum", [(nspec,)]), ("grad_norms", [(rank,)]),
               ("mean", [(ndof,)]), ("modes", [(rank, ndof)])]  # mode-major
@@ -167,26 +172,33 @@ def read_snapshot_times(path, space=None):
 def write_basis(path, basis):
     """Write a :class:`PodBasis` to a basis archive."""
     ndof, rank = basis.modes.shape
-    parts = [p for p in (basis.coordinates, basis.projection) if p is not None]
-    counts = (ndof, rank, basis.spectrum.size, 0 if basis.projection is None else basis.projection.m,
-              0 if basis.coordinates is None else basis.coordinates.count)
+    projection, coordinates = basis.projection, basis.coordinates
+    counts = (ndof, rank, basis.spectrum.size, 0 if projection is None else projection.m,
+              0 if coordinates is None else coordinates.count)
     mean = basis.mean if basis.centered else np.zeros(ndof)
-    _write_archive(path, BASIS_MAGIC, 4, int(basis.centered), counts, _basis_blocks(*counts), [
-        basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T,
-        *(getattr(p, f.name) for p in parts for f in dataclasses.fields(p))])
+    # the projection's lifting count is a header field, not a block
+    arrays = [getattr(p, f.name) for p in (coordinates, projection) if p is not None
+              for f in dataclasses.fields(p) if f.name != "liftings"]
+    _write_archive(path, BASIS_MAGIC, BASIS_VERSION, int(basis.centered),
+                   (*counts, 0 if projection is None else projection.liftings), _basis_blocks(*counts),
+                   [basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T, *arrays])
 
 
 def _read_basis_blocks(path, space, wanted=None):
-    """(centered, nsnap, nproj, field arrays) of a basis archive, as :func:`_read_blocks`."""
+    """(centered, nsnap, nproj, nlifting, field arrays) of a basis archive, as :func:`_read_blocks`."""
     with open(path, "rb") as fh:
-        centered, ndof, rank, nspec, nproj, nsnap = _read_header(fh, "basis", BASIS_MAGIC, 4, 5, space)
+        centered, ndof, rank, nspec, nproj, nsnap, nlifting = _read_header(
+            fh, "basis", BASIS_MAGIC, BASIS_VERSION, 6, space)
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
+        if nlifting > nproj:
+            raise ArchiveFormatError(f"{path}: lifting count {nlifting} exceeds the {nproj} projected fields")
         n_fields = rank + bool(centered)
-        if nproj > n_fields:
-            raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields")
+        if nproj - nlifting > n_fields:
+            raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields "
+                                     f"and {nlifting} liftings")
         blocks = _basis_blocks(ndof, rank, nspec, nproj, nsnap)
-        return centered, nsnap, nproj, _read_blocks(fh, "basis", blocks, wanted)
+        return centered, nsnap, nproj, nlifting, _read_blocks(fh, "basis", blocks, wanted)
 
 
 def read_basis(path, space=None):
@@ -194,7 +206,7 @@ def read_basis(path, space=None):
 
     Validated like :func:`read_snapshots`.
     """
-    centered, nsnap, nproj, fields = _read_basis_blocks(path, space)
+    centered, nsnap, nproj, nlifting, fields = _read_basis_blocks(path, space)
     eigenvalues, spectrum, grad_norms, mean, modes, *rest = fields
     n_coords = len(dataclasses.fields(SnapshotCoordinates)) if nsnap else 0
     return PodBasis(
@@ -203,7 +215,7 @@ def read_basis(path, space=None):
         spectrum=spectrum,
         grad_norms=grad_norms,
         mean=mean if centered else None,
-        projection=RomProjection(*rest[n_coords:]) if nproj else None,
+        projection=RomProjection(*rest[n_coords:], liftings=nlifting) if nproj else None,
         coordinates=SnapshotCoordinates(*rest[:n_coords]) if nsnap else None,
     )
 
@@ -211,7 +223,7 @@ def read_basis(path, space=None):
 def read_basis_coordinates(path, space=None):
     """The :class:`SnapshotCoordinates` of a basis archive (None when it
     holds none), validated like :func:`read_basis` but reading no other block."""
-    _, nsnap, _, fields = _read_basis_blocks(path, space, {
+    _, nsnap, _, _, fields = _read_basis_blocks(path, space, {
         "snapshot times", "snapshot coordinates", "snapshot norms", "stiffness Gram"})
     return SnapshotCoordinates(*fields) if nsnap else None
 

@@ -44,6 +44,21 @@ table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule),
 so the cubes cost about 1.5 m^3 P multiply-adds: linear in the mesh, cubic
 in the modes.
 
+On a problem with a drag boundary the projected field set ends with the
+drag lifting v_d (``fom.drag_lifting``), which is no mode: every leading
+slice is as without it, and its test row v gives the drag of a reduced
+state without forming a field (:meth:`RomProjection.drag`).  With
+u = X c and n = o + r, the force of ``fom.step_drag`` is
+
+    v_d . R = (X^T M X)[v, :n] . (alpha c - c_hat) / dt + F(c) + w F(c_old),
+    F(c)    = nu (X^T K X)[v, :n] . c + c^T T_v c,    T_v = T[v, :n, :n],
+
+with T the tensor of the FOM's form over all fields and alpha, c_hat and
+w the scheme's (``numerics.implicit_step``) on the state coefficients.
+The cubes hold v_d as an advecting field too, which the rotational and
+EMAC combinations read, and the boundary flux covers a field that does
+not vanish on the boundary, so this is the FOM's drag to roundoff.
+
 Online, each implicit step solves the r-dimensional system by Newton with
 the analytic Jacobian of the quadratic term and one dense LU solve per
 update (LAPACK gesv), stepping the full-order scheme itself
@@ -66,6 +81,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .fem import NonlinearForm
+from .fom import DRAG_SCALE
 from .numerics import NEWTON_MAX_ITER, NEWTON_TOL, NewtonConvergenceError, implicit_step, step_count
 
 
@@ -133,7 +149,9 @@ class RomProjection:
 
     Every form's reduced tensor is a fixed combination of the two cubes
     (:data:`_COMBINATIONS`), and a leading slice of X is the field set of a
-    smaller r, so one projection serves every form and every r <= m - o.
+    smaller r, so one projection serves every form and every
+    r <= m - o - ``liftings``: the last ``liftings`` fields are no modes,
+    and the first of them is the drag lifting v_d (:meth:`drag`).
     The Grams are exactly symmetric, and so is D in (i, k).
     """
 
@@ -142,6 +160,7 @@ class RomProjection:
     gram: np.ndarray        # (m, m)    (grad X_j, grad X_i)
     mass_gram: np.ndarray   # (m, m)    (X_j, X_i)
     curl_gram: np.ndarray   # (m, m)    (curl X_j, curl X_i)
+    liftings: int = 0       # the last fields, which are no modes
 
     @property
     def m(self):
@@ -150,11 +169,38 @@ class RomProjection:
     def operators(self, form, nu, o, r):
         """:class:`RomOperators` of ``form`` on the leading o + r fields (test rows o:o+r)."""
         n = o + r
-        if n > self.m:
-            raise ValueError(f"projection holds {self.m} fields, {n} requested")
+        self._check_fields(n)
         combine = _COMBINATIONS[NonlinearForm.parse(form)]
         tensor = combine(self.conv[:n, :n, :n], self.div[:n, :n, :n])[o:]
         return RomOperators(visc=nu * self.gram[o:n, :n], tensor=np.array(tensor, order="C"))
+
+    def drag(self, config, o, coeffs):
+        """``fom.step_drag`` of every step of the trajectory ``coeffs`` (a^n per row), NaN at row 0.
+
+        ``config`` is the ``fom.FomConfig`` whose snapshots were projected:
+        the drag uses its form, nu, dt and scheme, as the FOM's does.  Each
+        step's force v_d . R is the module docstring's sum over the test row
+        v of v_d, the first field after the modes, and the leading n = o + r
+        fields; no field is formed, and a step costs O(n^2).
+        """
+        if not self.liftings:
+            raise ValueError("the projection holds no drag lifting")
+        c = np.concatenate([np.ones((len(coeffs), o)), coeffs], axis=1)
+        n, v = c.shape[1], self.m - self.liftings
+        self._check_fields(n)
+        tensor = _COMBINATIONS[NonlinearForm.parse(config.form)](self.conv, self.div)[v, :n, :n]
+        force = config.nu * (c @ self.gram[v, :n]) + np.einsum("sj,jk,sk->s", c, tensor, c)
+        drag = np.full(len(c), np.nan)
+        for s in range(1, len(c)):
+            alpha, hist, _, weight = implicit_step(config.scheme, c[s - 1], c[s - 2] if s > 1 else None)
+            rate = self.mass_gram[v, :n] @ (alpha * c[s] - hist) / config.dt
+            drag[s] = -DRAG_SCALE * (rate + force[s] + weight * force[s - 1]) / (1.0 + weight)
+        return drag
+
+    def _check_fields(self, n):
+        """Refuse n leading fields that run past the modes into the liftings or past the end."""
+        if n > self.m - self.liftings:
+            raise ValueError(f"projection holds {self.m - self.liftings} fields, {n} requested")
 
 
 # each form's T[i, j, k] from the cubes (the table of the module docstring):
@@ -205,8 +251,8 @@ def _tabulate(space, fields):
     return vals.reshape(m, -1), tested.reshape(m, -1), div, curl
 
 
-def project_fields(space, fields):
-    """The :class:`RomProjection` of the columns X of ``fields``.
+def project_fields(space, fields, liftings=0):
+    """The :class:`RomProjection` of the columns X of ``fields``, the last ``liftings`` of which are no modes.
 
     Both cubes are evaluated on the test pairs i >= k only, each from the
     pair products of the fields: D[i, j, k] = ((div X_j), X_i . X_k) from
@@ -255,7 +301,7 @@ def project_fields(space, fields):
         dcube[k, :, k:] = d.T
         conv[k:, :, k] = c
         conv[k, :, k + 1:] = (b - d[1:] - c[1:]).T
-    return RomProjection(conv=conv, div=dcube, gram=stiff, mass_gram=mass, curl_gram=curl)
+    return RomProjection(conv=conv, div=dcube, gram=stiff, mass_gram=mass, curl_gram=curl, liftings=liftings)
 
 
 def assemble_rom_operators(basis, r, form, nu):

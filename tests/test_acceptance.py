@@ -353,7 +353,8 @@ def test_criterion_09_cylinder_pipeline(tmp_path):
 
     Every drag is ``fom.step_drag`` with the FOM's form: the FOM's at every
     step (``cyl_scalars.csv``), the ROMs' at every FOM step of their
-    reconstructed trajectories (``cyl_rom_<form>_r13_scalars.csv``).
+    trajectories, read off the projection of the modes and the drag lifting
+    (``rom.RomProjection.drag``, ``cyl_rom_<form>_r13_scalars.csv``).
     """
     snaps, basis = str(tmp_path / "cyl_snapshots.bin"), str(tmp_path / "cyl_basis.bin")
     flowrom("fom", config=CYLINDER, out=tmp_path)

@@ -11,7 +11,10 @@ import pytest
 import scipy.sparse as sp
 
 import flowrom.cli
-from flowrom.cli import _load_config, main
+import flowrom.fem
+import flowrom.fom
+import flowrom.rom
+from flowrom.cli import _build_problem, _load_config, main
 from flowrom.diagnostics import reduced_trajectory_error
 from flowrom.fem import TaylorHoodSpace
 from flowrom.fom import FomConfig, run_fom
@@ -20,6 +23,8 @@ from flowrom.io import (read_basis, read_basis_coordinates, read_csv, read_snaps
 from flowrom.numerics import NEWTON_TOL, uniform_step
 from flowrom.pod import SnapshotSet
 from flowrom.rom import RomOperators, RomTrajectory, assemble_rom_operators
+
+from conftest import with_projection
 
 
 MICRO_KH = """
@@ -133,6 +138,14 @@ MALFORMED = {
     "[problem] nx": ("nx = 8", "nx = abc"),
     "[problem] ny": ("name = kelvin-helmholtz\nnx = 8", "name = cylinder-channel"),  # the cylinder has no ny
 }
+
+
+@pytest.fixture(scope="module")
+def micro_cylinder(tmp_path_factory):
+    """fom and pod on MICRO_CYLINDER: (root, config, archive, basis)."""
+    root = tmp_path_factory.mktemp("cylinder")
+    cfg, archive, basis, _ = _run_micro(root, MICRO_CYLINDER)
+    return root, cfg, archive, basis
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +309,6 @@ class TestPipeline:
         # coordinates, and the energy and enstrophy series read the
         # projection's Grams.  At r = rank > 3 it refuses to run and writes
         # nothing: it never projects.  compare forms none.
-        from flowrom.cli import _build_problem
         from flowrom.diagnostics import energy_enstrophy
         from flowrom.rom import reconstruct_field
 
@@ -357,16 +369,17 @@ class TestPipeline:
         assert len(outputs[0]) == 13  # archive, scalars, basis, spectrum, 4 x 2 ROM files, compare
         assert outputs[0] == outputs[1]
 
-    def test_cylinder_drag_at_every_step(self, tmp_path):
-        # the FOM and the ROM drag are fom.step_drag, with the FOM's form, of
-        # each step; no step ends at the first row
-        from flowrom.cli import _build_problem
+    def test_cylinder_drag_at_every_step(self, micro_cylinder, tmp_path):
+        # the FOM's drag is fom.step_drag of each step, and the ROM's, read off
+        # the projection, is step_drag, with the FOM's form, of each
+        # reconstructed step to roundoff; no step ends at the first row
         from flowrom.fom import step_drag
         from flowrom.rom import reconstruct_field
 
-        cfg, archive, basis_path, common = _run_micro(tmp_path, MICRO_CYLINDER)
-        assert main(["rom", basis_path, "--archive", archive, *common, "--form", "skew"]) == 0
-        _, fom = read_csv(tmp_path / "micro_scalars.csv")
+        root, cfg, archive, basis_path = micro_cylinder
+        assert main(["rom", basis_path, "--archive", archive, "--config", str(cfg), "--out", str(tmp_path),
+                     "--form", "skew"]) == 0
+        _, fom = read_csv(root / "micro_scalars.csv")
         header, rom = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
         assert header == ["t", "energy", "enstrophy", "drag", "newton_iters"]
         for drag in (fom[4], rom[3]):
@@ -376,9 +389,22 @@ class TestPipeline:
         basis = read_basis(basis_path, space=problem.space)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
-        want = [step_drag(problem.space, problem.fom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
-                for n in range(1, len(u))]
-        assert np.array_equal(rom[3][1:], want)
+        want = np.array([step_drag(problem.space, problem.fom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+                         for n in range(1, len(u))])
+        assert np.abs(rom[3][1:] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_cylinder_rom_forms_no_field(self, micro_cylinder, tmp_path, monkeypatch):
+        # the drag comes from the stored projection: no full-order residual is
+        # evaluated and no reduced state is rebuilt as a field
+        root, cfg, archive, basis = micro_cylinder
+        calls = []
+        for module in (flowrom.fem, flowrom.fom, flowrom.rom, flowrom.cli):
+            for name in ("nonlinear_residual", "reconstruct_field"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        assert main(["rom", basis, "--archive", archive, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == []
+        assert np.isfinite(dict(zip(*read_csv(tmp_path / "micro_rom_emac_r3_scalars.csv")))["drag"][1:]).all()
 
 
 class TestErrorPaths:
@@ -468,7 +494,6 @@ class TestErrorPaths:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_unset_fom_keys_take_the_fomconfig_defaults(self, tmp_path):
-        from flowrom.cli import _build_problem
         from flowrom.fom import kelvin_helmholtz_boundary
 
         cfg = tmp_path / "min.ini"
@@ -482,8 +507,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
         # the whole set-up of every subcommand: the space and the validated FomConfig
-        from flowrom.cli import _build_problem
-
         problem = _build_problem(path)
         assert problem.config["problem"]["name"] in ("kelvin-helmholtz", "cylinder-channel")
         assert isinstance(problem.fom, FomConfig) and problem.space.n_vel > 0
@@ -662,44 +685,56 @@ class TestErrorPaths:
         assert f"{bad}: non-finite value in the trajectory" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
-    @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "truncated", "non_finite",
-                                        "non_finite_gram", "too_many_fields", "no_coordinates", "no_projection"])
-    def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, defect):
+    @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "version_4", "truncated",
+                                        "non_finite", "non_finite_gram", "too_many_fields", "too_many_liftings",
+                                        "no_coordinates", "no_projection", "no_lifting"])
+    def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, request, defect):
+        # every defect but no_lifting is of the shear layer's basis; no_lifting
+        # is a cylinder basis whose projection lacks the drag lifting
         root, cfg = micro_pipeline
-        raw = bytearray((root / "micro_basis.bin").read_bytes())
+        archive, basis_path = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
+        if defect == "no_lifting":
+            _, cfg, archive, basis_path = request.getfixturevalue("micro_cylinder")
+        raw = bytearray(Path(basis_path).read_bytes())
         bad = tmp_path / "bad_basis.bin"
-        rank = struct.unpack("<Q", raw[24:32])[0]
+        rank, nproj = struct.unpack_from("<Q", raw, 24)[0], struct.unpack_from("<Q", raw, 40)[0]
         if defect.startswith("version"):
             raw[8:12] = struct.pack("<I", int(defect[-1]))
         elif defect == "truncated":  # the last value of the curl Gram
             raw = raw[:-8]
         elif defect == "too_many_fields":
             raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
+        elif defect == "too_many_liftings":
+            raw[56:64] = struct.pack("<Q", nproj + 1)
         bad.write_bytes(bytes(raw))
         if defect.startswith("non_finite") or defect.startswith("no_"):
-            basis = read_basis(root / "micro_basis.bin")
+            basis = read_basis(basis_path)
             if defect == "non_finite":
                 basis.projection.div[1, 0, 2] = np.inf
             elif defect == "non_finite_gram":
                 basis.projection.mass_gram[1, 0] = np.inf
             elif defect == "no_coordinates":  # a basis written from memory, not by pod
                 basis.coordinates = None
+            elif defect == "no_lifting":  # the projection of the mean and the 3 modes only
+                basis = with_projection(_build_problem(cfg).space, basis, 3)
             else:
                 basis.projection = None
             write_basis(bad, basis)
-        code = main(["rom", str(bad), "--archive", str(root / "micro_snapshots.bin"),
-                     "--config", str(cfg), "--out", str(tmp_path)])
+        code = main(["rom", str(bad), "--archive", archive, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 4
         err = capsys.readouterr().err
         assert {"version_1": "unsupported basis archive version 1",
                 "version_2": "unsupported basis archive version 2",
                 "version_3": "unsupported basis archive version 3",
+                "version_4": "unsupported basis archive version 4",
                 "truncated": "truncated archive while reading projection Grams",
                 "non_finite": "non-finite value in projection",
                 "non_finite_gram": "non-finite value in projection Grams",
                 "too_many_fields": f"projected field count {rank + 1} exceeds",
+                "too_many_liftings": f"{bad}: lifting count {nproj + 1} exceeds the {nproj} projected fields",
                 "no_coordinates": "the basis holds no snapshot coordinates",
-                "no_projection": "the basis holds no projection"}[defect] in err
+                "no_projection": "the basis holds no projection",
+                "no_lifting": f"{bad}: the basis holds no drag lifting"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
 
     @pytest.mark.parametrize("archive,offsets,block", [
@@ -846,6 +881,18 @@ class TestErrorPaths:
             assert capsys.readouterr().err == (
                 f"config error: {source}: requested r={r} is outside 1..3 "
                 "(the modes of the stored projection; pod projects [rom] r modes)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rom_r_bound_excludes_the_lifting(self, micro_cylinder, tmp_path, capsys):
+        # the cylinder's projection holds the mean, 3 modes and the drag lifting:
+        # r = 4 would make the lifting a mode
+        _, cfg, archive, basis = micro_cylinder
+        assert read_basis(basis).projection.m == 5
+        code = main(["rom", basis, "--archive", archive, "--config", str(cfg), "--r", "4",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: --r: requested r=4 is outside 1..3 "
+                                           "(the modes of the stored projection; pod projects [rom] r modes)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("r", ["0", "-1"])

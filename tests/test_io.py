@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -134,15 +135,16 @@ class TestBasisArchive:
 
     @pytest.mark.parametrize("centering", ["none", "mean"])
     def test_round_trip_coordinates(self, tmp_path, kh_run, centering):
-        # version 4: the snapshot coordinates between the modes and the projection
+        # version 5: the snapshot coordinates between the modes and the projection,
+        # and the projection's lifting count (none here) last in the header
         _, space, snaps, _, _ = kh_run
         basis = build_pod_basis(snaps, space, centering=centering)
         basis.projection = project_fields(space, basis.fields(3))
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         raw = path.read_bytes()
-        assert struct.unpack("<IIQQQQQ", raw[8:56]) == (
-            4, centering == "mean", space.n_vel, basis.rank, snaps.count, basis.projection.m, snaps.count)
+        assert struct.unpack("<IIQQQQQQ", raw[8:64]) == (
+            5, centering == "mean", space.n_vel, basis.rank, snaps.count, basis.projection.m, snaps.count, 0)
         back = read_basis(path)
         for field in dataclasses.fields(SnapshotCoordinates):
             assert np.array_equal(getattr(back.coordinates, field.name),
@@ -151,6 +153,41 @@ class TestBasisArchive:
         assert np.array_equal(back.projection.curl_gram, basis.projection.curl_gram)
         write_basis(tmp_path / "again.bin", back)
         assert (tmp_path / "again.bin").read_bytes() == raw
+
+    def test_round_trip_lifting(self, tmp_path, kh_run, coordinates_basis):
+        # a field after the modes: the header counts it, the projection's arrays hold it
+        space = kh_run[1]
+        lifted = np.column_stack([coordinates_basis.fields(3), np.linspace(0.0, 1.0, space.n_vel)])
+        basis = dataclasses.replace(coordinates_basis, projection=project_fields(space, lifted, liftings=1))
+        path = tmp_path / "basis.bin"
+        write_basis(path, basis)
+        raw = path.read_bytes()
+        # nprojected and nlifting
+        assert [struct.unpack_from("<Q", raw, offset)[0] for offset in (40, 56)] == [4, 1]
+        back = read_basis(path).projection
+        assert back.m == 4 and back.liftings == 1
+        for name in ("conv", "div", "gram", "mass_gram", "curl_gram"):
+            assert np.array_equal(getattr(back, name), getattr(basis.projection, name))
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_older_version_is_format_error(self, tmp_path, coordinates_basis, version):
+        # version 4 had no lifting count; every older layout is refused by its version alone
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError, match=f"unsupported basis archive version {version}"):
+                reader(path)
+
+    def test_lifting_count_above_projected_fields(self, tmp_path, coordinates_basis):
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        _set_counts(path, [56], 4)
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError, match=re.escape(f"{path}: lifting count 4 exceeds the 3")):
+                reader(path)
 
     def test_coordinates_only(self, tmp_path, kh_basis_session, coordinates_basis):
         path = tmp_path / "basis.bin"

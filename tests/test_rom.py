@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ import flowrom.pod
 import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
 from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
-from flowrom.fom import (FomConfig, build_initial_condition, kelvin_helmholtz_boundary, kelvin_helmholtz_velocity,
-                         run_fom)
+from flowrom.fom import (FomConfig, at_rest, build_initial_condition, cylinder_boundary, drag_lifting,
+                         kelvin_helmholtz_boundary, kelvin_helmholtz_velocity, run_fom, step_drag)
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import NewtonConvergenceError
 from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
@@ -565,6 +566,53 @@ class TestRomEnergy:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         with pytest.raises(ValueError, match="projection holds"):
             rom_energy_enstrophy(small, basis, np.zeros((1, r + 1)))
+
+
+@pytest.fixture(scope="module")
+def cylinder_run():
+    """Space, snapshots and config of the cylinder's first eight steps from rest (EMAC, BDF2)."""
+    space = TaylorHoodSpace(load_bundled_mesh())
+    cfg = FomConfig(nu=5e-4, dt=0.0025, t_end=0.02, form="emac", scheme="bdf2", boundary=cylinder_boundary(),
+                    drag_label="cylinder", project_initial=True)
+    _, snaps, _ = run_fom(cfg, space.mesh, space, build_initial_condition(at_rest, space))
+    return space, snaps, cfg
+
+
+class TestProjectionDrag:
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("centering,scheme", [("mean", "bdf2"), ("none", "backward_euler")])
+    def test_matches_step_drag_of_reconstructed_states(self, cylinder_run, form, centering, scheme):
+        # the FOM's drag function of the reconstructed ROM states, BDF2's theta
+        # start in row 1 included, at the projected modes and a leading slice
+        space, snaps, run_cfg = cylinder_run
+        cfg = dataclasses.replace(run_cfg, form=form, scheme=scheme)
+        basis = build_pod_basis(snaps, space, centering=centering)
+        o, r_max = int(basis.centered), min(6, basis.rank)
+        projection = project_fields(space, np.column_stack([basis.fields(r_max), drag_lifting(space, cfg)]),
+                                    liftings=1)
+        for r in (r_max, r_max - 2):
+            ops = projection.operators(form, cfg.nu, o, r)
+            traj = run_rom(ops, basis.coordinates.coeffs[0, :r], cfg.dt, 8 * cfg.dt, scheme=scheme)
+            u = [reconstruct_field(basis, a) for a in traj.coeffs]
+            want = np.array([step_drag(space, cfg, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+                             for n in range(1, len(u))])
+            got = projection.drag(cfg, o, traj.coeffs)
+            assert np.isnan(got[0])
+            assert np.abs(got[1:] - want).max() <= 1e-12 * np.abs(want).max(), r
+
+    def test_lifting_is_no_mode(self, cylinder_run, rom_setup):
+        # the operators never reach the lifting, and a projection without one has no drag
+        space, snaps, cfg = cylinder_run
+        basis = build_pod_basis(snaps, space, centering="mean")
+        projection = project_fields(space, np.column_stack([basis.fields(2), drag_lifting(space, cfg)]),
+                                    liftings=1)
+        assert projection.operators(cfg.form, cfg.nu, 1, 2).r == 2
+        with pytest.raises(ValueError, match="projection holds 3 fields, 4 requested"):
+            projection.operators(cfg.form, cfg.nu, 1, 3)
+        with pytest.raises(ValueError, match="projection holds 3 fields, 4 requested"):
+            projection.drag(cfg, 1, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="no drag lifting"):
+            rom_setup[2].projection.drag(cfg, 0, np.zeros((2, 3)))
 
 
 class TestReconstructField:

@@ -130,17 +130,28 @@ def test_no_tolerance_is_a_parameter():
     assert [_modules_holding(text, owner=None) for text in ("newton_tol", "rank_tol")] == [[], []]
 
 
-def test_only_pod_projects():
-    # the projection that flowrom pod stores is the one source of ROM operators:
-    # no other function under src/flowrom and demos/ calls rom.project_fields
+def _callers(name):
+    """``module.function`` (``<module>`` at top level) of every call of ``name`` in src/flowrom and demos/."""
     callers = []
     for path in sorted([*(ROOT / "src" / "flowrom").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]):
         for top in ast.parse(path.read_text()).body:
-            if any(isinstance(node, ast.Call) and "project_fields" in (getattr(node.func, "id", None),
-                                                                       getattr(node.func, "attr", None))
+            if any(isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
                    for node in ast.walk(top)):
                 callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == ["cli.cmd_pod"]
+    return callers
+
+
+def test_only_pod_projects():
+    # the projection that flowrom pod stores is the one source of ROM operators:
+    # no other function under src/flowrom and demos/ calls rom.project_fields
+    assert _callers("project_fields") == ["cli.cmd_pod"]
+
+
+def test_only_fom_evaluates_the_drag():
+    # a ROM's drag is read off that projection (rom.RomProjection.drag): only
+    # the FOM evaluates fom.step_drag, a full-order residual
+    assert _callers("step_drag") == ["fom.run_fom"]
 
 
 def test_only_cached_touches_the_memo():
