@@ -30,7 +30,8 @@ depend on ``u`` alone (:func:`_transport`):
 * emac:        no a,  L = 2 sym(grad u) + (div u) I
 
 :func:`_density` applies them to ``v``.  The full-order residual and
-Jacobian and :func:`trilinear_value` go through this pair.  Quadrature
+Jacobian go through this pair, and so does the tests' oracle of a single
+value b(u, v, w) (``trilinear_value`` in ``tests/conftest.py``).  Quadrature
 tables are component-major: values have shape (2, ..., nt, nq) and
 gradients (2, 2, ..., nt, nq), so the density is explicit arithmetic on
 contiguous (..., nt, nq) blocks.  A field component may be None, an exact
@@ -667,16 +668,6 @@ def _density(transport, vvals, vgrads, into=None):
         if into is not None:
             into[c] += total
     return out if into is None else into
-
-
-def trilinear_value(space, form, u, v, w):
-    """Exact value of b(u, v, w) for the selected form."""
-    form = NonlinearForm.parse(form)
-    uvals, ugrads = space.values_and_grads(u)
-    vvals, vgrads = space.values_and_grads(v)
-    wvals, _ = space.values_and_grads(w)
-    s = _density(_transport(form, uvals, ugrads), vvals, vgrads)
-    return float(np.sum(s * wvals * space.wdet))
 
 
 def nonlinear_residual(space, form, u):

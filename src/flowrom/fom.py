@@ -406,7 +406,9 @@ def run_fom(config, mesh, space, u0):
     """Run the full-order solver, recording snapshots and scalar series.
 
     Returns ``(state, snapshots, series)`` where ``state`` is the final
-    :class:`FomState`, ``snapshots`` is a :class:`SnapshotSet`, and
+    :class:`FomState`, ``snapshots`` is a :class:`SnapshotSet` whose
+    matrix is the transpose view of one (count, n_vel) array, allocated
+    before the first step and filled as the run goes, and
     ``series`` maps the CLI scalars file's columns, in its order (``energy``,
     ``enstrophy``, ``div_error``, ``drag``, ``newton_iters``,
     ``factorizations``, ``newton_residual``), to :class:`ScalarSeries`
@@ -425,8 +427,10 @@ def run_fom(config, mesh, space, u0):
         u0 = stokes_project(space, u0, config.boundary)
     state = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
 
-    snap_at = set(snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))
-    columns, snap_times = [], []
+    # snapshot row of each recorded step; row n of ``recorded`` is column n of the matrix
+    snap_row = {step: row for row, step in enumerate(
+        snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))}
+    recorded, snap_times = np.empty((len(snap_row), space.n_vel)), np.empty(len(snap_row))
     series = {name: [] for name in ("energy", "enstrophy", "div_error", "drag",
                                     "newton_iters", "factorizations", "newton_residual")}
     times = []
@@ -442,9 +446,9 @@ def run_fom(config, mesh, space, u0):
         series["newton_iters"].append(st.newton_iters)
         series["factorizations"].append(st.factorizations)
         series["newton_residual"].append(st.newton_residual)
-        if st.step in snap_at:
-            columns.append(st.u.copy())
-            snap_times.append(st.t)
+        row = snap_row.get(st.step)
+        if row is not None:
+            recorded[row], snap_times[row] = st.u, st.t
 
     held = HeldFactor()
     record(state)
@@ -455,8 +459,4 @@ def run_fom(config, mesh, space, u0):
 
     t_arr = np.array(times)
     out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}
-    snapshots = SnapshotSet(
-        matrix=np.array(columns).T if columns else np.zeros((space.n_vel, 0)),
-        times=np.array(snap_times),
-    )
-    return state, snapshots, out_series
+    return state, SnapshotSet(matrix=recorded.T, times=snap_times), out_series

@@ -8,7 +8,8 @@ whose counts come from the header.  The writers emit the table's fields in
 order.  The readers check the file size against the whole table before they
 allocate or read any block, so a header count that disagrees with the file
 is a format error naming the block it runs into, and read only the blocks
-they need.
+they need.  Every format error raised while an archive is read starts
+with the archive's path (:func:`_archive`).
 
 Basis archive version 4 lacked the lifting count, version 3 also the
 snapshot coordinates and version 2 also the mass and curl Grams; all are
@@ -22,6 +23,7 @@ rereading reproduces the values bit-exactly.  Readers look a column up by
 its header name.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -40,6 +42,10 @@ BASIS_VERSION = 5
 # The only table columns that hold text; :func:`write_csv` and :func:`read_csv`
 # treat every other column as numbers.
 TEXT_COLUMNS = ("form",)
+
+# snapshots per read in read_snapshots: it bounds the read buffer and does
+# not change a bit of the matrix
+_SNAPSHOT_BLOCK = 4
 
 
 class ArchiveFormatError(ValueError):
@@ -88,6 +94,17 @@ def _write_archive(path, magic, version, flag, counts, blocks, fields):
             fh.write(np.ascontiguousarray(field, dtype="<f8").reshape(shape))
 
 
+@contextlib.contextmanager
+def _archive(path):
+    """The archive at ``path``, open for reading; every :class:`ArchiveFormatError`
+    raised while it is open gains the path as its first word."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except ArchiveFormatError as exc:
+        raise ArchiveFormatError(f"{path}: {exc}") from None
+
+
 def _read_header(fh, kind, magic, version, n_counts, space):
     """(flag, *counts) of a header written by :func:`_write_archive`, whose
     first count, the DOF count, is checked against the space; leaves ``fh``
@@ -129,14 +146,20 @@ def _read_blocks(fh, kind, blocks, wanted=None):
         if wanted is not None and name not in wanted:
             fh.seek(size, os.SEEK_CUR)
             continue
-        buf = bytearray(size)
-        fh.readinto(buf)
-        data = np.frombuffer(buf, dtype="<f8")
-        if not np.all(np.isfinite(data)):
-            raise ArchiveFormatError(f"non-finite value in {name}")
+        data = _read_finite(fh, name, size // 8)
         offsets = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
         fields += [part.reshape(shape) for part, shape in zip(np.split(data, offsets), shapes)]
     return fields
+
+
+def _read_finite(fh, name, count):
+    """The next ``count`` float64 values of ``fh``, a writable array; a non-finite one is a format error."""
+    buf = bytearray(8 * count)
+    fh.readinto(buf)
+    data = np.frombuffer(buf, dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise ArchiveFormatError(f"non-finite value in {name}")
+    return data
 
 
 def write_snapshots(path, snapshots):
@@ -146,27 +169,39 @@ def write_snapshots(path, snapshots):
                    [snapshots.times, snapshots.matrix.T])
 
 
-def _read_snapshot_blocks(path, space, wanted=None):
-    """The field arrays of a snapshot archive, as :func:`_read_blocks`."""
-    with open(path, "rb") as fh:
-        _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
-        return _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), wanted)
+def _snapshot_times(fh, space):
+    """(ndof, nsnap, times) of the snapshot archive open as ``fh``, as
+    :func:`_read_blocks` reads them; ``fh`` is left at the end of the file."""
+    _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
+    times, = _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), {"times"})
+    return ndof, nsnap, times
 
 
 def read_snapshots(path, space=None):
     """Read a snapshot archive back into a :class:`SnapshotSet`.
 
-    Raises :class:`ArchiveFormatError` on a malformed or non-finite payload
-    and, when ``space`` is given, on a DOF count that does not match it.
+    The (ndof, nsnap) matrix is filled from the payload
+    :data:`_SNAPSHOT_BLOCK` snapshots at a time, after the file size is
+    checked against the whole block table.  Raises
+    :class:`ArchiveFormatError`, naming the file, on a malformed or
+    non-finite payload and, when ``space`` is given, on a DOF count that
+    does not match it.
     """
-    times, data = _read_snapshot_blocks(path, space)
-    return SnapshotSet(matrix=data.T.copy(), times=times)
+    with _archive(path) as fh:
+        ndof, nsnap, times = _snapshot_times(fh, space)
+        fh.seek(-8 * ndof * nsnap, os.SEEK_END)   # the payload, which ends the file
+        matrix = np.empty((ndof, nsnap))
+        for a in range(0, nsnap, _SNAPSHOT_BLOCK):
+            b = min(nsnap - a, _SNAPSHOT_BLOCK)
+            matrix[:, a:a + b] = _read_finite(fh, "snapshot payload", b * ndof).reshape(b, ndof).T
+    return SnapshotSet(matrix=matrix, times=times)
 
 
 def read_snapshot_times(path, space=None):
     """The times of a snapshot archive, validated like :func:`read_snapshots`
     except that its payload is skipped."""
-    return _read_snapshot_blocks(path, space, {"times"})[0]
+    with _archive(path) as fh:
+        return _snapshot_times(fh, space)[2]
 
 
 def write_basis(path, basis):
@@ -186,13 +221,13 @@ def write_basis(path, basis):
 
 def _read_basis_blocks(path, space, wanted=None):
     """(centered, nsnap, nproj, nlifting, field arrays) of a basis archive, as :func:`_read_blocks`."""
-    with open(path, "rb") as fh:
+    with _archive(path) as fh:
         centered, ndof, rank, nspec, nproj, nsnap, nlifting = _read_header(
             fh, "basis", BASIS_MAGIC, BASIS_VERSION, 6, space)
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
         if nlifting > nproj:
-            raise ArchiveFormatError(f"{path}: lifting count {nlifting} exceeds the {nproj} projected fields")
+            raise ArchiveFormatError(f"lifting count {nlifting} exceeds the {nproj} projected fields")
         n_fields = rank + bool(centered)
         if nproj - nlifting > n_fields:
             raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields "

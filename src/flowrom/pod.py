@@ -21,6 +21,10 @@ are also the Rayleigh quotients' projections, and the norms of the part
 outside the basis.  The projection-error equality and the ROM error
 functionals (``diagnostics.reduced_trajectory_error``) read only these, so
 once the basis is built no stage needs the snapshot matrix again.
+
+Besides the snapshot matrix and the modes, the pass holds at most two
+snapshot-sized arrays at once (M X, then the part outside the basis and
+its K or M product), and X - ubar as well when centered.
 """
 
 from dataclasses import dataclass
@@ -151,7 +155,10 @@ def build_pod_basis(snapshots, space, centering="none"):
     Modes with ``lambda_k <= RANK_TOL * lambda_1`` are dropped.
     M X (released before the part outside the basis is formed), a_hat =
     (M X)^T Psi and K Psi are each formed once for the basis and its
-    coordinates.
+    coordinates.  Besides the snapshots and the modes, at most two
+    snapshot-sized arrays are alive at once (three when centered, while
+    X - ubar lives): the snapshot norms are taken first, and K w and M w
+    are freed as soon as their coordinates are formed.
     """
     if centering not in ("none", "mean"):
         raise ValueError(f"centering must be 'none' or 'mean', got {centering!r}")
@@ -160,6 +167,7 @@ def build_pod_basis(snapshots, space, centering="none"):
     if count < 1:
         raise ValueError("need at least one snapshot")
     mass, stiffness = space.mass(), space.stiffness()
+    h1_norms, div_norms = _column_norms(x, stiffness), _column_norms(x, space.div_form())
     mean = x.mean(axis=1) if centering == "mean" else None
     xc = x - mean[:, None] if mean is not None else x
 
@@ -170,13 +178,19 @@ def build_pod_basis(snapshots, space, centering="none"):
     if vals[0] <= 0.0:
         raise ValueError("snapshot set has rank 0 (all snapshots vanish)")
     rank = int(np.sum(vals > RANK_TOL * vals[0]))
-    modes = xc @ vecs[:, :rank] / np.sqrt(count * vals[:rank])
-    modes = _m_orthonormalize(modes, mass)
+    # the raw modes are bound to no name here, so each pass frees the last one
+    modes = _m_orthonormalize(xc @ vecs[:, :rank] / np.sqrt(count * vals[:rank]), mass)
 
     coeffs = mx.T @ modes  # (count, rank): a_hat^n_k = (u^n - ubar, psi_k)_M
     del mx
-    outside = xc - modes @ coeffs.T
+    outside = modes @ coeffs.T
+    np.subtract(xc, outside, out=outside)   # w = x - ubar - Psi a_hat, in the product's buffer
+    del xc
     k_outside = stiffness @ outside
+    outside_stiff, outside_stiff_sq = (modes.T @ k_outside).T, np.einsum("ij,ij->j", outside, k_outside)
+    del k_outside
+    outside_mass_sq = np.einsum("ij,ij->j", outside, mass @ outside)
+    del outside
     k_modes = stiffness @ modes
     # Rayleigh-refined eigenvalues for the corrected directions
     lam = np.einsum("jk,jk->k", coeffs, coeffs) / count
@@ -184,11 +198,11 @@ def build_pod_basis(snapshots, space, centering="none"):
     coordinates = SnapshotCoordinates(
         times=snapshots.times.copy(),
         coeffs=coeffs,
-        outside_stiff=(modes.T @ k_outside).T,
-        outside_mass_sq=np.einsum("ij,ij->j", outside, mass @ outside),
-        outside_stiff_sq=np.einsum("ij,ij->j", outside, k_outside),
-        h1_norms=_column_norms(x, stiffness),
-        div_norms=_column_norms(x, space.div_form()),
+        outside_stiff=outside_stiff,
+        outside_mass_sq=outside_mass_sq,
+        outside_stiff_sq=outside_stiff_sq,
+        h1_norms=h1_norms,
+        div_norms=div_norms,
         stiff_gram=modes.T @ k_modes,
     )
     return PodBasis(

@@ -30,19 +30,21 @@ so the operators at r are the test rows o:o+r and fields :o+r of a
 projection on more fields; ``flowrom pod`` stores one of its ``[rom] r``
 modes, and the online stage only slices it.  The projection is one
 element loop over the pair products of the fields, on the test pairs
-i >= k only (:func:`project_fields`): the values, divergences and curls
-of all m fields are tabulated once, a few fields at a time, and each
-field k then evaluates its own gradients and costs the products
-X_i . X_k and (grad X_k)^T X_i with the n = m - k fields i >= k and two
-matrix products, (n x P)(P x m) for D and (n x 2P)(2P x m) for C, with
-P = elements x quadrature points.  No table of every field's gradients
-exists, so the projection's memory is what those products read, about
-7 m P + 2 m^3 floats.  D is mirrored, and C's other half
-follows exactly from integration by parts against a boundary-flux cube,
-whose field values come from the same evaluation on the space's edge
-table (``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule),
-so the cubes cost about 1.5 m^3 P multiply-adds: linear in the mesh, cubic
-in the modes.
+i >= k only (:func:`project_fields`): the values, weighted divergences
+and curls of all m fields are tabulated once, a few fields at a time
+(:func:`_tabulate`), and each field k then evaluates its own gradients,
+weights them, and costs the products X_i . X_k and (grad X_k)^T X_i w
+with the n = m - k fields i >= k and two matrix products, (n x P)(P x m)
+for D and (n x 2P)(2P x m) for C, with P = elements x quadrature points.
+No table of every field's gradients or weighted values exists, so the
+projection's memory is the values and weighted divergences that those
+products read, one pair buffer and the cubes: about 5 m P + 2 m^3
+floats.  D is mirrored, and C's other half follows exactly from
+integration by parts against a boundary-flux cube, whose field values
+come from the same evaluation on the space's edge table
+(``TaylorHoodSpace.edge_table``, fem's one boundary-edge rule), so the
+cubes cost about 1.5 m^3 P multiply-adds: linear in the mesh, cubic in
+the modes.
 
 On a problem with a drag boundary the projected field set ends with the
 drag lifting v_d (``fom.drag_lifting``), which is no mode: every leading
@@ -232,23 +234,22 @@ def _boundary_flux(space, fields):
 
 
 def _tabulate(space, fields):
-    """Per field, at the P quadrature points: values, weighted values, weighted divergence, curl.
+    """Per field, at the P quadrature points: values, weighted divergence, curl.
 
-    Returns (m, 2P), (m, 2P), (m, P) and (m, P) arrays, the values
-    component-major in each row.  The fields are evaluated in blocks of
-    :data:`_FIELD_BLOCK`, so no table of all m fields' gradients exists.
+    Returns (m, 2, P), (m, P) and (m, P) arrays.  The fields are evaluated
+    in blocks of :data:`_FIELD_BLOCK`, so no table of all m fields'
+    gradients exists.
     """
     m, size = fields.shape[1], space.wdet.size
-    vals, tested = np.empty((2, m, 2, size))
+    vals = np.empty((m, 2, size))
     div, curl = np.empty((m, size)), np.empty((m, size))
     for a in range(0, m, _FIELD_BLOCK):
         v, g = space.values_and_grads(fields[:, a:a + _FIELD_BLOCK].T)   # (2, b, e, q), (2, 2, b, e, q)
         b = v.shape[1]
         vals[a:a + b] = v.reshape(2, b, -1).transpose(1, 0, 2)
-        tested[a:a + b] = (v * space.wdet).reshape(2, b, -1).transpose(1, 0, 2)
         div[a:a + b] = ((g[0, 0] + g[1, 1]) * space.wdet).reshape(b, -1)
         curl[a:a + b] = (g[1, 0] - g[0, 1]).reshape(b, -1)
-    return vals.reshape(m, -1), tested.reshape(m, -1), div, curl
+    return vals, div, curl
 
 
 def project_fields(space, fields, liftings=0):
@@ -273,29 +274,33 @@ def project_fields(space, fields, liftings=0):
 
     The fields are read in place (columns of ``fields``) and evaluated in
     blocks of :data:`_FIELD_BLOCK` (:func:`_tabulate`); field k's
-    gradients are evaluated again in step k, when its products need them.
-    The working set is the values, the weighted values and the weighted
-    divergences of all fields (5 m P floats), one (m, 2, P) pair-product
-    buffer that serves the D product and then the C product, and the
-    two cubes: about 7 m P + 2 m^3 floats.  Every output is bitwise the
-    same as from one evaluation of all fields at once.
+    gradients are evaluated again in step k, when its products need them,
+    and weighted there, so no table of weighted values exists.  The
+    working set is the values and the weighted divergences of all fields
+    (3 m P floats), one (m, 2, P) pair-product buffer that serves the D
+    product and then the C product, and the two cubes: about
+    5 m P + 2 m^3 floats.  The mass Gram's weighted values are a
+    temporary, freed before the pair buffer is allocated.  Every output is
+    bitwise the same as from one evaluation of all fields at once.
     """
     m = fields.shape[1]
+    wdet = space.wdet.reshape(-1)
     stiff = fields.T @ (space.stiffness() @ fields)
-    vals, tested, div, curl = _tabulate(space, fields)
-    grams = (stiff, tested @ vals.T, (curl * space.wdet.reshape(-1)) @ curl.T)
+    vals, div, curl = _tabulate(space, fields)
+    curl = (curl * wdet) @ curl.T   # the curl table goes before the weighted values exist
+    flat = vals.reshape(m, -1)      # the values, component-major in each row
+    grams = (stiff, (vals * wdet).reshape(m, -1) @ flat.T, curl)
     stiff, mass, curl = (0.5 * (g + g.T) for g in grams)   # the (m, m) Grams, before the cubes' buffers
-    vals = vals.reshape(m, 2, -1)
     bvals, flux = _boundary_flux(space, fields.T)
     conv, dcube = np.empty((2, m, m, m))
-    pairs = np.empty((m, 2, div.shape[1]))   # X_i . X_k in [:, 0], then (grad X_k)^T X_i, i >= k
+    pairs = np.empty((m, 2, div.shape[1]))   # X_i . X_k in [:, 0], then (grad X_k)^T X_i w, i >= k
     for k in range(m):
         n = m - k
         np.einsum("icp,cp->ip", vals[k:], vals[k], out=pairs[:n, 0])
         d = pairs[:n, 0] @ div.T                              # D[i, :, k], i >= k
         _, grad = space.values_and_grads(fields[:, k])        # (2, 2, e, q): d_t X_k^c
-        np.einsum("icp,ctp->itp", vals[k:], grad.reshape(2, 2, -1), out=pairs[:n])
-        c = pairs[:n].reshape(n, -1) @ tested.T               # C[i, :, k], i >= k
+        np.einsum("icp,ctp->itp", vals[k:], (grad * space.wdet).reshape(2, 2, -1), out=pairs[:n])
+        c = pairs[:n].reshape(n, -1) @ flat.T                 # C[i, :, k], i >= k
         b = np.einsum("cib,cb->ib", bvals[:, k + 1:], bvals[:, k]) @ flux.T   # B[i, :, k], i > k
         dcube[k:, :, k] = d
         dcube[k, :, k:] = d.T
@@ -307,8 +312,8 @@ def project_fields(space, fields, liftings=0):
 def assemble_rom_operators(basis, r, form, nu):
     """The momentum operators on the leading ``r`` modes, sliced from ``basis.projection``.
 
-    Every tensor entry equals the full-order ``trilinear_value`` of the
-    corresponding field triple.
+    Every tensor entry equals the full-order value b(X_j, X_k, psi_i) of
+    the corresponding field triple.
     """
     return basis.projection.operators(form, nu, int(basis.centered), r)
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from flowrom.fem import (
+    NonlinearForm,
     TaylorHoodSpace,
     _density,
     _transport,
@@ -134,6 +136,27 @@ def signed_areas(mesh):
 def with_projection(space, basis, r):
     """``basis`` carrying the projection of its leading r modes, as ``flowrom pod`` stores it."""
     return replace(basis, projection=project_fields(space, basis.fields(r)))
+
+
+def trilinear_value(space, form, u, v, w):
+    """Exact value of b(u, v, w) for the selected form, from ``fem``'s pointwise density."""
+    form = NonlinearForm.parse(form)
+    uvals, ugrads = space.values_and_grads(u)
+    vvals, vgrads = space.values_and_grads(v)
+    wvals, _ = space.values_and_grads(w)
+    s = _density(_transport(form, uvals, ugrads), vvals, vgrads)
+    return float(np.sum(s * wvals * space.wdet))
+
+
+def traced_peak(call):
+    """(``call()``'s traced peak in bytes, above what was traced before it, and its result)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
 
 
 def rom_quadratic(ops, c):

@@ -23,7 +23,6 @@ from flowrom.fem import (
     h1_semi_error,
     nonlinear_jacobian,
     nonlinear_residual,
-    trilinear_value,
 )
 from flowrom.fom import (
     FomConfig,
@@ -40,7 +39,7 @@ from flowrom.pod import build_pod_basis, pod_projection_error, project_field
 from flowrom.rom import assemble_rom_operators, reconstruct_field, run_rom
 from flowrom.diagnostics import trajectory_error
 
-from conftest import field_norms, rom_quadratic, with_projection
+from conftest import field_norms, rom_quadratic, trilinear_value, with_projection
 from test_fem import oracle_eval, oracle_integral
 
 ALL_FORMS = list(NonlinearForm)

@@ -737,6 +737,25 @@ class TestErrorPaths:
                 "no_lifting": f"{bad}: the basis holds no drag lifting"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
 
+    def test_archive_format_errors_name_their_file(self, micro_pipeline, tmp_path, capsys):
+        # rom and compare read a basis and an --archive: the message says which is at fault
+        root, cfg = micro_pipeline
+        archive, basis = root / "micro_snapshots.bin", root / "micro_basis.bin"
+        old, cut = tmp_path / "old_basis.bin", tmp_path / "cut_snapshots.bin"
+        raw = bytearray(basis.read_bytes())
+        raw[8:12] = struct.pack("<I", 4)
+        old.write_bytes(bytes(raw))
+        cut.write_bytes(archive.read_bytes()[:-8])
+        common = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert main(["rom", str(old), "--archive", str(archive), *common]) == 4
+        assert f"format error: {old}: unsupported basis archive version 4" in capsys.readouterr().err
+        assert main(["rom", str(basis), "--archive", str(cut), *common]) == 4
+        assert f"format error: {cut}: snapshot payload size does not match" in capsys.readouterr().err
+        assert main(["compare", str(root / "micro_rom_skew_r3_traj.csv"), "--config", str(cfg),
+                     "--archive", str(cut), "--basis", str(basis), "--out", str(tmp_path / "c.csv")]) == 4
+        assert f"format error: {cut}: snapshot payload size does not match" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_rom_*")) and not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("archive,offsets,block", [
         ("snapshots", [24], "times"),              # nsnap
         ("basis", [24, 32], "eigenvalues"),        # rank and nspectrum

@@ -19,7 +19,6 @@ from flowrom.fem import (
     nonlinear_jacobian,
     nonlinear_residual,
     saddle_block,
-    trilinear_value,
 )
 from flowrom.fom import (_newton_matrix, build_initial_condition, cylinder_boundary, kelvin_helmholtz_boundary,
                          kelvin_helmholtz_velocity, taylor_green_velocity)
@@ -31,6 +30,7 @@ from conftest import (
     field_norms,
     oracle_quadrature,
     signed_areas,
+    trilinear_value,
     twelve_direction_jacobian,
 )
 

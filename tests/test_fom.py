@@ -42,6 +42,7 @@ from conftest import (
     diagonal_product_constraint,
     field_norms,
     scheme_residual,
+    traced_peak,
     twelve_direction_jacobian,
 )
 
@@ -405,6 +406,21 @@ class TestRunFom:
         errs = [np.sqrt((final[k] - final[8]) @ (mass @ (final[k] - final[8]))) for k in (1, 2, 4)]
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(orders >= 1.8), orders
+
+    def test_each_snapshot_is_held_once(self, kh16, monkeypatch):
+        # the solve is stubbed out, so what is traced is the recording: 201 snapshots
+        # cost 1.0x their bytes over one; a list of copies stacked at the end cost 2.0x
+        mesh, space = kh16
+        monkeypatch.setattr(flowrom.fom, "advance_step", lambda st, config, space, held: dataclasses.replace(
+            st, u=st.u + 1.0, t=st.t + config.dt, step=st.step + 1))
+        u0 = build_initial_condition(kelvin_helmholtz_velocity, space)
+        run = lambda window: run_fom(FomConfig(nu=0.01, dt=0.02, t_end=4.0, boundary=kelvin_helmholtz_boundary(),
+                                               snapshot_window=window), mesh, space, u0)
+        run((0.0, 0.0))   # the space's cached operators exist before tracing
+        one, _ = traced_peak(lambda: run((0.0, 0.0)))
+        every, (_, snaps, _) = traced_peak(lambda: run((0.0, 4.0)))
+        assert snaps.count == 201
+        assert every - one <= 1.2 * snaps.matrix.nbytes
 
 
 def drag_lifting(space, cfg):

@@ -10,6 +10,8 @@ from flowrom.pod import (
     project_field,
 )
 
+from conftest import traced_peak
+
 
 @pytest.fixture(scope="module")
 def kh_snapshots(kh_run):
@@ -126,6 +128,16 @@ class TestBuildPodBasis:
         for name, scale in size.items():
             diff = np.abs(getattr(got, name) - getattr(want, name)).max()
             assert diff <= 64 * np.finfo(float).eps * scale, (name, diff / scale)
+
+    @pytest.mark.parametrize("centering, bound", [("none", 2.8), ("mean", 3.8)])
+    def test_traced_peak_is_two_snapshot_sized_arrays(self, kh_snapshots, centering, bound):
+        # besides the snapshots, the modes and two snapshot-sized arrays, and X - ubar
+        # when centered: 2.5x and 3.5x the snapshots' bytes.  Holding every product
+        # until the coordinates were formed peaked at 5.0x and 6.3x
+        space, snaps = kh_snapshots
+        build_pod_basis(snaps, space, centering)   # the space's cached operators exist before tracing
+        peak, _ = traced_peak(lambda: build_pod_basis(snaps, space, centering))
+        assert peak <= bound * snaps.matrix.nbytes
 
 
 class TestProjectionErrorEquality:

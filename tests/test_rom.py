@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import flowrom.fom
 import flowrom.pod
 import flowrom.rom
 from flowrom.diagnostics import energy_enstrophy, reduced_trajectory_error, rom_energy_enstrophy
-from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual, trilinear_value
+from flowrom.fem import NonlinearForm, TaylorHoodSpace, nonlinear_residual
 from flowrom.fom import (FomConfig, at_rest, build_initial_condition, cylinder_boundary, drag_lifting,
                          kelvin_helmholtz_boundary, kelvin_helmholtz_velocity, run_fom, step_drag)
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
@@ -24,7 +23,7 @@ from flowrom.rom import (
     run_rom,
 )
 
-from conftest import rom_quadratic, with_projection
+from conftest import rom_quadratic, traced_peak, trilinear_value, with_projection
 
 ALL_FORMS = list(NonlinearForm)
 
@@ -114,19 +113,14 @@ class TestProjection:
 
     def test_traced_peak_is_the_working_set(self, rom_setup):
         # 46 fields on the 16x16 shear layer, the size the kh16 pipeline projects.  The
-        # blocked evaluation peaks at 11.2 MiB (about 7 m P + 2 m^3 floats, P = 3584
-        # quadrature points); a stacked table of all fields' gradients peaked at 18.4 MiB
+        # blocked evaluation peaks at 8.7 MiB (about 5 m P + 2 m^3 floats, P = 3584
+        # quadrature points); a table of weighted values besides the values peaked at
+        # 11.2 MiB, and a stacked table of all fields' gradients at 18.4 MiB
         space = rom_setup[0]
         fields = np.random.default_rng(11).standard_normal((space.n_vel, 46))
         project_fields(space, fields)   # the space's cached operators and edge table exist before tracing
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            project_fields(space, fields)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12.4 * 2**20
+        peak, _ = traced_peak(lambda: project_fields(space, fields))
+        assert peak <= 9.6 * 2**20
 
 
 def boundary_flux_cube(space, x):
