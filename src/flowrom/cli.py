@@ -227,8 +227,6 @@ def cmd_pod(args):
 
 def _pod_coordinates(coordinates, basis_path, archive_path, space):
     """The snapshot coordinates stored by ``pod`` in the basis and the step of their time grid."""
-    if coordinates is None:
-        raise fio.ArchiveFormatError(f"{basis_path}: the basis holds no snapshot coordinates")
     if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), coordinates.times):
         raise fio.ArchiveFormatError(
             f"{archive_path}: snapshot times differ from those of the basis {basis_path}")
@@ -265,8 +263,6 @@ def cmd_rom(args):
         raise ConfigError(f"{args.config}: [fom] dt = {dt:g} does not divide the snapshot spacing "
                           f"{spacing:g} of the basis {args.basis} into whole steps")
     projection = basis.projection
-    if projection is None:
-        raise fio.ArchiveFormatError(f"{args.basis}: the basis holds no projection")
     if fom_cfg.drag_label is not None and not projection.liftings:
         raise fio.ArchiveFormatError(f"{args.basis}: the basis holds no drag lifting, "
                                      f"which pod projects for the drag label {fom_cfg.drag_label!r}")

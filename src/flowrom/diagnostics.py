@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import times_agree, uniform_step
+from .pod import _column_norms, extend
 
 
 @dataclass
@@ -55,21 +56,16 @@ def rom_energy_enstrophy(projection, basis, coeffs):
 
     ``coeffs`` holds one state per row.  The fields are never rebuilt: with
     X = [ubar, psi_1..psi_r] (ubar dropped for an uncentered basis) and
-    c^n = [1, a^n] (``PodBasis.fields``/``extend``), the values are
+    c^n = [1, a^n] (``PodBasis.fields``, ``pod.extend``), the values are
     1/2 c^T (X^T M X) c and 1/2 c^T (X^T G X) c, read from the mass and curl
     Grams of ``projection`` (a ``rom.RomProjection`` of at least these fields).
     """
-    c = basis.extend(np.atleast_2d(coeffs))
+    c = extend(np.atleast_2d(coeffs), basis.centered)
     n = c.shape[1]
     if n > projection.m:
         raise ValueError(f"projection holds {projection.m} fields, {n} requested")
     return tuple(0.5 * np.einsum("ni,ni->n", c @ gram[:n, :n], c)
                  for gram in (projection.mass_gram, projection.curl_gram))
-
-
-def _column_norms(u, op):
-    """The ``op``-norm of every column of ``u``."""
-    return np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
 
 
 def _grid_step(times, trajectory_times):
@@ -91,7 +87,7 @@ def trajectory_error(space, snapshots, trajectory, basis, nu):
     """
     dt = _grid_step(snapshots.times, trajectory.times)
 
-    recon = basis.fields(trajectory.coeffs.shape[1]) @ basis.extend(trajectory.coeffs).T
+    recon = basis.fields(trajectory.coeffs.shape[1]) @ extend(trajectory.coeffs, basis.centered).T
     err = recon - snapshots.matrix
 
     err_l2 = _column_norms(err, space.mass())

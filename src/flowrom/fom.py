@@ -407,8 +407,9 @@ def run_fom(config, mesh, space, u0):
 
     Returns ``(state, snapshots, series)`` where ``state`` is the final
     :class:`FomState`, ``snapshots`` is a :class:`SnapshotSet` whose
-    matrix is the transpose view of one (count, n_vel) array, allocated
-    before the first step and filled as the run goes, and
+    matrix is one C-ordered (n_vel, count) array, allocated before the
+    first step and filled a column per recorded step, the layout that
+    ``io.read_snapshots`` returns, and
     ``series`` maps the CLI scalars file's columns, in its order (``energy``,
     ``enstrophy``, ``div_error``, ``drag``, ``newton_iters``,
     ``factorizations``, ``newton_residual``), to :class:`ScalarSeries`
@@ -427,10 +428,10 @@ def run_fom(config, mesh, space, u0):
         u0 = stokes_project(space, u0, config.boundary)
     state = FomState(u=u0, p=np.zeros(space.n_press), t=0.0, step=0)
 
-    # snapshot row of each recorded step; row n of ``recorded`` is column n of the matrix
-    snap_row = {step: row for row, step in enumerate(
+    # snapshot column of each recorded step
+    snap_col = {step: col for col, step in enumerate(
         snapshot_steps(config.snapshot_window, config.snapshot_stride, dt, n_steps))}
-    recorded, snap_times = np.empty((len(snap_row), space.n_vel)), np.empty(len(snap_row))
+    recorded, snap_times = np.empty((space.n_vel, len(snap_col))), np.empty(len(snap_col))
     series = {name: [] for name in ("energy", "enstrophy", "div_error", "drag",
                                     "newton_iters", "factorizations", "newton_residual")}
     times = []
@@ -446,9 +447,9 @@ def run_fom(config, mesh, space, u0):
         series["newton_iters"].append(st.newton_iters)
         series["factorizations"].append(st.factorizations)
         series["newton_residual"].append(st.newton_residual)
-        row = snap_row.get(st.step)
-        if row is not None:
-            recorded[row], snap_times[row] = st.u, st.t
+        col = snap_col.get(st.step)
+        if col is not None:
+            recorded[:, col], snap_times[col] = st.u, st.t
 
     held = HeldFactor()
     record(state)
@@ -459,4 +460,4 @@ def run_fom(config, mesh, space, u0):
 
     t_arr = np.array(times)
     out_series = {name: ScalarSeries(times=t_arr, values=np.array(vals_)) for name, vals_ in series.items()}
-    return state, SnapshotSet(matrix=recorded.T, times=snap_times), out_series
+    return state, SnapshotSet(matrix=recorded, times=snap_times), out_series

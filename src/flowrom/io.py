@@ -4,12 +4,12 @@ All binary archives share the same conventions: an 8-byte ASCII magic
 string, little-endian fixed-width integer header fields, then a payload of
 little-endian IEEE-754 float64 blocks.  Each archive's byte layout is its
 header and its block table (:func:`_snapshot_blocks`, :func:`_basis_blocks`),
-whose counts come from the header.  The writers emit the table's fields in
-order.  The readers check the file size against the whole table before they
-allocate or read any block, so a header count that disagrees with the file
-is a format error naming the block it runs into, and read only the blocks
-they need.  Every format error raised while an archive is read starts
-with the archive's path (:func:`_archive`).
+whose counts come from the header; no block is optional.  The writers
+emit the table's fields in order.  The readers check the file size against
+the whole table before they allocate or read any block, so a header count
+that disagrees with the file is a format error naming the block it runs
+into, and read only the blocks they need.  Every format error raised while
+an archive is read starts with the archive's path (:func:`_archive`).
 
 Basis archive version 4 lacked the lifting count, version 3 also the
 snapshot coordinates and version 2 also the mass and curl Grams; all are
@@ -43,8 +43,8 @@ BASIS_VERSION = 5
 # treat every other column as numbers.
 TEXT_COLUMNS = ("form",)
 
-# snapshots per read in read_snapshots: it bounds the read buffer and does
-# not change a bit of the matrix
+# snapshots per read in read_snapshots and per write in write_snapshots: it
+# bounds the buffer of the payload's transposed rows and does not change a bit
 _SNAPSHOT_BLOCK = 4
 
 
@@ -67,31 +67,25 @@ def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
                             | u64 nspectrum | u64 nprojected | u64 nsnap | u64 nlifting
 
     The mean is zeros when uncentered.  The fields of the basis's
-    :class:`SnapshotCoordinates` on all rank modes follow the modes (none
-    when nsnap == 0), then the arrays of its :class:`RomProjection` (none
-    when nprojected == 0), in field order.  The projection's
+    :class:`SnapshotCoordinates` on all rank modes (nsnap >= 1) follow the
+    modes, then the arrays of its :class:`RomProjection` (nprojected >= 1),
+    in field order; no block is optional.  The projection's
     m = nprojected fields are the leading m - nlifting <= centered + rank
     fields of the basis, then ``RomProjection.liftings`` = nlifting
     liftings, which the header alone records.
     """
-    blocks = [("eigenvalues", [(rank,)]), ("spectrum", [(nspec,)]), ("grad_norms", [(rank,)]),
-              ("mean", [(ndof,)]), ("modes", [(rank, ndof)])]  # mode-major
-    if nsnap:  # times; a_hat, Psi^T K w; ||w||_M^2, ||w||_K^2, ||grad u||, ||div u||; Psi^T K Psi
-        blocks += [("snapshot times", [(nsnap,)]), ("snapshot coordinates", [(nsnap, rank)] * 2),
-                   ("snapshot norms", [(nsnap,)] * 4), ("stiffness Gram", [(rank, rank)])]
-    if nproj:  # conv, div; gram, mass_gram, curl_gram
-        blocks += [("projection cubes", [(nproj,) * 3] * 2), ("projection Grams", [(nproj, nproj)] * 3)]
-    return blocks
+    return [("eigenvalues", [(rank,)]), ("spectrum", [(nspec,)]), ("grad_norms", [(rank,)]),
+            ("mean", [(ndof,)]), ("modes", [(rank, ndof)]),  # mode-major
+            # times; a_hat, Psi^T K w; ||w||_M^2, ||w||_K^2, ||grad u||, ||div u||; Psi^T K Psi
+            ("snapshot times", [(nsnap,)]), ("snapshot coordinates", [(nsnap, rank)] * 2),
+            ("snapshot norms", [(nsnap,)] * 4), ("stiffness Gram", [(rank, rank)]),
+            # conv, div; gram, mass_gram, curl_gram
+            ("projection cubes", [(nproj,) * 3] * 2), ("projection Grams", [(nproj, nproj)] * 3)]
 
 
-def _write_archive(path, magic, version, flag, counts, blocks, fields):
-    """Write the header ``magic | u32 version | u32 flag | u64 counts``, then
-    ``fields`` as float64 with the shapes of the block table, in order."""
-    shapes = [shape for _, block_shapes in blocks for shape in block_shapes]
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<II" + "Q" * len(counts), version, flag, *counts))
-        for shape, field in zip(shapes, fields, strict=True):
-            fh.write(np.ascontiguousarray(field, dtype="<f8").reshape(shape))
+def _write_header(fh, magic, version, flag, counts):
+    """Write the header ``magic | u32 version | u32 flag | u64 counts``."""
+    fh.write(magic + struct.pack("<II" + "Q" * len(counts), version, flag, *counts))
 
 
 @contextlib.contextmanager
@@ -106,7 +100,7 @@ def _archive(path):
 
 
 def _read_header(fh, kind, magic, version, n_counts, space):
-    """(flag, *counts) of a header written by :func:`_write_archive`, whose
+    """(flag, *counts) of a header written by :func:`_write_header`, whose
     first count, the DOF count, is checked against the space; leaves ``fh``
     at the payload."""
     fmt = "<II" + "Q" * n_counts
@@ -163,10 +157,14 @@ def _read_finite(fh, name, count):
 
 
 def write_snapshots(path, snapshots):
-    """Write a :class:`SnapshotSet` to a snapshot archive."""
-    counts = (snapshots.matrix.shape[0], snapshots.count)
-    _write_archive(path, SNAPSHOT_MAGIC, 1, 0, counts, _snapshot_blocks(*counts),
-                   [snapshots.times, snapshots.matrix.T])
+    """Write a :class:`SnapshotSet` to a snapshot archive, its payload
+    :data:`_SNAPSHOT_BLOCK` snapshots at a time, so no transposed copy of the matrix exists."""
+    matrix = snapshots.matrix
+    with open(path, "wb") as fh:
+        _write_header(fh, SNAPSHOT_MAGIC, 1, 0, matrix.shape)
+        fh.write(np.ascontiguousarray(snapshots.times, dtype="<f8"))
+        for a in range(0, snapshots.count, _SNAPSHOT_BLOCK):
+            fh.write(np.ascontiguousarray(matrix[:, a:a + _SNAPSHOT_BLOCK].T, dtype="<f8"))
 
 
 def _snapshot_times(fh, space):
@@ -205,27 +203,34 @@ def read_snapshot_times(path, space=None):
 
 
 def write_basis(path, basis):
-    """Write a :class:`PodBasis` to a basis archive."""
-    ndof, rank = basis.modes.shape
+    """Write a :class:`PodBasis` to a basis archive, which holds its coordinates and its projection."""
     projection, coordinates = basis.projection, basis.coordinates
-    counts = (ndof, rank, basis.spectrum.size, 0 if projection is None else projection.m,
-              0 if coordinates is None else coordinates.count)
+    if projection is None or coordinates is None:
+        raise ValueError("a basis archive holds the snapshot coordinates and the projection; the basis lacks one")
+    ndof, rank = basis.modes.shape
+    counts = (ndof, rank, basis.spectrum.size, projection.m, coordinates.count)
     mean = basis.mean if basis.centered else np.zeros(ndof)
     # the projection's lifting count is a header field, not a block
-    arrays = [getattr(p, f.name) for p in (coordinates, projection) if p is not None
-              for f in dataclasses.fields(p) if f.name != "liftings"]
-    _write_archive(path, BASIS_MAGIC, BASIS_VERSION, int(basis.centered),
-                   (*counts, 0 if projection is None else projection.liftings), _basis_blocks(*counts),
-                   [basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T, *arrays])
+    fields = [basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T,
+              *(getattr(p, f.name) for p in (coordinates, projection)
+                for f in dataclasses.fields(p) if f.name != "liftings")]
+    shapes = [shape for _, block_shapes in _basis_blocks(*counts) for shape in block_shapes]
+    with open(path, "wb") as fh:
+        _write_header(fh, BASIS_MAGIC, BASIS_VERSION, int(basis.centered), (*counts, projection.liftings))
+        for shape, field in zip(shapes, fields, strict=True):
+            fh.write(np.ascontiguousarray(field, dtype="<f8").reshape(shape))
 
 
 def _read_basis_blocks(path, space, wanted=None):
-    """(centered, nsnap, nproj, nlifting, field arrays) of a basis archive, as :func:`_read_blocks`."""
+    """(centered, nlifting, field arrays) of a basis archive, as :func:`_read_blocks`."""
     with _archive(path) as fh:
         centered, ndof, rank, nspec, nproj, nsnap, nlifting = _read_header(
             fh, "basis", BASIS_MAGIC, BASIS_VERSION, 6, space)
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
+        if not nsnap or not nproj:
+            raise ArchiveFormatError(f"the header counts {nsnap} snapshots and {nproj} projected fields; "
+                                     "a basis holds at least one of each")
         if nlifting > nproj:
             raise ArchiveFormatError(f"lifting count {nlifting} exceeds the {nproj} projected fields")
         n_fields = rank + bool(centered)
@@ -233,7 +238,7 @@ def _read_basis_blocks(path, space, wanted=None):
             raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields "
                                      f"and {nlifting} liftings")
         blocks = _basis_blocks(ndof, rank, nspec, nproj, nsnap)
-        return centered, nsnap, nproj, nlifting, _read_blocks(fh, "basis", blocks, wanted)
+        return centered, nlifting, _read_blocks(fh, "basis", blocks, wanted)
 
 
 def read_basis(path, space=None):
@@ -241,26 +246,26 @@ def read_basis(path, space=None):
 
     Validated like :func:`read_snapshots`.
     """
-    centered, nsnap, nproj, nlifting, fields = _read_basis_blocks(path, space)
+    centered, nlifting, fields = _read_basis_blocks(path, space)
     eigenvalues, spectrum, grad_norms, mean, modes, *rest = fields
-    n_coords = len(dataclasses.fields(SnapshotCoordinates)) if nsnap else 0
+    n_coords = len(dataclasses.fields(SnapshotCoordinates))
     return PodBasis(
         modes=modes.T.copy(),
         eigenvalues=eigenvalues,
         spectrum=spectrum,
         grad_norms=grad_norms,
         mean=mean if centered else None,
-        projection=RomProjection(*rest[n_coords:], liftings=nlifting) if nproj else None,
-        coordinates=SnapshotCoordinates(*rest[:n_coords]) if nsnap else None,
+        projection=RomProjection(*rest[n_coords:], liftings=nlifting),
+        coordinates=SnapshotCoordinates(*rest[:n_coords]),
     )
 
 
 def read_basis_coordinates(path, space=None):
-    """The :class:`SnapshotCoordinates` of a basis archive (None when it
-    holds none), validated like :func:`read_basis` but reading no other block."""
-    _, nsnap, _, _, fields = _read_basis_blocks(path, space, {
+    """The :class:`SnapshotCoordinates` of a basis archive, validated like
+    :func:`read_basis` but reading no other block."""
+    *_, fields = _read_basis_blocks(path, space, {
         "snapshot times", "snapshot coordinates", "snapshot norms", "stiffness Gram"})
-    return SnapshotCoordinates(*fields) if nsnap else None
+    return SnapshotCoordinates(*fields)
 
 
 def write_csv(path, header, columns):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import _column_norms
 from .numerics import sym_eig
 
 # the rank cutoff: a basis keeps the modes with lambda_k > RANK_TOL * lambda_1
@@ -67,9 +66,9 @@ class PodBasis:
     ``eigenvalues`` holds the retained ``rank`` leading values.  ``mean`` is
     the snapshot average when centering was enabled, else ``None``.
     ``coordinates`` are the :class:`SnapshotCoordinates` of the snapshots it
-    was built from, None only when read from an archive written without them.
-    ``projection`` is the ``rom.RomProjection`` of the leading
-    :meth:`fields`, which ``flowrom pod`` stores; None in memory until set.
+    was built from.  ``projection`` is the ``rom.RomProjection`` of the
+    leading :meth:`fields`, which ``flowrom pod`` sets before it stores the
+    basis: None only in memory, before that, and never in an archive.
     """
 
     modes: np.ndarray        # (ndof, rank)
@@ -94,13 +93,11 @@ class PodBasis:
             raise ValueError(f"r={r} exceeds basis rank {self.rank}")
         return np.column_stack([self.mean, self.modes[:, :r]]) if self.centered else self.modes[:, :r]
 
-    def extend(self, a):
-        """State coefficients c = [1, a] on :meth:`fields` (``a`` itself when uncentered).
 
-        Works on the last axis, so a trajectory (one state per row) extends row-wise.
-        """
-        a = np.asarray(a, dtype=float)
-        return np.concatenate([np.ones(a.shape[:-1] + (1,)), a], axis=-1) if self.centered else a
+def extend(a, centered):
+    """State coefficients c = [1, a] on the :meth:`PodBasis.fields` of a ``centered`` basis, else ``a``
+    itself; on the last axis, so a trajectory (one state per row) extends row-wise."""
+    return np.concatenate([np.ones(np.shape(a)[:-1] + (1,)), a], axis=-1) if centered else a
 
 
 @dataclass
@@ -126,6 +123,11 @@ class SnapshotCoordinates:
     @property
     def count(self):
         return self.times.size
+
+
+def _column_norms(u, op):
+    """The ``op``-norm of every column of ``u``."""
+    return np.sqrt(np.clip(np.einsum("ij,ij->j", u, op @ u), 0.0, None))
 
 
 def _m_orthonormalize(modes, mass):

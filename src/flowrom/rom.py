@@ -2,7 +2,7 @@
 
 The reduced state u = ubar + sum_j a_j psi_j is written on the affine field
 set X = [ubar, psi_1..psi_r] (``PodBasis.fields``; ubar only for a centered
-basis) with state coefficients c = [1, a] (``PodBasis.extend``).  X has
+basis) with state coefficients c = [1, a] (``pod.extend``).  X has
 m = o + r columns, o = 1 when centered and 0 otherwise, and projecting the
 momentum equation onto the modes gives the r x m x m tensor and r x m
 viscous matrix
@@ -85,6 +85,7 @@ from scipy.linalg import lapack
 from .fem import NonlinearForm
 from .fom import DRAG_SCALE
 from .numerics import NEWTON_MAX_ITER, NEWTON_TOL, NewtonConvergenceError, implicit_step, step_count
+from .pod import extend
 
 
 @dataclass
@@ -93,7 +94,7 @@ class RomOperators:
 
     ``visc`` is (r, m) and ``tensor`` (r, m, m), with m = r + 1 for a
     centered basis (column 0 is the mean) and m = r otherwise; methods take
-    state coefficients c = :meth:`extend` (a).  The reduced mass is the
+    state coefficients c = [1, a] (``pod.extend``).  The reduced mass is the
     identity (orthonormal modes) and is never stored.  The symmetrized
     tensor is formed at construction, after which ``tensor`` is read-only.
     """
@@ -109,12 +110,6 @@ class RomOperators:
     @property
     def r(self):
         return self.tensor.shape[0]
-
-    def extend(self, a):
-        """c = [1, a] for a centered basis, else ``a`` itself (no copy)."""
-        if self.tensor.shape[1] == self.r:
-            return a
-        return np.concatenate([[1.0], a])
 
     def quadratic_jacobian(self, c):
         """g = S c, the (r, m) state derivative g[i, j] = dN_i/dc_j = sum_k (T[i, j, k] + T[i, k, j]) c_k.
@@ -187,7 +182,7 @@ class RomProjection:
         """
         if not self.liftings:
             raise ValueError("the projection holds no drag lifting")
-        c = np.concatenate([np.ones((len(coeffs), o)), coeffs], axis=1)
+        c = extend(coeffs, o)
         n, v = c.shape[1], self.m - self.liftings
         self._check_fields(n)
         tensor = _COMBINATIONS[NonlinearForm.parse(config.form)](self.conv, self.div)[v, :n, :n]
@@ -358,7 +353,7 @@ def run_rom(ops, a0, dt, t_end, scheme):
         load = hist / dt
         failure = None
         for it in range(NEWTON_MAX_ITER + 1):
-            c = ops.extend(a_new)
+            c = extend(a_new, o)
             g = ops.quadratic_jacobian(c)   # N(c) = g c / 2, dN/da = g[:, o:]
             quad, visc = 0.5 * (g @ c), ops.visc @ c
             if weight and it == 0:

@@ -409,7 +409,7 @@ def test_criterion_10_determinism(kh50, kh50_basis, tmp_path, monkeypatch):
     assert a1.read_bytes() == a2.read_bytes()
 
     b1, b2 = tmp_path / "b1.bin", tmp_path / "b2.bin"
-    write_basis(b1, kh50_basis)
-    write_basis(b2, basis2)
+    write_basis(b1, with_projection(space, kh50_basis, 8))   # the projection pod stores, as in criterion 5
+    write_basis(b2, with_projection(space, basis2, 8))
     assert b1.read_bytes() == b2.read_bytes()
     print("ACCEPTANCE 10 PASS: snapshot and basis archives byte-identical across reruns")

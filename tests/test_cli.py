@@ -687,7 +687,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("defect", ["version_1", "version_2", "version_3", "version_4", "truncated",
                                         "non_finite", "non_finite_gram", "too_many_fields", "too_many_liftings",
-                                        "no_coordinates", "no_projection", "no_lifting"])
+                                        "zero_snapshots", "zero_projected", "no_lifting"])
     def test_bad_projection_is_format_error(self, micro_pipeline, tmp_path, capsys, request, defect):
         # every defect but no_lifting is of the shear layer's basis; no_lifting
         # is a cylinder basis whose projection lacks the drag lifting
@@ -697,7 +697,7 @@ class TestErrorPaths:
             _, cfg, archive, basis_path = request.getfixturevalue("micro_cylinder")
         raw = bytearray(Path(basis_path).read_bytes())
         bad = tmp_path / "bad_basis.bin"
-        rank, nproj = struct.unpack_from("<Q", raw, 24)[0], struct.unpack_from("<Q", raw, 40)[0]
+        rank, nproj, nsnap = (struct.unpack_from("<Q", raw, offset)[0] for offset in (24, 40, 48))
         if defect.startswith("version"):
             raw[8:12] = struct.pack("<I", int(defect[-1]))
         elif defect == "truncated":  # the last value of the curl Gram
@@ -706,6 +706,9 @@ class TestErrorPaths:
             raw[40:48] = struct.pack("<Q", rank + 1)  # uncentered: o + rank = rank fields
         elif defect == "too_many_liftings":
             raw[56:64] = struct.pack("<Q", nproj + 1)
+        elif defect.startswith("zero"):  # nsnap or nprojected
+            offset = 48 if defect == "zero_snapshots" else 40
+            raw[offset:offset + 8] = struct.pack("<Q", 0)
         bad.write_bytes(bytes(raw))
         if defect.startswith("non_finite") or defect.startswith("no_"):
             basis = read_basis(basis_path)
@@ -713,12 +716,8 @@ class TestErrorPaths:
                 basis.projection.div[1, 0, 2] = np.inf
             elif defect == "non_finite_gram":
                 basis.projection.mass_gram[1, 0] = np.inf
-            elif defect == "no_coordinates":  # a basis written from memory, not by pod
-                basis.coordinates = None
-            elif defect == "no_lifting":  # the projection of the mean and the 3 modes only
+            else:  # no_lifting: the projection of the mean and the 3 modes only
                 basis = with_projection(_build_problem(cfg).space, basis, 3)
-            else:
-                basis.projection = None
             write_basis(bad, basis)
         code = main(["rom", str(bad), "--archive", archive, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 4
@@ -732,10 +731,16 @@ class TestErrorPaths:
                 "non_finite_gram": "non-finite value in projection Grams",
                 "too_many_fields": f"projected field count {rank + 1} exceeds",
                 "too_many_liftings": f"{bad}: lifting count {nproj + 1} exceeds the {nproj} projected fields",
-                "no_coordinates": "the basis holds no snapshot coordinates",
-                "no_projection": "the basis holds no projection",
+                "zero_snapshots": f"{bad}: the header counts 0 snapshots and {nproj} projected fields",
+                "zero_projected": f"{bad}: the header counts {nsnap} snapshots and 0 projected fields",
                 "no_lifting": f"{bad}: the basis holds no drag lifting"}[defect] in err
         assert not list(tmp_path.glob("*_rom_*"))
+        if defect.startswith("zero"):   # compare reads the same header
+            out = tmp_path / "compare.csv"
+            assert main(["compare", str(root / "micro_rom_skew_r3_traj.csv"), "--config", str(cfg),
+                         "--archive", archive, "--basis", str(bad), "--out", str(out)]) == 4
+            assert f"format error: {bad}: the header counts" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_archive_format_errors_name_their_file(self, micro_pipeline, tmp_path, capsys):
         # rom and compare read a basis and an --archive: the message says which is at fault

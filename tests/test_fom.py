@@ -34,6 +34,7 @@ from flowrom.fom import (
     taylor_green_gradient,
     taylor_green_velocity,
 )
+from flowrom.io import read_snapshots, write_snapshots
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import NEWTON_TOL, factorize, solve_sparse, step_count
 
@@ -421,6 +422,23 @@ class TestRunFom:
         every, (_, snaps, _) = traced_peak(lambda: run((0.0, 4.0)))
         assert snaps.count == 201
         assert every - one <= 1.2 * snaps.matrix.nbytes
+
+    def test_matrix_has_the_archive_layout(self, kh_run, tmp_path):
+        # one C-ordered (n_vel, count) array, as read_snapshots returns it, bit for bit
+        _, _, snaps, _, _ = kh_run
+        write_snapshots(tmp_path / "snaps.bin", snaps)
+        back = read_snapshots(tmp_path / "snaps.bin")
+        assert snaps.matrix.flags.c_contiguous and back.matrix.flags.c_contiguous
+        assert snaps.matrix.shape == back.matrix.shape
+        assert snaps.matrix.tobytes() == back.matrix.tobytes()
+
+    def test_sparse_product_copies_no_snapshot(self, kh_run):
+        # scipy reads a C-ordered dense operand in place: 1.0x the product's bytes;
+        # the transpose view of a (count, n_vel) array was copied first (2.0x)
+        _, space, snaps, _, _ = kh_run
+        mass = space.mass()
+        peak, product = traced_peak(lambda: mass @ snaps.matrix)
+        assert peak <= 1.1 * product.nbytes
 
 
 def drag_lifting(space, cfg):

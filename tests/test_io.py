@@ -18,7 +18,7 @@ from flowrom.io import (
 from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis
 from flowrom.rom import project_fields
 
-from conftest import traced_peak
+from conftest import traced_peak, with_projection
 
 
 def _set_counts(path, offsets, value):
@@ -32,7 +32,7 @@ def _set_counts(path, offsets, value):
 @pytest.fixture
 def coordinates_basis(kh_run, kh_basis_session):
     """The session basis, with its snapshot coordinates, and a three-field projection."""
-    return dataclasses.replace(kh_basis_session, projection=project_fields(kh_run[1], kh_basis_session.fields(3)))
+    return with_projection(kh_run[1], kh_basis_session, 3)
 
 
 class TestSnapshotArchive:
@@ -43,6 +43,9 @@ class TestSnapshotArchive:
         back = read_snapshots(path)
         assert np.array_equal(back.matrix, snaps.matrix)
         assert np.array_equal(back.times, snaps.times)
+        # run_fom's matrix and read_snapshots' have one layout and one payload
+        write_snapshots(tmp_path / "again.bin", back)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_write_is_deterministic(self, tmp_path, kh_run):
         _, _, snaps, _, _ = kh_run
@@ -110,10 +113,18 @@ class TestSnapshotArchive:
         assert np.array_equal(back.matrix, snaps.matrix)
         assert peak <= 1.3 * back.matrix.nbytes
 
+    def test_write_holds_no_copy_of_the_matrix(self, tmp_path, kh_run):
+        # the payload is written a few snapshots at a time, as it is read: 4 of the
+        # 156 here; writing the matrix's transpose whole copied the matrix (1.0x)
+        _, _, snaps, _, _ = kh_run
+        wide = SnapshotSet(matrix=np.tile(snaps.matrix, 6), times=np.arange(6.0 * snaps.count))
+        peak, _ = traced_peak(lambda: write_snapshots(tmp_path / "wide.bin", wide))
+        assert peak <= 0.1 * wide.matrix.nbytes
+
 
 class TestBasisArchive:
-    def test_round_trip(self, tmp_path, kh_basis_session):
-        basis = kh_basis_session
+    def test_round_trip(self, tmp_path, coordinates_basis):
+        basis = coordinates_basis
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         back = read_basis(path)
@@ -125,7 +136,7 @@ class TestBasisArchive:
 
     def test_round_trip_centered(self, tmp_path, kh_run):
         _, space, snaps, _, _ = kh_run
-        basis = build_pod_basis(snaps, space, centering="mean")
+        basis = with_projection(space, build_pod_basis(snaps, space, centering="mean"), 3)
         path = tmp_path / "basis.bin"
         write_basis(path, basis)
         back = read_basis(path)
@@ -203,15 +214,34 @@ class TestBasisArchive:
             assert str(exc.value).startswith(f"{path}: lifting count 4 exceeds the 3")
             assert str(exc.value).count(str(path)) == 1
 
-    def test_coordinates_only(self, tmp_path, kh_basis_session, coordinates_basis):
+    def test_coordinates_only(self, tmp_path, coordinates_basis):
         path = tmp_path / "basis.bin"
         write_basis(path, coordinates_basis)
         coords = read_basis_coordinates(path)
         for field in dataclasses.fields(SnapshotCoordinates):
             assert np.array_equal(getattr(coords, field.name),
                                   getattr(coordinates_basis.coordinates, field.name)), field.name
-        write_basis(path, dataclasses.replace(kh_basis_session, coordinates=None))
-        assert read_basis_coordinates(path) is None
+
+    @pytest.mark.parametrize("offset", [48, 40], ids=["nsnap", "nprojected"])
+    def test_zero_count_is_format_error(self, tmp_path, coordinates_basis, offset):
+        # every basis archive holds its snapshot coordinates and its projection
+        path = tmp_path / "basis.bin"
+        write_basis(path, coordinates_basis)
+        _set_counts(path, [offset], 0)
+        nsnap, nproj = (0, 3) if offset == 48 else (coordinates_basis.coordinates.count, 0)
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError) as exc:
+                reader(path)
+            assert str(exc.value).startswith(
+                f"{path}: the header counts {nsnap} snapshots and {nproj} projected fields")
+            assert str(exc.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("missing", ["coordinates", "projection"])
+    def test_write_refuses_a_partial_basis(self, tmp_path, coordinates_basis, missing):
+        path = tmp_path / "basis.bin"
+        with pytest.raises(ValueError, match="holds the snapshot coordinates and the projection"):
+            write_basis(path, dataclasses.replace(coordinates_basis, **{missing: None}))
+        assert not path.exists()
 
     @pytest.mark.parametrize("offsets,block", [([24, 32], "eigenvalues"), ([48], "snapshot times")])
     def test_huge_count_is_format_error(self, tmp_path, coordinates_basis, offsets, block):
@@ -231,9 +261,9 @@ class TestBasisArchive:
             with pytest.raises(ArchiveFormatError, match="trailing bytes"):
                 reader(path)
 
-    def test_inconsistent_header_names_field(self, tmp_path, kh_basis_session):
+    def test_inconsistent_header_names_field(self, tmp_path, coordinates_basis):
         path = tmp_path / "basis.bin"
-        write_basis(path, kh_basis_session)
+        write_basis(path, coordinates_basis)
         raw = bytearray(path.read_bytes())
         # corrupt the rank field (offset 8 magic + 4 + 4 + 8 ndof)
         raw[24:32] = struct.pack("<Q", 10**6)
@@ -241,15 +271,15 @@ class TestBasisArchive:
         with pytest.raises(ArchiveFormatError, match="rank"):
             read_basis(path)
 
-    def test_dof_count_checked_against_space(self, tmp_path, kh_run, kh_basis_session, square8):
+    def test_dof_count_checked_against_space(self, tmp_path, kh_run, coordinates_basis, square8):
         path = tmp_path / "basis.bin"
-        write_basis(path, kh_basis_session)
-        assert read_basis(path, space=kh_run[1]).modes.shape == kh_basis_session.modes.shape
+        write_basis(path, coordinates_basis)
+        assert read_basis(path, space=kh_run[1]).modes.shape == coordinates_basis.modes.shape
         with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
             read_basis(path, space=square8[1])
 
-    def test_non_finite_payload(self, tmp_path, kh_basis_session):
-        bad = dataclasses.replace(kh_basis_session, modes=kh_basis_session.modes.copy())
+    def test_non_finite_payload(self, tmp_path, coordinates_basis):
+        bad = dataclasses.replace(coordinates_basis, modes=coordinates_basis.modes.copy())
         bad.modes[0, 2] = np.nan
         path = tmp_path / "basis.bin"
         write_basis(path, bad)

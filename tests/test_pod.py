@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flowrom.fom import kelvin_helmholtz_boundary
+from flowrom.io import read_snapshots, write_snapshots
 from flowrom.pod import (
     SnapshotCoordinates,
     SnapshotSet,
@@ -138,6 +141,20 @@ class TestBuildPodBasis:
         build_pod_basis(snaps, space, centering)   # the space's cached operators exist before tracing
         peak, _ = traced_peak(lambda: build_pod_basis(snaps, space, centering))
         assert peak <= bound * snaps.matrix.nbytes
+
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_read_back_snapshots_give_the_same_basis(self, kh_snapshots, tmp_path, centering):
+        # run_fom's matrix has read_snapshots' layout, so every product rounds
+        # alike; an F-ordered matrix gave centered modes 6.2e-6 apart
+        space, snaps = kh_snapshots
+        write_snapshots(tmp_path / "snaps.bin", snaps)
+        back = read_snapshots(tmp_path / "snaps.bin")
+        got, want = (build_pod_basis(s, space, centering) for s in (snaps, back))
+        for a, b in ((got, want), (got.coordinates, want.coordinates)):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, np.ndarray):   # not the unset projection, nor an uncentered mean
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
 
 
 class TestProjectionErrorEquality:

@@ -13,7 +13,7 @@ from flowrom.fom import (FomConfig, at_rest, build_initial_condition, cylinder_b
                          kelvin_helmholtz_boundary, kelvin_helmholtz_velocity, run_fom, step_drag)
 from flowrom.mesh import identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from flowrom.numerics import NewtonConvergenceError
-from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, project_field
+from flowrom.pod import PodBasis, SnapshotSet, build_pod_basis, extend, project_field
 from flowrom.rom import (
     _FIELD_BLOCK,
     RomOperators,
@@ -296,15 +296,15 @@ class TestAssembleRomOperators:
         ops = assemble_rom_operators(basis, r, form, nu=nu)
         rng = np.random.default_rng(61)
         a, d = rng.standard_normal((2, r))
-        c = ops.extend(a)
-        assert np.array_equal(c, basis.extend(a))
+        c = extend(a, basis.centered)
         w = basis.fields(r) @ c
         full = nonlinear_residual(space, form, w) + nu * (space.stiffness() @ w)
         expected = basis.modes[:, :r].T @ full
         reduced = rom_quadratic(ops, c) + ops.visc @ c
         assert np.abs(reduced - expected).max() <= 1e-11 * np.abs(expected).max()
         # the Jacobian is exact: a central difference of the quadratic term is too
-        diff = 0.5 * (rom_quadratic(ops, ops.extend(a + d)) - rom_quadratic(ops, ops.extend(a - d)))
+        diff = 0.5 * (rom_quadratic(ops, extend(a + d, basis.centered))
+                      - rom_quadratic(ops, extend(a - d, basis.centered)))
         jd = ops.quadratic_jacobian(c)[:, c.size - r:] @ d   # dN/da: the mode columns of dN/dc
         assert np.abs(jd - diff).max() <= 1e-11 * np.abs(diff).max()
 
@@ -409,7 +409,7 @@ class TestRunRom:
         dt, theta = 0.02, 2.0 / 3.0
 
         def op(a):
-            c = ops.extend(a)
+            c = extend(a, basis.centered)
             return ops.visc @ c + rom_quadratic(ops, c)
 
         def theta_residual(a):
@@ -462,13 +462,13 @@ def loop_reference(ops, a0, dt, t_end, scheme):
     coeffs, iters = [a], [0]
     for n in range(int(round(t_end / dt))):
         if scheme == "bdf2" and a_prev is None:
-            c0 = ops.extend(a)
+            c0 = extend(a, m - r)
             hist = 1.5 * a / dt - 0.5 * ((flat @ c0).reshape(r, m) @ c0 + ops.visc @ c0)
         else:
             hist = (2.0 * a - 0.5 * a_prev) / dt if scheme == "bdf2" else a / dt
         a_new = 2.0 * a - a_prev if a_prev is not None else a.copy()
         for it in range(21):
-            c = ops.extend(a_new)
+            c = extend(a_new, m - r)
             res = alpha / dt * a_new - hist + (flat @ c).reshape(r, m) @ c + ops.visc @ c
             if not np.isfinite(np.linalg.norm(res)) or it == 20:
                 raise NewtonConvergenceError("diverged", step=n + 1)
@@ -519,9 +519,9 @@ class TestNewtonLoopCost:
         # the starts: a^0, then 2 a^n - a^(n-1)
         starts = np.cumsum(np.concatenate([[0], traj.newton_iters[1:-1] + 1]))
         a = traj.coeffs
-        assert np.array_equal(calls[0], ops.extend(a[0]))
+        assert np.array_equal(calls[0], extend(a[0], basis.centered))
         for n, k in enumerate(starts[1:], start=1):
-            assert np.array_equal(calls[k], ops.extend(2.0 * a[n] - a[n - 1]))
+            assert np.array_equal(calls[k], extend(2.0 * a[n] - a[n - 1], basis.centered))
 
 
 class TestRomEnergy:

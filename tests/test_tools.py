@@ -148,6 +148,13 @@ def test_only_pod_projects():
     assert _callers("project_fields") == ["cli.cmd_pod"]
 
 
+def test_only_the_cli_writes_archives():
+    # every basis archive holds its coordinates and projection because its one
+    # writer, flowrom pod, sets both; every snapshot archive is flowrom fom's
+    assert _callers("write_basis") == ["cli.cmd_pod"]
+    assert _callers("write_snapshots") == ["cli.cmd_fom"]
+
+
 def test_only_fom_evaluates_the_drag():
     # a ROM's drag is read off that projection (rom.RomProjection.drag): only
     # the FOM evaluates fom.step_drag, a full-order residual
