@@ -58,12 +58,12 @@ def rom_energy_enstrophy(projection, basis, coeffs):
     X = [ubar, psi_1..psi_r] (ubar dropped for an uncentered basis) and
     c^n = [1, a^n] (``PodBasis.fields``, ``pod.extend``), the values are
     1/2 c^T (X^T M X) c and 1/2 c^T (X^T G X) c, read from the mass and curl
-    Grams of ``projection`` (a ``rom.RomProjection`` of at least these fields).
+    Grams of ``projection``, a ``rom.RomProjection`` of at least these fields
+    before its liftings (``RomProjection.operators`` has the same bound).
     """
     c = extend(np.atleast_2d(coeffs), basis.centered)
     n = c.shape[1]
-    if n > projection.m:
-        raise ValueError(f"projection holds {projection.m} fields, {n} requested")
+    projection._check_fields(n)
     return tuple(0.5 * np.einsum("ni,ni->n", c @ gram[:n, :n], c)
                  for gram in (projection.mass_gram, projection.curl_gram))
 

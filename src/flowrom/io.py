@@ -4,12 +4,15 @@ All binary archives share the same conventions: an 8-byte ASCII magic
 string, little-endian fixed-width integer header fields, then a payload of
 little-endian IEEE-754 float64 blocks.  Each archive's byte layout is its
 header and its block table (:func:`_snapshot_blocks`, :func:`_basis_blocks`),
-whose counts come from the header; no block is optional.  The writers
-emit the table's fields in order.  The readers check the file size against
-the whole table before they allocate or read any block, so a header count
-that disagrees with the file is a format error naming the block it runs
-into, and read only the blocks they need.  Every format error raised while
-an archive is read starts with the archive's path (:func:`_archive`).
+whose counts come from the header; no block is optional.  A column block,
+the snapshot payload or the modes, holds an (ndof, count) matrix one column
+after another.  :func:`_write_blocks` writes every archive and
+:func:`_read_blocks` reads every payload, a column block
+:data:`_COLUMN_BLOCK` columns at a time.  The reader checks the file size
+against the whole table before it allocates or reads any block, so a header
+count that disagrees with the file is a format error naming the block it
+runs into, and reads only the blocks wanted.  Every format error raised
+while an archive is read starts with the archive's path (:func:`_archive`).
 
 Basis archive version 4 lacked the lifting count, version 3 also the
 snapshot coordinates and version 2 also the mass and curl Grams; all are
@@ -43,13 +46,17 @@ BASIS_VERSION = 5
 # treat every other column as numbers.
 TEXT_COLUMNS = ("form",)
 
-# snapshots per read in read_snapshots and per write in write_snapshots: it
-# bounds the buffer of the payload's transposed rows and does not change a bit
-_SNAPSHOT_BLOCK = 4
+# columns per read and per write of a column block: it bounds the buffer of
+# the block's transposed rows and does not change a bit
+_COLUMN_BLOCK = 4
 
 
 class ArchiveFormatError(ValueError):
     """Raised when an archive header or payload fails validation."""
+
+
+class _Columns(tuple):
+    """The shape (ndof, count) of a block table's matrix field, stored one column after another."""
 
 
 def _snapshot_blocks(ndof, nsnap):
@@ -57,7 +64,7 @@ def _snapshot_blocks(ndof, nsnap):
 
         magic[8]="FLOWSNP1" | u32 version=1 | u32 reserved | u64 ndof | u64 nsnap
     """
-    return [("times", [(nsnap,)]), ("snapshot payload", [(nsnap, ndof)])]  # snapshot-major
+    return [("times", [(nsnap,)]), ("snapshot payload", [_Columns((ndof, nsnap))])]
 
 
 def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
@@ -75,7 +82,7 @@ def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
     liftings, which the header alone records.
     """
     return [("eigenvalues", [(rank,)]), ("spectrum", [(nspec,)]), ("grad_norms", [(rank,)]),
-            ("mean", [(ndof,)]), ("modes", [(rank, ndof)]),  # mode-major
+            ("mean", [(ndof,)]), ("modes", [_Columns((ndof, rank))]),
             # times; a_hat, Psi^T K w; ||w||_M^2, ||w||_K^2, ||grad u||, ||div u||; Psi^T K Psi
             ("snapshot times", [(nsnap,)]), ("snapshot coordinates", [(nsnap, rank)] * 2),
             ("snapshot norms", [(nsnap,)] * 4), ("stiffness Gram", [(rank, rank)]),
@@ -83,9 +90,21 @@ def _basis_blocks(ndof, rank, nspec, nproj, nsnap):
             ("projection cubes", [(nproj,) * 3] * 2), ("projection Grams", [(nproj, nproj)] * 3)]
 
 
-def _write_header(fh, magic, version, flag, counts):
-    """Write the header ``magic | u32 version | u32 flag | u64 counts``."""
-    fh.write(magic + struct.pack("<II" + "Q" * len(counts), version, flag, *counts))
+def _write_blocks(path, header, blocks, fields):
+    """Write ``header`` = (magic, u32 version, u32 flag, *u64 counts), then ``fields``
+    laid out by the block table ``blocks``, a column block :data:`_COLUMN_BLOCK`
+    columns at a time; every field's shape is checked before the file is created."""
+    shapes = [(name, shape) for name, block_shapes in blocks for shape in block_shapes]
+    for (name, shape), field in zip(shapes, fields, strict=True):
+        if np.shape(field) != shape:
+            raise ValueError(f"{name}: a field of shape {np.shape(field)} where the archive holds {shape}")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<8sII" + "Q" * (len(header) - 3), *header))
+        for (_, shape), field in zip(shapes, fields):
+            parts = ([field[:, a:a + _COLUMN_BLOCK].T for a in range(0, shape[1], _COLUMN_BLOCK)]
+                     if isinstance(shape, _Columns) else [field])
+            for part in parts:
+                fh.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
 @contextlib.contextmanager
@@ -100,7 +119,7 @@ def _archive(path):
 
 
 def _read_header(fh, kind, magic, version, n_counts, space):
-    """(flag, *counts) of a header written by :func:`_write_header`, whose
+    """(flag, *counts) of a header written by :func:`_write_blocks`, whose
     first count, the DOF count, is checked against the space; leaves ``fh``
     at the payload."""
     fmt = "<II" + "Q" * n_counts
@@ -122,8 +141,8 @@ def _read_blocks(fh, kind, blocks, wanted=None):
     """The field arrays of the ``wanted`` blocks (all when None), in file order.
 
     The file's size is checked against the whole block table before any
-    block is allocated or read; blocks not wanted are skipped.  The arrays
-    are writable views of one buffer per block.
+    block is allocated or read; blocks not wanted are skipped.  Each field
+    is its own writable array, a column block's a C-ordered matrix.
     """
     sizes = [8 * sum(math.prod(shape) for shape in shapes) for _, shapes in blocks]
     end, file_size = fh.tell(), os.fstat(fh.fileno()).st_size
@@ -140,9 +159,14 @@ def _read_blocks(fh, kind, blocks, wanted=None):
         if wanted is not None and name not in wanted:
             fh.seek(size, os.SEEK_CUR)
             continue
-        data = _read_finite(fh, name, size // 8)
-        offsets = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-        fields += [part.reshape(shape) for part, shape in zip(np.split(data, offsets), shapes)]
+        for shape in shapes:
+            if not isinstance(shape, _Columns):
+                fields.append(_read_finite(fh, name, math.prod(shape)).reshape(shape))
+                continue
+            fields.append(np.empty(shape))
+            for a in range(0, shape[1], _COLUMN_BLOCK):  # the transposed rows of a few columns
+                part = fields[-1][:, a:a + _COLUMN_BLOCK].T
+                part[...] = _read_finite(fh, name, part.size).reshape(part.shape)
     return fields
 
 
@@ -157,49 +181,34 @@ def _read_finite(fh, name, count):
 
 
 def write_snapshots(path, snapshots):
-    """Write a :class:`SnapshotSet` to a snapshot archive, its payload
-    :data:`_SNAPSHOT_BLOCK` snapshots at a time, so no transposed copy of the matrix exists."""
-    matrix = snapshots.matrix
-    with open(path, "wb") as fh:
-        _write_header(fh, SNAPSHOT_MAGIC, 1, 0, matrix.shape)
-        fh.write(np.ascontiguousarray(snapshots.times, dtype="<f8"))
-        for a in range(0, snapshots.count, _SNAPSHOT_BLOCK):
-            fh.write(np.ascontiguousarray(matrix[:, a:a + _SNAPSHOT_BLOCK].T, dtype="<f8"))
+    """Write a :class:`SnapshotSet` to a snapshot archive."""
+    counts = snapshots.matrix.shape
+    _write_blocks(path, (SNAPSHOT_MAGIC, 1, 0, *counts), _snapshot_blocks(*counts), [snapshots.times, snapshots.matrix])
 
 
-def _snapshot_times(fh, space):
-    """(ndof, nsnap, times) of the snapshot archive open as ``fh``, as
-    :func:`_read_blocks` reads them; ``fh`` is left at the end of the file."""
-    _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
-    times, = _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), {"times"})
-    return ndof, nsnap, times
+def _read_snapshot_blocks(path, space, wanted=None):
+    """The field arrays of a snapshot archive, as :func:`_read_blocks`."""
+    with _archive(path) as fh:
+        _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
+        return _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), wanted)
 
 
 def read_snapshots(path, space=None):
     """Read a snapshot archive back into a :class:`SnapshotSet`.
 
-    The (ndof, nsnap) matrix is filled from the payload
-    :data:`_SNAPSHOT_BLOCK` snapshots at a time, after the file size is
-    checked against the whole block table.  Raises
-    :class:`ArchiveFormatError`, naming the file, on a malformed or
+    Raises :class:`ArchiveFormatError`, naming the file, on a malformed or
     non-finite payload and, when ``space`` is given, on a DOF count that
     does not match it.
     """
-    with _archive(path) as fh:
-        ndof, nsnap, times = _snapshot_times(fh, space)
-        fh.seek(-8 * ndof * nsnap, os.SEEK_END)   # the payload, which ends the file
-        matrix = np.empty((ndof, nsnap))
-        for a in range(0, nsnap, _SNAPSHOT_BLOCK):
-            b = min(nsnap - a, _SNAPSHOT_BLOCK)
-            matrix[:, a:a + b] = _read_finite(fh, "snapshot payload", b * ndof).reshape(b, ndof).T
+    times, matrix = _read_snapshot_blocks(path, space)
     return SnapshotSet(matrix=matrix, times=times)
 
 
 def read_snapshot_times(path, space=None):
     """The times of a snapshot archive, validated like :func:`read_snapshots`
     except that its payload is skipped."""
-    with _archive(path) as fh:
-        return _snapshot_times(fh, space)[2]
+    times, = _read_snapshot_blocks(path, space, {"times"})
+    return times
 
 
 def write_basis(path, basis):
@@ -211,14 +220,11 @@ def write_basis(path, basis):
     counts = (ndof, rank, basis.spectrum.size, projection.m, coordinates.count)
     mean = basis.mean if basis.centered else np.zeros(ndof)
     # the projection's lifting count is a header field, not a block
-    fields = [basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes.T,
+    fields = [basis.eigenvalues, basis.spectrum, basis.grad_norms, mean, basis.modes,
               *(getattr(p, f.name) for p in (coordinates, projection)
                 for f in dataclasses.fields(p) if f.name != "liftings")]
-    shapes = [shape for _, block_shapes in _basis_blocks(*counts) for shape in block_shapes]
-    with open(path, "wb") as fh:
-        _write_header(fh, BASIS_MAGIC, BASIS_VERSION, int(basis.centered), (*counts, projection.liftings))
-        for shape, field in zip(shapes, fields, strict=True):
-            fh.write(np.ascontiguousarray(field, dtype="<f8").reshape(shape))
+    header = (BASIS_MAGIC, BASIS_VERSION, int(basis.centered), *counts, projection.liftings)
+    _write_blocks(path, header, _basis_blocks(*counts), fields)
 
 
 def _read_basis_blocks(path, space, wanted=None):
@@ -250,7 +256,7 @@ def read_basis(path, space=None):
     eigenvalues, spectrum, grad_norms, mean, modes, *rest = fields
     n_coords = len(dataclasses.fields(SnapshotCoordinates))
     return PodBasis(
-        modes=modes.T.copy(),
+        modes=modes,
         eigenvalues=eigenvalues,
         spectrum=spectrum,
         grad_norms=grad_norms,

@@ -15,8 +15,8 @@ from flowrom.io import (
     write_csv,
     write_snapshots,
 )
-from flowrom.pod import SnapshotCoordinates, SnapshotSet, build_pod_basis
-from flowrom.rom import project_fields
+from flowrom.pod import PodBasis, SnapshotCoordinates, SnapshotSet, build_pod_basis
+from flowrom.rom import RomProjection, project_fields
 
 from conftest import traced_peak, with_projection
 
@@ -29,13 +29,59 @@ def _set_counts(path, offsets, value):
     path.write_bytes(bytes(raw))
 
 
+def _nbytes(value):
+    """The bytes of every array that ``value`` holds, through nested dataclasses."""
+    if dataclasses.is_dataclass(value):
+        return sum(_nbytes(getattr(value, field.name)) for field in dataclasses.fields(value))
+    return value.nbytes if isinstance(value, np.ndarray) else 0
+
+
 @pytest.fixture
 def coordinates_basis(kh_run, kh_basis_session):
     """The session basis, with its snapshot coordinates, and a three-field projection."""
     return with_projection(kh_run[1], kh_basis_session, 3)
 
 
-class TestSnapshotArchive:
+class _ColumnBlockTests:
+    """Memory tests of an archive whose column block, an (ndof, count) matrix, is
+    written and read a few columns at a time.
+
+    A subclass names its ``write`` and ``read`` functions, the field that holds
+    the matrix and the peaks' bounds, and gives two fixtures: ``archived``,
+    which the read test writes and reads back, and ``wide``, which the write
+    test writes.
+    """
+
+    def test_traced_peak_is_the_matrix(self, tmp_path, archived):
+        path = tmp_path / "archive.bin"
+        self.write(path, archived)
+        peak, back = traced_peak(lambda: self.read(path))
+        assert np.array_equal(getattr(back, self.matrix), getattr(archived, self.matrix))
+        assert peak <= self.read_peak * _nbytes(back)
+
+    def test_write_holds_no_copy_of_the_matrix(self, tmp_path, wide):
+        peak, _ = traced_peak(lambda: self.write(tmp_path / "wide.bin", wide))
+        assert peak <= self.write_peak * getattr(wide, self.matrix).nbytes
+
+
+class TestSnapshotArchive(_ColumnBlockTests):
+    write, read, matrix = staticmethod(write_snapshots), staticmethod(read_snapshots), "matrix"
+    # the matrix is filled a few snapshots at a time: 1.2x the bytes read back;
+    # reading the payload whole and copying its transpose peaked at 2.0x
+    read_peak = 1.3
+    # the payload is written a few snapshots at a time, as it is read: 4 of the
+    # 156 of ``wide``; writing the matrix's transpose whole copied the matrix (1.0x)
+    write_peak = 0.1
+
+    @pytest.fixture
+    def archived(self, kh_run):
+        return kh_run[2]
+
+    @pytest.fixture
+    def wide(self, kh_run):
+        snaps = kh_run[2]
+        return SnapshotSet(matrix=np.tile(snaps.matrix, 6), times=np.arange(6.0 * snaps.count))
+
     def test_round_trip(self, tmp_path, kh_run):
         _, _, snaps, _, _ = kh_run
         path = tmp_path / "snaps.bin"
@@ -103,26 +149,33 @@ class TestSnapshotArchive:
         with pytest.raises(ArchiveFormatError, match="non-finite value in snapshot payload"):
             read_snapshots(path)
 
-    def test_traced_peak_is_the_matrix(self, tmp_path, kh_run):
-        # the matrix is filled a few snapshots at a time: 1.2x its bytes; reading
-        # the payload whole and copying its transpose peaked at 2.0x
-        _, _, snaps, _, _ = kh_run
-        path = tmp_path / "snaps.bin"
-        write_snapshots(path, snaps)
-        peak, back = traced_peak(lambda: read_snapshots(path))
-        assert np.array_equal(back.matrix, snaps.matrix)
-        assert peak <= 1.3 * back.matrix.nbytes
 
-    def test_write_holds_no_copy_of_the_matrix(self, tmp_path, kh_run):
-        # the payload is written a few snapshots at a time, as it is read: 4 of the
-        # 156 here; writing the matrix's transpose whole copied the matrix (1.0x)
-        _, _, snaps, _, _ = kh_run
-        wide = SnapshotSet(matrix=np.tile(snaps.matrix, 6), times=np.arange(6.0 * snaps.count))
-        peak, _ = traced_peak(lambda: write_snapshots(tmp_path / "wide.bin", wide))
-        assert peak <= 0.1 * wide.matrix.nbytes
+class TestBasisArchive(_ColumnBlockTests):
+    write, read, matrix = staticmethod(write_basis), staticmethod(read_basis), "modes"
+    # the modes are filled a few at a time, as the snapshot payload is: 1.03x the
+    # bytes read back; reading them whole and copying their transpose peaked at 1.43x
+    read_peak = 1.1
+    # 0.12x: 4 of the 46 modes and the uncentered basis's zero mean; writing the
+    # modes' transpose whole copied them (1.03x)
+    write_peak = 0.2
 
+    @pytest.fixture(scope="class")
+    def wide(self):
+        """Seeded random arrays of the 16x16 shear-layer pipeline's basis sizes:
+        46 modes of 2112 DOFs, 51 snapshots and a 40-field projection."""
+        rng = np.random.default_rng(54)
+        ndof, rank, nsnap, m = 2112, 46, 51, 40
+        coordinates = SnapshotCoordinates(np.arange(nsnap, dtype=float), *(
+            rng.standard_normal(shape) for shape in [(nsnap, rank)] * 2 + [(nsnap,)] * 4 + [(rank, rank)]))
+        projection = RomProjection(*(rng.standard_normal(shape) for shape in [(m,) * 3] * 2 + [(m, m)] * 3))
+        return PodBasis(modes=rng.standard_normal((ndof, rank)), eigenvalues=rng.random(rank),
+                        spectrum=rng.random(nsnap), grad_norms=rng.random(rank),
+                        projection=projection, coordinates=coordinates)
 
-class TestBasisArchive:
+    @pytest.fixture
+    def archived(self, wide):
+        return wide
+
     def test_round_trip(self, tmp_path, coordinates_basis):
         basis = coordinates_basis
         path = tmp_path / "basis.bin"
@@ -241,6 +294,17 @@ class TestBasisArchive:
         path = tmp_path / "basis.bin"
         with pytest.raises(ValueError, match="holds the snapshot coordinates and the projection"):
             write_basis(path, dataclasses.replace(coordinates_basis, **{missing: None}))
+        assert not path.exists()
+
+    def test_write_checks_every_field_before_the_file(self, tmp_path, wide):
+        # coordinates on 5 of the 46 modes: refused before the file is created,
+        # not half way through writing it
+        coords = wide.coordinates
+        short = dataclasses.replace(coords, coeffs=coords.coeffs[:, :5], outside_stiff=coords.outside_stiff[:, :5],
+                                    stiff_gram=coords.stiff_gram[:5, :5])
+        path = tmp_path / "basis.bin"
+        with pytest.raises(ValueError, match=r"snapshot coordinates: a field of shape \(51, 5\)"):
+            write_basis(path, dataclasses.replace(wide, coordinates=short))
         assert not path.exists()
 
     @pytest.mark.parametrize("offsets,block", [([24, 32], "eigenvalues"), ([48], "snapshot times")])

@@ -561,6 +561,18 @@ class TestRomEnergy:
         with pytest.raises(ValueError, match="projection holds"):
             rom_energy_enstrophy(small, basis, np.zeros((1, r + 1)))
 
+    def test_coefficients_stop_at_the_liftings(self, rom_setup, projected):
+        # a lifting after three modes is no mode, so four coefficients are refused as
+        # the operators refuse r = 4; counting it as one gave the energy 0.5 |a|^2 = 2
+        space, basis = rom_setup[0], projected["none"]
+        lifted = project_fields(space, basis.fields(4), liftings=1)
+        energy, _ = rom_energy_enstrophy(lifted, basis, np.ones(3))
+        assert energy == pytest.approx([1.5], rel=1e-12)
+        for refused in (lambda: rom_energy_enstrophy(lifted, basis, np.ones(4)),
+                        lambda: lifted.operators("skew", 1.0, 0, 4)):
+            with pytest.raises(ValueError, match="projection holds 3 fields, 4 requested"):
+                refused()
+
 
 @pytest.fixture(scope="module")
 def cylinder_run():
