@@ -7,9 +7,11 @@ of its value, and the ``EXIT_*`` codes that :func:`main` maps each error
 type to; ``demos/configs`` holds complete configs.
 
 Every subcommand starts from :func:`_build_problem`: the parsed config, the
-space, the ``[fom]`` keys as a :class:`FomConfig`, the POD centering and the
-initial velocity.  So a value that any stage would reject fails every
-subcommand, before anything is written.
+mesh and its velocity DOF count (``fem.periodic_fold``), the ``[fom]`` keys as
+a :class:`FomConfig`, the POD centering and the initial velocity.  So a value
+that any stage would reject fails every subcommand, before anything is
+written.  Only ``fom`` and ``pod`` build a finite-element space on the mesh;
+``rom`` and ``compare`` check their archives' DOF count against the mesh's.
 
 ``pod`` is the only subcommand that reads a snapshot archive's payload.  It
 stores in the basis archive the projection of the momentum operators, with
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import io as fio
 from .diagnostics import reduced_trajectory_error, rom_energy_enstrophy
-from .fem import NonlinearForm, TaylorHoodSpace
+from .fem import NonlinearForm, TaylorHoodSpace, periodic_fold
 from .fom import (
     FomConfig,
     at_rest,
@@ -45,7 +47,7 @@ from .fom import (
     kelvin_helmholtz_velocity,
     run_fom,
 )
-from .mesh import MeshFormatError, identify_periodic, load_bundled_mesh, uniform_rect_mesh
+from .mesh import Mesh, MeshFormatError, identify_periodic, load_bundled_mesh, uniform_rect_mesh
 from .numerics import NewtonConvergenceError, SingularSystemError, grid_step, uniform_step
 from .pod import build_pod_basis, pod_projection_error
 from .rom import RomTrajectory, assemble_rom_operators, project_fields, run_rom
@@ -106,14 +108,16 @@ class _Problem(NamedTuple):
     """The parsed config, the problem it names and the values that problem fixes."""
 
     config: dict  # as _load_config returns it
-    space: TaylorHoodSpace
+    mesh: Mesh
+    ndof: int  # velocity DOFs of a TaylorHoodSpace on mesh
     fom: FomConfig
     centering: str  # POD centering when [rom] centering is not set
     velocity: object  # initial velocity (x, y, t) -> (u1, u2)
 
 
 def _build_problem(path):
-    """The config at ``path`` with its problem's space, FomConfig, POD centering and initial velocity.
+    """The config at ``path`` with its problem's mesh and velocity DOF count, FomConfig, POD
+    centering and initial velocity.
 
     This is the only code that knows a problem name, one of the paper's two
     cases: ``kelvin-helmholtz``, the shear layer on the ``[problem] nx`` x
@@ -121,8 +125,9 @@ def _build_problem(path):
     ``cylinder-channel``, the bundled cylinder mesh, for which ``nx`` or
     ``ny`` is a config error.  The ``[fom]`` keys are :class:`FomConfig`
     fields, the snapshot window from its two ends; the name fixes the
-    boundary, the drag label and the projection of u0.  A config error names
-    ``path``.
+    boundary, the drag label and the projection of u0.  The DOF count comes
+    from the mesh's periodic fold alone, whose ``ValueError`` is a config
+    error; no space is built.  A config error names ``path``.
     """
     config = _load_config(path)
     prob = config["problem"]
@@ -130,7 +135,8 @@ def _build_problem(path):
     if name == "kelvin-helmholtz":
         nx = prob.get("nx", 32)
         try:
-            space = TaylorHoodSpace(identify_periodic(uniform_rect_mesh(nx, prob.get("ny", nx)), "x"))
+            mesh = identify_periodic(uniform_rect_mesh(nx, prob.get("ny", nx)), "x")
+            roots = periodic_fold(mesh)[0]
         except ValueError as exc:
             raise ConfigError(f"{path}: [problem] nx, ny: {exc}") from exc
         fixed = {"boundary": kelvin_helmholtz_boundary(), "project_initial": True}
@@ -139,7 +145,8 @@ def _build_problem(path):
         for key in ("nx", "ny"):
             if key in prob:
                 raise ConfigError(f"{path}: [problem] {key}: {name} runs on the bundled mesh, which has no {key}")
-        space = TaylorHoodSpace(load_bundled_mesh())
+        mesh = load_bundled_mesh()
+        roots = periodic_fold(mesh)[0]
         fixed = {"boundary": cylinder_boundary(), "drag_label": "cylinder", "project_initial": True}
         centering, velocity = "mean", at_rest
     else:
@@ -153,7 +160,7 @@ def _build_problem(path):
         fom_cfg = FomConfig(**fom, **fixed, snapshot_window=window)
     except ValueError as exc:
         raise ConfigError(f"{path}: [fom] {exc}") from exc
-    return _Problem(config, space, fom_cfg, centering, velocity)
+    return _Problem(config, mesh, 2 * roots.size, fom_cfg, centering, velocity)
 
 
 def _out_prefix(config, outdir):
@@ -164,9 +171,9 @@ def _out_prefix(config, outdir):
 
 def cmd_fom(args):
     problem = _build_problem(args.config)
-    space = problem.space
+    space = TaylorHoodSpace(problem.mesh)
     u0 = build_initial_condition(problem.velocity, space)
-    _, snaps, series = run_fom(problem.fom, space.mesh, space, u0)
+    _, snaps, series = run_fom(problem.fom, problem.mesh, space, u0)
     prefix = _out_prefix(problem.config, args.out)
     fio.write_snapshots(f"{prefix}_snapshots.bin", snaps)
     fio.write_csv(f"{prefix}_scalars.csv", ["t", *series],
@@ -199,8 +206,9 @@ def cmd_pod(args):
     coordinates also give the projection-error report.
     """
     problem = _build_problem(args.config)
-    config, space = problem.config, problem.space
-    snaps = fio.read_snapshots(args.archive, space=space)
+    config = problem.config
+    snaps = fio.read_snapshots(args.archive, ndof=problem.ndof)
+    space = TaylorHoodSpace(problem.mesh)
     try:
         basis = build_pod_basis(snaps, space, centering=config["rom"].get("centering", problem.centering))
     except ValueError as exc:  # no snapshot, or only vanishing ones
@@ -225,9 +233,9 @@ def cmd_pod(args):
     return EXIT_OK
 
 
-def _pod_coordinates(coordinates, basis_path, archive_path, space):
+def _pod_coordinates(coordinates, basis_path, archive_path, ndof):
     """The snapshot coordinates stored by ``pod`` in the basis and the step of their time grid."""
-    if not np.array_equal(fio.read_snapshot_times(archive_path, space=space), coordinates.times):
+    if not np.array_equal(fio.read_snapshot_times(archive_path, ndof=ndof), coordinates.times):
         raise fio.ArchiveFormatError(
             f"{archive_path}: snapshot times differ from those of the basis {basis_path}")
     if coordinates.count < 2:
@@ -253,10 +261,10 @@ def cmd_rom(args):
     ``[fom] form`` (``rom.RomProjection.drag``); no field is formed.
     """
     problem = _build_problem(args.config)
-    config, space, fom_cfg = problem.config, problem.space, problem.fom
+    config, fom_cfg = problem.config, problem.fom
     form = NonlinearForm.parse(args.form or fom_cfg.form)
-    basis = fio.read_basis(args.basis, space=space)
-    coords, spacing = _pod_coordinates(basis.coordinates, args.basis, args.archive, space)
+    basis = fio.read_basis(args.basis, ndof=problem.ndof)
+    coords, spacing = _pod_coordinates(basis.coordinates, args.basis, args.archive, problem.ndof)
     dt = fom_cfg.dt
     stride = grid_step(spacing, dt)
     if not stride:
@@ -324,9 +332,8 @@ def cmd_compare(args):
     (``diagnostics.reduced_trajectory_error``); no field is formed.
     """
     problem = _build_problem(args.config)
-    space = problem.space
-    coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, space=space),
-                                  args.basis, args.archive, space)
+    coords, dt = _pod_coordinates(fio.read_basis_coordinates(args.basis, ndof=problem.ndof),
+                                  args.basis, args.archive, problem.ndof)
 
     # theorem norms of the FOM divergence series, the same in every row
     div = coords.div_norms[1:]

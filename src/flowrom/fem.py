@@ -139,14 +139,40 @@ def cached(fn):
     return memo
 
 
-def _resolve_roots(master):
-    """Collapse master chains (slave of a slave) to their final root."""
-    master = master.copy()
-    while True:
-        nxt = master[master]
-        if np.array_equal(nxt, master):
-            return master
-        master = nxt
+def periodic_fold(mesh):
+    """The P2 nodes of ``mesh`` with its periodic pairs folded, as
+    (roots, scalar_index, vertex_roots, pressure_index).
+
+    ``roots`` is the sorted root of each merged scalar node (the vertices,
+    then the edge midpoints) and ``scalar_index`` each node's place among
+    them; ``vertex_roots`` and ``pressure_index`` are the same for the
+    vertices alone.  So a :class:`TaylorHoodSpace` on ``mesh`` has
+    ``2 * roots.size`` velocity and ``vertex_roots.size`` pressure DOFs.  A
+    vertex folds onto its master in the mesh pairs (a slave listed twice
+    keeps its last master), a midpoint through the induced edge
+    identification.  A fold that maps an edge's two vertices to one, or
+    merges two edges that share a vertex, raises ``ValueError``.
+    """
+    nv, edges, pairs = mesh.num_vertices, mesh.edges, mesh.periodic_pairs
+    last = pairs.shape[0] - 1 - np.unique(pairs[::-1, 1], return_index=True)[1]
+    vroot = np.arange(nv)
+    vroot[pairs[last, 1]] = pairs[last, 0]
+    while not np.array_equal(vroot[vroot], vroot):  # a slave of a slave folds onto the final root
+        vroot = vroot[vroot]
+    # edges whose endpoint roots coincide are translated copies of one
+    # another across a periodic seam; the first such edge is the master
+    ra, rb = vroot[edges[:, 0]], vroot[edges[:, 1]]
+    _, first, seam = np.unique(np.minimum(ra, rb) * nv + np.maximum(ra, rb),
+                               return_index=True, return_inverse=True)
+    # a translate shares no vertex with its copies; a fold of a mesh one
+    # or two cells across a seam collapses an edge or merges two edges
+    # that share a vertex, and leaves no P2 space
+    distinct = np.bincount(np.unique(np.repeat(seam, 2) * nv + edges.ravel()) // nv)
+    if np.any(ra == rb) or np.any(distinct < 2 * np.bincount(seam)):
+        raise ValueError("the periodic fold collapses an edge or merges two that share a vertex: "
+                         "too few cells across a seam")
+    return (*np.unique(np.concatenate([vroot, nv + first[seam]]), return_inverse=True),
+            *np.unique(vroot, return_inverse=True))
 
 
 @dataclass(frozen=True)
@@ -258,12 +284,11 @@ def _symmetric(elem):
 class TaylorHoodSpace:
     """P2 vector velocity / P1 pressure degree-of-freedom layout on a mesh.
 
-    Periodic vertex pairs of the mesh are folded: slave P2 nodes (vertices
-    and midpoints of slave edges) share the DOF of their master, both for
-    velocity and pressure.  A fold that maps an edge's two vertices to one,
-    or merges two edges that share a vertex, raises ``ValueError``.  One
-    pressure DOF (index 0) is pinned during solves since neither experiment
-    carries an essential pressure condition.
+    Periodic vertex pairs of the mesh are folded (:func:`periodic_fold`):
+    slave P2 nodes (vertices and midpoints of slave edges) share the DOF of
+    their master, both for velocity and pressure.  One pressure DOF (index
+    0) is pinned during solves since neither experiment carries an
+    essential pressure condition.
     """
 
     def __init__(self, mesh):
@@ -276,38 +301,11 @@ class TaylorHoodSpace:
         self.cell_edges = mesh.cell_edges
         self.n_vertices = nv
 
-        # periodic folding: vertices from the mesh pairs (a slave listed
-        # twice keeps its last master), midpoints through the induced edge
-        # identification
-        pairs = mesh.periodic_pairs
-        last = pairs.shape[0] - 1 - np.unique(pairs[::-1, 1], return_index=True)[1]
-        vroot = np.arange(nv)
-        vroot[pairs[last, 1]] = pairs[last, 0]
-        vroot = _resolve_roots(vroot)
-        # edges whose endpoint roots coincide are translated copies of one
-        # another across a periodic seam; the first such edge is the master
-        ra, rb = vroot[self.edges[:, 0]], vroot[self.edges[:, 1]]
-        _, first, seam = np.unique(np.minimum(ra, rb) * nv + np.maximum(ra, rb),
-                                   return_index=True, return_inverse=True)
-        eroot = first[seam]
-        # a translate shares no vertex with its copies; a fold of a mesh one
-        # or two cells across a seam collapses an edge or merges two edges
-        # that share a vertex, and leaves no P2 space
-        distinct = np.bincount(np.unique(np.repeat(seam, 2) * nv + self.edges.ravel()) // nv)
-        if np.any(ra == rb) or np.any(distinct < 2 * np.bincount(seam)):
-            raise ValueError("the periodic fold collapses an edge or merges two that share a vertex: "
-                             "too few cells across a seam")
-
-        scalar_root = np.concatenate([vroot, nv + eroot])
-        roots = np.unique(scalar_root)
-        self.scalar_index = np.searchsorted(roots, scalar_root)
-        self.n_scalar = roots.size
-        self.n_vel = 2 * self.n_scalar
-
         # the vertex roots come first among the scalar roots, so pressure
         # DOF q is scalar node q
-        proots = np.unique(vroot)
-        self.pressure_index = np.searchsorted(proots, vroot)
+        roots, self.scalar_index, proots, self.pressure_index = periodic_fold(mesh)
+        self.n_scalar = roots.size
+        self.n_vel = 2 * self.n_scalar
         self.n_press = proots.size
         self.pinned_pressure = 0
 

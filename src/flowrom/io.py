@@ -118,10 +118,10 @@ def _archive(path):
         raise ArchiveFormatError(f"{path}: {exc}") from None
 
 
-def _read_header(fh, kind, magic, version, n_counts, space):
+def _read_header(fh, kind, magic, version, n_counts, ndof):
     """(flag, *counts) of a header written by :func:`_write_blocks`, whose
-    first count, the DOF count, is checked against the space; leaves ``fh``
-    at the payload."""
+    first count, the DOF count, is checked against ``ndof`` unless it is
+    None; leaves ``fh`` at the payload."""
     fmt = "<II" + "Q" * n_counts
     raw = fh.read(8 + struct.calcsize(fmt))
     if raw[:8] != magic:
@@ -131,9 +131,8 @@ def _read_header(fh, kind, magic, version, n_counts, space):
     found, flag, *counts = struct.unpack_from(fmt, raw, 8)
     if found != version:
         raise ArchiveFormatError(f"unsupported {kind} archive version {found}")
-    if space is not None and counts[0] != space.n_vel:
-        raise ArchiveFormatError(
-            f"archive DOF count {counts[0]} does not match the configured mesh ({space.n_vel})")
+    if ndof is not None and counts[0] != ndof:
+        raise ArchiveFormatError(f"archive DOF count {counts[0]} does not match the configured mesh ({ndof})")
     return flag, *counts
 
 
@@ -186,28 +185,28 @@ def write_snapshots(path, snapshots):
     _write_blocks(path, (SNAPSHOT_MAGIC, 1, 0, *counts), _snapshot_blocks(*counts), [snapshots.times, snapshots.matrix])
 
 
-def _read_snapshot_blocks(path, space, wanted=None):
+def _read_snapshot_blocks(path, ndof, wanted=None):
     """The field arrays of a snapshot archive, as :func:`_read_blocks`."""
     with _archive(path) as fh:
-        _, ndof, nsnap = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, space)
-        return _read_blocks(fh, "snapshot", _snapshot_blocks(ndof, nsnap), wanted)
+        _, *counts = _read_header(fh, "snapshot", SNAPSHOT_MAGIC, 1, 2, ndof)
+        return _read_blocks(fh, "snapshot", _snapshot_blocks(*counts), wanted)
 
 
-def read_snapshots(path, space=None):
+def read_snapshots(path, ndof=None):
     """Read a snapshot archive back into a :class:`SnapshotSet`.
 
     Raises :class:`ArchiveFormatError`, naming the file, on a malformed or
-    non-finite payload and, when ``space`` is given, on a DOF count that
-    does not match it.
+    non-finite payload and, when the velocity DOF count ``ndof`` is given,
+    on a DOF count that does not match it.
     """
-    times, matrix = _read_snapshot_blocks(path, space)
+    times, matrix = _read_snapshot_blocks(path, ndof)
     return SnapshotSet(matrix=matrix, times=times)
 
 
-def read_snapshot_times(path, space=None):
+def read_snapshot_times(path, ndof=None):
     """The times of a snapshot archive, validated like :func:`read_snapshots`
     except that its payload is skipped."""
-    times, = _read_snapshot_blocks(path, space, {"times"})
+    times, = _read_snapshot_blocks(path, ndof, {"times"})
     return times
 
 
@@ -227,11 +226,11 @@ def write_basis(path, basis):
     _write_blocks(path, header, _basis_blocks(*counts), fields)
 
 
-def _read_basis_blocks(path, space, wanted=None):
+def _read_basis_blocks(path, ndof, wanted=None):
     """(centered, nlifting, field arrays) of a basis archive, as :func:`_read_blocks`."""
     with _archive(path) as fh:
-        centered, ndof, rank, nspec, nproj, nsnap, nlifting = _read_header(
-            fh, "basis", BASIS_MAGIC, BASIS_VERSION, 6, space)
+        centered, *counts, nlifting = _read_header(fh, "basis", BASIS_MAGIC, BASIS_VERSION, 6, ndof)
+        _, rank, nspec, nproj, nsnap = counts
         if rank > nspec:
             raise ArchiveFormatError(f"rank field {rank} exceeds spectrum length {nspec}")
         if not nsnap or not nproj:
@@ -243,16 +242,16 @@ def _read_basis_blocks(path, space, wanted=None):
         if nproj - nlifting > n_fields:
             raise ArchiveFormatError(f"projected field count {nproj} exceeds the basis's {n_fields} fields "
                                      f"and {nlifting} liftings")
-        blocks = _basis_blocks(ndof, rank, nspec, nproj, nsnap)
-        return centered, nlifting, _read_blocks(fh, "basis", blocks, wanted)
+        return centered, nlifting, _read_blocks(fh, "basis", _basis_blocks(*counts), wanted)
 
 
-def read_basis(path, space=None):
+def read_basis(path, ndof=None):
     """Read a basis archive back into a :class:`PodBasis`.
 
-    Validated like :func:`read_snapshots`.
+    Validated like :func:`read_snapshots`, against the DOF count ``ndof``
+    when it is given.
     """
-    centered, nlifting, fields = _read_basis_blocks(path, space)
+    centered, nlifting, fields = _read_basis_blocks(path, ndof)
     eigenvalues, spectrum, grad_norms, mean, modes, *rest = fields
     n_coords = len(dataclasses.fields(SnapshotCoordinates))
     return PodBasis(
@@ -266,10 +265,10 @@ def read_basis(path, space=None):
     )
 
 
-def read_basis_coordinates(path, space=None):
+def read_basis_coordinates(path, ndof=None):
     """The :class:`SnapshotCoordinates` of a basis archive, validated like
-    :func:`read_basis` but reading no other block."""
-    *_, fields = _read_basis_blocks(path, space, {
+    :func:`read_basis`, ``ndof`` included, but reading no other block."""
+    *_, fields = _read_basis_blocks(path, ndof, {
         "snapshot times", "snapshot coordinates", "snapshot norms", "stiffness Gram"})
     return SnapshotCoordinates(*fields)
 

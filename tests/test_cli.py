@@ -109,15 +109,6 @@ def _spaces_made(monkeypatch, argv):
     return spaces
 
 
-# the space's memos that assemble an operator
-OPERATORS = {"mass", "stiffness", "divergence", "div_form", "curl_form", "pressure_volume", "saddle_order"}
-
-
-def _formed(space):
-    """The :data:`OPERATORS` that ``space`` has formed."""
-    return {key[0].rpartition(".")[2] for key in space._cache} & OPERATORS
-
-
 def _digest(matrix):
     return hashlib.sha256(matrix.data.tobytes()).hexdigest()
 
@@ -305,10 +296,11 @@ class TestPipeline:
         assert dict(zip(*read_csv(out)))["form"].tolist() == ["skew"]  # one row
 
     def test_rom_energies_come_from_the_projection(self, micro_pipeline, tmp_path, monkeypatch, capsys):
-        # rom forms no operator at the stored r = 3: it starts from the stored
-        # coordinates, and the energy and enstrophy series read the
-        # projection's Grams.  At r = rank > 3 it refuses to run and writes
-        # nothing: it never projects.  compare forms none.
+        # rom builds no space at the stored r = 3: it checks its files against
+        # the mesh's DOF count, starts from the stored coordinates, and the
+        # energy and enstrophy series read the projection's Grams.  At
+        # r = rank > 3 it refuses to run and writes nothing: it never
+        # projects.  compare builds no space either.
         from flowrom.diagnostics import energy_enstrophy
         from flowrom.rom import reconstruct_field
 
@@ -317,10 +309,9 @@ class TestPipeline:
         assert basis.projection.m == 3 < basis.rank
         argv = ["rom", str(root / "micro_basis.bin"), "--archive", str(root / "micro_snapshots.bin"),
                 "--config", str(cfg), "--out", str(tmp_path)]
-        [stored] = _spaces_made(monkeypatch, [*argv, "--r", "3"])
-        [compared] = _spaces_made(monkeypatch, _subcommand("compare", root, cfg, tmp_path))
-        assert _formed(stored) == _formed(compared) == set()
-        space = _build_problem(cfg).space
+        assert _spaces_made(monkeypatch, [*argv, "--r", "3"]) == []
+        assert _spaces_made(monkeypatch, _subcommand("compare", root, cfg, tmp_path)) == []
+        space = TaylorHoodSpace(_build_problem(cfg).mesh)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         header, scalars = read_csv(tmp_path / "micro_rom_skew_r3_scalars.csv")
         assert header[1:3] == ["energy", "enstrophy"]
@@ -386,10 +377,11 @@ class TestPipeline:
             assert drag.size == 6 and np.isnan(drag[0]) and np.all(np.isfinite(drag[1:]))
 
         problem = _build_problem(cfg)
-        basis = read_basis(basis_path, space=problem.space)
+        space = TaylorHoodSpace(problem.mesh)
+        basis = read_basis(basis_path, ndof=space.n_vel)
         _, traj = read_csv(tmp_path / "micro_rom_skew_r3_traj.csv")
         u = [reconstruct_field(basis, a) for a in np.column_stack(traj[1:])]
-        want = np.array([step_drag(problem.space, problem.fom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
+        want = np.array([step_drag(space, problem.fom, u[n], u[n - 1], u[n - 2] if n > 1 else None)
                          for n in range(1, len(u))])
         assert np.abs(rom[3][1:] - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -506,10 +498,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
     def test_demo_configs_are_accepted(self, path):
-        # the whole set-up of every subcommand: the space and the validated FomConfig
+        # the whole set-up of every subcommand: the mesh, its DOF count and the validated FomConfig
         problem = _build_problem(path)
         assert problem.config["problem"]["name"] in ("kelvin-helmholtz", "cylinder-channel")
-        assert isinstance(problem.fom, FomConfig) and problem.space.n_vel > 0
+        assert isinstance(problem.fom, FomConfig) and problem.ndof == TaylorHoodSpace(problem.mesh).n_vel
 
     @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
     @pytest.mark.parametrize("edit", [
@@ -562,17 +554,16 @@ class TestErrorPaths:
         assert not (tmp_path / "micro_snapshots.bin").exists()
 
     def test_archive_dof_mismatch_is_format_error(self, micro_pipeline, tmp_path, capsys):
+        # the KH 8 x 8 files against a 6 x 6 fold and against the bundled cylinder
         root, _ = micro_pipeline
-        cfg = tmp_path / "six.ini"
-        cfg.write_text(MICRO_KH.replace("nx = 8\nny = 8", "nx = 6\nny = 6"))
-        common = ["--config", str(cfg), "--out", str(tmp_path)]
-        archive, basis = str(root / "micro_snapshots.bin"), str(root / "micro_basis.bin")
-        traj = str(root / "micro_rom_skew_r3_traj.csv")
-        assert main(["pod", archive, *common]) == 4
-        assert main(["rom", basis, "--archive", archive, *common]) == 4
-        assert main(["compare", traj, "--config", str(cfg), "--archive", archive,
-                     "--basis", basis, "--out", str(tmp_path / "c.csv")]) == 4
-        assert capsys.readouterr().err.count("does not match the configured mesh") == 3
+        for name, text in (("six", MICRO_KH.replace("nx = 8\nny = 8", "nx = 6\nny = 6")),
+                           ("cylinder", MICRO_CYLINDER)):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text)
+            for command in ("pod", "rom", "compare"):
+                assert main(_subcommand(command, root, cfg, tmp_path / name)) == 4
+            assert capsys.readouterr().err.count("does not match the configured mesh") == 3
+            assert not (tmp_path / name).exists()
 
     def test_non_finite_archive_is_format_error(self, micro_pipeline, tmp_path, capsys):
         # pod reads the payload; rom and compare read only the times
@@ -717,7 +708,7 @@ class TestErrorPaths:
             elif defect == "non_finite_gram":
                 basis.projection.mass_gram[1, 0] = np.inf
             else:  # no_lifting: the projection of the mean and the 3 modes only
-                basis = with_projection(_build_problem(cfg).space, basis, 3)
+                basis = with_projection(TaylorHoodSpace(_build_problem(cfg).mesh), basis, 3)
             write_basis(bad, basis)
         code = main(["rom", str(bad), "--archive", archive, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 4
@@ -785,12 +776,14 @@ class TestErrorPaths:
         assert [main(call) for call in calls] == [4] * len(calls)
         assert capsys.readouterr().err.count(f"truncated archive while reading {block})") == len(calls)
 
+    @pytest.mark.parametrize("command", ["fom", "pod", "rom", "compare"])
     @pytest.mark.parametrize("nx", [1, 2])
-    def test_mesh_too_coarse_to_fold_is_config_error(self, tmp_path, capsys, nx):
-        # one or two cells across the periodic seam leave no P2 space
+    def test_mesh_too_coarse_to_fold_is_config_error(self, micro_pipeline, tmp_path, capsys, nx, command):
+        # one or two cells across the periodic seam leave no P2 space, which
+        # every subcommand's fold finds before it reads or writes a file
         cfg = tmp_path / "coarse.ini"
         cfg.write_text(MICRO_KH.replace("nx = 8\nny = 8", f"nx = {nx}\nny = 4"))
-        assert main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert main(_subcommand(command, micro_pipeline[0], cfg, tmp_path / "out")) == 2
         assert f"config error: {cfg}: [problem] nx, ny: the periodic fold" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

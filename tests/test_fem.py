@@ -18,6 +18,7 @@ from flowrom.fem import (
     constraint_mask,
     nonlinear_jacobian,
     nonlinear_residual,
+    periodic_fold,
     saddle_block,
 )
 from flowrom.fom import (_newton_matrix, build_initial_condition, cylinder_boundary, kelvin_helmholtz_boundary,
@@ -558,6 +559,17 @@ class TestPeriodicFold:
         # per vertex and per edge
         n_vertices = {"x": 12, "xy": 9}[axes]
         assert space.n_press == n_vertices and space.n_scalar == n_vertices + (n_vertices + 18)
+
+    @pytest.mark.parametrize("cells, axes", [((3, 4), "x"), ((8, 8), "x"), ((16, 16), "x"), ((48, 48), "xy"),
+                                             (None, "")], ids=["kh3x4", "kh8", "kh16", "torus48", "cylinder"])
+    def test_fold_counts_the_space_dofs(self, cells, axes):
+        # the count the CLI checks archives against, from the mesh alone
+        mesh = uniform_rect_mesh(*cells) if cells else load_bundled_mesh()
+        for axis in axes:
+            mesh = identify_periodic(mesh, axis)
+        roots, _, vertex_roots, _ = periodic_fold(mesh)
+        space = TaylorHoodSpace(mesh)
+        assert (2 * roots.size, vertex_roots.size) == (space.n_vel, space.n_press)
 
 
 class TestVectorizedNumbering:

@@ -136,9 +136,10 @@ class TestSnapshotArchive(_ColumnBlockTests):
         _, space, snaps, _, _ = kh_run
         path = tmp_path / "snaps.bin"
         write_snapshots(path, snaps)
-        assert read_snapshots(path, space=space).matrix.shape[0] == space.n_vel
-        with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
-            read_snapshots(path, space=square8[1])
+        assert read_snapshots(path, ndof=space.n_vel).matrix.shape[0] == space.n_vel
+        for reader in (read_snapshots, read_snapshot_times):
+            with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
+                reader(path, ndof=square8[1].n_vel)
 
     def test_non_finite_payload(self, tmp_path, kh_run):
         _, _, snaps, _, _ = kh_run
@@ -338,9 +339,10 @@ class TestBasisArchive(_ColumnBlockTests):
     def test_dof_count_checked_against_space(self, tmp_path, kh_run, coordinates_basis, square8):
         path = tmp_path / "basis.bin"
         write_basis(path, coordinates_basis)
-        assert read_basis(path, space=kh_run[1]).modes.shape == coordinates_basis.modes.shape
-        with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
-            read_basis(path, space=square8[1])
+        assert read_basis(path, ndof=kh_run[1].n_vel).modes.shape == coordinates_basis.modes.shape
+        for reader in (read_basis, read_basis_coordinates):
+            with pytest.raises(ArchiveFormatError, match="does not match the configured mesh"):
+                reader(path, ndof=square8[1].n_vel)
 
     def test_non_finite_payload(self, tmp_path, coordinates_basis):
         bad = dataclasses.replace(coordinates_basis, modes=coordinates_basis.modes.copy())
